@@ -40,7 +40,7 @@ from .catalog import (
 )
 from .dual import DiffScalar, tangent_of, value_of
 from .errors import ConfigurationError, DegenerateFrameError, SingularExtensorError
-from .extensor import Extensor, Outermorphism, outermorphism_apply
+from .extensor import Extensor, Outermorphism
 from .functional import (
     InducedFunctional,
     component_partials,
@@ -99,7 +99,6 @@ __all__ = [
     "max_abs_diff",
     "multivector_from_map",
     "multivector_to_map",
-    "outermorphism_apply",
     "pair_product_functional",
     "parse_metric",
     "product",

@@ -2,7 +2,10 @@
 
 Basis blades are indexed by bitmasks: bit k set means generator e_{k+1} is a
 factor, so mask 0b101 is e1^e3 and the grade of a blade is the popcount of its
-mask.  A multivector stores one coefficient per mask (2^n in total).
+mask.  A multivector stores a float64 value array with one coefficient per
+mask (2^n in total) and, optionally, a tangent block of shape (m, 2^n): row r
+holds the derivative of every coefficient along the r-th of m seeded
+directions (vector-mode forward differentiation).
 
 Product conventions, for homogeneous A of grade r and B of grade s:
 
@@ -15,10 +18,18 @@ all extended bilinearly.  The reversion normalisation makes blade.blade the
 product of its metric entries (so >= 0 in a Euclidean metric) and makes the
 reciprocal of a frame blade the same-index blade of the reciprocal frame.
 
-Coefficients are ordinarily floats, but anything supporting +, - and * works;
-DiffScalar coefficients propagate exact directional derivatives through every
-product.  All values are immutable after construction and every operation is
-pure.
+Every product is one dense gather over tables built once per metric.  With
+e_i * e_j = S[i, j] e_(i^j) for the product's sign-and-weight matrix S,
+perm[i, k] = i ^ k, R[i, k] = S[i, i ^ k] and L[j, k] = S[j ^ k, j]:
+
+    value    c  = a @ (b[perm] * R)
+    tangent  tc = ta @ (b[perm] * R) + tb @ (a[perm] * L)
+
+so every product doubles as an exact forward-mode derivative rule.  A single
+coefficient of a multivector with a tangent block is a DiffScalar, the scalar
+jet of extcalc.dual, and DiffScalar factors scale whole multivectors, so the
+smooth scalar maps compose with the products.  All values are immutable after
+construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dual import DiffScalar, tangent_of, value_of
+from .dual import DiffScalar, value_of
 from .errors import ConfigurationError, DegenerateFrameError
 
 MAX_DIM = 8
@@ -87,97 +98,92 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(k + 1) for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _reorder_sign(a: int, b: int) -> float:
-    """Sign from reordering the concatenated generators of blades a, b."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1.0 if swaps & 1 else 1.0
-
-
-def _reverse_sign(grade: int) -> float:
-    return -1.0 if (grade * (grade - 1) // 2) & 1 else 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Tables:
-    grades: tuple[int, ...]
-    weight: tuple[float, ...]  # blade "squared norm": product of touched metric entries
-    reverse_signs: tuple[float, ...]
-    signs: dict  # kind -> size x size tuple-of-tuples; result mask is always i ^ j
+    grades: np.ndarray  # grade of each mask
+    blades: tuple  # grade -> masks of that grade, increasing
+    weight: np.ndarray  # blade "squared norm": product of touched metric entries
+    reverse_signs: np.ndarray
+    perm: np.ndarray  # perm[i, k] = i ^ k
+    right: dict  # kind -> R with R[i, k] = S[i, i ^ k]
+    left: dict  # kind -> L with L[j, k] = S[j ^ k, j]
+
+
+def _signs(dim: int, weight, reverse_signs, x, y) -> dict:
+    """kind -> S[x, y] elementwise, where e_x * e_y = S[x, y] e_(x^y)."""
+    # reordering e_x e_y: each generator of x passes the generators of y below it
+    parity = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint8)
+    for shift in range(1, dim):
+        parity ^= np.bitwise_count((x >> shift) & y)
+    common = x & y
+    geometric = np.where(parity & 1, -1.0, 1.0) * weight[common]
+    return {
+        "geometric": geometric,
+        "wedge": np.where(common == 0, geometric, 0.0),
+        "scalar": np.where(x == y, weight[x], 0.0),
+        "lcontract": np.where(common == x, reverse_signs[x] * geometric, 0.0),
+    }
 
 
 @lru_cache(maxsize=None)
 def _tables(metric: Metric) -> _Tables:
-    size = metric.size
-    grades = tuple(m.bit_count() for m in range(size))
-    weight = []
-    for m in range(size):
-        w = 1.0
-        for k in range(metric.dim):
-            if m >> k & 1:
-                w *= metric.diag[k]
-        weight.append(w)
-    geometric = [[0.0] * size for _ in range(size)]
-    wedge = [[0.0] * size for _ in range(size)]
-    scalar = [[0.0] * size for _ in range(size)]
-    lcontract = [[0.0] * size for _ in range(size)]
-    for i in range(size):
-        rev_i = _reverse_sign(grades[i])
-        for j in range(size):
-            s = _reorder_sign(i, j) * weight[i & j]
-            geometric[i][j] = s
-            if not i & j:
-                wedge[i][j] = s
-            if i & j == i:
-                lcontract[i][j] = rev_i * s
-        scalar[i][i] = weight[i]
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return _Tables(
+    masks = np.arange(metric.size)
+    grades = np.bitwise_count(masks).astype(np.intp)
+    weight = np.ones(metric.size)
+    for k, g in enumerate(metric.diag):
+        weight[(masks >> k) & 1 == 1] *= g
+    reverse_signs = np.where((grades * (grades - 1) // 2) & 1, -1.0, 1.0)
+    i = masks[:, None]
+    perm = i ^ masks[None, :]
+    tables = _Tables(
         grades=grades,
-        weight=tuple(weight),
-        reverse_signs=tuple(_reverse_sign(g) for g in grades),
-        signs={
-            "geometric": freeze(geometric),
-            "wedge": freeze(wedge),
-            "scalar": freeze(scalar),
-            "lcontract": freeze(lcontract),
-        },
+        blades=tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1)),
+        weight=weight,
+        reverse_signs=reverse_signs,
+        perm=perm,
+        right=_signs(metric.dim, weight, reverse_signs, i, perm),
+        left=_signs(metric.dim, weight, reverse_signs, perm, i),
     )
+    for arr in (grades, *tables.blades, weight, reverse_signs, perm,
+                *tables.right.values(), *tables.left.values()):
+        arr.flags.writeable = False
+    return tables
 
 
-def _as_coeff(c):
-    if isinstance(c, DiffScalar):
-        return c
-    return float(c)
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, DiffScalar):
-        return c.value == 0.0 and c.tangent == 0.0
-    return c == 0.0
+def _sum_tangents(ta, tb):
+    """Sum of two tangent blocks, either of which may be absent."""
+    if ta is None:
+        return tb
+    if tb is None:
+        return ta
+    if ta.shape != tb.shape:
+        raise ValueError(f"tangent blocks of shapes {ta.shape} and {tb.shape} do not match")
+    return ta + tb
 
 
 class Multivector:
-    """Immutable element of the full algebra: one coefficient per basis blade."""
+    """Immutable element of the full algebra: a value array with one
+    coefficient per basis blade, plus an optional (m, 2^n) tangent block."""
 
-    __slots__ = ("metric", "coeffs", "_nz")
+    __slots__ = ("metric", "_values", "_tangents")
 
-    def __init__(self, metric: Metric, coeffs: Iterable):
-        coeffs = tuple(_as_coeff(c) for c in coeffs)
-        if len(coeffs) != metric.size:
-            raise ValueError(f"expected {metric.size} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, metric: Metric, coeffs: Iterable[float]):
+        if not isinstance(coeffs, (np.ndarray, list, tuple)):
+            coeffs = list(coeffs)
+        values = np.array(coeffs, dtype=float)
+        if values.shape != (metric.size,):
+            raise ValueError(f"expected {metric.size} coefficients, got shape {values.shape}")
+        _set_metric(self, metric)
+        _set_values(self, values)
+        _set_tangents(self, None)
 
     @classmethod
-    def _raw(cls, metric: Metric, coeffs: tuple) -> "Multivector":
-        """Internal constructor for coefficients already float or DiffScalar."""
+    def _raw(cls, metric: Metric, values: np.ndarray, tangents=None) -> "Multivector":
+        """Internal constructor for arrays this module owns and never mutates."""
         out = object.__new__(cls)
-        object.__setattr__(out, "metric", metric)
-        object.__setattr__(out, "coeffs", coeffs)
+        _set_metric(out, metric)
+        _set_values(out, values)
+        _set_tangents(out, tangents)
         return out
 
     def __setattr__(self, name, value):
@@ -187,75 +193,100 @@ class Multivector:
 
     @classmethod
     def zero(cls, metric: Metric) -> "Multivector":
-        return cls(metric, (0.0,) * metric.size)
+        return cls._raw(metric, np.zeros(metric.size))
 
     @classmethod
     def from_scalar(cls, metric: Metric, s) -> "Multivector":
-        coeffs = [0.0] * metric.size
-        coeffs[0] = s
-        return cls(metric, coeffs)
+        return cls.from_blade(metric, 0, s)
 
     @classmethod
     def from_blade(cls, metric: Metric, mask: int, coeff=1.0) -> "Multivector":
         if not 0 <= mask < metric.size:
             raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
-        coeffs = [0.0] * metric.size
-        coeffs[mask] = coeff
-        return cls(metric, coeffs)
+        values = np.zeros(metric.size)
+        values[mask] = value_of(coeff)
+        tangents = None
+        if isinstance(coeff, DiffScalar):
+            seed = np.atleast_1d(coeff.tangent)
+            tangents = np.zeros((len(seed), metric.size))
+            tangents[:, mask] = seed
+        return cls._raw(metric, values, tangents)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """One coefficient per mask: floats, or DiffScalar jets when a
+        tangent block is present."""
+        t = self._tangents
+        if t is None:
+            return tuple(self._values.tolist())
+        tangents = t[0].tolist() if len(t) == 1 else t.T.copy()
+        return tuple(map(DiffScalar, self._values.tolist(), tangents))
+
     def coeff(self, mask: int):
-        return self.coeffs[mask]
+        """Coefficient of one blade: a float, or a DiffScalar whose tangent is
+        a float (one tangent row) or an (m,) array (m rows)."""
+        value = float(self._values[mask])
+        t = self._tangents
+        if t is None:
+            return value
+        if len(t) == 1:
+            return DiffScalar(value, float(t[0, mask]))
+        return DiffScalar(value, t[:, mask].copy())
 
     def scalar_part(self):
         """Grade-0 coefficient (a float or DiffScalar)."""
-        return self.coeffs[0]
+        return self.coeff(0)
 
     def values(self) -> np.ndarray:
-        return np.array([value_of(c) for c in self.coeffs])
+        return self._values.copy()
 
     def value_part(self) -> "Multivector":
-        return Multivector._raw(self.metric, tuple(value_of(c) for c in self.coeffs))
+        return Multivector._raw(self.metric, self._values)
 
-    def tangent_part(self) -> "Multivector":
-        return Multivector._raw(self.metric, tuple(tangent_of(c) for c in self.coeffs))
+    def tangent_part(self, row: int = 0) -> "Multivector":
+        """Row `row` of the tangent block; zero when there is no block."""
+        if self._tangents is None:
+            return Multivector.zero(self.metric)
+        return Multivector._raw(self.metric, self._tangents[row])
 
     def with_tangent(self, direction: "Multivector") -> "Multivector":
-        """Lift to DiffScalar coefficients, seeding tangents from `direction`."""
-        self._check_metric(direction)
-        return Multivector._raw(
-            self.metric,
-            tuple(
-                DiffScalar(value_of(c), value_of(d))
-                for c, d in zip(self.coeffs, direction.coeffs)
-            ),
-        )
+        """Lift to a one-row tangent block seeded from `direction`."""
+        return self.with_tangents((direction,))
+
+    def with_tangents(self, directions: Sequence["Multivector"]) -> "Multivector":
+        """Lift to a tangent block whose row r is the value of directions[r]."""
+        for d in directions:
+            self._check_metric(d)
+        block = np.stack([d._values for d in directions])
+        return Multivector._raw(self.metric, self._values, block)
+
+    def _support(self) -> np.ndarray:
+        support = self._values != 0.0
+        if self._tangents is not None:
+            support |= (self._tangents != 0.0).any(axis=0)
+        return support
 
     def nonzero_items(self):
-        try:
-            return self._nz
-        except AttributeError:
-            pass
-        items = [(m, c) for m, c in enumerate(self.coeffs) if not _is_zero(c)]
-        object.__setattr__(self, "_nz", items)
-        return items
+        return [(m, self.coeff(m)) for m in np.flatnonzero(self._support()).tolist()]
 
     def grades(self) -> frozenset:
         grades = _tables(self.metric).grades
-        return frozenset(grades[m] for m, _ in self.nonzero_items())
+        return frozenset(grades[self._support()].tolist())
 
     def is_homogeneous(self, grade: int) -> bool:
         """True when supported on grade `grade` only (the zero element counts)."""
-        return self.grades() <= {grade}
+        off_grade = _tables(self.metric).grades != grade
+        return np.count_nonzero(self._support()[off_grade]) == 0
 
     def norm_inf(self) -> float:
-        return max((abs(value_of(c)) for c in self.coeffs), default=0.0)
+        return float(np.max(np.abs(self._values)))
 
     # -- linear operations -------------------------------------------------
 
     def _check_metric(self, other: "Multivector"):
-        if self.metric != other.metric:
+        if self.metric is not other.metric and self.metric != other.metric:
             raise ConfigurationError("operands live over different metrics")
 
     def __add__(self, other):
@@ -263,24 +294,32 @@ class Multivector:
             return NotImplemented
         self._check_metric(other)
         return Multivector._raw(
-            self.metric, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.metric,
+            self._values + other._values,
+            _sum_tangents(self._tangents, other._tangents),
         )
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check_metric(other)
-        return Multivector._raw(
-            self.metric, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -other
 
     def __neg__(self):
-        return Multivector._raw(self.metric, tuple(-c for c in self.coeffs))
+        t = self._tangents
+        return Multivector._raw(self.metric, -self._values, None if t is None else -t)
 
     def _scaled(self, factor):
-        if not isinstance(factor, DiffScalar):
-            factor = float(factor)
-        return Multivector._raw(self.metric, tuple(factor * c for c in self.coeffs))
+        t = self._tangents
+        if isinstance(factor, DiffScalar):
+            seed = np.multiply.outer(np.atleast_1d(factor.tangent), self._values)
+            scaled = None if t is None else factor.value * t
+            return Multivector._raw(
+                self.metric, factor.value * self._values, _sum_tangents(scaled, seed)
+            )
+        factor = float(factor)
+        return Multivector._raw(
+            self.metric, factor * self._values, None if t is None else factor * t
+        )
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -308,16 +347,19 @@ class Multivector:
     def grade_project(self, grade: int) -> "Multivector":
         if not 0 <= grade <= self.metric.dim:
             raise ValueError(f"grade {grade} out of range for dim {self.metric.dim}")
-        grades = _tables(self.metric).grades
+        keep = _tables(self.metric).grades == grade
+        t = self._tangents
         return Multivector._raw(
             self.metric,
-            tuple(c if grades[m] == grade else 0.0 for m, c in enumerate(self.coeffs)),
+            np.where(keep, self._values, 0.0),
+            None if t is None else np.where(keep, t, 0.0),
         )
 
     def reverse(self) -> "Multivector":
         signs = _tables(self.metric).reverse_signs
+        t = self._tangents
         return Multivector._raw(
-            self.metric, tuple(s * c for s, c in zip(signs, self.coeffs))
+            self.metric, signs * self._values, None if t is None else signs * t
         )
 
     # -- products ----------------------------------------------------------
@@ -326,17 +368,16 @@ class Multivector:
         if not isinstance(other, Multivector):
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
         self._check_metric(other)
-        signs = _tables(self.metric).signs[kind]
-        out = [0.0] * self.metric.size
-        right = other.nonzero_items()
-        for i, ci in self.nonzero_items():
-            row = signs[i]
-            for j, cj in right:
-                s = row[j]
-                if s:
-                    k = i ^ j
-                    out[k] = out[k] + s * ci * cj
-        return Multivector._raw(self.metric, tuple(out))
+        tables = _tables(self.metric)
+        a, b = self._values, other._values
+        right = b[tables.perm] * tables.right[kind]
+        ta, tb = self._tangents, other._tangents
+        tangents = None
+        if ta is not None:
+            tangents = ta @ right
+        if tb is not None:
+            tangents = _sum_tangents(tangents, tb @ (a[tables.perm] * tables.left[kind]))
+        return Multivector._raw(self.metric, a @ right, tangents)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         return self._product("geometric", other)
@@ -356,6 +397,12 @@ class Multivector:
             for m, c in self.nonzero_items()
         ]
         return " + ".join(terms) if terms else "0"
+
+
+# slot setters that bypass Multivector.__setattr__, which refuses all writes
+_set_metric = Multivector.metric.__set__
+_set_values = Multivector._values.__set__
+_set_tangents = Multivector._tangents.__set__
 
 
 def product(kind: str, a: Multivector, b: Multivector) -> Multivector:
@@ -396,7 +443,7 @@ def scalar_value(a: Multivector, b: Multivector) -> float:
 
 
 def max_abs_diff(a: Multivector, b: Multivector) -> float:
-    return float(np.max(np.abs(a.values() - b.values())))
+    return float(np.max(np.abs(a._values - b._values)))
 
 
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:

@@ -1,16 +1,17 @@
 """Derivatives of multivector functions of multivector variables.
 
 A function of k grade-q variables is differentiated along a grade-q direction
-by seeding DiffScalar tangents on the chosen variable and reading the tangent
-part of the result: exact for anything built from the algebra products and the
-lifted smooth scalar maps.  The gradient-style operators assemble the blade
-frame sum
+by seeding a tangent block on the chosen variable and reading the tangent part
+of the result: exact for anything built from the algebra products, Extensor
+application and the lifted smooth scalar maps.  The gradient-style operators
+assemble the blade frame sum
 
     sum_J  f^J * (directional derivative along f_J)
 
 over the increasing-mask grade-q blades of a frame; with the geometric product
-this is the standard derivative with respect to that variable.  A central
-finite difference provides an independent oracle for both.
+this is the standard derivative with respect to that variable.  The exact
+route seeds all C(n, q) blade directions in one forward pass, one tangent row
+each.  A central finite difference provides an independent oracle for both.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ DEFAULT_FD_STEP = 1e-5
 class MvFunction:
     """A function of `arity` grade-`input_grade` multivector variables.
 
-    The evaluator must be generic over the coefficient scalars: it may only
-    combine its arguments through Multivector operations and the lifted maps
-    in extcalc.dual, so that DiffScalar coefficients flow through unchanged.
+    The evaluator must be generic over tangent blocks: it may only combine its
+    arguments through Multivector operations, Extensor application and the
+    lifted maps in extcalc.dual, so that tangents flow through unchanged.
     Values are homogeneous of grade `output_grade` (None for mixed grades).
     """
 
@@ -90,9 +91,15 @@ def grad_star(
     metric = args[var_index].metric
     if frame is None:
         frame = Frame.orthonormal(metric)
+    pairs = frame.blade_pairs(func.input_grade)
+    seeded = list(args)
+    seeded[var_index] = args[var_index].with_tangents([primal for primal, _ in pairs])
+    out = func(*seeded)
     total = Multivector.zero(metric)
-    for primal, recip in frame.blade_pairs(func.input_grade):
-        total = total + product(kind, recip, dir_deriv(func, args, var_index, primal))
+    if out._tangents is None:  # the value does not depend on the variable
+        return total
+    for row, (_, recip) in enumerate(pairs):
+        total = total + product(kind, recip, out.tangent_part(row))
     return total
 
 

@@ -25,7 +25,6 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
-    basis_vectors,
     scalar_value,
     unit_pseudoscalar,
     wedge_all,
@@ -149,8 +148,3 @@ def det_functional(metric: Metric, frame: Frame | None = None) -> InducedFunctio
     return InducedFunctional(
         MvFunction(f.arity, 1, 0, evaluator), shape.anchors, 1
     )
-
-
-def unit_vectors(metric: Metric) -> list[Multivector]:
-    """Convenience re-export of the generator vectors."""
-    return basis_vectors(metric)

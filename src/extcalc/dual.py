@@ -2,8 +2,9 @@
 
 A DiffScalar carries a (value, tangent) pair through arithmetic, so any
 function built from +, -, *, / and the lifted smooth maps below propagates an
-exact directional derivative alongside its value.  Plain floats interoperate
-freely and are treated as constants (zero tangent).
+exact directional derivative alongside its value.  The tangent is a float for
+one direction or an (m,) numpy array for m directions at once.  Plain floats
+interoperate freely and are treated as constants (zero tangent).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ _NUMBER = (int, float)
 @dataclass(frozen=True, slots=True)
 class DiffScalar:
     value: float
-    tangent: float = 0.0
+    tangent: float = 0.0  # or an (m,) array
 
     def __add__(self, other):
         if isinstance(other, DiffScalar):

@@ -23,12 +23,13 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
+    _tables,
     grade_masks,
     scalar_value,
     unit_pseudoscalar,
     wedge_all,
 )
-from .dual import DiffScalar, value_of
+from .dual import value_of
 from .errors import ConfigurationError, SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # |det| <= SINGULARITY_SCALE * maxnorm^n means singular
@@ -109,22 +110,15 @@ class Extensor:
             raise ConfigurationError("operand lives over a different metric")
         if not x.is_homogeneous(self.p):
             raise ValueError(f"argument must be homogeneous of grade {self.p}")
-        src = grade_masks(self.metric.dim, self.p)
-        dst = grade_masks(self.metric.dim, self.q)
-        vec = [x.coeff(m) for m in src]
-        coeffs = [0.0] * self.metric.size
-        if any(isinstance(c, DiffScalar) for c in vec):
-            rows = self.matrix.tolist()
-            for b, mask in enumerate(dst):
-                acc = 0.0
-                for a, c in enumerate(vec):
-                    acc = acc + rows[b][a] * c
-                coeffs[mask] = acc
-        else:
-            out = self.matrix @ np.array(vec)
-            for b, mask in enumerate(dst):
-                coeffs[mask] = float(out[b])
-        return Multivector(self.metric, coeffs)
+        tables = _tables(self.metric)
+        src, dst = tables.blades[self.p], tables.blades[self.q]
+        values = np.zeros(self.metric.size)
+        values[dst] = self.matrix @ x._values[src]
+        tangents = None
+        if x._tangents is not None:
+            tangents = np.zeros((len(x._tangents), self.metric.size))
+            tangents[:, dst] = x._tangents[:, src] @ self.matrix.T
+        return Multivector._raw(self.metric, values, tangents)
 
     __call__ = apply
 
@@ -145,10 +139,9 @@ class Extensor:
 
     def adjoint(self) -> "Extensor":
         """The (q,p) map with  adjoint(Y) . X  =  Y . self(X)."""
-        n = self.metric.dim
-        table_weight = _blade_weights(self.metric)
-        wp = np.array([table_weight[m] for m in grade_masks(n, self.p)])
-        wq = np.array([table_weight[m] for m in grade_masks(n, self.q)])
+        tables = _tables(self.metric)
+        wp = tables.weight[tables.blades[self.p]]
+        wq = tables.weight[tables.blades[self.q]]
         # scalar products of basis blades are diagonal with these weights
         matrix = (self.matrix * wq[:, None]).T / wp[:, None]
         return Extensor(self.metric, matrix, self.q, self.p)
@@ -251,12 +244,6 @@ class Extensor:
         return cls(metric, matrix, p, q)
 
 
-def _blade_weights(metric: Metric):
-    from .algebra import _tables
-
-    return _tables(metric).weight
-
-
 class Outermorphism:
     """Grade-preserving multiplicative extension of a (1,1) map.
 
@@ -296,7 +283,3 @@ class Outermorphism:
         return total
 
     __call__ = apply
-
-
-def outermorphism_apply(base: Extensor, x: Multivector) -> Multivector:
-    return Outermorphism(base)(x)

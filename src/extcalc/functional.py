@@ -100,10 +100,25 @@ class InducedFunctional:
 
     # -- derivatives ---------------------------------------------------------
 
-    def partial_gradients(self, t: Extensor) -> list[Multivector]:
-        """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k))."""
+    def partial_gradients(self, t: Extensor, slots=None) -> list:
+        """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k)).
+
+        With `slots`, only the slots i with slots[i] true are computed; the
+        others are None.
+        """
         args = self.arguments(t)
-        return [grad_star(self.func, args, i, "geometric") for i in range(self.arity)]
+        return [
+            grad_star(self.func, args, i, "geometric") if slots is None or slots[i] else None
+            for i in range(self.arity)
+        ]
+
+    def _weighted_sum(self, weights, grads) -> Multivector:
+        """sum_i w_i * grads[i] over the nonzero weights."""
+        total = Multivector.zero(self.metric)
+        for w, grad in zip(weights, grads):
+            if w != 0.0:
+                total = total + w * grad
+        return total
 
     def directional_derivative(self, t: Extensor, direction: Multivector) -> Multivector:
         """Derivative along a grade-p direction; linear in the direction."""
@@ -111,14 +126,10 @@ class InducedFunctional:
         if not direction.is_homogeneous(self.source_grade):
             raise ValueError(f"direction must be homogeneous of grade {self.source_grade}")
         weights = [scalar_value(direction, a) for a in self.anchors]
-        total = Multivector.zero(self.metric)
         if all(w == 0.0 for w in weights):
-            return total
-        args = self.arguments(t)
-        for i, w in enumerate(weights):
-            if w != 0.0:
-                total = total + w * grad_star(self.func, args, i, "geometric")
-        return total
+            return Multivector.zero(self.metric)
+        grads = self.partial_gradients(t, [w != 0.0 for w in weights])
+        return self._weighted_sum(weights, grads)
 
     def derivative_table(self, t: Extensor, kinds: Sequence[str]) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
@@ -139,9 +150,15 @@ class InducedFunctional:
     def derivative_via_frame(self, t: Extensor, kind: str, frame: Frame) -> Multivector:
         """Same operator through the grade-p blade frame sum; frame-independent."""
         self._check_map(t)
+        pairs = frame.blade_pairs(self.source_grade)
+        weights = [[scalar_value(primal, a) for a in self.anchors] for primal, _ in pairs]
+        # gradients once per call, only in the slots some blade weighs
+        grads = self.partial_gradients(
+            t, [any(row[i] != 0.0 for row in weights) for i in range(self.arity)]
+        )
         total = Multivector.zero(self.metric)
-        for primal, recip in frame.blade_pairs(self.source_grade):
-            total = total + product(kind, recip, self.directional_derivative(t, primal))
+        for (_, recip), row in zip(pairs, weights):
+            total = total + product(kind, recip, self._weighted_sum(row, grads))
         return total
 
     # -- finite-difference oracle routes --------------------------------------

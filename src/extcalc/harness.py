@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -734,9 +735,12 @@ def run_suite(config: HarnessConfig) -> list[IdentityResult]:
         witness: dict | None = None
         for _ in range(config.trials):
             dev, wit = check.trial(ctx, rng)
-            if witness is None or dev > max_dev:
+            # a non-finite deviation is the worst one; the first of them stays
+            if witness is None or (
+                math.isfinite(max_dev) and (dev > max_dev or not math.isfinite(dev))
+            ):
                 max_dev, witness = dev, wit
-        passed = max_dev <= tol
+        passed = math.isfinite(max_dev) and max_dev <= tol
         results.append(
             IdentityResult(
                 identity=check.id,
@@ -750,13 +754,18 @@ def run_suite(config: HarnessConfig) -> list[IdentityResult]:
     return results
 
 
+def _json_float(x: float):
+    """x itself when finite, else "nan", "inf" or "-inf" (JSON has no such numbers)."""
+    return x if math.isfinite(x) else str(float(x))
+
+
 def report_dict(config: HarnessConfig, results: list[IdentityResult]) -> dict:
     entries = []
     for r in results:
         entry = {
             "id": r.identity,
             "trials": r.trials,
-            "max_dev": r.max_deviation,
+            "max_dev": _json_float(r.max_deviation),
             "pass": r.passed,
         }
         if r.witness is not None:
@@ -795,7 +804,9 @@ def emit_report(
     if not results:
         raise ValueError("no results to report")
     if fmt == "json":
-        payload = json.dumps(report_dict(config, results), indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(
+            report_dict(config, results), indent=2, sort_keys=True, allow_nan=False
+        ) + "\n"
     elif fmt == "text":
         payload = _text_report(config, results)
     else:

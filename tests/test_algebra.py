@@ -1,7 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extcalc.algebra import (
+    PRODUCT_KINDS,
     BasisBlade,
     Frame,
     Metric,
@@ -326,3 +331,115 @@ def test_random_multivector_is_homogeneous():
         assert mv.is_homogeneous(grade)
         assert max_abs_diff(mv.grade_project(grade), mv) == 0.0
     assert random_multivector(E3, 0, 3).grades() <= {0}
+
+
+# -- the table-driven kernel against a pure-Python loop reference -----------------
+
+
+def _reorder_sign(a: int, b: int) -> float:
+    """Sign from reordering the concatenated generators of blades a, b."""
+    a >>= 1
+    swaps = 0
+    while a:
+        swaps += (a & b).bit_count()
+        a >>= 1
+    return -1.0 if swaps & 1 else 1.0
+
+
+def _reverse_sign(grade: int) -> float:
+    return -1.0 if (grade * (grade - 1) // 2) & 1 else 1.0
+
+
+@lru_cache(maxsize=None)
+def _loop_signs(diag: tuple) -> dict:
+    """kind -> size x size sign-and-weight rows, by the definitions, one pair at a time."""
+    size = 1 << len(diag)
+    weight = []
+    for m in range(size):
+        w = 1.0
+        for k, g in enumerate(diag):
+            if m >> k & 1:
+                w *= g
+        weight.append(w)
+    tables = {kind: [[0.0] * size for _ in range(size)] for kind in PRODUCT_KINDS}
+    for i in range(size):
+        rev_i = _reverse_sign(i.bit_count())
+        for j in range(size):
+            s = _reorder_sign(i, j) * weight[i & j]
+            tables["geometric"][i][j] = s
+            if not i & j:
+                tables["wedge"][i][j] = s
+            if i & j == i:
+                tables["lcontract"][i][j] = rev_i * s
+        tables["scalar"][i][i] = weight[i]
+    return tables
+
+
+def _loop_product(diag: tuple, kind: str, a, b):
+    """out[i ^ j] += s_ij a_i b_j over all blade pairs, plus the per-output
+    sum of term magnitudes."""
+    signs = _loop_signs(diag)[kind]
+    out = [0.0] * len(a)
+    mag = [0.0] * len(a)
+    for i, ai in enumerate(a):
+        if ai == 0.0:
+            continue
+        row = signs[i]
+        for j, bj in enumerate(b):
+            s = row[j]
+            if s and bj:
+                term = s * ai * bj
+                out[i ^ j] += term
+                mag[i ^ j] += abs(term)
+    return np.array(out), np.array(mag)
+
+
+def _close(got, expected, mag):
+    return bool(np.all(np.abs(got - expected) <= 64 * np.finfo(float).eps * mag))
+
+
+@st.composite
+def _product_case(draw):
+    n = draw(st.integers(2, 8))
+    diag = tuple(draw(st.lists(
+        st.sampled_from((1.0, -1.0, 2.0, -0.5, 3.0, -1.25)), min_size=n, max_size=n
+    )))
+    kind = draw(st.sampled_from(PRODUCT_KINDS))
+    rows = draw(st.sampled_from((1, 3)))
+    sides = draw(st.sampled_from(("none", "left", "right", "both")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.2, 1.0)))
+
+    def block(shape):
+        return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < density)
+
+    size = 1 << n
+    a, b = block(size), block(size)
+    ta = block((rows, size)) if sides in ("left", "both") else None
+    tb = block((rows, size)) if sides in ("right", "both") else None
+    return diag, kind, a, b, ta, tb
+
+
+def _lift(metric, values, tangents):
+    x = Multivector(metric, values)
+    if tangents is None:
+        return x
+    return x.with_tangents([Multivector(metric, row) for row in tangents])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_case())
+def test_product_kernel_matches_loop_reference(case):
+    diag, kind, a, b, ta, tb = case
+    metric = Metric(len(diag), diag)
+    got = product(kind, _lift(metric, a, ta), _lift(metric, b, tb))
+    value, mag = _loop_product(diag, kind, a, b)
+    assert _close(got.values(), value, mag)
+    rows = 0 if ta is None and tb is None else len(ta if ta is not None else tb)
+    zero = np.zeros(metric.size)
+    for r in range(rows):
+        left, left_mag = _loop_product(diag, kind, ta[r], b) if ta is not None else (zero, zero)
+        right, right_mag = _loop_product(diag, kind, a, tb[r]) if tb is not None else (zero, zero)
+        assert _close(got.tangent_part(r).values(), left + right, left_mag + right_mag)
+    if rows == 0:
+        assert got.tangent_part().norm_inf() == 0.0

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from extcalc.algebra import (
+    PRODUCT_KINDS,
     Frame,
     Metric,
     Multivector,
     basis_vectors,
     max_abs_diff,
+    product,
     random_multivector,
 )
 from extcalc.calculus import MvFunction, dir_deriv, fd_dir_deriv, fd_grad_star, grad_star
-from extcalc.dual import value_of
+from extcalc.dual import exp, value_of
 from extcalc.extensor import Extensor
+from extcalc.functional import InducedFunctional
 
 E3 = Metric.euclidean(3)
 
@@ -128,6 +131,45 @@ def test_gradient_of_two_slot_function():
     x = random_multivector(E3, 1, rng)
     y = random_multivector(E3, 1, rng)
     assert max_abs_diff(grad_star(dot, (x, y), 1), x) < 1e-14
+
+
+def _vector_mode_cases(metric, rng):
+    """(name, function, args) for grad_star against one-direction passes."""
+    c = random_multivector(metric, 1, rng)
+    b = random_multivector(metric, 2, rng)
+    t = Extensor.random(metric, rng, 2, 1)
+    dot = InducedFunctional(MvFunction(1, 2, 0, lambda x: x.scalar_product(b)), (c,), 1)
+    return [
+        ("ignores its variable", MvFunction(1, 1, 0, lambda x: c.scalar_product(c)),
+         (random_multivector(metric, 1, rng),)),
+        ("map_scalar(exp)", dot.map_scalar(exp).func, (random_multivector(metric, 2, rng),)),
+        ("Extensor.apply on a jet",
+         MvFunction(2, 2, None, lambda x, y: t(x).geometric(y).wedge(c)),
+         (random_multivector(metric, 2, rng), random_multivector(metric, 2, rng))),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_vector_mode_grad_star_matches_one_direction_passes(dim):
+    metric = Metric(dim, tuple(1.0 if k % 3 else -2.0 for k in range(dim)))
+    rng = np.random.default_rng(dim)
+    carrier = Extensor.random_invertible(metric, rng)
+    frames = (Frame.orthonormal(metric),
+              Frame.from_vectors([carrier(e) for e in basis_vectors(metric)]))
+    for name, func, args in _vector_mode_cases(metric, rng):
+        for slot in range(func.arity):
+            for frame in frames:
+                for kind in PRODUCT_KINDS:
+                    got = grad_star(func, args, slot, kind, frame)
+                    expected = Multivector.zero(metric)
+                    for primal, recip in frame.blade_pairs(func.input_grade):
+                        expected = expected + product(
+                            kind, recip, dir_deriv(func, args, slot, primal)
+                        )
+                    scale = max(1.0, expected.norm_inf())
+                    assert max_abs_diff(got, expected) <= 1e-12 * scale, (name, slot, kind)
+                    if name == "ignores its variable":
+                        assert got.norm_inf() == 0.0
 
 
 # -- finite differences -----------------------------------------------------------

@@ -12,7 +12,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
 )
 from extcalc.errors import ConfigurationError, SingularExtensorError
-from extcalc.extensor import Extensor, Outermorphism, outermorphism_apply
+from extcalc.extensor import Extensor, Outermorphism
 
 E2 = Metric.euclidean(2)
 E3 = Metric.euclidean(3)
@@ -107,7 +107,7 @@ def test_outermorphism_examples():
     assert max_abs_diff(om(Multivector.from_scalar(E2, 5.0)), Multivector.from_scalar(E2, 5.0)) == 0.0
     ident = Extensor.identity(E3)
     x = random_multivector(E3, 2, 4)
-    assert max_abs_diff(outermorphism_apply(ident, x), x) == 0.0
+    assert max_abs_diff(Outermorphism(ident)(x), x) == 0.0
 
 
 def test_outermorphism_agrees_with_base_on_vectors():

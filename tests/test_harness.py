@@ -1,15 +1,18 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from extcalc import harness
 from extcalc.algebra import Metric, max_abs_diff, random_multivector
 from extcalc.errors import ConfigurationError
 from extcalc.extensor import Extensor
 from extcalc.harness import (
     CATALOG,
     HarnessConfig,
+    IdentityCheck,
     catalog,
     emit_report,
     multivector_from_map,
@@ -118,6 +121,43 @@ def test_witness_is_reproducible_input():
     direction = multivector_from_map(metric, w["direction"])
     assert h.metric == metric
     assert direction.is_homogeneous(1)
+
+
+def _scripted_check(devs):
+    """A check whose trial k returns devs[k], with the trial index as witness."""
+    trials = iter(enumerate(devs))
+
+    def trial(ctx, rng):
+        k, dev = next(trials)
+        return dev, {"trial": k}
+
+    return IdentityCheck("scripted", "closed-form", trial)
+
+
+def _reject_constant(name):
+    raise ValueError(f"invalid JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "devs, bad_trial, written",
+    [
+        ([float("nan"), 1e-12, 1e-11], 0, "nan"),
+        ([1e-12, float("nan"), 1e-11, float("inf")], 1, "nan"),
+        ([1e-12, float("-inf"), float("nan")], 1, "-inf"),
+    ],
+)
+def test_non_finite_deviation_fails_with_first_witness(monkeypatch, devs, bad_trial, written):
+    monkeypatch.setattr(harness, "CATALOG", (_scripted_check(devs),))
+    config = HarnessConfig(trials=len(devs), suite="closed-form")
+    (result,) = run_suite(config)
+    assert not result.passed
+    assert result.witness == {"trial": bad_trial}
+    out = io.StringIO()
+    emit_report(config, [result], fmt="json", out=out)
+    parsed = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert parsed["results"][0]["max_dev"] == written
+    assert parsed["results"][0]["witness"] == {"trial": bad_trial}
+    assert parsed["summary"] == {"passed": 0, "failed": 1}
 
 
 def test_determinism_same_seed_same_report():
