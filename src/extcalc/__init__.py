@@ -27,7 +27,7 @@ from .algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from .calculus import MvFunction, dir_deriv, fd_dir_deriv, fd_grad_star, grad_star
+from .calculus import MvFunction, dir_deriv, fd_dir_deriv, grad_star
 from .catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -93,7 +93,6 @@ __all__ = [
     "directional_from_partials",
     "emit_report",
     "fd_dir_deriv",
-    "fd_grad_star",
     "grade_masks",
     "grad_star",
     "max_abs_diff",

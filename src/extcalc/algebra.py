@@ -459,7 +459,9 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
         if not v.is_homogeneous(1):
             raise DegenerateFrameError("frame vectors must be grade 1")
     gram = np.array([[scalar_value(u, v) for v in vectors] for u in vectors])
-    if abs(np.linalg.det(gram)) < 1e-12 * max(np.max(np.abs(gram)), 1.0) ** n:
+    # conditioning, not det size, so that a frame and its scaled copies agree
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if not sv[-1] > 1e-12 * sv[0]:
         raise DegenerateFrameError("frame vectors are (numerically) dependent")
     inv = np.linalg.inv(gram)
     out = []

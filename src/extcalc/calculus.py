@@ -9,9 +9,11 @@ assemble the blade frame sum
     sum_J  f^J * (directional derivative along f_J)
 
 over the increasing-mask grade-q blades of a frame; with the geometric product
-this is the standard derivative with respect to that variable.  The exact
-route seeds all C(n, q) blade directions in one forward pass, one tangent row
-each.  A central finite difference provides an independent oracle for both.
+this is the standard derivative with respect to that variable.  A `step`
+argument picks the per-blade oracle: step=None is exact and seeds all C(n, q)
+blade directions in one forward pass, one tangent row each; a positive step
+takes central finite differences (fd_dir_deriv), an independent reference
+that never seeds a tangent.
 """
 
 from __future__ import annotations
@@ -75,34 +77,6 @@ def dir_deriv(
     return func(*seeded).tangent_part()
 
 
-def grad_star(
-    func: MvFunction,
-    args: Sequence[Multivector],
-    var_index: int,
-    kind: str = "geometric",
-    frame: Frame | None = None,
-) -> Multivector:
-    """Blade frame sum of `kind`-products against directional derivatives.
-
-    kind="geometric" gives the standard derivative in variable `var_index`;
-    the result does not depend on the choice of frame.
-    """
-    _check_slot(func, args, var_index)
-    metric = args[var_index].metric
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    pairs = frame.blade_pairs(func.input_grade)
-    seeded = list(args)
-    seeded[var_index] = args[var_index].with_tangents([primal for primal, _ in pairs])
-    out = func(*seeded)
-    total = Multivector.zero(metric)
-    if out._tangents is None:  # the value does not depend on the variable
-        return total
-    for row, (_, recip) in enumerate(pairs):
-        total = total + product(kind, recip, out.tangent_part(row))
-    return total
-
-
 def fd_dir_deriv(
     func: MvFunction,
     args: Sequence[Multivector],
@@ -122,22 +96,34 @@ def fd_dir_deriv(
     return (func(*plus) - func(*minus)) * (0.5 / step)
 
 
-def fd_grad_star(
+def grad_star(
     func: MvFunction,
     args: Sequence[Multivector],
     var_index: int,
     kind: str = "geometric",
-    step: float = DEFAULT_FD_STEP,
     frame: Frame | None = None,
+    step: float | None = None,
 ) -> Multivector:
-    """Blade frame sum built on the finite-difference oracle."""
+    """Blade frame sum of `kind`-products against directional derivatives.
+
+    kind="geometric" gives the standard derivative in variable `var_index`;
+    the result does not depend on the choice of frame.  The directional
+    derivatives are exact for step=None, else central differences of `step`.
+    """
     _check_slot(func, args, var_index)
     metric = args[var_index].metric
     if frame is None:
         frame = Frame.orthonormal(metric)
+    pairs = frame.blade_pairs(func.input_grade)
+    primals = [primal for primal, _ in pairs]
+    if step is None:
+        seeded = list(args)
+        seeded[var_index] = args[var_index].with_tangents(primals)
+        out = func(*seeded)
+        derivatives = [out.tangent_part(row) for row in range(len(primals))]
+    else:
+        derivatives = [fd_dir_deriv(func, args, var_index, d, step) for d in primals]
     total = Multivector.zero(metric)
-    for primal, recip in frame.blade_pairs(func.input_grade):
-        total = total + product(
-            kind, recip, fd_dir_deriv(func, args, var_index, primal, step)
-        )
+    for (_, recip), derivative in zip(pairs, derivatives):
+        total = total + product(kind, recip, derivative)
     return total

@@ -32,7 +32,7 @@ from .algebra import (
 from .dual import value_of
 from .errors import ConfigurationError, SingularExtensorError
 
-SINGULARITY_SCALE = 1e-9  # |det| <= SINGULARITY_SCALE * maxnorm^n means singular
+SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
 
 
 class Extensor:
@@ -182,9 +182,10 @@ class Extensor:
         """Inverse via the pseudoscalar identity, cross-checked with numpy."""
         self._require_vector_map("inverse")
         d = self.det()
-        maxnorm = float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
-        if abs(d) <= SINGULARITY_SCALE * maxnorm**self.metric.dim:
-            raise SingularExtensorError(f"determinant {d:g} below tolerance")
+        # conditioning, not det size: a scaled copy of an invertible map inverts too
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        if not sv[-1] > SINGULARITY_SCALE * sv[0]:
+            raise SingularExtensorError(f"singular values {sv[-1]:g} .. {sv[0]:g}: singular")
         pss = unit_pseudoscalar(self.metric)
         pss_inv = pss.reverse() / scalar_value(pss, pss)
         adj_ext = Outermorphism(self.adjoint())

@@ -23,6 +23,9 @@ map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
     for any frame -- both routes are implemented and their agreement is a
     test target, as is independence from the choice of frame.
 
+Each derivative method takes `step`: None differentiates F exactly, a positive
+step by central differences (the oracle choice of calculus.grad_star).
+
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
 and the reassembly of both derivative families from those partials.
@@ -42,12 +45,7 @@ from .algebra import (
     product,
     scalar_value,
 )
-from .calculus import (
-    DEFAULT_FD_STEP,
-    MvFunction,
-    fd_grad_star,
-    grad_star,
-)
+from .calculus import DEFAULT_FD_STEP, MvFunction, grad_star
 from .dual import value_of
 from .extensor import Extensor
 
@@ -100,15 +98,16 @@ class InducedFunctional:
 
     # -- derivatives ---------------------------------------------------------
 
-    def partial_gradients(self, t: Extensor, slots=None) -> list:
+    def partial_gradients(self, t: Extensor, slots=None, step: float | None = None) -> list:
         """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k)).
 
         With `slots`, only the slots i with slots[i] true are computed; the
-        others are None.
+        others are None.  `step` selects the oracle as in grad_star.
         """
         args = self.arguments(t)
         return [
-            grad_star(self.func, args, i, "geometric") if slots is None or slots[i] else None
+            grad_star(self.func, args, i, "geometric", step=step)
+            if slots is None or slots[i] else None
             for i in range(self.arity)
         ]
 
@@ -120,7 +119,9 @@ class InducedFunctional:
                 total = total + w * grad
         return total
 
-    def directional_derivative(self, t: Extensor, direction: Multivector) -> Multivector:
+    def directional_derivative(
+        self, t: Extensor, direction: Multivector, step: float | None = None
+    ) -> Multivector:
         """Derivative along a grade-p direction; linear in the direction."""
         self._check_map(t)
         if not direction.is_homogeneous(self.source_grade):
@@ -128,12 +129,14 @@ class InducedFunctional:
         weights = [scalar_value(direction, a) for a in self.anchors]
         if all(w == 0.0 for w in weights):
             return Multivector.zero(self.metric)
-        grads = self.partial_gradients(t, [w != 0.0 for w in weights])
+        grads = self.partial_gradients(t, [w != 0.0 for w in weights], step)
         return self._weighted_sum(weights, grads)
 
-    def derivative_table(self, t: Extensor, kinds: Sequence[str]) -> dict:
+    def derivative_table(
+        self, t: Extensor, kinds: Sequence[str], step: float | None = None
+    ) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
-        grads = self.partial_gradients(t)
+        grads = self.partial_gradients(t, step=step)
         out = {}
         for kind in kinds:
             total = Multivector.zero(self.metric)
@@ -142,10 +145,12 @@ class InducedFunctional:
             out[kind] = total
         return out
 
-    def derivative(self, t: Extensor, kind: str = "geometric") -> Multivector:
+    def derivative(
+        self, t: Extensor, kind: str = "geometric", step: float | None = None
+    ) -> Multivector:
         """Star derivative: curl (wedge), scalar or contracted divergence, or
         gradient (geometric product), in intrinsic anchor-sum form."""
-        return self.derivative_table(t, (kind,))[kind]
+        return self.derivative_table(t, (kind,), step)[kind]
 
     def derivative_via_frame(self, t: Extensor, kind: str, frame: Frame) -> Multivector:
         """Same operator through the grade-p blade frame sum; frame-independent."""
@@ -159,35 +164,6 @@ class InducedFunctional:
         total = Multivector.zero(self.metric)
         for (_, recip), row in zip(pairs, weights):
             total = total + product(kind, recip, self._weighted_sum(row, grads))
-        return total
-
-    # -- finite-difference oracle routes --------------------------------------
-
-    def _fd_gradients(self, t: Extensor, step: float) -> list[Multivector]:
-        args = self.arguments(t)
-        return [
-            fd_grad_star(self.func, args, i, "geometric", step)
-            for i in range(self.arity)
-        ]
-
-    def directional_derivative_fd(
-        self, t: Extensor, direction: Multivector, step: float = DEFAULT_FD_STEP
-    ) -> Multivector:
-        self._check_map(t)
-        weights = [scalar_value(direction, a) for a in self.anchors]
-        grads = self._fd_gradients(t, step)
-        total = Multivector.zero(self.metric)
-        for w, grad in zip(weights, grads):
-            total = total + w * grad
-        return total
-
-    def derivative_fd(
-        self, t: Extensor, kind: str = "geometric", step: float = DEFAULT_FD_STEP
-    ) -> Multivector:
-        grads = self._fd_gradients(t, step)
-        total = Multivector.zero(self.metric)
-        for anchor, grad in zip(self.anchors, grads):
-            total = total + product(kind, anchor, grad)
         return total
 
     # -- combinators -----------------------------------------------------------

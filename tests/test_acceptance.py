@@ -23,7 +23,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.calculus import MvFunction
+from extcalc.calculus import DEFAULT_FD_STEP, MvFunction
 from extcalc.catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -79,7 +79,8 @@ def test_criterion_01_pair_scalar_product_directional():
             phi = pair_product_functional("scalar", b, c)
             rhs = h(scalar_value(a, b) * c + scalar_value(a, c) * b)
             dev_exact = max(dev_exact, max_abs_diff(phi.directional_derivative(h, a), rhs))
-            dev_fd = max(dev_fd, max_abs_diff(phi.directional_derivative_fd(h, a), rhs))
+            fd = phi.directional_derivative(h, a, step=DEFAULT_FD_STEP)
+            dev_fd = max(dev_fd, max_abs_diff(fd, rhs))
     _report("criterion-01 exact path", dev_exact, 1e-9)
     _report("criterion-01 fd path", dev_fd, 1e-5)
 
@@ -95,7 +96,8 @@ def test_criterion_02_pair_wedge_product_directional():
             phi = pair_product_functional("wedge", b, c)
             rhs = (n - 1) * Outermorphism(h)(a.lcontract(b.wedge(c)))
             dev_exact = max(dev_exact, max_abs_diff(phi.directional_derivative(h, a), rhs))
-            dev_fd = max(dev_fd, max_abs_diff(phi.directional_derivative_fd(h, a), rhs))
+            fd = phi.directional_derivative(h, a, step=DEFAULT_FD_STEP)
+            dev_fd = max(dev_fd, max_abs_diff(fd, rhs))
     _report("criterion-02 exact path", dev_exact, 1e-9)
     _report("criterion-02 fd path", dev_fd, 1e-5)
 
@@ -383,10 +385,12 @@ def test_criterion_12_oracle_coherence():
             h = Extensor.random_invertible(metric, rng)
             a = _rand_vec(metric, rng)
             dev = max(dev, max_abs_diff(
-                phi.directional_derivative(h, a), phi.directional_derivative_fd(h, a)
+                phi.directional_derivative(h, a),
+                phi.directional_derivative(h, a, step=DEFAULT_FD_STEP),
             ))
             kind = PRODUCT_KINDS[trial % 4]
-            dev = max(dev, max_abs_diff(phi.derivative(h, kind), phi.derivative_fd(h, kind)))
+            fd = phi.derivative(h, kind, step=DEFAULT_FD_STEP)
+            dev = max(dev, max_abs_diff(phi.derivative(h, kind), fd))
     _report("criterion-12 oracle coherence", dev, 1e-5)
 
 

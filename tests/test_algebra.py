@@ -272,6 +272,45 @@ def test_degenerate_frame_raises():
         reciprocal_frame([e1, e2, e1 ^ e2])  # wrong grade
 
 
+def test_small_scale_frame_is_accepted():
+    # |det G| = 1e-36 here, which a det-size guard took for degeneracy
+    basis = vecs(Metric.euclidean(6))
+    rec = reciprocal_frame([1e-3 * e for e in basis])
+    for r, e in zip(rec, basis):
+        assert max_abs_diff(r, 1e3 * e) < 1e-9
+
+
+@st.composite
+def _frame_and_scale(draw):
+    """Small-integer frames (often exactly dependent) and a scale factor."""
+    n = draw(st.integers(2, 6))
+    diag = tuple(draw(st.sampled_from((1.0, -1.0, 2.0, -0.5))) for _ in range(n))
+    metric = Metric(n, diag)
+    vectors = []
+    for _ in range(n):
+        coeffs = [0.0] * metric.size
+        for k in range(n):
+            coeffs[1 << k] = float(draw(st.integers(-2, 2)))
+        vectors.append(Multivector(metric, coeffs))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))  # s in [1e-4, 1e4], log-uniform
+    return vectors, scale
+
+
+def _accepted(vectors):
+    try:
+        reciprocal_frame(vectors)
+    except DegenerateFrameError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frame_and_scale())
+def test_frame_acceptance_is_scale_invariant(case):
+    vectors, scale = case
+    assert _accepted(vectors) == _accepted([scale * v for v in vectors])
+
+
 def test_frame_sum_of_reciprocal_products_is_dimension():
     # sum_j f^j f_j = n for any frame and its reciprocal
     rng = np.random.default_rng(53)

@@ -244,6 +244,21 @@ def test_singular_map_raises():
         Extensor.zero(E3).inverse()
 
 
+def test_ill_conditioned_map_inverts():
+    # condition number 1e6 at n = 5 puts |det| near 1e-15, which a guard on
+    # the size of the determinant took for singularity
+    metric = Metric.euclidean(5)
+    rng = np.random.default_rng(29)
+    grading = np.diag(np.logspace(0, -6, 5))
+    graded = grading @ (np.eye(5) + 0.3 * rng.uniform(-1.0, 1.0, (5, 5)))
+    for matrix in (grading, graded):
+        assert 1e5 < np.linalg.cond(matrix) < 1e7
+        h = Extensor(metric, matrix)
+        hinv = h.inverse()
+        assert np.allclose((h @ hinv).matrix, np.eye(5), atol=1e-9)
+        assert np.allclose((hinv @ h).matrix, np.eye(5), atol=1e-9)
+
+
 # -- composition -----------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.calculus import MvFunction
+from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, grad_star
 from extcalc.catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -360,10 +360,49 @@ def test_fd_routes_agree_with_exact():
     a = random_multivector(E3, 1, rng)
     phi = det_functional(E3)
     assert max_abs_diff(
-        phi.directional_derivative(h, a), phi.directional_derivative_fd(h, a)
+        phi.directional_derivative(h, a),
+        phi.directional_derivative(h, a, step=DEFAULT_FD_STEP),
     ) < 1e-6
     for kind in PRODUCT_KINDS:
-        assert max_abs_diff(phi.derivative(h, kind), phi.derivative_fd(h, kind)) < 1e-6
+        assert max_abs_diff(
+            phi.derivative(h, kind), phi.derivative(h, kind, step=DEFAULT_FD_STEP)
+        ) < 1e-6
+
+
+def test_fd_routes_never_seed_tangents(monkeypatch):
+    # the finite-difference reference must not share the exact machinery
+    rng = np.random.default_rng(20)
+    h = Extensor.random_invertible(E3, rng)
+    a = random_multivector(E3, 1, rng)
+    x = random_multivector(E3, 1, rng)
+    c = random_multivector(E3, 1, rng)
+    func = MvFunction(1, 1, 0, lambda v: v.scalar_product(c).geometric(v.scalar_product(v)))
+    phi = det_functional(E3)
+    exact_grad = grad_star(func, (x,), 0)
+    exact_dir = phi.directional_derivative(h, a)
+    exact_table = phi.derivative_table(h, PRODUCT_KINDS)
+
+    def forbidden(*args):
+        raise AssertionError("a tangent was seeded")
+
+    monkeypatch.setattr(Multivector, "with_tangent", forbidden)
+    monkeypatch.setattr(Multivector, "with_tangents", forbidden)
+    assert max_abs_diff(grad_star(func, (x,), 0, step=DEFAULT_FD_STEP), exact_grad) < 1e-6
+    fd_dir = phi.directional_derivative(h, a, step=DEFAULT_FD_STEP)
+    assert max_abs_diff(fd_dir, exact_dir) < 1e-6
+    fd_table = phi.derivative_table(h, PRODUCT_KINDS, step=DEFAULT_FD_STEP)
+    for kind in PRODUCT_KINDS:
+        assert max_abs_diff(fd_table[kind], exact_table[kind]) < 1e-6
+    with pytest.raises(AssertionError):
+        phi.directional_derivative(h, a)  # the exact route does seed
+
+
+def test_fd_directional_derivative_rejects_mixed_grade_direction():
+    rng = np.random.default_rng(21)
+    h = Extensor.random_invertible(E3, rng)
+    mixed = random_multivector(E3, 1, rng) + Multivector.from_scalar(E3, 1.0)
+    with pytest.raises(ValueError):
+        det_functional(E3).directional_derivative(h, mixed, step=DEFAULT_FD_STEP)
 
 
 # -- bridge to matrix components ----------------------------------------------------------------

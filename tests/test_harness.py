@@ -111,6 +111,24 @@ def test_impossible_tolerance_reports_failures_with_witnesses():
         assert "matrix" in r.witness
 
 
+def test_blade_image_fd_witness_has_anchors():
+    results = run_suite(HarnessConfig(tol_fd=1e-30, suite="closed-form", **FAST))
+    (result,) = [r for r in results if r.identity == "blade-image-directional-fd"]
+    assert not result.passed
+    assert "direction" in result.witness
+    assert len(result.witness["anchors"]) >= 1
+
+
+def test_chain_rule_deviation_is_relative(monkeypatch):
+    # exp of a large functional value makes the derivative ~1e9 here; an
+    # absolute comparison failed at 9.5e-7 against 1e-8
+    (check,) = [c for c in CATALOG if c.id == "chain-rule"]
+    monkeypatch.setattr(harness, "CATALOG", (check,))
+    (result,) = run_suite(HarnessConfig(dim=5, trials=64, seed=0, suite="properties"))
+    assert result.identity == "chain-rule"
+    assert result.passed, result.max_deviation
+
+
 def test_witness_is_reproducible_input():
     # the serialized map and direction reproduce the reported deviation scale
     results = run_suite(HarnessConfig(tol_exact=1e-30, trials=2, seed=3, suite="closed-form"))
