@@ -28,8 +28,19 @@ perm[i, k] = i ^ k, R[i, k] = S[i, i ^ k] and L[j, k] = S[j ^ k, j]:
 so every product doubles as an exact forward-mode derivative rule.  A single
 coefficient of a multivector with a tangent block is a DiffScalar, the scalar
 jet of extcalc.dual, and DiffScalar factors scale whole multivectors, so the
-smooth scalar maps compose with the products.  All values are immutable after
-construction and every operation is pure.
+smooth scalar maps compose with the products.
+
+Instead of a tangent block, the value array may carry a leading batch axis,
+shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
+oracle does with all its perturbed points at once.  A batched coefficient is a
+(B,) array, and (B,) arrays scale batches row by row.  Batches meet unbatched
+operands by broadcasting; a product with one batched side is one (B, 2^n) @
+(2^n, 2^n) matmul against the gathered unbatched side (b @ (a[perm] * L) when
+the left side is the unbatched one), and only two batched sides need an
+einsum.  A batch never carries a tangent block: every operation that would
+combine the two raises ValueError rather than drop the tangents.
+
+All values are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -150,6 +161,10 @@ def _tables(metric: Metric) -> _Tables:
     return tables
 
 
+_BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
+_FACTORS = (int, float, np.number, DiffScalar, np.ndarray)  # what scales a Multivector
+
+
 def _sum_tangents(ta, tb):
     """Sum of two tangent blocks, either of which may be absent."""
     if ta is None:
@@ -163,15 +178,18 @@ def _sum_tangents(ta, tb):
 
 class Multivector:
     """Immutable element of the full algebra: a value array with one
-    coefficient per basis blade, plus an optional (m, 2^n) tangent block."""
+    coefficient per basis blade, plus an optional (m, 2^n) tangent block;
+    or a batch of B elements, a (B, 2^n) value array without tangents."""
 
     __slots__ = ("metric", "_values", "_tangents")
+    __array_ufunc__ = None  # ndarray * Multivector defers to __rmul__
 
     def __init__(self, metric: Metric, coeffs: Iterable[float]):
+        """coeffs: 2^n coefficients, or a (B, 2^n) array for a batch."""
         if not isinstance(coeffs, (np.ndarray, list, tuple)):
             coeffs = list(coeffs)
         values = np.array(coeffs, dtype=float)
-        if values.shape != (metric.size,):
+        if values.shape[-1:] != (metric.size,) or values.ndim not in (1, 2):
             raise ValueError(f"expected {metric.size} coefficients, got shape {values.shape}")
         _set_metric(self, metric)
         _set_values(self, values)
@@ -180,6 +198,8 @@ class Multivector:
     @classmethod
     def _raw(cls, metric: Metric, values: np.ndarray, tangents=None) -> "Multivector":
         """Internal constructor for arrays this module owns and never mutates."""
+        if tangents is not None and values.ndim != 1:
+            raise ValueError(_BATCH_WITH_TANGENTS)
         out = object.__new__(cls)
         _set_metric(out, metric)
         _set_values(out, values)
@@ -201,10 +221,12 @@ class Multivector:
 
     @classmethod
     def from_blade(cls, metric: Metric, mask: int, coeff=1.0) -> "Multivector":
+        """coeff * blade; a (B,) array coefficient makes a batch of B."""
         if not 0 <= mask < metric.size:
             raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
-        values = np.zeros(metric.size)
-        values[mask] = value_of(coeff)
+        batch = coeff.shape if isinstance(coeff, np.ndarray) else ()
+        values = np.zeros(batch + (metric.size,))
+        values[..., mask] = value_of(coeff)
         tangents = None
         if isinstance(coeff, DiffScalar):
             seed = np.atleast_1d(coeff.tangent)
@@ -216,17 +238,22 @@ class Multivector:
 
     @property
     def coeffs(self) -> tuple:
-        """One coefficient per mask: floats, or DiffScalar jets when a
-        tangent block is present."""
+        """One coefficient per mask: floats, DiffScalar jets when a tangent
+        block is present, or (B,) arrays for a batch."""
         t = self._tangents
+        if self._values.ndim == 2:
+            return tuple(self._values.T.copy())
         if t is None:
             return tuple(self._values.tolist())
         tangents = t[0].tolist() if len(t) == 1 else t.T.copy()
         return tuple(map(DiffScalar, self._values.tolist(), tangents))
 
     def coeff(self, mask: int):
-        """Coefficient of one blade: a float, or a DiffScalar whose tangent is
-        a float (one tangent row) or an (m,) array (m rows)."""
+        """Coefficient of one blade: a float, a DiffScalar whose tangent is
+        a float (one tangent row) or an (m,) array (m rows), or a (B,) array
+        for a batch."""
+        if self._values.ndim == 2:
+            return self._values[:, mask].copy()
         value = float(self._values[mask])
         t = self._tangents
         if t is None:
@@ -236,7 +263,7 @@ class Multivector:
         return DiffScalar(value, t[:, mask].copy())
 
     def scalar_part(self):
-        """Grade-0 coefficient (a float or DiffScalar)."""
+        """Grade-0 coefficient (as coeff(0))."""
         return self.coeff(0)
 
     def values(self) -> np.ndarray:
@@ -260,10 +287,15 @@ class Multivector:
         for d in directions:
             self._check_metric(d)
         block = np.stack([d._values for d in directions])
+        if block.ndim != 2:
+            raise ValueError(_BATCH_WITH_TANGENTS)
         return Multivector._raw(self.metric, self._values, block)
 
     def _support(self) -> np.ndarray:
+        """Masks nonzero anywhere: in the value, a tangent row or a batch row."""
         support = self._values != 0.0
+        if support.ndim == 2:
+            return support.any(axis=0)
         if self._tangents is not None:
             support |= (self._tangents != 0.0).any(axis=0)
         return support
@@ -310,6 +342,10 @@ class Multivector:
 
     def _scaled(self, factor):
         t = self._tangents
+        if isinstance(factor, np.ndarray) and factor.ndim == 1:  # one per batch row
+            if t is not None:
+                raise ValueError(_BATCH_WITH_TANGENTS)
+            return Multivector._raw(self.metric, factor[:, None] * self._values)
         if isinstance(factor, DiffScalar):
             seed = np.multiply.outer(np.atleast_1d(factor.tangent), self._values)
             scaled = None if t is None else factor.value * t
@@ -324,12 +360,12 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return self.geometric(other)
-        if isinstance(other, (int, float, DiffScalar)):
+        if isinstance(other, _FACTORS):
             return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, DiffScalar)):
+        if isinstance(other, _FACTORS):
             return self._scaled(other)
         return NotImplemented
 
@@ -370,8 +406,18 @@ class Multivector:
         self._check_metric(other)
         tables = _tables(self.metric)
         a, b = self._values, other._values
-        right = b[tables.perm] * tables.right[kind]
         ta, tb = self._tangents, other._tangents
+        if a.ndim == 2 or b.ndim == 2:
+            if ta is not None or tb is not None:
+                raise ValueError(_BATCH_WITH_TANGENTS)
+            if b.ndim == 1:
+                values = a @ (b[tables.perm] * tables.right[kind])
+            elif a.ndim == 1:
+                values = b @ (a[tables.perm] * tables.left[kind])
+            else:
+                values = np.einsum("bi,bik->bk", a, b[:, tables.perm] * tables.right[kind])
+            return Multivector._raw(self.metric, values)
+        right = b[tables.perm] * tables.right[kind]
         tangents = None
         if ta is not None:
             tangents = ta @ right
@@ -392,6 +438,9 @@ class Multivector:
         return self._product("lcontract", other)
 
     def __repr__(self):
+        if self._values.ndim == 2:
+            rows = (Multivector._raw(self.metric, row) for row in self._values)
+            return "[" + ", ".join(map(repr, rows)) + "]"
         terms = [
             f"{value_of(c):g}*{blade_name(m)}" if m else f"{value_of(c):g}"
             for m, c in self.nonzero_items()
@@ -434,7 +483,9 @@ def unit_pseudoscalar(metric: Metric) -> Multivector:
 
 def wedge_all(metric: Metric, factors: Sequence[Multivector]) -> Multivector:
     """Wedge of the factors in order; the empty product is the scalar 1."""
-    return reduce(lambda a, b: a.wedge(b), factors, Multivector.from_scalar(metric, 1.0))
+    if not factors:
+        return Multivector.from_scalar(metric, 1.0)
+    return reduce(lambda a, b: a.wedge(b), factors)
 
 
 def scalar_value(a: Multivector, b: Multivector) -> float:

@@ -12,14 +12,19 @@ over the increasing-mask grade-q blades of a frame; with the geometric product
 this is the standard derivative with respect to that variable.  A `step`
 argument picks the per-blade oracle: step=None is exact and seeds all C(n, q)
 blade directions in one forward pass, one tangent row each; a positive step
-takes central finite differences (fd_dir_deriv), an independent reference
-that never seeds a tangent.
+takes central finite differences, an independent reference that never seeds a
+tangent.  The finite-difference oracle stacks all 2m perturbed points
+X + step*d_r and X - step*d_r of its m directions into one batched argument
+(a (2m, 2^n) value array, see extcalc.algebra) and evaluates the function
+once; fd_dir_deriv is its m = 1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .algebra import Frame, Multivector, product
 
@@ -30,10 +35,13 @@ DEFAULT_FD_STEP = 1e-5
 class MvFunction:
     """A function of `arity` grade-`input_grade` multivector variables.
 
-    The evaluator must be generic over tangent blocks: it may only combine its
-    arguments through Multivector operations, Extensor application and the
-    lifted maps in extcalc.dual, so that tangents flow through unchanged.
-    Values are homogeneous of grade `output_grade` (None for mixed grades).
+    The evaluator must be generic over tangent blocks and over batches: it
+    may only combine its arguments through Multivector operations, Extensor
+    application, Outermorphism and the lifted maps in extcalc.dual, so that
+    tangents flow through unchanged and a batched argument gives a batch of
+    values, row r from row r of the argument.  An evaluator that ignores its
+    batched argument may return an unbatched value.  Values are homogeneous
+    of grade `output_grade` (None for mixed grades).
     """
 
     arity: int
@@ -77,6 +85,31 @@ def dir_deriv(
     return func(*seeded).tangent_part()
 
 
+def _fd_block(
+    func: MvFunction,
+    args: Sequence[Multivector],
+    var_index: int,
+    directions: Sequence[Multivector],
+    step: float,
+) -> np.ndarray:
+    """(m, 2^n) central differences of func along m directions in one slot.
+
+    The 2m points x + step*d and x + -(step*d) go through func as one batch.
+    """
+    if not step > 0:
+        raise ValueError("step must be positive")
+    x = args[var_index]
+    steps = step * np.stack([d.values() for d in directions])
+    batched = list(args)
+    batched[var_index] = Multivector(
+        x.metric, np.concatenate([x.values() + steps, x.values() + -steps])
+    )
+    m = len(directions)
+    # an evaluator that ignores the slot returns one unbatched value
+    out = np.broadcast_to(func(*batched).values(), (2 * m, x.metric.size))
+    return (out[:m] - out[m:]) * (0.5 / step)
+
+
 def fd_dir_deriv(
     func: MvFunction,
     args: Sequence[Multivector],
@@ -85,15 +118,10 @@ def fd_dir_deriv(
     step: float = DEFAULT_FD_STEP,
 ) -> Multivector:
     """Central-difference counterpart of dir_deriv (independent oracle)."""
-    if not step > 0:
-        raise ValueError("step must be positive")
     _check_slot(func, args, var_index)
     _check_direction(func, direction)
-    plus = list(args)
-    minus = list(args)
-    plus[var_index] = args[var_index] + step * direction
-    minus[var_index] = args[var_index] - step * direction
-    return (func(*plus) - func(*minus)) * (0.5 / step)
+    block = _fd_block(func, args, var_index, (direction,), step)
+    return Multivector(args[var_index].metric, block[0])
 
 
 def grad_star(
@@ -122,7 +150,8 @@ def grad_star(
         out = func(*seeded)
         derivatives = [out.tangent_part(row) for row in range(len(primals))]
     else:
-        derivatives = [fd_dir_deriv(func, args, var_index, d, step) for d in primals]
+        block = _fd_block(func, args, var_index, primals, step)
+        derivatives = [Multivector(metric, row) for row in block]
     total = Multivector.zero(metric)
     for (_, recip), derivative in zip(pairs, derivatives):
         total = total + product(kind, recip, derivative)

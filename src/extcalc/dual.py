@@ -5,12 +5,18 @@ function built from +, -, *, / and the lifted smooth maps below propagates an
 exact directional derivative alongside its value.  The tangent is a float for
 one direction or an (m,) numpy array for m directions at once.  Plain floats
 interoperate freely and are treated as constants (zero tangent).
+
+A batched multivector (extcalc.algebra) has (B,) array coefficients and no
+tangents, so the smooth maps below and value_of pass numpy arrays through
+numpy, elementwise; floats keep math.  A DiffScalar never holds a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _NUMBER = (int, float)
 
@@ -90,8 +96,10 @@ class DiffScalar:
 
 
 def value_of(x) -> float:
-    """Value part of a float or DiffScalar."""
-    return x.value if isinstance(x, DiffScalar) else float(x)
+    """Value part of a float or DiffScalar; a numpy array passes through."""
+    if isinstance(x, DiffScalar):
+        return x.value
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def tangent_of(x) -> float:
@@ -103,23 +111,23 @@ def exp(x):
     if isinstance(x, DiffScalar):
         v = math.exp(x.value)
         return DiffScalar(v, v * x.tangent)
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def sin(x):
     if isinstance(x, DiffScalar):
         return DiffScalar(math.sin(x.value), math.cos(x.value) * x.tangent)
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, DiffScalar):
         return DiffScalar(math.cos(x.value), -math.sin(x.value) * x.tangent)
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def sqrt(x):
     if isinstance(x, DiffScalar):
         v = math.sqrt(x.value)
         return DiffScalar(v, 0.5 * x.tangent / v)
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)

@@ -112,6 +112,10 @@ class Extensor:
             raise ValueError(f"argument must be homogeneous of grade {self.p}")
         tables = _tables(self.metric)
         src, dst = tables.blades[self.p], tables.blades[self.q]
+        if x._values.ndim == 2:  # a batch: one image per row
+            values = np.zeros(x._values.shape)
+            values[:, dst] = x._values[:, src] @ self.matrix.T
+            return Multivector._raw(self.metric, values)
         values = np.zeros(self.metric.size)
         values[dst] = self.matrix @ x._values[src]
         tangents = None

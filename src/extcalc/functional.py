@@ -251,30 +251,24 @@ def component_partials(phi: InducedFunctional, t: Extensor, frame: Frame) -> np.
 def component_partials_fd(
     phi: InducedFunctional, t: Extensor, frame: Frame, step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Central differences of the lifted real function in the components of t."""
+    """Central differences of the lifted real function in the components of t.
+
+    All 2n^2 perturbed component matrices map to one batched argument, so the
+    function is evaluated once.
+    """
     _check_bridge_shape(phi)
     phi._check_map(t)
     n = phi.metric.dim
     anchor = phi.anchors[0]
-    a = [scalar_value(anchor, frame.reciprocal[i]) for i in range(n)]
+    a = np.array([scalar_value(anchor, frame.reciprocal[i]) for i in range(n)])
+    recip = np.stack([r.values() for r in frame.reciprocal])
+    bumps = step * np.eye(n * n).reshape(n * n, n, n)
     comps = t.to_components(frame)
-
-    def lifted(m: np.ndarray) -> float:
-        x = Multivector.zero(phi.metric)
-        for j in range(n):
-            coeff = sum(m[i, j] * a[i] for i in range(n))
-            x = x + coeff * frame.reciprocal[j]
-        return value_of(phi.func(x).scalar_part())
-
-    out = np.zeros((n, n))
-    for p in range(n):
-        for q in range(n):
-            plus = comps.copy()
-            minus = comps.copy()
-            plus[p, q] += step
-            minus[p, q] -= step
-            out[p, q] = (lifted(plus) - lifted(minus)) / (2.0 * step)
-    return out
+    mats = np.concatenate([comps + bumps, comps - bumps])
+    # row b of x is sum_j (sum_i m_b[i, j] a[i]) f^j
+    x = Multivector(phi.metric, (a @ mats) @ recip)
+    lifted = np.broadcast_to(value_of(phi.func(x).scalar_part()), (2 * n * n,))
+    return ((lifted[: n * n] - lifted[n * n :]) / (2.0 * step)).reshape(n, n)
 
 
 def directional_from_partials(

@@ -20,7 +20,9 @@ from extcalc.algebra import (
     reciprocal_frame,
     scalar_value,
     unit_pseudoscalar,
+    wedge_all,
 )
+from extcalc.dual import DiffScalar
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 
 E3 = Metric.euclidean(3)
@@ -482,3 +484,125 @@ def test_product_kernel_matches_loop_reference(case):
         assert _close(got.tangent_part(r).values(), left + right, left_mag + right_mag)
     if rows == 0:
         assert got.tangent_part().norm_inf() == 0.0
+
+
+# -- batches: a leading axis of B multivectors, never with tangents ---------------
+
+
+@st.composite
+def _batched_case(draw):
+    n = draw(st.integers(2, 6))
+    diag = tuple(draw(st.lists(st.sampled_from((1.0, -1.0, 2.0, -0.5)), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(PRODUCT_KINDS))
+    sides = draw(st.sampled_from(("left", "right", "both")))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    a = rng.uniform(-1.0, 1.0, (rows, size) if sides in ("left", "both") else size)
+    b = rng.uniform(-1.0, 1.0, (rows, size) if sides in ("right", "both") else size)
+    return diag, kind, a, b, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batched_case())
+def test_batched_product_rows_match_loop_reference(case):
+    diag, kind, a, b, rows = case
+    metric = Metric(len(diag), diag)
+    got = product(kind, Multivector(metric, a), Multivector(metric, b))
+    assert got.values().shape == (rows, metric.size)
+    for r in range(rows):
+        value, mag = _loop_product(diag, kind, a[r] if a.ndim == 2 else a,
+                                   b[r] if b.ndim == 2 else b)
+        assert _close(got.values()[r], value, mag)
+
+
+def _batch(metric, rows):
+    rng = np.random.default_rng(rows)
+    return Multivector(metric, rng.uniform(-1.0, 1.0, (rows, metric.size)))
+
+
+def test_batched_coefficients_are_arrays():
+    x = _batch(E3, 4)
+    assert x.coeff(3).shape == (4,)
+    assert np.array_equal(x.scalar_part(), x.values()[:, 0])
+    assert len(x.coeffs) == E3.size and x.coeffs[5].shape == (4,)
+    s = np.array([1.0, -2.0, 0.0])
+    b = Multivector.from_blade(E3, 0b011, s)
+    assert b.values().shape == (3, E3.size)
+    assert np.array_equal(b.coeff(0b011), s)
+    assert b.grades() == {2} and b.is_homogeneous(2)
+    assert np.array_equal(Multivector.from_scalar(E3, s).scalar_part(), s)
+
+
+def test_array_factor_scales_rows_from_either_side():
+    e1, e2, _ = vecs(E3)
+    s = np.array([2.0, -1.0])
+    for scaled in (s * e1, e1 * s):
+        assert np.array_equal(scaled.values()[:, 1], s)
+    doubled = s * (e1 + e2).geometric(_batch(E3, 2))
+    plain = (e1 + e2).geometric(_batch(E3, 2))
+    assert np.array_equal(doubled.values(), s[:, None] * plain.values())
+
+
+def test_batch_support_spans_all_rows():
+    e1, e2, e3 = vecs(E3)
+    rows = np.stack([e1.values(), (e2 ^ e3).values()])
+    x = Multivector(E3, rows)
+    assert x.grades() == {1, 2}
+    assert not x.is_homogeneous(1)
+    vectors = x.grade_project(1).values()
+    assert np.array_equal(vectors[0], e1.values()) and not vectors[1].any()
+
+
+def test_batch_refuses_tangent_operands():
+    e1, e2, _ = vecs(E3)
+    jet = e1.with_tangent(e2)
+    x = _batch(E3, 3)
+    for kind in PRODUCT_KINDS:
+        with pytest.raises(ValueError):
+            product(kind, x, jet)
+        with pytest.raises(ValueError):
+            product(kind, jet, x)
+    with pytest.raises(ValueError):
+        x * DiffScalar(2.0, 1.0)
+    with pytest.raises(ValueError):
+        jet * np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        x.with_tangents([e1])
+    with pytest.raises(ValueError):
+        e1.with_tangents([x])
+    with pytest.raises(ValueError):
+        x + jet
+
+
+def test_batch_constructor_rejects_wrong_shapes():
+    with pytest.raises(ValueError):
+        Multivector(E3, np.zeros((2, 7)))
+    with pytest.raises(ValueError):
+        Multivector(E3, np.zeros((2, 2, 8)))
+
+
+# -- wedge_all --------------------------------------------------------------------
+
+
+def test_wedge_all_costs_one_product_fewer_than_its_factors(monkeypatch):
+    calls = []
+    kernel = Multivector._product
+
+    def counting(self, kind, other):
+        calls.append(kind)
+        return kernel(self, kind, other)
+
+    monkeypatch.setattr(Multivector, "_product", counting)
+    rng = np.random.default_rng(5)
+    metric = Metric(5, (1.0, -1.0, 2.0, 1.0, -0.5))
+    factors = [random_multivector(metric, 1, rng) for _ in range(5)]
+    for k in range(6):
+        calls.clear()
+        got = wedge_all(metric, factors[:k])
+        assert len(calls) == max(k - 1, 0)
+        # the old fold from the scalar 1 gives the same coefficients, bit for bit
+        expected = Multivector.from_scalar(metric, 1.0)
+        for f in factors[:k]:
+            expected = kernel(expected, "wedge", f)
+        assert np.array_equal(got.values(), expected.values())

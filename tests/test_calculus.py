@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extcalc.algebra import (
     PRODUCT_KINDS,
@@ -13,7 +15,7 @@ from extcalc.algebra import (
 )
 from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, dir_deriv, fd_dir_deriv, grad_star
 from extcalc.dual import exp, value_of
-from extcalc.extensor import Extensor
+from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
 
 E3 = Metric.euclidean(3)
@@ -231,6 +233,131 @@ def test_fd_gradient_matches_exact_gradient():
         assert max_abs_diff(
             grad_star(func, (x,), 0, kind), grad_star(func, (x,), 0, kind, step=DEFAULT_FD_STEP)
         ) < 1e-6
+
+
+# -- the batched finite-difference oracle -------------------------------------------
+
+
+def _fd_cases(metric, q, rng):
+    """(name, function) pairs over grade-q variables: scalar-, vector- and
+    mixed-valued, several with both operands of a product on the slot."""
+    c = random_multivector(metric, q, rng)
+    v = random_multivector(metric, 1, rng)
+    return [
+        ("x.c", MvFunction(1, q, 0, lambda x: x.scalar_product(c))),
+        ("x.x", MvFunction(1, q, 0, lambda x: x.scalar_product(x))),
+        ("exp(x.x)", MvFunction(
+            1, q, 0, lambda x: Multivector.from_scalar(metric, exp(x.scalar_product(x).scalar_part()))
+        )),
+        ("v (x.c)(x.x)", MvFunction(
+            1, q, 1, lambda x: v.geometric(x.scalar_product(c)).geometric(x.scalar_product(x))
+        )),
+        ("x x", MvFunction(1, q, None, lambda x: x.geometric(x))),
+        ("x _| (x v) + x ^ v", MvFunction(
+            1, q, None, lambda x: x.lcontract(x.geometric(v)) + x.wedge(v)
+        )),
+        ("(x y) _| x", MvFunction(2, q, None, lambda x, y: x.geometric(y).lcontract(x))),
+        ("x (y.c)", MvFunction(2, q, q, lambda x, y: x * y.scalar_product(c).scalar_part())),
+    ]
+
+
+def _per_blade_fd(func, args, slot, kind, frame, step):
+    """The frame sum over (F(X + h d) - F(X - h d)) * 0.5/h, one blade at a time."""
+    total = Multivector.zero(args[slot].metric)
+    for primal, recip in frame.blade_pairs(func.input_grade):
+        plus, minus = list(args), list(args)
+        plus[slot] = args[slot] + step * primal
+        minus[slot] = args[slot] - step * primal
+        total = total + product(kind, recip, (func(*plus) - func(*minus)) * (0.5 / step))
+    return total
+
+
+@st.composite
+def _fd_case(draw):
+    n = draw(st.integers(2, 6))
+    diag = tuple(draw(st.lists(st.sampled_from((1.0, -1.0, 2.0, -0.5)), min_size=n, max_size=n)))
+    return (
+        diag,
+        draw(st.sampled_from((1, 2))),
+        draw(st.sampled_from(PRODUCT_KINDS)),
+        draw(st.integers(0, 7)),
+        draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fd_case())
+def test_batched_fd_gradient_matches_per_blade_reference(case):
+    diag, q, kind, which, random_frame, seed = case
+    metric = Metric(len(diag), diag)
+    rng = np.random.default_rng(seed)
+    name, func = _fd_cases(metric, q, rng)[which]
+    args = tuple(random_multivector(metric, q, rng) for _ in range(func.arity))
+    slot = int(rng.integers(func.arity))
+    frame = Frame.orthonormal(metric)
+    if random_frame:
+        carrier = Extensor.random_invertible(metric, rng)
+        frame = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
+    got = grad_star(func, args, slot, kind, frame, step=DEFAULT_FD_STEP)
+    expected = _per_blade_fd(func, args, slot, kind, frame, DEFAULT_FD_STEP)
+    # summation order moves F's value at rounding level; the frame sum
+    # carries that, over the step, into the result through the reciprocals
+    recip = max(r.norm_inf() for _, r in frame.blade_pairs(q))
+    scale = max(1.0, expected.norm_inf(), func(*args).norm_inf() * recip)
+    assert max_abs_diff(got, expected) <= 1e-9 * scale, name
+
+
+def test_fd_gradient_evaluates_the_function_once():
+    metric = Metric(5, (1.0, -1.0, 2.0, 1.0, -0.5))
+    rng = np.random.default_rng(40)
+    c = random_multivector(metric, 1, rng)
+    shapes = []
+
+    def evaluator(x, y):
+        shapes.append((x.values().shape, y.values().shape))
+        return x.geometric(y).wedge(c)
+
+    func = MvFunction(2, 2, None, evaluator)
+    args = (random_multivector(metric, 2, rng), random_multivector(metric, 2, rng))
+    grad_star(func, args, 1, "wedge", step=DEFAULT_FD_STEP)
+    assert shapes == [((32,), (20, 32))]  # 2 * C(5, 2) points in one call
+    shapes.clear()
+    fd_dir_deriv(func, args, 0, random_multivector(metric, 2, rng))
+    assert shapes == [((2, 32), (32,))]
+
+
+def test_fd_gradient_of_a_function_ignoring_its_slot_is_zero():
+    rng = np.random.default_rng(41)
+    c = random_multivector(E3, 1, rng)
+    args = (random_multivector(E3, 1, rng), random_multivector(E3, 1, rng))
+    funcs = (
+        MvFunction(2, 1, 0, lambda x, y: y.scalar_product(y)),  # unbatched value
+        MvFunction(2, 1, 1, lambda x, y: c),  # a constant
+    )
+    for func in funcs:
+        for kind in PRODUCT_KINDS:
+            out = grad_star(func, args, 0, kind, step=DEFAULT_FD_STEP)
+            assert out.norm_inf() == 0.0 and out.values().shape == (E3.size,)
+        assert fd_dir_deriv(func, args, 0, c).norm_inf() == 0.0
+
+
+def test_fd_gradient_through_outermorphism_matches_exact():
+    metric = Metric(4, (1.0, -1.0, 1.0, 2.0))
+    rng = np.random.default_rng(42)
+    om = Outermorphism(Extensor.random(metric, rng))
+    c = random_multivector(metric, 1, rng)
+    funcs = (
+        MvFunction(1, 1, 2, lambda x: om(x.wedge(c))),
+        MvFunction(1, 1, 0, lambda x: om(x.wedge(c)).scalar_product(om(x).wedge(x))),
+        MvFunction(1, 2, None, lambda x: om(x).geometric(x)),
+    )
+    for func in funcs:
+        args = (random_multivector(metric, func.input_grade, rng),)
+        for kind in PRODUCT_KINDS:
+            exact = grad_star(func, args, 0, kind)
+            fd = grad_star(func, args, 0, kind, step=DEFAULT_FD_STEP)
+            assert max_abs_diff(exact, fd) < 1e-7 * max(1.0, exact.norm_inf())
 
 
 # -- product rule sanity ------------------------------------------------------------

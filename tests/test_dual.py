@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -71,6 +72,15 @@ def test_plain_number_passthrough():
     assert tangent_of(DiffScalar(1.0, 3.0)) == 3.0
     assert exp(0.0) == 1.0
     assert sin(0.0) == 0.0
+
+
+def test_arrays_pass_through_numpy():
+    # batched coefficients are (B,) arrays; floats keep math
+    x = np.array([-1.0, 0.0, 0.5, 4.0])
+    assert value_of(x) is x
+    for lifted, ref in ((exp, np.exp), (sin, np.sin), (cos, np.cos), (sqrt, np.sqrt)):
+        assert np.array_equal(lifted(np.abs(x)), ref(np.abs(x)))
+    assert type(exp(1.0)) is float
 
 
 def test_integer_power():

@@ -99,6 +99,26 @@ def test_adjoint_is_involutive():
 # -- outermorphism ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (0, 3)])
+def test_apply_maps_a_batch_row_by_row(p, q):
+    rng = np.random.default_rng(30 + p + q)
+    t = Extensor.random(E3, rng, p, q)
+    rows = [random_multivector(E3, p, rng) for _ in range(4)]
+    batch = t(Multivector(E3, np.stack([x.values() for x in rows])))
+    for r, x in enumerate(rows):
+        assert np.allclose(batch.values()[r], t(x).values(), rtol=0.0, atol=1e-15)
+
+
+def test_outermorphism_maps_a_batch_row_by_row():
+    rng = np.random.default_rng(34)
+    metric = Metric(4, (2.0, 1.0, -1.0, 1.0))
+    om = Outermorphism(Extensor.random(metric, rng))
+    rows = [random_multivector(metric, 2, rng) for _ in range(3)]
+    batch = om(Multivector(metric, np.stack([x.values() for x in rows])))
+    for r, x in enumerate(rows):
+        assert np.allclose(batch.values()[r], om(x).values(), rtol=0.0, atol=1e-14)
+
+
 def test_outermorphism_examples():
     e1, e2 = basis_vectors(E2)
     h = Extensor.scaling(E2, [2.0, 3.0])

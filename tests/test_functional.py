@@ -449,6 +449,53 @@ def test_component_partials_match_lifted_finite_differences():
             assert np.max(np.abs(exact - approx)) < 1e-5
 
 
+def _lifted_fd_loop(phi, t, frame, step):
+    """Central differences of the lifted function, one entry and one pair of
+    evaluations at a time."""
+    n = phi.metric.dim
+    a = [scalar_value(phi.anchors[0], r) for r in frame.reciprocal]
+
+    def lifted(m):
+        x = Multivector.zero(phi.metric)
+        for j in range(n):
+            x = x + sum(m[i, j] * a[i] for i in range(n)) * frame.reciprocal[j]
+        return value_of(phi.func(x).scalar_part())
+
+    comps = t.to_components(frame)
+    out = np.zeros((n, n))
+    for p in range(n):
+        for q in range(n):
+            plus, minus = comps.copy(), comps.copy()
+            plus[p, q] += step
+            minus[p, q] -= step
+            out[p, q] = (lifted(plus) - lifted(minus)) / (2.0 * step)
+    return out
+
+
+def test_component_partials_fd_is_one_batched_evaluation():
+    rng = np.random.default_rng(23)
+    for metric in (E2, Metric(4, (2.0, 1.0, -1.0, 1.0))):
+        n = metric.dim
+        c = random_multivector(metric, 1, rng)
+        shapes = []
+
+        def evaluator(x):
+            shapes.append(x.values().shape)
+            return x.scalar_product(c)
+
+        base = InducedFunctional(
+            MvFunction(1, 1, 0, evaluator), (random_multivector(metric, 1, rng),), 1
+        )
+        t = Extensor.random_invertible(metric, rng)
+        frame = random_frame(metric, rng)
+        for phi in (base, base.map_scalar(lambda s: s * s), base.map_scalar(exp)):
+            shapes.clear()
+            got = component_partials_fd(phi, t, frame)
+            assert shapes == [(2 * n * n, metric.size)]
+            expected = _lifted_fd_loop(phi, t, frame, DEFAULT_FD_STEP)
+            assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+
+
 def test_bridge_reassembles_directional_derivative():
     # frozen instance: partials [[0,1],[0,0]] contract with a = e1 to e2
     e1, e2 = basis_vectors(E2)
