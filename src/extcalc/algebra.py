@@ -36,9 +36,11 @@ oracle does with all its perturbed points at once.  A batched coefficient is a
 (B,) array, and (B,) arrays scale batches row by row.  Batches meet unbatched
 operands by broadcasting; a product with one batched side is one (B, 2^n) @
 (2^n, 2^n) matmul against the gathered unbatched side (b @ (a[perm] * L) when
-the left side is the unbatched one), and only two batched sides need an
-einsum.  A batch never carries a tangent block: every operation that would
-combine the two raises ValueError rather than drop the tangents.
+the left side is the unbatched one).  Two batched sides multiply row by row,
+each row the unbatched kernel's matmul, a chunk of rows at a time so that the
+gathered (rows, 2^n, 2^n) temporary stays near 2^19 floats.  A batch never
+carries a tangent block: every operation that would combine the two raises
+ValueError rather than drop the tangents.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -161,6 +163,7 @@ def _tables(metric: Metric) -> _Tables:
     return tables
 
 
+_GATHER_FLOATS = 1 << 19  # bound on the gather of a two-batched product
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
 _FACTORS = (int, float, np.number, DiffScalar, np.ndarray)  # what scales a Multivector
 
@@ -415,7 +418,7 @@ class Multivector:
             elif a.ndim == 1:
                 values = b @ (a[tables.perm] * tables.left[kind])
             else:
-                values = np.einsum("bi,bik->bk", a, b[:, tables.perm] * tables.right[kind])
+                values = _two_batched(a, b, tables.perm, tables.right[kind])
             return Multivector._raw(self.metric, values)
         right = b[tables.perm] * tables.right[kind]
         tangents = None
@@ -446,6 +449,21 @@ class Multivector:
             for m, c in self.nonzero_items()
         ]
         return " + ".join(terms) if terms else "0"
+
+
+def _two_batched(a: np.ndarray, b: np.ndarray, perm: np.ndarray, right: np.ndarray):
+    """Row r of a times row r of b, a chunk of rows at a time, so the gathered
+    (rows, 2^n, 2^n) temporary stays near _GATHER_FLOATS floats."""
+    size = a.shape[-1]
+    a, b = np.broadcast_arrays(a, b)  # a batch of one meets a batch of B
+    out = np.empty(a.shape)
+    chunk = max(1, _GATHER_FLOATS // (size * size))
+    for lo in range(0, len(a), chunk):
+        hi = lo + chunk
+        # (c, 1, N) @ (c, N, N): each row is the unbatched kernel's matmul
+        gathered = np.take(b[lo:hi], perm, axis=1) * right  # C order, as unbatched
+        out[lo:hi] = (a[lo:hi, None, :] @ gathered)[:, 0]
+    return out
 
 
 # slot setters that bypass Multivector.__setattr__, which refuses all writes
@@ -564,6 +582,38 @@ class Frame:
                 for m in grade_masks(self.metric.dim, grade)
             ]
         return cache[grade]
+
+    def blade_sum(self, grade: int, kind: str, rows: np.ndarray) -> np.ndarray:
+        """sum_J  f^J * rows[..., J, :]  under the `kind` product, one array
+        contraction over the grade's blades in blade_pairs order.
+
+        rows has shape (..., C(n, grade), 2^n) and the result (..., 2^n).
+        Over the reciprocal blades' support S (the grade's masks),
+        product(kind, f^J, d)[k] = sum_a f^J[S_a] d[S_a ^ k] R[S_a, k], so
+        the J sum comes first as one matmul, cross = recip.T @ rows, and the
+        a sum is a gather of cross at (a, S_a ^ k) weighted by R[S_a, k].
+        The index and sign rows are cached per (grade, kind): O(C(n, grade)
+        * 2^n) each, never a dense (C(n, grade) * 2^n, 2^n) operator.
+        """
+        if kind not in PRODUCT_KINDS:
+            raise ValueError(f"unknown product kind {kind!r}")
+        cache = self._pair_cache
+        key = (grade, kind)
+        if key not in cache:
+            recip = np.stack([r._values for _, r in self.blade_pairs(grade)])
+            support = np.flatnonzero(recip.any(axis=0))
+            tables = _tables(self.metric)
+            size = self.metric.size
+            index = np.arange(len(support))[:, None] * size + tables.perm[support]
+            cache[key] = (
+                np.ascontiguousarray(recip[:, support].T),
+                index,
+                tables.right[kind][support],
+            )
+        recip_t, index, signs = cache[key]
+        cross = recip_t @ rows
+        gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., index]
+        return (gathered * signs).sum(axis=-2)
 
 
 @lru_cache(maxsize=None)

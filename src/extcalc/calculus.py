@@ -17,6 +17,15 @@ tangent.  The finite-difference oracle stacks all 2m perturbed points
 X + step*d_r and X - step*d_r of its m directions into one batched argument
 (a (2m, 2^n) value array, see extcalc.algebra) and evaluates the function
 once; fd_dir_deriv is its m = 1 case.
+
+_slot_gradients does the same for several variables at once, and grad_star
+is its one-slot case.  Exactly, one forward pass seeds every requested slot
+with its own band of C(n, q) rows in a shared tangent block (zero rows
+elsewhere), so k slots cost one evaluation of the function instead of k.  By
+finite differences each slot keeps its own batched evaluation: one batch over
+all slots would make every product two-batched, the slow row-by-row kernel.
+The frame sum over the C(n, q) derivative rows is one array contraction,
+Frame.blade_sum, for every slot together.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Multivector, product
+from .algebra import Frame, Multivector
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -124,6 +133,47 @@ def fd_dir_deriv(
     return Multivector(args[var_index].metric, block[0])
 
 
+def _slot_gradients(
+    func: MvFunction,
+    args: Sequence[Multivector],
+    slots: Sequence[int],
+    kind: str = "geometric",
+    frame: Frame | None = None,
+    step: float | None = None,
+) -> list[Multivector]:
+    """grad_star in each of `slots`, from one evaluation of func when exact.
+
+    step=None seeds slot slots[j] with a block of len(slots) * m tangent
+    rows, m = C(n, q): rows j*m .. (j+1)*m hold the blade directions f_J and
+    the others are zero, so one forward pass carries every slot's
+    directional derivatives.  A step takes one batched central difference
+    per slot.  Either way the frame sum is one Frame.blade_sum contraction.
+    """
+    for i in slots:
+        _check_slot(func, args, i)
+    if not slots:
+        return []
+    metric = args[slots[0]].metric
+    if frame is None:
+        frame = Frame.orthonormal(metric)
+    q = func.input_grade
+    primals = [primal for primal, _ in frame.blade_pairs(q)]
+    k, m = len(slots), len(primals)
+    if step is None:
+        zero = Multivector.zero(metric)
+        seeded = list(args)
+        for j, i in enumerate(slots):
+            rows = [zero] * (j * m) + primals + [zero] * ((k - 1 - j) * m)
+            seeded[i] = args[i].with_tangents(rows)
+        block = func(*seeded)._tangents
+        if block is None:  # func ignores every seeded slot
+            block = np.zeros((k * m, metric.size))
+        derivatives = block.reshape(k, m, metric.size)
+    else:
+        derivatives = np.stack([_fd_block(func, args, i, primals, step) for i in slots])
+    return [Multivector(metric, g) for g in frame.blade_sum(q, kind, derivatives)]
+
+
 def grad_star(
     func: MvFunction,
     args: Sequence[Multivector],
@@ -137,22 +187,6 @@ def grad_star(
     kind="geometric" gives the standard derivative in variable `var_index`;
     the result does not depend on the choice of frame.  The directional
     derivatives are exact for step=None, else central differences of `step`.
+    This is the one-slot case of _slot_gradients.
     """
-    _check_slot(func, args, var_index)
-    metric = args[var_index].metric
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    pairs = frame.blade_pairs(func.input_grade)
-    primals = [primal for primal, _ in pairs]
-    if step is None:
-        seeded = list(args)
-        seeded[var_index] = args[var_index].with_tangents(primals)
-        out = func(*seeded)
-        derivatives = [out.tangent_part(row) for row in range(len(primals))]
-    else:
-        block = _fd_block(func, args, var_index, primals, step)
-        derivatives = [Multivector(metric, row) for row in block]
-    total = Multivector.zero(metric)
-    for (_, recip), derivative in zip(pairs, derivatives):
-        total = total + product(kind, recip, derivative)
-    return total
+    return _slot_gradients(func, args, (var_index,), kind, frame, step)[0]

@@ -24,7 +24,12 @@ map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
     test target, as is independence from the choice of frame.
 
 Each derivative method takes `step`: None differentiates F exactly, a positive
-step by central differences (the oracle choice of calculus.grad_star).
+step by central differences (the oracle choice of calculus.grad_star).  Every
+method gets its slot gradients dF/dX^i from one partial_gradients call, which
+computes only the slots it needs: exactly in one forward pass of F over all
+of them, or by one batched finite difference per slot.  The frame route
+derivative_via_frame forms the directional derivative along every frame blade
+as one weight-matrix product and sums them with Frame.blade_sum.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -45,7 +50,7 @@ from .algebra import (
     product,
     scalar_value,
 )
-from .calculus import DEFAULT_FD_STEP, MvFunction, grad_star
+from .calculus import DEFAULT_FD_STEP, MvFunction, _slot_gradients, grad_star
 from .dual import value_of
 from .extensor import Extensor
 
@@ -102,14 +107,15 @@ class InducedFunctional:
         """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k)).
 
         With `slots`, only the slots i with slots[i] true are computed; the
-        others are None.  `step` selects the oracle as in grad_star.
+        others are None.  `step` selects the oracle as in grad_star; exactly,
+        every computed slot comes from one forward pass of F.
         """
-        args = self.arguments(t)
-        return [
-            grad_star(self.func, args, i, "geometric", step=step)
-            if slots is None or slots[i] else None
-            for i in range(self.arity)
-        ]
+        wanted = [i for i in range(self.arity) if slots is None or slots[i]]
+        grads = _slot_gradients(self.func, self.arguments(t), wanted, step=step)
+        out = [None] * self.arity
+        for i, grad in zip(wanted, grads):
+            out[i] = grad
+        return out
 
     def _weighted_sum(self, weights, grads) -> Multivector:
         """sum_i w_i * grads[i] over the nonzero weights."""
@@ -156,15 +162,15 @@ class InducedFunctional:
         """Same operator through the grade-p blade frame sum; frame-independent."""
         self._check_map(t)
         pairs = frame.blade_pairs(self.source_grade)
-        weights = [[scalar_value(primal, a) for a in self.anchors] for primal, _ in pairs]
-        # gradients once per call, only in the slots some blade weighs
-        grads = self.partial_gradients(
-            t, [any(row[i] != 0.0 for row in weights) for i in range(self.arity)]
+        weights = np.array(
+            [[scalar_value(primal, a) for a in self.anchors] for primal, _ in pairs]
         )
-        total = Multivector.zero(self.metric)
-        for (_, recip), row in zip(pairs, weights):
-            total = total + product(kind, recip, self._weighted_sum(row, grads))
-        return total
+        # gradients once per call, only in the slots some blade weighs
+        grads = self.partial_gradients(t, (weights != 0.0).any(axis=0))
+        zero = np.zeros(self.metric.size)
+        grads = np.stack([zero if g is None else g.values() for g in grads])
+        # row J is the directional derivative along f_J
+        return Multivector(self.metric, frame.blade_sum(self.source_grade, kind, weights @ grads))
 
     # -- combinators -----------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -22,8 +23,11 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
+from extcalc.algebra import _tables
+from extcalc.calculus import MvFunction, grad_star
 from extcalc.dual import DiffScalar
 from extcalc.errors import ConfigurationError, DegenerateFrameError
+from extcalc.extensor import Extensor
 
 E3 = Metric.euclidean(3)
 
@@ -580,6 +584,81 @@ def test_batch_constructor_rejects_wrong_shapes():
         Multivector(E3, np.zeros((2, 7)))
     with pytest.raises(ValueError):
         Multivector(E3, np.zeros((2, 2, 8)))
+
+
+def test_two_batched_product_rows_are_the_unbatched_kernel():
+    # 19 rows at n = 8 cross several row chunks, the last one partial
+    rng = np.random.default_rng(6)
+    metric = Metric(8, (1.0, -1.0, 2.0, 1.0, -0.5, 1.0, 1.0, -1.0))
+    for kind in PRODUCT_KINDS:
+        for rows_a, rows_b in ((19, 19), (1, 19), (19, 1)):
+            a = rng.uniform(-1.0, 1.0, (rows_a, metric.size))
+            b = rng.uniform(-1.0, 1.0, (rows_b, metric.size))
+            got = product(kind, Multivector(metric, a), Multivector(metric, b)).values()
+            a, b = np.broadcast_arrays(a, b)
+            expected = np.stack([
+                product(kind, Multivector(metric, x), Multivector(metric, y)).values()
+                for x, y in zip(a, b)
+            ])
+            assert np.array_equal(got, expected), (kind, rows_a, rows_b)
+
+
+def test_two_batched_product_memory_is_bounded():
+    metric = Metric(8)
+    x = random_multivector(metric, 4, np.random.default_rng(7))
+    square = MvFunction(1, 4, 0, lambda v: v.scalar_product(v))
+    tracemalloc.start()
+    try:
+        # 140 perturbed points, each squared: x . x with both sides batched
+        grad = grad_star(square, (x,), 0, step=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # a whole-batch gather would take ~150 MB
+    assert max_abs_diff(grad, 2.0 * x) < 1e-8
+
+
+# -- the blade frame sum as one contraction ------------------------------------------
+
+
+def _frames(metric, rng):
+    vectors = [Extensor.random_invertible(metric, rng)(e) for e in basis_vectors(metric)]
+    return {"orthonormal": Frame.orthonormal(metric), "random": Frame.from_vectors(vectors)}
+
+
+@pytest.mark.parametrize("n,grade", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (6, 3), (7, 1),
+                                     (8, 4)])
+def test_blade_sum_matches_product_loop(n, grade):
+    rng = np.random.default_rng(100 + n)
+    for diag in ((1.0,) * n, tuple(rng.choice((1.0, -1.0, 2.0, -0.5), n))):
+        metric = Metric(n, diag)
+        unit = all(abs(g) == 1.0 for g in diag)
+        for name, frame in _frames(metric, rng).items():
+            pairs = frame.blade_pairs(grade)
+            rows = rng.uniform(-1.0, 1.0, (2, len(pairs), metric.size))
+            weights = _tables(metric).weight
+            for kind in PRODUCT_KINDS:
+                got = frame.blade_sum(grade, kind, rows)
+                assert got.shape == (2, metric.size)
+                for b in range(2):
+                    expected = Multivector.zero(metric)
+                    scale = 0.0
+                    for (_, recip), row in zip(pairs, rows[b]):
+                        expected = expected + product(kind, recip, Multivector(metric, row))
+                        scale += np.abs(recip.values()).sum() * np.abs(row).max()
+                    scale *= np.abs(weights).max()
+                    bound = 4 * (2 * len(pairs)) * np.finfo(float).eps * scale
+                    assert np.abs(got[b] - expected.values()).max() <= bound, (name, kind)
+                    if name == "orthonormal" and unit:
+                        # one nonzero reciprocal coefficient per blade: same terms,
+                        # same order, so the same bits as the loop
+                        assert np.array_equal(got[b], expected.values()), kind
+                assert np.array_equal(frame.blade_sum(grade, kind, rows[0]), got[0])
+
+
+def test_blade_sum_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        Frame.orthonormal(E3).blade_sum(1, "cross", np.zeros((3, E3.size)))
 
 
 # -- wedge_all --------------------------------------------------------------------

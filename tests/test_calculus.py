@@ -13,7 +13,14 @@ from extcalc.algebra import (
     product,
     random_multivector,
 )
-from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, dir_deriv, fd_dir_deriv, grad_star
+from extcalc.calculus import (
+    DEFAULT_FD_STEP,
+    MvFunction,
+    _slot_gradients,
+    dir_deriv,
+    fd_dir_deriv,
+    grad_star,
+)
 from extcalc.dual import exp, value_of
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
@@ -358,6 +365,138 @@ def test_fd_gradient_through_outermorphism_matches_exact():
             exact = grad_star(func, args, 0, kind)
             fd = grad_star(func, args, 0, kind, step=DEFAULT_FD_STEP)
             assert max_abs_diff(exact, fd) < 1e-7 * max(1.0, exact.norm_inf())
+
+
+# -- every slot in one pass ------------------------------------------------------------
+
+
+def _slot_cases(metric, q, rng):
+    """(name, function) pairs of one to three grade-q variables, one of which
+    ignores its middle slot."""
+    c = random_multivector(metric, q, rng)
+    return [
+        ("x.c", MvFunction(1, q, 0, lambda x: x.scalar_product(c))),
+        ("(x y) _| x", MvFunction(2, q, None, lambda x, y: x.geometric(y).lcontract(x))),
+        ("x (y.c)", MvFunction(2, q, q, lambda x, y: x * y.scalar_product(c).scalar_part())),
+        ("x y z", MvFunction(3, q, None, lambda x, y, z: x.geometric(y).geometric(z))),
+        ("exp(x.y) z + z _| x", MvFunction(3, q, None, lambda x, y, z: (
+            z * exp(x.scalar_product(y).scalar_part()) + z.lcontract(x)
+        ))),
+        ("x ^ z, y ignored", MvFunction(3, q, None, lambda x, y, z: x.wedge(z) + x)),
+    ]
+
+
+@st.composite
+def _slots_case(draw):
+    n = draw(st.integers(2, 6))
+    diag = tuple(draw(st.lists(st.sampled_from((1.0, -1.0, 2.0, -0.5)), min_size=n, max_size=n)))
+    which = draw(st.integers(0, 5))
+    arity = (1, 2, 2, 3, 3, 3)[which]
+    slots = draw(st.permutations(range(arity)))[: draw(st.integers(1, arity))]
+    return (
+        diag,
+        draw(st.sampled_from((1, 2))),
+        draw(st.sampled_from(PRODUCT_KINDS)),
+        which,
+        tuple(slots),
+        draw(st.booleans()),
+        draw(st.sampled_from((None, DEFAULT_FD_STEP))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slots_case())
+def test_slot_gradients_match_per_slot_grad_star(case):
+    diag, q, kind, which, slots, random_frame, step, seed = case
+    metric = Metric(len(diag), diag)
+    rng = np.random.default_rng(seed)
+    name, func = _slot_cases(metric, q, rng)[which]
+    args = tuple(random_multivector(metric, q, rng) for _ in range(func.arity))
+    frame = Frame.orthonormal(metric)
+    if random_frame:
+        carrier = Extensor.random_invertible(metric, rng)
+        frame = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
+    got = _slot_gradients(func, args, slots, kind, frame, step)
+    assert len(got) == len(slots)
+    recip = max(r.norm_inf() for _, r in frame.blade_pairs(q))
+    for slot, grad in zip(slots, got):
+        alone = grad_star(func, args, slot, kind, frame, step)
+        if step is None:
+            # independent of the shared block: one pass per blade and a product loop
+            reference = Multivector.zero(metric)
+            for primal, r in frame.blade_pairs(q):
+                reference = reference + product(kind, r, dir_deriv(func, args, slot, primal))
+            scale = max(1.0, reference.norm_inf()) * recip
+            assert max_abs_diff(grad, reference) <= 1e-12 * scale, (name, slot)
+            assert max_abs_diff(grad, alone) <= 1e-12 * scale, (name, slot)
+        else:
+            # each slot is its own batched evaluation: the same bits as alone
+            assert np.array_equal(grad.values(), alone.values()), (name, slot)
+
+
+def _recording(func, calls):
+    """func, recording per call each argument's value shape and tangent rows."""
+
+    def evaluator(*xs):
+        calls.append(tuple(
+            (x.values().shape, None if x._tangents is None else len(x._tangents)) for x in xs
+        ))
+        return func(*xs)
+
+    return MvFunction(func.arity, func.input_grade, func.output_grade, evaluator)
+
+
+def test_exact_partial_gradients_evaluate_the_function_once():
+    metric = Metric(4, (1.0, -1.0, 2.0, 1.0))
+    rng = np.random.default_rng(43)
+    calls = []
+    func = _recording(_slot_cases(metric, 1, rng)[4][1], calls)
+    anchors = tuple(random_multivector(metric, 1, rng) for _ in range(3))
+    phi = InducedFunctional(func, anchors, 1)
+    t = Extensor.random_invertible(metric, rng)
+    grads = phi.partial_gradients(t)
+    assert calls == [(((16,), 12),) * 3]  # 3 slots * C(4, 1) rows in one pass
+    for i, grad in enumerate(grads):
+        assert max_abs_diff(grad, grad_star(func, phi.arguments(t), i)) < 1e-13
+    calls.clear()
+    grads = phi.partial_gradients(t, [True, False, True])
+    assert calls == [(((16,), 8), ((16,), None), ((16,), 8))]
+    assert grads[1] is None
+    calls.clear()
+    assert phi.partial_gradients(t, [False] * 3) == [None] * 3 and calls == []
+
+
+def test_fd_partial_gradients_evaluate_the_function_once_per_slot():
+    metric = Metric(4, (1.0, -1.0, 2.0, 1.0))
+    rng = np.random.default_rng(44)
+    calls = []
+    func = _recording(_slot_cases(metric, 1, rng)[4][1], calls)
+    anchors = tuple(random_multivector(metric, 1, rng) for _ in range(3))
+    phi = InducedFunctional(func, anchors, 1)
+    t = Extensor.random_invertible(metric, rng)
+    phi.partial_gradients(t, [True, False, True], step=DEFAULT_FD_STEP)
+    point, batch = ((16,), None), ((8, 16), None)  # 2 * C(4, 1) points per slot
+    assert calls == [(batch, point, point), (point, point, batch)]
+
+
+def test_slot_the_function_ignores_gets_an_exact_zero():
+    metric = Metric(3, (1.0, -1.0, 2.0))
+    rng = np.random.default_rng(45)
+    c = random_multivector(metric, 1, rng)
+    args = tuple(random_multivector(metric, 1, rng) for _ in range(3))
+    funcs = (
+        MvFunction(3, 1, None, lambda x, y, z: x.wedge(z) + x),  # ignores y
+        MvFunction(3, 1, 1, lambda x, y, z: c),  # ignores all: no tangent block
+    )
+    for func in funcs:
+        for step in (None, DEFAULT_FD_STEP):
+            for kind in PRODUCT_KINDS:
+                grads = _slot_gradients(func, args, (2, 1, 0), kind, step=step)
+                assert grads[1].norm_inf() == 0.0
+                assert grads[1].values().shape == (metric.size,)
+    for kind in PRODUCT_KINDS:
+        assert all(g.norm_inf() == 0.0 for g in _slot_gradients(funcs[1], args, (0, 1, 2), kind))
 
 
 # -- product rule sanity ------------------------------------------------------------
