@@ -38,7 +38,7 @@ from .catalog import (
     pseudoscalar_image_functional,
     trace_functional,
 )
-from .dual import DiffScalar, tangent_of, value_of
+from .dual import value_of
 from .errors import ConfigurationError, DegenerateFrameError, SingularExtensorError
 from .extensor import Extensor, Outermorphism
 from .functional import (
@@ -67,7 +67,6 @@ __all__ = [
     "CATALOG",
     "ConfigurationError",
     "DegenerateFrameError",
-    "DiffScalar",
     "Extensor",
     "Frame",
     "HarnessConfig",
@@ -111,6 +110,5 @@ __all__ = [
     "trace_functional",
     "unit_pseudoscalar",
     "value_of",
-    "tangent_of",
     "wedge_all",
 ]

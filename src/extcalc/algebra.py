@@ -26,9 +26,11 @@ perm[i, k] = i ^ k, R[i, k] = S[i, i ^ k] and L[j, k] = S[j ^ k, j]:
     tangent  tc = ta @ (b[perm] * R) + tb @ (a[perm] * L)
 
 so every product doubles as an exact forward-mode derivative rule.  A single
-coefficient of a multivector with a tangent block is a DiffScalar, the scalar
-jet of extcalc.dual, and DiffScalar factors scale whole multivectors, so the
-smooth scalar maps compose with the products.
+coefficient of a multivector with a tangent block is a grade-0 jet: a
+multivector whose slot 0 holds the coefficient and whose tangent column 0
+holds that coefficient's tangents.  A jet scales a multivector through the
+geometric product, which applies the product rule, so the smooth scalar maps
+of extcalc.dual, lifted to jets, compose with the products.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -53,7 +55,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dual import DiffScalar, value_of
 from .errors import ConfigurationError, DegenerateFrameError
 
 MAX_DIM = 8
@@ -165,7 +166,7 @@ def _tables(metric: Metric) -> _Tables:
 
 _GATHER_FLOATS = 1 << 19  # bound on the gather of a two-batched product
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
-_FACTORS = (int, float, np.number, DiffScalar, np.ndarray)  # what scales a Multivector
+_FACTORS = (int, float, np.number, np.ndarray)  # what scales a Multivector
 
 
 def _sum_tangents(ta, tb):
@@ -224,46 +225,37 @@ class Multivector:
 
     @classmethod
     def from_blade(cls, metric: Metric, mask: int, coeff=1.0) -> "Multivector":
-        """coeff * blade; a (B,) array coefficient makes a batch of B."""
-        if not 0 <= mask < metric.size:
-            raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
-        batch = coeff.shape if isinstance(coeff, np.ndarray) else ()
-        values = np.zeros(batch + (metric.size,))
-        values[..., mask] = value_of(coeff)
-        tangents = None
-        if isinstance(coeff, DiffScalar):
-            seed = np.atleast_1d(coeff.tangent)
-            tangents = np.zeros((len(seed), metric.size))
-            tangents[:, mask] = seed
-        return cls._raw(metric, values, tangents)
+        """coeff * blade; a (B,) array coefficient makes a batch of B, and a
+        grade-0 jet puts its value and tangent column at `mask`."""
+        _check_mask(metric, mask)
+        column = None
+        if isinstance(coeff, Multivector):
+            coeff, column = _jet_parts(coeff)
+        return _blade(metric, mask, coeff, column)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        """One coefficient per mask: floats, DiffScalar jets when a tangent
-        block is present, or (B,) arrays for a batch."""
-        t = self._tangents
+        """One coefficient per mask, as coeff returns it."""
         if self._values.ndim == 2:
             return tuple(self._values.T.copy())
-        if t is None:
+        if self._tangents is None:
             return tuple(self._values.tolist())
-        tangents = t[0].tolist() if len(t) == 1 else t.T.copy()
-        return tuple(map(DiffScalar, self._values.tolist(), tangents))
+        return tuple(map(self.coeff, range(self.metric.size)))
 
     def coeff(self, mask: int):
-        """Coefficient of one blade: a float, a DiffScalar whose tangent is
-        a float (one tangent row) or an (m,) array (m rows), or a (B,) array
-        for a batch."""
+        """Coefficient of one blade: a float; a grade-0 jet when a tangent
+        block is present, its tangent column the coefficient's tangents; or
+        a (B,) array for a batch."""
+        _check_mask(self.metric, mask)
         if self._values.ndim == 2:
             return self._values[:, mask].copy()
         value = float(self._values[mask])
         t = self._tangents
         if t is None:
             return value
-        if len(t) == 1:
-            return DiffScalar(value, float(t[0, mask]))
-        return DiffScalar(value, t[:, mask].copy())
+        return _blade(self.metric, 0, value, t[:, mask])
 
     def scalar_part(self):
         """Grade-0 coefficient (as coeff(0))."""
@@ -325,6 +317,8 @@ class Multivector:
             raise ConfigurationError("operands live over different metrics")
 
     def __add__(self, other):
+        if isinstance(other, (int, float)):  # a constant scalar
+            other = Multivector.from_scalar(self.metric, other)
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_metric(other)
@@ -334,10 +328,17 @@ class Multivector:
             _sum_tangents(self._tangents, other._tangents),
         )
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, Multivector):
+        if not isinstance(other, (Multivector, int, float)):
             return NotImplemented
         return self + -other
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return -self + other
 
     def __neg__(self):
         t = self._tangents
@@ -349,12 +350,6 @@ class Multivector:
             if t is not None:
                 raise ValueError(_BATCH_WITH_TANGENTS)
             return Multivector._raw(self.metric, factor[:, None] * self._values)
-        if isinstance(factor, DiffScalar):
-            seed = np.multiply.outer(np.atleast_1d(factor.tangent), self._values)
-            scaled = None if t is None else factor.value * t
-            return Multivector._raw(
-                self.metric, factor.value * self._values, _sum_tangents(scaled, seed)
-            )
         factor = float(factor)
         return Multivector._raw(
             self.metric, factor * self._values, None if t is None else factor * t
@@ -444,9 +439,10 @@ class Multivector:
         if self._values.ndim == 2:
             rows = (Multivector._raw(self.metric, row) for row in self._values)
             return "[" + ", ".join(map(repr, rows)) + "]"
+        values = self._values
         terms = [
-            f"{value_of(c):g}*{blade_name(m)}" if m else f"{value_of(c):g}"
-            for m, c in self.nonzero_items()
+            f"{values[m]:g}*{blade_name(m)}" if m else f"{values[m]:g}"
+            for m in np.flatnonzero(self._support()).tolist()
         ]
         return " + ".join(terms) if terms else "0"
 
@@ -470,6 +466,31 @@ def _two_batched(a: np.ndarray, b: np.ndarray, perm: np.ndarray, right: np.ndarr
 _set_metric = Multivector.metric.__set__
 _set_values = Multivector._values.__set__
 _set_tangents = Multivector._tangents.__set__
+
+
+def _check_mask(metric: Metric, mask: int):
+    if not 0 <= mask < metric.size:
+        raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
+
+
+def _blade(metric: Metric, mask: int, coeff, column=None) -> Multivector:
+    """coeff * blade, with tangent column `column` ((m,) or None) at `mask`."""
+    batch = coeff.shape if isinstance(coeff, np.ndarray) else ()
+    values = np.zeros(batch + (metric.size,))
+    values[..., mask] = coeff
+    tangents = None
+    if column is not None:
+        tangents = np.zeros((len(column), metric.size))
+        tangents[:, mask] = column
+    return Multivector._raw(metric, values, tangents)
+
+
+def _jet_parts(jet: Multivector) -> tuple:
+    """(value, tangent column or None) of an unbatched grade-0 multivector."""
+    if jet._values.ndim != 1 or not jet.is_homogeneous(0):
+        raise ValueError("expected an unbatched grade-0 multivector as a scalar")
+    t = jet._tangents
+    return float(jet._values[0]), None if t is None else t[:, 0]
 
 
 def product(kind: str, a: Multivector, b: Multivector) -> Multivector:
@@ -508,7 +529,7 @@ def wedge_all(metric: Metric, factors: Sequence[Multivector]) -> Multivector:
 
 def scalar_value(a: Multivector, b: Multivector) -> float:
     """Value part of the scalar product, as a plain float."""
-    return value_of(a.scalar_product(b).scalar_part())
+    return a.scalar_product(b).value_part().scalar_part()
 
 
 def max_abs_diff(a: Multivector, b: Multivector) -> float:

@@ -48,9 +48,14 @@ class MvFunction:
     may only combine its arguments through Multivector operations, Extensor
     application, Outermorphism and the lifted maps in extcalc.dual, so that
     tangents flow through unchanged and a batched argument gives a batch of
-    values, row r from row r of the argument.  An evaluator that ignores its
-    batched argument may return an unbatched value.  Values are homogeneous
-    of grade `output_grade` (None for mixed grades).
+    values, row r from row r of the argument.  A coefficient it reads with
+    coeff or scalar_part is a float, a grade-0 jet (a multivector, when its
+    argument carries tangents) or a (B,) array (for a batch); it may scale
+    multivectors by it with `*`, add or subtract floats, pass it to a lifted
+    map or wrap it with Multivector.from_scalar.  float() does not take a
+    jet; value_of reads its value.  An evaluator that ignores its batched
+    argument may return an unbatched value.  Values are homogeneous of grade
+    `output_grade` (None for mixed grades).
     """
 
     arity: int

@@ -215,7 +215,9 @@ class InducedFunctional:
         )
 
     def map_scalar(self, fn: Callable) -> "InducedFunctional":
-        """Compose a scalar functional with a smooth map from extcalc.dual."""
+        """Compose a scalar functional with a smooth map: one of extcalc.dual,
+        or any fn built from products of its argument, a float, grade-0 jet
+        or (B,) array, and floats."""
         if self.func.output_grade != 0:
             raise ValueError("only scalar functionals compose with scalar maps")
         f = self.func

@@ -25,7 +25,6 @@ from extcalc.algebra import (
 )
 from extcalc.algebra import _tables
 from extcalc.calculus import MvFunction, grad_star
-from extcalc.dual import DiffScalar
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
 
@@ -538,6 +537,46 @@ def test_batched_coefficients_are_arrays():
     assert np.array_equal(Multivector.from_scalar(E3, s).scalar_part(), s)
 
 
+
+def test_coeff_rejects_out_of_range_masks():
+    x = Multivector(E3, range(8))
+    assert x.coeff(7) == 7.0
+    for y in (x, x.with_tangent(x), _batch(E3, 2)):
+        for mask in (-1, 8):
+            with pytest.raises(ValueError):
+                y.coeff(mask)
+
+
+def test_from_blade_takes_only_unbatched_grade0_jets():
+    e1, e2, _ = vecs(E3)
+    jet = (3.0 * e1).with_tangents([e1, 2.0 * e2, -e1]).coeff(1)
+    b = Multivector.from_blade(E3, 0b011, jet)
+    assert b.coeff(0b011).values()[0] == 3.0
+    assert [b.tangent_part(r).coeff(0b011) for r in range(3)] == [1.0, 0.0, -1.0]
+    assert b.grades() == {2}
+    assert max_abs_diff(Multivector.from_blade(E3, 1, Multivector.from_scalar(E3, 2.0)), 2.0 * e1) == 0.0
+    scalar = Multivector.from_scalar(E3, 1.0)
+    for bad in (e1, e1.with_tangent(e2), scalar.with_tangent(e1), _batch(E3, 2).grade_project(0)):
+        with pytest.raises(ValueError):
+            Multivector.from_blade(E3, 1, bad)
+
+
+def test_floats_add_to_the_scalar_part():
+    e1, e2, _ = vecs(E3)
+    x = 2.0 * e1 + e2
+    for y in (x, x.with_tangent(e2), _batch(E3, 2)):
+        one = Multivector.from_scalar(E3, 1.0)
+        for got, want in ((y + 1, y + one), (1.5 + y, one * 1.5 + y),
+                          (y - 2.0, y - 2.0 * one), (2.0 - y, 2.0 * one - y)):
+            assert np.array_equal(got.values(), want.values())
+            assert max_abs_diff(got.tangent_part(), want.tangent_part()) == 0.0
+    for bad in ("1", np.array([1.0, 2.0]), None):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            bad - x
+
+
 def test_array_factor_scales_rows_from_either_side():
     e1, e2, _ = vecs(E3)
     s = np.array([2.0, -1.0])
@@ -568,7 +607,7 @@ def test_batch_refuses_tangent_operands():
         with pytest.raises(ValueError):
             product(kind, jet, x)
     with pytest.raises(ValueError):
-        x * DiffScalar(2.0, 1.0)
+        x * jet.coeff(1)  # a grade-0 jet read off a tangent-carrying vector
     with pytest.raises(ValueError):
         jet * np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):

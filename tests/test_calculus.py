@@ -519,7 +519,7 @@ def test_product_rule_for_scalar_valued_functions():
 
 
 def test_evaluator_agrees_between_plain_and_lifted_scalars():
-    # zero-tangent DiffScalar coefficients change nothing
+    # zero-tangent grade-0 jet coefficients change nothing
     rng = np.random.default_rng(13)
     c = random_multivector(E3, 1, rng)
     func = MvFunction(1, 1, 0, lambda x: x.scalar_product(c).geometric(x.scalar_product(x)))

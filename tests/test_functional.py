@@ -351,6 +351,20 @@ def test_chain_rule_through_map_scalar():
     assert max_abs_diff(lhs, rhs) < 1e-12
 
 
+def test_float_offsets_compose_on_both_routes():
+    rng = np.random.default_rng(23)
+    anchor = random_multivector(E3, 1, rng)
+    phi = dot_functional(anchor, random_multivector(E3, 1, rng))
+    t = Extensor.random(E3, rng)
+    a = random_multivector(E3, 1, rng)
+    offset = phi.map_scalar(lambda s: (1.0 + s) * (3.0 - s) - 0.5)  # derivative 2 - 2s
+    v = value_of(phi.evaluate(t).scalar_part())
+    rhs = (2.0 - 2.0 * v) * phi.directional_derivative(t, a)
+    assert max_abs_diff(offset.directional_derivative(t, a), rhs) < 1e-12
+    fd = offset.directional_derivative(t, a, step=DEFAULT_FD_STEP)
+    assert max_abs_diff(fd, rhs) < 1e-6
+
+
 # -- finite-difference routes ---------------------------------------------------------------
 
 
