@@ -18,31 +18,42 @@ all extended bilinearly.  The reversion normalisation makes blade.blade the
 product of its metric entries (so >= 0 in a Euclidean metric) and makes the
 reciprocal of a frame blade the same-index blade of the reciprocal frame.
 
-Every product is one dense gather over tables built once per metric.  With
-e_i * e_j = S[i, j] e_(i^j) for the product's sign-and-weight matrix S,
-perm[i, k] = i ^ k, R[i, k] = S[i, i ^ k] and L[j, k] = S[j ^ k, j]:
+The products are computed from tables built once per metric.  With
+e_i * e_j = S[i, j] e_(i^j) for a product's sign-and-weight matrix S, the
+right operator of b is M_b[i, i ^ j] = S[i, j] b_j and the left operator of a
+is L_a[j, i ^ j] = S[i, j] a_i, so that
 
-    value    c  = a @ (b[perm] * R)
-    tangent  tc = ta @ (b[perm] * R) + tb @ (a[perm] * L)
+    value    c  = a @ M_b
+    tangent  tc = ta @ M_b + tb @ L_a
 
-so every product doubles as an exact forward-mode derivative rule.  A single
-coefficient of a multivector with a tangent block is a grade-0 jet: a
-multivector whose slot 0 holds the coefficient and whose tangent column 0
-holds that coefficient's tangents.  A jet scales a multivector through the
-geometric product, which applies the product rule, so the smooth scalar maps
-of extcalc.dual, lifted to jets, compose with the products.
+and every product doubles as an exact forward-mode derivative rule.  Each
+kind builds its operators from the structurally nonzero entries of S only.
+The geometric product has all 4^n of them, and its operators are one dense
+gather (perm[i, k] = i ^ k, b[perm] * S[i, i ^ k]).  The wedge and the left
+contraction have 3^n (e_i ^ e_j needs i & j == 0; e_i _| e_j needs i a subset
+of j), so from n = 5 on their operators are written term by term into zeroed
+matrices; below that the dense gather is cheaper and is used instead.  The
+scalar product has 2^n terms, all landing in slot 0, and is no matrix at
+all: c_0 = a @ (b * w) for the blade weights w, and its tangents are
+ta @ (b * w) + tb @ (a * w).  A single coefficient of a multivector with a
+tangent block is a grade-0 jet: a multivector whose slot 0 holds the
+coefficient and whose tangent column 0 holds that coefficient's tangents.  A
+jet scales a multivector through the geometric product, which applies the
+product rule, so the smooth scalar maps of extcalc.dual, lifted to jets,
+compose with the products.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
 oracle does with all its perturbed points at once.  A batched coefficient is a
 (B,) array, and (B,) arrays scale batches row by row.  Batches meet unbatched
 operands by broadcasting; a product with one batched side is one (B, 2^n) @
-(2^n, 2^n) matmul against the gathered unbatched side (b @ (a[perm] * L) when
-the left side is the unbatched one).  Two batched sides multiply row by row,
+(2^n, 2^n) matmul against the unbatched side's operator (b @ L_a when the
+left side is the unbatched one).  Two batched sides multiply row by row,
 each row the unbatched kernel's matmul, a chunk of rows at a time so that the
-gathered (rows, 2^n, 2^n) temporary stays near 2^19 floats.  A batch never
-carries a tangent block: every operation that would combine the two raises
-ValueError rather than drop the tangents.
+(rows, 2^n, 2^n) operator stack stays near 2^19 floats; a scalar product of
+two batches is one weighted dot per row.  A batch never carries a tangent
+block: every operation that would combine the two raises ValueError rather
+than drop the tangents.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -120,7 +131,66 @@ class _Tables:
     reverse_signs: np.ndarray
     perm: np.ndarray  # perm[i, k] = i ^ k
     right: dict  # kind -> R with R[i, k] = S[i, i ^ k]
-    left: dict  # kind -> L with L[j, k] = S[j ^ k, j]
+    kernels: dict  # kind -> _Gather or _Scatter, for every kind but "scalar"
+
+
+class _Gather:
+    """Operators of a dense table: every blade pair is gathered and weighted."""
+
+    def __init__(self, perm, right, left):
+        self.perm, self.right_signs, self.left_signs = perm, right, left
+
+    def right(self, b: np.ndarray) -> np.ndarray:
+        """M_b, with a @ M_b the product of a and b; one per row of a 2-d b."""
+        # np.take keeps the rows C-ordered, so each matmul is the 1-d one
+        gathered = b[self.perm] if b.ndim == 1 else np.take(b, self.perm, axis=1)
+        gathered *= self.right_signs
+        return gathered
+
+    def left(self, a: np.ndarray) -> np.ndarray:
+        """L_a, with b @ L_a the product of a and b."""
+        gathered = a[self.perm]
+        gathered *= self.left_signs
+        return gathered
+
+
+class _Scatter:
+    """Operators of a sparse table, written from its nonzero terms
+    e_i * e_j = s e_(i^j) alone into zeroed matrices."""
+
+    def __init__(self, right):
+        size = len(right)
+        i, k = np.nonzero(right)
+        j = i ^ k
+        self.size, self.i, self.j, self.signs = size, i, j, right[i, k]
+        self.right_index = i * size + k  # M_b[i, k] = s b_j
+        self.left_index = j * size + k  # L_a[j, k] = s a_i
+        for arr in (i, j, self.signs, self.right_index, self.left_index):
+            arr.flags.writeable = False
+
+    def right(self, b: np.ndarray) -> np.ndarray:
+        return self._operator(b, self.right_index, self.j)
+
+    def left(self, a: np.ndarray) -> np.ndarray:
+        return self._operator(a, self.left_index, self.i)
+
+    def _operator(self, x, index, factor):
+        n2 = self.size * self.size
+        if x.ndim == 1:  # the common case, kept free of a row axis
+            op = np.zeros(n2)
+            op[index] = x[factor] * self.signs
+            return op.reshape(self.size, self.size)
+        op = np.zeros((len(x), n2))
+        op[:, index] = x[:, factor] * self.signs
+        return op.reshape(len(x), self.size, self.size)
+
+
+def _kernel(perm: np.ndarray, right: np.ndarray, left: np.ndarray):
+    """The cheaper operator builder for a table: writing its nonzero terms
+    beats the dense gather once they are at most a quarter of the table."""
+    if 4 * np.count_nonzero(right) <= right.size:
+        return _Scatter(right)
+    return _Gather(perm, right, left)
 
 
 def _signs(dim: int, weight, reverse_signs, x, y) -> dict:
@@ -149,22 +219,27 @@ def _tables(metric: Metric) -> _Tables:
     reverse_signs = np.where((grades * (grades - 1) // 2) & 1, -1.0, 1.0)
     i = masks[:, None]
     perm = i ^ masks[None, :]
-    tables = _Tables(
+    blades = tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1))
+    right = _signs(metric.dim, weight, reverse_signs, i, perm)
+    left = _signs(metric.dim, weight, reverse_signs, perm, i)
+    for arr in (grades, *blades, weight, reverse_signs, perm, *right.values(),
+                *left.values()):
+        arr.flags.writeable = False
+    return _Tables(
         grades=grades,
-        blades=tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1)),
+        blades=blades,
         weight=weight,
         reverse_signs=reverse_signs,
         perm=perm,
-        right=_signs(metric.dim, weight, reverse_signs, i, perm),
-        left=_signs(metric.dim, weight, reverse_signs, perm, i),
+        right=right,
+        kernels={
+            kind: _kernel(perm, right[kind], left[kind])
+            for kind in PRODUCT_KINDS if kind != "scalar"
+        },
     )
-    for arr in (grades, *tables.blades, weight, reverse_signs, perm,
-                *tables.right.values(), *tables.left.values()):
-        arr.flags.writeable = False
-    return tables
 
 
-_GATHER_FLOATS = 1 << 19  # bound on the gather of a two-batched product
+_GATHER_FLOATS = 1 << 19  # bound on the operator stack of a two-batched product
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
 _FACTORS = (int, float, np.number, np.ndarray)  # what scales a Multivector
 
@@ -405,23 +480,29 @@ class Multivector:
         tables = _tables(self.metric)
         a, b = self._values, other._values
         ta, tb = self._tangents, other._tangents
-        if a.ndim == 2 or b.ndim == 2:
-            if ta is not None or tb is not None:
-                raise ValueError(_BATCH_WITH_TANGENTS)
+        batched = a.ndim == 2 or b.ndim == 2
+        if batched and (ta is not None or tb is not None):
+            raise ValueError(_BATCH_WITH_TANGENTS)
+        if kind == "scalar":
+            return _scalar_product(self.metric, tables.weight, a, b, ta, tb)
+        kernel = tables.kernels[kind]
+        if batched:
             if b.ndim == 1:
-                values = a @ (b[tables.perm] * tables.right[kind])
+                values = a @ kernel.right(b)
             elif a.ndim == 1:
-                values = b @ (a[tables.perm] * tables.left[kind])
+                values = b @ kernel.left(a)
             else:
-                values = _two_batched(a, b, tables.perm, tables.right[kind])
+                values = _two_batched(a, b, kernel.right)
             return Multivector._raw(self.metric, values)
-        right = b[tables.perm] * tables.right[kind]
-        tangents = None
-        if ta is not None:
-            tangents = ta @ right
+        right = kernel.right(b)
+        values, tangents = a @ right, None if ta is None else ta @ right
+        # one (2^n, 2^n) operator alive at a time: two freed together can push
+        # the heap past malloc's trim threshold, and every later operator then
+        # faults its pages in afresh
+        del right
         if tb is not None:
-            tangents = _sum_tangents(tangents, tb @ (a[tables.perm] * tables.left[kind]))
-        return Multivector._raw(self.metric, a @ right, tangents)
+            tangents = _sum_tangents(tangents, tb @ kernel.left(a))
+        return Multivector._raw(self.metric, values, tangents)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         return self._product("geometric", other)
@@ -447,9 +528,27 @@ class Multivector:
         return " + ".join(terms) if terms else "0"
 
 
-def _two_batched(a: np.ndarray, b: np.ndarray, perm: np.ndarray, right: np.ndarray):
-    """Row r of a times row r of b, a chunk of rows at a time, so the gathered
-    (rows, 2^n, 2^n) temporary stays near _GATHER_FLOATS floats."""
+def _scalar_product(metric: Metric, weight, a, b, ta, tb) -> Multivector:
+    """<~a b>_0 as one weighted dot, its tangents one more per tangent side;
+    two batched sides, or one, give one dot per row."""
+    bw = b * weight
+    if a.ndim == 2 or b.ndim == 2:
+        return _blade(metric, 0, np.vecdot(a, bw))
+    values = np.zeros(len(a))
+    values[0] = np.dot(a, bw)
+    if ta is None and tb is None:
+        return Multivector._raw(metric, values)
+    column = None if ta is None else np.dot(ta, bw)
+    if tb is not None:
+        column = _sum_tangents(column, np.dot(tb, a * weight))
+    tangents = np.zeros((len(column), len(a)))
+    tangents[:, 0] = column
+    return Multivector._raw(metric, values, tangents)
+
+
+def _two_batched(a: np.ndarray, b: np.ndarray, right):
+    """Row r of a times row r of b, a chunk of rows at a time, so the
+    (rows, 2^n, 2^n) stack of right operators stays near _GATHER_FLOATS."""
     size = a.shape[-1]
     a, b = np.broadcast_arrays(a, b)  # a batch of one meets a batch of B
     out = np.empty(a.shape)
@@ -457,8 +556,7 @@ def _two_batched(a: np.ndarray, b: np.ndarray, perm: np.ndarray, right: np.ndarr
     for lo in range(0, len(a), chunk):
         hi = lo + chunk
         # (c, 1, N) @ (c, N, N): each row is the unbatched kernel's matmul
-        gathered = np.take(b[lo:hi], perm, axis=1) * right  # C order, as unbatched
-        out[lo:hi] = (a[lo:hi, None, :] @ gathered)[:, 0]
+        out[lo:hi] = (a[lo:hi, None, :] @ right(b[lo:hi]))[:, 0]
     return out
 
 
@@ -537,7 +635,8 @@ def max_abs_diff(a: Multivector, b: Multivector) -> float:
 
 
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
-    """Vectors f^i with f^i . f_j = delta_ij under the ambient metric."""
+    """Vectors f^i with f^i . f_j = delta_ij under the ambient metric: the
+    inverse Gram matrix applied to the frame's values (tangents are dropped)."""
     vectors = list(vectors)
     if not vectors:
         raise DegenerateFrameError("empty frame")
@@ -546,21 +645,20 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
     if len(vectors) != n:
         raise DegenerateFrameError(f"need {n} vectors, got {len(vectors)}")
     for v in vectors:
-        if not v.is_homogeneous(1):
-            raise DegenerateFrameError("frame vectors must be grade 1")
-    gram = np.array([[scalar_value(u, v) for v in vectors] for u in vectors])
+        vectors[0]._check_metric(v)
+        if v._values.ndim != 1 or not v.is_homogeneous(1):
+            raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
+    tables = _tables(metric)
+    grade1 = tables.blades[1]
+    coords = np.stack([v._values for v in vectors])[:, grade1]
+    gram = (coords * tables.weight[grade1]) @ coords.T
     # conditioning, not det size, so that a frame and its scaled copies agree
     sv = np.linalg.svd(gram, compute_uv=False)
     if not sv[-1] > 1e-12 * sv[0]:
         raise DegenerateFrameError("frame vectors are (numerically) dependent")
-    inv = np.linalg.inv(gram)
-    out = []
-    for i in range(n):
-        acc = Multivector.zero(metric)
-        for j in range(n):
-            acc = acc + inv[i, j] * vectors[j]
-        out.append(acc)
-    return out
+    recip = np.zeros((n, metric.size))
+    recip[:, grade1] = np.linalg.inv(gram) @ coords
+    return [Multivector._raw(metric, row) for row in recip]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extcalc",
         description="Run the derivative-identity verification suite.",
     )
-    parser.add_argument("--dim", type=int, default=3, help="dimension of the base space (2-6)")
+    parser.add_argument("--dim", type=int, default=3, help="dimension of the base space (2-8)")
     parser.add_argument(
         "--metric",
         default="euclidean",

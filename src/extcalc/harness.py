@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    MAX_DIM,
     PRODUCT_KINDS,
     Frame,
     Metric,
@@ -60,7 +61,7 @@ from .functional import (
 )
 
 SUITES = ("closed-form", "properties", "bridge")
-HARNESS_MAX_DIM = 6
+HARNESS_MAX_DIM = MAX_DIM  # the harness covers the algebra's whole range
 
 
 def parse_metric(dim: int, signature: str) -> Metric:

@@ -23,12 +23,13 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _tables
+from extcalc.algebra import _Scatter, _tables
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
 
 E3 = Metric.euclidean(3)
+_SIGNED_DIAG = (2.0, -1.0, 0.5, -1.0, 1.25, -2.0, 1.0, -0.5)  # n = 8; a prefix below
 
 
 def vecs(metric):
@@ -275,6 +276,34 @@ def test_degenerate_frame_raises():
         reciprocal_frame([e1, e2])  # wrong count
     with pytest.raises(DegenerateFrameError):
         reciprocal_frame([e1, e2, e1 ^ e2])  # wrong grade
+
+
+def test_reciprocal_frame_of_values_at_every_dim():
+    # the Gram system under a signed non-unit metric, n = 2..8
+    rng = np.random.default_rng(61)
+    for n in range(2, 9):
+        metric = Metric(n, _SIGNED_DIAG[:n])
+        vectors = [random_multivector(metric, 1, rng) for _ in range(n)]
+        rec = reciprocal_frame(vectors)
+        assert all(r.is_homogeneous(1) for r in rec)
+        for i in range(n):
+            for j in range(n):
+                assert abs(scalar_value(rec[i], vectors[j]) - (i == j)) < 1e-11
+        # a tangent block does not change the frame: it is the values' frame
+        lifted = reciprocal_frame([v.with_tangent(vectors[0]) for v in vectors])
+        for r, s in zip(rec, lifted):
+            assert np.array_equal(r.values(), s.values())
+            assert s.tangent_part().norm_inf() == 0.0
+
+
+def test_reciprocal_frame_rejects_batches_and_mixed_metrics():
+    e1, e2, e3 = vecs(E3)
+    batch = Multivector(E3, np.stack([e1.values(), 2.0 * e1.values()]))
+    with pytest.raises(DegenerateFrameError):
+        reciprocal_frame([batch, e2, e3])
+    other = basis_vectors(Metric(3, (1.0, 1.0, -1.0)))
+    with pytest.raises(ConfigurationError):
+        reciprocal_frame([e1, e2, other[2]])
 
 
 def test_small_scale_frame_is_accepted():
@@ -655,6 +684,117 @@ def test_two_batched_product_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 32 * 2**20  # a whole-batch gather would take ~150 MB
     assert max_abs_diff(grad, 2.0 * x) < 1e-8
+
+
+def test_two_batched_scalar_product_is_one_dot_per_row():
+    # the same 140-point FD gradient of x . x as above, with no operator stack:
+    # a few (140, 256) arrays, where a chunked gather peaked at 12-17 MB
+    metric = Metric(8)
+    x = random_multivector(metric, 4, np.random.default_rng(7))
+    square = MvFunction(1, 4, 0, lambda v: v.scalar_product(v))
+    _tables(metric)  # built once per metric, not part of the product's peak
+    tracemalloc.start()
+    try:
+        grad = grad_star(square, (x,), 0, step=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert max_abs_diff(grad, 2.0 * x) < 1e-8
+
+
+# -- every route of the kernel at a fixed seed, n = 2..8 --------------------------
+
+_TERMS = {"geometric": 4, "wedge": 3, "scalar": 2, "lcontract": 3}  # terms = base^n
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_each_kind_touches_only_its_nonzero_terms(n):
+    tables = _tables(Metric(n, _SIGNED_DIAG[:n]))
+    for kind, base in _TERMS.items():
+        assert np.count_nonzero(tables.right[kind]) == base**n, kind
+    assert "scalar" not in tables.kernels  # a weighted dot, no operator at all
+    for kind, kernel in tables.kernels.items():
+        # writing the terms pays once they are at most a quarter of the 4^n
+        assert isinstance(kernel, _Scatter) == (kind != "geometric" and n >= 5), kind
+        if isinstance(kernel, _Scatter):
+            assert len(kernel.signs) == _TERMS[kind] ** n
+            assert np.count_nonzero(kernel.signs) == len(kernel.signs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_product_route_matches_loop_reference(n):
+    """Each kind, under a signed non-unit metric, on one dense and one 20%-dense
+    draw: float operands; a tangent block on the left, the right or both sides
+    with 1 and 12 rows; a 12-row batch on the left, the right or both sides,
+    which at n = 8 spans two row chunks of the two-batched route."""
+    diag = _SIGNED_DIAG[:n]
+    metric = Metric(n, diag)
+    size = metric.size
+    rng = np.random.default_rng(900 + n)
+    for density in (1.0, 0.2):
+        def draw(shape):
+            return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < density)
+
+        a, b, ta, tb = draw(size), draw(size), draw((12, size)), draw((12, size))
+        for kind in PRODUCT_KINDS:
+            value = _loop_product(diag, kind, a, b)
+            left = [_loop_product(diag, kind, row, b) for row in ta]
+            right = [_loop_product(diag, kind, a, row) for row in tb]
+            pairs = [_loop_product(diag, kind, x, y) for x, y in zip(ta, tb)]
+            where = (n, density, kind)
+
+            got = product(kind, Multivector(metric, a), Multivector(metric, b))
+            assert _close(got.values(), *value), where
+            assert got.tangent_part().norm_inf() == 0.0, where
+            for m in (1, 12):
+                for sides in ("left", "right", "both"):
+                    x = _lift(metric, a, None if sides == "right" else ta[:m])
+                    y = _lift(metric, b, None if sides == "left" else tb[:m])
+                    got = product(kind, x, y)
+                    assert _close(got.values(), *value), (*where, m, sides)
+                    for r in range(m):
+                        terms = [left[r]] * (sides != "right") + [right[r]] * (sides != "left")
+                        expected = sum(t[0] for t in terms)
+                        mag = sum(t[1] for t in terms)
+                        assert _close(got.tangent_part(r).values(), expected, mag), (
+                            *where, m, sides, r)
+            for sides, x, y, rows in (("left", ta, b, left), ("right", a, tb, right),
+                                      ("both", ta, tb, pairs)):
+                got = product(kind, Multivector(metric, x), Multivector(metric, y)).values()
+                assert got.shape == (12, size), (*where, sides)
+                for r, (expected, mag) in enumerate(rows):
+                    assert _close(got[r], expected, mag), (*where, sides, r)
+
+
+def test_n8_products_hold_one_operator_at_a_time():
+    # Two (256, 256) operators freed together can leave the allocator a free
+    # top past its trim threshold, so that every later operator faults its
+    # pages in afresh: about 85 minor page faults a product, seen at n = 8.
+    metric = Metric(8, _SIGNED_DIAG)
+    rng = np.random.default_rng(8)
+    x, y, dx, dy = (Multivector(metric, rng.uniform(-1.0, 1.0, metric.size)) for _ in range(4))
+    operator_bytes = metric.size * metric.size * 8
+    for kind in PRODUCT_KINDS:
+        for a, b in ((x, y), (x.with_tangent(dx), y.with_tangent(dy))):
+            product(kind, a, b)  # the tables are built once, outside the peak
+            tracemalloc.start()
+            try:
+                product(kind, a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * operator_bytes, (kind, peak / operator_bytes)
+
+
+def test_products_reject_mismatched_tangent_blocks():
+    # 1 and 2 rows would broadcast into a wrong (2,) tangent column of a dot
+    e1, e2, e3 = vecs(E3)
+    one, two = e1.with_tangents([e2]), e2.with_tangents([e1, e3])
+    for kind in PRODUCT_KINDS:
+        for x, y in ((one, two), (two, one)):
+            with pytest.raises(ValueError):
+                product(kind, x, y)
 
 
 # -- the blade frame sum as one contraction ------------------------------------------

@@ -47,7 +47,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         HarnessConfig(dim=1)
     with pytest.raises(ConfigurationError):
-        HarnessConfig(dim=7)
+        HarnessConfig(dim=9)
     with pytest.raises(ConfigurationError):
         HarnessConfig(trials=0)
     with pytest.raises(ConfigurationError):
@@ -67,6 +67,13 @@ def test_catalog_structure():
     assert all(c.suite == "closed-form" for c in closed)
     with pytest.raises(ConfigurationError):
         catalog("nope")
+
+
+def test_harness_dims_span_the_algebra():
+    # dims 2..8, the algebra's whole range; 9 is rejected in test_config_validation
+    config = HarnessConfig(dim=8, metric="diag:+,-,+,-,+,-,+,-", trials=1, suite="properties")
+    results = run_suite(config)
+    assert results and all(r.passed for r in results)
 
 
 # -- run_suite -----------------------------------------------------------------
