@@ -27,7 +27,7 @@ from .algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from .calculus import MvFunction, dir_deriv, fd_dir_deriv, grad_star
+from .calculus import MvFunction, dir_deriv, grad_star
 from .catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -44,7 +44,6 @@ from .extensor import Extensor, Outermorphism
 from .functional import (
     InducedFunctional,
     component_partials,
-    component_partials_fd,
     directional_from_partials,
     star_from_partials,
 )
@@ -86,12 +85,10 @@ __all__ = [
     "blade_image_functional",
     "blade_name",
     "component_partials",
-    "component_partials_fd",
     "det_functional",
     "dir_deriv",
     "directional_from_partials",
     "emit_report",
-    "fd_dir_deriv",
     "grade_masks",
     "grad_star",
     "max_abs_diff",

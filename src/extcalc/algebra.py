@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,8 +138,11 @@ class _Tables:
 class _Gather:
     """Operators of a dense table: every blade pair is gathered and weighted."""
 
-    def __init__(self, perm, right, left):
-        self.perm, self.right_signs, self.left_signs = perm, right, left
+    def __init__(self, perm, right):
+        self.perm, self.right_signs = perm, right
+        # L[j, k] = S[j ^ k, j] = R[j ^ k, k]: the left table is the right one permuted
+        self.left_signs = right[perm, np.arange(len(right))]
+        self.left_signs.flags.writeable = False
 
     def right(self, b: np.ndarray) -> np.ndarray:
         """M_b, with a @ M_b the product of a and b; one per row of a 2-d b."""
@@ -185,12 +189,12 @@ class _Scatter:
         return op.reshape(len(x), self.size, self.size)
 
 
-def _kernel(perm: np.ndarray, right: np.ndarray, left: np.ndarray):
+def _kernel(perm: np.ndarray, right: np.ndarray):
     """The cheaper operator builder for a table: writing its nonzero terms
     beats the dense gather once they are at most a quarter of the table."""
     if 4 * np.count_nonzero(right) <= right.size:
         return _Scatter(right)
-    return _Gather(perm, right, left)
+    return _Gather(perm, right)
 
 
 def _signs(dim: int, weight, reverse_signs, x, y) -> dict:
@@ -221,9 +225,7 @@ def _tables(metric: Metric) -> _Tables:
     perm = i ^ masks[None, :]
     blades = tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1))
     right = _signs(metric.dim, weight, reverse_signs, i, perm)
-    left = _signs(metric.dim, weight, reverse_signs, perm, i)
-    for arr in (grades, *blades, weight, reverse_signs, perm, *right.values(),
-                *left.values()):
+    for arr in (grades, *blades, weight, reverse_signs, perm, *right.values()):
         arr.flags.writeable = False
     return _Tables(
         grades=grades,
@@ -233,7 +235,7 @@ def _tables(metric: Metric) -> _Tables:
         perm=perm,
         right=right,
         kernels={
-            kind: _kernel(perm, right[kind], left[kind])
+            kind: _kernel(perm, right[kind])
             for kind in PRODUCT_KINDS if kind != "scalar"
         },
     )
@@ -634,6 +636,36 @@ def max_abs_diff(a: Multivector, b: Multivector) -> float:
     return float(np.max(np.abs(a._values - b._values)))
 
 
+@lru_cache(maxsize=None)
+def _minor_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column gathers of the grade's k x k minors: generator positions
+    of each grade-k blade, increasing, broadcast to (C, C, k, k)."""
+    bits = [[j for j in range(dim) if m >> j & 1] for m in grade_masks(dim, grade)]
+    bits = np.array(bits, dtype=int).reshape(comb(dim, grade), grade)
+    return bits[:, None, :, None], bits[None, :, None, :]
+
+
+def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
+    """The grade-th compound of an n x n matrix: entry (I, J) is its minor on
+    the generator sets of the I-th and J-th grade-`grade` blades, by Gaussian
+    elimination with partial pivoting, the pivots multiplied in order.
+    (np.linalg.det exponentiates a sum of logarithms: an ulp off even on a
+    diagonal minor, where this product is the wedge loop's, bit for bit.)"""
+    rows, cols = _minor_index(len(matrix), grade)
+    a = matrix[rows, cols]  # (C, C, k, k), a fresh array
+    det = np.ones(a.shape[:2])
+    for p in range(grade):
+        pivot = p + np.abs(a[..., p:, p]).argmax(axis=-1)[..., None, None]
+        row = np.take_along_axis(a, pivot, axis=-2)
+        np.put_along_axis(a, pivot, a[..., p : p + 1, :], axis=-2)
+        a[..., p : p + 1, :] = row
+        det *= np.where(pivot[..., 0, 0] == p, 1.0, -1.0) * row[..., 0, p]
+        below = a[..., p + 1 :, p : p + 1]
+        factors = np.divide(below, row[..., p : p + 1], out=np.zeros(below.shape), where=below != 0.0)
+        a[..., p + 1 :, :] -= factors * row
+    return det
+
+
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
     """Vectors f^i with f^i . f_j = delta_ij under the ambient metric: the
     inverse Gram matrix applied to the frame's values (tangents are dropped)."""
@@ -669,7 +701,7 @@ class Frame:
     reciprocal: tuple[Multivector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_pair_cache", {})
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Multivector]) -> "Frame":
@@ -684,27 +716,28 @@ class Frame:
     def metric(self) -> Metric:
         return self.vectors[0].metric
 
-    def blade(self, mask: int) -> Multivector:
-        factors = [self.vectors[k] for k in range(self.metric.dim) if mask >> k & 1]
-        return wedge_all(self.metric, factors)
-
-    def reciprocal_blade(self, mask: int) -> Multivector:
-        factors = [self.reciprocal[k] for k in range(self.metric.dim) if mask >> k & 1]
-        return wedge_all(self.metric, factors)
-
-    def blade_pairs(self, grade: int) -> list[tuple[Multivector, Multivector]]:
-        """(primal, reciprocal) blade pairs of a grade, increasing mask order."""
-        cache = self._pair_cache
-        if grade not in cache:
-            cache[grade] = [
-                (self.blade(m), self.reciprocal_blade(m))
-                for m in grade_masks(self.metric.dim, grade)
-            ]
-        return cache[grade]
+    def blades(self, grade: int) -> tuple[np.ndarray, np.ndarray]:
+        """(primal, reciprocal) blades of a grade: read-only (C(n, grade), 2^n)
+        value arrays, cached, whose row J in increasing mask order is the
+        wedge f_J (f^J) of the vectors (reciprocal vectors) that mask J picks.
+        A wedge of k vectors has the k x k minors of their coordinates as its
+        coefficients, so each array is a compound of a coordinate matrix."""
+        if grade not in self._cache:
+            masks = _tables(self.metric).blades
+            pair = []
+            for vectors in (self.vectors, self.reciprocal):
+                # _compound rejects a grade out of range before masks[grade] is read
+                minors = _compound(np.stack([v._values[masks[1]] for v in vectors]), grade)
+                blades = np.zeros((len(minors), self.metric.size))
+                blades[:, masks[grade]] = minors
+                blades.flags.writeable = False
+                pair.append(blades)
+            self._cache[grade] = tuple(pair)
+        return self._cache[grade]
 
     def blade_sum(self, grade: int, kind: str, rows: np.ndarray) -> np.ndarray:
         """sum_J  f^J * rows[..., J, :]  under the `kind` product, one array
-        contraction over the grade's blades in blade_pairs order.
+        contraction over the grade's reciprocal blades in blades order.
 
         rows has shape (..., C(n, grade), 2^n) and the result (..., 2^n).
         Over the reciprocal blades' support S (the grade's masks),
@@ -716,12 +749,12 @@ class Frame:
         """
         if kind not in PRODUCT_KINDS:
             raise ValueError(f"unknown product kind {kind!r}")
-        cache = self._pair_cache
+        cache = self._cache
         key = (grade, kind)
         if key not in cache:
-            recip = np.stack([r._values for _, r in self.blade_pairs(grade)])
-            support = np.flatnonzero(recip.any(axis=0))
+            recip = self.blades(grade)[1]
             tables = _tables(self.metric)
+            support = tables.blades[grade]
             size = self.metric.size
             index = np.arange(len(support))[:, None] * size + tables.perm[support]
             cache[key] = (

@@ -1,31 +1,30 @@
 """Derivatives of multivector functions of multivector variables.
 
-A function of k grade-q variables is differentiated along a grade-q direction
-by seeding a tangent block on the chosen variable and reading the tangent part
-of the result: exact for anything built from the algebra products, Extensor
-application and the lifted smooth scalar maps.  The gradient-style operators
-assemble the blade frame sum
+A function of k grade-q variables is differentiated along grade-q directions
+by one private kernel, _derivative_rows, which returns the derivatives along
+m directions in each of several variables as one (slots, m, 2^n) array.  Its
+`step` argument picks the oracle.  step=None is exact: it seeds every
+requested variable with its own band of m rows in one shared tangent block
+(zero rows elsewhere) and reads the tangent block of the result, so all
+slots cost one forward pass of the function, exact for anything built from
+the algebra products, Extensor application and the lifted smooth scalar
+maps.  A positive step takes central finite differences, an independent
+reference that never seeds a tangent: per variable, it stacks all 2m
+perturbed points X + step*d_r and X - step*d_r into one batched argument (a
+(2m, 2^n) value array, see extcalc.algebra) and evaluates the function once.
+One batch over all slots would make every product two-batched, the slow
+row-by-row kernel.
+
+dir_deriv is the kernel's case of one variable and one direction.  The
+gradient-style operators assemble the blade frame sum
 
     sum_J  f^J * (directional derivative along f_J)
 
-over the increasing-mask grade-q blades of a frame; with the geometric product
-this is the standard derivative with respect to that variable.  A `step`
-argument picks the per-blade oracle: step=None is exact and seeds all C(n, q)
-blade directions in one forward pass, one tangent row each; a positive step
-takes central finite differences, an independent reference that never seeds a
-tangent.  The finite-difference oracle stacks all 2m perturbed points
-X + step*d_r and X - step*d_r of its m directions into one batched argument
-(a (2m, 2^n) value array, see extcalc.algebra) and evaluates the function
-once; fd_dir_deriv is its m = 1 case.
-
-_slot_gradients does the same for several variables at once, and grad_star
-is its one-slot case.  Exactly, one forward pass seeds every requested slot
-with its own band of C(n, q) rows in a shared tangent block (zero rows
-elsewhere), so k slots cost one evaluation of the function instead of k.  By
-finite differences each slot keeps its own batched evaluation: one batch over
-all slots would make every product two-batched, the slow row-by-row kernel.
-The frame sum over the C(n, q) derivative rows is one array contraction,
-Frame.blade_sum, for every slot together.
+over the increasing-mask grade-q blades of a frame (Frame.blades); with the
+geometric product this is the standard derivative with respect to that
+variable.  _slot_gradients runs the kernel along the C(n, q) blades f_J in
+every requested variable and contracts the rows with Frame.blade_sum, one
+array contraction for every slot together; grad_star is its one-slot case.
 """
 
 from __future__ import annotations
@@ -76,9 +75,42 @@ def _check_slot(func: MvFunction, args: Sequence[Multivector], var_index: int):
         raise ValueError(f"variable index {var_index} out of range")
 
 
-def _check_direction(func: MvFunction, direction: Multivector):
-    if not direction.is_homogeneous(func.input_grade):
-        raise ValueError(f"direction must be homogeneous of grade {func.input_grade}")
+def _derivative_rows(
+    func: MvFunction,
+    args: Sequence[Multivector],
+    slots: Sequence[int],
+    directions: np.ndarray,
+    step: float | None = None,
+) -> np.ndarray:
+    """(k, m, 2^n) derivatives of func along the m rows of the (m, 2^n)
+    `directions` value array, in each of the k variables `slots`: exactly in
+    one forward pass (slot slots[j] seeded with directions in tangent rows
+    j*m .. (j+1)*m of k*m), or by a batch of the 2m points x + step*d and
+    x + -(step*d) per slot."""
+    metric = args[slots[0]].metric
+    k, m = len(slots), len(directions)
+    if step is None:
+        seeded = list(args)
+        for j, i in enumerate(slots):
+            block = np.zeros((k * m, metric.size))
+            block[j * m : (j + 1) * m] = directions
+            seeded[i] = Multivector._raw(metric, args[i]._values, block)
+        block = func(*seeded)._tangents
+        if block is None:  # func ignores every seeded slot
+            return np.zeros((k, m, metric.size))
+        return block.reshape(k, m, metric.size)
+    if not step > 0:
+        raise ValueError("step must be positive")
+    steps = step * directions
+    rows = []
+    for i in slots:
+        x = args[i]._values
+        batched = list(args)
+        batched[i] = Multivector._raw(metric, np.concatenate([x + steps, x + -steps]))
+        # an evaluator that ignores the slot returns one unbatched value
+        out = np.broadcast_to(func(*batched)._values, (2 * m, metric.size))
+        rows.append((out[:m] - out[m:]) * (0.5 / step))
+    return np.stack(rows)
 
 
 def dir_deriv(
@@ -86,56 +118,20 @@ def dir_deriv(
     args: Sequence[Multivector],
     var_index: int,
     direction: Multivector,
+    step: float | None = None,
 ) -> Multivector:
     """Derivative of func at args along `direction` in variable `var_index`.
 
-    Equals d/de func(..., X + e*direction, ...) at e = 0, computed exactly by
-    tangent propagation; linear in the direction.
+    Equals d/de func(..., X + e*direction, ...) at e = 0, linear in the
+    direction: exact by tangent propagation for step=None, else a central
+    difference of `step`.
     """
     _check_slot(func, args, var_index)
-    _check_direction(func, direction)
-    seeded = list(args)
-    seeded[var_index] = args[var_index].with_tangent(direction)
-    return func(*seeded).tangent_part()
-
-
-def _fd_block(
-    func: MvFunction,
-    args: Sequence[Multivector],
-    var_index: int,
-    directions: Sequence[Multivector],
-    step: float,
-) -> np.ndarray:
-    """(m, 2^n) central differences of func along m directions in one slot.
-
-    The 2m points x + step*d and x + -(step*d) go through func as one batch.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    x = args[var_index]
-    steps = step * np.stack([d.values() for d in directions])
-    batched = list(args)
-    batched[var_index] = Multivector(
-        x.metric, np.concatenate([x.values() + steps, x.values() + -steps])
-    )
-    m = len(directions)
-    # an evaluator that ignores the slot returns one unbatched value
-    out = np.broadcast_to(func(*batched).values(), (2 * m, x.metric.size))
-    return (out[:m] - out[m:]) * (0.5 / step)
-
-
-def fd_dir_deriv(
-    func: MvFunction,
-    args: Sequence[Multivector],
-    var_index: int,
-    direction: Multivector,
-    step: float = DEFAULT_FD_STEP,
-) -> Multivector:
-    """Central-difference counterpart of dir_deriv (independent oracle)."""
-    _check_slot(func, args, var_index)
-    _check_direction(func, direction)
-    block = _fd_block(func, args, var_index, (direction,), step)
-    return Multivector(args[var_index].metric, block[0])
+    args[var_index]._check_metric(direction)
+    if direction._values.ndim != 1 or not direction.is_homogeneous(func.input_grade):
+        raise ValueError(f"direction must be one multivector of grade {func.input_grade}")
+    rows = _derivative_rows(func, args, (var_index,), direction._values[None], step)
+    return Multivector._raw(direction.metric, rows[0, 0])
 
 
 def _slot_gradients(
@@ -146,14 +142,9 @@ def _slot_gradients(
     frame: Frame | None = None,
     step: float | None = None,
 ) -> list[Multivector]:
-    """grad_star in each of `slots`, from one evaluation of func when exact.
-
-    step=None seeds slot slots[j] with a block of len(slots) * m tangent
-    rows, m = C(n, q): rows j*m .. (j+1)*m hold the blade directions f_J and
-    the others are zero, so one forward pass carries every slot's
-    directional derivatives.  A step takes one batched central difference
-    per slot.  Either way the frame sum is one Frame.blade_sum contraction.
-    """
+    """grad_star in each of `slots`: the frame sum, one Frame.blade_sum
+    contraction, of the derivatives along the C(n, q) frame blades, which
+    come from one _derivative_rows call."""
     for i in slots:
         _check_slot(func, args, i)
     if not slots:
@@ -162,20 +153,7 @@ def _slot_gradients(
     if frame is None:
         frame = Frame.orthonormal(metric)
     q = func.input_grade
-    primals = [primal for primal, _ in frame.blade_pairs(q)]
-    k, m = len(slots), len(primals)
-    if step is None:
-        zero = Multivector.zero(metric)
-        seeded = list(args)
-        for j, i in enumerate(slots):
-            rows = [zero] * (j * m) + primals + [zero] * ((k - 1 - j) * m)
-            seeded[i] = args[i].with_tangents(rows)
-        block = func(*seeded)._tangents
-        if block is None:  # func ignores every seeded slot
-            block = np.zeros((k * m, metric.size))
-        derivatives = block.reshape(k, m, metric.size)
-    else:
-        derivatives = np.stack([_fd_block(func, args, i, primals, step) for i in slots])
+    derivatives = _derivative_rows(func, args, slots, frame.blades(q)[0], step)
     return [Multivector(metric, g) for g in frame.blade_sum(q, kind, derivatives)]
 
 

@@ -129,7 +129,7 @@ def pseudoscalar_image_functional(
         raise ValueError("pss must be a pseudoscalar")
     if frame is None:
         frame = Frame.orthonormal(metric)
-    scale = scalar_value(pss, frame.blade(metric.size - 1))
+    scale = scalar_value(pss, Multivector(metric, frame.blades(metric.dim)[0][0]))
     return blade_image_functional(frame.reciprocal).scaled(scale)
 
 

@@ -28,12 +28,17 @@ step by central differences (the oracle choice of calculus.grad_star).  Every
 method gets its slot gradients dF/dX^i from one partial_gradients call, which
 computes only the slots it needs: exactly in one forward pass of F over all
 of them, or by one batched finite difference per slot.  The frame route
-derivative_via_frame forms the directional derivative along every frame blade
-as one weight-matrix product and sums them with Frame.blade_sum.
+derivative_via_frame weighs the gradients by the scalar products of the
+frame blades (Frame.blades) and the anchors, one matrix product, and sums
+the resulting blade derivatives with Frame.blade_sum.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
-and the reassembly of both derivative families from those partials.
+and the reassembly of both derivative families from those partials, each one
+matrix product over the frame vectors.  component_partials takes `step` too:
+exactly, it reads the derivatives of F along the n reciprocal vectors from
+one pass of the calculus kernel; with a step, it perturbs the components
+themselves, an oracle that also checks the chain rule behind the bridge.
 """
 
 from __future__ import annotations
@@ -43,14 +48,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Frame,
-    Metric,
-    Multivector,
-    product,
-    scalar_value,
-)
-from .calculus import DEFAULT_FD_STEP, MvFunction, _slot_gradients, grad_star
+from .algebra import Frame, Metric, Multivector, _tables, product, scalar_value
+from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
 from .extensor import Extensor
 
@@ -117,14 +116,6 @@ class InducedFunctional:
             out[i] = grad
         return out
 
-    def _weighted_sum(self, weights, grads) -> Multivector:
-        """sum_i w_i * grads[i] over the nonzero weights."""
-        total = Multivector.zero(self.metric)
-        for w, grad in zip(weights, grads):
-            if w != 0.0:
-                total = total + w * grad
-        return total
-
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
     ) -> Multivector:
@@ -133,10 +124,9 @@ class InducedFunctional:
         if not direction.is_homogeneous(self.source_grade):
             raise ValueError(f"direction must be homogeneous of grade {self.source_grade}")
         weights = [scalar_value(direction, a) for a in self.anchors]
-        if all(w == 0.0 for w in weights):
-            return Multivector.zero(self.metric)
         grads = self.partial_gradients(t, [w != 0.0 for w in weights], step)
-        return self._weighted_sum(weights, grads)
+        terms = (w * g._values for w, g in zip(weights, grads) if g is not None)
+        return Multivector._raw(self.metric, sum(terms, np.zeros(self.metric.size)))
 
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
@@ -161,10 +151,10 @@ class InducedFunctional:
     def derivative_via_frame(self, t: Extensor, kind: str, frame: Frame) -> Multivector:
         """Same operator through the grade-p blade frame sum; frame-independent."""
         self._check_map(t)
-        pairs = frame.blade_pairs(self.source_grade)
-        weights = np.array(
-            [[scalar_value(primal, a) for a in self.anchors] for primal, _ in pairs]
-        )
+        primal, _ = frame.blades(self.source_grade)
+        # weights[J, i] = f_J . A^i, the scalar products of blades and anchors
+        anchors = np.stack([a._values for a in self.anchors])
+        weights = primal @ (anchors * _tables(self.metric).weight).T
         # gradients once per call, only in the slots some blade weighs
         grads = self.partial_gradients(t, (weights != 0.0).any(axis=0))
         zero = np.zeros(self.metric.size)
@@ -240,36 +230,29 @@ def _check_bridge_shape(phi: InducedFunctional):
         raise ValueError("bridge needs a scalar-valued functional")
 
 
-def component_partials(phi: InducedFunctional, t: Extensor, frame: Frame) -> np.ndarray:
+def component_partials(
+    phi: InducedFunctional, t: Extensor, frame: Frame, step: float | None = None
+) -> np.ndarray:
     """d(lifted Phi)/d m[p,q] where m are the frame components of t.
 
-    Entry (p, q) is (anchor . f^p) * (f^q . grad Phi) with the gradient taken
-    at t(anchor).
+    Entry (p, q) is (anchor . f^p) * (f^q . grad F), with the gradient taken
+    at t(anchor); f^q . grad F is the derivative of F along f^q, and
+    step=None reads all n of them from one exact forward pass.  A positive
+    step instead takes central differences of the lifted real function in
+    the components themselves, so it also checks the chain-rule
+    factorisation above: all 2n^2 perturbed component matrices map to one
+    batched argument, and F is evaluated once.
     """
     _check_bridge_shape(phi)
     phi._check_map(t)
     n = phi.metric.dim
-    grad = grad_star(phi.func, phi.arguments(t), 0, "geometric")
-    anchor = phi.anchors[0]
-    a = [scalar_value(anchor, frame.reciprocal[i]) for i in range(n)]
-    g = [scalar_value(frame.reciprocal[j], grad) for j in range(n)]
-    return np.array([[a[i] * g[j] for j in range(n)] for i in range(n)])
-
-
-def component_partials_fd(
-    phi: InducedFunctional, t: Extensor, frame: Frame, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Central differences of the lifted real function in the components of t.
-
-    All 2n^2 perturbed component matrices map to one batched argument, so the
-    function is evaluated once.
-    """
-    _check_bridge_shape(phi)
-    phi._check_map(t)
-    n = phi.metric.dim
-    anchor = phi.anchors[0]
-    a = np.array([scalar_value(anchor, frame.reciprocal[i]) for i in range(n)])
-    recip = np.stack([r.values() for r in frame.reciprocal])
+    recip = frame.blades(1)[1]
+    a = recip @ (phi.anchors[0]._values * _tables(phi.metric).weight)  # anchor . f^p
+    if step is None:
+        along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)
+        return np.outer(a, along[0, :, 0])
+    if not step > 0:
+        raise ValueError("step must be positive")
     bumps = step * np.eye(n * n).reshape(n * n, n, n)
     comps = t.to_components(frame)
     mats = np.concatenate([comps + bumps, comps - bumps])
@@ -279,33 +262,30 @@ def component_partials_fd(
     return ((lifted[: n * n] - lifted[n * n :]) / (2.0 * step)).reshape(n, n)
 
 
+def _check_partials(partials, frame: Frame) -> np.ndarray:
+    partials = np.asarray(partials, dtype=float)
+    n = frame.metric.dim
+    if partials.shape != (n, n):
+        raise ValueError(f"expected shape {(n, n)}, got {partials.shape}")
+    return partials
+
+
 def directional_from_partials(
     partials: np.ndarray, direction: Multivector, frame: Frame
 ) -> Multivector:
     """sum_pq (direction . f_p) partials[p,q] f_q; rebuilds the directional
     derivative of the functional the partials came from."""
-    partials = np.asarray(partials, dtype=float)
-    n = frame.metric.dim
-    if partials.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {partials.shape}")
-    total = Multivector.zero(frame.metric)
-    for p in range(n):
-        w = scalar_value(direction, frame.vectors[p])
-        for q in range(n):
-            total = total + (w * partials[p, q]) * frame.vectors[q]
-    return total
+    partials = _check_partials(partials, frame)
+    vectors = frame.blades(1)[0]
+    weights = vectors @ (direction._values * _tables(frame.metric).weight)  # direction . f_p
+    return Multivector(frame.metric, weights @ partials @ vectors)
 
 
 def star_from_partials(partials: np.ndarray, kind: str, frame: Frame) -> Multivector:
     """sum_pq f_p * (partials[p,q] f_q); rebuilds the star derivative."""
-    partials = np.asarray(partials, dtype=float)
-    n = frame.metric.dim
-    if partials.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {partials.shape}")
+    partials = _check_partials(partials, frame)
+    rows = partials @ frame.blades(1)[0]  # row p is sum_q partials[p,q] f_q
     total = Multivector.zero(frame.metric)
-    for p in range(n):
-        for q in range(n):
-            total = total + product(
-                kind, frame.vectors[p], partials[p, q] * frame.vectors[q]
-            )
+    for f, row in zip(frame.vectors, rows):
+        total = total + product(kind, f, Multivector(frame.metric, row))
     return total

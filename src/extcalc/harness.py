@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,6 @@ from .extensor import Extensor, Outermorphism
 from .functional import (
     InducedFunctional,
     component_partials,
-    component_partials_fd,
     directional_from_partials,
     star_from_partials,
 )
@@ -113,16 +112,7 @@ class HarnessConfig:
         parse_metric(self.dim, self.metric)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "metric": self.metric,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol_exact": self.tol_exact,
-            "tol_fd": self.tol_fd,
-            "fd_step": self.fd_step,
-            "suite": self.suite,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -615,7 +605,7 @@ def _bridge_setup(ctx, rng):
 def _check_component_partials_fd(ctx, rng):
     phi, t, frame, name = _bridge_setup(ctx, rng)
     parts = component_partials(phi, t, frame)
-    parts_fd = component_partials_fd(phi, t, frame, ctx.config.fd_step)
+    parts_fd = component_partials(phi, t, frame, ctx.config.fd_step)
     dev = float(np.max(np.abs(parts - parts_fd)))
     return dev, _witness(ctx, t, anchors=phi.anchors, functional=name)
 

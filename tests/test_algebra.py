@@ -23,7 +23,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _Scatter, _tables
+from extcalc.algebra import _Gather, _Scatter, _signs, _tables
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
@@ -362,10 +362,39 @@ def test_frame_blades_are_biorthogonal():
     vectors = [random_multivector(E3, 1, rng) for _ in range(3)]
     frame = Frame.from_vectors(vectors)
     for grade in range(E3.dim + 1):
-        pairs = frame.blade_pairs(grade)
-        for i, (_, recip) in enumerate(pairs):
-            for j, (primal, _) in enumerate(pairs):
-                assert abs(scalar_value(recip, primal) - (i == j)) < 1e-11
+        primals, recips = frame.blades(grade)
+        for i, recip in enumerate(recips):
+            for j, primal in enumerate(primals):
+                assert abs(scalar_value(Multivector(E3, recip), Multivector(E3, primal)) - (i == j)) < 1e-11
+
+
+def _wedge_loop_blade(frame, vectors, mask):
+    """The frame blade of a mask as a wedge loop over the chosen vectors."""
+    n = frame.metric.dim
+    return wedge_all(frame.metric, [vectors[k] for k in range(n) if mask >> k & 1]).values()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_frame_blades_match_wedge_loop_reference(n):
+    # every grade, primal and reciprocal, orthonormal and random frames,
+    # under a signed non-unit metric whose reciprocals are not powers of two
+    metric = Metric(n, (2.0, -3.0, 0.5, -1.0, 1.25, -0.7, 3.0, -0.5)[:n])
+    rng = np.random.default_rng(70 + n)
+    for name, frame in _frames(metric, rng).items():
+        for grade in range(n + 1):
+            blades = frame.blades(grade)
+            masks = [m for m in range(metric.size) if m.bit_count() == grade]
+            for arr, vectors in zip(blades, (frame.vectors, frame.reciprocal)):
+                assert arr.shape == (len(masks), metric.size) and not arr.flags.writeable
+                for row, mask in zip(arr, masks):
+                    ref = _wedge_loop_blade(frame, vectors, mask)
+                    assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max(), (name, grade)
+                    if name == "orthonormal":
+                        # one nonzero minor, the pivots' product: the loop's bits
+                        assert np.array_equal(row, ref), (grade, mask)
+            assert frame.blades(grade) is blades  # cached per grade
+    with pytest.raises(ValueError):
+        frame.blades(n + 1)
 
 
 # -- blade bookkeeping ----------------------------------------------------------
@@ -723,6 +752,18 @@ def test_each_kind_touches_only_its_nonzero_terms(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+def test_gather_left_signs_are_the_left_tables(n):
+    # L[j, k] = S[j ^ k, j] is the right table R[j ^ k, k] permuted, bit for bit
+    tables = _tables(Metric(n, _SIGNED_DIAG[:n]))
+    masks = np.arange(1 << n)
+    left = _signs(n, tables.weight, tables.reverse_signs, tables.perm, masks[:, None])
+    for kind in PRODUCT_KINDS:
+        got = _Gather(tables.perm, tables.right[kind]).left_signs
+        assert np.array_equal(got.view(np.int64), left[kind].view(np.int64)), kind
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_every_product_route_matches_loop_reference(n):
     """Each kind, under a signed non-unit metric, on one dense and one 20%-dense
     draw: float operands; a tangent block on the left, the right or both sides
@@ -813,8 +854,8 @@ def test_blade_sum_matches_product_loop(n, grade):
         metric = Metric(n, diag)
         unit = all(abs(g) == 1.0 for g in diag)
         for name, frame in _frames(metric, rng).items():
-            pairs = frame.blade_pairs(grade)
-            rows = rng.uniform(-1.0, 1.0, (2, len(pairs), metric.size))
+            recips = [Multivector(metric, r) for r in frame.blades(grade)[1]]
+            rows = rng.uniform(-1.0, 1.0, (2, len(recips), metric.size))
             weights = _tables(metric).weight
             for kind in PRODUCT_KINDS:
                 got = frame.blade_sum(grade, kind, rows)
@@ -822,11 +863,11 @@ def test_blade_sum_matches_product_loop(n, grade):
                 for b in range(2):
                     expected = Multivector.zero(metric)
                     scale = 0.0
-                    for (_, recip), row in zip(pairs, rows[b]):
+                    for recip, row in zip(recips, rows[b]):
                         expected = expected + product(kind, recip, Multivector(metric, row))
                         scale += np.abs(recip.values()).sum() * np.abs(row).max()
                     scale *= np.abs(weights).max()
-                    bound = 4 * (2 * len(pairs)) * np.finfo(float).eps * scale
+                    bound = 4 * (2 * len(recips)) * np.finfo(float).eps * scale
                     assert np.abs(got[b] - expected.values()).max() <= bound, (name, kind)
                     if name == "orthonormal" and unit:
                         # one nonzero reciprocal coefficient per blade: same terms,

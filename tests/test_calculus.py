@@ -18,10 +18,10 @@ from extcalc.calculus import (
     MvFunction,
     _slot_gradients,
     dir_deriv,
-    fd_dir_deriv,
     grad_star,
 )
 from extcalc.dual import exp, value_of
+from extcalc.errors import ConfigurationError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
 
@@ -37,6 +37,12 @@ def wedge_with(c):
 
 
 IDENTITY = MvFunction(1, 1, 1, lambda x: x)
+
+
+def blade_pairs(frame, grade):
+    """(primal, reciprocal) blades of a grade as multivectors, from Frame.blades."""
+    return [(Multivector(frame.metric, p), Multivector(frame.metric, r))
+            for p, r in zip(*frame.blades(grade))]
 
 
 # -- directional derivatives -------------------------------------------------
@@ -83,6 +89,13 @@ def test_dir_deriv_validates_slot_and_grade():
         dir_deriv(dot_with(e1), (e2,), 0, e1 ^ e2)
     with pytest.raises(ValueError):
         dir_deriv(dot_with(e1), (e2, e2), 0, e1)
+    batch = Multivector(E3, np.stack([e1.values(), e2.values()]))
+    other = basis_vectors(Metric(3, (1.0, 1.0, -1.0)))[0]
+    for step in (None, DEFAULT_FD_STEP):
+        with pytest.raises(ValueError):
+            dir_deriv(dot_with(e1), (e2,), 0, batch, step=step)
+        with pytest.raises(ConfigurationError):
+            dir_deriv(dot_with(e1), (e2,), 0, other, step=step)
 
 
 # -- gradients ------------------------------------------------------------------
@@ -171,7 +184,7 @@ def test_vector_mode_grad_star_matches_one_direction_passes(dim):
                 for kind in PRODUCT_KINDS:
                     got = grad_star(func, args, slot, kind, frame)
                     expected = Multivector.zero(metric)
-                    for primal, recip in frame.blade_pairs(func.input_grade):
+                    for primal, recip in blade_pairs(frame, func.input_grade):
                         expected = expected + product(
                             kind, recip, dir_deriv(func, args, slot, primal)
                         )
@@ -186,28 +199,28 @@ def test_vector_mode_grad_star_matches_one_direction_passes(dim):
 
 def test_fd_matches_exact_for_affine_function():
     e1, e2, _ = basis_vectors(E3)
-    out = fd_dir_deriv(dot_with(e1), (e2,), 0, e1, 1e-5)
+    out = dir_deriv(dot_with(e1), (e2,), 0, e1, step=1e-5)
     assert abs(out.values()[0] - 1.0) < 1e-9
 
 
 def test_fd_matches_exact_for_quadratic():
     e1, _, _ = basis_vectors(E3)
     square = MvFunction(1, 1, 0, lambda x: x.scalar_product(x))
-    out = fd_dir_deriv(square, (e1,), 0, e1, 1e-5)
+    out = dir_deriv(square, (e1,), 0, e1, step=1e-5)
     assert abs(out.values()[0] - 2.0) < 1e-8
 
 
 def test_fd_zero_direction_is_exactly_zero():
     e1, _, _ = basis_vectors(E3)
     square = MvFunction(1, 1, 0, lambda x: x.scalar_product(x))
-    out = fd_dir_deriv(square, (e1,), 0, Multivector.zero(E3))
+    out = dir_deriv(square, (e1,), 0, Multivector.zero(E3), step=DEFAULT_FD_STEP)
     assert out.norm_inf() == 0.0
 
 
 def test_fd_requires_positive_step():
     e1, e2, _ = basis_vectors(E3)
     with pytest.raises(ValueError):
-        fd_dir_deriv(dot_with(e1), (e2,), 0, e1, 0.0)
+        dir_deriv(dot_with(e1), (e2,), 0, e1, step=0.0)
 
 
 def test_oracle_agreement_on_random_polynomials():
@@ -227,7 +240,7 @@ def test_oracle_agreement_on_random_polynomials():
         for slot in range(func.arity):
             direction = random_multivector(E3, 1, rng)
             exact = dir_deriv(func, args, slot, direction)
-            approx = fd_dir_deriv(func, args, slot, direction, 1e-5)
+            approx = dir_deriv(func, args, slot, direction, step=1e-5)
             assert max_abs_diff(exact, approx) < 1e-5
 
 
@@ -271,7 +284,7 @@ def _fd_cases(metric, q, rng):
 def _per_blade_fd(func, args, slot, kind, frame, step):
     """The frame sum over (F(X + h d) - F(X - h d)) * 0.5/h, one blade at a time."""
     total = Multivector.zero(args[slot].metric)
-    for primal, recip in frame.blade_pairs(func.input_grade):
+    for primal, recip in blade_pairs(frame, func.input_grade):
         plus, minus = list(args), list(args)
         plus[slot] = args[slot] + step * primal
         minus[slot] = args[slot] - step * primal
@@ -310,7 +323,7 @@ def test_batched_fd_gradient_matches_per_blade_reference(case):
     expected = _per_blade_fd(func, args, slot, kind, frame, DEFAULT_FD_STEP)
     # summation order moves F's value at rounding level; the frame sum
     # carries that, over the step, into the result through the reciprocals
-    recip = max(r.norm_inf() for _, r in frame.blade_pairs(q))
+    recip = max(r.norm_inf() for _, r in blade_pairs(frame, q))
     scale = max(1.0, expected.norm_inf(), func(*args).norm_inf() * recip)
     assert max_abs_diff(got, expected) <= 1e-9 * scale, name
 
@@ -330,7 +343,7 @@ def test_fd_gradient_evaluates_the_function_once():
     grad_star(func, args, 1, "wedge", step=DEFAULT_FD_STEP)
     assert shapes == [((32,), (20, 32))]  # 2 * C(5, 2) points in one call
     shapes.clear()
-    fd_dir_deriv(func, args, 0, random_multivector(metric, 2, rng))
+    dir_deriv(func, args, 0, random_multivector(metric, 2, rng), step=DEFAULT_FD_STEP)
     assert shapes == [((2, 32), (32,))]
 
 
@@ -346,7 +359,7 @@ def test_fd_gradient_of_a_function_ignoring_its_slot_is_zero():
         for kind in PRODUCT_KINDS:
             out = grad_star(func, args, 0, kind, step=DEFAULT_FD_STEP)
             assert out.norm_inf() == 0.0 and out.values().shape == (E3.size,)
-        assert fd_dir_deriv(func, args, 0, c).norm_inf() == 0.0
+        assert dir_deriv(func, args, 0, c, step=DEFAULT_FD_STEP).norm_inf() == 0.0
 
 
 def test_fd_gradient_through_outermorphism_matches_exact():
@@ -419,13 +432,13 @@ def test_slot_gradients_match_per_slot_grad_star(case):
         frame = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
     got = _slot_gradients(func, args, slots, kind, frame, step)
     assert len(got) == len(slots)
-    recip = max(r.norm_inf() for _, r in frame.blade_pairs(q))
+    recip = max(r.norm_inf() for _, r in blade_pairs(frame, q))
     for slot, grad in zip(slots, got):
         alone = grad_star(func, args, slot, kind, frame, step)
         if step is None:
             # independent of the shared block: one pass per blade and a product loop
             reference = Multivector.zero(metric)
-            for primal, r in frame.blade_pairs(q):
+            for primal, r in blade_pairs(frame, q):
                 reference = reference + product(kind, r, dir_deriv(func, args, slot, primal))
             scale = max(1.0, reference.norm_inf()) * recip
             assert max_abs_diff(grad, reference) <= 1e-12 * scale, (name, slot)

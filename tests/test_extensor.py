@@ -224,13 +224,29 @@ def test_bivector_of_symmetric_map_vanishes():
     assert sym.bivector().norm_inf() < 1e-14
 
 
-@pytest.mark.parametrize("metric", [E3, Metric(3, (2.0, 1.0, -1.0))])
-def test_trace_and_bivector_are_frame_independent(metric):
-    rng = np.random.default_rng(9)
-    t = Extensor.random(metric, rng)
-    frame = random_frame(metric, rng)
-    assert abs(t.trace() - t.trace(frame)) < 1e-9
-    assert max_abs_diff(t.bivector(), t.bivector(frame)) < 1e-9
+def frame_sums(t, frame):
+    """sum_j t(f^j) . f_j and sum_j t(f^j) ^ f_j: the trace and the bivector
+    by their definitions, as loops over a frame."""
+    pairs = list(zip(frame.vectors, frame.reciprocal))
+    trace = sum(scalar_value(t(r), v) for v, r in pairs)
+    bivector = Multivector.zero(t.metric)
+    for v, r in pairs:
+        bivector = bivector + t(r).wedge(v)
+    return trace, bivector
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_and_bivector_match_frame_sums(n):
+    # the closed forms against the frame sums over orthonormal and random frames
+    rng = np.random.default_rng(9 + n)
+    for metric in (Metric.euclidean(n), signed_metric(n)):
+        t = Extensor.random(metric, rng)
+        trace, bivector = t.trace(), t.bivector()
+        assert isinstance(trace, float) and bivector.is_homogeneous(2)
+        for frame, bound in ((Frame.orthonormal(metric), 1e-13), (random_frame(metric, rng), 1e-9)):
+            ref_trace, ref_bivector = frame_sums(t, frame)
+            assert abs(trace - ref_trace) < bound
+            assert max_abs_diff(bivector, ref_bivector) < bound
 
 
 # -- determinant ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from extcalc.algebra import (
     Multivector,
     basis_vectors,
     max_abs_diff,
+    product,
     random_multivector,
     scalar_value,
     unit_pseudoscalar,
@@ -29,7 +30,6 @@ from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import (
     InducedFunctional,
     component_partials,
-    component_partials_fd,
     directional_from_partials,
     star_from_partials,
 )
@@ -396,11 +396,15 @@ def test_fd_routes_never_seed_tangents(monkeypatch):
     exact_dir = phi.directional_derivative(h, a)
     exact_table = phi.derivative_table(h, PRODUCT_KINDS)
 
-    def forbidden(*args):
-        raise AssertionError("a tangent was seeded")
+    raw = Multivector._raw
 
-    monkeypatch.setattr(Multivector, "with_tangent", forbidden)
-    monkeypatch.setattr(Multivector, "with_tangents", forbidden)
+    def without_tangents(metric, values, tangents=None):
+        if tangents is not None:
+            raise AssertionError("a tangent block was made")
+        return raw(metric, values)
+
+    # every multivector with a tangent block, seeded or derived, is made by _raw
+    monkeypatch.setattr(Multivector, "_raw", staticmethod(without_tangents))
     assert max_abs_diff(grad_star(func, (x,), 0, step=DEFAULT_FD_STEP), exact_grad) < 1e-6
     fd_dir = phi.directional_derivative(h, a, step=DEFAULT_FD_STEP)
     assert max_abs_diff(fd_dir, exact_dir) < 1e-6
@@ -459,7 +463,7 @@ def test_component_partials_match_lifted_finite_differences():
         base = dot_functional(anchor, c)
         for phi in (base, base.map_scalar(lambda s: s * s), base.map_scalar(exp)):
             exact = component_partials(phi, t, frame)
-            approx = component_partials_fd(phi, t, frame)
+            approx = component_partials(phi, t, frame, step=DEFAULT_FD_STEP)
             assert np.max(np.abs(exact - approx)) < 1e-5
 
 
@@ -504,10 +508,64 @@ def test_component_partials_fd_is_one_batched_evaluation():
         frame = random_frame(metric, rng)
         for phi in (base, base.map_scalar(lambda s: s * s), base.map_scalar(exp)):
             shapes.clear()
-            got = component_partials_fd(phi, t, frame)
+            got = component_partials(phi, t, frame, step=DEFAULT_FD_STEP)
             assert shapes == [(2 * n * n, metric.size)]
             expected = _lifted_fd_loop(phi, t, frame, DEFAULT_FD_STEP)
             assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_exact_component_partials_are_one_forward_pass():
+    # reference: the gradient by grad_star and 2n scalar products
+    rng = np.random.default_rng(24)
+    for metric in (E2, Metric(4, (2.0, 1.0, -1.0, -0.5))):
+        n = metric.dim
+        c = random_multivector(metric, 1, rng)
+        blocks = []
+
+        def evaluator(x):
+            blocks.append(None if x._tangents is None else x._tangents.shape)
+            return x.scalar_product(c)
+
+        base = InducedFunctional(
+            MvFunction(1, 1, 0, evaluator), (random_multivector(metric, 1, rng),), 1
+        )
+        t = Extensor.random_invertible(metric, rng)
+        frame = random_frame(metric, rng)
+        for phi in (base, base.map_scalar(lambda s: s * s), base.map_scalar(exp)):
+            blocks.clear()
+            got = component_partials(phi, t, frame)
+            assert blocks == [(n, metric.size)]  # one pass, one row per f^q
+            grad = grad_star(phi.func, phi.arguments(t), 0)
+            a = [scalar_value(phi.anchors[0], r) for r in frame.reciprocal]
+            g = [scalar_value(r, grad) for r in frame.reciprocal]
+            expected = np.outer(a, g)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_bridge_reassembly_matches_loop_reference():
+    # the sums over p and q one term at a time, as the reference
+    rng = np.random.default_rng(25)
+    for metric in (E3, Metric(4, (2.0, -1.0, 0.5, -3.0))):
+        n = metric.dim
+        for frame in (Frame.orthonormal(metric), random_frame(metric, rng)):
+            partials = rng.uniform(-1.0, 1.0, (n, n))
+            a = random_multivector(metric, 1, rng)
+            expected = Multivector.zero(metric)
+            for p in range(n):
+                w = scalar_value(a, frame.vectors[p])
+                for q in range(n):
+                    expected = expected + (w * partials[p, q]) * frame.vectors[q]
+            got = directional_from_partials(partials, a, frame)
+            assert max_abs_diff(got, expected) <= 1e-13 * max(1.0, expected.norm_inf())
+            for kind in PRODUCT_KINDS:
+                expected = Multivector.zero(metric)
+                for p in range(n):
+                    for q in range(n):
+                        expected = expected + product(
+                            kind, frame.vectors[p], partials[p, q] * frame.vectors[q]
+                        )
+                got = star_from_partials(partials, kind, frame)
+                assert max_abs_diff(got, expected) <= 1e-13 * max(1.0, expected.norm_inf()), kind
 
 
 def test_bridge_reassembles_directional_derivative():
