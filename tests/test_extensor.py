@@ -235,6 +235,15 @@ def frame_sums(t, frame):
     return trace, bivector
 
 
+@pytest.mark.parametrize("metric", [E3, Metric(3, (2.0, 1.0, -1.0))])
+def test_trace_and_bivector_are_frame_independent(metric):
+    rng = np.random.default_rng(9)
+    t = Extensor.random(metric, rng)
+    ref_trace, ref_bivector = frame_sums(t, random_frame(metric, rng))
+    assert abs(t.trace() - ref_trace) < 1e-9
+    assert max_abs_diff(t.bivector(), ref_bivector) < 1e-9
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_trace_and_bivector_match_frame_sums(n):
     # the closed forms against the frame sums over orthonormal and random frames
