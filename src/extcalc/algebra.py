@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,8 +89,8 @@ class Metric:
         diag = tuple(float(g) for g in diag)
         if len(diag) != self.dim:
             raise ConfigurationError(f"metric has {len(diag)} entries for dim {self.dim}")
-        if any(g == 0.0 for g in diag):
-            raise ConfigurationError("metric entries must be nonzero")
+        if not all(isfinite(g) and g != 0.0 for g in diag):
+            raise ConfigurationError(f"metric entries must be finite and nonzero, got {diag}")
         object.__setattr__(self, "diag", diag)
 
     @classmethod
@@ -600,6 +600,40 @@ def product(kind: str, a: Multivector, b: Multivector) -> Multivector:
     return a._product(kind, b)
 
 
+@lru_cache(maxsize=None)
+def _sum_rows(metric: Metric, grade: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather index a * 2^n + (S_a ^ m) and signs R[S_a, m] of
+    product_sum, each (C(n, grade), 2^n), over the grade's masks S."""
+    tables = _tables(metric)
+    support = tables.blades[grade]
+    index = np.arange(len(support))[:, None] * metric.size + tables.perm[support]
+    signs = tables.right[kind][support]
+    index.flags.writeable = signs.flags.writeable = False
+    return index, signs
+
+
+def product_sum(metric: Metric, kind: str, grade: int, lefts, rights) -> np.ndarray:
+    """sum_i  lefts[i] * rights[..., i, :]  under the `kind` product.
+
+    lefts is a (k, 2^n) array of grade-`grade` values (other coefficients
+    are ignored), rights (..., k, 2^n), the result (..., 2^n).  Over the
+    grade's masks S, product(kind, x, d)[m] = sum_a x[S_a] d[S_a ^ m]
+    R[S_a, m], so the i sum comes first as one matmul, cross =
+    lefts[:, S].T @ rights, and the a sum is a gather of cross at
+    (a, S_a ^ m) weighted by R[S_a, m].  The index and sign rows are cached
+    per (metric, grade, kind): O(C(n, grade) * 2^n) each, never a dense
+    (C(n, grade) * 2^n, 2^n) operator.
+    """
+    if kind not in PRODUCT_KINDS:
+        raise ValueError(f"unknown product kind {kind!r}")
+    if not 0 <= grade <= metric.dim:
+        raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
+    index, signs = _sum_rows(metric, grade, kind)
+    cross = np.ascontiguousarray(lefts[:, _tables(metric).blades[grade]].T) @ rights
+    gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., index]
+    return (gathered * signs).sum(axis=-2)
+
+
 def grade_masks(dim: int, grade: int) -> list[int]:
     """Masks of the grade-`grade` blades, in increasing mask order."""
     if not 0 <= grade <= dim:
@@ -735,38 +769,6 @@ class Frame:
             self._cache[grade] = tuple(pair)
         return self._cache[grade]
 
-    def blade_sum(self, grade: int, kind: str, rows: np.ndarray) -> np.ndarray:
-        """sum_J  f^J * rows[..., J, :]  under the `kind` product, one array
-        contraction over the grade's reciprocal blades in blades order.
-
-        rows has shape (..., C(n, grade), 2^n) and the result (..., 2^n).
-        Over the reciprocal blades' support S (the grade's masks),
-        product(kind, f^J, d)[k] = sum_a f^J[S_a] d[S_a ^ k] R[S_a, k], so
-        the J sum comes first as one matmul, cross = recip.T @ rows, and the
-        a sum is a gather of cross at (a, S_a ^ k) weighted by R[S_a, k].
-        The index and sign rows are cached per (grade, kind): O(C(n, grade)
-        * 2^n) each, never a dense (C(n, grade) * 2^n, 2^n) operator.
-        """
-        if kind not in PRODUCT_KINDS:
-            raise ValueError(f"unknown product kind {kind!r}")
-        cache = self._cache
-        key = (grade, kind)
-        if key not in cache:
-            recip = self.blades(grade)[1]
-            tables = _tables(self.metric)
-            support = tables.blades[grade]
-            size = self.metric.size
-            index = np.arange(len(support))[:, None] * size + tables.perm[support]
-            cache[key] = (
-                np.ascontiguousarray(recip[:, support].T),
-                index,
-                tables.right[kind][support],
-            )
-        recip_t, index, signs = cache[key]
-        cross = recip_t @ rows
-        gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., index]
-        return (gathered * signs).sum(axis=-2)
-
 
 @lru_cache(maxsize=None)
 def _orthonormal_frame(metric: Metric) -> Frame:
@@ -783,8 +785,9 @@ def _as_rng(rng) -> np.random.Generator:
 
 def random_multivector(metric: Metric, grade: int, rng) -> Multivector:
     """Homogeneous multivector with coefficients uniform in [-1, 1)."""
-    rng = _as_rng(rng)
-    coeffs = [0.0] * metric.size
-    for m in grade_masks(metric.dim, grade):
-        coeffs[m] = float(rng.uniform(-1.0, 1.0))
-    return Multivector(metric, coeffs)
+    if not 0 <= grade <= metric.dim:  # a negative index would wrap around
+        raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
+    values = np.zeros(metric.size)
+    masks = _tables(metric).blades[grade]
+    values[masks] = _as_rng(rng).uniform(-1.0, 1.0, len(masks))
+    return Multivector._raw(metric, values)

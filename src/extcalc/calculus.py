@@ -23,8 +23,9 @@ gradient-style operators assemble the blade frame sum
 over the increasing-mask grade-q blades of a frame (Frame.blades); with the
 geometric product this is the standard derivative with respect to that
 variable.  _slot_gradients runs the kernel along the C(n, q) blades f_J in
-every requested variable and contracts the rows with Frame.blade_sum, one
-array contraction for every slot together; grad_star is its one-slot case.
+every requested variable and contracts the rows with algebra.product_sum,
+one array contraction for every slot together, into a (slots, 2^n) array;
+grad_star is its one-slot case.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Multivector
+from .algebra import Frame, Multivector, product_sum
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -141,20 +142,18 @@ def _slot_gradients(
     kind: str = "geometric",
     frame: Frame | None = None,
     step: float | None = None,
-) -> list[Multivector]:
-    """grad_star in each of `slots`: the frame sum, one Frame.blade_sum
-    contraction, of the derivatives along the C(n, q) frame blades, which
+) -> np.ndarray:
+    """(k, 2^n) array of grad_star in each of the k `slots`: the frame sum,
+    one product_sum, of the derivatives along the C(n, q) frame blades, which
     come from one _derivative_rows call."""
     for i in slots:
         _check_slot(func, args, i)
-    if not slots:
-        return []
     metric = args[slots[0]].metric
     if frame is None:
         frame = Frame.orthonormal(metric)
     q = func.input_grade
-    derivatives = _derivative_rows(func, args, slots, frame.blades(q)[0], step)
-    return [Multivector(metric, g) for g in frame.blade_sum(q, kind, derivatives)]
+    primal, recip = frame.blades(q)
+    return product_sum(metric, kind, q, recip, _derivative_rows(func, args, slots, primal, step))
 
 
 def grad_star(
@@ -172,4 +171,5 @@ def grad_star(
     derivatives are exact for step=None, else central differences of `step`.
     This is the one-slot case of _slot_gradients.
     """
-    return _slot_gradients(func, args, (var_index,), kind, frame, step)[0]
+    grad = _slot_gradients(func, args, (var_index,), kind, frame, step)[0]
+    return Multivector._raw(args[var_index].metric, grad)

@@ -62,58 +62,39 @@ def blade_image_functional(vectors) -> InducedFunctional:
     )
 
 
+def _frame_sum(metric: Metric, frame: Frame | None, output_grade: int, term) -> InducedFunctional:
+    """t -> sum_j term(t(f^j), f_j) over a frame (default orthonormal), the
+    reciprocal vectors f^j its n anchors."""
+    if frame is None:
+        frame = Frame.orthonormal(metric)
+    vectors = frame.vectors
+
+    def evaluator(*xs):
+        total = Multivector.zero(metric)
+        for x, f in zip(xs, vectors):
+            total = total + term(x, f)
+        return total
+
+    return InducedFunctional(
+        MvFunction(metric.dim, 1, output_grade, evaluator), frame.reciprocal, 1
+    )
+
+
 def adjoint_image_functional(b: Multivector, frame: Frame | None = None) -> InducedFunctional:
     """h -> adjoint(h)(b), expanded as sum_j (b . h(f^j)) f_j over a frame."""
     if not b.is_homogeneous(1):
         raise ValueError("b must be a vector")
-    metric = b.metric
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    vectors = frame.vectors
-
-    def evaluator(*xs):
-        total = Multivector.zero(metric)
-        for x, f in zip(xs, vectors):
-            total = total + f * b.scalar_product(x).scalar_part()
-        return total
-
-    return InducedFunctional(
-        MvFunction(metric.dim, 1, 1, evaluator), frame.reciprocal, 1
-    )
+    return _frame_sum(b.metric, frame, 1, lambda x, f: f * b.scalar_product(x).scalar_part())
 
 
 def trace_functional(metric: Metric, frame: Frame | None = None) -> InducedFunctional:
     """t -> sum_j t(f^j) . f_j."""
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    vectors = frame.vectors
-
-    def evaluator(*xs):
-        total = Multivector.zero(metric)
-        for x, f in zip(xs, vectors):
-            total = total + x.scalar_product(f)
-        return total
-
-    return InducedFunctional(
-        MvFunction(metric.dim, 1, 0, evaluator), frame.reciprocal, 1
-    )
+    return _frame_sum(metric, frame, 0, Multivector.scalar_product)
 
 
 def bivector_functional(metric: Metric, frame: Frame | None = None) -> InducedFunctional:
     """t -> sum_j t(f^j) ^ f_j."""
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    vectors = frame.vectors
-
-    def evaluator(*xs):
-        total = Multivector.zero(metric)
-        for x, f in zip(xs, vectors):
-            total = total + x.wedge(f)
-        return total
-
-    return InducedFunctional(
-        MvFunction(metric.dim, 1, 2, evaluator), frame.reciprocal, 1
-    )
+    return _frame_sum(metric, frame, 2, Multivector.wedge)
 
 
 def pseudoscalar_image_functional(

@@ -25,12 +25,11 @@ map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
 
 Each derivative method takes `step`: None differentiates F exactly, a positive
 step by central differences (the oracle choice of calculus.grad_star).  Every
-method gets its slot gradients dF/dX^i from one partial_gradients call, which
-computes only the slots it needs: exactly in one forward pass of F over all
-of them, or by one batched finite difference per slot.  The frame route
-derivative_via_frame weighs the gradients by the scalar products of the
-frame blades (Frame.blades) and the anchors, one matrix product, and sums
-the resulting blade derivatives with Frame.blade_sum.
+method gets the slot gradients dF/dX^i as one (k, 2^n) array: exactly from
+one forward pass of F, or by one batched finite difference per slot.  Each
+star form is one algebra.product_sum per product kind, of the anchors with
+the gradients or, in derivative_via_frame, of the reciprocal frame blades
+with the blade derivatives (blade . anchor weights times the gradients).
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -48,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Metric, Multivector, _tables, product, scalar_value
+from .algebra import Frame, Metric, Multivector, _tables, product_sum
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
 from .extensor import Extensor
@@ -102,44 +101,47 @@ class InducedFunctional:
 
     # -- derivatives ---------------------------------------------------------
 
-    def partial_gradients(self, t: Extensor, slots=None, step: float | None = None) -> list:
+    def partial_gradients(self, t: Extensor, step: float | None = None) -> list[Multivector]:
         """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k)).
 
-        With `slots`, only the slots i with slots[i] true are computed; the
-        others are None.  `step` selects the oracle as in grad_star; exactly,
-        every computed slot comes from one forward pass of F.
+        `step` selects the oracle as in grad_star; exactly, every slot comes
+        from one forward pass of F.
         """
-        wanted = [i for i in range(self.arity) if slots is None or slots[i]]
-        grads = _slot_gradients(self.func, self.arguments(t), wanted, step=step)
-        out = [None] * self.arity
-        for i, grad in zip(wanted, grads):
-            out[i] = grad
-        return out
+        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
+        return [Multivector._raw(self.metric, g) for g in grads]
+
+    def _anchor_weights(self, directions: np.ndarray) -> np.ndarray:
+        """Scalar products d . A^i, shape (..., k) for direction rows (..., 2^n):
+        one vecdot, each entry the BLAS dot scalar_value(d, A^i) makes (a
+        matmul would reassociate the sums)."""
+        anchors = np.stack([a._values for a in self.anchors])
+        return np.vecdot(directions[..., None, :], anchors * _tables(self.metric).weight)
 
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
     ) -> Multivector:
         """Derivative along a grade-p direction; linear in the direction."""
         self._check_map(t)
-        if not direction.is_homogeneous(self.source_grade):
-            raise ValueError(f"direction must be homogeneous of grade {self.source_grade}")
-        weights = [scalar_value(direction, a) for a in self.anchors]
-        grads = self.partial_gradients(t, [w != 0.0 for w in weights], step)
-        terms = (w * g._values for w, g in zip(weights, grads) if g is not None)
+        self.anchors[0]._check_metric(direction)
+        if direction._values.ndim != 1 or not direction.is_homogeneous(self.source_grade):
+            raise ValueError(f"direction must be one multivector of grade {self.source_grade}")
+        weights = self._anchor_weights(direction._values)
+        if not weights.any():
+            return Multivector.zero(self.metric)
+        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
+        # summed in slot order, not as weights @ grads, whose BLAS reassociation
+        # moves the result by more ulps
+        terms = (w * g for w, g in zip(weights, grads))
         return Multivector._raw(self.metric, sum(terms, np.zeros(self.metric.size)))
 
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
     ) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
-        grads = self.partial_gradients(t, step=step)
-        out = {}
-        for kind in kinds:
-            total = Multivector.zero(self.metric)
-            for anchor, grad in zip(self.anchors, grads):
-                total = total + product(kind, anchor, grad)
-            out[kind] = total
-        return out
+        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
+        anchors = np.stack([a._values for a in self.anchors])
+        sums = (product_sum(self.metric, kind, self.source_grade, anchors, grads) for kind in kinds)
+        return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
 
     def derivative(
         self, t: Extensor, kind: str = "geometric", step: float | None = None
@@ -150,17 +152,12 @@ class InducedFunctional:
 
     def derivative_via_frame(self, t: Extensor, kind: str, frame: Frame) -> Multivector:
         """Same operator through the grade-p blade frame sum; frame-independent."""
-        self._check_map(t)
-        primal, _ = frame.blades(self.source_grade)
-        # weights[J, i] = f_J . A^i, the scalar products of blades and anchors
-        anchors = np.stack([a._values for a in self.anchors])
-        weights = primal @ (anchors * _tables(self.metric).weight).T
-        # gradients once per call, only in the slots some blade weighs
-        grads = self.partial_gradients(t, (weights != 0.0).any(axis=0))
-        zero = np.zeros(self.metric.size)
-        grads = np.stack([zero if g is None else g.values() for g in grads])
-        # row J is the directional derivative along f_J
-        return Multivector(self.metric, frame.blade_sum(self.source_grade, kind, weights @ grads))
+        primal, recip = frame.blades(self.source_grade)
+        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
+        rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
+        return Multivector._raw(
+            self.metric, product_sum(self.metric, kind, self.source_grade, recip, rows)
+        )
 
     # -- combinators -----------------------------------------------------------
 
@@ -247,7 +244,7 @@ def component_partials(
     phi._check_map(t)
     n = phi.metric.dim
     recip = frame.blades(1)[1]
-    a = recip @ (phi.anchors[0]._values * _tables(phi.metric).weight)  # anchor . f^p
+    a = phi._anchor_weights(recip)[:, 0]  # anchor . f^p
     if step is None:
         along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)
         return np.outer(a, along[0, :, 0])
@@ -284,8 +281,6 @@ def directional_from_partials(
 def star_from_partials(partials: np.ndarray, kind: str, frame: Frame) -> Multivector:
     """sum_pq f_p * (partials[p,q] f_q); rebuilds the star derivative."""
     partials = _check_partials(partials, frame)
-    rows = partials @ frame.blades(1)[0]  # row p is sum_q partials[p,q] f_q
-    total = Multivector.zero(frame.metric)
-    for f, row in zip(frame.vectors, rows):
-        total = total + product(kind, f, Multivector(frame.metric, row))
-    return total
+    vectors = frame.blades(1)[0]
+    rows = partials @ vectors  # row p is sum_q partials[p,q] f_q
+    return Multivector._raw(frame.metric, product_sum(frame.metric, kind, 1, vectors, rows))

@@ -105,8 +105,8 @@ class HarnessConfig:
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         for name in ("tol_exact", "tol_fd", "fd_step"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.suite not in SUITES + ("all",):
             raise ConfigurationError(f"suite must be one of {SUITES + ('all',)}")
         parse_metric(self.dim, self.metric)
@@ -237,10 +237,6 @@ def _random_setup(ctx: _Context, rng, source_grade=None, scalar_valued=False):
     return InducedFunctional(func, anchors, p), t
 
 
-def _scalar_mv(ctx: _Context, s) -> Multivector:
-    return Multivector.from_scalar(ctx.metric, s)
-
-
 def _rel(dev: float, rhs: Multivector) -> float:
     return dev / max(1.0, rhs.norm_inf())
 
@@ -293,7 +289,7 @@ def _build_pseudoscalar_image(ctx, rng):
 def _det_star_rhs(ctx, h, aux):
     d = h.det()
     hinv = h.inverse()
-    trace_term = _scalar_mv(ctx, d * hinv.trace())
+    trace_term = Multivector.from_scalar(ctx.metric, d * hinv.trace())
     biv_term = d * hinv.bivector()
     return {
         "wedge": biv_term,
@@ -320,8 +316,8 @@ _EXAMPLES = (
     _WorkedExample(
         "vector-image",
         _build_vector_image,
-        directional_rhs=lambda ctx, h, a, aux: _scalar_mv(
-            ctx, ctx.metric.dim * scalar_value(a, aux["b"])
+        directional_rhs=lambda ctx, h, a, aux: Multivector.from_scalar(
+            ctx.metric, ctx.metric.dim * scalar_value(a, aux["b"])
         ),
         star_rhs=lambda ctx, h, aux: {
             "wedge": ctx.metric.dim * aux["b"],
@@ -347,9 +343,9 @@ _EXAMPLES = (
         directional_rhs=lambda ctx, h, a, aux: a,
         star_rhs=lambda ctx, h, aux: {
             "wedge": Multivector.zero(ctx.metric),
-            "scalar": _scalar_mv(ctx, ctx.metric.dim),
-            "lcontract": _scalar_mv(ctx, ctx.metric.dim),
-            "geometric": _scalar_mv(ctx, ctx.metric.dim),
+            "scalar": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
+            "lcontract": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
+            "geometric": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
         },
     ),
     _WorkedExample(
@@ -358,9 +354,9 @@ _EXAMPLES = (
         directional_rhs=lambda ctx, h, a, aux: (ctx.metric.dim - 1) * a,
         star_rhs=lambda ctx, h, aux: {
             "wedge": Multivector.zero(ctx.metric),
-            "scalar": _scalar_mv(ctx, (ctx.metric.dim - 1) * ctx.metric.dim),
-            "lcontract": _scalar_mv(ctx, (ctx.metric.dim - 1) * ctx.metric.dim),
-            "geometric": _scalar_mv(ctx, (ctx.metric.dim - 1) * ctx.metric.dim),
+            "scalar": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
+            "lcontract": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
+            "geometric": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
         },
     ),
     _WorkedExample(

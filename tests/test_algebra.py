@@ -23,7 +23,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _Gather, _Scatter, _signs, _tables
+from extcalc.algebra import _Gather, _Scatter, _signs, _sum_rows, _tables, product_sum
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
@@ -55,6 +55,12 @@ def test_metric_rejects_zero_entries():
         Metric(2, (1.0, 0.0))
     with pytest.raises(ConfigurationError):
         Metric(3, (1.0, 1.0))  # wrong arity
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+def test_metric_rejects_non_finite_entries(entry):
+    with pytest.raises(ConfigurationError):
+        Metric(3, (entry, 1.0, 1.0))
 
 
 def test_metric_mismatch_is_configuration_error():
@@ -433,6 +439,26 @@ def test_random_multivector_is_homogeneous():
         assert mv.is_homogeneous(grade)
         assert max_abs_diff(mv.grade_project(grade), mv) == 0.0
     assert random_multivector(E3, 0, 3).grades() <= {0}
+
+
+def test_random_multivector_draws_like_one_uniform_per_mask():
+    # one vectorised draw: the same values, and the generator left in the same state
+    metric = Metric(5, (2.0, -1.0, 0.5, -3.0, 1.0))
+    for grade in range(metric.dim + 1):
+        rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+        got = random_multivector(metric, grade, rng)
+        expected = np.zeros(metric.size)
+        for mask in range(metric.size):
+            if mask.bit_count() == grade:
+                expected[mask] = float(reference.uniform(-1.0, 1.0))
+        assert np.array_equal(got.values(), expected)
+        assert rng.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize("grade", [-1, 4])
+def test_random_multivector_rejects_grade_out_of_range(grade):
+    with pytest.raises(ValueError):
+        random_multivector(E3, grade, 0)
 
 
 # -- the table-driven kernel against a pure-Python loop reference -----------------
@@ -846,39 +872,67 @@ def _frames(metric, rng):
     return {"orthonormal": Frame.orthonormal(metric), "random": Frame.from_vectors(vectors)}
 
 
+def _product_loop(metric, kind, lefts, rows):
+    """sum_i lefts[i] * rows[i] by one product call per term: the reference."""
+    total = Multivector.zero(metric)
+    for left, row in zip(lefts, rows):
+        total = total + product(kind, Multivector(metric, left), Multivector(metric, row))
+    return total.values()
+
+
 @pytest.mark.parametrize("n,grade", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (6, 3), (7, 1),
                                      (8, 4)])
 def test_blade_sum_matches_product_loop(n, grade):
     rng = np.random.default_rng(100 + n)
+    anchor_rng = np.random.default_rng(200 + n)  # leaves the frames' draws as they were
     for diag in ((1.0,) * n, tuple(rng.choice((1.0, -1.0, 2.0, -0.5), n))):
         metric = Metric(n, diag)
         unit = all(abs(g) == 1.0 for g in diag)
-        for name, frame in _frames(metric, rng).items():
-            recips = [Multivector(metric, r) for r in frame.blades(grade)[1]]
-            rows = rng.uniform(-1.0, 1.0, (2, len(recips), metric.size))
+        lefts = {name: frame.blades(grade)[1] for name, frame in _frames(metric, rng).items()}
+        # grade-`grade` anchors, dense in their grade, as the anchor-sum star forms use
+        lefts["anchors"] = np.stack([random_multivector(metric, grade, anchor_rng).values()
+                                     for _ in range(3)])
+        for name, left in lefts.items():
+            draw = anchor_rng if name == "anchors" else rng
+            rows = draw.uniform(-1.0, 1.0, (2, len(left), metric.size))
             weights = _tables(metric).weight
             for kind in PRODUCT_KINDS:
-                got = frame.blade_sum(grade, kind, rows)
+                got = product_sum(metric, kind, grade, left, rows)
                 assert got.shape == (2, metric.size)
                 for b in range(2):
-                    expected = Multivector.zero(metric)
-                    scale = 0.0
-                    for recip, row in zip(recips, rows[b]):
-                        expected = expected + product(kind, recip, Multivector(metric, row))
-                        scale += np.abs(recip.values()).sum() * np.abs(row).max()
+                    expected = _product_loop(metric, kind, left, rows[b])
+                    scale = sum(np.abs(x).sum() * np.abs(row).max() for x, row in zip(left, rows[b]))
                     scale *= np.abs(weights).max()
-                    bound = 4 * (2 * len(recips)) * np.finfo(float).eps * scale
-                    assert np.abs(got[b] - expected.values()).max() <= bound, (name, kind)
+                    bound = 4 * (2 * len(left)) * np.finfo(float).eps * scale
+                    assert np.abs(got[b] - expected).max() <= bound, (name, kind)
                     if name == "orthonormal" and unit:
                         # one nonzero reciprocal coefficient per blade: same terms,
                         # same order, so the same bits as the loop
-                        assert np.array_equal(got[b], expected.values()), kind
-                assert np.array_equal(frame.blade_sum(grade, kind, rows[0]), got[0])
+                        assert np.array_equal(got[b], expected), kind
+                assert np.array_equal(product_sum(metric, kind, grade, left, rows[0]), got[0])
 
 
 def test_blade_sum_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        Frame.orthonormal(E3).blade_sum(1, "cross", np.zeros((3, E3.size)))
+        product_sum(E3, "cross", 1, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
+    for grade in (-1, 4):  # a negative grade would wrap around the blade tables
+        with pytest.raises(ValueError):
+            product_sum(E3, "wedge", grade, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
+
+
+def test_frames_over_one_metric_share_the_sum_rows():
+    # the gather index and sign rows belong to (metric, grade, kind), not to a frame
+    metric = Metric(4, (2.0, -1.0, 0.5, -3.0))
+    rng = np.random.default_rng(5)
+    one, two = (_frames(metric, rng)["random"] for _ in range(2))
+    rows = rng.uniform(-1.0, 1.0, (6, metric.size))
+    product_sum(metric, "lcontract", 2, one.blades(2)[1], rows)
+    before = _sum_rows.cache_info()
+    product_sum(metric, "lcontract", 2, two.blades(2)[1], rows)
+    after = _sum_rows.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _sum_rows(metric, 2, "lcontract") is _sum_rows(Metric(4, metric.diag), 2, "lcontract")
+    assert set(one._cache) == set(two._cache) == {2}  # a frame caches its blades only
 
 
 # -- wedge_all --------------------------------------------------------------------

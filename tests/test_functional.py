@@ -190,6 +190,15 @@ def test_zero_direction_short_circuits():
     assert not calls  # linearity forces zero without evaluating
 
 
+def test_directional_derivative_rejects_batched_and_foreign_directions():
+    e1, e2, _ = basis_vectors(E3)
+    phi = dot_functional(e1, e2)
+    batch = Multivector(E3, np.stack([e1.values(), e2.values()]))
+    for direction in (batch, basis_vectors(Metric(3, (1.0, -1.0, 1.0)))[0]):
+        with pytest.raises(ValueError):
+            phi.directional_derivative(Extensor.identity(E3), direction)
+
+
 def test_directional_derivative_validates_direction_grade():
     e1, e2, _ = basis_vectors(E3)
     phi = dot_functional(e1, e2)
@@ -566,6 +575,49 @@ def test_bridge_reassembly_matches_loop_reference():
                         )
                 got = star_from_partials(partials, kind, frame)
                 assert max_abs_diff(got, expected) <= 1e-13 * max(1.0, expected.norm_inf()), kind
+
+
+def _loop_bound(metric, lefts, rights):
+    """Rounding bound of sum_i lefts[i] * rights[i] against the product loop;
+    the metric factor is the largest blade weight."""
+    scale = sum(np.abs(x).sum() * np.abs(y).max() for x, y in zip(lefts, rights))
+    return 4 * (2 * len(lefts)) * np.finfo(float).eps * scale * np.maximum(1.0, np.abs(metric.diag)).prod()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_star_sums_match_product_loops(n):
+    # derivative_table and star_from_partials against their sums of one product per term
+    rng = np.random.default_rng(200 + n)
+    diag = (1.0,) * n, tuple(rng.choice((1.0, -1.0, 2.0, -0.5), n))
+    for metric in (Metric(n, diag[0]), Metric(n, diag[1])):
+        unit = all(abs(g) == 1.0 for g in metric.diag)
+        for p in (1, 2):
+            anchors = tuple(random_multivector(metric, p, rng) for _ in range(2))
+            func = MvFunction(2, 1, None, lambda x, y: x.geometric(y) + x)
+            phi = InducedFunctional(func, anchors, p)
+            t = Extensor.random(metric, rng, p, 1)
+            grads = phi.partial_gradients(t)
+            table = phi.derivative_table(t, PRODUCT_KINDS)
+            for kind in PRODUCT_KINDS:
+                expected = Multivector.zero(metric)
+                for anchor, grad in zip(anchors, grads):
+                    expected = expected + product(kind, anchor, grad)
+                bound = _loop_bound(metric, [a.values() for a in anchors],
+                                    [g.values() for g in grads])
+                assert max_abs_diff(table[kind], expected) <= bound, (p, kind)
+        for frame in (Frame.orthonormal(metric), random_frame(metric, rng)):
+            partials = rng.uniform(-1.0, 1.0, (n, n))
+            rows = partials @ frame.blades(1)[0]
+            for kind in PRODUCT_KINDS:
+                expected = Multivector.zero(metric)
+                for f, row in zip(frame.vectors, rows):
+                    expected = expected + product(kind, f, Multivector(metric, row))
+                got = star_from_partials(partials, kind, frame)
+                bound = _loop_bound(metric, [f.values() for f in frame.vectors], rows)
+                assert max_abs_diff(got, expected) <= bound, kind
+                if unit and frame is Frame.orthonormal(metric):
+                    # one nonzero coefficient per frame vector: the same bits as the loop
+                    assert np.array_equal(got.values(), expected.values()), kind
 
 
 def test_bridge_reassembles_directional_derivative():

@@ -58,6 +58,16 @@ def test_config_validation():
         HarnessConfig(metric="diag:+")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_values(value):
+    # an infinite tolerance would pass every finite deviation
+    for name in ("tol_exact", "tol_fd", "fd_step"):
+        with pytest.raises(ConfigurationError):
+            HarnessConfig(**{name: value})
+    with pytest.raises(ConfigurationError):
+        parse_metric(3, f"diag:{value},1,1")
+
+
 def test_catalog_structure():
     ids = [c.id for c in CATALOG]
     assert len(ids) == len(set(ids))  # unique
@@ -301,6 +311,20 @@ def test_cli_failure_exits_one():
 def test_cli_bad_metric_exits_nonzero_before_running():
     proc = run_cli("--metric", "diag:+,+")
     assert proc.returncode == 2
+    assert "error" in proc.stderr.lower()
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--metric", "diag:nan,1,1"),
+    ("--metric", "diag:inf,1,1"),
+    ("--tol-exact", "inf"),
+    ("--tol-fd", "nan"),
+    ("--fd-step", "inf"),
+])
+def test_cli_non_finite_input_exits_two_before_running(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
     assert "error" in proc.stderr.lower()
     assert proc.stdout == ""
 
