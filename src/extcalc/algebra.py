@@ -128,6 +128,7 @@ def blade_name(mask: int) -> str:
 class _Tables:
     grades: np.ndarray  # grade of each mask
     blades: tuple  # grade -> masks of that grade, increasing
+    off_grade: dict  # grade -> masks of every other grade, increasing
     weight: np.ndarray  # blade "squared norm": product of touched metric entries
     reverse_signs: np.ndarray
     perm: np.ndarray  # perm[i, k] = i ^ k
@@ -224,12 +225,14 @@ def _tables(metric: Metric) -> _Tables:
     i = masks[:, None]
     perm = i ^ masks[None, :]
     blades = tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1))
+    off_grade = {g: np.flatnonzero(grades != g) for g in range(metric.dim + 1)}
     right = _signs(metric.dim, weight, reverse_signs, i, perm)
-    for arr in (grades, *blades, weight, reverse_signs, perm, *right.values()):
+    for arr in (grades, *blades, *off_grade.values(), weight, reverse_signs, perm, *right.values()):
         arr.flags.writeable = False
     return _Tables(
         grades=grades,
         blades=blades,
+        off_grade=off_grade,
         weight=weight,
         reverse_signs=reverse_signs,
         perm=perm,
@@ -380,9 +383,13 @@ class Multivector:
         return frozenset(grades[self._support()].tolist())
 
     def is_homogeneous(self, grade: int) -> bool:
-        """True when supported on grade `grade` only (the zero element counts)."""
-        off_grade = _tables(self.metric).grades != grade
-        return np.count_nonzero(self._support()[off_grade]) == 0
+        """True when supported on grade `grade` only (the zero element counts):
+        no value, batch row or tangent row is nonzero (NaN included) on a mask
+        of another grade.  A grade out of range leaves every mask off-grade."""
+        off = _tables(self.metric).off_grade.get(grade, slice(None))
+        if np.count_nonzero(self._values[..., off]):
+            return False
+        return self._tangents is None or not np.count_nonzero(self._tangents[:, off])
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self._values)))
@@ -684,8 +691,14 @@ def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
     the generator sets of the I-th and J-th grade-`grade` blades, by Gaussian
     elimination with partial pivoting, the pivots multiplied in order.
     (np.linalg.det exponentiates a sum of logarithms: an ulp off even on a
-    diagonal minor, where this product is the wedge loop's, bit for bit.)"""
-    rows, cols = _minor_index(len(matrix), grade)
+    diagonal minor, where this product is the wedge loop's, bit for bit.)
+    Grades 0 and 1 skip the elimination, whose result they are exactly:
+    [[1.0]] and a copy of the matrix."""
+    rows, cols = _minor_index(len(matrix), grade)  # rejects a grade out of range
+    if grade == 0:
+        return np.ones((1, 1))
+    if grade == 1:
+        return np.array(matrix, dtype=float)
     a = matrix[rows, cols]  # (C, C, k, k), a fresh array
     det = np.ones(a.shape[:2])
     for p in range(grade):

@@ -99,7 +99,7 @@ class Extensor:
     # -- application and composition ----------------------------------------
 
     def apply(self, x: Multivector) -> Multivector:
-        if x.metric != self.metric:
+        if x.metric is not self.metric and x.metric != self.metric:
             raise ConfigurationError("operand lives over a different metric")
         if not x.is_homogeneous(self.p):
             raise ValueError(f"argument must be homogeneous of grade {self.p}")
@@ -245,7 +245,7 @@ class Outermorphism:
 
     def apply(self, x: Multivector) -> Multivector:
         metric = self.base.metric
-        if x.metric != metric:
+        if x.metric is not metric and x.metric != metric:
             raise ConfigurationError("operand lives over a different metric")
         grades = x.grades()
         if len(grades) > 1:

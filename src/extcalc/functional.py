@@ -30,6 +30,9 @@ one forward pass of F, or by one batched finite difference per slot.  Each
 star form is one algebra.product_sum per product kind, of the anchors with
 the gradients or, in derivative_via_frame, of the reciprocal frame blades
 with the blade derivatives (blade . anchor weights times the gradients).
+derivative_table and derivative_via_frame both take a sequence of kinds and
+return a {kind: Multivector} dict from one gradient pass; a frame must live
+over the functional's metric, since the blade weights are taken in it.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -50,6 +53,7 @@ import numpy as np
 from .algebra import Frame, Metric, Multivector, _tables, product_sum
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
+from .errors import ConfigurationError
 from .extensor import Extensor
 
 
@@ -72,7 +76,7 @@ class InducedFunctional:
         for a in self.anchors:
             if not a.is_homogeneous(self.source_grade):
                 raise ValueError(f"anchors must be homogeneous of grade {self.source_grade}")
-            if a.metric != self.anchors[0].metric:
+            if a.metric is not self.anchors[0].metric and a.metric != self.anchors[0].metric:
                 raise ValueError("anchors live over different metrics")
 
     @property
@@ -84,7 +88,7 @@ class InducedFunctional:
         return self.func.arity
 
     def _check_map(self, t: Extensor):
-        if t.metric != self.metric:
+        if t.metric is not self.metric and t.metric != self.metric:
             raise ValueError("map lives over a different metric")
         if t.p != self.source_grade or t.q != self.func.input_grade:
             raise ValueError(
@@ -134,10 +138,15 @@ class InducedFunctional:
         terms = (w * g for w, g in zip(weights, grads))
         return Multivector._raw(self.metric, sum(terms, np.zeros(self.metric.size)))
 
+    def _check_frame(self, frame: Frame):
+        if frame.metric is not self.metric and frame.metric != self.metric:
+            raise ConfigurationError("frame lives over a different metric")
+
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
     ) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
+        _check_kinds(kinds)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
         anchors = np.stack([a._values for a in self.anchors])
         sums = (product_sum(self.metric, kind, self.source_grade, anchors, grads) for kind in kinds)
@@ -150,14 +159,18 @@ class InducedFunctional:
         gradient (geometric product), in intrinsic anchor-sum form."""
         return self.derivative_table(t, (kind,), step)[kind]
 
-    def derivative_via_frame(self, t: Extensor, kind: str, frame: Frame) -> Multivector:
-        """Same operator through the grade-p blade frame sum; frame-independent."""
+    def derivative_via_frame(self, t: Extensor, kinds: Sequence[str], frame: Frame) -> dict:
+        """The star derivatives of derivative_table through the grade-p blade
+        frame sum over `frame`, which must live over the functional's metric;
+        frame-independent.  One gradient pass serves every kind, and each
+        kind's entry is bit for bit the one a call for that kind alone gives."""
+        _check_kinds(kinds)
+        self._check_frame(frame)
         primal, recip = frame.blades(self.source_grade)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
-        return Multivector._raw(
-            self.metric, product_sum(self.metric, kind, self.source_grade, recip, rows)
-        )
+        sums = (product_sum(self.metric, kind, self.source_grade, recip, rows) for kind in kinds)
+        return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
 
     # -- combinators -----------------------------------------------------------
 
@@ -217,6 +230,12 @@ class InducedFunctional:
         )
 
 
+def _check_kinds(kinds):
+    # a bare string is a sequence of one-letter "kinds"
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a sequence of product kinds, such as ({kinds!r},)")
+
+
 # -- bridge to classical matrix calculus ---------------------------------------
 
 
@@ -242,6 +261,7 @@ def component_partials(
     """
     _check_bridge_shape(phi)
     phi._check_map(t)
+    phi._check_frame(frame)
     n = phi.metric.dim
     recip = frame.blades(1)[1]
     a = phi._anchor_weights(recip)[:, 0]  # anchor . f^p

@@ -129,7 +129,7 @@ class IdentityResult:
 class IdentityCheck:
     id: str
     suite: str
-    trial: Callable  # (ctx, rng) -> (deviation, witness dict)
+    trial: Callable  # (ctx, rng) -> (deviation, zero-argument witness dict builder)
     tol_key: str = "exact"  # which config tolerance applies
     tol_factor: float = 1.0
 
@@ -158,16 +158,26 @@ def multivector_from_map(metric: Metric, mapping: dict) -> Multivector:
     return out
 
 
-def _witness(ctx: _Context, t: Extensor | None = None, anchors=None, direction=None, **extra) -> dict:
-    w: dict = {"n": ctx.metric.dim, "metric": list(ctx.metric.diag)}
-    if t is not None:
-        w.update(t.to_dict())
-    if anchors is not None:
-        w["anchors"] = [multivector_to_map(a) for a in anchors]
-    if direction is not None:
-        w["direction"] = multivector_to_map(direction)
-    w.update(extra)
-    return w
+def _witness(
+    ctx: _Context, t: Extensor | None = None, anchors=None, direction=None, **extra
+) -> Callable[[], dict]:
+    """Builder of one trial's witness dict.  The inputs are immutable, so
+    run_suite calls it only for the trial it reports; an extra Multivector
+    is written as a blade map."""
+
+    def build() -> dict:
+        w: dict = {"n": ctx.metric.dim, "metric": list(ctx.metric.diag)}
+        if t is not None:
+            w.update(t.to_dict())
+        if anchors is not None:
+            w["anchors"] = [multivector_to_map(a) for a in anchors]
+        if direction is not None:
+            w["direction"] = multivector_to_map(direction)
+        for key, value in extra.items():
+            w[key] = multivector_to_map(value) if isinstance(value, Multivector) else value
+        return w
+
+    return build
 
 
 # -- random input helpers -------------------------------------------------------
@@ -500,9 +510,7 @@ def _check_right_constant_rule(ctx, rng):
     m = _random_mixed(ctx.metric, rng)
     lhs = phi.times_constant(m).directional_derivative(t, a)
     rhs = phi.directional_derivative(t, a).geometric(m)
-    return max_abs_diff(lhs, rhs), _witness(
-        ctx, t, anchors=phi.anchors, direction=a, constant=multivector_to_map(m)
-    )
+    return max_abs_diff(lhs, rhs), _witness(ctx, t, anchors=phi.anchors, direction=a, constant=m)
 
 
 def _check_additivity_rule(ctx, rng):
@@ -554,15 +562,11 @@ def _check_chain_rule(ctx, rng):
 def _check_frame_independence(ctx, rng):
     phi, t = _random_setup(ctx, rng)
     frame = _random_frame(ctx.metric, rng)
+    via_ortho = phi.derivative_via_frame(t, PRODUCT_KINDS, ctx.ortho)
+    via_frame = phi.derivative_via_frame(t, PRODUCT_KINDS, frame)
     dev = 0.0
     for kind in PRODUCT_KINDS:
-        dev = max(
-            dev,
-            max_abs_diff(
-                phi.derivative_via_frame(t, kind, ctx.ortho),
-                phi.derivative_via_frame(t, kind, frame),
-            ),
-        )
+        dev = max(dev, max_abs_diff(via_ortho[kind], via_frame[kind]))
     return dev, _witness(ctx, t, anchors=phi.anchors)
 
 
@@ -570,10 +574,12 @@ def _check_intrinsic_equivalence(ctx, rng):
     phi, t = _random_setup(ctx, rng)
     frame = _random_frame(ctx.metric, rng)
     table = phi.derivative_table(t, PRODUCT_KINDS)
+    via_ortho = phi.derivative_via_frame(t, PRODUCT_KINDS, ctx.ortho)
+    via_frame = phi.derivative_via_frame(t, PRODUCT_KINDS, frame)
     dev = 0.0
     for kind in PRODUCT_KINDS:
-        dev = max(dev, max_abs_diff(table[kind], phi.derivative_via_frame(t, kind, ctx.ortho)))
-        dev = max(dev, max_abs_diff(table[kind], phi.derivative_via_frame(t, kind, frame)))
+        dev = max(dev, max_abs_diff(table[kind], via_ortho[kind]))
+        dev = max(dev, max_abs_diff(table[kind], via_frame[kind]))
     return dev, _witness(ctx, t, anchors=phi.anchors)
 
 
@@ -688,21 +694,23 @@ def _derive_rng(seed: int, identity_id: str) -> np.random.Generator:
 
 def run_suite(config: HarnessConfig) -> list[IdentityResult]:
     """Run every identity in the selected suite; deterministic given the seed."""
-    metric = parse_metric(config.dim, config.metric)
-    ctx = _Context(metric=metric, config=config, ortho=Frame.orthonormal(metric))
+    ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
+    # the cached frame keeps the first equal Metric a process made; sharing
+    # that object lets every metric check take its identity fast path
+    ctx = _Context(metric=ortho.metric, config=config, ortho=ortho)
     results = []
     for check in catalog(config.suite):
         rng = _derive_rng(config.seed, check.id)
         tol = (config.tol_exact if check.tol_key == "exact" else config.tol_fd) * check.tol_factor
         max_dev = 0.0
-        witness: dict | None = None
+        worst: Callable[[], dict] | None = None  # the reported trial's witness builder
         for _ in range(config.trials):
-            dev, wit = check.trial(ctx, rng)
+            dev, build = check.trial(ctx, rng)
             # a non-finite deviation is the worst one; the first of them stays
-            if witness is None or (
+            if worst is None or (
                 math.isfinite(max_dev) and (dev > max_dev or not math.isfinite(dev))
             ):
-                max_dev, witness = dev, wit
+                max_dev, worst = dev, build
         passed = math.isfinite(max_dev) and max_dev <= tol
         results.append(
             IdentityResult(
@@ -711,7 +719,7 @@ def run_suite(config: HarnessConfig) -> list[IdentityResult]:
                 max_deviation=max_dev,
                 tolerance=tol,
                 passed=passed,
-                witness=None if passed else witness,
+                witness=None if passed else worst(),
             )
         )
     return results

@@ -23,7 +23,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _Gather, _Scatter, _signs, _sum_rows, _tables, product_sum
+from extcalc.algebra import _compound, _Gather, _Scatter, _signs, _sum_rows, _tables, product_sum
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
@@ -433,6 +433,17 @@ def test_random_multivector_is_deterministic_per_seed():
     assert max_abs_diff(a, b) == 0.0
 
 
+def test_compounds_of_grade_zero_and_one_are_exact():
+    m = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4))
+    m[0, 1] = -0.0
+    assert np.array_equal(_compound(m, 0), [[1.0]])
+    one = _compound(m, 1)
+    assert np.array_equal(one, m) and np.signbit(one[0, 1]) and one is not m
+    for grade in (-1, 5):
+        with pytest.raises(ValueError):
+            _compound(m, grade)
+
+
 def test_random_multivector_is_homogeneous():
     for grade in range(E3.dim + 1):
         mv = random_multivector(E3, grade, 7)
@@ -679,6 +690,41 @@ def test_batch_support_spans_all_rows():
     assert not x.is_homogeneous(1)
     vectors = x.grade_project(1).values()
     assert np.array_equal(vectors[0], e1.values()) and not vectors[1].any()
+
+
+def _homogeneity_cases():
+    e1, e2, e3 = vecs(E3)
+    nan_vector = np.zeros(8)
+    nan_vector[[1, 2]] = [np.nan, 1.0]
+    nan_bivector = np.zeros(8)
+    nan_bivector[[1, 3]] = [1.0, np.nan]
+    return {
+        "zero": Multivector.zero(E3),
+        "scalar": Multivector.from_scalar(E3, 2.0),
+        "vector": e1 + 2.0 * e2,
+        "mixed": e1 + (e2 ^ e3),
+        "batch": Multivector(E3, np.stack([e1.values(), (e2 ^ e3).values()])),
+        "vector-batch": Multivector(E3, np.stack([e1.values(), e3.values()])),
+        "vector-tangent": e1.with_tangents([e2, e3]),
+        "bivector-tangent": e1.with_tangent(e2 ^ e3),
+        "zero-tangent": Multivector.zero(E3).with_tangent(e2),
+        "nan-vector": Multivector(E3, nan_vector),
+        "nan-off-grade": Multivector(E3, nan_bivector),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_homogeneity_cases()))
+def test_is_homogeneous_matches_the_support(case):
+    x = _homogeneity_cases()[case]
+    support = x.values() != 0.0
+    if support.ndim == 2:
+        support = support.any(axis=0)
+    if x._tangents is not None:
+        support |= (x._tangents != 0.0).any(axis=0)
+    grades = _tables(E3).grades
+    for grade in (-1, 0, 1, 2, 3, 4, 1.0, 0.5):
+        expected = not support[grades != grade].any()
+        assert x.is_homogeneous(grade) == expected, grade
 
 
 def test_batch_refuses_tangent_operands():

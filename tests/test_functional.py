@@ -26,6 +26,7 @@ from extcalc.catalog import (
     trace_functional,
 )
 from extcalc.dual import exp, value_of
+from extcalc.errors import ConfigurationError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import (
     InducedFunctional,
@@ -275,10 +276,54 @@ def test_star_intrinsic_equals_frame_sum():
     phi = adjoint_image_functional(b)
     ortho = Frame.orthonormal(E3)
     skew = random_frame(E3, rng)
+    via_ortho = phi.derivative_via_frame(h, PRODUCT_KINDS, ortho)
+    via_skew = phi.derivative_via_frame(h, PRODUCT_KINDS, skew)
     for kind in PRODUCT_KINDS:
         intrinsic = phi.derivative(h, kind)
-        assert max_abs_diff(intrinsic, phi.derivative_via_frame(h, kind, ortho)) < 1e-12
-        assert max_abs_diff(intrinsic, phi.derivative_via_frame(h, kind, skew)) < 1e-12
+        assert max_abs_diff(intrinsic, via_ortho[kind]) < 1e-12
+        assert max_abs_diff(intrinsic, via_skew[kind]) < 1e-12
+
+
+@pytest.mark.parametrize("metric", [E3, Metric(4, (2.0, -1.0, 0.5, 1.0))])
+def test_frame_derivatives_of_all_kinds_equal_one_kind_calls(metric):
+    rng = np.random.default_rng(21)
+    h = Extensor.random_invertible(metric, rng)
+    b = random_multivector(metric, 1, rng)
+    for phi in (adjoint_image_functional(b), det_functional(metric)):
+        for frame in (Frame.orthonormal(metric), random_frame(metric, rng)):
+            table = phi.derivative_via_frame(h, PRODUCT_KINDS, frame)
+            assert list(table) == list(PRODUCT_KINDS)
+            for kind in PRODUCT_KINDS:
+                (alone,) = phi.derivative_via_frame(h, (kind,), frame).values()
+                assert np.array_equal(table[kind].values(), alone.values())
+
+
+def test_frame_over_a_foreign_metric_is_rejected():
+    # the blades of a frame over diag(1, -1, 2) weighed in E3 gave 0.5
+    phi = trace_functional(E3)
+    h = Extensor.identity(E3)
+    foreign = Frame.orthonormal(Metric(3, (1.0, -1.0, 2.0)))
+    with pytest.raises(ConfigurationError):
+        phi.derivative_via_frame(h, ("scalar",), foreign)
+    own = phi.derivative_via_frame(h, ("scalar",), Frame.orthonormal(E3))["scalar"]
+    assert max_abs_diff(own, Multivector.from_scalar(E3, 3.0)) < 1e-12
+    assert max_abs_diff(own, phi.derivative(h, "scalar")) < 1e-12
+    square = MvFunction(1, 1, 0, lambda x: x.scalar_product(x))
+    bridge = InducedFunctional(square, (basis_vectors(E3)[0],), 1)
+    for step in (None, DEFAULT_FD_STEP):
+        with pytest.raises(ConfigurationError):
+            component_partials(bridge, h, foreign, step)
+
+
+def test_kinds_must_be_a_sequence_not_a_string():
+    phi = trace_functional(E3)
+    h = Extensor.identity(E3)
+    with pytest.raises(ValueError, match="sequence of product kinds"):
+        phi.derivative_table(h, "scalar")
+    with pytest.raises(ValueError, match="sequence of product kinds"):
+        phi.derivative_via_frame(h, "scalar", Frame.orthonormal(E3))
+    listed = phi.derivative_table(h, ["scalar"])["scalar"]
+    assert max_abs_diff(listed, Multivector.from_scalar(E3, 3.0)) < 1e-12
 
 
 def test_functional_realizations_are_frame_independent():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from extcalc import harness
+from extcalc import cli, harness
 from extcalc.algebra import Metric, max_abs_diff, random_multivector
 from extcalc.errors import ConfigurationError
 from extcalc.extensor import Extensor
@@ -164,9 +164,51 @@ def _scripted_check(devs):
 
     def trial(ctx, rng):
         k, dev = next(trials)
-        return dev, {"trial": k}
+        return dev, lambda: {"trial": k}
 
     return IdentityCheck("scripted", "closed-form", trial)
+
+
+def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "multivector_to_map", counted(multivector_to_map))
+    monkeypatch.setattr(Extensor, "to_dict", counted(Extensor.to_dict))
+    out = tmp_path / "report.json"
+    rc = cli.main(["--dim", "3", "--trials", "2", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    assert calls == []
+
+
+def test_failing_witness_is_the_worst_trials_inputs(monkeypatch):
+    # each trial's witness, serialised as soon as the trial returns, against
+    # the one run_suite builds after all trials of the identity have run
+    snapshots = {}
+
+    def recording(check):
+        def trial(ctx, rng):
+            dev, build = check.trial(ctx, rng)
+            snapshots.setdefault(check.id, []).append((dev, json.dumps(build())))
+            return dev, build
+
+        return IdentityCheck(check.id, check.suite, trial, check.tol_key, check.tol_factor)
+
+    monkeypatch.setattr(harness, "CATALOG", tuple(map(recording, CATALOG)))
+    results = run_suite(HarnessConfig(trials=3, seed=5, tol_exact=1e-30, tol_fd=1e-30))
+    failed = [r for r in results if not r.passed]
+    assert len(failed) >= 30
+    for r in failed:
+        devs = [dev for dev, _ in snapshots[r.identity]]
+        worst = devs.index(max(devs))  # all finite here: the first maximum
+        assert r.max_deviation == devs[worst]
+        assert r.witness == json.loads(snapshots[r.identity][worst][1])
 
 
 def _reject_constant(name):
