@@ -92,6 +92,11 @@ class Metric:
         if not all(isfinite(g) and g != 0.0 for g in diag):
             raise ConfigurationError(f"metric entries must be finite and nonzero, got {diag}")
         object.__setattr__(self, "diag", diag)
+        # every table cache is keyed by the metric: hash it once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.dim, diag)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def euclidean(cls, dim: int) -> "Metric":
@@ -619,26 +624,35 @@ def _sum_rows(metric: Metric, grade: int, kind: str) -> tuple[np.ndarray, np.nda
     return index, signs
 
 
-def product_sum(metric: Metric, kind: str, grade: int, lefts, rights) -> np.ndarray:
-    """sum_i  lefts[i] * rights[..., i, :]  under the `kind` product.
+def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
+    """sum_i  lefts[i] * rights[..., i, :]  under each product of `kinds`.
 
     lefts is a (k, 2^n) array of grade-`grade` values (other coefficients
-    are ignored), rights (..., k, 2^n), the result (..., 2^n).  Over the
+    are ignored), rights (..., k, 2^n), each result (..., 2^n).  Over the
     grade's masks S, product(kind, x, d)[m] = sum_a x[S_a] d[S_a ^ m]
     R[S_a, m], so the i sum comes first as one matmul, cross =
     lefts[:, S].T @ rights, and the a sum is a gather of cross at
     (a, S_a ^ m) weighted by R[S_a, m].  The index and sign rows are cached
     per (metric, grade, kind): O(C(n, grade) * 2^n) each, never a dense
-    (C(n, grade) * 2^n, 2^n) operator.
+    (C(n, grade) * 2^n, 2^n) operator.  The index does not depend on the
+    kind, so a sequence of kinds shares one matmul and one gather and gives
+    a tuple of results, each bit for bit its kind's own; one kind (a
+    string) gives one result.
     """
-    if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind {kind!r}")
+    single = isinstance(kinds, str)
+    kinds = (kinds,) if single else tuple(kinds)
+    if not kinds:
+        return ()
+    for kind in kinds:
+        if kind not in PRODUCT_KINDS:
+            raise ValueError(f"unknown product kind {kind!r}")
     if not 0 <= grade <= metric.dim:
         raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
-    index, signs = _sum_rows(metric, grade, kind)
+    rows = [_sum_rows(metric, grade, kind) for kind in kinds]
     cross = np.ascontiguousarray(lefts[:, _tables(metric).blades[grade]].T) @ rights
-    gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., index]
-    return (gathered * signs).sum(axis=-2)
+    gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., rows[0][0]]
+    sums = tuple((gathered * signs).sum(axis=-2) for _, signs in rows)
+    return sums[0] if single else sums
 
 
 def grade_masks(dim: int, grade: int) -> list[int]:
@@ -678,39 +692,48 @@ def max_abs_diff(a: Multivector, b: Multivector) -> float:
 
 
 @lru_cache(maxsize=None)
-def _minor_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column gathers of the grade's k x k minors: generator positions
-    of each grade-k blade, increasing, broadcast to (C, C, k, k)."""
-    bits = [[j for j in range(dim) if m >> j & 1] for m in grade_masks(dim, grade)]
-    bits = np.array(bits, dtype=int).reshape(comb(dim, grade), grade)
-    return bits[:, None, :, None], bits[None, :, None, :]
+def _laplace_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gathers of the Laplace step from the (grade-1)-th compound to the
+    grade-th, expanding each minor along its last column: flat indices, each
+    (C, grade, C), into the n x n matrix (row i_r of blade I, last column of
+    blade J) and into the smaller compound (I without i_r, J without its last
+    column), and the cofactor signs (-1)^(r + grade - 1), shape (grade, 1)."""
+    masks, smaller = grade_masks(dim, grade), grade_masks(dim, grade - 1)
+    position = {m: i for i, m in enumerate(smaller)}
+    bits = [[j for j in range(dim) if m >> j & 1] for m in masks]
+    rows = np.array(bits).reshape(len(masks), grade)
+    sub_rows = np.array([[position[m ^ (1 << j)] for j in b] for b, m in zip(bits, masks)])
+    sub_rows = sub_rows.reshape(len(masks), grade)
+    last = rows[:, -1]
+    sub_cols = np.array([position[m ^ (1 << j)] for m, j in zip(masks, last.tolist())])
+    entries = rows[:, :, None] * dim + last[None, None, :]
+    minors = sub_rows[:, :, None] * len(smaller) + sub_cols[None, None, :]
+    signs = np.where(np.arange(grade) % 2 == (grade - 1) % 2, 1.0, -1.0)[:, None]
+    for arr in (entries, minors, signs):
+        arr.flags.writeable = False
+    return entries, minors, signs
 
 
 def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
     """The grade-th compound of an n x n matrix: entry (I, J) is its minor on
-    the generator sets of the I-th and J-th grade-`grade` blades, by Gaussian
-    elimination with partial pivoting, the pivots multiplied in order.
-    (np.linalg.det exponentiates a sum of logarithms: an ulp off even on a
-    diagonal minor, where this product is the wedge loop's, bit for bit.)
-    Grades 0 and 1 skip the elimination, whose result they are exactly:
-    [[1.0]] and a copy of the matrix."""
-    rows, cols = _minor_index(len(matrix), grade)  # rejects a grade out of range
+    the generator sets of the I-th and J-th grade-`grade` blades.  The k-th
+    compound comes from the (k-1)-th by one Laplace step along each minor's
+    last column, a gather, a multiply by the cofactor signs and a sum over
+    the k rows, with no pivoting and no division; on a diagonal minor that
+    is the diagonal's product in order, the wedge loop's bits.  Grade 0 is
+    [[1.0]] and grade 1 a copy of the matrix."""
+    n = len(matrix)
+    if not 0 <= grade <= n:
+        raise ValueError(f"grade {grade} out of range for dim {n}")
     if grade == 0:
         return np.ones((1, 1))
-    if grade == 1:
-        return np.array(matrix, dtype=float)
-    a = matrix[rows, cols]  # (C, C, k, k), a fresh array
-    det = np.ones(a.shape[:2])
-    for p in range(grade):
-        pivot = p + np.abs(a[..., p:, p]).argmax(axis=-1)[..., None, None]
-        row = np.take_along_axis(a, pivot, axis=-2)
-        np.put_along_axis(a, pivot, a[..., p : p + 1, :], axis=-2)
-        a[..., p : p + 1, :] = row
-        det *= np.where(pivot[..., 0, 0] == p, 1.0, -1.0) * row[..., 0, p]
-        below = a[..., p + 1 :, p : p + 1]
-        factors = np.divide(below, row[..., p : p + 1], out=np.zeros(below.shape), where=below != 0.0)
-        a[..., p + 1 :, :] -= factors * row
-    return det
+    compound = np.array(matrix, dtype=float)
+    for k in range(2, grade + 1):
+        entries, minors, signs = _laplace_index(n, k)
+        terms = np.take(matrix, entries) * np.take(compound, minors)
+        terms *= signs
+        compound = terms.sum(axis=1)
+    return compound
 
 
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:

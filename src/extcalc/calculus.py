@@ -2,18 +2,25 @@
 
 A function of k grade-q variables is differentiated along grade-q directions
 by one private kernel, _derivative_rows, which returns the derivatives along
-m directions in each of several variables as one (slots, m, 2^n) array.  Its
-`step` argument picks the oracle.  step=None is exact: it seeds every
-requested variable with its own band of m rows in one shared tangent block
-(zero rows elsewhere) and reads the tangent block of the result, so all
-slots cost one forward pass of the function, exact for anything built from
-the algebra products, Extensor application and the lifted smooth scalar
-maps.  A positive step takes central finite differences, an independent
-reference that never seeds a tangent: per variable, it stacks all 2m
-perturbed points X + step*d_r and X - step*d_r into one batched argument (a
-(2m, 2^n) value array, see extcalc.algebra) and evaluates the function once.
-One batch over all slots would make every product two-batched, the slow
-row-by-row kernel.
+m directions as one (bands, m, 2^n) array.  A band is one move of the
+arguments: the (bands, k) `weights` move variable j by weights[c, j] times
+the direction in band c.  The default identity weights give one band per
+variable, the derivative in that variable alone; one row of weights w gives
+the derivative along the combined move (w_1 d, ..., w_k d), which is
+sum_j w_j times the derivative in variable j (vector forward mode seeds any
+linear combination; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+2008, ch. 3).  Its `step` argument picks the oracle.  step=None is exact: it
+seeds every requested variable with its weighted copy of the m directions in
+each band of one shared tangent block and reads the tangent block of the
+result, so all bands cost one forward pass of the function, exact for
+anything built from the algebra products, Extensor application and the
+lifted smooth scalar maps.  A positive step takes central finite
+differences, an independent reference that never seeds a tangent: per band,
+it stacks all 2m perturbed points X + step*w*d_r and X - step*w*d_r of each
+variable the band moves into one batched argument (a (2m, 2^n) value array,
+see extcalc.algebra) and evaluates the function once.  So the default bands
+evaluate it once per variable: one batch over all of them would make every
+product two-batched, the slow row-by-row kernel.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum
@@ -23,9 +30,9 @@ gradient-style operators assemble the blade frame sum
 over the increasing-mask grade-q blades of a frame (Frame.blades); with the
 geometric product this is the standard derivative with respect to that
 variable.  _slot_gradients runs the kernel along the C(n, q) blades f_J in
-every requested variable and contracts the rows with algebra.product_sum,
-one array contraction for every slot together, into a (slots, 2^n) array;
-grad_star is its one-slot case.
+every requested variable, or in the weighted bands, and contracts the rows
+with algebra.product_sum, one array contraction for every band together,
+into a (bands, 2^n) array; grad_star is its one-slot case.
 """
 
 from __future__ import annotations
@@ -82,33 +89,40 @@ def _derivative_rows(
     slots: Sequence[int],
     directions: np.ndarray,
     step: float | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(k, m, 2^n) derivatives of func along the m rows of the (m, 2^n)
-    `directions` value array, in each of the k variables `slots`: exactly in
-    one forward pass (slot slots[j] seeded with directions in tangent rows
-    j*m .. (j+1)*m of k*m), or by a batch of the 2m points x + step*d and
-    x + -(step*d) per slot."""
+    """(b, m, 2^n) derivatives of func along the m rows of the (m, 2^n)
+    `directions` value array, one band per row of the (b, k) `weights`: band
+    c moves every variable slots[j] by weights[c, j] times the direction.
+    The default identity weights give one band per slot, the derivative in
+    that variable alone.  Exactly, it is one forward pass, slot slots[j]
+    seeded with weights[c, j] * directions in tangent rows c*m .. (c+1)*m of
+    b*m; by central differences, one batch of the 2m points x + step*w*d and
+    x + -(step*w*d) per band, in the slots its weights move."""
     metric = args[slots[0]].metric
-    k, m = len(slots), len(directions)
+    m = len(directions)
+    if weights is None:
+        weights = np.eye(len(slots))
     if step is None:
         seeded = list(args)
         for j, i in enumerate(slots):
-            block = np.zeros((k * m, metric.size))
-            block[j * m : (j + 1) * m] = directions
+            block = (weights[:, j, None, None] * directions).reshape(-1, metric.size)
             seeded[i] = Multivector._raw(metric, args[i]._values, block)
         block = func(*seeded)._tangents
         if block is None:  # func ignores every seeded slot
-            return np.zeros((k, m, metric.size))
-        return block.reshape(k, m, metric.size)
+            return np.zeros((len(weights), m, metric.size))
+        return block.reshape(len(weights), m, metric.size)
     if not step > 0:
         raise ValueError("step must be positive")
     steps = step * directions
     rows = []
-    for i in slots:
-        x = args[i]._values
+    for band in weights:
         batched = list(args)
-        batched[i] = Multivector._raw(metric, np.concatenate([x + steps, x + -steps]))
-        # an evaluator that ignores the slot returns one unbatched value
+        for w, i in zip(band.tolist(), slots):
+            if w:
+                x, moves = args[i]._values, w * steps
+                batched[i] = Multivector._raw(metric, np.concatenate([x + moves, x + -moves]))
+        # an evaluator that ignores the moved slots returns one unbatched value
         out = np.broadcast_to(func(*batched)._values, (2 * m, metric.size))
         rows.append((out[:m] - out[m:]) * (0.5 / step))
     return np.stack(rows)
@@ -142,10 +156,13 @@ def _slot_gradients(
     kind: str = "geometric",
     frame: Frame | None = None,
     step: float | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """(k, 2^n) array of grad_star in each of the k `slots`: the frame sum,
     one product_sum, of the derivatives along the C(n, q) frame blades, which
-    come from one _derivative_rows call."""
+    come from one _derivative_rows call.  With (b, k) `weights`, the b
+    weighted sums sum_j weights[c, j] * grad_star in slots[j], (b, 2^n),
+    each from one band of that call."""
     for i in slots:
         _check_slot(func, args, i)
     metric = args[slots[0]].metric
@@ -153,7 +170,8 @@ def _slot_gradients(
         frame = Frame.orthonormal(metric)
     q = func.input_grade
     primal, recip = frame.blades(q)
-    return product_sum(metric, kind, q, recip, _derivative_rows(func, args, slots, primal, step))
+    rows = _derivative_rows(func, args, slots, primal, step, weights)
+    return product_sum(metric, kind, q, recip, rows)
 
 
 def grad_star(

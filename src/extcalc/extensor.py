@@ -6,8 +6,10 @@ stored as a C(n,q) x C(n,p) matrix over the increasing-mask blade bases.  The
 grade-preserving extension of a (1,1) map (scalars fixed, wedges of vectors to
 wedges of images) is provided by Outermorphism: on grade k it is the k-th
 compound matrix, the C(n,k) x C(n,k) matrix of the map's k x k minors, which
-does not depend on the metric (extcalc.algebra builds the frame blades from
-the same minors).  The determinant is the matrix determinant, and the
+does not depend on the metric.  extcalc.algebra builds it from the lower
+compounds by Laplace expansion, and builds the frame blades from the same
+minors; Outermorphism applies it as it comes, without an Extensor around
+it.  The determinant is the matrix determinant, and the
 inverse is an LU solve behind a conditioning guard.  The trace and the
 bivector are computed in closed form, not as the frame sums that define
 them, so the harness identities they are right-hand sides of do not go
@@ -103,19 +105,7 @@ class Extensor:
             raise ConfigurationError("operand lives over a different metric")
         if not x.is_homogeneous(self.p):
             raise ValueError(f"argument must be homogeneous of grade {self.p}")
-        tables = _tables(self.metric)
-        src, dst = tables.blades[self.p], tables.blades[self.q]
-        if x._values.ndim == 2:  # a batch: one image per row
-            values = np.zeros(x._values.shape)
-            values[:, dst] = x._values[:, src] @ self.matrix.T
-            return Multivector._raw(self.metric, values)
-        values = np.zeros(self.metric.size)
-        values[dst] = self.matrix @ x._values[src]
-        tangents = None
-        if x._tangents is not None:
-            tangents = np.zeros((len(x._tangents), self.metric.size))
-            tangents[:, dst] = x._tangents[:, src] @ self.matrix.T
-        return Multivector._raw(self.metric, values, tangents)
+        return _apply_matrix(self.metric, self.matrix, self.p, self.q, x)
 
     __call__ = apply
 
@@ -219,6 +209,24 @@ class Extensor:
         return cls(metric, matrix, p, q)
 
 
+def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multivector):
+    """Image of a grade-p x under the C(n,q) x C(n,p) matrix, which the
+    caller has checked x against: value, tangent block or batch rows."""
+    tables = _tables(metric)
+    src, dst = tables.blades[p], tables.blades[q]
+    if x._values.ndim == 2:  # a batch: one image per row
+        values = np.zeros(x._values.shape)
+        values[:, dst] = x._values[:, src] @ matrix.T
+        return Multivector._raw(metric, values)
+    values = np.zeros(metric.size)
+    values[dst] = matrix @ x._values[src]
+    tangents = None
+    if x._tangents is not None:
+        tangents = np.zeros((len(x._tangents), metric.size))
+        tangents[:, dst] = x._tangents[:, src] @ matrix.T
+    return Multivector._raw(metric, values, tangents)
+
+
 def _coords(vectors) -> np.ndarray:
     """Grade-1 coordinates of the vectors' values, one column per vector."""
     return np.stack([v._values for v in vectors])[:, _tables(vectors[0].metric).blades[1]].T
@@ -251,6 +259,6 @@ class Outermorphism:
         if len(grades) > 1:
             raise ValueError("argument must be homogeneous")
         k = min(grades, default=0)  # the zero element maps through any grade
-        return Extensor(metric, _compound(self.base.matrix, k), k, k).apply(x)
+        return _apply_matrix(metric, _compound(self.base.matrix, k), k, k, x)
 
     __call__ = apply

@@ -24,10 +24,15 @@ map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
     test target, as is independence from the choice of frame.
 
 Each derivative method takes `step`: None differentiates F exactly, a positive
-step by central differences (the oracle choice of calculus.grad_star).  Every
-method gets the slot gradients dF/dX^i as one (k, 2^n) array: exactly from
-one forward pass of F, or by one batched finite difference per slot.  Each
-star form is one algebra.product_sum per product kind, of the anchors with
+step by central differences (the oracle choice of calculus.grad_star).  The
+directional derivative is linear in the weights w_i = A . A^i, so it is one
+weighted pass of the calculus kernel: along each grade-q frame blade f_J,
+slot i moves by w_i f_J, with C(n, q) tangent rows in all, or one batch of
+2 C(n, q) points per slot and one evaluation of F; one geometric
+product_sum against the reciprocal blades finishes it.  The star operators
+get the slot gradients dF/dX^i as one (k, 2^n) array: exactly from one
+forward pass of F, or by one batched finite difference per slot.  Each star
+form is one algebra.product_sum over the product kinds, of the anchors with
 the gradients or, in derivative_via_frame, of the reciprocal frame blades
 with the blade derivatives (blade . anchor weights times the gradients).
 derivative_table and derivative_via_frame both take a sequence of kinds and
@@ -54,7 +59,7 @@ from .algebra import Frame, Metric, Multivector, _tables, product_sum
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
 from .errors import ConfigurationError
-from .extensor import Extensor
+from .extensor import Extensor, _apply_matrix
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,7 @@ class InducedFunctional:
                 raise ValueError(f"anchors must be homogeneous of grade {self.source_grade}")
             if a.metric is not self.anchors[0].metric and a.metric != self.anchors[0].metric:
                 raise ValueError("anchors live over different metrics")
+        object.__setattr__(self, "_anchor_values", np.stack([a._values for a in self.anchors]))
 
     @property
     def metric(self) -> Metric:
@@ -97,8 +103,10 @@ class InducedFunctional:
             )
 
     def arguments(self, t: Extensor) -> tuple[Multivector, ...]:
+        """(t(A^1), ..., t(A^k)), each what t.apply gives; the anchors' grade
+        and metric were checked once, in __post_init__ and _check_map."""
         self._check_map(t)
-        return tuple(t.apply(a) for a in self.anchors)
+        return tuple(_apply_matrix(self.metric, t.matrix, t.p, t.q, a) for a in self.anchors)
 
     def evaluate(self, t: Extensor) -> Multivector:
         return self.func(*self.arguments(t))
@@ -118,8 +126,8 @@ class InducedFunctional:
         """Scalar products d . A^i, shape (..., k) for direction rows (..., 2^n):
         one vecdot, each entry the BLAS dot scalar_value(d, A^i) makes (a
         matmul would reassociate the sums)."""
-        anchors = np.stack([a._values for a in self.anchors])
-        return np.vecdot(directions[..., None, :], anchors * _tables(self.metric).weight)
+        weighted = self._anchor_values * _tables(self.metric).weight
+        return np.vecdot(directions[..., None, :], weighted)
 
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
@@ -132,11 +140,10 @@ class InducedFunctional:
         weights = self._anchor_weights(direction._values)
         if not weights.any():
             return Multivector.zero(self.metric)
-        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
-        # summed in slot order, not as weights @ grads, whose BLAS reassociation
-        # moves the result by more ulps
-        terms = (w * g for w, g in zip(weights, grads))
-        return Multivector._raw(self.metric, sum(terms, np.zeros(self.metric.size)))
+        # one band: slot i moves by (direction . A^i) times each frame blade
+        args = self.arguments(t)
+        grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights[None])
+        return Multivector._raw(self.metric, grad[0])
 
     def _check_frame(self, frame: Frame):
         if frame.metric is not self.metric and frame.metric != self.metric:
@@ -148,8 +155,7 @@ class InducedFunctional:
         """Star derivatives for several product kinds, sharing one gradient pass."""
         _check_kinds(kinds)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
-        anchors = np.stack([a._values for a in self.anchors])
-        sums = (product_sum(self.metric, kind, self.source_grade, anchors, grads) for kind in kinds)
+        sums = product_sum(self.metric, kinds, self.source_grade, self._anchor_values, grads)
         return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
 
     def derivative(
@@ -169,7 +175,7 @@ class InducedFunctional:
         primal, recip = frame.blades(self.source_grade)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
-        sums = (product_sum(self.metric, kind, self.source_grade, recip, rows) for kind in kinds)
+        sums = product_sum(self.metric, kinds, self.source_grade, recip, rows)
         return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
 
     # -- combinators -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def test_metric_rejects_zero_entries():
         Metric(2, (1.0, 0.0))
     with pytest.raises(ConfigurationError):
         Metric(3, (1.0, 1.0))  # wrong arity
+
+
+def test_equal_metrics_hash_equal_and_share_one_table_entry():
+    a = Metric(5, (2, -1, 0.5, -3, 1))
+    b = Metric(5, (2.0, -1.0, 0.5, -3.0, 1.0))
+    assert a == b and a is not b and hash(a) == hash(b)
+    tables = _tables(a)
+    before = _tables.cache_info()
+    assert _tables(b) is tables
+    after = _tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.currsize == before.currsize
+    assert Metric(5) != a and _tables(Metric(5)) is not tables
 
 
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
@@ -442,6 +456,57 @@ def test_compounds_of_grade_zero_and_one_are_exact():
     for grade in (-1, 5):
         with pytest.raises(ValueError):
             _compound(m, grade)
+
+
+def _minor_compound(m, grade):
+    """The compound by one np.linalg.det per minor: the reference."""
+    n = len(m)
+    sets = [[j for j in range(n) if mask >> j & 1] for mask in range(1 << n)
+            if mask.bit_count() == grade]
+    return np.array([[np.linalg.det(m[np.ix_(rows, cols)]) if grade else 1.0 for cols in sets]
+                     for rows in sets])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compound_matches_determinants_of_minors(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(2):
+        m = np.eye(n) + 0.5 * rng.uniform(-1.0, 1.0, (n, n))
+        for grade in range(n + 1):
+            got, ref = _compound(m, grade), _minor_compound(m, grade)
+            assert got.shape == ref.shape == (comb(n, grade),) * 2
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), grade
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compound_is_multiplicative(n):
+    # Cauchy-Binet: the compound of a product is the product of the compounds
+    rng = np.random.default_rng(80 + n)
+    a, b = (np.eye(n) + 0.5 * rng.uniform(-1.0, 1.0, (n, n)) for _ in range(2))
+    for grade in range(n + 1):
+        left = _compound(a @ b, grade)
+        right = _compound(a, grade) @ _compound(b, grade)
+        scale = (np.abs(_compound(a, grade)) @ np.abs(_compound(b, grade))).max()
+        assert np.abs(left - right).max() <= 1e-13 * scale, grade
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coordinate_frame_blades_are_exact_signs(n):
+    # the identity's compounds, and so the coordinate frame's blades, are 0 and 1
+    metric = Metric(n, _SIGNED_DIAG[:n])
+    masks = _tables(metric).blades
+    for grade in range(n + 1):
+        assert np.array_equal(_compound(np.eye(n), grade), np.eye(comb(n, grade)))
+        primal = Frame.orthonormal(metric).blades(grade)[0]
+        expected = np.zeros((comb(n, grade), metric.size))
+        expected[np.arange(comb(n, grade)), masks[grade]] = 1.0
+        assert np.array_equal(primal, expected), grade
+    flip = np.eye(n)[::-1]  # a permutation: every minor 0 or +-1
+    for grade in range(n + 1):
+        assert set(np.unique(_compound(flip, grade))) <= {-1.0, 0.0, 1.0}
+    for grade in (-1, n + 1, n + 2):
+        with pytest.raises(ValueError):
+            _compound(np.eye(n), grade)
 
 
 def test_random_multivector_is_homogeneous():
@@ -956,6 +1021,24 @@ def test_blade_sum_matches_product_loop(n, grade):
                         # same order, so the same bits as the loop
                         assert np.array_equal(got[b], expected), kind
                 assert np.array_equal(product_sum(metric, kind, grade, left, rows[0]), got[0])
+
+
+@pytest.mark.parametrize("metric", [E3, Metric(4, (2.0, -1.0, 0.5, -3.0))])
+def test_product_sum_over_kinds_is_bit_equal_to_one_kind_calls(metric):
+    rng = np.random.default_rng(11)
+    for grade in range(metric.dim + 1):
+        lefts = np.stack([random_multivector(metric, grade, rng).values() for _ in range(3)])
+        rights = rng.uniform(-1.0, 1.0, (2, 3, metric.size))
+        sums = product_sum(metric, PRODUCT_KINDS, grade, lefts, rights)
+        assert isinstance(sums, tuple) and len(sums) == len(PRODUCT_KINDS)
+        for kind, got in zip(PRODUCT_KINDS, sums):
+            assert np.array_equal(got, product_sum(metric, kind, grade, lefts, rights)), kind
+        pair = product_sum(metric, ("lcontract", "wedge"), grade, lefts, rights[0])
+        assert np.array_equal(pair[0], product_sum(metric, "lcontract", grade, lefts, rights[0]))
+        assert np.array_equal(pair[1], product_sum(metric, "wedge", grade, lefts, rights[0]))
+    assert product_sum(metric, (), 1, lefts, rights) == ()
+    with pytest.raises(ValueError):
+        product_sum(metric, ("wedge", "cross"), 1, lefts, rights)
 
 
 def test_blade_sum_rejects_unknown_kind():

@@ -12,6 +12,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
+from extcalc.algebra import _compound
 from extcalc.errors import ConfigurationError, SingularExtensorError
 from extcalc.extensor import Extensor, Outermorphism
 
@@ -189,6 +190,28 @@ def test_outermorphism_matches_wedge_loop_reference(n):
         batch = om(Multivector(metric, np.stack([r.values() for r in rows])))
         for got, r in zip(batch.values(), rows):
             close(got, r)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_outermorphism_applies_the_compound_directly(n):
+    # bit for bit what an Extensor of the compound gives, without building one
+    metric = signed_metric(n)
+    rng = np.random.default_rng(90 + n)
+    h = Extensor.random(metric, rng)
+    om = Outermorphism(h)
+    for k in range(n + 1):
+        x, d = random_multivector(metric, k, rng), random_multivector(metric, k, rng)
+        batch = Multivector(metric, np.stack([x.values(), d.values()]))
+        reference = Extensor(metric, _compound(h.matrix, k), k, k)
+        for arg in (x, x.with_tangents([d, x]), batch):
+            got, ref = om(arg), reference.apply(arg)
+            assert np.array_equal(got._values, ref._values), k
+            assert (got._tangents is None) == (ref._tangents is None)
+            if ref._tangents is not None:
+                assert np.array_equal(got._tangents, ref._tangents), k
+    zero = Multivector.zero(metric)
+    image, ref = om(zero), Extensor(metric, _compound(h.matrix, 0), 0, 0)(zero)
+    assert np.array_equal(image.values(), ref.values()) and image.norm_inf() == 0.0
 
 
 def test_outermorphism_requires_homogeneous_input():

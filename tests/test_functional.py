@@ -477,6 +477,106 @@ def test_fd_directional_derivative_rejects_mixed_grade_direction():
         det_functional(E3).directional_derivative(h, mixed, step=DEFAULT_FD_STEP)
 
 
+# -- one weighted pass per directional derivative ----------------------------------------------
+
+NON_UNIT4 = Metric(4, (2.0, -1.0, 0.5, -3.0))
+
+
+def _slot_mixing(metric, k, rng):
+    """k grade-1 variables coupled through the geometric and wedge products."""
+    c = random_multivector(metric, 1, rng)
+
+    def evaluator(*xs):
+        total = xs[0].scalar_product(xs[0]).geometric(c)
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            total = total + x.geometric(y.wedge(c))
+        return total
+
+    return MvFunction(k, 1, None, evaluator)
+
+
+def _weighted_case(metric, k, seed):
+    rng = np.random.default_rng(seed)
+    anchors = tuple(random_multivector(metric, 1, rng) for _ in range(k))
+    phi = InducedFunctional(_slot_mixing(metric, k, rng), anchors, 1)
+    return phi, Extensor.random_invertible(metric, rng), random_multivector(metric, 1, rng)
+
+
+def _slot_sum(phi, t, direction):
+    """sum_i (direction . A^i) dF/dX^i from the per-slot gradients, and its scale."""
+    weights = [scalar_value(direction, a) for a in phi.anchors]
+    grads = phi.partial_gradients(t)
+    total = sum((w * g for w, g in zip(weights, grads)), Multivector.zero(phi.metric))
+    scale = sum(abs(w) * g.norm_inf() for w, g in zip(weights, grads))
+    return total, scale
+
+
+@pytest.mark.parametrize("metric", [E3, NON_UNIT4])
+def test_weighted_pass_equals_the_weighted_slot_gradients(metric):
+    for k in (1, 2, metric.dim):
+        phi, t, direction = _weighted_case(metric, k, 30 + k)
+        expected, scale = _slot_sum(phi, t, direction)
+        exact = phi.directional_derivative(t, direction)
+        assert max_abs_diff(exact, expected) <= 1e-13 * scale, k
+        fd = phi.directional_derivative(t, direction, step=DEFAULT_FD_STEP)
+        assert max_abs_diff(fd, exact) <= 1e-5, k
+
+
+@pytest.mark.parametrize("metric", [E3, NON_UNIT4])
+def test_weighted_pass_evaluates_the_function_once(metric):
+    # exactly, C(n, 1) = n tangent rows in every slot; by differences, one batch
+    # of the 2n points in every slot
+    n = metric.dim
+    for k in (1, 2, n):
+        phi, t, direction = _weighted_case(metric, k, 40 + k)
+        seen = []
+        func = phi.func
+
+        def evaluator(*xs):
+            seen.append(tuple(x._values.shape if x._tangents is None else x._tangents.shape
+                              for x in xs))
+            return func(*xs)
+
+        counted = phi._with_func(MvFunction(k, 1, None, evaluator))
+        counted.directional_derivative(t, direction)
+        assert seen == [((n, metric.size),) * k]
+        seen.clear()
+        counted.directional_derivative(t, direction, step=DEFAULT_FD_STEP)
+        assert seen == [((2 * n, metric.size),) * k]
+
+
+@pytest.mark.parametrize("metric", [E3, NON_UNIT4])
+def test_weighted_pass_with_a_zero_weight_or_an_ignored_slot(metric):
+    rng = np.random.default_rng(50)
+    e1, e2 = basis_vectors(metric)[:2]
+    t = Extensor.random_invertible(metric, rng)
+    # the direction e1 is orthogonal to the second anchor: that slot has weight 0
+    phi = InducedFunctional(_slot_mixing(metric, 2, rng), (e1, e2), 1)
+    expected, scale = _slot_sum(phi, t, e1)
+    for step in (None, DEFAULT_FD_STEP):
+        got = phi.directional_derivative(t, e1, step=step)
+        assert max_abs_diff(got, expected) <= (1e-13 * scale if step is None else 1e-5)
+    # F ignores its second variable: a move in that slot alone changes nothing
+    ignoring = InducedFunctional(MvFunction(2, 1, None, lambda x, y: x.geometric(x)), (e1, e2), 1)
+    expected, scale = _slot_sum(ignoring, t, e1 + e2)
+    for step in (None, DEFAULT_FD_STEP):
+        assert ignoring.directional_derivative(t, e2, step=step).norm_inf() == 0.0
+        got = ignoring.directional_derivative(t, e1 + e2, step=step)
+        assert max_abs_diff(got, expected) <= (1e-13 * scale if step is None else 1e-5)
+
+
+@pytest.mark.parametrize("metric", [E3, NON_UNIT4])
+def test_arguments_are_bit_equal_to_applying_the_map(metric):
+    rng = np.random.default_rng(51)
+    for p, q in ((1, 1), (2, 1), (2, 2)):
+        anchors = tuple(random_multivector(metric, p, rng) for _ in range(3))
+        func = MvFunction(3, q, None, lambda *xs: xs[0])
+        phi = InducedFunctional(func, anchors, p)
+        t = Extensor.random(metric, rng, p, q)
+        for got, a in zip(phi.arguments(t), anchors):
+            assert np.array_equal(got._values, t.apply(a)._values) and got._tangents is None
+
+
 # -- bridge to matrix components ----------------------------------------------------------------
 
 
