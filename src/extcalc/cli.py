@@ -14,23 +14,40 @@ from .harness import SUITES, HarnessConfig, emit_report, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = HarnessConfig()
     parser = argparse.ArgumentParser(
         prog="extcalc",
         description="Run the derivative-identity verification suite.",
     )
-    parser.add_argument("--dim", type=int, default=3, help="dimension of the base space (2-8)")
+    parser.add_argument(
+        "--dim", type=int, default=defaults.dim, help="dimension of the base space (2-8)"
+    )
     parser.add_argument(
         "--metric",
-        default="euclidean",
+        default=defaults.metric,
         help='metric signature: "euclidean" or "diag:+,+,-" style (numeric entries allowed)',
     )
-    parser.add_argument("--trials", type=int, default=64, help="random trials per identity")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    parser.add_argument("--tol-exact", type=float, default=1e-9, help="tolerance for exact paths")
-    parser.add_argument("--tol-fd", type=float, default=1e-5, help="tolerance for finite-difference paths")
-    parser.add_argument("--fd-step", type=float, default=1e-5, help="central-difference step")
     parser.add_argument(
-        "--suite", choices=SUITES + ("all",), default="all", help="which identity suite to run"
+        "--trials", type=int, default=defaults.trials, help="random trials per identity"
+    )
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed (64-bit)")
+    parser.add_argument(
+        "--tol-exact", type=float, default=defaults.tol_exact, help="tolerance for exact paths"
+    )
+    parser.add_argument(
+        "--tol-fd",
+        type=float,
+        default=defaults.tol_fd,
+        help="tolerance for finite-difference paths",
+    )
+    parser.add_argument(
+        "--fd-step", type=float, default=defaults.fd_step, help="central-difference step"
+    )
+    parser.add_argument(
+        "--suite",
+        choices=SUITES + ("all",),
+        default=defaults.suite,
+        help="which identity suite to run",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -1,12 +1,21 @@
 """Randomized verification harness for the derivative-identity catalog.
 
 Every closed-form identity of the functional calculus (and the generic
-derivation rules behind it) is packaged as an IdentityCheck that draws random
-inputs, measures the worst deviation between the two sides, and reports
-pass/fail against a tolerance.  Checks with an -fd suffix compare the exact
-tangent-propagation route against the central-finite-difference oracle, and
-the bridge suite ties the derivative operators to ordinary partial
-derivatives in the matrix components of the map.
+derivation rules behind it) is an IdentityCheck of one shape:
+
+  draw(ctx, rng) -> Inputs     the trial's map, functional, direction, frame
+                               and other drawn values, in a frozen record;
+  sides(inputs) -> pairs       the (lhs, rhs) sides of the identity;
+  _deviation(pairs)            the largest max_abs_diff over the pairs, each
+                               over max(1, |rhs|) where the identity is
+                               relative; the first NaN is the result.
+
+run_suite keeps each identity's worst trial against a tolerance and, on
+failure, reports that trial's Inputs.witness.  Checks with an -fd suffix
+share their exact twin's draw and compare the exact tangent-propagation
+route against the central-finite-difference oracle; the bridge suite ties
+the derivative operators to ordinary partial derivatives in the matrix
+components of the map.
 
 Per-check RNG streams are derived from (seed, identity id), so results do not
 depend on execution order and identical configs give identical reports.
@@ -18,7 +27,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -100,7 +109,10 @@ class HarnessConfig:
     suite: str = "all"
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or not 2 <= self.dim <= HARNESS_MAX_DIM:
+        for name in ("dim", "trials", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not 2 <= self.dim <= HARNESS_MAX_DIM:
             raise ConfigurationError(f"dim must be in [2, {HARNESS_MAX_DIM}], got {self.dim!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
@@ -141,7 +153,7 @@ class _Context:
     ortho: Frame
 
 
-# -- witness serialization ------------------------------------------------------
+# -- one trial's inputs, its witness and its deviation ---------------------------
 
 
 def multivector_to_map(mv: Multivector) -> dict:
@@ -158,26 +170,84 @@ def multivector_from_map(metric: Metric, mapping: dict) -> Multivector:
     return out
 
 
-def _witness(
-    ctx: _Context, t: Extensor | None = None, anchors=None, direction=None, **extra
-) -> Callable[[], dict]:
-    """Builder of one trial's witness dict.  The inputs are immutable, so
-    run_suite calls it only for the trial it reports; an extra Multivector
-    is written as a blade map."""
+# the Inputs fields a witness writes after the map's own record
+WITNESS_FIELDS = (
+    "anchors", "direction", "alpha", "beta", "scale", "constant", "smooth", "functional"
+)
 
-    def build() -> dict:
-        w: dict = {"n": ctx.metric.dim, "metric": list(ctx.metric.diag)}
-        if t is not None:
-            w.update(t.to_dict())
-        if anchors is not None:
-            w["anchors"] = [multivector_to_map(a) for a in anchors]
-        if direction is not None:
-            w["direction"] = multivector_to_map(direction)
-        for key, value in extra.items():
-            w[key] = multivector_to_map(value) if isinstance(value, Multivector) else value
+
+@dataclass(frozen=True)
+class Inputs:
+    """One trial's drawn values: the map h, the functional phi, the direction,
+    the frame and the drawn choices.  The anchors default to phi's."""
+
+    ctx: _Context
+    h: Extensor
+    phi: InducedFunctional | None = None
+    aux: tuple = ()  # read by the sides, not written: drawn vectors or functionals
+    direction: Multivector | None = None
+    frame: Frame | None = None
+    anchors: tuple | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    scale: float | None = None
+    constant: Multivector | None = None
+    smooth: str | None = None  # the chain rule's scalar map
+    functional: str | None = None  # the bridge functional's name
+
+    def __post_init__(self):
+        if self.anchors is None and self.phi is not None:
+            object.__setattr__(self, "anchors", self.phi.anchors)
+
+    def derivative(self, phi=None, step=None) -> Multivector:
+        """phi's (default: the drawn functional's) derivative along the
+        direction at h, exact or with a finite-difference step."""
+        phi = self.phi if phi is None else phi
+        return phi.directional_derivative(self.h, self.direction, step=step)
+
+    def witness(self) -> dict:
+        """The map's record plus every set WITNESS_FIELDS entry, multivectors
+        as blade maps.  run_suite calls it only for the trial it reports."""
+        w = self.h.to_dict()
+        for key in WITNESS_FIELDS:
+            value = getattr(self, key)
+            if isinstance(value, Multivector):
+                value = multivector_to_map(value)
+            elif isinstance(value, tuple):
+                value = [multivector_to_map(v) for v in value]
+            if value is not None:
+                w[key] = value
         return w
 
-    return build
+
+def _deviation(pairs, relative: bool = False) -> float:
+    """Largest max_abs_diff over the (lhs, rhs) pairs, each divided by
+    max(1, |rhs|) when relative.  The first NaN is the result, so no product
+    kind or grade can hide one."""
+    dev = 0.0
+    for lhs, rhs in pairs:
+        if isinstance(lhs, Multivector):
+            d = max_abs_diff(lhs, rhs)
+        else:  # the bridge's component arrays
+            d = float(np.max(np.abs(lhs - rhs)))
+        if relative:
+            d /= max(1.0, rhs.norm_inf())
+        if math.isnan(d):
+            return d
+        if d > dev:
+            dev = d
+    return dev
+
+
+def _check(identity, suite, draw, sides, relative=False, tol_key="exact", tol_factor=1.0):
+    """The check whose trial draws Inputs with draw(ctx, rng), reduces their
+    sides(inputs) to one deviation, and hands run_suite their witness."""
+
+    def trial(ctx, rng):
+        inputs = draw(ctx, rng)
+        return _deviation(sides(inputs), relative), inputs.witness
+
+    return IdentityCheck(identity, suite, trial, tol_key, tol_factor)
 
 
 # -- random input helpers -------------------------------------------------------
@@ -230,11 +300,11 @@ def _random_value_func(metric: Metric, rng, k: int, q: int) -> MvFunction:
     return options[rng.integers(len(options))]
 
 
-def _random_setup(ctx: _Context, rng, source_grade=None, scalar_valued=False):
+def _random_setup(ctx: _Context, rng, scalar_valued=False):
     """Random anchors, matching map, and function; returns (functional, map)."""
     metric = ctx.metric
     top = min(2, metric.dim)
-    p = int(rng.integers(1, top + 1)) if source_grade is None else source_grade
+    p = int(rng.integers(1, top + 1))
     q = int(rng.integers(1, top + 1))
     k = int(rng.integers(1, 3))
     anchors = tuple(random_multivector(metric, p, rng) for _ in range(k))
@@ -247,59 +317,53 @@ def _random_setup(ctx: _Context, rng, source_grade=None, scalar_valued=False):
     return InducedFunctional(func, anchors, p), t
 
 
-def _rel(dev: float, rhs: Multivector) -> float:
-    return dev / max(1.0, rhs.norm_inf())
-
-
 # -- worked-example checks -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _WorkedExample:
-    """One named functional with its closed-form derivative expectations."""
-
-    name: str
-    build: Callable  # (ctx, rng) -> (functional, aux dict)
-    directional_rhs: Callable | None = None  # (ctx, h, a, aux) -> Multivector
-    star_rhs: Callable | None = None  # (ctx, h, aux) -> {kind: Multivector}
-    relative: bool = False
-
-
-def _build_pair(kind):
-    def build(ctx, rng):
+def _draw_pair(kind):
+    def draw(ctx, rng):
         b = random_multivector(ctx.metric, 1, rng)
         c = random_multivector(ctx.metric, 1, rng)
-        return pair_product_functional(kind, b, c), {"b": b, "c": c}
+        return pair_product_functional(kind, b, c), (b, c)
 
-    return build
+    return draw
 
 
-def _build_vector_image(ctx, rng):
+def _draw_vector_image(ctx, rng):
     b = random_multivector(ctx.metric, 1, rng)
-    return apply_functional(b), {"b": b}
+    return apply_functional(b), (b,)
 
 
-def _build_adjoint_image(ctx, rng):
+def _draw_adjoint_image(ctx, rng):
     b = random_multivector(ctx.metric, 1, rng)
-    return adjoint_image_functional(b, _maybe_random_frame(ctx, rng)), {"b": b}
+    return adjoint_image_functional(b, _maybe_random_frame(ctx, rng)), (b,)
 
 
-def _build_over_frame(make):
-    """Builder of make(metric, frame), the frame random or orthonormal."""
-    return lambda ctx, rng: (make(ctx.metric, _maybe_random_frame(ctx, rng)), {})
+def _draw_over_frame(make):
+    """Draw of make(metric, frame), the frame random or orthonormal."""
+    return lambda ctx, rng: (make(ctx.metric, _maybe_random_frame(ctx, rng)), ())
 
 
-def _build_pseudoscalar_image(ctx, rng):
+def _draw_pseudoscalar_image(ctx, rng):
     sign = 1.0 if rng.integers(2) else -1.0
     pss = (sign * float(rng.uniform(0.5, 2.0))) * unit_pseudoscalar(ctx.metric)
-    phi = pseudoscalar_image_functional(pss, _maybe_random_frame(ctx, rng))
-    return phi, {"pss": pss}
+    return pseudoscalar_image_functional(pss, _maybe_random_frame(ctx, rng)), (pss,)
 
 
-def _det_star_rhs(ctx, h, aux):
+def _scalar_star(value):
+    """Star table with no curl and value(n) for both divergences and the gradient."""
+
+    def star(m, h):
+        s = Multivector.from_scalar(m, value(m.dim))
+        return {"wedge": Multivector.zero(m), "scalar": s, "lcontract": s, "geometric": s}
+
+    return star
+
+
+def _det_star(m, h):
     d = h.det()
     hinv = h.inverse()
-    trace_term = Multivector.from_scalar(ctx.metric, d * hinv.trace())
+    trace_term = Multivector.from_scalar(m, d * hinv.trace())
     biv_term = d * hinv.bivector()
     return {
         "wedge": biv_term,
@@ -309,235 +373,150 @@ def _det_star_rhs(ctx, h, aux):
     }
 
 
-_EXAMPLES = (
-    _WorkedExample(
-        "dot-pair",
-        _build_pair("scalar"),
-        directional_rhs=lambda ctx, h, a, aux: h(
-            scalar_value(a, aux["b"]) * aux["c"] + scalar_value(a, aux["c"]) * aux["b"]
-        ),
-    ),
-    _WorkedExample(
-        "wedge-pair",
-        _build_pair("wedge"),
-        directional_rhs=lambda ctx, h, a, aux: (ctx.metric.dim - 1)
-        * Outermorphism(h)(a.lcontract(aux["b"].wedge(aux["c"]))),
-    ),
-    _WorkedExample(
-        "vector-image",
-        _build_vector_image,
-        directional_rhs=lambda ctx, h, a, aux: Multivector.from_scalar(
-            ctx.metric, ctx.metric.dim * scalar_value(a, aux["b"])
-        ),
-        star_rhs=lambda ctx, h, aux: {
-            "wedge": ctx.metric.dim * aux["b"],
-            "geometric": ctx.metric.dim * aux["b"],
-            "scalar": Multivector.zero(ctx.metric),
-            "lcontract": Multivector.zero(ctx.metric),
-        },
-    ),
-    _WorkedExample(
-        "adjoint-image",
-        _build_adjoint_image,
-        directional_rhs=lambda ctx, h, a, aux: aux["b"].geometric(a),
-        star_rhs=lambda ctx, h, aux: {
-            "wedge": aux["b"],
-            "scalar": Multivector.zero(ctx.metric),
-            "lcontract": (1 - ctx.metric.dim) * aux["b"],
-            "geometric": (2 - ctx.metric.dim) * aux["b"],
-        },
-    ),
-    _WorkedExample(
-        "trace",
-        _build_over_frame(trace_functional),
-        directional_rhs=lambda ctx, h, a, aux: a,
-        star_rhs=lambda ctx, h, aux: {
-            "wedge": Multivector.zero(ctx.metric),
-            "scalar": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
-            "lcontract": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
-            "geometric": Multivector.from_scalar(ctx.metric, ctx.metric.dim),
-        },
-    ),
-    _WorkedExample(
-        "bivector",
-        _build_over_frame(bivector_functional),
-        directional_rhs=lambda ctx, h, a, aux: (ctx.metric.dim - 1) * a,
-        star_rhs=lambda ctx, h, aux: {
-            "wedge": Multivector.zero(ctx.metric),
-            "scalar": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
-            "lcontract": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
-            "geometric": Multivector.from_scalar(ctx.metric, (ctx.metric.dim - 1) * ctx.metric.dim),
-        },
-    ),
-    _WorkedExample(
-        "pseudoscalar-image",
-        _build_pseudoscalar_image,
-        directional_rhs=lambda ctx, h, a, aux: Outermorphism(h)(a.lcontract(aux["pss"])),
-    ),
-    _WorkedExample(
-        "det",
-        _build_over_frame(det_functional),
-        directional_rhs=lambda ctx, h, a, aux: h.det() * h.adjoint().inverse()(a),
-        star_rhs=_det_star_rhs,
-        relative=True,
-    ),
-)
+def _fd_pair(x: Inputs, phi) -> tuple:
+    """phi's exact derivative against its finite-difference route."""
+    return x.derivative(phi), x.derivative(phi, x.ctx.config.fd_step)
 
 
-def _directional_trial(ex: _WorkedExample, fd: bool = False):
-    """Exact directional derivative against the closed form, or with fd=True
-    against the finite-difference route (always an absolute comparison)."""
+def _example(name, make, directional, star=None, relative=False) -> list[IdentityCheck]:
+    """The checks of one worked functional, drawn by make(ctx, rng) -> (phi,
+    aux) after a random invertible map and, for the directional checks, a
+    vector a.  directional(metric, h, a, *aux) is the closed-form
+    a-derivative and star(metric, h, *aux) the {kind: closed form} table.
+    The -fd twin shares the draw and compares with the finite-difference
+    route, always absolutely."""
 
-    def trial(ctx, rng):
+    def draw_directional(ctx, rng):
         h = Extensor.random_invertible(ctx.metric, rng)
         a = random_multivector(ctx.metric, 1, rng)
-        phi, aux = ex.build(ctx, rng)
-        if fd:
-            rhs = phi.directional_derivative(h, a, step=ctx.config.fd_step)
-        else:
-            rhs = ex.directional_rhs(ctx, h, a, aux)
-        dev = max_abs_diff(phi.directional_derivative(h, a), rhs)
-        if ex.relative and not fd:
-            dev = _rel(dev, rhs)
-        return dev, _witness(ctx, h, anchors=phi.anchors, direction=a)
+        return Inputs(ctx, h, *make(ctx, rng), direction=a)
 
-    return trial
+    def exact_sides(x):
+        return [(x.derivative(), directional(x.ctx.metric, x.h, x.direction, *x.aux))]
 
+    def draw_star(ctx, rng):
+        return Inputs(ctx, Extensor.random_invertible(ctx.metric, rng), *make(ctx, rng))
 
-def _star_trial(ex: _WorkedExample):
-    def trial(ctx, rng):
-        h = Extensor.random_invertible(ctx.metric, rng)
-        phi, aux = ex.build(ctx, rng)
-        expected = ex.star_rhs(ctx, h, aux)
-        table = phi.derivative_table(h, tuple(expected))
-        dev = 0.0
-        for kind, rhs in expected.items():
-            d = max_abs_diff(table[kind], rhs)
-            dev = max(dev, _rel(d, rhs) if ex.relative else d)
-        return dev, _witness(ctx, h, anchors=phi.anchors)
+    def star_sides(x):
+        expected = star(x.ctx.metric, x.h, *x.aux)
+        table = x.phi.derivative_table(x.h, tuple(expected))
+        return [(table[kind], rhs) for kind, rhs in expected.items()]
 
-    return trial
+    checks = [
+        _check(f"{name}-directional", "closed-form", draw_directional, exact_sides, relative),
+        _check(f"{name}-directional-fd", "closed-form", draw_directional,
+               lambda x: [_fd_pair(x, x.phi)], tol_key="fd"),
+    ]
+    if star is not None:
+        checks.append(_check(f"{name}-star", "closed-form", draw_star, star_sides, relative))
+    return checks
 
 
-def _blade_image_trial(fd: bool = False):
-    """Blade images of every grade k: exact directional derivative against
-    (n-k+1) h(a _| B), or with fd=True against the finite-difference route.
-    The witness keeps the anchors of the worst grade."""
-
-    def trial(ctx, rng):
-        h = Extensor.random_invertible(ctx.metric, rng)
-        a = random_multivector(ctx.metric, 1, rng)
-        n = ctx.metric.dim
-        dev = 0.0
-        worst_anchors = None
-        for k in range(1, n + 1):
-            vectors = [random_multivector(ctx.metric, 1, rng) for _ in range(k)]
-            phi = blade_image_functional(vectors)
-            if fd:
-                rhs = phi.directional_derivative(h, a, step=ctx.config.fd_step)
-            else:
-                rhs = (n - k + 1) * Outermorphism(h)(a.lcontract(wedge_all(ctx.metric, vectors)))
-            d = max_abs_diff(phi.directional_derivative(h, a), rhs)
-            if d >= dev:
-                dev, worst_anchors = d, vectors
-        return dev, _witness(ctx, h, anchors=worst_anchors, direction=a)
-
-    return trial
+def _draw_blade_images(ctx, rng):
+    """Blade-image functionals of every grade k = 1..n, their anchors
+    (witnessed grade by grade) drawn after the map and the direction."""
+    h = Extensor.random_invertible(ctx.metric, rng)
+    a = random_multivector(ctx.metric, 1, rng)
+    phis = tuple(
+        blade_image_functional([random_multivector(ctx.metric, 1, rng) for _ in range(k)])
+        for k in range(1, ctx.metric.dim + 1)
+    )
+    return Inputs(ctx, h, aux=phis, direction=a, anchors=sum((p.anchors for p in phis), ()))
 
 
-def _check_inverse_bivector_sum(ctx, rng):
+def _blade_image_sides(x):
+    """Each grade-k blade image against (n-k+1) h(a _| B), B its blade."""
+    m, outer = x.ctx.metric, Outermorphism(x.h)
+    blades = [wedge_all(m, phi.anchors) for phi in x.aux]
+    return [
+        (x.derivative(phi), (m.dim - k + 1) * outer(x.direction.lcontract(blade)))
+        for k, (phi, blade) in enumerate(zip(x.aux, blades), 1)
+    ]
+
+
+def _draw_map_and_frame(ctx, rng):
+    h = Extensor.random_invertible(ctx.metric, rng)
+    return Inputs(ctx, h, frame=_maybe_random_frame(ctx, rng))
+
+
+def _inverse_bivector_sides(x):
     """sum_j star(f_j) ^ f^j against minus the bivector of the inverse, where
     star is the adjoint of the inverse."""
-    h = Extensor.random_invertible(ctx.metric, rng)
-    frame = _maybe_random_frame(ctx, rng)
-    hstar = h.adjoint().inverse()
-    total = Multivector.zero(ctx.metric)
-    for v, r in zip(frame.vectors, frame.reciprocal):
+    hstar = x.h.adjoint().inverse()
+    total = Multivector.zero(x.ctx.metric)
+    for v, r in zip(x.frame.vectors, x.frame.reciprocal):
         total = total + hstar(v).wedge(r)
-    rhs = -1.0 * h.inverse().bivector()
-    dev = _rel(max_abs_diff(total, rhs), rhs)
-    return dev, _witness(ctx, h)
+    return [(total, -1.0 * x.h.inverse().bivector())]
 
 
-def _check_star_fd_coherence(ctx, rng):
+def _draw_named(ctx, rng):
     h = Extensor.random_invertible(ctx.metric, rng)
     b = random_multivector(ctx.metric, 1, rng)
-    functionals = (
-        apply_functional(b),
-        adjoint_image_functional(b),
-        trace_functional(ctx.metric),
-        bivector_functional(ctx.metric),
-        det_functional(ctx.metric),
-    )
-    dev = 0.0
-    for phi in functionals:
-        exact = phi.derivative_table(h, PRODUCT_KINDS)
-        fd = phi.derivative_table(h, PRODUCT_KINDS, ctx.config.fd_step)
-        for kind in PRODUCT_KINDS:
-            dev = max(dev, max_abs_diff(exact[kind], fd[kind]))
-    return dev, _witness(ctx, h, anchors=(b,))
+    m = ctx.metric
+    named = (apply_functional(b), adjoint_image_functional(b), trace_functional(m),
+             bivector_functional(m), det_functional(m))
+    return Inputs(ctx, h, aux=named, anchors=(b,))
+
+
+def _coherence_sides(x):
+    """Every star operator of every named functional against its FD route."""
+    pairs = []
+    for phi in x.aux:
+        exact = phi.derivative_table(x.h, PRODUCT_KINDS)
+        fd = phi.derivative_table(x.h, PRODUCT_KINDS, x.ctx.config.fd_step)
+        pairs += [(exact[kind], fd[kind]) for kind in PRODUCT_KINDS]
+    return pairs
 
 
 # -- derivation-rule checks -------------------------------------------------------
 
 
-def _check_direction_linearity(ctx, rng):
+def _draw_linearity(ctx, rng):
     phi, t = _random_setup(ctx, rng)
-    p = phi.source_grade
-    a = random_multivector(ctx.metric, p, rng)
-    b = random_multivector(ctx.metric, p, rng)
+    a = random_multivector(ctx.metric, phi.source_grade, rng)
+    b = random_multivector(ctx.metric, phi.source_grade, rng)
     alpha = float(rng.uniform(-2.0, 2.0))
     beta = float(rng.uniform(-2.0, 2.0))
-    lhs = phi.directional_derivative(t, alpha * a + beta * b)
-    rhs = alpha * phi.directional_derivative(t, a) + beta * phi.directional_derivative(t, b)
-    return max_abs_diff(lhs, rhs), _witness(
-        ctx, t, anchors=phi.anchors, direction=a, alpha=alpha, beta=beta
-    )
+    return Inputs(ctx, t, phi, (b,), direction=a, alpha=alpha, beta=beta)
 
 
-def _check_scaling_rule(ctx, rng):
+def _linearity_sides(x):
+    (b,) = x.aux
+    lhs = x.phi.directional_derivative(x.h, x.alpha * x.direction + x.beta * b)
+    rhs = x.alpha * x.derivative() + x.beta * x.phi.directional_derivative(x.h, b)
+    return [(lhs, rhs)]
+
+
+def _draw_scaling(ctx, rng):
     phi, t = _random_setup(ctx, rng)
     a = random_multivector(ctx.metric, phi.source_grade, rng)
-    lam = float(rng.uniform(-2.0, 2.0))
-    lhs = phi.scaled(lam).directional_derivative(t, a)
-    rhs = lam * phi.directional_derivative(t, a)
-    return max_abs_diff(lhs, rhs), _witness(ctx, t, anchors=phi.anchors, direction=a, scale=lam)
+    return Inputs(ctx, t, phi, direction=a, scale=float(rng.uniform(-2.0, 2.0)))
 
 
-def _check_right_constant_rule(ctx, rng):
+def _draw_right_constant(ctx, rng):
     phi, t = _random_setup(ctx, rng)
     a = random_multivector(ctx.metric, phi.source_grade, rng)
-    m = _random_mixed(ctx.metric, rng)
-    lhs = phi.times_constant(m).directional_derivative(t, a)
-    rhs = phi.directional_derivative(t, a).geometric(m)
-    return max_abs_diff(lhs, rhs), _witness(ctx, t, anchors=phi.anchors, direction=a, constant=m)
+    return Inputs(ctx, t, phi, direction=a, constant=_random_mixed(ctx.metric, rng))
 
 
-def _check_additivity_rule(ctx, rng):
-    phi, t = _random_setup(ctx, rng)
-    other = InducedFunctional(
-        _random_value_func(ctx.metric, rng, phi.arity, phi.func.input_grade),
-        phi.anchors,
-        phi.source_grade,
-    )
-    a = random_multivector(ctx.metric, phi.source_grade, rng)
-    lhs = (phi + other).directional_derivative(t, a)
-    rhs = phi.directional_derivative(t, a) + other.directional_derivative(t, a)
-    return max_abs_diff(lhs, rhs), _witness(ctx, t, anchors=phi.anchors, direction=a)
+def _draw_two_functionals(scalar_valued):
+    """Draw of a random functional, then a value functional over its anchors."""
+
+    def draw(ctx, rng):
+        phi, t = _random_setup(ctx, rng, scalar_valued)
+        func = _random_value_func(ctx.metric, rng, phi.arity, phi.func.input_grade)
+        other = InducedFunctional(func, phi.anchors, phi.source_grade)
+        a = random_multivector(ctx.metric, phi.source_grade, rng)
+        return Inputs(ctx, t, phi, (other,), direction=a)
+
+    return draw
 
 
-def _check_leibniz_rule(ctx, rng):
-    phi, t = _random_setup(ctx, rng, scalar_valued=True)
-    g = InducedFunctional(
-        _random_value_func(ctx.metric, rng, phi.arity, phi.func.input_grade),
-        phi.anchors,
-        phi.source_grade,
-    )
-    a = random_multivector(ctx.metric, phi.source_grade, rng)
-    lhs = phi.times_functional(g).directional_derivative(t, a)
-    phi_val = value_of(phi.evaluate(t).scalar_part())
-    rhs = phi.directional_derivative(t, a).geometric(g.evaluate(t)) + phi_val * g.directional_derivative(t, a)
-    return max_abs_diff(lhs, rhs), _witness(ctx, t, anchors=phi.anchors, direction=a)
+def _leibniz_sides(x):
+    (g,) = x.aux
+    phi_val = value_of(x.phi.evaluate(x.h).scalar_part())
+    rhs = x.derivative().geometric(g.evaluate(x.h)) + phi_val * x.derivative(g)
+    return [(x.derivative(x.phi.times_functional(g)), rhs)]
 
 
 _SMOOTH_MAPS = {
@@ -547,46 +526,43 @@ _SMOOTH_MAPS = {
 }
 
 
-def _check_chain_rule(ctx, rng):
+def _draw_chain(ctx, rng):
     phi, t = _random_setup(ctx, rng, scalar_valued=True)
     name = ("square", "exp", "sin")[rng.integers(3)]
-    fn, dfn = _SMOOTH_MAPS[name]
     a = random_multivector(ctx.metric, phi.source_grade, rng)
-    lhs = phi.map_scalar(fn).directional_derivative(t, a)
-    rhs = dfn(value_of(phi.evaluate(t).scalar_part())) * phi.directional_derivative(t, a)
-    # relative: exp of a large functional value makes both sides large
-    dev = _rel(max_abs_diff(lhs, rhs), rhs)
-    return dev, _witness(ctx, t, anchors=phi.anchors, direction=a, smooth=name)
+    return Inputs(ctx, t, phi, direction=a, smooth=name)
 
 
-def _check_frame_independence(ctx, rng):
+def _chain_sides(x):
+    fn, dfn = _SMOOTH_MAPS[x.smooth]
+    rhs = dfn(value_of(x.phi.evaluate(x.h).scalar_part())) * x.derivative()
+    return [(x.derivative(x.phi.map_scalar(fn)), rhs)]
+
+
+def _draw_frame(ctx, rng):
     phi, t = _random_setup(ctx, rng)
-    frame = _random_frame(ctx.metric, rng)
-    via_ortho = phi.derivative_via_frame(t, PRODUCT_KINDS, ctx.ortho)
-    via_frame = phi.derivative_via_frame(t, PRODUCT_KINDS, frame)
-    dev = 0.0
-    for kind in PRODUCT_KINDS:
-        dev = max(dev, max_abs_diff(via_ortho[kind], via_frame[kind]))
-    return dev, _witness(ctx, t, anchors=phi.anchors)
+    return Inputs(ctx, t, phi, frame=_random_frame(ctx.metric, rng))
 
 
-def _check_intrinsic_equivalence(ctx, rng):
-    phi, t = _random_setup(ctx, rng)
-    frame = _random_frame(ctx.metric, rng)
-    table = phi.derivative_table(t, PRODUCT_KINDS)
-    via_ortho = phi.derivative_via_frame(t, PRODUCT_KINDS, ctx.ortho)
-    via_frame = phi.derivative_via_frame(t, PRODUCT_KINDS, frame)
-    dev = 0.0
-    for kind in PRODUCT_KINDS:
-        dev = max(dev, max_abs_diff(table[kind], via_ortho[kind]))
-        dev = max(dev, max_abs_diff(table[kind], via_frame[kind]))
-    return dev, _witness(ctx, t, anchors=phi.anchors)
+def _via_frames(x):
+    """The frame-sum star tables over the orthonormal and the drawn frame."""
+    return [x.phi.derivative_via_frame(x.h, PRODUCT_KINDS, f) for f in (x.ctx.ortho, x.frame)]
+
+
+def _frame_independence_sides(x):
+    via_ortho, via_frame = _via_frames(x)
+    return [(via_ortho[kind], via_frame[kind]) for kind in PRODUCT_KINDS]
+
+
+def _intrinsic_sides(x):
+    table, vias = x.phi.derivative_table(x.h, PRODUCT_KINDS), _via_frames(x)
+    return [(table[kind], via[kind]) for kind in PRODUCT_KINDS for via in vias]
 
 
 # -- bridge checks ------------------------------------------------------------------
 
 
-def _bridge_setup(ctx, rng):
+def _draw_bridge(ctx, rng):
     anchor = random_multivector(ctx.metric, 1, rng)
     c = random_multivector(ctx.metric, 1, rng)
     base = InducedFunctional(
@@ -600,80 +576,108 @@ def _bridge_setup(ctx, rng):
     else:
         phi = base
     t = Extensor.random_invertible(ctx.metric, rng)
-    frame = _maybe_random_frame(ctx, rng)
-    return phi, t, frame, name
+    return Inputs(ctx, t, phi, frame=_maybe_random_frame(ctx, rng), functional=name)
 
 
-def _check_component_partials_fd(ctx, rng):
-    phi, t, frame, name = _bridge_setup(ctx, rng)
-    parts = component_partials(phi, t, frame)
-    parts_fd = component_partials(phi, t, frame, ctx.config.fd_step)
-    dev = float(np.max(np.abs(parts - parts_fd)))
-    return dev, _witness(ctx, t, anchors=phi.anchors, functional=name)
+def _draw_bridge_directional(ctx, rng):
+    return replace(_draw_bridge(ctx, rng), direction=random_multivector(ctx.metric, 1, rng))
 
 
-def _check_bridge_directional(ctx, rng):
-    phi, t, frame, name = _bridge_setup(ctx, rng)
-    a = random_multivector(ctx.metric, 1, rng)
-    parts = component_partials(phi, t, frame)
-    dev = max_abs_diff(
-        directional_from_partials(parts, a, frame), phi.directional_derivative(t, a)
-    )
-    return dev, _witness(ctx, t, anchors=phi.anchors, direction=a, functional=name)
+def _partials(x, step=None):
+    return component_partials(x.phi, x.h, x.frame, step)
 
 
-def _check_bridge_star(ctx, rng):
-    phi, t, frame, name = _bridge_setup(ctx, rng)
-    parts = component_partials(phi, t, frame)
-    table = phi.derivative_table(t, PRODUCT_KINDS)
-    dev = 0.0
-    for kind in PRODUCT_KINDS:
-        dev = max(dev, max_abs_diff(star_from_partials(parts, kind, frame), table[kind]))
-    return dev, _witness(ctx, t, anchors=phi.anchors, functional=name)
+def _bridge_star_sides(x):
+    parts, table = _partials(x), x.phi.derivative_table(x.h, PRODUCT_KINDS)
+    return [(star_from_partials(parts, kind, x.frame), table[kind]) for kind in PRODUCT_KINDS]
 
 
 # -- the catalog ---------------------------------------------------------------------
 
 
-def _example_checks():
-    checks = []
-    for ex in _EXAMPLES:
-        if ex.directional_rhs is not None:
-            checks.append(
-                IdentityCheck(f"{ex.name}-directional", "closed-form", _directional_trial(ex))
-            )
-            checks.append(
-                IdentityCheck(
-                    f"{ex.name}-directional-fd",
-                    "closed-form",
-                    _directional_trial(ex, fd=True),
-                    "fd",
-                )
-            )
-        if ex.star_rhs is not None:
-            checks.append(IdentityCheck(f"{ex.name}-star", "closed-form", _star_trial(ex)))
-    return checks
-
-
-CATALOG: tuple[IdentityCheck, ...] = tuple(
-    _example_checks()
-    + [
-        IdentityCheck("blade-image-directional", "closed-form", _blade_image_trial()),
-        IdentityCheck("blade-image-directional-fd", "closed-form", _blade_image_trial(fd=True), "fd"),
-        IdentityCheck("inverse-bivector-frame-sum", "closed-form", _check_inverse_bivector_sum),
-        IdentityCheck("star-fd-coherence", "closed-form", _check_star_fd_coherence, "fd"),
-        IdentityCheck("direction-linearity", "properties", _check_direction_linearity),
-        IdentityCheck("scaling-rule", "properties", _check_scaling_rule),
-        IdentityCheck("right-constant-rule", "properties", _check_right_constant_rule),
-        IdentityCheck("additivity-rule", "properties", _check_additivity_rule),
-        IdentityCheck("leibniz-rule", "properties", _check_leibniz_rule),
-        IdentityCheck("chain-rule", "properties", _check_chain_rule, "exact", 10.0),
-        IdentityCheck("frame-independence", "properties", _check_frame_independence, "exact", 10.0),
-        IdentityCheck("intrinsic-equivalence", "properties", _check_intrinsic_equivalence),
-        IdentityCheck("component-partials-fd", "bridge", _check_component_partials_fd, "fd"),
-        IdentityCheck("component-bridge-directional", "bridge", _check_bridge_directional, "exact", 10.0),
-        IdentityCheck("component-bridge-star", "bridge", _check_bridge_star, "exact", 10.0),
-    ]
+CATALOG: tuple[IdentityCheck, ...] = (
+    *_example(
+        "dot-pair",
+        _draw_pair("scalar"),
+        lambda m, h, a, b, c: h(scalar_value(a, b) * c + scalar_value(a, c) * b),
+    ),
+    *_example(
+        "wedge-pair",
+        _draw_pair("wedge"),
+        lambda m, h, a, b, c: (m.dim - 1) * Outermorphism(h)(a.lcontract(b.wedge(c))),
+    ),
+    *_example(
+        "vector-image",
+        _draw_vector_image,
+        lambda m, h, a, b: Multivector.from_scalar(m, m.dim * scalar_value(a, b)),
+        lambda m, h, b: {
+            "wedge": m.dim * b,
+            "geometric": m.dim * b,
+            "scalar": Multivector.zero(m),
+            "lcontract": Multivector.zero(m),
+        },
+    ),
+    *_example(
+        "adjoint-image",
+        _draw_adjoint_image,
+        lambda m, h, a, b: b.geometric(a),
+        lambda m, h, b: {
+            "wedge": b,
+            "scalar": Multivector.zero(m),
+            "lcontract": (1 - m.dim) * b,
+            "geometric": (2 - m.dim) * b,
+        },
+    ),
+    *_example(
+        "trace",
+        _draw_over_frame(trace_functional),
+        lambda m, h, a: a,
+        _scalar_star(lambda n: n),
+    ),
+    *_example(
+        "bivector",
+        _draw_over_frame(bivector_functional),
+        lambda m, h, a: (m.dim - 1) * a,
+        _scalar_star(lambda n: (n - 1) * n),
+    ),
+    *_example(
+        "pseudoscalar-image",
+        _draw_pseudoscalar_image,
+        lambda m, h, a, pss: Outermorphism(h)(a.lcontract(pss)),
+    ),
+    *_example(
+        "det",
+        _draw_over_frame(det_functional),
+        lambda m, h, a: h.det() * h.adjoint().inverse()(a),
+        _det_star,
+        relative=True,
+    ),
+    _check("blade-image-directional", "closed-form", _draw_blade_images, _blade_image_sides),
+    _check("blade-image-directional-fd", "closed-form", _draw_blade_images,
+           lambda x: [_fd_pair(x, phi) for phi in x.aux], tol_key="fd"),
+    _check("inverse-bivector-frame-sum", "closed-form", _draw_map_and_frame,
+           _inverse_bivector_sides, relative=True),
+    _check("star-fd-coherence", "closed-form", _draw_named, _coherence_sides, tol_key="fd"),
+    _check("direction-linearity", "properties", _draw_linearity, _linearity_sides),
+    _check("scaling-rule", "properties", _draw_scaling,
+           lambda x: [(x.derivative(x.phi.scaled(x.scale)), x.scale * x.derivative())]),
+    _check("right-constant-rule", "properties", _draw_right_constant,
+           lambda x: [(x.derivative(x.phi.times_constant(x.constant)),
+                       x.derivative().geometric(x.constant))]),
+    _check("additivity-rule", "properties", _draw_two_functionals(False),
+           lambda x: [(x.derivative(x.phi + x.aux[0]), x.derivative() + x.derivative(x.aux[0]))]),
+    _check("leibniz-rule", "properties", _draw_two_functionals(True), _leibniz_sides),
+    # relative: exp of a large functional value makes both sides large
+    _check("chain-rule", "properties", _draw_chain, _chain_sides, relative=True, tol_factor=10.0),
+    _check("frame-independence", "properties", _draw_frame, _frame_independence_sides,
+           tol_factor=10.0),
+    _check("intrinsic-equivalence", "properties", _draw_frame, _intrinsic_sides),
+    _check("component-partials-fd", "bridge", _draw_bridge,
+           lambda x: [(_partials(x), _partials(x, x.ctx.config.fd_step))], tol_key="fd"),
+    _check("component-bridge-directional", "bridge", _draw_bridge_directional,
+           lambda x: [(directional_from_partials(_partials(x), x.direction, x.frame),
+                       x.derivative())], tol_factor=10.0),
+    _check("component-bridge-star", "bridge", _draw_bridge, _bridge_star_sides, tol_factor=10.0),
 )
 
 

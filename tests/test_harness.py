@@ -3,14 +3,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from extcalc import cli, harness
-from extcalc.algebra import Metric, max_abs_diff, random_multivector
+from extcalc.algebra import Metric, Multivector, max_abs_diff, random_multivector
 from extcalc.errors import ConfigurationError
-from extcalc.extensor import Extensor
+from extcalc.extensor import Extensor, Outermorphism
+from extcalc.functional import InducedFunctional
 from extcalc.harness import (
     CATALOG,
+    WITNESS_FIELDS,
     HarnessConfig,
     IdentityCheck,
     catalog,
@@ -66,6 +69,21 @@ def test_config_rejects_non_finite_values(value):
             HarnessConfig(**{name: value})
     with pytest.raises(ConfigurationError):
         parse_metric(3, f"diag:{value},1,1")
+
+
+@pytest.mark.parametrize(
+    "name, value", [("trials", 2.5), ("seed", 1.5), ("trials", "4"), ("seed", None), ("dim", 3.0)]
+)
+def test_config_rejects_non_integer_counts(name, value):
+    # a float trial count or seed used to pass here and raise TypeError in run_suite
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        HarnessConfig(**{name: value})
+
+
+def test_cli_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args([])
+    defaults = HarnessConfig().to_dict()
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_catalog_structure():
@@ -237,6 +255,84 @@ def test_non_finite_deviation_fails_with_first_witness(monkeypatch, devs, bad_tr
     assert parsed["summary"] == {"passed": 0, "failed": 1}
 
 
+def test_deviation_keeps_the_first_nan():
+    m = Metric.euclidean(3)
+    one, two = Multivector.from_scalar(m, 1.0), Multivector.from_scalar(m, 2.0)
+    nan, big = Multivector.from_scalar(m, float("nan")), Multivector.from_scalar(m, 10.0)
+    assert harness._deviation([(one, two), (one, big)]) == 9.0
+    assert harness._deviation([(one, two), (one, big)], relative=True) == 0.9  # 9 / 10 > 1 / 2
+    for pairs in ([(one, nan), (one, big)], [(one, big), (nan, one)], [(one, big), (nan, nan)]):
+        assert np.isnan(harness._deviation(pairs))
+        assert np.isnan(harness._deviation(pairs, relative=True))
+    assert np.isnan(harness._deviation([(np.zeros(2), np.array([0.0, np.nan]))]))
+
+
+def _nan_like(mv):
+    return Multivector._raw(mv.metric, np.full_like(mv._values, np.nan))
+
+
+def _nan_wedge_entry(self, kwargs, table):
+    return {**table, "wedge": _nan_like(table["wedge"])} if "wedge" in table else table
+
+
+def _nan_image(self, kwargs, image):
+    return _nan_like(image)
+
+
+def _nan_fd_route_at_two_slots(self, kwargs, derivative):
+    # the grade-2 blade image's FD route, one grade of blade-image-directional-fd
+    return _nan_like(derivative) if kwargs.get("step") and self.arity == 2 else derivative
+
+
+STAR_IDS = [
+    f"{name}-star" for name in ("vector-image", "adjoint-image", "trace", "bivector", "det")
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, poison, exposed",
+    [
+        (InducedFunctional, "derivative_table", _nan_wedge_entry,
+         STAR_IDS + ["star-fd-coherence", "intrinsic-equivalence", "component-bridge-star"]),
+        (InducedFunctional, "derivative_via_frame", _nan_wedge_entry,
+         ["frame-independence", "intrinsic-equivalence"]),
+        (Outermorphism, "apply", _nan_image, ["blade-image-directional"]),
+        (InducedFunctional, "directional_derivative", _nan_fd_route_at_two_slots,
+         ["blade-image-directional-fd"]),
+    ],
+    ids=["derivative-table", "derivative-via-frame", "outermorphism", "fd-route"],
+)
+def test_nan_in_one_product_kind_or_grade_fails(
+    monkeypatch, tmp_path, owner, name, poison, exposed
+):
+    # each of these identities once took the max of its kinds or grades with
+    # max() or >=, which drops a NaN, and so passed with the NaN unseen
+    method = getattr(owner, name)
+
+    def patched(self, *args, **kwargs):
+        return poison(self, kwargs, method(self, *args, **kwargs))
+
+    monkeypatch.setattr(owner, name, patched)
+    if owner is Outermorphism:
+        monkeypatch.setattr(Outermorphism, "__call__", patched)
+    out = tmp_path / "report.json"
+    argv = ["--dim", "3", "--trials", "2", "--seed", "0", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 1
+    by_id = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    for identity in exposed:
+        assert by_id[identity]["max_dev"] == "nan", identity
+        assert not by_id[identity]["pass"] and "witness" in by_id[identity]
+
+
+def test_blade_image_witness_lists_every_grades_anchors():
+    config = HarnessConfig(dim=4, trials=2, seed=0, tol_exact=1e-30, suite="closed-form")
+    (result,) = [r for r in run_suite(config) if r.identity == "blade-image-directional"]
+    metric = Metric.euclidean(4)
+    anchors = [multivector_from_map(metric, a) for a in result.witness["anchors"]]
+    assert len(anchors) == 1 + 2 + 3 + 4  # grade k's k vectors, k = 1..4
+    assert all(a.is_homogeneous(1) for a in anchors)
+
+
 def test_determinism_same_seed_same_report():
     config = HarnessConfig(trials=3, seed=99)
     a = json.dumps(report_dict(config, run_suite(config)), sort_keys=True)
@@ -269,6 +365,34 @@ def test_readme_catalog_matches_run_suite_output():
     assert listed == ids
     ran = {r.identity for r in run_suite(HarnessConfig(trials=1, suite="all"))}
     assert listed == ran
+
+
+def test_readme_lists_every_witness_key(monkeypatch):
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Witness keys")[1].split("\n#")[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            listed.update(re.findall(r"`([a-z_]+)`", line.split("|")[1]))
+    map_keys = set(Extensor.identity(Metric.euclidean(3)).to_dict())
+    assert listed == map_keys | set(WITNESS_FIELDS)
+    # every trial's witness, since some identities (chain-rule) never fail
+    written = set()
+
+    def recording(check):
+        def trial(ctx, rng):
+            dev, build = check.trial(ctx, rng)
+            written.update(build())
+            return dev, build
+
+        return IdentityCheck(check.id, check.suite, trial, check.tol_key, check.tol_factor)
+
+    monkeypatch.setattr(harness, "CATALOG", tuple(map(recording, CATALOG)))
+    run_suite(HarnessConfig(trials=2, seed=0))
+    assert written == listed
 
 
 def test_multivector_map_round_trip():
