@@ -45,15 +45,15 @@ compose with the products.
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
 oracle does with all its perturbed points at once.  A batched coefficient is a
-(B,) array, and (B,) arrays scale batches row by row.  Batches meet unbatched
-operands by broadcasting; a product with one batched side is one (B, 2^n) @
-(2^n, 2^n) matmul against the unbatched side's operator (b @ L_a when the
-left side is the unbatched one).  Two batched sides multiply row by row,
-each row the unbatched kernel's matmul, a chunk of rows at a time so that the
-(rows, 2^n, 2^n) operator stack stays near 2^19 floats; a scalar product of
-two batches is one weighted dot per row.  A batch never carries a tangent
-block: every operation that would combine the two raises ValueError rather
-than drop the tangents.
+(B,) array, and (B,) arrays scale batches row by row.  A batch row is handled
+as a tangent row is: the linear maps act on both kinds of row alike, and a
+product with one batched side is the tangent rule's matmul against the
+unbatched side's operator (a @ M_b, or b @ L_a when the left side is the
+unbatched one).  Two batched sides multiply one row pair at a time, each
+pair the unbatched kernel itself; a scalar product of two batches is one
+weighted dot per row.  A batch never carries a tangent block: the internal
+constructor every result goes through, and a product of a batch with a
+tangent-carrying operand, raise ValueError rather than drop the tangents.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -151,9 +151,8 @@ class _Gather:
         self.left_signs.flags.writeable = False
 
     def right(self, b: np.ndarray) -> np.ndarray:
-        """M_b, with a @ M_b the product of a and b; one per row of a 2-d b."""
-        # np.take keeps the rows C-ordered, so each matmul is the 1-d one
-        gathered = b[self.perm] if b.ndim == 1 else np.take(b, self.perm, axis=1)
+        """M_b, with a @ M_b the product of a and b."""
+        gathered = b[self.perm]
         gathered *= self.right_signs
         return gathered
 
@@ -185,14 +184,9 @@ class _Scatter:
         return self._operator(a, self.left_index, self.i)
 
     def _operator(self, x, index, factor):
-        n2 = self.size * self.size
-        if x.ndim == 1:  # the common case, kept free of a row axis
-            op = np.zeros(n2)
-            op[index] = x[factor] * self.signs
-            return op.reshape(self.size, self.size)
-        op = np.zeros((len(x), n2))
-        op[:, index] = x[:, factor] * self.signs
-        return op.reshape(len(x), self.size, self.size)
+        op = np.zeros(self.size * self.size)
+        op[index] = x[factor] * self.signs
+        return op.reshape(self.size, self.size)
 
 
 def _kernel(perm: np.ndarray, right: np.ndarray):
@@ -249,7 +243,6 @@ def _tables(metric: Metric) -> _Tables:
     )
 
 
-_GATHER_FLOATS = 1 << 19  # bound on the operator stack of a two-batched product
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
 _FACTORS = (int, float, np.number, np.ndarray)  # what scales a Multivector
 
@@ -286,8 +279,9 @@ class Multivector:
 
     @classmethod
     def _raw(cls, metric: Metric, values: np.ndarray, tangents=None) -> "Multivector":
-        """Internal constructor for arrays this module owns and never mutates."""
-        if tangents is not None and values.ndim != 1:
+        """Internal constructor for arrays this module owns and never mutates;
+        the one place that keeps a batch and a tangent block apart."""
+        if tangents is not None and (values.ndim != 1 or tangents.ndim != 2):
             raise ValueError(_BATCH_WITH_TANGENTS)
         out = object.__new__(cls)
         _set_metric(out, metric)
@@ -367,8 +361,6 @@ class Multivector:
         for d in directions:
             self._check_metric(d)
         block = np.stack([d._values for d in directions])
-        if block.ndim != 2:
-            raise ValueError(_BATCH_WITH_TANGENTS)
         return Multivector._raw(self.metric, self._values, block)
 
     def _support(self) -> np.ndarray:
@@ -429,20 +421,20 @@ class Multivector:
             return NotImplemented
         return -self + other
 
-    def __neg__(self):
+    def _map_rows(self, f) -> "Multivector":
+        """f applied alike to the value rows and to the tangent rows: a map
+        of (..., 2^n) arrays that acts on each row on its own."""
         t = self._tangents
-        return Multivector._raw(self.metric, -self._values, None if t is None else -t)
+        return Multivector._raw(self.metric, f(self._values), None if t is None else f(t))
+
+    def __neg__(self):
+        return self._map_rows(np.negative)
 
     def _scaled(self, factor):
-        t = self._tangents
         if isinstance(factor, np.ndarray) and factor.ndim == 1:  # one per batch row
-            if t is not None:
-                raise ValueError(_BATCH_WITH_TANGENTS)
-            return Multivector._raw(self.metric, factor[:, None] * self._values)
+            return Multivector._raw(self.metric, factor[:, None] * self._values, self._tangents)
         factor = float(factor)
-        return Multivector._raw(
-            self.metric, factor * self._values, None if t is None else factor * t
-        )
+        return self._map_rows(lambda rows: factor * rows)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -471,19 +463,11 @@ class Multivector:
         if not 0 <= grade <= self.metric.dim:
             raise ValueError(f"grade {grade} out of range for dim {self.metric.dim}")
         keep = _tables(self.metric).grades == grade
-        t = self._tangents
-        return Multivector._raw(
-            self.metric,
-            np.where(keep, self._values, 0.0),
-            None if t is None else np.where(keep, t, 0.0),
-        )
+        return self._map_rows(lambda rows: np.where(keep, rows, 0.0))
 
     def reverse(self) -> "Multivector":
         signs = _tables(self.metric).reverse_signs
-        t = self._tangents
-        return Multivector._raw(
-            self.metric, signs * self._values, None if t is None else signs * t
-        )
+        return self._map_rows(lambda rows: signs * rows)
 
     # -- products ----------------------------------------------------------
 
@@ -494,19 +478,17 @@ class Multivector:
         tables = _tables(self.metric)
         a, b = self._values, other._values
         ta, tb = self._tangents, other._tangents
-        batched = a.ndim == 2 or b.ndim == 2
-        if batched and (ta is not None or tb is not None):
+        if (a.ndim == 2 or b.ndim == 2) and (ta is not None or tb is not None):
             raise ValueError(_BATCH_WITH_TANGENTS)
         if kind == "scalar":
             return _scalar_product(self.metric, tables.weight, a, b, ta, tb)
         kernel = tables.kernels[kind]
-        if batched:
-            if b.ndim == 1:
-                values = a @ kernel.right(b)
-            elif a.ndim == 1:
+        if b.ndim == 2:
+            if a.ndim == 1:  # b's rows meet a as tangent rows do
                 values = b @ kernel.left(a)
-            else:
-                values = _two_batched(a, b, kernel.right)
+            else:  # each row pair is the unbatched kernel; a batch of one broadcasts
+                pairs = zip(*np.broadcast_arrays(a, b))
+                values = np.stack([x @ kernel.right(y) for x, y in pairs])
             return Multivector._raw(self.metric, values)
         right = kernel.right(b)
         values, tangents = a @ right, None if ta is None else ta @ right
@@ -558,20 +540,6 @@ def _scalar_product(metric: Metric, weight, a, b, ta, tb) -> Multivector:
     tangents = np.zeros((len(column), len(a)))
     tangents[:, 0] = column
     return Multivector._raw(metric, values, tangents)
-
-
-def _two_batched(a: np.ndarray, b: np.ndarray, right):
-    """Row r of a times row r of b, a chunk of rows at a time, so the
-    (rows, 2^n, 2^n) stack of right operators stays near _GATHER_FLOATS."""
-    size = a.shape[-1]
-    a, b = np.broadcast_arrays(a, b)  # a batch of one meets a batch of B
-    out = np.empty(a.shape)
-    chunk = max(1, _GATHER_FLOATS // (size * size))
-    for lo in range(0, len(a), chunk):
-        hi = lo + chunk
-        # (c, 1, N) @ (c, N, N): each row is the unbatched kernel's matmul
-        out[lo:hi] = (a[lo:hi, None, :] @ right(b[lo:hi]))[:, 0]
-    return out
 
 
 # slot setters that bypass Multivector.__setattr__, which refuses all writes

@@ -20,7 +20,8 @@ it stacks all 2m perturbed points X + step*w*d_r and X - step*w*d_r of each
 variable the band moves into one batched argument (a (2m, 2^n) value array,
 see extcalc.algebra) and evaluates the function once.  So the default bands
 evaluate it once per variable: one batch over all of them would make every
-product two-batched, the slow row-by-row kernel.
+product of two variables a product of two batches, one unbatched kernel
+call per row pair instead of one matmul for all rows.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum

@@ -58,8 +58,7 @@ import numpy as np
 from .algebra import Frame, Metric, Multivector, _tables, product_sum
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
-from .errors import ConfigurationError
-from .extensor import Extensor, _apply_matrix
+from .extensor import Extensor, _apply_matrix, _check_frame
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,8 @@ class InducedFunctional:
         if not self.anchors:
             raise ValueError("need at least one anchor")
         for a in self.anchors:
-            if not a.is_homogeneous(self.source_grade):
-                raise ValueError(f"anchors must be homogeneous of grade {self.source_grade}")
+            if a._values.ndim != 1 or not a.is_homogeneous(self.source_grade):
+                raise ValueError(f"anchors must be unbatched and of grade {self.source_grade}")
             if a.metric is not self.anchors[0].metric and a.metric != self.anchors[0].metric:
                 raise ValueError("anchors live over different metrics")
         object.__setattr__(self, "_anchor_values", np.stack([a._values for a in self.anchors]))
@@ -145,10 +144,6 @@ class InducedFunctional:
         grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights[None])
         return Multivector._raw(self.metric, grad[0])
 
-    def _check_frame(self, frame: Frame):
-        if frame.metric is not self.metric and frame.metric != self.metric:
-            raise ConfigurationError("frame lives over a different metric")
-
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
     ) -> dict:
@@ -171,7 +166,7 @@ class InducedFunctional:
         frame-independent.  One gradient pass serves every kind, and each
         kind's entry is bit for bit the one a call for that kind alone gives."""
         _check_kinds(kinds)
-        self._check_frame(frame)
+        _check_frame(self.metric, frame)
         primal, recip = frame.blades(self.source_grade)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
@@ -267,7 +262,7 @@ def component_partials(
     """
     _check_bridge_shape(phi)
     phi._check_map(t)
-    phi._check_frame(frame)
+    _check_frame(phi.metric, frame)
     n = phi.metric.dim
     recip = frame.blades(1)[1]
     a = phi._anchor_weights(recip)[:, 0]  # anchor . f^p
@@ -297,8 +292,12 @@ def directional_from_partials(
     partials: np.ndarray, direction: Multivector, frame: Frame
 ) -> Multivector:
     """sum_pq (direction . f_p) partials[p,q] f_q; rebuilds the directional
-    derivative of the functional the partials came from."""
+    derivative of the functional the partials came from.  The direction is
+    one vector over the frame's metric."""
     partials = _check_partials(partials, frame)
+    _check_frame(direction.metric, frame)
+    if direction._values.ndim != 1 or not direction.is_homogeneous(1):
+        raise ValueError("direction must be one unbatched vector")
     vectors = frame.blades(1)[0]
     weights = vectors @ (direction._values * _tables(frame.metric).weight)  # direction . f_p
     return Multivector(frame.metric, weights @ partials @ vectors)

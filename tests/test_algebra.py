@@ -813,6 +813,18 @@ def test_batch_refuses_tangent_operands():
         x + jet
 
 
+def test_raw_constructor_keeps_batches_and_tangent_blocks_apart():
+    # the one place the rule is raised: a batch with any block, or a block not 2-d
+    e1, e2, _ = vecs(E3)
+    for values, block in (
+        (_batch(E3, 3)._values, e1._values[None]),
+        (e1._values, np.stack([_batch(E3, 2)._values])),
+        (e1._values, e2._values),
+    ):
+        with pytest.raises(ValueError, match="cannot carry or meet a tangent block"):
+            Multivector._raw(E3, values, block)
+
+
 def test_batch_constructor_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         Multivector(E3, np.zeros((2, 7)))
@@ -821,7 +833,7 @@ def test_batch_constructor_rejects_wrong_shapes():
 
 
 def test_two_batched_product_rows_are_the_unbatched_kernel():
-    # 19 rows at n = 8 cross several row chunks, the last one partial
+    # 19 rows at n = 8, and a batch of one broadcast against 19 on either side
     rng = np.random.default_rng(6)
     metric = Metric(8, (1.0, -1.0, 2.0, 1.0, -0.5, 1.0, 1.0, -1.0))
     for kind in PRODUCT_KINDS:
@@ -854,7 +866,7 @@ def test_two_batched_product_memory_is_bounded():
 
 def test_two_batched_scalar_product_is_one_dot_per_row():
     # the same 140-point FD gradient of x . x as above, with no operator stack:
-    # a few (140, 256) arrays, where a chunked gather peaked at 12-17 MB
+    # a few (140, 256) arrays, where a stack of row operators peaked at 12-17 MB
     metric = Metric(8)
     x = random_multivector(metric, 4, np.random.default_rng(7))
     square = MvFunction(1, 4, 0, lambda v: v.scalar_product(v))
@@ -905,7 +917,7 @@ def test_every_product_route_matches_loop_reference(n):
     """Each kind, under a signed non-unit metric, on one dense and one 20%-dense
     draw: float operands; a tangent block on the left, the right or both sides
     with 1 and 12 rows; a 12-row batch on the left, the right or both sides,
-    which at n = 8 spans two row chunks of the two-batched route."""
+    the last one row pair at a time."""
     diag = _SIGNED_DIAG[:n]
     metric = Metric(n, diag)
     size = metric.size

@@ -441,6 +441,21 @@ def test_components_round_trip(metric):
         assert np.allclose(back.to_components(frame), comps, atol=1e-10)
 
 
+def test_from_components_rejects_a_frame_over_a_foreign_metric():
+    # the reciprocal of diag(1, -1, 2)'s coordinate frame made eye(3) diag(1, -1, 0.5)
+    foreign = Frame.orthonormal(Metric(3, (1.0, -1.0, 2.0)))
+    with pytest.raises(ConfigurationError):
+        Extensor.from_components(E3, np.eye(3), foreign)
+    own = Extensor.from_components(E3, np.eye(3), Frame.orthonormal(E3))
+    assert np.array_equal(own.matrix, np.eye(3))
+
+
+def test_to_components_rejects_a_frame_over_a_foreign_metric():
+    foreign = Frame.orthonormal(Metric(3, (1.0, -1.0, 2.0)))
+    with pytest.raises(ConfigurationError):
+        Extensor.identity(E3).to_components(foreign)
+
+
 def test_component_entries_match_definition():
     rng = np.random.default_rng(18)
     t = Extensor.random(E3, rng)

@@ -97,6 +97,12 @@ def test_anchor_validation():
         InducedFunctional(MvFunction(2, 1, 0, lambda x, y: x), (e1,), 1)
 
 
+def test_anchors_must_be_unbatched():
+    # a batch of two anchors was accepted; directional_derivative then failed in numpy
+    with pytest.raises(ValueError, match="unbatched"):
+        apply_functional(Multivector(E3, np.eye(8)[[1, 2]]))
+
+
 # -- directional derivative: worked instances ----------------------------------
 
 
@@ -775,6 +781,22 @@ def test_bridge_reassembles_directional_derivative():
     assert directional_from_partials(
         np.array([[0.0, 1.0], [0.0, 0.0]]), Multivector.zero(E2), frame
     ).norm_inf() == 0.0
+
+
+def test_bridge_directional_rejects_a_direction_over_a_foreign_metric():
+    partials = np.eye(3)
+    foreign = basis_vectors(Metric(3, (1.0, -1.0, 2.0)))[0]
+    with pytest.raises(ConfigurationError):
+        directional_from_partials(partials, foreign, Frame.orthonormal(E3))
+
+
+def test_bridge_directional_rejects_a_direction_that_is_not_one_vector():
+    # a bivector missed every frame vector and gave 0; a batch of two vectors
+    # failed inside numpy's matmul
+    e1, e2, _ = basis_vectors(E3)
+    for direction in (e1 ^ e2, Multivector(E3, np.eye(8)[[1, 2]])):
+        with pytest.raises(ValueError, match="one unbatched vector"):
+            directional_from_partials(np.eye(3), direction, Frame.orthonormal(E3))
 
 
 def test_bridge_star_frozen_instance():

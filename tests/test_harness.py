@@ -481,6 +481,14 @@ def test_cli_bad_metric_exits_nonzero_before_running():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("dim", ["1", "9"])
+def test_cli_dim_out_of_range_exits_two_before_running(dim):
+    proc = run_cli("--dim", dim)
+    assert proc.returncode == 2, proc.stderr
+    assert "dim must be" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("--metric", "diag:nan,1,1"),
     ("--metric", "diag:inf,1,1"),
