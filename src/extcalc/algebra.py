@@ -56,6 +56,9 @@ constructor every result goes through, and a product of a batch with a
 tangent-carrying operand, raise ValueError rather than drop the tangents.
 
 All values are immutable after construction and every operation is pure.
+Every layer checks its inputs with the same two rules: _check_metric (one
+metric for all operands, maps and frames) and _check_operand (a fixed operand
+is one unbatched homogeneous multivector without a tangent block).
 """
 
 from __future__ import annotations
@@ -359,7 +362,7 @@ class Multivector:
     def with_tangents(self, directions: Sequence["Multivector"]) -> "Multivector":
         """Lift to a tangent block whose row r is the value of directions[r]."""
         for d in directions:
-            self._check_metric(d)
+            _check_metric(self.metric, d.metric)
         block = np.stack([d._values for d in directions])
         return Multivector._raw(self.metric, self._values, block)
 
@@ -393,16 +396,12 @@ class Multivector:
 
     # -- linear operations -------------------------------------------------
 
-    def _check_metric(self, other: "Multivector"):
-        if self.metric is not other.metric and self.metric != other.metric:
-            raise ConfigurationError("operands live over different metrics")
-
     def __add__(self, other):
         if isinstance(other, (int, float)):  # a constant scalar
             other = Multivector.from_scalar(self.metric, other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check_metric(other)
+        _check_metric(self.metric, other.metric)
         return Multivector._raw(
             self.metric,
             self._values + other._values,
@@ -474,7 +473,7 @@ class Multivector:
     def _product(self, kind: str, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
-        self._check_metric(other)
+        _check_metric(self.metric, other.metric)
         tables = _tables(self.metric)
         a, b = self._values, other._values
         ta, tb = self._tangents, other._tangents
@@ -546,6 +545,23 @@ def _scalar_product(metric: Metric, weight, a, b, ta, tb) -> Multivector:
 _set_metric = Multivector.metric.__set__
 _set_values = Multivector._values.__set__
 _set_tangents = Multivector._tangents.__set__
+
+
+def _check_metric(metric: Metric, other: Metric):
+    """Operands, maps and frames combine only over one metric: a mix of two
+    weighs blades and reciprocals in the wrong one, silently."""
+    if metric is not other and metric != other:
+        raise ConfigurationError(f"operands live over different metrics: {metric} and {other}")
+
+
+def _check_operand(x: Multivector, metric: Metric, grade: int, what: str):
+    """The rule for a fixed operand -- an anchor, a direction, a map's image,
+    a factory's constant: one unbatched grade-`grade` multivector over
+    `metric`, with no tangent block (it is a constant, not a variable)."""
+    _check_metric(metric, x.metric)
+    if x._values.ndim != 1 or x._tangents is not None or not x.is_homogeneous(grade):
+        noun = "vector" if grade == 1 else f"grade-{grade} multivector"
+        raise ValueError(f"{what} must be one unbatched {noun} with no tangent block")
 
 
 def _check_mask(metric: Metric, mask: int):
@@ -715,7 +731,7 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
     if len(vectors) != n:
         raise DegenerateFrameError(f"need {n} vectors, got {len(vectors)}")
     for v in vectors:
-        vectors[0]._check_metric(v)
+        _check_metric(metric, v.metric)
         if v._values.ndim != 1 or not v.is_homogeneous(1):
             raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
     tables = _tables(metric)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Multivector, product_sum
+from .algebra import Frame, Multivector, _check_metric, _check_operand, product_sum
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -143,9 +143,7 @@ def dir_deriv(
     difference of `step`.
     """
     _check_slot(func, args, var_index)
-    args[var_index]._check_metric(direction)
-    if direction._values.ndim != 1 or not direction.is_homogeneous(func.input_grade):
-        raise ValueError(f"direction must be one multivector of grade {func.input_grade}")
+    _check_operand(direction, args[var_index].metric, func.input_grade, "direction")
     rows = _derivative_rows(func, args, (var_index,), direction._values[None], step)
     return Multivector._raw(direction.metric, rows[0, 0])
 
@@ -163,12 +161,12 @@ def _slot_gradients(
     one product_sum, of the derivatives along the C(n, q) frame blades, which
     come from one _derivative_rows call.  With (b, k) `weights`, the b
     weighted sums sum_j weights[c, j] * grad_star in slots[j], (b, 2^n),
-    each from one band of that call."""
-    for i in slots:
-        _check_slot(func, args, i)
+    each from one band of that call.  The caller has checked the slots."""
     metric = args[slots[0]].metric
     if frame is None:
         frame = Frame.orthonormal(metric)
+    else:
+        _check_metric(metric, frame.metric)
     q = func.input_grade
     primal, recip = frame.blades(q)
     rows = _derivative_rows(func, args, slots, primal, step, weights)
@@ -190,5 +188,6 @@ def grad_star(
     derivatives are exact for step=None, else central differences of `step`.
     This is the one-slot case of _slot_gradients.
     """
+    _check_slot(func, args, var_index)
     grad = _slot_gradients(func, args, (var_index,), kind, frame, step)[0]
     return Multivector._raw(args[var_index].metric, grad)

@@ -15,8 +15,10 @@ InducedFunctional, so that the derivative operators apply to it:
 The frame-based realizations (adjoint, trace, bivector, pseudoscalar, det)
 expand the quantity over a frame and its reciprocal -- adjoint(h)(b) as
 sum_j (b . h(f^j)) f_j, the trace as sum_j t(f^j) . f_j, and so on -- which
-turns each into a functional with n grade-1 anchors.  Any frame works; the
-derivative identities the harness checks are frame-independent.
+turns each into a functional with n grade-1 anchors.  Any frame over the
+functional's metric works; the derivative identities the harness checks are
+frame-independent.  A factory's vector or pseudoscalar is a fixed operand in
+the sense of extcalc.algebra, as the anchors are.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
+    _check_metric,
+    _check_operand,
     scalar_value,
     unit_pseudoscalar,
     wedge_all,
@@ -35,15 +39,11 @@ from .functional import InducedFunctional
 
 def apply_functional(b: Multivector) -> InducedFunctional:
     """h -> h(b) for a fixed vector b."""
-    if not b.is_homogeneous(1):
-        raise ValueError("b must be a vector")
     return InducedFunctional(MvFunction(1, 1, 1, lambda x: x), (b,), 1)
 
 
 def pair_product_functional(kind: str, b: Multivector, c: Multivector) -> InducedFunctional:
     """h -> h(b) * h(c) under the given product kind."""
-    if not (b.is_homogeneous(1) and c.is_homogeneous(1)):
-        raise ValueError("b and c must be vectors")
     out_grade = {"scalar": 0, "wedge": 2, "lcontract": 0, "geometric": None}[kind]
     return InducedFunctional(
         MvFunction(2, 1, out_grade, lambda x, y: x._product(kind, y)), (b, c), 1
@@ -67,6 +67,7 @@ def _frame_sum(metric: Metric, frame: Frame | None, output_grade: int, term) -> 
     reciprocal vectors f^j its n anchors."""
     if frame is None:
         frame = Frame.orthonormal(metric)
+    _check_metric(metric, frame.metric)
     vectors = frame.vectors
 
     def evaluator(*xs):
@@ -82,8 +83,7 @@ def _frame_sum(metric: Metric, frame: Frame | None, output_grade: int, term) -> 
 
 def adjoint_image_functional(b: Multivector, frame: Frame | None = None) -> InducedFunctional:
     """h -> adjoint(h)(b), expanded as sum_j (b . h(f^j)) f_j over a frame."""
-    if not b.is_homogeneous(1):
-        raise ValueError("b must be a vector")
+    _check_operand(b, b.metric, 1, "b")
     return _frame_sum(b.metric, frame, 1, lambda x, f: f * b.scalar_product(x).scalar_part())
 
 
@@ -106,10 +106,10 @@ def pseudoscalar_image_functional(
     ... ^ f_n) the value is scale * h(f^1) ^ ... ^ h(f^n).
     """
     metric = pss.metric
-    if not pss.is_homogeneous(metric.dim):
-        raise ValueError("pss must be a pseudoscalar")
+    _check_operand(pss, metric, metric.dim, "pss")
     if frame is None:
         frame = Frame.orthonormal(metric)
+    _check_metric(metric, frame.metric)
     scale = scalar_value(pss, Multivector(metric, frame.blades(metric.dim)[0][0]))
     return blade_image_functional(frame.reciprocal).scaled(scale)
 
@@ -117,8 +117,6 @@ def pseudoscalar_image_functional(
 def det_functional(metric: Metric, frame: Frame | None = None) -> InducedFunctional:
     """h -> det of h, as the top-blade coefficient of the image of the unit
     pseudoscalar."""
-    if frame is None:
-        frame = Frame.orthonormal(metric)
     shape = pseudoscalar_image_functional(unit_pseudoscalar(metric), frame)
     f = shape.func
     top = metric.size - 1

@@ -8,9 +8,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import ConfigurationError
 from .harness import SUITES, HarnessConfig, emit_report, run_suite
+
+# one flag per HarnessConfig field, in field order: its help text
+_FIELD_HELP = {
+    "dim": "dimension of the base space (2-8)",
+    "metric": 'metric signature: "euclidean" or "diag:+,+,-" style (numeric entries allowed)',
+    "trials": "random trials per identity",
+    "seed": "RNG seed (64-bit)",
+    "tol_exact": "tolerance for exact paths",
+    "tol_fd": "tolerance for finite-difference paths",
+    "fd_step": "central-difference step",
+    "suite": "which identity suite to run",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,36 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extcalc",
         description="Run the derivative-identity verification suite.",
     )
-    parser.add_argument(
-        "--dim", type=int, default=defaults.dim, help="dimension of the base space (2-8)"
-    )
-    parser.add_argument(
-        "--metric",
-        default=defaults.metric,
-        help='metric signature: "euclidean" or "diag:+,+,-" style (numeric entries allowed)',
-    )
-    parser.add_argument(
-        "--trials", type=int, default=defaults.trials, help="random trials per identity"
-    )
-    parser.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed (64-bit)")
-    parser.add_argument(
-        "--tol-exact", type=float, default=defaults.tol_exact, help="tolerance for exact paths"
-    )
-    parser.add_argument(
-        "--tol-fd",
-        type=float,
-        default=defaults.tol_fd,
-        help="tolerance for finite-difference paths",
-    )
-    parser.add_argument(
-        "--fd-step", type=float, default=defaults.fd_step, help="central-difference step"
-    )
-    parser.add_argument(
-        "--suite",
-        choices=SUITES + ("all",),
-        default=defaults.suite,
-        help="which identity suite to run",
-    )
+    for field in fields(HarnessConfig):
+        default = getattr(defaults, field.name)
+        choices = SUITES + ("all",) if field.name == "suite" else None
+        parser.add_argument("--" + field.name.replace("_", "-"), type=type(default),
+                            default=default, choices=choices, help=_FIELD_HELP[field.name])
     parser.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
@@ -57,16 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = HarnessConfig(
-            dim=args.dim,
-            metric=args.metric,
-            trials=args.trials,
-            seed=args.seed,
-            tol_exact=args.tol_exact,
-            tol_fd=args.tol_fd,
-            fd_step=args.fd_step,
-            suite=args.suite,
-        )
+        config = HarnessConfig(**{f.name: getattr(args, f.name) for f in fields(HarnessConfig)})
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

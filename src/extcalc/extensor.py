@@ -26,10 +26,13 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Frame, Metric, Multivector, _as_rng, _compound, _tables
-from .errors import ConfigurationError, SingularExtensorError
+from .algebra import (Frame, Metric, Multivector, _as_rng, _check_metric, _check_operand,
+                      _compound, _tables)
+from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
+INVERTIBLE_NOISE = 0.5  # random_invertible's noise scale and least |det|
+INVERTIBLE_MIN_DET = 0.1
 
 
 class Extensor:
@@ -77,8 +80,7 @@ class Extensor:
         """(1,1) map defined by the images of the generators."""
         images = list(images)
         for v in images:
-            if v._values.ndim != 1 or not v.is_homogeneous(1):
-                raise ValueError("images must be unbatched grade-1 multivectors")
+            _check_operand(v, metric, 1, "image")
         return cls(metric, _coords(images))
 
     @classmethod
@@ -87,22 +89,20 @@ class Extensor:
         return cls(metric, _as_rng(rng).uniform(-1.0, 1.0, (comb(n, q), comb(n, p))), p, q)
 
     @classmethod
-    def random_invertible(
-        cls, metric: Metric, rng, scale: float = 0.5, min_det: float = 0.1
-    ) -> "Extensor":
-        """identity + scale * uniform(-1, 1) noise, rejected while |det| < min_det."""
+    def random_invertible(cls, metric: Metric, rng) -> "Extensor":
+        """identity + INVERTIBLE_NOISE * uniform(-1, 1) noise, redrawn while
+        |det| < INVERTIBLE_MIN_DET."""
         rng = _as_rng(rng)
         n = metric.dim
         while True:
-            matrix = np.eye(n) + scale * rng.uniform(-1.0, 1.0, (n, n))
-            if abs(np.linalg.det(matrix)) >= min_det:
+            matrix = np.eye(n) + INVERTIBLE_NOISE * rng.uniform(-1.0, 1.0, (n, n))
+            if abs(np.linalg.det(matrix)) >= INVERTIBLE_MIN_DET:
                 return cls(metric, matrix)
 
     # -- application and composition ----------------------------------------
 
     def apply(self, x: Multivector) -> Multivector:
-        if x.metric is not self.metric and x.metric != self.metric:
-            raise ConfigurationError("operand lives over a different metric")
+        _check_metric(self.metric, x.metric)
         if not x.is_homogeneous(self.p):
             raise ValueError(f"argument must be homogeneous of grade {self.p}")
         return _apply_matrix(self.metric, self.matrix, self.p, self.q, x)
@@ -111,8 +111,7 @@ class Extensor:
 
     def compose(self, inner: "Extensor") -> "Extensor":
         """self after inner; inner's target grade must match self's source."""
-        if inner.metric != self.metric:
-            raise ConfigurationError("operands live over different metrics")
+        _check_metric(self.metric, inner.metric)
         if inner.q != self.p:
             raise ValueError(f"grade mismatch: inner maps to {inner.q}, self expects {self.p}")
         return Extensor(self.metric, self.matrix @ inner.matrix, inner.p, self.q)
@@ -175,7 +174,7 @@ class Extensor:
         """Covariant components m[i, j] = self(f_i) . f_j, as (H P)^T diag(w) P;
         the frame must live over the map's metric."""
         self._require_vector_map("to_components")
-        _check_frame(self.metric, frame)
+        _check_metric(self.metric, frame.metric)
         tables = _tables(self.metric)
         primal = _coords(frame.vectors)
         return (self.matrix @ primal).T @ (primal * tables.weight[tables.blades[1]][:, None])
@@ -184,7 +183,7 @@ class Extensor:
     def from_components(cls, metric: Metric, components, frame: Frame) -> "Extensor":
         """Inverse of to_components: the map with self(f_i) = sum_j m[i,j] f^j,
         for a frame over `metric`."""
-        _check_frame(metric, frame)
+        _check_metric(metric, frame.metric)
         n = metric.dim
         components = np.array(components, dtype=float)
         if components.shape != (n, n):
@@ -230,13 +229,6 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
     return x._map_rows(image)
 
 
-def _check_frame(metric: Metric, frame: Frame):
-    """A frame over another metric has another reciprocal and other blade
-    weights, so it would give silently wrong components."""
-    if frame.metric is not metric and frame.metric != metric:
-        raise ConfigurationError("frame lives over a different metric")
-
-
 def _coords(vectors) -> np.ndarray:
     """Grade-1 coordinates of the vectors' values, one column per vector."""
     return np.stack([v._values for v in vectors])[:, _tables(vectors[0].metric).blades[1]].T
@@ -263,8 +255,7 @@ class Outermorphism:
 
     def apply(self, x: Multivector) -> Multivector:
         metric = self.base.metric
-        if x.metric is not metric and x.metric != metric:
-            raise ConfigurationError("operand lives over a different metric")
+        _check_metric(metric, x.metric)
         grades = x.grades()
         if len(grades) > 1:
             raise ValueError("argument must be homogeneous")

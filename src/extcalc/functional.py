@@ -2,8 +2,9 @@
 derivative operators.
 
 An InducedFunctional pairs a function F of k grade-q variables with a fixed
-tuple of grade-p anchor multivectors (A^1, ..., A^k); its value on a (p,q)
-map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
+tuple of grade-p anchor multivectors (A^1, ..., A^k), each a constant of one
+metric (unbatched, without tangents; algebra._check_operand); its value on a
+(p,q) map t is F(t(A^1), ..., t(A^k)).  Derivatives come in two families:
 
   * the directional derivative along a grade-p direction A,
 
@@ -55,10 +56,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Metric, Multivector, _tables, product_sum
+from .algebra import Frame, Multivector, _check_metric, _check_operand, _tables, product_sum
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
-from .extensor import Extensor, _apply_matrix, _check_frame
+from .extensor import Extensor, _apply_matrix
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,18 @@ class InducedFunctional:
             )
         if not self.anchors:
             raise ValueError("need at least one anchor")
+        metric = self.anchors[0].metric
         for a in self.anchors:
-            if a._values.ndim != 1 or not a.is_homogeneous(self.source_grade):
-                raise ValueError(f"anchors must be unbatched and of grade {self.source_grade}")
-            if a.metric is not self.anchors[0].metric and a.metric != self.anchors[0].metric:
-                raise ValueError("anchors live over different metrics")
+            _check_operand(a, metric, self.source_grade, "anchor")
+        object.__setattr__(self, "metric", metric)  # an attribute: every map check reads it
         object.__setattr__(self, "_anchor_values", np.stack([a._values for a in self.anchors]))
-
-    @property
-    def metric(self) -> Metric:
-        return self.anchors[0].metric
 
     @property
     def arity(self) -> int:
         return self.func.arity
 
     def _check_map(self, t: Extensor):
-        if t.metric is not self.metric and t.metric != self.metric:
-            raise ValueError("map lives over a different metric")
+        _check_metric(self.metric, t.metric)
         if t.p != self.source_grade or t.q != self.func.input_grade:
             raise ValueError(
                 f"expected a ({self.source_grade},{self.func.input_grade}) map, "
@@ -133,9 +128,7 @@ class InducedFunctional:
     ) -> Multivector:
         """Derivative along a grade-p direction; linear in the direction."""
         self._check_map(t)
-        self.anchors[0]._check_metric(direction)
-        if direction._values.ndim != 1 or not direction.is_homogeneous(self.source_grade):
-            raise ValueError(f"direction must be one multivector of grade {self.source_grade}")
+        _check_operand(direction, self.metric, self.source_grade, "direction")
         weights = self._anchor_weights(direction._values)
         if not weights.any():
             return Multivector.zero(self.metric)
@@ -166,7 +159,7 @@ class InducedFunctional:
         frame-independent.  One gradient pass serves every kind, and each
         kind's entry is bit for bit the one a call for that kind alone gives."""
         _check_kinds(kinds)
-        _check_frame(self.metric, frame)
+        _check_metric(self.metric, frame.metric)
         primal, recip = frame.blades(self.source_grade)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
@@ -262,7 +255,7 @@ def component_partials(
     """
     _check_bridge_shape(phi)
     phi._check_map(t)
-    _check_frame(phi.metric, frame)
+    _check_metric(phi.metric, frame.metric)
     n = phi.metric.dim
     recip = frame.blades(1)[1]
     a = phi._anchor_weights(recip)[:, 0]  # anchor . f^p
@@ -295,9 +288,7 @@ def directional_from_partials(
     derivative of the functional the partials came from.  The direction is
     one vector over the frame's metric."""
     partials = _check_partials(partials, frame)
-    _check_frame(direction.metric, frame)
-    if direction._values.ndim != 1 or not direction.is_homogeneous(1):
-        raise ValueError("direction must be one unbatched vector")
+    _check_operand(direction, frame.metric, 1, "direction")
     vectors = frame.blades(1)[0]
     weights = vectors @ (direction._values * _tables(frame.metric).weight)  # direction . f_p
     return Multivector(frame.metric, weights @ partials @ vectors)

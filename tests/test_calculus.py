@@ -92,13 +92,28 @@ def test_dir_deriv_validates_slot_and_grade():
     batch = Multivector(E3, np.stack([e1.values(), e2.values()]))
     other = basis_vectors(Metric(3, (1.0, 1.0, -1.0)))[0]
     for step in (None, DEFAULT_FD_STEP):
-        with pytest.raises(ValueError):
-            dir_deriv(dot_with(e1), (e2,), 0, batch, step=step)
+        # a tangent-carrying direction had its tangents dropped silently
+        for direction in (batch, e1.with_tangent(e2)):
+            with pytest.raises(ValueError):
+                dir_deriv(dot_with(e1), (e2,), 0, direction, step=step)
         with pytest.raises(ConfigurationError):
             dir_deriv(dot_with(e1), (e2,), 0, other, step=step)
 
 
 # -- gradients ------------------------------------------------------------------
+
+
+def test_grad_star_rejects_a_frame_over_a_foreign_metric():
+    # the blades of diag(1, -1, 2)'s frame weighed in E3 gave 2e1 - 4e2 + 3e3
+    e1, e2, e3 = basis_vectors(E3)
+    x = e1 + 2.0 * e2 + 3.0 * e3
+    square = MvFunction(1, 1, 0, lambda v: v.scalar_product(v))
+    foreign = Frame.orthonormal(Metric(3, (1.0, -1.0, 2.0)))
+    for step in (None, DEFAULT_FD_STEP):
+        with pytest.raises(ConfigurationError):
+            grad_star(square, (x,), 0, frame=foreign, step=step)
+    own = grad_star(square, (x,), 0, frame=Frame.orthonormal(E3))
+    assert max_abs_diff(own, 2.0 * x) < 1e-14
 
 
 def test_gradient_of_identity_is_dimension():

@@ -59,6 +59,17 @@ def test_apply_is_linear():
     assert t(x).is_homogeneous(2)
 
 
+def test_from_vector_images_takes_fixed_vectors_over_its_metric():
+    # a tangent-carrying image had its tangents dropped silently
+    e1, e2, e3 = basis_vectors(E3)
+    for image in (e1.with_tangent(e2), e1 ^ e2, Multivector(E3, np.eye(8)[[1, 2]])):
+        with pytest.raises(ValueError):
+            Extensor.from_vector_images(E3, [e1, e2, image])
+    with pytest.raises(ConfigurationError):
+        Extensor.from_vector_images(E3, basis_vectors(Metric(3, (1.0, -1.0, 2.0))))
+    assert np.array_equal(Extensor.from_vector_images(E3, [e1, e2, e3]).matrix, np.eye(3))
+
+
 def test_apply_validates_grade_and_metric():
     e1, e2, _ = basis_vectors(E3)
     t = Extensor.identity(E3)

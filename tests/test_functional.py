@@ -95,6 +95,11 @@ def test_anchor_validation():
         InducedFunctional(MvFunction(1, 1, 0, lambda x: x), (e1 ^ e2,), 1)
     with pytest.raises(ValueError):
         InducedFunctional(MvFunction(2, 1, 0, lambda x, y: x), (e1,), 1)
+    # a tangent-carrying anchor was accepted; its fd star derivative then
+    # failed inside a product of a batch with a tangent block
+    dot = MvFunction(2, 1, 0, lambda x, y: x.scalar_product(y))
+    with pytest.raises(ValueError, match="no tangent block"):
+        InducedFunctional(dot, (e1.with_tangent(e2), e2), 1)
 
 
 def test_anchors_must_be_unbatched():
@@ -201,7 +206,9 @@ def test_directional_derivative_rejects_batched_and_foreign_directions():
     e1, e2, _ = basis_vectors(E3)
     phi = dot_functional(e1, e2)
     batch = Multivector(E3, np.stack([e1.values(), e2.values()]))
-    for direction in (batch, basis_vectors(Metric(3, (1.0, -1.0, 1.0)))[0]):
+    foreign = basis_vectors(Metric(3, (1.0, -1.0, 1.0)))[0]
+    # a tangent-carrying direction had its tangents dropped silently
+    for direction in (batch, foreign, e1.with_tangent(e2)):
         with pytest.raises(ValueError):
             phi.directional_derivative(Extensor.identity(E3), direction)
 
@@ -319,6 +326,40 @@ def test_frame_over_a_foreign_metric_is_rejected():
     for step in (None, DEFAULT_FD_STEP):
         with pytest.raises(ConfigurationError):
             component_partials(bridge, h, foreign, step)
+
+
+@pytest.mark.parametrize("factory", [
+    trace_functional,
+    bivector_functional,
+    lambda metric, frame: adjoint_image_functional(basis_vectors(metric)[0], frame),
+    lambda metric, frame: pseudoscalar_image_functional(unit_pseudoscalar(metric), frame),
+    det_functional,
+], ids=["trace", "bivector", "adjoint-image", "pseudoscalar-image", "det"])
+def test_catalog_factory_rejects_a_frame_over_a_foreign_metric(factory):
+    # the functional was built over the frame's metric and failed only at
+    # evaluate, with "map lives over a different metric"
+    foreign = Frame.orthonormal(Metric(3, (1.0, -1.0, 2.0)))
+    with pytest.raises(ConfigurationError):
+        factory(E3, foreign)
+    assert factory(E3, Frame.orthonormal(E3)).metric == E3
+
+
+def test_catalog_factories_reject_batched_and_tangent_operands():
+    # a tangent-carrying b gave an evaluate with tangents, and every derivative
+    # then failed on mismatched tangent blocks; a tangent-carrying
+    # pseudoscalar had its tangents dropped silently
+    e1, e2, e3 = basis_vectors(E3)
+    batch = Multivector(E3, np.eye(8)[[1, 2]])
+    for b in (batch, e1.with_tangent(e2), e1 ^ e2):
+        with pytest.raises(ValueError):
+            adjoint_image_functional(b)
+        with pytest.raises(ValueError):
+            apply_functional(b)
+        with pytest.raises(ValueError):
+            pair_product_functional("scalar", e3, b)
+    for pss in (unit_pseudoscalar(E3).with_tangent(e1), e1 ^ e2):
+        with pytest.raises(ValueError):
+            pseudoscalar_image_functional(pss)
 
 
 def test_kinds_must_be_a_sequence_not_a_string():
@@ -792,9 +833,9 @@ def test_bridge_directional_rejects_a_direction_over_a_foreign_metric():
 
 def test_bridge_directional_rejects_a_direction_that_is_not_one_vector():
     # a bivector missed every frame vector and gave 0; a batch of two vectors
-    # failed inside numpy's matmul
+    # failed inside numpy's matmul; a tangent-carrying vector lost its tangents
     e1, e2, _ = basis_vectors(E3)
-    for direction in (e1 ^ e2, Multivector(E3, np.eye(8)[[1, 2]])):
+    for direction in (e1 ^ e2, Multivector(E3, np.eye(8)[[1, 2]]), e1.with_tangent(e2)):
         with pytest.raises(ValueError, match="one unbatched vector"):
             directional_from_partials(np.eye(3), direction, Frame.orthonormal(E3))
 
