@@ -51,14 +51,33 @@ product with one batched side is the tangent rule's matmul against the
 unbatched side's operator (a @ M_b, or b @ L_a when the left side is the
 unbatched one).  Two batched sides multiply one row pair at a time, each
 pair the unbatched kernel itself; a scalar product of two batches is one
-weighted dot per row.  A batch never carries a tangent block: the internal
-constructor every result goes through, and a product of a batch with a
-tangent-carrying operand, raise ValueError rather than drop the tangents.
+weighted dot per row.  A point batch never carries a tangent block: the
+internal constructor every result goes through, and a product of a batch
+with a tangent-carrying operand, raise ValueError rather than drop the
+tangents.
+
+A trial stack (Multivector.stack) is T independent multivectors, the T
+random trials of a harness check, evaluated in one pass (vector forward mode
+over a batch; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+ch. 3).  Its values are (T, P, 2^n), P = 1 or, for a stack of point batches,
+the batch size B; its tangent block, when it has one, is (T, m, 2^n), and
+only a stack with P = 1 carries one.  So a trial stack is never a point
+batch: every rule that rejects a batch still rejects one, and a stack with
+P = 1 is accepted wherever one unbatched operand is.  A stack's coefficient
+is a (T, P) array, or a stacked grade-0 jet when it carries tangents, and a
+(T, P) array scales and builds stacks row by row; the scalars of a stack of
+maps (Extensor.det, Extensor.trace) are (T, 1) arrays too.  Each trial makes
+the BLAS call the unstacked code makes: a value row meets its operator as a
+(T, 1, 2^n) @ (T, 2^n, 2^n) matmul, one gemv per trial, and a tangent block
+or a point batch as one gemm per trial.  Operator stacks are cut into
+chunks below glibc's 128 KB mmap threshold, so freeing one never raises the
+threshold and the heap (and peak RSS) stays as the unstacked code leaves it.
 
 All values are immutable after construction and every operation is pure.
 Every layer checks its inputs with the same two rules: _check_metric (one
 metric for all operands, maps and frames) and _check_operand (a fixed operand
-is one unbatched homogeneous multivector without a tangent block).
+is one unbatched homogeneous multivector without a tangent block, or a trial
+stack of them).
 """
 
 from __future__ import annotations
@@ -149,21 +168,31 @@ class _Gather:
 
     def __init__(self, perm, right):
         self.perm, self.right_signs = perm, right
+        self._index = None  # a writeable copy of perm: np.take copies a read-only one per call
         # L[j, k] = S[j ^ k, j] = R[j ^ k, k]: the left table is the right one permuted
         self.left_signs = right[perm, np.arange(len(right))]
         self.left_signs.flags.writeable = False
 
     def right(self, b: np.ndarray) -> np.ndarray:
-        """M_b, with a @ M_b the product of a and b."""
-        gathered = b[self.perm]
+        """M_b, with a @ M_b the product of a and b; one per trial of a stack."""
+        gathered = self._gather(b)
         gathered *= self.right_signs
         return gathered
 
     def left(self, a: np.ndarray) -> np.ndarray:
         """L_a, with b @ L_a the product of a and b."""
-        gathered = a[self.perm]
+        gathered = self._gather(a)
         gathered *= self.left_signs
         return gathered
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """x[perm]; for a (T, 2^n) stack, one per trial in C order, the layout
+        BLAS takes as the unstacked code's (x[..., perm] puts the trials last)."""
+        if x.ndim == 1:
+            return x[self.perm]
+        if self._index is None:
+            self._index = np.array(self.perm)
+        return np.take(x, self._index, axis=-1)
 
 
 class _Scatter:
@@ -187,9 +216,13 @@ class _Scatter:
         return self._operator(a, self.left_index, self.i)
 
     def _operator(self, x, index, factor):
-        op = np.zeros(self.size * self.size)
-        op[index] = x[factor] * self.signs
-        return op.reshape(self.size, self.size)
+        if x.ndim == 1:
+            op = np.zeros(self.size * self.size)
+            op[index] = x[factor] * self.signs
+            return op.reshape(self.size, self.size)
+        op = np.zeros((len(x), self.size * self.size))  # one per trial of a stack
+        op[:, index] = x[:, factor] * self.signs
+        return op.reshape(len(x), self.size, self.size)
 
 
 def _kernel(perm: np.ndarray, right: np.ndarray):
@@ -248,23 +281,38 @@ def _tables(metric: Metric) -> _Tables:
 
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
 _FACTORS = (int, float, np.number, np.ndarray)  # what scales a Multivector
+_MMAP_THRESHOLD = 128 * 1024  # glibc's default: larger blocks are mmapped
 
 
 def _sum_tangents(ta, tb):
-    """Sum of two tangent blocks, either of which may be absent."""
+    """Sum of two tangent blocks, either of which may be absent; an unstacked
+    block adds to each trial of a stacked one."""
     if ta is None:
         return tb
     if tb is None:
         return ta
-    if ta.shape != tb.shape:
+    if ta.shape[-2:] != tb.shape[-2:]:
         raise ValueError(f"tangent blocks of shapes {ta.shape} and {tb.shape} do not match")
     return ta + tb
+
+
+def _chunks(count: int, size: int) -> list:
+    """Slices of a trial axis of `count` whose (size, size) operator stacks
+    stay below the mmap threshold; one trial per slice if one is larger."""
+    step = max(1, (_MMAP_THRESHOLD - 1) // (8 * size * size))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _as_stack(values: np.ndarray) -> np.ndarray:
+    """Values as (T, P, 2^n): an unstacked value or point batch is a stack of one."""
+    return values.reshape((1,) * (3 - values.ndim) + values.shape)
 
 
 class Multivector:
     """Immutable element of the full algebra: a value array with one
     coefficient per basis blade, plus an optional (m, 2^n) tangent block;
-    or a batch of B elements, a (B, 2^n) value array without tangents."""
+    or a batch of B elements, a (B, 2^n) value array without tangents; or a
+    trial stack of T of either, (T, P, 2^n) values (see the module notes)."""
 
     __slots__ = ("metric", "_values", "_tangents")
     __array_ufunc__ = None  # ndarray * Multivector defers to __rmul__
@@ -283,8 +331,13 @@ class Multivector:
     @classmethod
     def _raw(cls, metric: Metric, values: np.ndarray, tangents=None) -> "Multivector":
         """Internal constructor for arrays this module owns and never mutates;
-        the one place that keeps a batch and a tangent block apart."""
-        if tangents is not None and (values.ndim != 1 or tangents.ndim != 2):
+        the one place that keeps a batch and a tangent block apart.  A
+        (T, 1, 2^n) trial stack takes a (T, m, 2^n) block."""
+        if tangents is not None and not (
+            (values.ndim == 1 and tangents.ndim == 2)
+            or (values.ndim == tangents.ndim == 3 and values.shape[1] == 1
+                and len(values) == len(tangents))
+        ):
             raise ValueError(_BATCH_WITH_TANGENTS)
         out = object.__new__(cls)
         _set_metric(out, metric)
@@ -315,6 +368,27 @@ class Multivector:
             coeff, column = _jet_parts(coeff)
         return _blade(metric, mask, coeff, column)
 
+    @classmethod
+    def stack(cls, rows: Sequence["Multivector"]) -> "Multivector":
+        """The trial stack of unbatched multivectors over one metric: trial r
+        is rows[r], its values and its tangent block (all rows carry one of
+        one shape, or none does)."""
+        rows = list(rows)
+        if not rows:
+            raise ValueError("need at least one multivector to stack")
+        metric = rows[0].metric
+        for x in rows:
+            _check_metric(metric, x.metric)
+            if x._values.ndim != 1:
+                raise ValueError("only unbatched multivectors stack")
+        values = np.stack([x._values for x in rows])[:, None, :]
+        blocks = [x._tangents for x in rows]
+        if all(t is None for t in blocks):
+            return cls._raw(metric, values)
+        if any(t is None or t.shape != blocks[0].shape for t in blocks):
+            raise ValueError("stacked rows must all carry tangent blocks of one shape, or none")
+        return cls._raw(metric, values, np.stack(blocks))
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -322,22 +396,24 @@ class Multivector:
         """One coefficient per mask, as coeff returns it."""
         if self._values.ndim == 2:
             return tuple(self._values.T.copy())
-        if self._tangents is None:
+        if self._tangents is None and self._values.ndim == 1:
             return tuple(self._values.tolist())
         return tuple(map(self.coeff, range(self.metric.size)))
 
     def coeff(self, mask: int):
         """Coefficient of one blade: a float; a grade-0 jet when a tangent
-        block is present, its tangent column the coefficient's tangents; or
-        a (B,) array for a batch."""
+        block is present, its tangent column the coefficient's tangents; a
+        (B,) array for a batch; a (T, P) array for a trial stack."""
         _check_mask(self.metric, mask)
-        if self._values.ndim == 2:
-            return self._values[:, mask].copy()
-        value = float(self._values[mask])
-        t = self._tangents
+        values, t = self._values, self._tangents
+        if values.ndim == 1:
+            value = float(values[mask])
+            if t is None:
+                return value
+            return _blade(self.metric, 0, value, t[:, mask])
         if t is None:
-            return value
-        return _blade(self.metric, 0, value, t[:, mask])
+            return values[..., mask].copy()
+        return _blade(self.metric, 0, values[..., mask], t[..., mask])
 
     def scalar_part(self):
         """Grade-0 coefficient (as coeff(0))."""
@@ -353,6 +429,8 @@ class Multivector:
         """Row `row` of the tangent block; zero when there is no block."""
         if self._tangents is None:
             return Multivector.zero(self.metric)
+        if self._tangents.ndim == 3:
+            return Multivector._raw(self.metric, self._tangents[:, row, None])
         return Multivector._raw(self.metric, self._tangents[row])
 
     def with_tangent(self, direction: "Multivector") -> "Multivector":
@@ -367,12 +445,14 @@ class Multivector:
         return Multivector._raw(self.metric, self._values, block)
 
     def _support(self) -> np.ndarray:
-        """Masks nonzero anywhere: in the value, a tangent row or a batch row."""
+        """Masks nonzero anywhere: in the value, a tangent row, a batch row or
+        a trial."""
+        size = self.metric.size
         support = self._values != 0.0
-        if support.ndim == 2:
-            return support.any(axis=0)
+        if support.ndim > 1:
+            support = support.reshape(-1, size).any(axis=0)
         if self._tangents is not None:
-            support |= (self._tangents != 0.0).any(axis=0)
+            support |= (self._tangents != 0.0).reshape(-1, size).any(axis=0)
         return support
 
     def nonzero_items(self):
@@ -389,7 +469,7 @@ class Multivector:
         off = _tables(self.metric).off_grade.get(grade, slice(None))
         if np.count_nonzero(self._values[..., off]):
             return False
-        return self._tangents is None or not np.count_nonzero(self._tangents[:, off])
+        return self._tangents is None or not np.count_nonzero(self._tangents[..., off])
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self._values)))
@@ -430,9 +510,8 @@ class Multivector:
         return self._map_rows(np.negative)
 
     def _scaled(self, factor):
-        if isinstance(factor, np.ndarray) and factor.ndim == 1:  # one per batch row
-            return Multivector._raw(self.metric, factor[:, None] * self._values, self._tangents)
-        factor = float(factor)
+        # an array holds one factor per batch row, (B,), or per trial, (T, P)
+        factor = factor[..., None] if isinstance(factor, np.ndarray) else float(factor)
         return self._map_rows(lambda rows: factor * rows)
 
     def __mul__(self, other):
@@ -482,6 +561,8 @@ class Multivector:
         if kind == "scalar":
             return _scalar_product(self.metric, tables.weight, a, b, ta, tb)
         kernel = tables.kernels[kind]
+        if a.ndim == 3 or b.ndim == 3:
+            return _stacked_product(self.metric, kernel, a, b, ta, tb)
         if b.ndim == 2:
             if a.ndim == 1:  # b's rows meet a as tangent rows do
                 values = b @ kernel.left(a)
@@ -512,6 +593,10 @@ class Multivector:
         return self._product("lcontract", other)
 
     def __repr__(self):
+        if self._values.ndim == 3:  # a trial stack, one trial per entry
+            trials = (Multivector._raw(self.metric, v[0] if len(v) == 1 else v)
+                      for v in self._values)
+            return "{" + "; ".join(map(repr, trials)) + "}"
         if self._values.ndim == 2:
             rows = (Multivector._raw(self.metric, row) for row in self._values)
             return "[" + ", ".join(map(repr, rows)) + "]"
@@ -523,22 +608,71 @@ class Multivector:
         return " + ".join(terms) if terms else "0"
 
 
+def _stacked_product(metric: Metric, kernel, a, b, ta, tb) -> Multivector:
+    """A product with a trial stack on either side: the unstacked routes,
+    each trial's operator its own, so that every trial makes the unstacked
+    code's BLAS call.  A point batch meets the other side's operator as one
+    gemm per trial; two point batches multiply one row pair at a time."""
+    a, b = _as_stack(a), _as_stack(b)
+    if (a.shape[1] > 1 or b.shape[1] > 1) and (ta is not None or tb is not None):
+        raise ValueError(_BATCH_WITH_TANGENTS)
+    trials = max(len(a), len(b))
+    size = metric.size
+    if a.shape[1] > 1 and b.shape[1] > 1:  # row pairs, each row one gemv per trial
+        a, b = np.broadcast_arrays(a, b)
+        values = np.empty(a.shape)
+        for j in range(a.shape[1]):
+            for sl in _chunks(trials, size):
+                values[sl, j] = (a[sl, j, None] @ kernel.right(b[sl, j]))[:, 0]
+        return Multivector._raw(metric, values)
+    if b.shape[1] > 1:  # b's rows meet a as tangent rows do
+        return Multivector._raw(metric, _by_chunks(b, a, kernel.left, size))
+    values = _by_chunks(a, b, kernel.right, size)
+    tangents = None if ta is None else _by_chunks(ta, b, kernel.right, size)
+    if tb is not None:
+        tangents = _sum_tangents(tangents, _by_chunks(tb, a, kernel.left, size))
+    return Multivector._raw(metric, values, tangents)
+
+
+def _by_chunks(rows, x, operator, size) -> np.ndarray:
+    """rows @ operator(x), one operator per trial of x and one matmul per
+    chunk of trials; rows (..., r, 2^n) and x (T, 1, 2^n) broadcast."""
+    if len(x) == 1:  # one operator for every trial
+        return rows @ operator(x[:, 0])
+    rows = np.broadcast_to(rows, (len(x),) + rows.shape[-2:])
+    return np.concatenate([rows[sl] @ operator(x[sl, 0]) for sl in _chunks(len(x), size)])
+
+
 def _scalar_product(metric: Metric, weight, a, b, ta, tb) -> Multivector:
     """<~a b>_0 as one weighted dot, its tangents one more per tangent side;
-    two batched sides, or one, give one dot per row."""
+    two batched sides, or one, or a trial stack, give one dot per row."""
     bw = b * weight
-    if a.ndim == 2 or b.ndim == 2:
-        return _blade(metric, 0, np.vecdot(a, bw))
-    values = np.zeros(len(a))
-    values[0] = np.dot(a, bw)
+    if a.ndim == 1 and b.ndim == 1:
+        values = np.zeros(len(a))
+        values[0] = np.dot(a, bw)
+        if ta is None and tb is None:
+            return Multivector._raw(metric, values)
+        column = None if ta is None else np.dot(ta, bw)
+        if tb is not None:
+            column = _sum_tangents(column, np.dot(tb, a * weight))
+        tangents = np.zeros((len(column), len(a)))
+        tangents[:, 0] = column
+        return Multivector._raw(metric, values, tangents)
+    dots = np.vecdot(a, bw)
     if ta is None and tb is None:
-        return Multivector._raw(metric, values)
-    column = None if ta is None else np.dot(ta, bw)
+        return _blade(metric, 0, dots)
+    # a trial stack with tangents: one gemv per trial and tangent side
+    column = None if ta is None else _matvec(ta, bw)
     if tb is not None:
-        column = _sum_tangents(column, np.dot(tb, a * weight))
-    tangents = np.zeros((len(column), len(a)))
-    tangents[:, 0] = column
-    return Multivector._raw(metric, values, tangents)
+        column = _sum_tangents(column, _matvec(tb, a * weight))
+    return _blade(metric, 0, dots, column)
+
+
+def _matvec(block, v) -> np.ndarray:
+    """block @ v per trial, as np.dot(block, v) is unstacked: (T, m) from a
+    (T or none, m, 2^n) block and a (T, 1, 2^n) or (2^n,) vector."""
+    column = v[:, 0, :, None] if v.ndim == 3 else v[:, None]
+    return (block @ column)[..., 0]
 
 
 # slot setters that bypass Multivector.__setattr__, which refuses all writes
@@ -557,11 +691,29 @@ def _check_metric(metric: Metric, other: Metric):
 def _check_operand(x: Multivector, metric: Metric, grade: int, what: str):
     """The rule for a fixed operand -- an anchor, a direction, a map's image,
     a factory's constant: one unbatched grade-`grade` multivector over
-    `metric`, with no tangent block (it is a constant, not a variable)."""
+    `metric`, or a trial stack of them, with no tangent block (it is a
+    constant, not a variable)."""
     _check_metric(metric, x.metric)
-    if x._values.ndim != 1 or x._tangents is not None or not x.is_homogeneous(grade):
+    if _is_batch(x) or x._tangents is not None or not x.is_homogeneous(grade):
         noun = "vector" if grade == 1 else f"grade-{grade} multivector"
         raise ValueError(f"{what} must be one unbatched {noun} with no tangent block")
+
+
+def _is_batch(x: Multivector) -> bool:
+    """True for a point batch or a stack of them; a trial stack is no batch."""
+    values = x._values
+    return values.ndim == 2 or (values.ndim == 3 and values.shape[1] != 1)
+
+
+def _rows(x: Multivector) -> np.ndarray:
+    """The (2^n,) value of an unbatched x, or the (T, 2^n) values of a trial stack."""
+    values = x._values
+    return values[:, 0] if values.ndim == 3 else values
+
+
+def _trial_rows(metric: Metric, rows: np.ndarray) -> Multivector:
+    """The multivector of one (2^n,) value, or the trial stack of (T, 2^n) values."""
+    return Multivector._raw(metric, rows[:, None] if rows.ndim == 2 else rows)
 
 
 def _check_mask(metric: Metric, mask: int):
@@ -570,22 +722,27 @@ def _check_mask(metric: Metric, mask: int):
 
 
 def _blade(metric: Metric, mask: int, coeff, column=None) -> Multivector:
-    """coeff * blade, with tangent column `column` ((m,) or None) at `mask`."""
+    """coeff * blade, with tangent column `column` ((m,), (T, m) for a trial
+    stack, or None) at `mask`; a (B,) coeff makes a batch, a (T, P) one a
+    trial stack."""
     batch = coeff.shape if isinstance(coeff, np.ndarray) else ()
     values = np.zeros(batch + (metric.size,))
     values[..., mask] = coeff
     tangents = None
     if column is not None:
-        tangents = np.zeros((len(column), metric.size))
-        tangents[:, mask] = column
+        tangents = np.zeros(column.shape + (metric.size,))
+        tangents[..., mask] = column
     return Multivector._raw(metric, values, tangents)
 
 
 def _jet_parts(jet: Multivector) -> tuple:
-    """(value, tangent column or None) of an unbatched grade-0 multivector."""
-    if jet._values.ndim != 1 or not jet.is_homogeneous(0):
+    """(value, tangent column or None) of an unbatched grade-0 multivector:
+    a float and an (m,) column, or, for a trial stack, (T, 1) and (T, m)."""
+    if _is_batch(jet) or not jet.is_homogeneous(0):
         raise ValueError("expected an unbatched grade-0 multivector as a scalar")
     t = jet._tangents
+    if jet._values.ndim == 3:
+        return jet._values[..., 0], None if t is None else t[..., 0]
     return float(jet._values[0]), None if t is None else t[:, 0]
 
 
@@ -611,8 +768,9 @@ def _sum_rows(metric: Metric, grade: int, kind: str) -> tuple[np.ndarray, np.nda
 def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
     """sum_i  lefts[i] * rights[..., i, :]  under each product of `kinds`.
 
-    lefts is a (k, 2^n) array of grade-`grade` values (other coefficients
-    are ignored), rights (..., k, 2^n), each result (..., 2^n).  Over the
+    lefts is a (..., k, 2^n) array of grade-`grade` values (other
+    coefficients are ignored), rights (..., k, 2^n), each result (..., 2^n);
+    the leading axes (bands, a trial stack's trials) broadcast.  Over the
     grade's masks S, product(kind, x, d)[m] = sum_a x[S_a] d[S_a ^ m]
     R[S_a, m], so the i sum comes first as one matmul, cross =
     lefts[:, S].T @ rights, and the a sum is a gather of cross at
@@ -633,7 +791,8 @@ def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
     if not 0 <= grade <= metric.dim:
         raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
     rows = [_sum_rows(metric, grade, kind) for kind in kinds]
-    cross = np.ascontiguousarray(lefts[:, _tables(metric).blades[grade]].T) @ rights
+    support = lefts[..., _tables(metric).blades[grade]]
+    cross = np.ascontiguousarray(np.swapaxes(support, -1, -2)) @ rights
     gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., rows[0][0]]
     sums = tuple((gathered * signs).sum(axis=-2) for _, signs in rows)
     return sums[0] if single else sums
@@ -699,30 +858,35 @@ def _laplace_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
-    """The grade-th compound of an n x n matrix: entry (I, J) is its minor on
+    """The grade-th compound of an n x n matrix, or of each matrix of a
+    (T, n, n) trial stack: entry (I, J) is its minor on
     the generator sets of the I-th and J-th grade-`grade` blades.  The k-th
     compound comes from the (k-1)-th by one Laplace step along each minor's
     last column, a gather, a multiply by the cofactor signs and a sum over
     the k rows, with no pivoting and no division; on a diagonal minor that
     is the diagonal's product in order, the wedge loop's bits.  Grade 0 is
     [[1.0]] and grade 1 a copy of the matrix."""
-    n = len(matrix)
+    n = matrix.shape[-1]
     if not 0 <= grade <= n:
         raise ValueError(f"grade {grade} out of range for dim {n}")
+    lead = matrix.shape[:-2]  # a trial stack's compounds, one per trial
     if grade == 0:
-        return np.ones((1, 1))
+        return np.ones(lead + (1, 1))
     compound = np.array(matrix, dtype=float)
+    flat = matrix.reshape(lead + (-1,))
     for k in range(2, grade + 1):
         entries, minors, signs = _laplace_index(n, k)
-        terms = np.take(matrix, entries) * np.take(compound, minors)
+        terms = np.take(flat, entries, axis=-1)
+        terms *= np.take(compound.reshape(lead + (-1,)), minors, axis=-1)
         terms *= signs
-        compound = terms.sum(axis=1)
+        compound = terms.sum(axis=-2)
     return compound
 
 
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
     """Vectors f^i with f^i . f_j = delta_ij under the ambient metric: the
-    inverse Gram matrix applied to the frame's values (tangents are dropped)."""
+    inverse Gram matrix applied to the frame's values (tangents are dropped).
+    Trial stacks of vectors give the trial stack of reciprocal frames."""
     vectors = list(vectors)
     if not vectors:
         raise DegenerateFrameError("empty frame")
@@ -732,24 +896,34 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
         raise DegenerateFrameError(f"need {n} vectors, got {len(vectors)}")
     for v in vectors:
         _check_metric(metric, v.metric)
-        if v._values.ndim != 1 or not v.is_homogeneous(1):
+        if _is_batch(v) or not v.is_homogeneous(1):
             raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
     tables = _tables(metric)
     grade1 = tables.blades[1]
-    coords = np.stack([v._values for v in vectors])[:, grade1]
-    gram = (coords * tables.weight[grade1]) @ coords.T
+    coords = _coordinate_rows(vectors, grade1)
+    gram = (coords * tables.weight[grade1]) @ np.swapaxes(coords, -1, -2)
     # conditioning, not det size, so that a frame and its scaled copies agree
     sv = np.linalg.svd(gram, compute_uv=False)
-    if not sv[-1] > 1e-12 * sv[0]:
+    if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
         raise DegenerateFrameError("frame vectors are (numerically) dependent")
-    recip = np.zeros((n, metric.size))
-    recip[:, grade1] = np.linalg.inv(gram) @ coords
-    return [Multivector._raw(metric, row) for row in recip]
+    recip = np.zeros(coords.shape[:-1] + (metric.size,))
+    recip[..., grade1] = np.linalg.inv(gram) @ coords
+    return [_trial_rows(metric, recip[..., k, :]) for k in range(n)]
+
+
+def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
+    """(n, len(masks)) coefficients of the vectors on `masks`, row k from
+    vectors[k]; (T, n, len(masks)) when any of them is a trial stack."""
+    rows = [_rows(v) for v in vectors]
+    if len({r.shape for r in rows}) > 1:
+        rows = np.broadcast_arrays(*rows)
+    return np.stack(rows, axis=-2)[..., masks]
 
 
 @dataclass(frozen=True)
 class Frame:
-    """A basis of grade-1 vectors together with its reciprocal basis."""
+    """A basis of grade-1 vectors together with its reciprocal basis; or a
+    trial stack of frames, each vector a trial stack."""
 
     vectors: tuple[Multivector, ...]
     reciprocal: tuple[Multivector, ...]
@@ -773,17 +947,18 @@ class Frame:
     def blades(self, grade: int) -> tuple[np.ndarray, np.ndarray]:
         """(primal, reciprocal) blades of a grade: read-only (C(n, grade), 2^n)
         value arrays, cached, whose row J in increasing mask order is the
-        wedge f_J (f^J) of the vectors (reciprocal vectors) that mask J picks.
-        A wedge of k vectors has the k x k minors of their coordinates as its
+        wedge f_J (f^J) of the vectors (reciprocal vectors) that mask J picks;
+        (T, C(n, grade), 2^n) for a trial stack of frames.  A wedge of k
+        vectors has the k x k minors of their coordinates as its
         coefficients, so each array is a compound of a coordinate matrix."""
         if grade not in self._cache:
             masks = _tables(self.metric).blades
             pair = []
             for vectors in (self.vectors, self.reciprocal):
                 # _compound rejects a grade out of range before masks[grade] is read
-                minors = _compound(np.stack([v._values[masks[1]] for v in vectors]), grade)
-                blades = np.zeros((len(minors), self.metric.size))
-                blades[:, masks[grade]] = minors
+                minors = _compound(_coordinate_rows(vectors, masks[1]), grade)
+                blades = np.zeros(minors.shape[:-1] + (self.metric.size,))
+                blades[..., masks[grade]] = minors
                 blades.flags.writeable = False
                 pair.append(blades)
             self._cache[grade] = tuple(pair)

@@ -34,6 +34,13 @@ variable.  _slot_gradients runs the kernel along the C(n, q) blades f_J in
 every requested variable, or in the weighted bands, and contracts the rows
 with algebra.product_sum, one array contraction for every band together,
 into a (bands, 2^n) array; grad_star is its one-slot case.
+
+Every array above may lead with a trial axis: arguments that are trial
+stacks, (T, b, k) weights or (T, m, 2^n) directions give (T, bands, m, 2^n)
+rows, the trials of the harness evaluated in one pass.  The finite-difference
+points then follow the trial axis, (T, 2m, 2^n), so that each trial's batch
+is one gemm, as unstacked.  A slot that any trial moves is moved in every
+trial; a trial whose weight there is zero takes the unmoved point.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Multivector, _check_metric, _check_operand, product_sum
+from .algebra import (Frame, Multivector, _check_metric, _check_operand, _rows, _trial_rows,
+                      product_sum)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -99,34 +107,48 @@ def _derivative_rows(
     that variable alone.  Exactly, it is one forward pass, slot slots[j]
     seeded with weights[c, j] * directions in tangent rows c*m .. (c+1)*m of
     b*m; by central differences, one batch of the 2m points x + step*w*d and
-    x + -(step*w*d) per band, in the slots its weights move."""
+    x + -(step*w*d) per band, in the slots its weights move.  With trial
+    stacks (arguments, (T, b, k) weights or (T, m, 2^n) directions) the
+    rows are (T, b, m, 2^n)."""
     metric = args[slots[0]].metric
-    m = len(directions)
+    m, size = directions.shape[-2], metric.size
     if weights is None:
         weights = np.eye(len(slots))
+    stacks = [a._values.shape[0] for a in args if a._values.ndim == 3]
+    stacks += [len(x) for x in (weights, directions) if x.ndim == 3]
+    lead = (max(stacks),) if stacks else ()
+    bands = weights.shape[-2]
     if step is None:
         seeded = list(args)
         for j, i in enumerate(slots):
-            block = (weights[:, j, None, None] * directions).reshape(-1, metric.size)
-            seeded[i] = Multivector._raw(metric, args[i]._values, block)
+            block = weights[..., j, None, None] * directions[..., None, :, :]
+            values = args[i]._values
+            if lead:  # a trial stack seeds a block per trial
+                values = np.broadcast_to(_rows(args[i]), lead + (size,))[:, None]
+                block = np.broadcast_to(block, lead + block.shape[-3:])
+            seeded[i] = Multivector._raw(metric, values, block.reshape(lead + (-1, size)))
         block = func(*seeded)._tangents
         if block is None:  # func ignores every seeded slot
-            return np.zeros((len(weights), m, metric.size))
-        return block.reshape(len(weights), m, metric.size)
+            return np.zeros(lead + (bands, m, size))
+        return np.broadcast_to(block, lead + block.shape[-2:]).reshape(lead + (bands, m, size))
     if not step > 0:
         raise ValueError("step must be positive")
     steps = step * directions
     rows = []
-    for band in weights:
+    for c in range(bands):
         batched = list(args)
-        for w, i in zip(band.tolist(), slots):
-            if w:
-                x, moves = args[i]._values, w * steps
-                batched[i] = Multivector._raw(metric, np.concatenate([x + moves, x + -moves]))
+        for j, i in enumerate(slots):
+            w = weights[..., c, j]
+            if w.any():
+                x, moves = args[i]._values, w[..., None, None] * steps
+                if x.ndim == 1:
+                    x = x[None]
+                batched[i] = Multivector._raw(
+                    metric, np.concatenate([x + moves, x + -moves], axis=-2))
         # an evaluator that ignores the moved slots returns one unbatched value
-        out = np.broadcast_to(func(*batched)._values, (2 * m, metric.size))
-        rows.append((out[:m] - out[m:]) * (0.5 / step))
-    return np.stack(rows)
+        out = np.broadcast_to(func(*batched)._values, lead + (2 * m, size))
+        rows.append((out[..., :m, :] - out[..., m:, :]) * (0.5 / step))
+    return np.stack(rows, axis=-3)
 
 
 def dir_deriv(
@@ -144,8 +166,8 @@ def dir_deriv(
     """
     _check_slot(func, args, var_index)
     _check_operand(direction, args[var_index].metric, func.input_grade, "direction")
-    rows = _derivative_rows(func, args, (var_index,), direction._values[None], step)
-    return Multivector._raw(direction.metric, rows[0, 0])
+    rows = _derivative_rows(func, args, (var_index,), _rows(direction)[..., None, :], step)
+    return _trial_rows(direction.metric, rows[..., 0, 0, :])
 
 
 def _slot_gradients(
@@ -170,7 +192,7 @@ def _slot_gradients(
     q = func.input_grade
     primal, recip = frame.blades(q)
     rows = _derivative_rows(func, args, slots, primal, step, weights)
-    return product_sum(metric, kind, q, recip, rows)
+    return product_sum(metric, kind, q, recip[..., None, :, :], rows)
 
 
 def grad_star(
@@ -189,5 +211,5 @@ def grad_star(
     This is the one-slot case of _slot_gradients.
     """
     _check_slot(func, args, var_index)
-    grad = _slot_gradients(func, args, (var_index,), kind, frame, step)[0]
-    return Multivector._raw(args[var_index].metric, grad)
+    grad = _slot_gradients(func, args, (var_index,), kind, frame, step)[..., 0, :]
+    return _trial_rows(args[var_index].metric, grad)

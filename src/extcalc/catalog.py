@@ -18,7 +18,8 @@ sum_j (b . h(f^j)) f_j, the trace as sum_j t(f^j) . f_j, and so on -- which
 turns each into a functional with n grade-1 anchors.  Any frame over the
 functional's metric works; the derivative identities the harness checks are
 frame-independent.  A factory's vector or pseudoscalar is a fixed operand in
-the sense of extcalc.algebra, as the anchors are.
+the sense of extcalc.algebra, as the anchors are.  Trial stacks of vectors,
+pseudoscalars and frames give the trial stack of functionals, one per trial.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .algebra import (
     Multivector,
     _check_metric,
     _check_operand,
+    _trial_rows,
     scalar_value,
     unit_pseudoscalar,
     wedge_all,
@@ -110,7 +112,8 @@ def pseudoscalar_image_functional(
     if frame is None:
         frame = Frame.orthonormal(metric)
     _check_metric(metric, frame.metric)
-    scale = scalar_value(pss, Multivector(metric, frame.blades(metric.dim)[0][0]))
+    top = frame.blades(metric.dim)[0][..., 0, :]  # f_1 ^ ... ^ f_n, per trial
+    scale = scalar_value(pss, _trial_rows(metric, top))
     return blade_image_functional(frame.reciprocal).scaled(scale)
 
 

@@ -11,7 +11,9 @@ derivatives alongside its value.
 
 A batched multivector (extcalc.algebra) has (B,) array coefficients and no
 tangents, so the maps below and value_of pass numpy arrays through numpy,
-elementwise; floats keep math.
+elementwise; floats keep math.  A trial stack's jet holds (T, 1) values and
+(T, m) tangent columns; each trial's value goes through math, as an
+unstacked jet's does, so trial r is bit for bit the unstacked result.
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from .algebra import Multivector, _blade, _jet_parts
 
 
 def value_of(x) -> float:
-    """Value of a float or a grade-0 jet; a numpy array passes through."""
+    """Value of a float or a grade-0 jet ((T, 1) for a trial stack's); a
+    numpy array passes through."""
     if isinstance(x, Multivector):
         return _jet_parts(x)[0]
     return x if isinstance(x, np.ndarray) else float(x)
+
+
+def _each(f, v):
+    """f(v) for a float v; math's f of every entry of an array v."""
+    if isinstance(v, np.ndarray):
+        return np.array([f(e) for e in v.ravel().tolist()]).reshape(v.shape)
+    return f(v)
 
 
 def _lift(x, f, array_f, tangent):
@@ -36,7 +46,7 @@ def _lift(x, f, array_f, tangent):
     if not isinstance(x, Multivector):
         return array_f(x) if isinstance(x, np.ndarray) else f(x)
     v, t = _jet_parts(x)
-    fv = f(v)
+    fv = _each(f, v)
     return _blade(x.metric, 0, fv, None if t is None else tangent(v, fv, t))
 
 
@@ -45,11 +55,11 @@ def exp(x):
 
 
 def sin(x):
-    return _lift(x, math.sin, np.sin, lambda v, fv, t: math.cos(v) * t)
+    return _lift(x, math.sin, np.sin, lambda v, fv, t: _each(math.cos, v) * t)
 
 
 def cos(x):
-    return _lift(x, math.cos, np.cos, lambda v, fv, t: -math.sin(v) * t)
+    return _lift(x, math.cos, np.cos, lambda v, fv, t: -_each(math.sin, v) * t)
 
 
 def sqrt(x):

@@ -18,6 +18,13 @@ through the product kernel under test.  The paper's pseudoscalar identity
     inverse(a) = det^-1 * adjoint_extension(a I) I^-1
 
 is checked by the tests, not used to compute.
+
+A trial stack of T maps (Extensor.stack) holds a (T, C(n,q), C(n,p))
+matrix; it applies to a trial stack trial by trial, or to one multivector
+in every trial, and its adjoint, compounds, trace, bivector, determinant and
+inverse are taken trial by trial, each with the BLAS or LAPACK call the
+unstacked map makes (see extcalc.algebra).  Its scalars, det and trace, are
+(T, 1) arrays, as a trial stack's coefficients are.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from math import comb
 
 import numpy as np
 
-from .algebra import (Frame, Metric, Multivector, _as_rng, _check_metric, _check_operand,
-                      _compound, _tables)
+from .algebra import (Frame, Metric, Multivector, _as_rng, _as_stack, _check_metric,
+                      _check_operand, _compound, _coordinate_rows, _tables)
 from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
@@ -36,7 +43,8 @@ INVERTIBLE_MIN_DET = 0.1
 
 
 class Extensor:
-    """Immutable linear map from grade-p space to grade-q space."""
+    """Immutable linear map from grade-p space to grade-q space, or a trial
+    stack of them."""
 
     __slots__ = ("metric", "p", "q", "matrix")
 
@@ -46,7 +54,7 @@ class Extensor:
             raise ValueError(f"grades ({p}, {q}) out of range for dim {n}")
         matrix = np.array(matrix, dtype=float)
         shape = (comb(n, q), comb(n, p))
-        if matrix.shape != shape:
+        if matrix.shape[-2:] != shape or matrix.ndim not in (2, 3):
             raise ValueError(f"expected matrix shape {shape}, got {matrix.shape}")
         matrix.flags.writeable = False
         object.__setattr__(self, "metric", metric)
@@ -76,9 +84,25 @@ class Extensor:
         return cls(metric, np.diag(np.array(factors, dtype=float)))
 
     @classmethod
+    def stack(cls, maps) -> "Extensor":
+        """The trial stack of unstacked maps of one metric and grade pair."""
+        maps = list(maps)
+        if not maps:
+            raise ValueError("need at least one map to stack")
+        first = maps[0]
+        for t in maps:
+            _check_metric(first.metric, t.metric)
+            if (t.p, t.q) != (first.p, first.q) or t.matrix.ndim != 2:
+                raise ValueError("only unstacked maps of one grade pair stack")
+        return cls(first.metric, np.stack([t.matrix for t in maps]), first.p, first.q)
+
+    @classmethod
     def from_vector_images(cls, metric: Metric, images) -> "Extensor":
-        """(1,1) map defined by the images of the generators."""
+        """(1,1) map defined by the images of the generators, one image per
+        generator (trial stacks of images give a trial stack of maps)."""
         images = list(images)
+        if len(images) != metric.dim:
+            raise ValueError(f"expected {metric.dim} images, one per generator, got {len(images)}")
         for v in images:
             _check_operand(v, metric, 1, "image")
         return cls(metric, _coords(images))
@@ -129,7 +153,7 @@ class Extensor:
         wp = tables.weight[tables.blades[self.p]]
         wq = tables.weight[tables.blades[self.q]]
         # scalar products of basis blades are diagonal with these weights
-        matrix = (self.matrix * wq[:, None]).T / wp[:, None]
+        matrix = np.swapaxes(self.matrix * wq[:, None], -1, -2) / wp[:, None]
         return Extensor(self.metric, matrix, self.q, self.p)
 
     # -- (1,1)-only operations ------------------------------------------------
@@ -138,9 +162,11 @@ class Extensor:
         if self.p != 1 or self.q != 1:
             raise ValueError(f"{what} is defined for (1,1) maps only")
 
-    def trace(self) -> float:
+    def trace(self):
         """Sum of self(f^j) . f_j over any frame: the matrix trace."""
         self._require_vector_map("trace")
+        if self.matrix.ndim == 3:
+            return np.trace(self.matrix, axis1=1, axis2=2)[:, None]
         return float(np.trace(self.matrix))
 
     def bivector(self) -> Multivector:
@@ -150,22 +176,28 @@ class Extensor:
         n = self.metric.dim
         scaled = self.matrix / np.array(self.metric.diag)  # M_ab / g_b
         a, b = np.triu_indices(n, 1)
-        values = np.zeros(self.metric.size)
-        values[(1 << a) | (1 << b)] = scaled[a, b] - scaled[b, a]
+        lead = (len(scaled), 1) if scaled.ndim == 3 else ()  # a trial stack's
+        values = np.zeros(lead + (self.metric.size,))
+        values[..., (1 << a) | (1 << b)] = (scaled[..., a, b] - scaled[..., b, a]).reshape(
+            lead + (-1,))
         return Multivector._raw(self.metric, values)
 
-    def det(self) -> float:
+    def det(self):
         """Scale factor of the extension on the pseudoscalar: the matrix determinant."""
         self._require_vector_map("det")
+        if self.matrix.ndim == 3:
+            return np.linalg.det(self.matrix)[:, None]
         return float(np.linalg.det(self.matrix))
 
     def inverse(self) -> "Extensor":
         """Matrix inverse (LU with partial pivoting) of a well-conditioned map."""
         self._require_vector_map("inverse")
         # conditioning, not det size: a scaled copy of an invertible map inverts too
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if not sv[-1] > SINGULARITY_SCALE * sv[0]:
-            raise SingularExtensorError(f"singular values {sv[-1]:g} .. {sv[0]:g}: singular")
+        sv = np.linalg.svd(self.matrix, compute_uv=False).reshape(-1, self.metric.dim)
+        singular = ~(sv[:, -1] > SINGULARITY_SCALE * sv[:, 0])
+        if singular.any():  # the first singular trial of a stack
+            low, high = sv[np.argmax(singular)][[-1, 0]]
+            raise SingularExtensorError(f"singular values {low:g} .. {high:g}: singular")
         return Extensor(self.metric, np.linalg.inv(self.matrix))
 
     # -- matrix components over a frame ---------------------------------------
@@ -177,7 +209,8 @@ class Extensor:
         _check_metric(self.metric, frame.metric)
         tables = _tables(self.metric)
         primal = _coords(frame.vectors)
-        return (self.matrix @ primal).T @ (primal * tables.weight[tables.blades[1]][:, None])
+        image = np.swapaxes(self.matrix @ primal, -1, -2)
+        return image @ (primal * tables.weight[tables.blades[1]][:, None])
 
     @classmethod
     def from_components(cls, metric: Metric, components, frame: Frame) -> "Extensor":
@@ -195,6 +228,8 @@ class Extensor:
 
     def to_dict(self) -> dict:
         """Self-describing record: (n, p, q, metric diag) header + row-major matrix."""
+        if self.matrix.ndim != 2:
+            raise ValueError("a trial stack of maps has no single record")
         return {
             "n": self.metric.dim,
             "p": self.p,
@@ -215,7 +250,8 @@ class Extensor:
 def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multivector):
     """Image of a grade-p x under the C(n,q) x C(n,p) matrix, which the
     caller has checked x against: one formula for the value, each batch row
-    and each tangent row."""
+    and each tangent row; a (T, C(n,q), C(n,p)) matrix or a trial stack x
+    gives the trial stack of images."""
     tables = _tables(metric)
     src, dst = tables.blades[p], tables.blades[q]
 
@@ -226,19 +262,33 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
         out.T[dst] = (rows.T[src].T @ matrix.T).T
         return out
 
-    return x._map_rows(image)
+    def stacked_image(rows):
+        # per trial, the operands image() hands to BLAS: the rows' source
+        # coefficients in column-major order and the transposed matrix
+        lhs = np.swapaxes(np.take(np.swapaxes(_as_stack(rows), -1, -2), src, axis=-2), -1, -2)
+        images = lhs @ np.swapaxes(matrix, -1, -2)
+        out = np.zeros(images.shape[:-1] + (metric.size,))
+        out[..., dst] = images
+        return out
+
+    if matrix.ndim == 2 and x._values.ndim != 3:
+        return x._map_rows(image)
+    return x._map_rows(stacked_image)
 
 
 def _coords(vectors) -> np.ndarray:
-    """Grade-1 coordinates of the vectors' values, one column per vector."""
-    return np.stack([v._values for v in vectors])[:, _tables(vectors[0].metric).blades[1]].T
+    """Grade-1 coordinates of the vectors' values, one column per vector
+    (per trial, for trial stacks)."""
+    rows = _coordinate_rows(vectors, _tables(vectors[0].metric).blades[1])
+    return np.swapaxes(rows, -1, -2)
 
 
 class Outermorphism:
     """Grade-preserving multiplicative extension of a (1,1) map.
 
     Scalars are fixed, grade 1 agrees with the base map, and a wedge of
-    vectors goes to the wedge of their images.  On grade k that is the k-th
+    vectors goes to the wedge of their images; a trial stack of base maps
+    extends trial by trial.  On grade k that is the k-th
     compound matrix: entry (I, J) is the minor of the base matrix on rows I
     and columns J, for I, J the generator sets of two grade-k blades.
     """

@@ -47,6 +47,11 @@ matrix product over the frame vectors.  component_partials takes `step` too:
 exactly, it reads the derivatives of F along the n reciprocal vectors from
 one pass of the calculus kernel; with a step, it perturbs the components
 themselves, an oracle that also checks the chain rule behind the bridge.
+
+Anchors, maps and directions may be trial stacks (see extcalc.algebra): a
+functional with stacked anchors, or one evaluated at a stacked map, gives
+the trial stack of values and derivatives, trial r bit for bit what the
+unstacked trial r gives.  The bridge takes unstacked functionals only.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Frame, Multivector, _check_metric, _check_operand, _tables, product_sum
+from .algebra import (Frame, Multivector, _check_metric, _check_operand, _rows, _tables,
+                      _trial_rows, product_sum)
 from .calculus import MvFunction, _derivative_rows, _slot_gradients
 from .dual import value_of
 from .extensor import Extensor, _apply_matrix
@@ -82,7 +88,10 @@ class InducedFunctional:
         for a in self.anchors:
             _check_operand(a, metric, self.source_grade, "anchor")
         object.__setattr__(self, "metric", metric)  # an attribute: every map check reads it
-        object.__setattr__(self, "_anchor_values", np.stack([a._values for a in self.anchors]))
+        rows = [_rows(a) for a in self.anchors]
+        if len({r.shape for r in rows}) > 1:  # unstacked anchors join the trial stack
+            rows = np.broadcast_arrays(*rows)
+        object.__setattr__(self, "_anchor_values", np.stack(rows, axis=-2))
 
     @property
     def arity(self) -> int:
@@ -114,14 +123,23 @@ class InducedFunctional:
         from one forward pass of F.
         """
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
-        return [Multivector._raw(self.metric, g) for g in grads]
+        return [_trial_rows(self.metric, grads[..., i, :]) for i in range(self.arity)]
 
     def _anchor_weights(self, directions: np.ndarray) -> np.ndarray:
-        """Scalar products d . A^i, shape (..., k) for direction rows (..., 2^n):
-        one vecdot, each entry the BLAS dot scalar_value(d, A^i) makes (a
-        matmul would reassociate the sums)."""
+        """Scalar products d . A^i, shape (..., D, k) for (..., D, 2^n)
+        direction rows, a trial axis of either side broadcasting: one
+        vecdot, each entry the BLAS dot scalar_value(d, A^i) makes (a matmul
+        would reassociate the sums)."""
         weighted = self._anchor_values * _tables(self.metric).weight
-        return np.vecdot(directions[..., None, :], weighted)
+        return np.vecdot(directions[..., :, None, :], weighted[..., None, :, :])
+
+    def _same_anchors(self, other: "InducedFunctional") -> bool:
+        """Equal anchor values (not the same objects) over one metric and grade."""
+        return (
+            self.metric == other.metric
+            and self.source_grade == other.source_grade
+            and np.array_equal(self._anchor_values, other._anchor_values)
+        )
 
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
@@ -129,13 +147,17 @@ class InducedFunctional:
         """Derivative along a grade-p direction; linear in the direction."""
         self._check_map(t)
         _check_operand(direction, self.metric, self.source_grade, "direction")
-        weights = self._anchor_weights(direction._values)
-        if not weights.any():
+        weights = self._anchor_weights(_rows(direction)[..., None, :])
+        moved = weights.any(axis=-1)  # (1,), or (T, 1) for a trial stack
+        if not moved.any():
             return Multivector.zero(self.metric)
         # one band: slot i moves by (direction . A^i) times each frame blade
         args = self.arguments(t)
-        grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights[None])
-        return Multivector._raw(self.metric, grad[0])
+        grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights)
+        grad = grad[..., 0, :]
+        if not moved.all():  # a trial with zero weights has zero derivative
+            grad = np.where(moved, grad, 0.0)
+        return _trial_rows(self.metric, grad)
 
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
@@ -144,7 +166,7 @@ class InducedFunctional:
         _check_kinds(kinds)
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
         sums = product_sum(self.metric, kinds, self.source_grade, self._anchor_values, grads)
-        return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
+        return {kind: _trial_rows(self.metric, s) for kind, s in zip(kinds, sums)}
 
     def derivative(
         self, t: Extensor, kind: str = "geometric", step: float | None = None
@@ -164,7 +186,7 @@ class InducedFunctional:
         grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
         sums = product_sum(self.metric, kinds, self.source_grade, recip, rows)
-        return {kind: Multivector._raw(self.metric, s) for kind, s in zip(kinds, sums)}
+        return {kind: _trial_rows(self.metric, s) for kind, s in zip(kinds, sums)}
 
     # -- combinators -----------------------------------------------------------
 
@@ -186,7 +208,7 @@ class InducedFunctional:
         )
 
     def __add__(self, other: "InducedFunctional") -> "InducedFunctional":
-        if self.anchors != other.anchors or self.source_grade != other.source_grade:
+        if not self._same_anchors(other):
             raise ValueError("functionals must share their anchor tuple")
         f, g = self.func, other.func
         if (f.arity, f.input_grade) != (g.arity, g.input_grade):
@@ -200,7 +222,7 @@ class InducedFunctional:
         """Scalar functional times functional, over a shared anchor tuple."""
         if self.func.output_grade != 0:
             raise ValueError("left factor must be scalar-valued")
-        if self.anchors != other.anchors or self.source_grade != other.source_grade:
+        if not self._same_anchors(other):
             raise ValueError("functionals must share their anchor tuple")
         f, g = self.func, other.func
         return self._with_func(

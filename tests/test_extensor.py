@@ -498,3 +498,13 @@ def test_matrices_are_read_only():
     t = Extensor.identity(E3)
     with pytest.raises(ValueError):
         t.matrix[0, 0] = 5.0
+
+
+def test_from_vector_images_needs_one_image_per_generator():
+    # no images failed inside numpy ("need at least one array to stack"), and
+    # n - 1 images with a message about the matrix shape
+    e1, e2, _ = basis_vectors(E3)
+    for images in ([], [e1, e2]):
+        with pytest.raises(ValueError, match=f"expected 3 images, one per generator, got "
+                                             f"{len(images)}"):
+            Extensor.from_vector_images(E3, images)

@@ -362,6 +362,28 @@ def test_catalog_factories_reject_batched_and_tangent_operands():
             pseudoscalar_image_functional(pss)
 
 
+def test_functionals_over_equal_anchors_built_apart_combine():
+    # the anchor tuples were compared by identity, so two equal anchors built
+    # apart raised "functionals must share their anchor tuple"
+    e1, e2, _ = basis_vectors(E3)
+    phi, psi = apply_functional(Multivector.from_blade(E3, 1)), apply_functional(e1)
+    h = Extensor.random_invertible(E3, 5)
+    assert max_abs_diff((phi + psi).evaluate(h), 2.0 * h(e1)) == 0.0
+    square = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(x)),
+                               (Multivector.from_blade(E3, 1),), 1)
+    weighted = square.times_functional(psi)
+    assert max_abs_diff(weighted.evaluate(h), scalar_value(h(e1), h(e1)) * h(e1)) < 1e-15
+    # trial stacks compare their values too; a stack is not its first trial
+    stacked = apply_functional(Multivector.stack([e1, e2]))
+    stacked + apply_functional(Multivector.stack([e1, e2]))
+    for other in (apply_functional(e2), apply_functional(Multivector.stack([e1, e1])),
+                  apply_functional(Multivector.stack([e1]))):
+        with pytest.raises(ValueError, match="share their anchor tuple"):
+            stacked + other
+    with pytest.raises(ValueError, match="share their anchor tuple"):
+        phi + apply_functional(e2)
+
+
 def test_kinds_must_be_a_sequence_not_a_string():
     phi = trace_functional(E3)
     h = Extensor.identity(E3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from extcalc import cli, harness
-from extcalc.algebra import Metric, Multivector, max_abs_diff, random_multivector
+from extcalc.algebra import Frame, Metric, Multivector, max_abs_diff, random_multivector
 from extcalc.errors import ConfigurationError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
@@ -177,14 +177,54 @@ def test_witness_is_reproducible_input():
 
 
 def _scripted_check(devs):
-    """A check whose trial k returns devs[k], with the trial index as witness."""
-    trials = iter(enumerate(devs))
+    """A check whose trials return devs, with each trial's index as witness."""
 
     def trial(ctx, rng):
-        k, dev = next(trials)
-        return dev, lambda: {"trial": k}
+        assert ctx.config.trials == len(devs)
+        return list(devs), lambda k: {"trial": k}
 
     return IdentityCheck("scripted", "closed-form", trial)
+
+
+@pytest.mark.parametrize("dim, metric, trials", [
+    (2, "euclidean", 4),
+    (3, "euclidean", 5),
+    (4, "diag:2,-1,0.5,-3", 3),
+    (6, "diag:+,+,+,-,-,+", 3),
+    (8, "diag:+,-,+,-,+,-,+,-", 2),
+])
+def test_closed_form_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
+    # a closed-form check draws every trial, stacks the draws and evaluates
+    # its sides once; row r of each side is, bit for bit, the side that
+    # trial r's own unstacked Inputs give, and so is trial r's deviation
+    config = HarnessConfig(dim=dim, metric=metric, trials=trials, seed=0)
+    ortho = Frame.orthonormal(parse_metric(dim, metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    checked = []
+    for check in catalog("closed-form"):
+        t = check.trial
+        rng = harness._derive_rng(config.seed, check.id)
+        drawn = [t.draw(ctx, rng) for _ in range(trials)]
+        stacked = t.sides(t.inputs(ctx, drawn))
+        devs, _ = t(ctx, harness._derive_rng(config.seed, check.id))
+        for r in range(trials):
+            single = t.sides(t.inputs(ctx, drawn[r]))
+            assert len(single) == len(stacked), check.id
+            for stacked_pair, pair in zip(stacked, single):
+                for side, one in zip(stacked_pair, pair):
+                    assert side._tangents is None and one._tangents is None
+                    row = np.broadcast_to(side._values, (trials, 1, ortho.metric.size))[r, 0]
+                    assert row.tobytes() == one._values.tobytes(), (check.id, r)
+            assert devs[r] == float(harness._deviation(single, t.relative)), (check.id, r)
+        checked.append(check.id)
+    assert len(checked) == 25
+
+
+def test_each_check_has_one_route():
+    # closed-form checks stack their trials; the others draw a structure per
+    # trial and evaluate trial by trial
+    for check in CATALOG:
+        assert (check.trial.build is not None) == (check.suite == "closed-form"), check.id
 
 
 def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
@@ -212,9 +252,10 @@ def test_failing_witness_is_the_worst_trials_inputs(monkeypatch):
 
     def recording(check):
         def trial(ctx, rng):
-            dev, build = check.trial(ctx, rng)
-            snapshots.setdefault(check.id, []).append((dev, json.dumps(build())))
-            return dev, build
+            devs, witness_of = check.trial(ctx, rng)
+            assert len(devs) == ctx.config.trials
+            snapshots[check.id] = [(dev, json.dumps(witness_of(r))) for r, dev in enumerate(devs)]
+            return devs, witness_of
 
         return IdentityCheck(check.id, check.suite, trial, check.tol_key, check.tol_factor)
 
@@ -384,9 +425,10 @@ def test_readme_lists_every_witness_key(monkeypatch):
 
     def recording(check):
         def trial(ctx, rng):
-            dev, build = check.trial(ctx, rng)
-            written.update(build())
-            return dev, build
+            devs, witness_of = check.trial(ctx, rng)
+            for r in range(len(devs)):
+                written.update(witness_of(r))
+            return devs, witness_of
 
         return IdentityCheck(check.id, check.suite, trial, check.tol_key, check.tol_factor)
 

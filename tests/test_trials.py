@@ -1,0 +1,294 @@
+"""Trial stacks: T multivectors, maps, frames or functionals evaluated in one
+pass, trial r bit for bit what trial r gives unstacked."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from extcalc.algebra import (
+    PRODUCT_KINDS,
+    Frame,
+    Metric,
+    Multivector,
+    product,
+    random_multivector,
+    reciprocal_frame,
+    scalar_value,
+    wedge_all,
+)
+from extcalc.algebra import _chunks, _compound, _MMAP_THRESHOLD
+from extcalc.calculus import MvFunction, dir_deriv, grad_star
+from extcalc.catalog import (
+    adjoint_image_functional,
+    apply_functional,
+    det_functional,
+    pair_product_functional,
+    pseudoscalar_image_functional,
+)
+from extcalc.dual import cos, exp, sin, sqrt, value_of
+from extcalc.extensor import Extensor, Outermorphism
+
+E3 = Metric.euclidean(3)
+SIGNED6 = Metric(6, (1.0, 1.0, 1.0, -1.0, -1.0, 1.0))
+SIGNED8 = Metric(8, (2.0, -1.0, 0.5, -1.0, 1.25, -2.0, 1.0, -0.5))
+
+
+def bits(x):
+    """The exact bytes of a multivector's values and tangents, or of an array."""
+    if isinstance(x, Multivector):
+        t = x._tangents
+        return bits(x._values) + (b"" if t is None else b"|" + bits(t))
+    return np.ascontiguousarray(x).tobytes()
+
+
+def trial(stacked, r):
+    """Trial r of a stacked multivector as an unstacked one (P = 1 drops its axis)."""
+    values = stacked._values[r]
+    t = stacked._tangents
+    return Multivector._raw(stacked.metric, values[0] if len(values) == 1 else values,
+                            None if t is None else t[r])
+
+
+def draws(metric, grade, count, seed, tangents=0):
+    rng = np.random.default_rng(seed)
+    xs = [random_multivector(metric, grade, rng) for _ in range(count)]
+    if tangents:
+        xs = [x.with_tangents([random_multivector(metric, grade, rng) for _ in range(tangents)])
+              for x in xs]
+    return xs
+
+
+# -- algebra ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 9), (SIGNED6, 5), (SIGNED8, 2)])
+def test_stacked_products_are_each_trials_unstacked_product(metric, trials):
+    # values, tangents on either or both sides, and an unstacked side broadcast
+    for kind in PRODUCT_KINDS:
+        for ma, mb in ((0, 0), (2, 0), (0, 3), (2, 2)):
+            xs, ys = draws(metric, 1, trials, 1, ma), draws(metric, 2, trials, 2, mb)
+            got = product(kind, Multivector.stack(xs), Multivector.stack(ys))
+            for r in range(trials):
+                assert bits(trial(got, r)) == bits(product(kind, xs[r], ys[r])), (kind, r)
+            got = product(kind, Multivector.stack(xs), ys[0])
+            for r in range(trials):
+                assert bits(trial(got, r)) == bits(product(kind, xs[r], ys[0])), (kind, r)
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 7), (SIGNED6, 5)])
+def test_stacked_point_batches_are_each_trials_batch(metric, trials):
+    # a stack of point batches (T, B, 2^n) against plain stacks and each other
+    rng = np.random.default_rng(3)
+    points = [Multivector(metric, rng.uniform(-1, 1, (4, metric.size))) for _ in range(trials)]
+    batches = Multivector._raw(metric, np.stack([p._values for p in points]))
+    plain = draws(metric, 1, trials, 4)
+    for kind in PRODUCT_KINDS:
+        for got, expect in (
+            (product(kind, batches, Multivector.stack(plain)),
+             lambda r: product(kind, points[r], plain[r])),
+            (product(kind, Multivector.stack(plain), batches),
+             lambda r: product(kind, plain[r], points[r])),
+            (product(kind, batches, batches), lambda r: product(kind, points[r], points[r])),
+        ):
+            for r in range(trials):
+                assert bits(got._values[r]) == bits(expect(r)), (kind, r)
+
+
+def test_operator_stacks_stay_below_the_mmap_threshold():
+    for dim in range(2, 9):
+        size = 1 << dim
+        for count in (1, 3, 64):
+            slices = _chunks(count, size)
+            assert sum(len(range(count)[s]) for s in slices) == count
+            per_slice = max(len(range(count)[s]) for s in slices)
+            assert per_slice == 1 or per_slice * size * size * 8 < _MMAP_THRESHOLD
+    # n = 6: four trials make two stacks of at most three 32 KB operators;
+    # weighing a stack with the signs takes numpy's ufunc buffer besides
+    xs, ys = draws(SIGNED6, 1, 4, 5), draws(SIGNED6, 1, 4, 6)
+    a, b = Multivector.stack(xs), Multivector.stack(ys)
+    a.geometric(b)
+    tracemalloc.start()
+    try:
+        a.geometric(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _MMAP_THRESHOLD + 8 * np.getbufsize()
+
+
+def test_trial_stack_coefficients_and_linear_maps():
+    xs = draws(E3, 1, 4, 7, tangents=2)
+    stacked = Multivector.stack(xs)
+    value = Multivector.stack([x.value_part() for x in xs]).coeff(1)
+    assert value.shape == (4, 1)
+    jet = stacked.coeff(1)
+    assert jet._values.shape == (4, 1, 8) and jet._tangents.shape == (4, 2, 8)
+    for r, x in enumerate(xs):
+        assert bits(trial(jet, r)) == bits(x.coeff(1))
+        assert bits(trial(stacked.grade_project(1) + 2.0 * stacked.reverse() - stacked, r)) == \
+            bits(x.grade_project(1) + 2.0 * x.reverse() - x)
+        assert bits(trial(stacked.tangent_part(1), r)) == bits(x.tangent_part(1))
+    # a (T, 1) array scales and builds stacks trial by trial
+    scaled = value * stacked
+    built = Multivector.from_scalar(E3, value)
+    for r, x in enumerate(xs):
+        assert bits(trial(scaled, r)) == bits(float(value[r, 0]) * x)
+        assert bits(trial(built, r)) == bits(Multivector.from_scalar(E3, float(value[r, 0])))
+    assert stacked.grades() == frozenset({1})
+    assert stacked.is_homogeneous(1) and not stacked.is_homogeneous(2)
+
+
+def test_trial_stack_is_no_point_batch():
+    e1, e2, _ = (Multivector.from_blade(E3, 1 << k) for k in range(3))
+    stacked = Multivector.stack([e1, e2])
+    assert stacked._values.shape == (2, 1, 8)
+    # a stack takes a block per trial; a stack of point batches takes none
+    Multivector._raw(E3, stacked._values, np.zeros((2, 3, 8)))
+    for values, block in (
+        (np.zeros((2, 2, 8)), np.zeros((2, 1, 8))),  # a stack of 2-point batches
+        (stacked._values, np.zeros((3, 1, 8))),  # another trial count
+        (stacked._values, np.zeros((1, 8))),  # an unstacked block
+    ):
+        with pytest.raises(ValueError, match="cannot carry or meet a tangent block"):
+            Multivector._raw(E3, values, block)
+    # only unbatched multivectors stack, all with a block of one shape or none
+    with pytest.raises(ValueError, match="only unbatched"):
+        Multivector.stack([Multivector(E3, np.eye(8)[[1, 2]])])
+    with pytest.raises(ValueError, match="tangent blocks of one shape"):
+        Multivector.stack([e1, e2.with_tangent(e1)])
+    # a trial stack is a fixed operand; a stack of point batches is not
+    apply_functional(stacked)
+    with pytest.raises(ValueError, match="unbatched"):
+        apply_functional(Multivector._raw(E3, np.zeros((2, 2, 8))))
+    with pytest.raises(ValueError, match="unbatched"):
+        apply_functional(Multivector.stack([e1.with_tangent(e2), e2.with_tangent(e1)]))
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 6), (SIGNED8, 2)])
+def test_stacked_frames_are_each_trials_frame(metric, trials):
+    rng = np.random.default_rng(8)
+    carriers = [Extensor.random_invertible(metric, rng) for _ in range(trials)]
+    basis = Frame.orthonormal(metric).vectors
+    stacked = Frame.from_vectors([Extensor.stack(carriers)(e) for e in basis])
+    for r, carrier in enumerate(carriers):
+        frame = Frame.from_vectors([carrier(e) for e in basis])
+        for v, w in zip(stacked.reciprocal, frame.reciprocal):
+            assert bits(trial(v, r)) == bits(w)
+        for grade in range(metric.dim + 1):
+            for got, expect in zip(stacked.blades(grade), frame.blades(grade)):
+                assert bits(got[r]) == bits(expect), (r, grade)
+    recip = reciprocal_frame(stacked.vectors)
+    assert all(bits(a) == bits(b) for a, b in zip(recip, stacked.reciprocal))
+
+
+# -- extensor ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 6), (SIGNED6, 4), (SIGNED8, 2)])
+def test_stacked_maps_are_each_trials_map(metric, trials):
+    rng = np.random.default_rng(9)
+    maps = [Extensor.random_invertible(metric, rng) for _ in range(trials)]
+    h = Extensor.stack(maps)
+    assert h.matrix.shape == (trials, metric.dim, metric.dim)
+    xs = draws(metric, 1, trials, 10, tangents=2)
+    bivs = draws(metric, 2, trials, 11)
+    x, biv = Multivector.stack(xs), Multivector.stack(bivs)
+    det, trace = h.det(), h.trace()
+    assert det.shape == trace.shape == (trials, 1)
+    for r, t in enumerate(maps):
+        assert det[r, 0] == t.det() and trace[r, 0] == t.trace()
+        for got, expect in (
+            (h(x), t(xs[r])),
+            (h(xs[0]), t(xs[0])),
+            (h.adjoint()(x), t.adjoint()(xs[r])),
+            (h.inverse()(x), t.inverse()(xs[r])),
+            (h.adjoint().inverse()(x), t.adjoint().inverse()(xs[r])),
+            (h.bivector(), t.bivector()),
+            (Outermorphism(h)(biv), Outermorphism(t)(bivs[r])),
+            (Outermorphism(h)(wedge_all(metric, [biv, x])),
+             Outermorphism(t)(wedge_all(metric, [bivs[r], xs[r]]))),
+        ):
+            assert bits(trial(got, r)) == bits(expect), r
+        assert bits((h @ h).matrix[r]) == bits((t @ t).matrix)
+        assert bits(_compound(h.matrix, metric.dim)[r]) == bits(_compound(t.matrix, metric.dim))
+    with pytest.raises(ValueError, match="no single record"):
+        h.to_dict()
+
+
+def test_stacked_inverse_names_a_singular_trial():
+    h = Extensor.stack([Extensor.identity(E3), Extensor.zero(E3)])
+    with pytest.raises(ValueError, match="singular"):
+        h.inverse()
+
+
+# -- calculus, functionals, catalog and jets -------------------------------------------
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 5), (SIGNED6, 3)])
+def test_stacked_functionals_are_each_trials_functional(metric, trials):
+    rng = np.random.default_rng(12)
+    maps = [Extensor.random_invertible(metric, rng) for _ in range(trials)]
+    bs, cs, dirs = (draws(metric, 1, trials, seed) for seed in (13, 14, 15))
+    frames = [Frame.from_vectors([Extensor.random_invertible(metric, rng)(e)
+                                  for e in Frame.orthonormal(metric).vectors])
+              for _ in range(trials)]
+    carriers = Frame(*(tuple(Multivector.stack(vs) for vs in zip(*(f.vectors for f in frames))),
+                       tuple(Multivector.stack(vs) for vs in zip(*(f.reciprocal
+                                                                   for f in frames)))))
+    h, b, c, a = Extensor.stack(maps), *map(Multivector.stack, (bs, cs, dirs))
+    pss = 1.5 * Multivector.stack([Multivector.from_blade(metric, metric.size - 1)] * trials)
+    functionals = (
+        (pair_product_functional("wedge", b, c), lambda r: pair_product_functional(
+            "wedge", bs[r], cs[r])),
+        (adjoint_image_functional(b, carriers), lambda r: adjoint_image_functional(
+            bs[r], frames[r])),
+        (pseudoscalar_image_functional(pss, carriers), lambda r: pseudoscalar_image_functional(
+            1.5 * Multivector.from_blade(metric, metric.size - 1), frames[r])),
+        (det_functional(metric), lambda r: det_functional(metric)),
+    )
+    for phi, phi_of in functionals:
+        for step in (None, 1e-5):
+            got = phi.directional_derivative(h, a, step)
+            table = phi.derivative_table(h, PRODUCT_KINDS, step)
+            for r in range(trials):
+                one = phi_of(r)
+                assert bits(trial(got, r)) == bits(one.directional_derivative(
+                    maps[r], dirs[r], step)), (r, step)
+                expect = one.derivative_table(maps[r], PRODUCT_KINDS, step)
+                for kind in PRODUCT_KINDS:
+                    assert bits(trial(table[kind], r)) == bits(expect[kind]), (r, step, kind)
+        value = phi.evaluate(h)
+        for r in range(trials):
+            assert bits(trial(value, r)) == bits(phi_of(r).evaluate(maps[r]))
+
+
+def test_stacked_calculus_kernel_is_each_trials_kernel():
+    xs, ds = draws(E3, 1, 4, 16), draws(E3, 1, 4, 17)
+    func = MvFunction(1, 1, 0,
+                      lambda x: exp(x.scalar_product(x).scalar_part()) * x.scalar_product(x))
+    x, d = Multivector.stack(xs), Multivector.stack(ds)
+    for step in (None, 1e-5):
+        along = dir_deriv(func, (x,), 0, d, step)
+        grad = grad_star(func, (x,), 0, "geometric", step=step)
+        for r in range(4):
+            assert bits(trial(along, r)) == bits(dir_deriv(func, (xs[r],), 0, ds[r], step))
+            assert bits(trial(grad, r)) == bits(grad_star(func, (xs[r],), 0, step=step))
+
+
+def test_stacked_jets_are_each_trials_jet():
+    xs = draws(E3, 0, 5, 18, tangents=2)
+    jet = Multivector.stack([x + 2.0 for x in xs]).scalar_part()
+    for f in (exp, sin, cos, sqrt):
+        got = f(jet)
+        for r, x in enumerate(xs):
+            assert bits(trial(got, r)) == bits(f((x + 2.0).scalar_part())), f.__name__
+    assert value_of(jet).shape == (5, 1)
+    assert bits(value_of(jet)[:, 0]) == bits(np.array([value_of((x + 2.0).scalar_part())
+                                                       for x in xs]))
+
+
+def test_stacked_scalar_value_is_each_trials_dot():
+    xs, ys = draws(E3, 1, 6, 19), draws(E3, 1, 6, 20)
+    got = scalar_value(Multivector.stack(xs), Multivector.stack(ys))
+    assert bits(got[:, 0]) == bits(np.array([scalar_value(x, y) for x, y in zip(xs, ys)]))
