@@ -50,8 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (Frame, Multivector, _check_metric, _check_operand, _rows, _trial_rows,
-                      product_sum)
+from .algebra import (Frame, Multivector, _as_stack, _check_metric, _check_operand, _rows,
+                      _trial_rows, product_sum)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -124,7 +124,8 @@ def _derivative_rows(
             block = weights[..., j, None, None] * directions[..., None, :, :]
             values = args[i]._values
             if lead:  # a trial stack seeds a block per trial
-                values = np.broadcast_to(_rows(args[i]), lead + (size,))[:, None]
+                values = _as_stack(values)
+                values = np.broadcast_to(values, lead + values.shape[1:])
                 block = np.broadcast_to(block, lead + block.shape[-3:])
             seeded[i] = Multivector._raw(metric, values, block.reshape(lead + (-1, size)))
         block = func(*seeded)._tangents
