@@ -859,13 +859,13 @@ def _laplace_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
     """The grade-th compound of an n x n matrix, or of each matrix of a
-    (T, n, n) trial stack: entry (I, J) is its minor on
-    the generator sets of the I-th and J-th grade-`grade` blades.  The k-th
-    compound comes from the (k-1)-th by one Laplace step along each minor's
-    last column, a gather, a multiply by the cofactor signs and a sum over
-    the k rows, with no pivoting and no division; on a diagonal minor that
-    is the diagonal's product in order, the wedge loop's bits.  Grade 0 is
-    [[1.0]] and grade 1 a copy of the matrix."""
+    (T, n, n) trial stack: entry (I, J) is its minor on the generator sets
+    of the I-th and J-th grade-`grade` blades.  The k-th compound comes from
+    the (k-1)-th by one Laplace step along each minor's last column, a
+    gather, a multiply by the cofactor signs and a sum over the k rows, with
+    no pivoting and no division; on a diagonal minor that is the diagonal's
+    product in order, the wedge loop's bits.  Grade 0 is [[1.0]] and grade 1
+    a copy of the matrix."""
     n = matrix.shape[-1]
     if not 0 <= grade <= n:
         raise ValueError(f"grade {grade} out of range for dim {n}")

@@ -250,9 +250,10 @@ def _deviation(pairs, relative: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
-    ctx.config.trials trials, witness_of).  Every trial is drawn first, in
-    order.  Without `build` each trial's draw is its Inputs and the trials
-    are evaluated one by one; with it, the drawn values of all trials are
+    ctx.config.trials trials, witness_of).  Without `build` each trial's
+    draw is its Inputs, evaluated before the next trial is drawn, and
+    witness_of(r) draws trial r again from the RNG state it started from;
+    with it, every trial is drawn first, in order, the drawn values are
     stacked, build(ctx, *values) makes the stack's Inputs and the sides are
     evaluated once."""
 
@@ -262,10 +263,13 @@ class _Trials:
     build: Callable | None = None
 
     def __call__(self, ctx, rng):
-        drawn = [self.draw(ctx, rng) for _ in range(ctx.config.trials)]
         if self.build is None:
-            devs = [float(_deviation(self.sides(x), self.relative)) for x in drawn]
-            return devs, lambda r: drawn[r].witness()
+            states, devs = [], []
+            for _ in range(ctx.config.trials):
+                states.append(rng.bit_generator.state)
+                devs.append(float(_deviation(self.sides(self.draw(ctx, rng)), self.relative)))
+            return devs, lambda r: self.draw(ctx, _replay(rng, states[r])).witness()
+        drawn = [self.draw(ctx, rng) for _ in range(ctx.config.trials)]
         devs = _deviation(self.sides(self.inputs(ctx, drawn)), self.relative)
         devs = np.broadcast_to(devs, (len(drawn),)).tolist()
         return devs, lambda r: self.inputs(ctx, drawn[r]).witness()
@@ -276,6 +280,13 @@ class _Trials:
         if isinstance(drawn, list):
             return self.build(ctx, *_stacked(ctx, drawn))
         return self.build(ctx, *_unstacked(ctx, drawn))
+
+
+def _replay(rng: np.random.Generator, state: dict) -> np.random.Generator:
+    """A generator that replays rng's draws from an earlier state of it."""
+    replay = np.random.Generator(type(rng.bit_generator)())
+    replay.bit_generator.state = state
+    return replay
 
 
 def _check(identity, suite, draw, sides, relative=False, tol_key="exact", tol_factor=1.0,
