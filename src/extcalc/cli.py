@@ -18,7 +18,7 @@ _FIELD_HELP = {
     "dim": "dimension of the base space (2-8)",
     "metric": 'metric signature: "euclidean" or "diag:+,+,-" style (numeric entries allowed)',
     "trials": "random trials per identity",
-    "seed": "RNG seed (64-bit)",
+    "seed": "RNG seed, an integer in [0, 2**64)",
     "tol_exact": "tolerance for exact paths",
     "tol_fd": "tolerance for finite-difference paths",
     "fd_step": "central-difference step",

@@ -51,7 +51,10 @@ themselves, an oracle that also checks the chain rule behind the bridge.
 Anchors, maps and directions may be trial stacks (see extcalc.algebra): a
 functional with stacked anchors, or one evaluated at a stacked map, gives
 the trial stack of values and derivatives, trial r bit for bit what the
-unstacked trial r gives.  The bridge takes unstacked functionals only.
+unstacked trial r gives.  The bridge takes the same trial axis: a stacked
+functional, map or frame gives (T, n, n) partials, and (T, n, n) partials,
+a stacked direction or frame give the trial stack of rebuilt derivatives,
+each trial by the matrix products its unstacked call makes.
 """
 
 from __future__ import annotations
@@ -273,33 +276,37 @@ def component_partials(
     step instead takes central differences of the lifted real function in
     the components themselves, so it also checks the chain-rule
     factorisation above: all 2n^2 perturbed component matrices map to one
-    batched argument, and F is evaluated once.
+    batched argument, and F is evaluated once.  A trial stack of phi, t or
+    the frame gives (T, n, n) partials, trial r bit for bit trial r's own.
     """
     _check_bridge_shape(phi)
     phi._check_map(t)
     _check_metric(phi.metric, frame.metric)
     n = phi.metric.dim
     recip = frame.blades(1)[1]
-    a = phi._anchor_weights(recip)[:, 0]  # anchor . f^p
+    a = phi._anchor_weights(recip)[..., 0]  # anchor . f^p, (n,) or (T, n)
     if step is None:
-        along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)
-        return np.outer(a, along[0, :, 0])
+        along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)[..., 0, :, 0]
+        return a[..., :, None] * along[..., None, :]  # np.outer, trial by trial
     if not step > 0:
         raise ValueError("step must be positive")
     bumps = step * np.eye(n * n).reshape(n * n, n, n)
-    comps = t.to_components(frame)
-    mats = np.concatenate([comps + bumps, comps - bumps])
+    comps = t.to_components(frame)[..., None, :, :]
+    mats = np.concatenate([comps + bumps, comps - bumps], axis=-3)
     # row b of x is sum_j (sum_i m_b[i, j] a[i]) f^j
-    x = Multivector(phi.metric, (a @ mats) @ recip)
-    lifted = np.broadcast_to(value_of(phi.func(x).scalar_part()), (2 * n * n,))
-    return ((lifted[: n * n] - lifted[n * n :]) / (2.0 * step)).reshape(n, n)
+    rows = (a[..., None, None, :] @ mats)[..., 0, :] @ recip
+    x = Multivector._raw(phi.metric, rows)  # a point batch, or a trial stack of them
+    lifted = np.broadcast_to(value_of(phi.func(x).scalar_part()), rows.shape[:-1])
+    return ((lifted[..., : n * n] - lifted[..., n * n :]) / (2.0 * step)).reshape(
+        rows.shape[:-2] + (n, n))
 
 
 def _check_partials(partials, frame: Frame) -> np.ndarray:
     partials = np.asarray(partials, dtype=float)
     n = frame.metric.dim
-    if partials.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {partials.shape}")
+    if partials.shape[-2:] != (n, n) or partials.ndim not in (2, 3):
+        raise ValueError(
+            f"expected shape {(n, n)}, or (T, {n}, {n}) for a trial stack, got {partials.shape}")
     return partials
 
 
@@ -308,17 +315,20 @@ def directional_from_partials(
 ) -> Multivector:
     """sum_pq (direction . f_p) partials[p,q] f_q; rebuilds the directional
     derivative of the functional the partials came from.  The direction is
-    one vector over the frame's metric."""
+    one vector over the frame's metric.  (T, n, n) partials, a trial stack of
+    directions or of frames give the trial stack of results."""
     partials = _check_partials(partials, frame)
     _check_operand(direction, frame.metric, 1, "direction")
     vectors = frame.blades(1)[0]
-    weights = vectors @ (direction._values * _tables(frame.metric).weight)  # direction . f_p
-    return Multivector(frame.metric, weights @ partials @ vectors)
+    weighted = _rows(direction) * _tables(frame.metric).weight
+    weights = (vectors @ weighted[..., None])[..., None, :, 0]  # direction . f_p, as a row
+    return _trial_rows(frame.metric, ((weights @ partials) @ vectors)[..., 0, :])
 
 
 def star_from_partials(partials: np.ndarray, kind: str, frame: Frame) -> Multivector:
-    """sum_pq f_p * (partials[p,q] f_q); rebuilds the star derivative."""
+    """sum_pq f_p * (partials[p,q] f_q); rebuilds the star derivative, trial
+    by trial for (T, n, n) partials or a trial stack of frames."""
     partials = _check_partials(partials, frame)
     vectors = frame.blades(1)[0]
     rows = partials @ vectors  # row p is sum_q partials[p,q] f_q
-    return Multivector._raw(frame.metric, product_sum(frame.metric, kind, 1, vectors, rows))
+    return _trial_rows(frame.metric, product_sum(frame.metric, kind, 1, vectors, rows))

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import io
 import json
 import subprocess
@@ -72,12 +74,24 @@ def test_config_rejects_non_finite_values(value):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("trials", 2.5), ("seed", 1.5), ("trials", "4"), ("seed", None), ("dim", 3.0)]
+    "name, value", [("trials", 2.5), ("seed", 1.5), ("trials", "4"), ("seed", None), ("dim", 3.0),
+                    ("trials", True), ("dim", True), ("seed", False)]
 )
 def test_config_rejects_non_integer_counts(name, value):
-    # a float trial count or seed used to pass here and raise TypeError in run_suite
+    # a float trial count or seed used to pass here and raise TypeError in
+    # run_suite; a bool, an int subclass, passed too: trials=True ran one
+    # trial and wrote "trials": true
     with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
         HarnessConfig(**{name: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, -(2**64)])
+def test_config_rejects_seeds_outside_64_bits(seed):
+    # such a seed was masked to 64 bits: 2**64 gave seed 0's results under
+    # its own name
+    with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+        HarnessConfig(seed=seed)
+    assert HarnessConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_cli_defaults_are_the_config_defaults():
@@ -186,6 +200,45 @@ def _scripted_check(devs):
     return IdentityCheck("scripted", "closed-form", trial)
 
 
+def _trial_side(side, i):
+    """Trial i's row of a side of a group's Inputs: a multivector's value
+    (an unstacked side is every trial's) or a component array."""
+    if isinstance(side, Multivector):
+        assert side._tangents is None
+        return side._values[i, 0] if side._values.ndim == 3 else side._values
+    return side[i] if side.ndim == 3 else side
+
+
+def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> int:
+    """Every check's groups of trials of one structure, stacked, give each
+    trial's own unstacked sides and deviation bit for bit; returns how many
+    trials sat in groups of more than one."""
+    config = HarnessConfig(dim=dim, metric=metric, trials=trials, seed=0)
+    ortho = Frame.orthonormal(parse_metric(dim, metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    grouped = 0
+    for check in checks:
+        t = check.trial
+        rng = harness._derive_rng(config.seed, check.id)
+        drawn = [t.draw(ctx, rng) for _ in range(trials)]
+        devs, _ = t(ctx, harness._derive_rng(config.seed, check.id))
+        groups = {}
+        for r, (structure, _) in enumerate(drawn):
+            groups.setdefault(structure, []).append(r)
+        for rows in groups.values():
+            stacked = t.sides(t.inputs(ctx, [drawn[r] for r in rows]))
+            grouped += len(rows) if len(rows) > 1 else 0
+            for i, r in enumerate(rows):
+                single = t.sides(t.inputs(ctx, [drawn[r]]))
+                assert len(single) == len(stacked), check.id
+                for stacked_pair, pair in zip(stacked, single):
+                    for side, one in zip(stacked_pair, pair):
+                        row = _trial_side(side, i)
+                        assert row.tobytes() == _trial_side(one, 0).tobytes(), (check.id, r)
+                assert devs[r] == float(harness._deviation(single, t.relative)), (check.id, r)
+    return grouped
+
+
 @pytest.mark.parametrize("dim, metric, trials", [
     (2, "euclidean", 4),
     (3, "euclidean", 5),
@@ -194,37 +247,58 @@ def _scripted_check(devs):
     (8, "diag:+,-,+,-,+,-,+,-", 2),
 ])
 def test_closed_form_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
-    # a closed-form check draws every trial, stacks the draws and evaluates
-    # its sides once; row r of each side is, bit for bit, the side that
-    # trial r's own unstacked Inputs give, and so is trial r's deviation
-    config = HarnessConfig(dim=dim, metric=metric, trials=trials, seed=0)
-    ortho = Frame.orthonormal(parse_metric(dim, metric))
-    ctx = harness._Context(ortho.metric, config, ortho)
-    checked = []
-    for check in catalog("closed-form"):
-        t = check.trial
-        rng = harness._derive_rng(config.seed, check.id)
-        drawn = [t.draw(ctx, rng) for _ in range(trials)]
-        stacked = t.sides(t.inputs(ctx, drawn))
-        devs, _ = t(ctx, harness._derive_rng(config.seed, check.id))
-        for r in range(trials):
-            single = t.sides(t.inputs(ctx, drawn[r]))
-            assert len(single) == len(stacked), check.id
-            for stacked_pair, pair in zip(stacked, single):
-                for side, one in zip(stacked_pair, pair):
-                    assert side._tangents is None and one._tangents is None
-                    row = np.broadcast_to(side._values, (trials, 1, ortho.metric.size))[r, 0]
-                    assert row.tobytes() == one._values.tobytes(), (check.id, r)
-            assert devs[r] == float(harness._deviation(single, t.relative)), (check.id, r)
-        checked.append(check.id)
-    assert len(checked) == 25
+    # a closed-form check is one group, structure (): all its trials are
+    # stacked and its sides evaluated once; row r of each side is, bit for
+    # bit, the side that trial r's own unstacked Inputs give, and so is
+    # trial r's deviation
+    checks = catalog("closed-form")
+    assert len(checks) == 25
+    assert _assert_groups_are_each_trials_own(dim, metric, trials, checks) == 25 * trials
+
+
+@pytest.mark.parametrize("dim, metric, trials", [
+    (3, "euclidean", 16),
+    (4, "diag:2,-1,0.5,-3", 6),
+    (6, "diag:+,+,+,-,-,+", 4),
+    (8, "diag:+,-,+,-,+,-,+,-", 3),
+])
+def test_grouped_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
+    # the properties and bridge checks (the closed-form ones are above) group
+    # their trials by drawn structure and stack each group of several; each
+    # trial's grouped sides and deviation are, bit for bit, its own
+    # unstacked ones, and some groups hold several trials in both suites
+    for suite in ("properties", "bridge"):
+        assert _assert_groups_are_each_trials_own(dim, metric, trials, catalog(suite)) > 0
+    assert len(catalog("properties") + catalog("bridge")) == 36 - 25
 
 
 def test_each_check_has_one_route():
-    # closed-form checks stack their trials; the others draw a structure per
-    # trial and evaluate trial by trial
+    # every check draws all its trials, groups them by drawn structure and
+    # evaluates its sides once per group: stacked for a group of several,
+    # unstacked for one; a closed-form check is one group
+    config = HarnessConfig(trials=16, seed=0)
+    ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
     for check in CATALOG:
-        assert (check.trial.build is not None) == (check.suite == "closed-form"), check.id
+        assert type(check.trial) is harness._Trials, check.id
+        structures, stacked = [], []
+
+        def draw(ctx, rng, draw=check.trial.draw):
+            structure, values = draw(ctx, rng)
+            structures.append(structure)
+            return structure, values
+
+        def sides(x, sides=check.trial.sides):
+            stacked.append(x.h.matrix.ndim == 3)
+            return sides(x)
+
+        trial = dataclasses.replace(check.trial, draw=draw, sides=sides)
+        devs, _ = trial(ctx, harness._derive_rng(config.seed, check.id))
+        assert len(devs) == config.trials
+        sizes = list(collections.Counter(structures).values())  # in first-drawn order
+        assert stacked == [size > 1 for size in sizes], check.id
+        if check.suite == "closed-form":
+            assert sizes == [config.trials], check.id
 
 
 def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
@@ -529,6 +603,15 @@ def test_cli_dim_out_of_range_exits_two_before_running(dim):
     assert proc.returncode == 2, proc.stderr
     assert "dim must be" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_seed_outside_64_bits_exits_two_before_running(seed):
+    proc = run_cli("--seed", seed, "--trials", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert "seed must be in [0, 2**64)" in proc.stderr
+    assert proc.stdout == ""
+    assert "[0, 2**64)" in " ".join(cli.build_parser().format_help().split())
 
 
 @pytest.mark.parametrize("args", [

@@ -28,6 +28,12 @@ from extcalc.catalog import (
 )
 from extcalc.dual import cos, exp, sin, sqrt, value_of
 from extcalc.extensor import Extensor, Outermorphism
+from extcalc.functional import (
+    InducedFunctional,
+    component_partials,
+    directional_from_partials,
+    star_from_partials,
+)
 
 E3 = Metric.euclidean(3)
 SIGNED6 = Metric(6, (1.0, 1.0, 1.0, -1.0, -1.0, 1.0))
@@ -48,6 +54,18 @@ def trial(stacked, r):
     t = stacked._tangents
     return Multivector._raw(stacked.metric, values[0] if len(values) == 1 else values,
                             None if t is None else t[r])
+
+
+def stack_frames(frames):
+    """The trial stack of frames: each vector and reciprocal vector stacked."""
+    return Frame(*(tuple(Multivector.stack(vs) for vs in zip(*(getattr(f, side) for f in frames)))
+                   for side in ("vectors", "reciprocal")))
+
+
+def random_frames(metric, rng, count):
+    ortho = Frame.orthonormal(metric).vectors
+    return [Frame.from_vectors([Extensor.random_invertible(metric, rng)(e) for e in ortho])
+            for _ in range(count)]
 
 
 def draws(metric, grade, count, seed, tangents=0):
@@ -230,12 +248,8 @@ def test_stacked_functionals_are_each_trials_functional(metric, trials):
     rng = np.random.default_rng(12)
     maps = [Extensor.random_invertible(metric, rng) for _ in range(trials)]
     bs, cs, dirs = (draws(metric, 1, trials, seed) for seed in (13, 14, 15))
-    frames = [Frame.from_vectors([Extensor.random_invertible(metric, rng)(e)
-                                  for e in Frame.orthonormal(metric).vectors])
-              for _ in range(trials)]
-    carriers = Frame(*(tuple(Multivector.stack(vs) for vs in zip(*(f.vectors for f in frames))),
-                       tuple(Multivector.stack(vs) for vs in zip(*(f.reciprocal
-                                                                   for f in frames)))))
+    frames = random_frames(metric, rng, trials)
+    carriers = stack_frames(frames)
     h, b, c, a = Extensor.stack(maps), *map(Multivector.stack, (bs, cs, dirs))
     pss = 1.5 * Multivector.stack([Multivector.from_blade(metric, metric.size - 1)] * trials)
     functionals = (
@@ -292,3 +306,54 @@ def test_stacked_scalar_value_is_each_trials_dot():
     xs, ys = draws(E3, 1, 6, 19), draws(E3, 1, 6, 20)
     got = scalar_value(Multivector.stack(xs), Multivector.stack(ys))
     assert bits(got[:, 0]) == bits(np.array([scalar_value(x, y) for x, y in zip(xs, ys)]))
+
+
+def _bridge_functional(anchor, c, name):
+    base = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(c)), (anchor,), 1)
+    return {"linear": base, "square": base.map_scalar(lambda s: s * s),
+            "exp": base.map_scalar(exp)}[name]
+
+
+@pytest.mark.parametrize("metric, trials", [(E3, 5), (SIGNED6, 3), (SIGNED8, 2)])
+@pytest.mark.parametrize("name", ["linear", "square", "exp"])
+def test_stacked_bridge_is_each_trials_bridge(metric, trials, name):
+    # the bridge's trial axis: stacked functionals, maps, frames and
+    # directions give (T, n, n) partials and the trial stack of rebuilt
+    # derivatives, each trial bit for bit its unstacked call
+    rng = np.random.default_rng(21)
+    maps = [Extensor.random_invertible(metric, rng) for _ in range(trials)]
+    anchors, cs, dirs = (draws(metric, 1, trials, seed) for seed in (22, 23, 24))
+    frames = random_frames(metric, rng, trials)
+    phi = _bridge_functional(Multivector.stack(anchors), Multivector.stack(cs), name)
+    h, a, frame = Extensor.stack(maps), Multivector.stack(dirs), stack_frames(frames)
+    ortho = Frame.orthonormal(metric)
+    for step in (None, 1e-5):
+        for stacked_frame, frame_of in ((frame, frames.__getitem__), (ortho, lambda r: ortho)):
+            parts = component_partials(phi, h, stacked_frame, step)
+            assert parts.shape == (trials, metric.dim, metric.dim)
+            for r in range(trials):
+                one = _bridge_functional(anchors[r], cs[r], name)
+                assert bits(parts[r]) == bits(component_partials(one, maps[r], frame_of(r), step))
+    parts = component_partials(phi, h, frame)
+    along = directional_from_partials(parts, a, frame)
+    stars = {kind: star_from_partials(parts, kind, frame) for kind in PRODUCT_KINDS}
+    # stacked partials over one unstacked frame, and one direction for every trial
+    over_ortho = directional_from_partials(parts, dirs[0], ortho)
+    for r in range(trials):
+        assert bits(trial(along, r)) == bits(directional_from_partials(parts[r], dirs[r],
+                                                                       frames[r]))
+        assert bits(trial(over_ortho, r)) == bits(directional_from_partials(parts[r], dirs[0],
+                                                                            ortho))
+        for kind in PRODUCT_KINDS:
+            assert bits(trial(stars[kind], r)) == bits(star_from_partials(parts[r], kind,
+                                                                          frames[r]))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 3, 3), (4, 4)])
+def test_bridge_rejects_partials_of_another_shape(shape):
+    frame, e1 = Frame.orthonormal(E3), Multivector.from_blade(E3, 1)
+    message = r"expected shape \(3, 3\), or \(T, 3, 3\) for a trial stack"
+    with pytest.raises(ValueError, match=message):
+        directional_from_partials(np.zeros(shape), e1, frame)
+    with pytest.raises(ValueError, match=message):
+        star_from_partials(np.zeros(shape), "geometric", frame)
