@@ -41,6 +41,12 @@ rows, the trials of the harness evaluated in one pass.  The finite-difference
 points then follow the trial axis, (T, 2m, 2^n), so that each trial's batch
 is one gemm, as unstacked.  A slot that any trial moves is moved in every
 trial; a trial whose weight there is zero takes the unmoved point.
+
+A function of a trial stack may also choose per trial what it computes:
+_per_trial(names, table) runs each trial's entry table[names[r]] once on
+the rows of the trials that name it, and on no other row (so exp never
+meets another entry's large value), and puts the rows back together, trial
+r bit for bit what its entry gives on trial r alone.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ class MvFunction:
     map or wrap it with Multivector.from_scalar.  float() does not take a
     jet; value_of reads its value.  An evaluator that ignores its batched
     argument may return an unbatched value.  Values are homogeneous of grade
-    `output_grade` (None for mixed grades).
+    `output_grade`; None for mixed grades, such as a trial stack whose
+    trials evaluate functions of different output grades.
     """
 
     arity: int
@@ -83,6 +90,61 @@ class MvFunction:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         return self.evaluator(*args)
+
+
+def _option_rows(names: tuple) -> dict:
+    """{name: the indices of the trials that name it} of per-trial names."""
+    rows: dict = {}
+    for r, name in enumerate(names):
+        rows.setdefault(name, []).append(r)
+    return {name: np.array(r) for name, r in rows.items()}
+
+
+def _select(x, rows):
+    """Trials `rows` of a trial stack: a multivector's values and tangent
+    block, or a (T, ...) array; None or an unstacked multivector is every
+    trial's."""
+    if isinstance(x, np.ndarray):
+        return x[rows]
+    if x is None or x._values.ndim != 3:
+        return x
+    t = x._tangents
+    return Multivector._raw(x.metric, x._values[rows], None if t is None else t[rows])
+
+
+def _merged(parts: list):
+    """The trial stack whose trials `rows` are `part`'s, for each (rows,
+    part) of a partition of its trials: arrays, or multivectors, where a
+    part without a tangent block has zero tangents."""
+    trials = sum(len(rows) for rows, _ in parts)
+
+    def scatter(arrays, fill=np.empty):
+        out = fill((trials,) + max(a.shape[1:] for _, a in arrays))  # P = 1 broadcasts
+        for rows, a in arrays:
+            out[rows] = a
+        return out
+
+    first = parts[0][1]
+    if not isinstance(first, Multivector):
+        return scatter(parts)
+    values = scatter([(rows, _as_stack(part._values)) for rows, part in parts])
+    blocks = [(rows, _as_stack(part._tangents)) for rows, part in parts
+              if part._tangents is not None]
+    return Multivector._raw(first.metric, values, scatter(blocks, np.zeros) if blocks else None)
+
+
+def _per_trial(names, table: dict) -> Callable:
+    """table[names] for one trial's name.  For a trial stack's per-trial
+    names, the map that sends each trial's rows of its arguments (trial
+    stacks of multivectors or (T, ...) arrays) through that trial's own
+    entry only, and puts the rows of the results back together."""
+    if isinstance(names, str):
+        return table[names]
+    rows = _option_rows(names)
+    if len(rows) == 1:
+        return table[names[0]]
+    return lambda *xs: _merged(
+        [(r, table[name](*(_select(x, r) for x in xs))) for name, r in rows.items()])
 
 
 def _check_slot(func: MvFunction, args: Sequence[Multivector], var_index: int):

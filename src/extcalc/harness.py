@@ -16,14 +16,16 @@ the witness builder of trial r.  A check has one shape:
                                identity is relative; the first NaN is the
                                result.
 
-The structure holds the drawn choices that shape the evaluation (a rule's
-grades, arity, function options and smooth map, the bridge functional's
-name; () for a closed-form check), the values what stacks: maps, vectors,
-the functions' constants, scalars, drawn frames.  _Trials groups the trials
-by structure and evaluates each group of several once, on its trial stack
-(extcalc.algebra; vector forward mode over a batch, Griewank & Walther,
-Evaluating Derivatives, 2nd ed., 2008, ch. 3), and a group of one
-unstacked: trial r's deviation is bit for bit what trial r gives alone.
+The structure holds only what shapes the arrays: a rule's grades and arity
+(p, q, k), () for a closed-form or bridge check.  The values are the rest:
+maps, vectors, the functions' constants, scalars, drawn frames, and the
+drawn names (the function options, the smooth map, the bridge functional),
+which stack to per-trial tuples; each name's option runs on its own trials'
+rows only.  _Trials groups the trials by structure and evaluates each group
+of several once, on its trial stack (extcalc.algebra; vector forward mode
+over a batch, Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+ch. 3), and a group of one unstacked: trial r's deviation is bit for bit
+what trial r gives alone.
 run_suite keeps each identity's worst trial against a tolerance and, on
 failure, reports witness_of(r) of that trial, its Inputs.witness built from
 its own, unstacked draw.  Checks with an -fd suffix share their exact
@@ -58,7 +60,7 @@ from .algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from .calculus import DEFAULT_FD_STEP, MvFunction
+from .calculus import DEFAULT_FD_STEP, MvFunction, _option_rows, _per_trial, _select
 from .catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -193,7 +195,8 @@ class Inputs:
     """One trial's drawn values, or a trial stack of the values of a group
     of trials of one structure: the map h, the functional phi, the
     direction, the frame and the drawn choices; in a stack, the scalars
-    alpha, beta and scale are (T, 1) arrays.  The anchors default to phi's."""
+    alpha, beta and scale are (T, 1) arrays and the names smooth and
+    functional per-trial tuples.  The anchors default to phi's."""
 
     ctx: _Context
     h: Extensor
@@ -206,8 +209,8 @@ class Inputs:
     beta: float | np.ndarray | None = None
     scale: float | np.ndarray | None = None
     constant: Multivector | None = None
-    smooth: str | None = None  # the chain rule's scalar map
-    functional: str | None = None  # the bridge functional's name
+    smooth: str | tuple | None = None  # the chain rule's scalar map
+    functional: str | tuple | None = None  # the bridge functional's name
 
     def __post_init__(self):
         if self.anchors is None and self.phi is not None:
@@ -261,11 +264,12 @@ class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
     ctx.config.trials trials, witness_of).  Every trial is drawn first, in
     order: draw(ctx, rng) gives its (structure, values), the structure a
-    hashable tuple of the drawn choices that shape the evaluation (grades,
-    function names) and the values what stacks.  The trials are grouped by
-    structure; build(ctx, *structure, *values) makes a group's Inputs, one
-    trial's own, unstacked, or the trial stack of several, whose sides are
-    evaluated once, and each deviation goes back to its trial.
+    hashable tuple of what shapes the arrays (grades and arity) and the
+    values the rest, drawn names included, which stack to per-trial tuples.
+    The trials are grouped by structure; build(ctx, *structure, *values)
+    makes a group's Inputs, one trial's own, unstacked, or the trial stack
+    of several, whose sides are evaluated once, and each deviation goes
+    back to its trial.
     witness_of(r) builds trial r's own Inputs from its draw."""
 
     draw: Callable
@@ -328,8 +332,9 @@ def _unstacked(ctx: _Context, value):
 
 def _stacked(ctx: _Context, drawn: list) -> tuple:
     """The trial stack of each drawn value: multivectors and maps stacked,
-    floats as a (T, 1) array, as a trial stack's scalars are, tuples and
-    dicts entry by entry, and frames built in one call (_frames)."""
+    names as the tuple of per-trial names, floats as a (T, 1) array, as a
+    trial stack's scalars are, tuples and dicts entry by entry, and frames
+    built in one call (_frames); any other value raises TypeError."""
 
     def stack(column):
         first = column[0]
@@ -339,11 +344,15 @@ def _stacked(ctx: _Context, drawn: list) -> tuple:
             return Extensor.stack(column)
         if isinstance(first, _DrawnFrame):
             return _frames(ctx, [f.carrier for f in column])
+        if isinstance(first, str):
+            return tuple(column)
         if isinstance(first, float):
             return np.array(column)[:, None]
         if isinstance(first, dict):
             return {key: stack([d[key] for d in column]) for key in first}
-        return tuple(map(stack, zip(*column)))
+        if isinstance(first, tuple):
+            return tuple(map(stack, zip(*column)))
+        raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
 
     return stack(drawn)
 
@@ -387,11 +396,10 @@ def _random_mixed(metric: Metric, rng) -> Multivector:
     return total
 
 
-def _function(name: str, q: int, c: Multivector, d: Multivector | None = None) -> MvFunction:
-    """The random function `name` of grade-q variables over its drawn
-    constants c and d (_draw_scalar_func, _draw_value_func), each one
-    multivector or a trial stack of them."""
-    arity, output_grade, evaluator = {
+def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
+    """(arity, output grade, evaluator) of the random function option `name`
+    of grade-q variables over its drawn constants c and d."""
+    return {
         # scalar-valued, c of grade q
         "x.x": (1, 0, lambda x: x.scalar_product(x)),
         "x.c": (1, 0, lambda x: x.scalar_product(c)),
@@ -405,7 +413,20 @@ def _function(name: str, q: int, c: Multivector, d: Multivector | None = None) -
         "x^y": (2, 2 * q, lambda x, y: x.wedge(y)),
         "x(y.d)": (2, q, lambda x, y: x * y.scalar_product(d).scalar_part()),
     }[name]
-    return MvFunction(arity, q, output_grade, evaluator)
+
+
+def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> MvFunction:
+    """The random function of grade-q variables over its drawn constants c
+    and d (_draw_scalar_func, _draw_value_func): one trial's option `names`,
+    or, over trial stacks of constants, each trial's own option of the
+    per-trial `names`, evaluated on that option's rows of the arguments and
+    constants only (_per_trial).  Its output grade is the options' common
+    one, else None."""
+    rows = {names: slice(None)} if isinstance(names, str) else _option_rows(names)
+    options = {name: _option(name, q, _select(c, r), _select(d, r)) for name, r in rows.items()}
+    (arity, _, _), grades = next(iter(options.values())), {g for _, g, _ in options.values()}
+    evaluator = _per_trial(names, {name: f for name, (_, _, f) in options.items()})
+    return MvFunction(arity, q, grades.pop() if len(grades) == 1 else None, evaluator)
 
 
 def _draw_scalar_func(metric: Metric, rng, k: int, q: int) -> tuple:
@@ -429,7 +450,7 @@ def _draw_value_func(metric: Metric, rng, k: int, q: int) -> tuple:
 
 def _random_setup(ctx: _Context, rng, scalar_valued=False) -> tuple:
     """Random anchors, a matching map and a function: (structure, values),
-    the structure (p, q, k, the function's name) and the values (anchors,
+    the structure (p, q, k) and the values (the function's name, anchors,
     map, the function's constants).  _setup builds them."""
     metric = ctx.metric
     top = min(2, metric.dim)
@@ -440,13 +461,13 @@ def _random_setup(ctx: _Context, rng, scalar_valued=False) -> tuple:
     t = Extensor.random(metric, rng, p, q)
     draw_func = _draw_scalar_func if scalar_valued else _draw_value_func
     name, consts = draw_func(metric, rng, k, q)
-    return (p, q, k, name), (anchors, t, consts)
+    return (p, q, k), (name, anchors, t, consts)
 
 
 def _setup(structure: tuple, values: tuple) -> tuple[Extensor, InducedFunctional]:
     """The map and the functional of a _random_setup draw, or of a trial
     stack of draws of one structure."""
-    (p, q, _, name), (anchors, t, consts) = structure, values
+    (p, q, _), (name, anchors, t, consts) = structure, values
     return t, InducedFunctional(_function(name, q, *consts), anchors, p)
 
 
@@ -665,9 +686,9 @@ def _draw_two_functionals(scalar_valued):
 
     def draw(ctx, rng):
         setup, values = _random_setup(ctx, rng, scalar_valued)
-        p, q, k, _ = setup
+        p, q, k = setup
         name, consts = _draw_value_func(ctx.metric, rng, k, q)
-        return (setup, name), (values, consts, random_multivector(ctx.metric, p, rng))
+        return (setup,), (name, values, consts, random_multivector(ctx.metric, p, rng))
 
     return draw
 
@@ -686,18 +707,17 @@ def _leibniz_sides(x):
     return [(x.derivative(x.phi.times_functional(g)), rhs)]
 
 
-# the chain rule's smooth maps and their derivatives, of a float or per trial
-_SMOOTH_MAPS = {
-    "square": (lambda s: s * s, lambda v: 2.0 * v),
-    "exp": (_exp, np.exp),
-    "sin": (_sin, np.cos),
-}
+# the chain rule's smooth maps, of a float, a (T, P) array or a grade-0 jet,
+# their derivatives, of a float or a (T, 1) array, and the bridge's maps
+_SMOOTH_MAPS = {"square": lambda s: s * s, "exp": _exp, "sin": _sin}
+_SMOOTH_DERIVATIVES = {"square": lambda v: 2.0 * v, "exp": np.exp, "sin": np.cos}
+_BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": _exp}
 
 
 def _draw_chain(ctx, rng):
     setup, values = _random_setup(ctx, rng, scalar_valued=True)
     name = ("square", "exp", "sin")[rng.integers(3)]
-    return (setup, name), (values, random_multivector(ctx.metric, setup[0], rng))
+    return (setup,), (name, values, random_multivector(ctx.metric, setup[0], rng))
 
 
 def _build_chain(ctx, setup, name, values, a):
@@ -705,9 +725,9 @@ def _build_chain(ctx, setup, name, values, a):
 
 
 def _chain_sides(x):
-    fn, dfn = _SMOOTH_MAPS[x.smooth]
+    dfn = _per_trial(x.smooth, _SMOOTH_DERIVATIVES)
     rhs = dfn(value_of(x.phi.evaluate(x.h).scalar_part())) * x.derivative()
-    return [(x.derivative(x.phi.map_scalar(fn)), rhs)]
+    return [(x.derivative(x.phi.map_scalar(_per_trial(x.smooth, _SMOOTH_MAPS))), rhs)]
 
 
 _draw_frame = _draw_rule(lambda ctx, rng, p: {"frame": _random_frame(ctx, rng)})
@@ -732,13 +752,13 @@ def _intrinsic_sides(x):
 
 
 def _draw_bridge(ctx, rng):
-    """An anchor, the constant c of phi = (. c) composed with a named smooth
-    map, a map and a frame: structure (the name,)."""
+    """The name of a smooth map, an anchor, the constant c of phi = (. c)
+    composed with the map, a map and a frame: structure ()."""
     anchor = random_multivector(ctx.metric, 1, rng)
     c = random_multivector(ctx.metric, 1, rng)
     name = ("linear", "square", "exp")[rng.integers(3)]
     t = Extensor.random_invertible(ctx.metric, rng)
-    return (name,), (anchor, c, t, _maybe_random_frame(ctx, rng))
+    return (), (name, anchor, c, t, _maybe_random_frame(ctx, rng))
 
 
 def _draw_bridge_directional(ctx, rng):
@@ -748,10 +768,8 @@ def _draw_bridge_directional(ctx, rng):
 
 def _build_bridge(ctx, name, anchor, c, t, frame, direction=None):
     phi = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(c)), (anchor,), 1)
-    if name == "square":
-        phi = phi.map_scalar(lambda s: s * s)
-    elif name == "exp":
-        phi = phi.map_scalar(_exp)
+    if name != "linear":  # one trial's name, or a trial stack's per-trial names
+        phi = phi.map_scalar(_per_trial(name, _BRIDGE_MAPS))
     return Inputs(ctx, t, phi, direction=direction, frame=frame, functional=name)
 
 

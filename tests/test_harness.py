@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -209,14 +210,43 @@ def _trial_side(side, i):
     return side[i] if side.ndim == 3 else side
 
 
-def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> int:
+def _assert_group_is_each_trials_own(check, ctx, group) -> list:
+    """The stacked sides of a group of draws give, row by row, each draw's
+    own unstacked sides bit for bit; returns each draw's own deviation."""
+    t = check.trial
+    stacked = t.sides(t.inputs(ctx, group))
+    devs = []
+    for i, draw in enumerate(group):
+        single = t.sides(t.inputs(ctx, [draw]))
+        assert len(single) == len(stacked), check.id
+        for stacked_pair, pair in zip(stacked, single):
+            for side, one in zip(stacked_pair, pair):
+                row = _trial_side(side, i)
+                assert row.tobytes() == _trial_side(one, 0).tobytes(), (check.id, i)
+        devs.append(float(harness._deviation(single, t.relative)))
+    return devs
+
+
+def _names(value, path=()):
+    """The (path, name) of every drawn name in one trial's values."""
+    if isinstance(value, str):
+        return [(path, value)]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [n for i, v in enumerate(value) for n in _names(v, path + (i,))]
+    return []
+
+
+def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> tuple[int, set]:
     """Every check's groups of trials of one structure, stacked, give each
     trial's own unstacked sides and deviation bit for bit; returns how many
-    trials sat in groups of more than one."""
+    trials sat in groups of more than one and the (check id, path) of every
+    drawn name that differs between the trials of some tested group."""
     config = HarnessConfig(dim=dim, metric=metric, trials=trials, seed=0)
     ortho = Frame.orthonormal(parse_metric(dim, metric))
     ctx = harness._Context(ortho.metric, config, ortho)
-    grouped = 0
+    grouped, mixed = 0, set()
     for check in checks:
         t = check.trial
         rng = harness._derive_rng(config.seed, check.id)
@@ -226,17 +256,15 @@ def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> int:
         for r, (structure, _) in enumerate(drawn):
             groups.setdefault(structure, []).append(r)
         for rows in groups.values():
-            stacked = t.sides(t.inputs(ctx, [drawn[r] for r in rows]))
+            own = _assert_group_is_each_trials_own(check, ctx, [drawn[r] for r in rows])
             grouped += len(rows) if len(rows) > 1 else 0
-            for i, r in enumerate(rows):
-                single = t.sides(t.inputs(ctx, [drawn[r]]))
-                assert len(single) == len(stacked), check.id
-                for stacked_pair, pair in zip(stacked, single):
-                    for side, one in zip(stacked_pair, pair):
-                        row = _trial_side(side, i)
-                        assert row.tobytes() == _trial_side(one, 0).tobytes(), (check.id, r)
-                assert devs[r] == float(harness._deviation(single, t.relative)), (check.id, r)
-    return grouped
+            assert [devs[r] for r in rows] == own, check.id
+            names = collections.defaultdict(set)
+            for r in rows:
+                for path, name in _names(drawn[r][1]):
+                    names[path].add(name)
+            mixed |= {(check.id, path) for path, seen in names.items() if len(seen) > 1}
+    return grouped, mixed
 
 
 @pytest.mark.parametrize("dim, metric, trials", [
@@ -253,7 +281,20 @@ def test_closed_form_trial_stacks_are_each_trials_own_sides(dim, metric, trials)
     # trial r's deviation
     checks = catalog("closed-form")
     assert len(checks) == 25
-    assert _assert_groups_are_each_trials_own(dim, metric, trials, checks) == 25 * trials
+    assert _assert_groups_are_each_trials_own(dim, metric, trials, checks)[0] == 25 * trials
+
+
+# the drawn names of the properties and bridge checks, by their path in a
+# trial's values: the function option, the second function's option, the
+# smooth map and the bridge functional's name
+_OPTION = (0, 0)  # _random_setup's name, first in the rule's setup values
+_NAME_PATHS = {
+    **{c.id: {_OPTION} for c in catalog("properties")},
+    "additivity-rule": {(0,), (1, 0)},
+    "leibniz-rule": {(0,), (1, 0)},
+    "chain-rule": {(0,), (1, 0)},
+    **{c.id: {(0,)} for c in catalog("bridge")},
+}
 
 
 @pytest.mark.parametrize("dim, metric, trials", [
@@ -264,12 +305,21 @@ def test_closed_form_trial_stacks_are_each_trials_own_sides(dim, metric, trials)
 ])
 def test_grouped_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
     # the properties and bridge checks (the closed-form ones are above) group
-    # their trials by drawn structure and stack each group of several; each
+    # their trials by grades and arity and stack each group of several; each
     # trial's grouped sides and deviation are, bit for bit, its own
     # unstacked ones, and some groups hold several trials in both suites
+    mixed = set()
     for suite in ("properties", "bridge"):
-        assert _assert_groups_are_each_trials_own(dim, metric, trials, catalog(suite)) > 0
+        grouped, names = _assert_groups_are_each_trials_own(dim, metric, trials, catalog(suite))
+        assert grouped > 0
+        mixed |= names
     assert len(catalog("properties") + catalog("bridge")) == 36 - 25
+    # groups mix function options, second options, smooth maps and bridge
+    # names, so the rows that each option selects are checked too: the one
+    # bridge group always, and at dim 3 every drawn name of every check
+    everywhere = {(i, path) for i, paths in _NAME_PATHS.items() for path in paths}
+    assert {(c.id, (0,)) for c in catalog("bridge")} <= mixed <= everywhere
+    assert mixed == everywhere or dim != 3
 
 
 def test_each_check_has_one_route():
@@ -299,6 +349,87 @@ def test_each_check_has_one_route():
         assert stacked == [size > 1 for size in sizes], check.id
         if check.suite == "closed-form":
             assert sizes == [config.trials], check.id
+
+
+def test_derivation_rules_group_by_grades_and_arity_alone():
+    # at the default verdict's dim 3, 64 trials, seed 0, each properties
+    # check evaluates one group per distinct drawn (p, q, k): the function
+    # options, second options and smooth maps are per-trial values of the
+    # group; each bridge and closed-form check is one group
+    config = HarnessConfig(dim=3, trials=64, seed=0)
+    ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    for check in CATALOG:
+        t, groups = check.trial, []
+
+        def sides(x, sides=t.sides):
+            groups.append((x.h.p, x.h.q, x.phi.arity) if x.phi else ())
+            return sides(x)
+
+        dataclasses.replace(t, sides=sides)(ctx, harness._derive_rng(config.seed, check.id))
+        if check.suite != "properties":
+            assert len(groups) == 1, check.id
+            continue
+        rng = harness._derive_rng(config.seed, check.id)
+        drawn = [t.inputs(ctx, [t.draw(ctx, rng)]) for _ in range(config.trials)]
+        assert sorted(groups) == sorted({(x.h.p, x.h.q, x.phi.arity) for x in drawn})
+
+
+def test_stacked_names_are_per_trial_values():
+    ortho = Frame.orthonormal(Metric.euclidean(3))
+    ctx = harness._Context(ortho.metric, HarnessConfig(), ortho)
+    # a column of names is the tuple of per-trial names (a one-letter string
+    # iterates to itself, so it must not be taken for a tuple)
+    assert harness._stacked(ctx, [("exp",), ("sin",)]) == (("exp", "sin"),)
+    assert harness._stacked(ctx, [("x", 1.0), ("x^c", 2.0)])[0] == ("x", "x^c")
+    # any other leaf names its type
+    for leaf, name in ((1, "int"), (None, "NoneType"), (b"x", "bytes")):
+        with pytest.raises(TypeError, match=name):
+            harness._stacked(ctx, [(leaf,), (leaf,)])
+
+
+def _huge_value_group(check, ctx, names):
+    """Draws of check over the identity map of a dim-3 Euclidean ctx, one
+    per name: an exp trial has functional value 0.5, every other one 1000,
+    which math.exp cannot take."""
+    m = ctx.metric
+    e1, e2 = Multivector.from_blade(m, 1), Multivector.from_blade(m, 2)
+    h = Extensor.identity(m)
+    group = []
+    for i, name in enumerate(names):
+        c = (0.5 if name == "exp" else 1000.0) * e1
+        if check.suite == "bridge":
+            values = (name, e1, c, h, harness._DrawnFrame(Extensor.random_invertible(
+                m, np.random.default_rng(i))))
+            group.append(((), values + (e2,) if "directional" in check.id else values))
+        else:  # the chain rule over x.c of one grade-1 anchor
+            group.append((((1, 1, 1),), (name, ("x.c", (e1,), h, (c,)), e1 + e2)))
+    return group
+
+
+@pytest.mark.parametrize("identity, names", [
+    ("chain-rule", ("exp", "square", "sin")),
+    ("chain-rule", ("sin", "exp", "square", "exp")),
+    ("component-partials-fd", ("exp", "square", "linear")),
+    ("component-bridge-directional", ("exp", "linear", "square")),
+    ("component-bridge-star", ("exp", "square", "linear", "exp")),
+])
+def test_no_option_sees_another_options_rows(identity, names):
+    # an exp trial beside square, sin or linear trials whose functional
+    # value overflows math.exp (and warns in np.exp): evaluating the group
+    # raises and warns nothing, and each row is its trial's own sides
+    (check,) = [c for c in CATALOG if c.id == identity]
+    ortho = Frame.orthonormal(Metric.euclidean(3))
+    ctx = harness._Context(ortho.metric, HarnessConfig(), ortho)
+    group = _huge_value_group(check, ctx, names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        devs = _assert_group_is_each_trials_own(check, ctx, group)
+        assert all(np.isfinite(devs)), devs
+        # what exp would meet on another option's row
+        structure, values = next(d for d in group if d[1][0] != "exp")
+        with pytest.raises((OverflowError, RuntimeWarning)):
+            check.trial.sides(check.trial.inputs(ctx, [(structure, ("exp",) + values[1:])]))
 
 
 def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
