@@ -45,33 +45,43 @@ compose with the products.
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
 oracle does with all its perturbed points at once.  A batched coefficient is a
-(B,) array, and (B,) arrays scale batches row by row.  A batch row is handled
-as a tangent row is: the linear maps act on both kinds of row alike, and a
-product with one batched side is the tangent rule's matmul against the
-unbatched side's operator (a @ M_b, or b @ L_a when the left side is the
-unbatched one).  Two batched sides multiply one row pair at a time, each
-pair the unbatched kernel itself; a scalar product of two batches is one
-weighted dot per row.  A point batch never carries a tangent block: the
-internal constructor every result goes through, and a product of a batch
-with a tangent-carrying operand, raise ValueError rather than drop the
-tangents.
+(B,) array, and (B,) arrays scale batches row by row.  The linear maps act on
+a batch row as on a tangent row.  A point batch never carries a tangent
+block: the internal constructor every result goes through, and a product of
+a batch with a tangent-carrying operand, raise ValueError rather than drop
+the tangents.
 
 A trial stack (Multivector.stack) is T independent multivectors, the T
 random trials of a harness check, evaluated in one pass (vector forward mode
 over a batch; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-ch. 3).  Its values are (T, P, 2^n), P = 1 or, for a stack of point batches,
-the batch size B; its tangent block, when it has one, is (T, m, 2^n), and
-only a stack with P = 1 carries one.  So a trial stack is never a point
-batch: every rule that rejects a batch still rejects one, and a stack with
-P = 1 is accepted wherever one unbatched operand is.  A stack's coefficient
-is a (T, P) array, or a stacked grade-0 jet when it carries tangents, and a
-(T, P) array scales and builds stacks row by row; the scalars of a stack of
-maps (Extensor.det, Extensor.trace) are (T, 1) arrays too.  Each trial makes
-the BLAS call the unstacked code makes: a value row meets its operator as a
-(T, 1, 2^n) @ (T, 2^n, 2^n) matmul, one gemv per trial, and a tangent block
-or a point batch as one gemm per trial.  Operator stacks are cut into
-chunks below glibc's 128 KB mmap threshold, so freeing one never raises the
-threshold and the heap (and peak RSS) stays as the unstacked code leaves it.
+ch. 3).  Its values are (T, P, 2^n), P = 1 or, for a stack of point
+batches, the batch size B; its tangent block, when it has one, is
+(T, m, 2^n), and only a stack with P = 1 carries one.  So a trial stack is
+never a point batch: every rule that rejects a batch still rejects one, and
+a stack with P = 1 is accepted wherever one unbatched operand is.  A stack's
+coefficient is a (T, P) array, or a stacked grade-0 jet when it carries
+tangents, and a (T, P) array scales and builds stacks row by row; the
+scalars of a stack of maps (Extensor.det, Extensor.trace) are (T, 1) arrays
+too.
+
+Each product has one route, whatever the layout of its operands.  Every
+operand enters it as a trial stack: an unstacked value with its (m, 2^n)
+tangent block is a stack of one with P = 1, a point batch a stack of one
+with P = B.  The result leaves in the operands' own layout: a trial stack if
+either side is one, else a point batch if either side is one.  Each trial
+has its own operator, built once per chunk of trials and applied to the
+value rows and to the tangent rows alike: a value row meets it as one gemv
+per trial, a tangent block as one gemm.  A point batch meets the other
+side's operator as a tangent block does (a @ M_b, or b @ L_a when only b is
+a batch).  Two point batches multiply one row pair at a time, each row one
+gemv per trial; a side is a batch by its own layout, so a batch of one
+against a batch of B is still a product of two batches.  The scalar product
+is one weighted dot per row.  Operator stacks are cut into chunks below
+glibc's 128 KB mmap threshold, so freeing one never raises that threshold,
+and one chunk's operators are alive at a time: two freed together can push
+the heap past malloc's trim threshold, and every later operator then faults
+its pages in afresh.  Extensor application (extcalc.extensor) takes the same
+single route.
 
 All values are immutable after construction and every operation is pure.
 Every layer checks its inputs with the same two rules: _check_metric (one
@@ -167,32 +177,24 @@ class _Gather:
     """Operators of a dense table: every blade pair is gathered and weighted."""
 
     def __init__(self, perm, right):
-        self.perm, self.right_signs = perm, right
-        self._index = None  # a writeable copy of perm: np.take copies a read-only one per call
+        self.right_signs = right
+        self.index = np.array(perm)  # writeable: np.take copies a read-only index per call
         # L[j, k] = S[j ^ k, j] = R[j ^ k, k]: the left table is the right one permuted
         self.left_signs = right[perm, np.arange(len(right))]
         self.left_signs.flags.writeable = False
 
     def right(self, b: np.ndarray) -> np.ndarray:
-        """M_b, with a @ M_b the product of a and b; one per trial of a stack."""
-        gathered = self._gather(b)
+        """M_b, with a @ M_b the product of a and b; one per trial of a
+        (T, 2^n) stack."""
+        gathered = np.take(b, self.index, axis=-1)
         gathered *= self.right_signs
         return gathered
 
     def left(self, a: np.ndarray) -> np.ndarray:
-        """L_a, with b @ L_a the product of a and b."""
-        gathered = self._gather(a)
+        """L_a, with b @ L_a the product of a and b; one per trial."""
+        gathered = np.take(a, self.index, axis=-1)
         gathered *= self.left_signs
         return gathered
-
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """x[perm]; for a (T, 2^n) stack, one per trial in C order, the layout
-        BLAS takes as the unstacked code's (x[..., perm] puts the trials last)."""
-        if x.ndim == 1:
-            return x[self.perm]
-        if self._index is None:
-            self._index = np.array(self.perm)
-        return np.take(x, self._index, axis=-1)
 
 
 class _Scatter:
@@ -216,12 +218,11 @@ class _Scatter:
         return self._operator(a, self.left_index, self.i)
 
     def _operator(self, x, index, factor):
-        if x.ndim == 1:
-            op = np.zeros(self.size * self.size)
-            op[index] = x[factor] * self.signs
-            return op.reshape(self.size, self.size)
-        op = np.zeros((len(x), self.size * self.size))  # one per trial of a stack
-        op[:, index] = x[:, factor] * self.signs
+        """One operator per trial of a (T, 2^n) stack, written row by row:
+        a 1-d scatter per trial is cheaper than one 2-d scatter for all."""
+        op = np.zeros((len(x), self.size * self.size))
+        for row, values in zip(op, x):
+            row[index] = values[factor] * self.signs
         return op.reshape(len(x), self.size, self.size)
 
 
@@ -304,7 +305,8 @@ def _chunks(count: int, size: int) -> list:
 
 
 def _as_stack(values: np.ndarray) -> np.ndarray:
-    """Values as (T, P, 2^n): an unstacked value or point batch is a stack of one."""
+    """Values as (T, P, 2^n), or a tangent block as (T, m, 2^n): an unstacked
+    value, point batch or block is a stack of one."""
     return values.reshape((1,) * (3 - values.ndim) + values.shape)
 
 
@@ -554,30 +556,18 @@ class Multivector:
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
         _check_metric(self.metric, other.metric)
         tables = _tables(self.metric)
-        a, b = self._values, other._values
-        ta, tb = self._tangents, other._tangents
-        if (a.ndim == 2 or b.ndim == 2) and (ta is not None or tb is not None):
-            raise ValueError(_BATCH_WITH_TANGENTS)
+        a, b = _as_stack(self._values), _as_stack(other._values)
+        ta = None if self._tangents is None else _as_stack(self._tangents)
+        tb = None if other._tangents is None else _as_stack(other._tangents)
         if kind == "scalar":
-            return _scalar_product(self.metric, tables.weight, a, b, ta, tb)
-        kernel = tables.kernels[kind]
-        if a.ndim == 3 or b.ndim == 3:
-            return _stacked_product(self.metric, kernel, a, b, ta, tb)
-        if b.ndim == 2:
-            if a.ndim == 1:  # b's rows meet a as tangent rows do
-                values = b @ kernel.left(a)
-            else:  # each row pair is the unbatched kernel; a batch of one broadcasts
-                pairs = zip(*np.broadcast_arrays(a, b))
-                values = np.stack([x @ kernel.right(y) for x, y in pairs])
-            return Multivector._raw(self.metric, values)
-        right = kernel.right(b)
-        values, tangents = a @ right, None if ta is None else ta @ right
-        # one (2^n, 2^n) operator alive at a time: two freed together can push
-        # the heap past malloc's trim threshold, and every later operator then
-        # faults its pages in afresh
-        del right
-        if tb is not None:
-            tangents = _sum_tangents(tangents, tb @ kernel.left(a))
+            values, tangents = _scalar_product(tables.weight, a, b, ta, tb)
+        else:  # a point batch by its own layout: (1, 2^n) against (B, 2^n) is two batches
+            values, tangents = _stacked_product(
+                tables.kernels[kind], a, b, ta, tb, _is_batch(self), _is_batch(other))
+        ndim = max(self._values.ndim, other._values.ndim)
+        if ndim < 3:  # back to the operands' own layout: one value, or a point batch
+            values = values.reshape(values.shape[3 - ndim:])
+            tangents = None if tangents is None else tangents[0]
         return Multivector._raw(self.metric, values, tangents)
 
     def geometric(self, other: "Multivector") -> "Multivector":
@@ -608,71 +598,64 @@ class Multivector:
         return " + ".join(terms) if terms else "0"
 
 
-def _stacked_product(metric: Metric, kernel, a, b, ta, tb) -> Multivector:
-    """A product with a trial stack on either side: the unstacked routes,
-    each trial's operator its own, so that every trial makes the unstacked
-    code's BLAS call.  A point batch meets the other side's operator as one
-    gemm per trial; two point batches multiply one row pair at a time."""
-    a, b = _as_stack(a), _as_stack(b)
-    if (a.shape[1] > 1 or b.shape[1] > 1) and (ta is not None or tb is not None):
+def _stacked_product(kernel, a, b, ta, tb, batch_a, batch_b) -> tuple:
+    """(values, tangents) of a product of (T, P, 2^n) stacks, with
+    (T, m, 2^n) tangent blocks or None, an operand of one trial meeting
+    every trial of the other.  Each trial's operator is its own, so every
+    trial makes the BLAS call one multivector makes alone.  A point batch
+    meets the other side's operator as a tangent block does, one gemm per
+    trial; two point batches multiply one row pair at a time."""
+    if (batch_a or batch_b) and (ta is not None or tb is not None):
         raise ValueError(_BATCH_WITH_TANGENTS)
-    trials = max(len(a), len(b))
-    size = metric.size
-    if a.shape[1] > 1 and b.shape[1] > 1:  # row pairs, each row one gemv per trial
+    if batch_a and batch_b:  # one row pair at a time, each row one gemv per trial
         a, b = np.broadcast_arrays(a, b)
-        values = np.empty(a.shape)
-        for j in range(a.shape[1]):
-            for sl in _chunks(trials, size):
-                values[sl, j] = (a[sl, j, None] @ kernel.right(b[sl, j]))[:, 0]
-        return Multivector._raw(metric, values)
-    if b.shape[1] > 1:  # b's rows meet a as tangent rows do
-        return Multivector._raw(metric, _by_chunks(b, a, kernel.left, size))
-    values = _by_chunks(a, b, kernel.right, size)
-    tangents = None if ta is None else _by_chunks(ta, b, kernel.right, size)
+        pairs = [_by_chunks(b[:, j, None], kernel.right, a[:, j, None])[0]
+                 for j in range(a.shape[1])]
+        return np.concatenate(pairs, axis=1), None
+    if batch_b:  # b's rows meet a as tangent rows do
+        return _by_chunks(a, kernel.left, b)[0], None
+    values, tangents = _by_chunks(b, kernel.right, a, ta)
     if tb is not None:
-        tangents = _sum_tangents(tangents, _by_chunks(tb, a, kernel.left, size))
-    return Multivector._raw(metric, values, tangents)
+        tangents = _sum_tangents(tangents, _by_chunks(a, kernel.left, tb)[0])
+    return values, tangents
 
 
-def _by_chunks(rows, x, operator, size) -> np.ndarray:
-    """rows @ operator(x), one operator per trial of x and one matmul per
-    chunk of trials; rows (..., r, 2^n) and x (T, 1, 2^n) broadcast."""
+def _by_chunks(x, operator, *rows) -> list:
+    """[r @ operator(x) for r in rows], None for a None r: one operator per
+    trial of the (T, 1, 2^n) x, each built once per chunk of trials for all
+    the (T or 1, r, 2^n) rows and freed before the next is built."""
     if len(x) == 1:  # one operator for every trial
-        return rows @ operator(x[:, 0])
-    rows = np.broadcast_to(rows, (len(x),) + rows.shape[-2:])
-    return np.concatenate([rows[sl] @ operator(x[sl, 0]) for sl in _chunks(len(x), size)])
+        op = operator(x[:, 0])
+        return [None if r is None else r @ op for r in rows]
+    parts = []
+    for sl in _chunks(len(x), x.shape[-1]):
+        op = operator(x[sl, 0])  # rows of one trial meet every trial's operator
+        parts.append([None if r is None else (r if len(r) == 1 else r[sl]) @ op for r in rows])
+        del op  # one chunk's operators alive at a time (see the module notes)
+    return [None if r is None else np.concatenate(column) for r, column in zip(rows, zip(*parts))]
 
 
-def _scalar_product(metric: Metric, weight, a, b, ta, tb) -> Multivector:
-    """<~a b>_0 as one weighted dot, its tangents one more per tangent side;
-    two batched sides, or one, or a trial stack, give one dot per row."""
+def _scalar_product(weight, a, b, ta, tb) -> tuple:
+    """(values, tangents) of <~a b>_0 for (T, P, 2^n) stacks: one weighted
+    dot per row, its tangents one gemv per trial and tangent side."""
     bw = b * weight
-    if a.ndim == 1 and b.ndim == 1:
-        values = np.zeros(len(a))
-        values[0] = np.dot(a, bw)
-        if ta is None and tb is None:
-            return Multivector._raw(metric, values)
-        column = None if ta is None else np.dot(ta, bw)
-        if tb is not None:
-            column = _sum_tangents(column, np.dot(tb, a * weight))
-        tangents = np.zeros((len(column), len(a)))
-        tangents[:, 0] = column
-        return Multivector._raw(metric, values, tangents)
     dots = np.vecdot(a, bw)
+    values = np.zeros(dots.shape + (len(weight),))
+    values[..., 0] = dots
     if ta is None and tb is None:
-        return _blade(metric, 0, dots)
-    # a trial stack with tangents: one gemv per trial and tangent side
+        return values, None
     column = None if ta is None else _matvec(ta, bw)
     if tb is not None:
         column = _sum_tangents(column, _matvec(tb, a * weight))
-    return _blade(metric, 0, dots, column)
+    tangents = np.zeros(column.shape + (len(weight),))
+    tangents[..., 0] = column
+    return values, tangents
 
 
 def _matvec(block, v) -> np.ndarray:
-    """block @ v per trial, as np.dot(block, v) is unstacked: (T, m) from a
-    (T or none, m, 2^n) block and a (T, 1, 2^n) or (2^n,) vector."""
-    column = v[:, 0, :, None] if v.ndim == 3 else v[:, None]
-    return (block @ column)[..., 0]
+    """block @ v per trial, (T, m) from a (T, m, 2^n) block and a
+    (T, 1, 2^n) vector."""
+    return (block @ v[:, 0, :, None])[..., 0]
 
 
 # slot setters that bypass Multivector.__setattr__, which refuses all writes

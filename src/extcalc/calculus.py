@@ -17,11 +17,11 @@ anything built from the algebra products, Extensor application and the
 lifted smooth scalar maps.  A positive step takes central finite
 differences, an independent reference that never seeds a tangent: per band,
 it stacks all 2m perturbed points X + step*w*d_r and X - step*w*d_r of each
-variable the band moves into one batched argument (a (2m, 2^n) value array,
-see extcalc.algebra) and evaluates the function once.  So the default bands
-evaluate it once per variable: one batch over all of them would make every
-product of two variables a product of two batches, one unbatched kernel
-call per row pair instead of one matmul for all rows.
+variable the band moves into one batched argument (a point batch of 2m
+rows, see extcalc.algebra) and evaluates the function once.  So the default
+bands evaluate it once per variable: one batch over all of them would make
+every product of two variables a product of two batches, one gemv per row
+pair instead of one gemm for all rows.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum
@@ -38,9 +38,12 @@ into a (bands, 2^n) array; grad_star is its one-slot case.
 Every array above may lead with a trial axis: arguments that are trial
 stacks, (T, b, k) weights or (T, m, 2^n) directions give (T, bands, m, 2^n)
 rows, the trials of the harness evaluated in one pass.  The finite-difference
-points then follow the trial axis, (T, 2m, 2^n), so that each trial's batch
-is one gemm, as unstacked.  A slot that any trial moves is moved in every
-trial; a trial whose weight there is zero takes the unmoved point.
+points follow the trial axis, (T, 2m, 2^n), so that each trial's batch is
+one gemm.  A slot that any trial moves is moved in every trial; a trial
+whose weight there is zero takes the unmoved point.  An unstacked call is a
+trial stack of one: the function sees each seeded slot as a (1, 1, 2^n)
+value with a (1, b*m, 2^n) tangent block, or each moved slot as a
+(1, 2m, 2^n) stack of points, and the rows drop the trial axis again.
 
 A function of a trial stack may also choose per trial what it computes:
 _per_trial(names, table) runs each trial's entry table[names[r]] once on
@@ -66,13 +69,16 @@ DEFAULT_FD_STEP = 1e-5
 class MvFunction:
     """A function of `arity` grade-`input_grade` multivector variables.
 
-    The evaluator must be generic over tangent blocks and over batches: it
-    may only combine its arguments through Multivector operations, Extensor
-    application, Outermorphism and the lifted maps in extcalc.dual, so that
-    tangents flow through unchanged and a batched argument gives a batch of
-    values, row r from row r of the argument.  A coefficient it reads with
-    coeff or scalar_part is a float, a grade-0 jet (a multivector, when its
-    argument carries tangents) or a (B,) array (for a batch); it may scale
+    The evaluator must be generic over tangent blocks, batches and trial
+    stacks: it may only combine its arguments through Multivector
+    operations, Extensor application, Outermorphism and the lifted maps in
+    extcalc.dual, so that tangents flow through unchanged and a batched or
+    stacked argument gives a batch or stack of values, row r from row r of
+    the argument.  A derivative pass hands it its seeded or moved slots as
+    trial stacks, of one trial for an unstacked call.  A coefficient it
+    reads with coeff or scalar_part is a float, a grade-0 jet (a
+    multivector, when its argument carries tangents), a (B,) array (for a
+    batch) or a (T, P) array (for a trial stack); it may scale
     multivectors by it with `*`, add or subtract floats, pass it to a lifted
     map or wrap it with Multivector.from_scalar.  float() does not take a
     jet; value_of reads its value.  An evaluator that ignores its batched
@@ -171,47 +177,45 @@ def _derivative_rows(
     b*m; by central differences, one batch of the 2m points x + step*w*d and
     x + -(step*w*d) per band, in the slots its weights move.  With trial
     stacks (arguments, (T, b, k) weights or (T, m, 2^n) directions) the
-    rows are (T, b, m, 2^n)."""
+    rows are (T, b, m, 2^n); an unstacked call runs as a stack of one."""
     metric = args[slots[0]].metric
     m, size = directions.shape[-2], metric.size
     if weights is None:
         weights = np.eye(len(slots))
     stacks = [a._values.shape[0] for a in args if a._values.ndim == 3]
     stacks += [len(x) for x in (weights, directions) if x.ndim == 3]
-    lead = (max(stacks),) if stacks else ()
+    trials = max(stacks, default=1)  # an unstacked call is a trial stack of one
     bands = weights.shape[-2]
     if step is None:
         seeded = list(args)
         for j, i in enumerate(slots):
             block = weights[..., j, None, None] * directions[..., None, :, :]
-            values = args[i]._values
-            if lead:  # a trial stack seeds a block per trial
-                values = _as_stack(values)
-                values = np.broadcast_to(values, lead + values.shape[1:])
-                block = np.broadcast_to(block, lead + block.shape[-3:])
-            seeded[i] = Multivector._raw(metric, values, block.reshape(lead + (-1, size)))
+            block = np.broadcast_to(block, (trials,) + block.shape[-3:])
+            values = _as_stack(args[i]._values)  # a point batch fails in _raw
+            values = np.broadcast_to(values, (trials,) + values.shape[1:])
+            seeded[i] = Multivector._raw(metric, values, block.reshape(trials, -1, size))
         block = func(*seeded)._tangents
         if block is None:  # func ignores every seeded slot
-            return np.zeros(lead + (bands, m, size))
-        return np.broadcast_to(block, lead + block.shape[-2:]).reshape(lead + (bands, m, size))
-    if not step > 0:
-        raise ValueError("step must be positive")
-    steps = step * directions
-    rows = []
-    for c in range(bands):
-        batched = list(args)
-        for j, i in enumerate(slots):
-            w = weights[..., c, j]
-            if w.any():
-                x, moves = args[i]._values, w[..., None, None] * steps
-                if x.ndim == 1:
-                    x = x[None]
-                batched[i] = Multivector._raw(
-                    metric, np.concatenate([x + moves, x + -moves], axis=-2))
-        # an evaluator that ignores the moved slots returns one unbatched value
-        out = np.broadcast_to(func(*batched)._values, lead + (2 * m, size))
-        rows.append((out[..., :m, :] - out[..., m:, :]) * (0.5 / step))
-    return np.stack(rows, axis=-3)
+            block = np.zeros((trials, bands * m, size))
+        rows = block.reshape(trials, bands, m, size)
+    else:
+        if not step > 0:
+            raise ValueError("step must be positive")
+        steps = step * directions
+        bands_rows = []
+        for c in range(bands):
+            batched = list(args)
+            for j, i in enumerate(slots):
+                w = weights[..., c, j]
+                if w.any():
+                    x, moves = _as_stack(args[i]._values), w[..., None, None] * steps
+                    batched[i] = Multivector._raw(
+                        metric, np.concatenate([x + moves, x + -moves], axis=-2))
+            # an evaluator that ignores the moved slots returns one unbatched value
+            out = np.broadcast_to(func(*batched)._values, (trials, 2 * m, size))
+            bands_rows.append((out[..., :m, :] - out[..., m:, :]) * (0.5 / step))
+        rows = np.stack(bands_rows, axis=-3)
+    return rows if stacks else rows[0]
 
 
 def dir_deriv(

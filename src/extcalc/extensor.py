@@ -22,9 +22,11 @@ is checked by the tests, not used to compute.
 A trial stack of T maps (Extensor.stack) holds a (T, C(n,q), C(n,p))
 matrix; it applies to a trial stack trial by trial, or to one multivector
 in every trial, and its adjoint, compounds, trace, bivector, determinant and
-inverse are taken trial by trial, each with the BLAS or LAPACK call the
-unstacked map makes (see extcalc.algebra).  Its scalars, det and trace, are
-(T, 1) arrays, as a trial stack's coefficients are.
+inverse are taken trial by trial, each with the BLAS or LAPACK call one map
+makes.  Its scalars, det and trace, are (T, 1) arrays, as a trial stack's
+coefficients are.  Application has one route, as the products do (see
+extcalc.algebra): every operand row enters it as a trial stack, and one map
+gives back the operand's own layout.
 """
 
 from __future__ import annotations
@@ -250,30 +252,23 @@ class Extensor:
 def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multivector):
     """Image of a grade-p x under the C(n,q) x C(n,p) matrix, which the
     caller has checked x against: one formula for the value, each batch row
-    and each tangent row; a (T, C(n,q), C(n,p)) matrix or a trial stack x
-    gives the trial stack of images."""
+    and each tangent row, each a trial stack (of one, unstacked); a
+    (T, C(n,q), C(n,p)) matrix or a trial stack x gives the trial stack of
+    images."""
     tables = _tables(metric)
     src, dst = tables.blades[p], tables.blades[q]
 
     def image(rows):
-        # out[..., dst] = rows[..., src] @ matrix.T, with the blade axis
-        # indexed as the first axis of the transposes, several times cheaper
-        out = np.zeros(rows.shape)
-        out.T[dst] = (rows.T[src].T @ matrix.T).T
-        return out
-
-    def stacked_image(rows):
-        # per trial, the operands image() hands to BLAS: the rows' source
-        # coefficients in column-major order and the transposed matrix
+        # rows[..., src] @ matrix.T per trial, the source coefficients taken
+        # along the first axis of the transposed rows, as BLAS reads them
         lhs = np.swapaxes(np.take(np.swapaxes(_as_stack(rows), -1, -2), src, axis=-2), -1, -2)
         images = lhs @ np.swapaxes(matrix, -1, -2)
         out = np.zeros(images.shape[:-1] + (metric.size,))
         out[..., dst] = images
-        return out
+        # one map keeps the rows' own layout; a stack of maps makes a stack
+        return out if matrix.ndim == 3 else out.reshape(rows.shape)
 
-    if matrix.ndim == 2 and x._values.ndim != 3:
-        return x._map_rows(image)
-    return x._map_rows(stacked_image)
+    return x._map_rows(image)
 
 
 def _coords(vectors) -> np.ndarray:

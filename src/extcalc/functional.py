@@ -152,8 +152,9 @@ class InducedFunctional:
         _check_operand(direction, self.metric, self.source_grade, "direction")
         weights = self._anchor_weights(_rows(direction)[..., None, :])
         moved = weights.any(axis=-1)  # (1,), or (T, 1) for a trial stack
-        if not moved.any():
-            return Multivector.zero(self.metric)
+        if not moved.any():  # zero by linearity, F unevaluated; a stack stays one
+            trials = [len(x) for x in (weights, t.matrix) if x.ndim == 3]
+            return _trial_rows(self.metric, np.zeros((*trials[:1], self.metric.size)))
         # one band: slot i moves by (direction . A^i) times each frame blade
         args = self.arguments(t)
         grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights)

@@ -912,12 +912,53 @@ def test_gather_left_signs_are_the_left_tables(n):
         assert not got.flags.writeable
 
 
+def _route_cases():
+    """(left, right) operands of every layout, each side (values, tangents)
+    indices into a pool of rows: 0 is a, 1 is b, 2..13 the rows ta and
+    14..25 the rows tb.  Values are () unstacked, (B,) a point batch and
+    (T, P) a trial stack; tangents (m,) or (T, m), or None.  Every product
+    of two pool rows they take is a, b, ta[r] or tb[r] against a, b or the
+    same r of the other block."""
+    a, b, ta, tb = np.array(0), np.array(1), np.arange(2, 14), np.arange(14, 26)
+    three_a, three_b = np.zeros((3, 1), dtype=int), np.ones((3, 1), dtype=int)
+    cases = [((a, None), (b, None))]
+    for m in (1, 12):  # unstacked tangent blocks on the left, the right or both sides
+        cases += [((a, ta[:m]), (b, None)), ((a, None), (b, tb[:m])),
+                  ((a, ta[:m]), (b, tb[:m]))]
+    return cases + [
+        # point batches of 12 or of one, on either side or both (row pairs, a
+        # batch of one broadcast)
+        ((ta, None), (b, None)), ((a, None), (tb, None)), ((ta, None), (tb, None)),
+        ((a[None], None), (b, None)), ((a, None), (b[None], None)),
+        ((a[None], None), (tb, None)), ((ta, None), (b[None], None)),
+        ((a[None], None), (b[None], None)),
+        # trial stacks of 3 with P = 1, against an unstacked side or each other
+        ((ta[:3, None], None), (b, None)), ((a, None), (tb[:3, None], None)),
+        ((ta[:3, None], None), (tb[:3, None], None)),
+        # ... with 2-row tangent blocks on either side or both, and an
+        # unstacked block broadcast over the trials
+        ((ta[:3, None], ta[3:9].reshape(3, 2)), (b, None)),
+        ((a, None), (tb[:3, None], tb[3:9].reshape(3, 2))),
+        ((three_a, ta[:6].reshape(3, 2)), (three_b, tb[:6].reshape(3, 2))),
+        ((three_a, ta[:6].reshape(3, 2)), (b, tb[:2])),
+        # trial stacks of 3 batches of 4
+        ((ta.reshape(3, 4), None), (b, None)), ((ta.reshape(3, 4), None), (three_b, None)),
+        ((a, None), (tb.reshape(3, 4), None)), ((ta.reshape(3, 4), None), (tb.reshape(3, 4), None)),
+    ]
+
+
+def _as_trials(index):
+    """Pool indices as (T, P) or (T, m): an unstacked side is one trial."""
+    return index.reshape((1,) * (2 - index.ndim) + index.shape)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_product_route_matches_loop_reference(n):
     """Each kind, under a signed non-unit metric, on one dense and one 20%-dense
-    draw: float operands; a tangent block on the left, the right or both sides
-    with 1 and 12 rows; a 12-row batch on the left, the right or both sides,
-    the last one row pair at a time."""
+    draw, in every operand layout of _route_cases: each result has the
+    operands' layout (a trial stack if either side is one, else a point batch
+    if either is one), its tangent block the layout's, and each value row and
+    tangent row matches the loop reference."""
     diag = _SIGNED_DIAG[:n]
     metric = Metric(n, diag)
     size = metric.size
@@ -926,35 +967,44 @@ def test_every_product_route_matches_loop_reference(n):
         def draw(shape):
             return rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < density)
 
-        a, b, ta, tb = draw(size), draw(size), draw((12, size)), draw((12, size))
+        pool = np.vstack([draw(size), draw(size), draw((12, size)), draw((12, size))])
         for kind in PRODUCT_KINDS:
-            value = _loop_product(diag, kind, a, b)
-            left = [_loop_product(diag, kind, row, b) for row in ta]
-            right = [_loop_product(diag, kind, a, row) for row in tb]
-            pairs = [_loop_product(diag, kind, x, y) for x, y in zip(ta, tb)]
-            where = (n, density, kind)
+            loops = {}
 
-            got = product(kind, Multivector(metric, a), Multivector(metric, b))
-            assert _close(got.values(), *value), where
-            assert got.tangent_part().norm_inf() == 0.0, where
-            for m in (1, 12):
-                for sides in ("left", "right", "both"):
-                    x = _lift(metric, a, None if sides == "right" else ta[:m])
-                    y = _lift(metric, b, None if sides == "left" else tb[:m])
-                    got = product(kind, x, y)
-                    assert _close(got.values(), *value), (*where, m, sides)
-                    for r in range(m):
-                        terms = [left[r]] * (sides != "right") + [right[r]] * (sides != "left")
-                        expected = sum(t[0] for t in terms)
-                        mag = sum(t[1] for t in terms)
-                        assert _close(got.tangent_part(r).values(), expected, mag), (
-                            *where, m, sides, r)
-            for sides, x, y, rows in (("left", ta, b, left), ("right", a, tb, right),
-                                      ("both", ta, tb, pairs)):
-                got = product(kind, Multivector(metric, x), Multivector(metric, y)).values()
-                assert got.shape == (12, size), (*where, sides)
-                for r, (expected, mag) in enumerate(rows):
-                    assert _close(got[r], expected, mag), (*where, sides, r)
+            def loop(i, j):
+                if (i, j) not in loops:
+                    loops[i, j] = _loop_product(diag, kind, pool[i], pool[j])
+                return loops[i, j]
+
+            for case, sides in enumerate(_route_cases()):
+                where = (n, density, kind, case)
+                x, y = (Multivector._raw(metric, pool[v], None if t is None else pool[t])
+                        for v, t in sides)
+                got = product(kind, x, y)
+                (va, ta), (vb, tb) = sides
+                va2, vb2 = np.broadcast_arrays(_as_trials(va), _as_trials(vb))
+                lead = va2.shape[2 - max(va.ndim, vb.ndim):]  # the operands' layout
+                assert got._values.shape == lead + (size,), where
+                values = got._values.reshape(va2.shape + (size,))
+                for t, p in np.ndindex(va2.shape):
+                    assert _close(values[t, p], *loop(va2[t, p], vb2[t, p])), (*where, t, p)
+                if ta is None and tb is None:
+                    assert got._tangents is None, where
+                    continue
+                ta2, tb2 = (None if block is None else _as_trials(block) for block in (ta, tb))
+                blocks = [block for block in (ta2, tb2) if block is not None]
+                trials, m = max(len(block) for block in blocks), blocks[0].shape[1]
+                stacked = max(va.ndim, vb.ndim) == 2
+                assert got._tangents.shape == (trials,) * stacked + (m, size), where
+                tangents = got._tangents.reshape(trials, m, size)
+                for t, r in np.ndindex(trials, m):  # a block of one trial broadcasts
+                    terms = []
+                    if ta2 is not None:
+                        terms.append(loop(ta2[t % len(ta2), r], vb2[t, 0]))
+                    if tb2 is not None:
+                        terms.append(loop(va2[t, 0], tb2[t % len(tb2), r]))
+                    expected, mag = sum(v for v, _ in terms), sum(g for _, g in terms)
+                    assert _close(tangents[t, r], expected, mag), (*where, t, r)
 
 
 def test_n8_products_hold_one_operator_at_a_time():

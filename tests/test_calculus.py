@@ -356,10 +356,11 @@ def test_fd_gradient_evaluates_the_function_once():
     func = MvFunction(2, 2, None, evaluator)
     args = (random_multivector(metric, 2, rng), random_multivector(metric, 2, rng))
     grad_star(func, args, 1, "wedge", step=DEFAULT_FD_STEP)
-    assert shapes == [((32,), (20, 32))]  # 2 * C(5, 2) points in one call
+    # 2 * C(5, 2) points in one call, the moved slot a trial stack of one batch
+    assert shapes == [((32,), (1, 20, 32))]
     shapes.clear()
     dir_deriv(func, args, 0, random_multivector(metric, 2, rng), step=DEFAULT_FD_STEP)
-    assert shapes == [((2, 32), (32,))]
+    assert shapes == [((1, 2, 32), (32,))]
 
 
 def test_fd_gradient_of_a_function_ignoring_its_slot_is_zero():
@@ -468,7 +469,8 @@ def _recording(func, calls):
 
     def evaluator(*xs):
         calls.append(tuple(
-            (x.values().shape, None if x._tangents is None else len(x._tangents)) for x in xs
+            (x.values().shape, None if x._tangents is None else x._tangents.shape[-2])
+            for x in xs
         ))
         return func(*xs)
 
@@ -484,12 +486,13 @@ def test_exact_partial_gradients_evaluate_the_function_once():
     phi = InducedFunctional(func, anchors, 1)
     t = Extensor.random_invertible(metric, rng)
     grads = phi.partial_gradients(t)
-    assert calls == [(((16,), 12),) * 3]  # 3 slots * C(4, 1) rows in one pass
+    # 3 slots * C(4, 1) rows in one pass, each seeded slot a trial stack of one
+    assert calls == [(((1, 1, 16), 12),) * 3]
     for i, grad in enumerate(grads):
         assert max_abs_diff(grad, grad_star(func, phi.arguments(t), i)) < 1e-13
     calls.clear()
     grads = _slot_gradients(func, phi.arguments(t), (0, 2))
-    assert calls == [(((16,), 8), ((16,), None), ((16,), 8))]
+    assert calls == [(((1, 1, 16), 8), ((16,), None), ((1, 1, 16), 8))]
     assert grads.shape == (2, metric.size)
 
 
@@ -502,7 +505,8 @@ def test_fd_partial_gradients_evaluate_the_function_once_per_slot():
     phi = InducedFunctional(func, anchors, 1)
     t = Extensor.random_invertible(metric, rng)
     _slot_gradients(func, phi.arguments(t), (0, 2), step=DEFAULT_FD_STEP)
-    point, batch = ((16,), None), ((8, 16), None)  # 2 * C(4, 1) points per slot
+    # 2 * C(4, 1) points per slot, the moved slot a trial stack of one batch
+    point, batch = ((16,), None), ((1, 8, 16), None)
     assert calls == [(batch, point, point), (point, point, batch)]
     calls.clear()
     phi.partial_gradients(t, step=DEFAULT_FD_STEP)

@@ -12,7 +12,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _compound
+from extcalc.algebra import _as_stack, _compound
 from extcalc.errors import ConfigurationError, SingularExtensorError
 from extcalc.extensor import Extensor, Outermorphism
 
@@ -117,24 +117,57 @@ def test_adjoint_is_involutive():
 # -- outermorphism ------------------------------------------------------------------
 
 
+def _layouts(metric, grade, rng):
+    """(values, tangents) of grade-`grade` rows in every operand layout:
+    unstacked, with and without a 2-row tangent block; point batches of 4 and
+    of one; trial stacks of 3 with P = 1, with and without 2-row tangent
+    blocks; and a trial stack of 3 batches of 4."""
+
+    def rows(*shape):
+        count = int(np.prod(shape))
+        flat = np.array([random_multivector(metric, grade, rng).values() for _ in range(count)])
+        return flat.reshape(shape + (metric.size,))
+
+    return [(rows(), None), (rows(), rows(2)), (rows(4), None), (rows(1), None),
+            (rows(3, 1), None), (rows(3, 1), rows(3, 2)), (rows(3, 4), None)]
+
+
+def _assert_rows_in_layout(apply, singles, stacked, metric, grade, rng, atol):
+    """apply(f, x) for x in every operand layout: one map, singles[0], keeps
+    x's layout, and `stacked`, the trial stack of the maps `singles`, makes
+    a trial stack of them, an unstacked x's rows in every trial.  Each value
+    and tangent row is its map's image of that row alone."""
+    for values, tangents in _layouts(metric, grade, rng):
+        x = Multivector._raw(metric, values, tangents)
+        for f, trials in ((singles[0], 0), (stacked, len(singles))):
+            got = apply(f, x)
+            for rows, out in ((values, got._values), (tangents, got._tangents)):
+                if rows is None:
+                    assert out is None
+                    continue
+                shape = (trials,) + _as_stack(rows).shape[1:] if trials else rows.shape
+                assert out.shape == shape, (values.shape, trials)
+                rows = _as_stack(rows)
+                out = out.reshape((max(trials, len(rows)),) + rows.shape[1:])
+                for r, k in np.ndindex(out.shape[:2]):
+                    one = apply(singles[r] if trials else f, Multivector(metric, rows[r % len(rows), k]))
+                    assert np.allclose(out[r, k], one.values(), rtol=0.0, atol=atol), (r, k)
+
+
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (0, 3)])
 def test_apply_maps_a_batch_row_by_row(p, q):
     rng = np.random.default_rng(30 + p + q)
-    t = Extensor.random(E3, rng, p, q)
-    rows = [random_multivector(E3, p, rng) for _ in range(4)]
-    batch = t(Multivector(E3, np.stack([x.values() for x in rows])))
-    for r, x in enumerate(rows):
-        assert np.allclose(batch.values()[r], t(x).values(), rtol=0.0, atol=1e-15)
+    maps = [Extensor.random(E3, rng, p, q) for _ in range(3)]
+    _assert_rows_in_layout(Extensor.apply, maps, Extensor.stack(maps), E3, p, rng, 1e-15)
 
 
 def test_outermorphism_maps_a_batch_row_by_row():
     rng = np.random.default_rng(34)
     metric = Metric(4, (2.0, 1.0, -1.0, 1.0))
-    om = Outermorphism(Extensor.random(metric, rng))
-    rows = [random_multivector(metric, 2, rng) for _ in range(3)]
-    batch = om(Multivector(metric, np.stack([x.values() for x in rows])))
-    for r, x in enumerate(rows):
-        assert np.allclose(batch.values()[r], om(x).values(), rtol=0.0, atol=1e-14)
+    bases = [Extensor.random(metric, rng) for _ in range(3)]
+    oms = [Outermorphism(h) for h in bases]
+    stacked = Outermorphism(Extensor.stack(bases))
+    _assert_rows_in_layout(Outermorphism.apply, oms, stacked, metric, 2, rng, 1e-14)
 
 
 def test_outermorphism_examples():

@@ -594,7 +594,7 @@ def test_weighted_pass_equals_the_weighted_slot_gradients(metric):
 @pytest.mark.parametrize("metric", [E3, NON_UNIT4])
 def test_weighted_pass_evaluates_the_function_once(metric):
     # exactly, C(n, 1) = n tangent rows in every slot; by differences, one batch
-    # of the 2n points in every slot
+    # of the 2n points in every slot; each a trial stack of one
     n = metric.dim
     for k in (1, 2, n):
         phi, t, direction = _weighted_case(metric, k, 40 + k)
@@ -608,10 +608,10 @@ def test_weighted_pass_evaluates_the_function_once(metric):
 
         counted = phi._with_func(MvFunction(k, 1, None, evaluator))
         counted.directional_derivative(t, direction)
-        assert seen == [((n, metric.size),) * k]
+        assert seen == [((1, n, metric.size),) * k]
         seen.clear()
         counted.directional_derivative(t, direction, step=DEFAULT_FD_STEP)
-        assert seen == [((2 * n, metric.size),) * k]
+        assert seen == [((1, 2 * n, metric.size),) * k]
 
 
 @pytest.mark.parametrize("metric", [E3, NON_UNIT4])
@@ -757,7 +757,7 @@ def test_exact_component_partials_are_one_forward_pass():
         for phi in (base, base.map_scalar(lambda s: s * s), base.map_scalar(exp)):
             blocks.clear()
             got = component_partials(phi, t, frame)
-            assert blocks == [(n, metric.size)]  # one pass, one row per f^q
+            assert blocks == [(1, n, metric.size)]  # one pass, one row per f^q
             grad = grad_star(phi.func, phi.arguments(t), 0)
             a = [scalar_value(phi.anchors[0], r) for r in frame.reciprocal]
             g = [scalar_value(r, grad) for r in frame.reciprocal]

@@ -17,7 +17,7 @@ from extcalc.algebra import (
     scalar_value,
     wedge_all,
 )
-from extcalc.algebra import _chunks, _compound, _MMAP_THRESHOLD
+from extcalc.algebra import _chunks, _compound, _MMAP_THRESHOLD, _tables
 from extcalc.calculus import MvFunction, dir_deriv, grad_star
 from extcalc.catalog import (
     adjoint_image_functional,
@@ -133,6 +133,32 @@ def test_operator_stacks_stay_below_the_mmap_threshold():
     finally:
         tracemalloc.stop()
     assert peak < _MMAP_THRESHOLD + 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("metric", [E3, SIGNED6])
+def test_tangent_products_build_each_operator_once_per_chunk(metric, monkeypatch):
+    # the right operator of b serves a's values and its tangent rows alike; at
+    # n = 6, 7 trials make chunks of 3, 3 and 1 trials
+    kernels = _tables(metric).kernels
+    built = []
+    for kind, kernel in kernels.items():
+        for side in ("right", "left"):
+            def counted(x, build=getattr(kernel, side), key=(kind, side)):
+                built.append((key, len(x)))
+                return build(x)
+
+            monkeypatch.setattr(kernel, side, counted)
+    chunks = [len(range(7)[sl]) for sl in _chunks(7, metric.size)]
+    for kind in kernels:
+        for ma, mb in ((2, 0), (0, 2), (2, 2)):
+            xs, ys = draws(metric, 1, 7, 24, ma), draws(metric, 2, 7, 25, mb)
+            for a, b, sizes in ((Multivector.stack(xs), Multivector.stack(ys), chunks),
+                                (xs[0], ys[0], [1])):  # unstacked: a stack of one
+                built.clear()
+                product(kind, a, b)
+                expected = [((kind, "right"), k) for k in sizes]
+                expected += [((kind, "left"), k) for k in sizes if mb]
+                assert built == expected, (kind, ma, mb, sizes)
 
 
 def test_trial_stack_coefficients_and_linear_maps():
@@ -275,6 +301,34 @@ def test_stacked_functionals_are_each_trials_functional(metric, trials):
         value = phi.evaluate(h)
         for r in range(trials):
             assert bits(trial(value, r)) == bits(phi_of(r).evaluate(maps[r]))
+
+
+def test_zero_stacked_direction_keeps_the_trial_axis():
+    # every trial's anchor weights zero: a trial stack of zeros, F unevaluated,
+    # the shape one nonzero trial gives; an unstacked call stays unstacked
+    rng = np.random.default_rng(21)
+    bs, dirs = draws(E3, 1, 3, 22), draws(E3, 1, 3, 23)
+    maps = [Extensor.random_invertible(E3, rng) for _ in range(3)]
+    h, zero = Extensor.stack(maps), Multivector.zero(E3)
+    calls = []
+    base = apply_functional(Multivector.stack(bs))
+    phi = base._with_func(MvFunction(1, 1, 1, lambda x: calls.append(1) or base.func(x)))
+    one_moved = Multivector.stack([zero, dirs[1], zero])
+    for step in (None, 1e-5):
+        shape = phi.directional_derivative(h, one_moved, step)._values.shape
+        assert shape == (3, 1, E3.size)
+        calls.clear()
+        for functional, t, direction in (
+            (phi, h, Multivector.stack([zero] * 3)),  # all stacked
+            (phi, maps[0], Multivector.stack([zero] * 3)),  # stacked anchors and direction
+            (apply_functional(bs[0]), h, zero),  # a stacked map only
+        ):
+            got = functional.directional_derivative(t, direction, step)
+            assert got._values.shape == shape and got._tangents is None
+            assert not got._values.any()
+        assert not calls
+        got = apply_functional(bs[0]).directional_derivative(maps[0], zero, step)
+        assert got._values.shape == (E3.size,) and not got._values.any()
 
 
 def test_stacked_calculus_kernel_is_each_trials_kernel():
