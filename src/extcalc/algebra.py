@@ -540,8 +540,7 @@ class Multivector:
         return self.scalar_product(other)
 
     def grade_project(self, grade: int) -> "Multivector":
-        if not 0 <= grade <= self.metric.dim:
-            raise ValueError(f"grade {grade} out of range for dim {self.metric.dim}")
+        _check_grade(self.metric.dim, grade)
         keep = _tables(self.metric).grades == grade
         return self._map_rows(lambda rows: np.where(keep, rows, 0.0))
 
@@ -704,6 +703,15 @@ def _check_mask(metric: Metric, mask: int):
         raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
 
 
+def _check_grade(dim: int, *grades):
+    """A grade is an integer in [0, dim]; a bool (True is 1) is none."""
+    for grade in grades:
+        if isinstance(grade, bool) or not isinstance(grade, (int, np.integer)):
+            raise ValueError(f"grade must be an integer, got {grade!r}")
+        if not 0 <= grade <= dim:  # a negative index would wrap around
+            raise ValueError(f"grade {grade} out of range for dim {dim}")
+
+
 def _blade(metric: Metric, mask: int, coeff, column=None) -> Multivector:
     """coeff * blade, with tangent column `column` ((m,), (T, m) for a trial
     stack, or None) at `mask`; a (B,) coeff makes a batch, a (T, P) one a
@@ -771,8 +779,7 @@ def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
     for kind in kinds:
         if kind not in PRODUCT_KINDS:
             raise ValueError(f"unknown product kind {kind!r}")
-    if not 0 <= grade <= metric.dim:
-        raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
+    _check_grade(metric.dim, grade)
     rows = [_sum_rows(metric, grade, kind) for kind in kinds]
     support = lefts[..., _tables(metric).blades[grade]]
     cross = np.ascontiguousarray(np.swapaxes(support, -1, -2)) @ rights
@@ -783,8 +790,7 @@ def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
 
 def grade_masks(dim: int, grade: int) -> list[int]:
     """Masks of the grade-`grade` blades, in increasing mask order."""
-    if not 0 <= grade <= dim:
-        raise ValueError(f"grade {grade} out of range for dim {dim}")
+    _check_grade(dim, grade)
     return [m for m in range(1 << dim) if m.bit_count() == grade]
 
 
@@ -850,8 +856,7 @@ def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
     product in order, the wedge loop's bits.  Grade 0 is [[1.0]] and grade 1
     a copy of the matrix."""
     n = matrix.shape[-1]
-    if not 0 <= grade <= n:
-        raise ValueError(f"grade {grade} out of range for dim {n}")
+    _check_grade(n, grade)
     lead = matrix.shape[:-2]  # a trial stack's compounds, one per trial
     if grade == 0:
         return np.ones(lead + (1, 1))
@@ -961,11 +966,16 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _uniform(u: np.ndarray) -> np.ndarray:
+    """rng.uniform(-1.0, 1.0, shape) bit for bit, from u = rng.random(shape):
+    numpy forms -1 + 2u, and each u is k 2^-53, so 2u - 1 is exact."""
+    return 2.0 * u - 1.0
+
+
 def random_multivector(metric: Metric, grade: int, rng) -> Multivector:
     """Homogeneous multivector with coefficients uniform in [-1, 1)."""
-    if not 0 <= grade <= metric.dim:  # a negative index would wrap around
-        raise ValueError(f"grade {grade} out of range for dim {metric.dim}")
+    _check_grade(metric.dim, grade)
     values = np.zeros(metric.size)
     masks = _tables(metric).blades[grade]
-    values[masks] = _as_rng(rng).uniform(-1.0, 1.0, len(masks))
+    values[masks] = _uniform(_as_rng(rng).random(len(masks)))
     return Multivector._raw(metric, values)

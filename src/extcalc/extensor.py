@@ -26,7 +26,9 @@ inverse are taken trial by trial, each with the BLAS or LAPACK call one map
 makes.  Its scalars, det and trace, are (T, 1) arrays, as a trial stack's
 coefficients are.  Application has one route, as the products do (see
 extcalc.algebra): every operand row enters it as a trial stack, and one map
-gives back the operand's own layout.
+gives back the operand's own layout.  The random maps are 2u - 1 and
+u + (I - 1/2) of u = rng.random(shape), bit for bit the rng.uniform(-1, 1)
+formulas, and they and stacks are taken as made (Extensor._raw).
 """
 
 from __future__ import annotations
@@ -35,13 +37,16 @@ from math import comb
 
 import numpy as np
 
-from .algebra import (Frame, Metric, Multivector, _as_rng, _as_stack, _check_metric,
-                      _check_operand, _compound, _coordinate_rows, _tables)
+from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _check_grade,
+                      _check_metric, _check_operand, _compound, _coordinate_rows, _tables,
+                      _uniform)
 from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
-INVERTIBLE_NOISE = 0.5  # random_invertible's noise scale and least |det|
-INVERTIBLE_MIN_DET = 0.1
+INVERTIBLE_MIN_DET = 0.1  # random_invertible's least |det|
+_SHIFTS = {n: np.eye(n) - 0.5 for n in range(2, MAX_DIM + 1)}  # its I - 1/2, read-only
+for _shift in _SHIFTS.values():
+    _shift.setflags(write=False)
 
 
 class Extensor:
@@ -52,17 +57,17 @@ class Extensor:
 
     def __init__(self, metric: Metric, matrix, p: int = 1, q: int = 1):
         n = metric.dim
-        if not (0 <= p <= n and 0 <= q <= n):
-            raise ValueError(f"grades ({p}, {q}) out of range for dim {n}")
+        _check_grade(n, p, q)
         matrix = np.array(matrix, dtype=float)
         shape = (comb(n, q), comb(n, p))
         if matrix.shape[-2:] != shape or matrix.ndim not in (2, 3):
             raise ValueError(f"expected matrix shape {shape}, got {matrix.shape}")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "matrix", matrix)
+        _fill(self, metric, matrix, p, q)
+
+    @classmethod
+    def _raw(cls, metric: Metric, matrix: np.ndarray, p: int = 1, q: int = 1) -> "Extensor":
+        """Internal constructor for a matrix this module made: no copy, no check."""
+        return _fill(object.__new__(cls), metric, matrix, p, q)
 
     def __setattr__(self, name, value):
         raise AttributeError("Extensor is immutable")
@@ -91,12 +96,13 @@ class Extensor:
         maps = list(maps)
         if not maps:
             raise ValueError("need at least one map to stack")
-        first = maps[0]
-        for t in maps:
-            _check_metric(first.metric, t.metric)
-            if (t.p, t.q) != (first.p, first.q) or t.matrix.ndim != 2:
+        metric, p, q = maps[0].metric, maps[0].p, maps[0].q
+        for t in maps:  # little work per map: a verdict stacks thousands
+            if t.metric is not metric:
+                _check_metric(metric, t.metric)
+            if t.p != p or t.q != q or t.matrix.ndim != 2:
                 raise ValueError("only unstacked maps of one grade pair stack")
-        return cls(first.metric, np.stack([t.matrix for t in maps]), first.p, first.q)
+        return cls._raw(metric, np.array([t.matrix for t in maps]), p, q)
 
     @classmethod
     def from_vector_images(cls, metric: Metric, images) -> "Extensor":
@@ -112,18 +118,19 @@ class Extensor:
     @classmethod
     def random(cls, metric: Metric, rng, p: int = 1, q: int = 1) -> "Extensor":
         n = metric.dim
-        return cls(metric, _as_rng(rng).uniform(-1.0, 1.0, (comb(n, q), comb(n, p))), p, q)
+        _check_grade(n, p, q)  # before any draw: a rejected call draws nothing
+        return cls._raw(metric, _uniform(_as_rng(rng).random((comb(n, q), comb(n, p)))), p, q)
 
     @classmethod
     def random_invertible(cls, metric: Metric, rng) -> "Extensor":
-        """identity + INVERTIBLE_NOISE * uniform(-1, 1) noise, redrawn while
-        |det| < INVERTIBLE_MIN_DET."""
+        """I + uniform(-1, 1) / 2, redrawn while |det| < INVERTIBLE_MIN_DET, as
+        u + (I - 1/2) for u = rng.random: u - 1/2 is exact (algebra._uniform)."""
         rng = _as_rng(rng)
-        n = metric.dim
+        shift = _SHIFTS[metric.dim]
         while True:
-            matrix = np.eye(n) + INVERTIBLE_NOISE * rng.uniform(-1.0, 1.0, (n, n))
+            matrix = rng.random(shift.shape) + shift
             if abs(np.linalg.det(matrix)) >= INVERTIBLE_MIN_DET:
-                return cls(metric, matrix)
+                return cls._raw(metric, matrix)
 
     # -- application and composition ----------------------------------------
 
@@ -247,6 +254,20 @@ class Extensor:
         shape = (comb(metric.dim, q), comb(metric.dim, p))
         matrix = np.array(payload["matrix"], dtype=float).reshape(shape)
         return cls(metric, matrix, p, q)
+
+
+# slot setters that bypass Extensor.__setattr__, which refuses all writes
+_set_metric, _set_p, _set_q, _set_matrix = (getattr(Extensor, name).__set__
+                                            for name in Extensor.__slots__)
+
+
+def _fill(t: Extensor, metric: Metric, matrix: np.ndarray, p: int, q: int) -> Extensor:
+    matrix.setflags(write=False)
+    _set_metric(t, metric)
+    _set_p(t, p)
+    _set_q(t, q)
+    _set_matrix(t, matrix)
+    return t
 
 
 def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multivector):

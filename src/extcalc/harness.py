@@ -21,11 +21,12 @@ The structure holds only what shapes the arrays: a rule's grades and arity
 maps, vectors, the functions' constants, scalars, drawn frames, and the
 drawn names (the function options, the smooth map, the bridge functional),
 which stack to per-trial tuples; each name's option runs on its own trials'
-rows only.  _Trials groups the trials by structure and evaluates each group
-of several once, on its trial stack (extcalc.algebra; vector forward mode
-over a batch, Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-ch. 3), and a group of one unstacked: trial r's deviation is bit for bit
-what trial r gives alone.
+rows only.  A drawn multivector keeps only its masks and raw uniforms u
+(coefficients 2u - 1), made once per group (_made).  _Trials groups the
+trials by structure and evaluates each group of several once, on its trial
+stack (extcalc.algebra; vector forward mode over a batch, Griewank &
+Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3), and a group of one
+unstacked: trial r's deviation is bit for bit what trial r gives alone.
 run_suite keeps each identity's worst trial against a tolerance and, on
 failure, reports witness_of(r) of that trial, its Inputs.witness built from
 its own, unstacked draw.  Checks with an -fd suffix share their exact
@@ -45,7 +46,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,9 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
+    _tables,
+    _uniform,
     blade_name,
-    random_multivector,
     scalar_value,
     unit_pseudoscalar,
     wedge_all,
@@ -291,10 +293,7 @@ class _Trials:
     def inputs(self, ctx, group: list) -> "Inputs":
         """The Inputs of a group of draws of one structure: a single trial's
         own, unstacked, or the trial stack of several."""
-        structure, values = group[0]
-        if len(group) > 1:
-            return self.build(ctx, *structure, *_stacked(ctx, [v for _, v in group]))
-        return self.build(ctx, *structure, *_unstacked(ctx, values))
+        return self.build(ctx, *group[0][0], *_made(ctx, [v for _, v in group], len(group) > 1))
 
 
 def _check(identity, suite, draw, build, sides, relative=False, tol_key="exact", tol_factor=1.0):
@@ -318,43 +317,39 @@ class _DrawnFrame:
         return Frame.from_vectors([self.carrier(e) for e in ctx.ortho.vectors])
 
 
-def _unstacked(ctx: _Context, value):
-    """One trial's drawn value as its Inputs takes it: a frame built, tuples
-    and dicts entry by entry."""
-    if isinstance(value, _DrawnFrame):
-        return value.frame(ctx)
-    if isinstance(value, tuple):
-        return tuple(_unstacked(ctx, v) for v in value)
-    if isinstance(value, dict):
-        return {key: _unstacked(ctx, v) for key, v in value.items()}
-    return value
+class _DrawnMultivector(NamedTuple):
+    """A drawn multivector: its blades' masks and the uniforms u of their 2u - 1."""
+    masks: np.ndarray
+    u: np.ndarray
 
 
-def _stacked(ctx: _Context, drawn: list) -> tuple:
-    """The trial stack of each drawn value: multivectors and maps stacked,
-    names as the tuple of per-trial names, floats as a (T, 1) array, as a
-    trial stack's scalars are, tuples and dicts entry by entry, and frames
-    built in one call (_frames); any other value raises TypeError."""
-
-    def stack(column):
-        first = column[0]
-        if isinstance(first, Multivector):
-            return Multivector.stack(column)
-        if isinstance(first, Extensor):
-            return Extensor.stack(column)
-        if isinstance(first, _DrawnFrame):
-            return _frames(ctx, [f.carrier for f in column])
-        if isinstance(first, str):
-            return tuple(column)
-        if isinstance(first, float):
-            return np.array(column)[:, None]
-        if isinstance(first, dict):
-            return {key: stack([d[key] for d in column]) for key in first}
-        if isinstance(first, tuple):
-            return tuple(map(stack, zip(*column)))
-        raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
-
-    return stack(drawn)
+def _made(ctx: _Context, column, stack: bool):
+    """What Inputs takes of a column of drawn values: a lone trial's own, or
+    the trial stack of all.  Multivectors are made (a stack in one scatter)
+    and frames built (a stack in one call, _frames); tuples and dicts go entry
+    by entry.  Stacked, maps stack, names are per-trial tuples, floats a
+    (T, 1) array as a stack's scalars are; any other value raises TypeError."""
+    first = column[0]
+    if isinstance(first, _DrawnMultivector):  # np.array: np.stack checks each row
+        u = np.array([d.u for d in column])[:, None] if stack else first.u
+        values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
+        values[..., first.masks] = _uniform(u)  # one structure: every trial's masks
+        return Multivector._raw(ctx.metric, values)
+    if isinstance(first, _DrawnFrame):
+        return _frames(ctx, [f.carrier for f in column]) if stack else first.frame(ctx)
+    if isinstance(first, dict):
+        return {key: _made(ctx, [d[key] for d in column], stack) for key in first}
+    if isinstance(first, tuple):
+        return tuple(_made(ctx, c, stack) for c in zip(*column))
+    if not stack:
+        return first
+    if isinstance(first, Extensor):
+        return Extensor.stack(column)
+    if isinstance(first, str):
+        return tuple(column)
+    if isinstance(first, float):
+        return np.array(column)[:, None]
+    raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
 
 
 def _frames(ctx: _Context, carriers) -> Frame:
@@ -389,11 +384,15 @@ def _maybe_random_frame(ctx: _Context, rng) -> _DrawnFrame:
     return _random_frame(ctx, rng) if rng.integers(2) else _DrawnFrame(None)
 
 
-def _random_mixed(metric: Metric, rng) -> Multivector:
-    total = Multivector.zero(metric)
-    for grade in range(metric.dim + 1):
-        total = total + random_multivector(metric, grade, rng)
-    return total
+def _random_multivector(metric: Metric, grade: int, rng) -> _DrawnMultivector:
+    """random_multivector's draw, kept as its uniforms."""
+    masks = _tables(metric).blades[grade]
+    return _DrawnMultivector(masks, rng.random(len(masks)))
+
+
+def _random_mixed(metric: Metric, rng) -> _DrawnMultivector:
+    """A multivector of every grade: each grade's doubles, in one draw."""
+    return _DrawnMultivector(np.concatenate(_tables(metric).blades), rng.random(metric.size))
 
 
 def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
@@ -431,7 +430,7 @@ def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> Mv
 
 def _draw_scalar_func(metric: Metric, rng, k: int, q: int) -> tuple:
     """A random scalar function of k grade-q variables: (name, (c,))."""
-    c = random_multivector(metric, q, rng)
+    c = _random_multivector(metric, q, rng)
     names = ("x.x", "x.c") if k == 1 else ("(x.c)(y.y)", "x.y")
     return names[rng.integers(2)], (c,)
 
@@ -439,8 +438,8 @@ def _draw_scalar_func(metric: Metric, rng, k: int, q: int) -> tuple:
 def _draw_value_func(metric: Metric, rng, k: int, q: int) -> tuple:
     """A random function of k grade-q variables: (name, (c, d)); the wedge
     options only where the grade exists."""
-    c = random_multivector(metric, 1, rng)
-    d = random_multivector(metric, q, rng)
+    c = _random_multivector(metric, 1, rng)
+    d = _random_multivector(metric, q, rng)
     if k == 1:
         names = ("x", "x^c", "c(x.d)") if q + 1 <= metric.dim else ("x", "c(x.d)")
     else:
@@ -457,7 +456,7 @@ def _random_setup(ctx: _Context, rng, scalar_valued=False) -> tuple:
     p = int(rng.integers(1, top + 1))
     q = int(rng.integers(1, top + 1))
     k = int(rng.integers(1, 3))
-    anchors = tuple(random_multivector(metric, p, rng) for _ in range(k))
+    anchors = tuple(_random_multivector(metric, p, rng) for _ in range(k))
     t = Extensor.random(metric, rng, p, q)
     draw_func = _draw_scalar_func if scalar_valued else _draw_value_func
     name, consts = draw_func(metric, rng, k, q)
@@ -475,7 +474,7 @@ def _setup(structure: tuple, values: tuple) -> tuple[Extensor, InducedFunctional
 
 
 def _draw_two_vectors(ctx, rng):
-    return random_multivector(ctx.metric, 1, rng), random_multivector(ctx.metric, 1, rng)
+    return _random_multivector(ctx.metric, 1, rng), _random_multivector(ctx.metric, 1, rng)
 
 
 def _pair(kind):
@@ -484,11 +483,11 @@ def _pair(kind):
 
 
 def _draw_vector(ctx, rng):
-    return (random_multivector(ctx.metric, 1, rng),)
+    return (_random_multivector(ctx.metric, 1, rng),)
 
 
 def _draw_adjoint_image(ctx, rng):
-    return random_multivector(ctx.metric, 1, rng), _maybe_random_frame(ctx, rng)
+    return _random_multivector(ctx.metric, 1, rng), _maybe_random_frame(ctx, rng)
 
 
 def _over_frame(make):
@@ -499,8 +498,7 @@ def _over_frame(make):
 
 def _draw_pseudoscalar(ctx, rng):
     sign = 1.0 if rng.integers(2) else -1.0
-    pss = (sign * float(rng.uniform(0.5, 2.0))) * unit_pseudoscalar(ctx.metric)
-    return pss, _maybe_random_frame(ctx, rng)
+    return sign * float(rng.uniform(0.5, 2.0)), _maybe_random_frame(ctx, rng)
 
 
 def _scalar_star(value):
@@ -543,7 +541,7 @@ def _example(name, functional, directional, star=None, relative=False) -> list[I
 
     def draw_directional(ctx, rng):
         h = Extensor.random_invertible(ctx.metric, rng)
-        a = random_multivector(ctx.metric, 1, rng)
+        a = _random_multivector(ctx.metric, 1, rng)
         return (), (h, a, *draw(ctx, rng))
 
     def build_directional(ctx, h, a, *values):
@@ -579,9 +577,9 @@ def _draw_blade_images(ctx, rng):
     """A map, a direction and the vectors of the blade-image functionals of
     every grade k = 1..n, drawn in that order."""
     h = Extensor.random_invertible(ctx.metric, rng)
-    a = random_multivector(ctx.metric, 1, rng)
+    a = _random_multivector(ctx.metric, 1, rng)
     vectors = tuple(
-        tuple(random_multivector(ctx.metric, 1, rng) for _ in range(k))
+        tuple(_random_multivector(ctx.metric, 1, rng) for _ in range(k))
         for k in range(1, ctx.metric.dim + 1)
     )
     return (), (h, a, vectors)
@@ -619,7 +617,7 @@ def _inverse_bivector_sides(x):
 
 def _draw_named(ctx, rng):
     return (), (Extensor.random_invertible(ctx.metric, rng),
-                random_multivector(ctx.metric, 1, rng))
+                _random_multivector(ctx.metric, 1, rng))
 
 
 def _build_named(ctx, h, b):
@@ -658,19 +656,19 @@ def _build_rule(ctx, setup, values, fields):
 
 
 def _linearity_fields(ctx, rng, p):
-    a = random_multivector(ctx.metric, p, rng)
-    b = random_multivector(ctx.metric, p, rng)
+    a = _random_multivector(ctx.metric, p, rng)
+    b = _random_multivector(ctx.metric, p, rng)
     return dict(aux=(b,), direction=a, alpha=float(rng.uniform(-2.0, 2.0)),
                 beta=float(rng.uniform(-2.0, 2.0)))
 
 
 def _scaling_fields(ctx, rng, p):
-    return dict(direction=random_multivector(ctx.metric, p, rng),
+    return dict(direction=_random_multivector(ctx.metric, p, rng),
                 scale=float(rng.uniform(-2.0, 2.0)))
 
 
 def _right_constant_fields(ctx, rng, p):
-    return dict(direction=random_multivector(ctx.metric, p, rng),
+    return dict(direction=_random_multivector(ctx.metric, p, rng),
                 constant=_random_mixed(ctx.metric, rng))
 
 
@@ -688,7 +686,7 @@ def _draw_two_functionals(scalar_valued):
         setup, values = _random_setup(ctx, rng, scalar_valued)
         p, q, k = setup
         name, consts = _draw_value_func(ctx.metric, rng, k, q)
-        return (setup,), (name, values, consts, random_multivector(ctx.metric, p, rng))
+        return (setup,), (name, values, consts, _random_multivector(ctx.metric, p, rng))
 
     return draw
 
@@ -717,7 +715,7 @@ _BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": 
 def _draw_chain(ctx, rng):
     setup, values = _random_setup(ctx, rng, scalar_valued=True)
     name = ("square", "exp", "sin")[rng.integers(3)]
-    return (setup,), (name, values, random_multivector(ctx.metric, setup[0], rng))
+    return (setup,), (name, values, _random_multivector(ctx.metric, setup[0], rng))
 
 
 def _build_chain(ctx, setup, name, values, a):
@@ -754,8 +752,8 @@ def _intrinsic_sides(x):
 def _draw_bridge(ctx, rng):
     """The name of a smooth map, an anchor, the constant c of phi = (. c)
     composed with the map, a map and a frame: structure ()."""
-    anchor = random_multivector(ctx.metric, 1, rng)
-    c = random_multivector(ctx.metric, 1, rng)
+    anchor = _random_multivector(ctx.metric, 1, rng)
+    c = _random_multivector(ctx.metric, 1, rng)
     name = ("linear", "square", "exp")[rng.integers(3)]
     t = Extensor.random_invertible(ctx.metric, rng)
     return (), (name, anchor, c, t, _maybe_random_frame(ctx, rng))
@@ -763,7 +761,7 @@ def _draw_bridge(ctx, rng):
 
 def _draw_bridge_directional(ctx, rng):
     structure, values = _draw_bridge(ctx, rng)
-    return structure, (*values, random_multivector(ctx.metric, 1, rng))
+    return structure, (*values, _random_multivector(ctx.metric, 1, rng))
 
 
 def _build_bridge(ctx, name, anchor, c, t, frame, direction=None):
@@ -832,8 +830,8 @@ CATALOG: tuple[IdentityCheck, ...] = (
     ),
     *_example(
         "pseudoscalar-image",
-        (_draw_pseudoscalar,
-         lambda m, pss, frame: (pseudoscalar_image_functional(pss, frame), (pss,))),
+        (_draw_pseudoscalar, lambda m, scale, frame: (pseudoscalar_image_functional(
+            pss := scale * unit_pseudoscalar(m), frame), (pss,))),
         lambda m, h, a, pss: Outermorphism(h)(a.lcontract(pss)),
     ),
     *_example(

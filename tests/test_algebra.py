@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import lru_cache
 from math import comb
@@ -24,7 +25,8 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import _compound, _Gather, _Scatter, _signs, _sum_rows, _tables, product_sum
+from extcalc.algebra import (_compound, _Gather, _Scatter, _signs, _sum_rows, _tables, _uniform,
+                             product_sum)
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
 from extcalc.extensor import Extensor
@@ -535,6 +537,42 @@ def test_random_multivector_draws_like_one_uniform_per_mask():
 def test_random_multivector_rejects_grade_out_of_range(grade):
     with pytest.raises(ValueError):
         random_multivector(E3, grade, 0)
+
+
+@pytest.mark.parametrize("grade", [True, False, 1.0, np.float64(2.0), "1", None])
+def test_grades_are_integers_and_a_rejected_draw_draws_nothing(grade):
+    # True used to draw grade 1 silently and 1.0 to fail on a tuple index;
+    # the grade is named, and the generator is left where it was
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"grade must be an integer, got {grade!r}")):
+        random_multivector(E3, grade, rng)
+    assert rng.bit_generator.state == before
+    for reject in (lambda: Multivector.from_scalar(E3, 1.0).grade_project(grade),
+                   lambda: product_sum(E3, "wedge", grade, np.zeros((3, 8)), np.zeros((3, 8))),
+                   lambda: _compound(np.eye(3), grade)):
+        with pytest.raises(ValueError, match="grade must be an integer"):
+            reject()
+
+
+def test_numpy_integer_grades_are_grades():
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    got = random_multivector(E3, np.int64(2), rng)
+    assert got.values().tobytes() == random_multivector(E3, 2, reference).values().tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_uniform_is_numpys_uniform_bit_for_bit(n):
+    # 2u - 1 of u = rng.random(shape) is rng.uniform(-1.0, 1.0, shape): the
+    # same doubles, and the generator left in the same state, at every size
+    # a draw of this library takes, C(n, k) and 2^n, and at a matrix shape
+    sizes = sorted({comb(n, k) for k in range(n + 1)} | {2**n})
+    for seed in range(40):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for shape in sizes + [(n, n), (comb(n, 2), n)]:
+            got = _uniform(rng.random(shape))
+            assert got.tobytes() == reference.uniform(-1.0, 1.0, shape).tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # -- the table-driven kernel against a pure-Python loop reference -----------------

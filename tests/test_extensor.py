@@ -1,3 +1,6 @@
+import re
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from extcalc.algebra import (
 )
 from extcalc.algebra import _as_stack, _compound
 from extcalc.errors import ConfigurationError, SingularExtensorError
-from extcalc.extensor import Extensor, Outermorphism
+from extcalc.extensor import _SHIFTS, INVERTIBLE_MIN_DET, Extensor, Outermorphism
 
 E2 = Metric.euclidean(2)
 E3 = Metric.euclidean(3)
@@ -77,6 +80,77 @@ def test_apply_validates_grade_and_metric():
         t(e1 ^ e2)
     with pytest.raises(ConfigurationError):
         t(basis_vectors(E2)[0])
+
+
+# -- random maps -------------------------------------------------------------------
+
+
+def _uniform_invertible(n, rng):
+    """random_invertible as it was first written: the identity plus half a
+    uniform(-1, 1) draw, redrawn while |det| is small; and its draw count."""
+    draws = 0
+    while True:
+        draws += 1
+        matrix = np.eye(n) + 0.5 * rng.uniform(-1.0, 1.0, (n, n))
+        if abs(np.linalg.det(matrix)) >= INVERTIBLE_MIN_DET:
+            return matrix, draws
+
+
+@pytest.mark.parametrize("n, seeds", [
+    (3, (562, 871, 0, 1)), (4, (70, 73, 2)), (5, (4, 53, 3)), (8, (12, 32, 4)),
+])
+def test_random_invertible_is_the_uniform_formula_bit_for_bit(n, seeds):
+    # u + (I - 1/2) is I + (2u - 1) / 2 exactly; the first seeds of each n
+    # redraw at least once, so the redraw decisions agree too, and the
+    # generator ends where the formula leaves it
+    redrawn = 0
+    for seed in seeds:
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, draws = _uniform_invertible(n, reference)
+        redrawn += draws > 1
+        got = Extensor.random_invertible(Metric.euclidean(n), rng)
+        assert got.matrix.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+    assert redrawn >= 2
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (0, 3), (3, 2)])
+def test_random_map_is_numpys_uniform_bit_for_bit(p, q):
+    rng, reference = np.random.default_rng(p + 7 * q), np.random.default_rng(p + 7 * q)
+    got = Extensor.random(E3, rng, p, q)
+    expected = reference.uniform(-1.0, 1.0, (comb(3, q), comb(3, p)))
+    assert got.matrix.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("p, q, named", [
+    (1, -1, "grade -1"), (4, 1, "grade 4"), (True, 1, "True"), (1, False, "False"),
+    (1.0, 1, "1.0"), (1, "2", "'2'"),
+])
+def test_map_grades_are_checked_before_any_draw(p, q, named):
+    # -1 used to fail inside math.comb and True to make Extensor(p=True);
+    # the error names the grade, and a rejected draw draws nothing
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Extensor.random(E3, rng, p, q)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Extensor(E3, np.zeros((3, 3)), p, q)
+
+
+def test_library_made_matrices_are_read_only():
+    rng = np.random.default_rng(10)
+    made = [Extensor.random(E3, rng, 1, 2), Extensor.random_invertible(E3, rng)]
+    made.append(Extensor.stack([made[1], Extensor.random_invertible(E3, rng)]))
+    for t in made:
+        with pytest.raises(ValueError, match="read-only"):
+            t.matrix[0, 0] = 1.0
+    assert sorted(_SHIFTS) == list(range(2, 9))  # every dim a metric can have
+    for n, shift in _SHIFTS.items():
+        with pytest.raises(ValueError, match="read-only"):
+            shift[0, 0] = 1.0
+        assert shift.tobytes() == (np.eye(n) - 0.5).tobytes()
 
 
 # -- adjoint ---------------------------------------------------------------------

@@ -380,12 +380,128 @@ def test_stacked_names_are_per_trial_values():
     ctx = harness._Context(ortho.metric, HarnessConfig(), ortho)
     # a column of names is the tuple of per-trial names (a one-letter string
     # iterates to itself, so it must not be taken for a tuple)
-    assert harness._stacked(ctx, [("exp",), ("sin",)]) == (("exp", "sin"),)
-    assert harness._stacked(ctx, [("x", 1.0), ("x^c", 2.0)])[0] == ("x", "x^c")
-    # any other leaf names its type
-    for leaf, name in ((1, "int"), (None, "NoneType"), (b"x", "bytes")):
+    assert harness._made(ctx, [("exp",), ("sin",)], True) == (("exp", "sin"),)
+    assert harness._made(ctx, [("x", 1.0), ("x^c", 2.0)], True)[0] == ("x", "x^c")
+    # any other leaf names its type; a made multivector is no drawn value
+    for leaf, name in ((1, "int"), (None, "NoneType"), (b"x", "bytes"),
+                       (Multivector.zero(ctx.metric), "Multivector")):
         with pytest.raises(TypeError, match=name):
-            harness._stacked(ctx, [(leaf,), (leaf,)])
+            harness._made(ctx, [(leaf,), (leaf,)], True)
+
+
+def _mixed(metric, rng):
+    """A constant of every grade as the harness first drew it: the sum of
+    one random_multivector per grade."""
+    total = Multivector.zero(metric)
+    for grade in range(metric.dim + 1):
+        total = total + random_multivector(metric, grade, rng)
+    return total
+
+
+@pytest.mark.parametrize("metric", [Metric.euclidean(2), Metric(5, (2.0, -1.0, 0.5, -3.0, 1.0)),
+                                    Metric.euclidean(8)])
+def test_stacked_leaves_are_the_public_draws(metric):
+    # a drawn multivector keeps its uniforms; made alone or as a column of a
+    # group, it is bit for bit the public draw at the same generator state,
+    # and it leaves the generator where the public draw does
+    ortho = Frame.orthonormal(metric)
+    ctx = harness._Context(ortho.metric, HarnessConfig(dim=metric.dim), ortho)
+    draws = [(lambda m, r, g=g: harness._random_multivector(m, g, r),
+              lambda m, r, g=g: random_multivector(m, g, r)) for g in range(metric.dim + 1)]
+    for seed, (draw, public) in enumerate(draws + [(harness._random_mixed, _mixed)]):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        leaves = [draw(ctx.metric, rng) for _ in range(5)]
+        made = [public(ctx.metric, reference) for _ in range(5)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        stacked = harness._made(ctx, leaves, True)
+        assert stacked._values.tobytes() == Multivector.stack(made)._values.tobytes()
+        for leaf, one in zip(leaves, made):
+            assert harness._made(ctx, [leaf], False)._values.tobytes() == one._values.tobytes()
+
+
+# 64-bit words each check draws, and the last buffered 32-bit half-word
+# (stale: no draw ends half-way through a word), at dim 3, 8 trials and dim
+# 6, diag:+,+,+,-,-,+, 2 trials, seed 0; PCG64's state is integer
+# arithmetic, the same on every platform
+_DRAWN_WORDS = {
+    3: {
+        "dot-pair-directional": (144, 0), "dot-pair-directional-fd": (144, 0),
+        "wedge-pair-directional": (144, 0), "wedge-pair-directional-fd": (144, 0),
+        "vector-image-directional": (120, 0), "vector-image-directional-fd": (120, 0),
+        "vector-image-star": (96, 0), "adjoint-image-directional": (151, 1780431352),
+        "adjoint-image-directional-fd": (151, 1155614038),
+        "adjoint-image-star": (154, 3023227747),
+        "trace-directional": (118, 224545509), "trace-directional-fd": (109, 7224181),
+        "trace-star": (112, 3125879228), "bivector-directional": (127, 310604997),
+        "bivector-directional-fd": (118, 647642907), "bivector-star": (130, 984495748),
+        "pseudoscalar-image-directional": (130, 1952764889),
+        "pseudoscalar-image-directional-fd": (157, 69764513),
+        "det-directional": (145, 3227081922),
+        "det-directional-fd": (118, 790884245), "det-star": (103, 1190327372),
+        "blade-image-directional": (240, 0), "blade-image-directional-fd": (240, 0),
+        "inverse-bivector-frame-sum": (94, 390008907), "star-fd-coherence": (96, 0),
+        "direction-linearity": (245, 3209365668), "scaling-rule": (198, 1601443380),
+        "right-constant-rule": (266, 1802483127), "additivity-rule": (251, 874750290),
+        "leibniz-rule": (224, 3907406368), "chain-rule": (176, 2406422724),
+        "frame-independence": (247, 1151557864), "intrinsic-equivalence": (250, 2116830726),
+        "component-partials-fd": (182, 2451956524),
+        "component-bridge-directional": (170, 985188556),
+        "component-bridge-star": (146, 3477357285),
+    },
+    6: {
+        "dot-pair-directional": (108, 0), "dot-pair-directional-fd": (108, 0),
+        "wedge-pair-directional": (108, 0), "wedge-pair-directional-fd": (108, 0),
+        "vector-image-directional": (96, 0), "vector-image-directional-fd": (96, 0),
+        "vector-image-star": (84, 0), "adjoint-image-directional": (97, 1651695546),
+        "adjoint-image-directional-fd": (133, 2825866764),
+        "adjoint-image-star": (157, 2744636523),
+        "trace-directional": (121, 361095258), "trace-directional-fd": (121, 2259187281),
+        "trace-star": (109, 4049708269), "bivector-directional": (85, 1870759965),
+        "bivector-directional-fd": (121, 39768674), "bivector-star": (109, 1499008409),
+        "pseudoscalar-image-directional": (160, 19881985),
+        "pseudoscalar-image-directional-fd": (160, 3117452345),
+        "det-directional": (157, 3813807939),
+        "det-directional-fd": (121, 2593654700), "det-star": (109, 1995588691),
+        "blade-image-directional": (336, 0), "blade-image-directional-fd": (336, 0),
+        "inverse-bivector-frame-sum": (109, 328096957), "star-fd-coherence": (84, 0),
+        "direction-linearity": (380, 1863357338), "scaling-rule": (429, 1078913553),
+        "right-constant-rule": (537, 602893354), "additivity-rule": (233, 264174466),
+        "leibniz-rule": (377, 2218713453), "chain-rule": (248, 674485238),
+        "frame-independence": (289, 3504857326), "intrinsic-equivalence": (316, 1165037138),
+        "component-partials-fd": (98, 1648216500),
+        "component-bridge-directional": (182, 3323125138),
+        "component-bridge-star": (170, 2389077433),
+    },
+}
+
+
+@pytest.mark.parametrize("config", [
+    HarnessConfig(dim=3, trials=8, seed=0),
+    HarnessConfig(dim=6, metric="diag:+,+,+,-,-,+", trials=2, seed=0),
+])
+def test_every_check_draws_the_same_words(config):
+    # the draws keep their RNG calls, in order and with their sizes: after
+    # check.trial, each check's generator is where it has always been
+    ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    assert set(_DRAWN_WORDS[config.dim]) == {c.id for c in CATALOG}
+    for check in CATALOG:
+        words, half_word = _DRAWN_WORDS[config.dim][check.id]
+        rng = harness._derive_rng(config.seed, check.id)
+        check.trial(ctx, rng)
+        expected = harness._derive_rng(config.seed, check.id).bit_generator
+        expected.advance(words)
+        state = rng.bit_generator.state
+        assert state["state"] == expected.state["state"], check.id
+        assert (state["has_uint32"], state["uinteger"]) == (0, half_word), check.id
+
+
+def _drawn(x: Multivector) -> "harness._DrawnMultivector":
+    """x as a drawn multivector: every coefficient v kept as the uniform
+    (v + 1) / 2 it is made from, which gives v back exactly here."""
+    leaf = harness._DrawnMultivector(np.arange(x.metric.size), (x._values + 1.0) / 2.0)
+    assert (2.0 * leaf.u - 1.0).tobytes() == x._values.tobytes()
+    return leaf
 
 
 def _huge_value_group(check, ctx, names):
@@ -397,13 +513,13 @@ def _huge_value_group(check, ctx, names):
     h = Extensor.identity(m)
     group = []
     for i, name in enumerate(names):
-        c = (0.5 if name == "exp" else 1000.0) * e1
+        c = _drawn((0.5 if name == "exp" else 1000.0) * e1)
         if check.suite == "bridge":
-            values = (name, e1, c, h, harness._DrawnFrame(Extensor.random_invertible(
+            values = (name, _drawn(e1), c, h, harness._DrawnFrame(Extensor.random_invertible(
                 m, np.random.default_rng(i))))
-            group.append(((), values + (e2,) if "directional" in check.id else values))
+            group.append(((), values + (_drawn(e2),) if "directional" in check.id else values))
         else:  # the chain rule over x.c of one grade-1 anchor
-            group.append((((1, 1, 1),), (name, ("x.c", (e1,), h, (c,)), e1 + e2)))
+            group.append((((1, 1, 1),), (name, ("x.c", (_drawn(e1),), h, (c,)), _drawn(e1 + e2))))
     return group
 
 
