@@ -17,7 +17,7 @@ from extcalc.algebra import (
 )
 from extcalc.algebra import _as_stack, _compound
 from extcalc.errors import ConfigurationError, SingularExtensorError
-from extcalc.extensor import _SHIFTS, INVERTIBLE_MIN_DET, Extensor, Outermorphism
+from extcalc.extensor import _SHIFTS, INVERTIBLE_MIN_DET, Extensor, Outermorphism, _det
 
 E2 = Metric.euclidean(2)
 E3 = Metric.euclidean(3)
@@ -112,6 +112,29 @@ def test_random_invertible_is_the_uniform_formula_bit_for_bit(n, seeds):
         assert got.matrix.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference.bit_generator.state
     assert redrawn >= 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_redraw_determinant_is_linalg_det_bit_for_bit(n):
+    # 300 draws per n, each the first formula's matrix, some redrawn (n = 2
+    # redraws about once in 6,000 draws); and each candidate's determinant is
+    # np.linalg.det's to the bit, also on candidates scaled to |det| within a
+    # few ulps of INVERTIBLE_MIN_DET, so every decision is the same
+    rng, reference = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
+    redrawn = 0
+    for _ in range(300):
+        expected, draws = _uniform_invertible(n, reference)
+        redrawn += draws > 1
+        got = Extensor.random_invertible(Metric.euclidean(n), rng)
+        assert got.matrix.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert redrawn or n == 2
+    candidates = np.random.default_rng(n).random((300, n, n)) + _SHIFTS[n]
+    dets = np.linalg.det(candidates)
+    near = candidates * (INVERTIBLE_MIN_DET / np.abs(dets))[:, None, None] ** (1.0 / n)
+    for m in (*candidates, *near):
+        assert _det(m).tobytes() == np.linalg.det(m).tobytes()
+    assert np.ptp(np.abs(np.linalg.det(near)) - INVERTIBLE_MIN_DET) < 1e-14
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (0, 3), (3, 2)])
