@@ -18,29 +18,27 @@ all extended bilinearly.  The reversion normalisation makes blade.blade the
 product of its metric entries (so >= 0 in a Euclidean metric) and makes the
 reciprocal of a frame blade the same-index blade of the reciprocal frame.
 
-The products are computed from tables built once per metric.  With
-e_i * e_j = S[i, j] e_(i^j) for a product's sign-and-weight matrix S, the
-right operator of b is M_b[i, i ^ j] = S[i, j] b_j and the left operator of a
-is L_a[j, i ^ j] = S[i, j] a_i, so that
+The products are sums over term lists, the grade-specialised products of
+Gaigen (Fontijne, Efficient Implementation of Geometric Algebra, 2007; Dorst,
+Fontijne & Mann, Geometric Algebra for Computer Science, 2007, ch. 22).
+With e_i * e_j = S[i, j] e_(i^j) for a product's sign-and-weight table S,
+the term list of a kind and two grade supports holds every structurally
+nonzero pair (i, j, s = S[i, j]) of those grades: a grade-k wedge with a
+vector has C(n, k) (n - k).  A product reads its operands' grades (every
+grade at n <= 4), builds the list on first use and sums over each output o's
+terms
 
-    value    c  = a @ M_b
-    tangent  tc = ta @ M_b + tb @ L_a
+    value    c[o]  = sum a_i (s b_j)
+    tangent  tc[o] = sum ta_i (s b_j) + sum a_i (s tb_j)
 
-and every product doubles as an exact forward-mode derivative rule.  Each
-kind builds its operators from the structurally nonzero entries of S only.
-The geometric product has all 4^n of them, and its operators are one dense
-gather (perm[i, k] = i ^ k, b[perm] * S[i, i ^ k]).  The wedge and the left
-contraction have 3^n (e_i ^ e_j needs i & j == 0; e_i _| e_j needs i a subset
-of j), so from n = 5 on their operators are written term by term into zeroed
-matrices; below that the dense gather is cheaper and is used instead.  The
-scalar product has 2^n terms, all landing in slot 0, and is no matrix at
-all: c_0 = a @ (b * w) for the blade weights w, and its tangents are
-ta @ (b * w) + tb @ (a * w).  A single coefficient of a multivector with a
-tangent block is a grade-0 jet: a multivector whose slot 0 holds the
-coefficient and whose tangent column 0 holds that coefficient's tangents.  A
-jet scales a multivector through the geometric product, which applies the
-product rule, so the smooth scalar maps of extcalc.dual, lifted to jets,
-compose with the products.
+so every product doubles as an exact forward-mode derivative rule.  The
+scalar product is one weighted dot per row, c_0 = a . (b w) for the blade
+weights w.  A single coefficient
+of a multivector with a tangent block is a grade-0 jet: a multivector whose
+slot 0 holds the coefficient and whose tangent column 0 holds that
+coefficient's tangents.  A jet scales a multivector through the geometric
+product, which applies the product rule, so the smooth scalar maps of
+extcalc.dual, lifted to jets, compose with the products.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -64,24 +62,17 @@ tangents, and a (T, P) array scales and builds stacks row by row; the
 scalars of a stack of maps (Extensor.det, Extensor.trace) are (T, 1) arrays
 too.
 
-Each product has one route, whatever the layout of its operands.  Every
-operand enters it as a trial stack: an unstacked value with its (m, 2^n)
-tangent block is a stack of one with P = 1, a point batch a stack of one
-with P = B.  The result leaves in the operands' own layout: a trial stack if
-either side is one, else a point batch if either side is one.  Each trial
-has its own operator, built once per chunk of trials and applied to the
-value rows and to the tangent rows alike: a value row meets it as one gemv
-per trial, a tangent block as one gemm.  A point batch meets the other
-side's operator as a tangent block does (a @ M_b, or b @ L_a when only b is
-a batch).  Two point batches multiply one row pair at a time, each row one
-gemv per trial; a side is a batch by its own layout, so a batch of one
-against a batch of B is still a product of two batches.  The scalar product
-is one weighted dot per row.  Operator stacks are cut into chunks below
-glibc's 128 KB mmap threshold, so freeing one never raises that threshold,
-and one chunk's operators are alive at a time: two freed together can push
-the heap past malloc's trim threshold, and every later operator then faults
-its pages in afresh.  Extensor application (extcalc.extensor) takes the same
-single route.
+Each product has one route, whatever the layout of its operands: their
+leading axes broadcast, so a value row, a tangent block, a point batch, a
+trial stack and two point batches, row pair by row pair, are the same code,
+and the result leaves in the operands' own layout (a trial stack if either
+side is one, else a point batch if either side is one).  Trial r of a stack
+is bit for bit trial r alone.  A stack's term list covers the grades of all
+its trials, so trial r meets terms of value zero that it does not meet
+alone; but each output is one sequential sum from +0.0 of its terms in
+increasing i, and such a sum does not change when terms of value zero join
+it anywhere, signed zeros included.  Extensor application (extcalc.extensor)
+likewise takes one route for every layout.
 
 All values are immutable after construction and every operation is pure.
 Every layer checks its inputs with the same two rules: _check_metric (one
@@ -164,90 +155,28 @@ def blade_name(mask: int) -> str:
 @dataclass(frozen=True, eq=False)
 class _Tables:
     grades: np.ndarray  # grade of each mask
+    grade_bits: np.ndarray  # 1 << grade of each mask
     blades: tuple  # grade -> masks of that grade, increasing
     off_grade: dict  # grade -> masks of every other grade, increasing
     weight: np.ndarray  # blade "squared norm": product of touched metric entries
     reverse_signs: np.ndarray
-    perm: np.ndarray  # perm[i, k] = i ^ k
-    right: dict  # kind -> R with R[i, k] = S[i, i ^ k]
-    kernels: dict  # kind -> _Gather or _Scatter, for every kind but "scalar"
 
 
-class _Gather:
-    """Operators of a dense table: every blade pair is gathered and weighted."""
-
-    def __init__(self, perm, right):
-        self.right_signs = right
-        self.index = np.array(perm)  # writeable: np.take copies a read-only index per call
-        # L[j, k] = S[j ^ k, j] = R[j ^ k, k]: the left table is the right one permuted
-        self.left_signs = right[perm, np.arange(len(right))]
-        self.left_signs.flags.writeable = False
-
-    def right(self, b: np.ndarray) -> np.ndarray:
-        """M_b, with a @ M_b the product of a and b; one per trial of a
-        (T, 2^n) stack."""
-        gathered = np.take(b, self.index, axis=-1)
-        gathered *= self.right_signs
-        return gathered
-
-    def left(self, a: np.ndarray) -> np.ndarray:
-        """L_a, with b @ L_a the product of a and b; one per trial."""
-        gathered = np.take(a, self.index, axis=-1)
-        gathered *= self.left_signs
-        return gathered
-
-
-class _Scatter:
-    """Operators of a sparse table, written from its nonzero terms
-    e_i * e_j = s e_(i^j) alone into zeroed matrices."""
-
-    def __init__(self, right):
-        size = len(right)
-        i, k = np.nonzero(right)
-        j = i ^ k
-        self.size, self.i, self.j, self.signs = size, i, j, right[i, k]
-        self.right_index = i * size + k  # M_b[i, k] = s b_j
-        self.left_index = j * size + k  # L_a[j, k] = s a_i
-        for arr in (i, j, self.signs, self.right_index, self.left_index):
-            arr.flags.writeable = False
-
-    def right(self, b: np.ndarray) -> np.ndarray:
-        return self._operator(b, self.right_index, self.j)
-
-    def left(self, a: np.ndarray) -> np.ndarray:
-        return self._operator(a, self.left_index, self.i)
-
-    def _operator(self, x, index, factor):
-        """One operator per trial of a (T, 2^n) stack, written row by row:
-        a 1-d scatter per trial is cheaper than one 2-d scatter for all."""
-        op = np.zeros((len(x), self.size * self.size))
-        for row, values in zip(op, x):
-            row[index] = values[factor] * self.signs
-        return op.reshape(len(x), self.size, self.size)
-
-
-def _kernel(perm: np.ndarray, right: np.ndarray):
-    """The cheaper operator builder for a table: writing its nonzero terms
-    beats the dense gather once they are at most a quarter of the table."""
-    if 4 * np.count_nonzero(right) <= right.size:
-        return _Scatter(right)
-    return _Gather(perm, right)
-
-
-def _signs(dim: int, weight, reverse_signs, x, y) -> dict:
-    """kind -> S[x, y] elementwise, where e_x * e_y = S[x, y] e_(x^y)."""
+def _signs(kind: str, tables: "_Tables", x, y) -> np.ndarray:
+    """S[x, y] elementwise, where e_x * e_y = S[x, y] e_(x^y) under `kind`."""
+    if kind == "scalar":
+        return np.where(x == y, tables.weight[x], 0.0)
     # reordering e_x e_y: each generator of x passes the generators of y below it
-    parity = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint8)
-    for shift in range(1, dim):
+    parity = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.uint8)
+    for shift in range(1, len(tables.blades) - 1):
         parity ^= np.bitwise_count((x >> shift) & y)
     common = x & y
-    geometric = np.where(parity & 1, -1.0, 1.0) * weight[common]
-    return {
-        "geometric": geometric,
-        "wedge": np.where(common == 0, geometric, 0.0),
-        "scalar": np.where(x == y, weight[x], 0.0),
-        "lcontract": np.where(common == x, reverse_signs[x] * geometric, 0.0),
-    }
+    signs = np.where(parity & 1, -1.0, 1.0) * tables.weight[common]
+    if kind == "wedge":
+        return np.where(common == 0, signs, 0.0)
+    if kind == "lcontract":
+        return np.where(common == x, tables.reverse_signs[x] * signs, 0.0)
+    return signs
 
 
 @lru_cache(maxsize=None)
@@ -258,31 +187,100 @@ def _tables(metric: Metric) -> _Tables:
     for k, g in enumerate(metric.diag):
         weight[(masks >> k) & 1 == 1] *= g
     reverse_signs = np.where((grades * (grades - 1) // 2) & 1, -1.0, 1.0)
-    i = masks[:, None]
-    perm = i ^ masks[None, :]
     blades = tuple(np.flatnonzero(grades == g) for g in range(metric.dim + 1))
     off_grade = {g: np.flatnonzero(grades != g) for g in range(metric.dim + 1)}
-    right = _signs(metric.dim, weight, reverse_signs, i, perm)
-    for arr in (grades, *blades, *off_grade.values(), weight, reverse_signs, perm, *right.values()):
+    grade_bits = 1 << grades
+    for arr in (grades, grade_bits, *blades, *off_grade.values(), weight, reverse_signs):
         arr.flags.writeable = False
-    return _Tables(
-        grades=grades,
-        blades=blades,
-        off_grade=off_grade,
-        weight=weight,
-        reverse_signs=reverse_signs,
-        perm=perm,
-        right=right,
-        kernels={
-            kind: _kernel(perm, right[kind])
-            for kind in PRODUCT_KINDS if kind != "scalar"
-        },
-    )
+    return _Tables(grades, grade_bits, blades, off_grade, weight, reverse_signs)
+
+
+class _Terms:
+    """A term list: (k, m) blocks i, j and s per group of outputs with about
+    as many terms, column c the terms of one output in increasing i, padded
+    at its end to k with terms of sign 0.  The groups' column sums, side by
+    side, hold every output at `gather` (None when they are all outputs in
+    mask order), an output without terms at a column of padding alone.  A
+    lone output fills two columns: numpy sums a single column pairwise.  A
+    block whose columns share their i (the geometric product with a dense
+    right side) keeps one, (k, 1).  When every sign is 1 or -1 and the list
+    is longer than 3 2^n, j is `signed`: it reads y, -y, or 0 y for the
+    padding, so the signed terms take one gather.  Index arrays stay
+    C-contiguous and writeable: np.take copies any other index per call."""
+
+    __slots__ = ("groups", "gather", "signed")
+
+    def __init__(self, i, j, s):
+        """From (rows, 2^n) blocks whose column o holds output o's nonzero
+        terms first, in increasing i, and terms of sign 0 below them."""
+        counts = np.count_nonzero(s, axis=0)
+        size, groups = len(counts), _padded_groups(counts)
+        absent = np.flatnonzero(counts == 0)
+        if len(absent):  # one column of padding for every output without terms
+            groups = groups[:-1] + [np.append(groups[-1], absent[0])] if groups else [absent[:1]]
+        columns = [np.repeat(outs, 2) if len(outs) == 1 else outs for outs in groups]
+        blocks = [[np.take(x[:max(counts[outs].max(), 1)], outs, axis=1) for x in (i, j, s)]
+                  for outs in columns]
+        self.signed = (sum(b.size for _, b, _ in blocks) > 3 * size
+                       and bool(np.all(np.abs(s[s != 0.0]) == 1.0)))
+        for block in blocks:
+            if (block[0] == block[0][:, :1]).all():
+                block[0] = block[0][:, :1].copy()
+            if self.signed:
+                block[1] = np.where(block[2] == 0.0, 2 * size, block[1] + size * (block[2] < 0.0))
+        self.groups = [tuple(block) for block in blocks]
+        where = np.concatenate(columns)  # the output of each column
+        self.gather = None
+        if len(where) != size or np.any(where != np.arange(size)):
+            self.gather = np.empty(size, dtype=np.intp)
+            self.gather[where[::-1]] = np.arange(len(where))[::-1]  # each output's first column
+            self.gather[absent] = self.gather[absent[:1]]
+
+
+def _padded_groups(counts: np.ndarray) -> list:
+    """Outputs with terms, grouped by their term counts, in increasing count:
+    a group takes the next count too while padding leaves it at most twice
+    its terms, or at most 256 terms."""
+    groups, terms = [], 0
+    for k in sorted(set(counts[counts > 0].tolist())):
+        more = np.flatnonzero(counts == k)
+        if groups and k * (len(groups[-1]) + len(more)) <= max(2 * (terms + k * len(more)), 256):
+            groups[-1], terms = np.concatenate((groups[-1], more)), terms + k * len(more)
+        else:
+            groups.append(more)
+            terms = k * len(more)
+    return [np.sort(outs) for outs in groups]
+
+
+@lru_cache(maxsize=None)
+def _terms(metric: Metric, kind: str, grades_a: int, grades_b: int) -> _Terms:
+    """The term list of `kind` between the grades whose bits grades_a and
+    grades_b set; built on first use of each key.  Row r of the blocks it
+    starts from pairs the r-th mask of the left support with every output."""
+    tables = _tables(metric)
+    i = np.flatnonzero(tables.grade_bits & grades_a)[:, None]
+    j = i ^ np.arange(metric.size)
+    s = _signs(kind, tables, i, j)
+    s[tables.grade_bits[j] & grades_b == 0] = 0.0
+    order = np.argsort(s == 0.0, axis=0, kind="stable")  # each output's terms first
+    j, s = np.take_along_axis(j, order, 0), np.take_along_axis(s, order, 0)
+    return _Terms(i[order, 0], j, s)
+
+
+def _grade_bits(tables: _Tables, values: np.ndarray, tangents) -> int:
+    """Bit g set when a value, batch, trial or tangent row is nonzero (NaN
+    included) on a grade-g mask; every grade up to n = 4, where that is cheaper."""
+    if len(tables.blades) <= 5:
+        return (1 << len(tables.blades)) - 1
+    size = values.shape[-1]
+    nonzero = np.any(values.reshape(-1, size), axis=0)
+    if tangents is not None:
+        nonzero |= np.any(tangents.reshape(-1, size), axis=0)
+    return int(np.bitwise_or.reduce(tables.grade_bits, where=nonzero, initial=0))
 
 
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
 _FACTORS = (int, float, np.number, np.ndarray)  # what scales a Multivector
-_MMAP_THRESHOLD = 128 * 1024  # glibc's default: larger blocks are mmapped
 
 
 def _sum_tangents(ta, tb):
@@ -295,13 +293,6 @@ def _sum_tangents(ta, tb):
     if ta.shape[-2:] != tb.shape[-2:]:
         raise ValueError(f"tangent blocks of shapes {ta.shape} and {tb.shape} do not match")
     return ta + tb
-
-
-def _chunks(count: int, size: int) -> list:
-    """Slices of a trial axis of `count` whose (size, size) operator stacks
-    stay below the mmap threshold; one trial per slice if one is larger."""
-    step = max(1, (_MMAP_THRESHOLD - 1) // (8 * size * size))
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _as_stack(values: np.ndarray) -> np.ndarray:
@@ -555,18 +546,15 @@ class Multivector:
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
         _check_metric(self.metric, other.metric)
         tables = _tables(self.metric)
-        a, b = _as_stack(self._values), _as_stack(other._values)
-        ta = None if self._tangents is None else _as_stack(self._tangents)
-        tb = None if other._tangents is None else _as_stack(other._tangents)
+        a, b, ta, tb = self._values, other._values, self._tangents, other._tangents
+        if (ta is not None or tb is not None) and (_is_batch(self) or _is_batch(other)):
+            raise ValueError(_BATCH_WITH_TANGENTS)
         if kind == "scalar":
             values, tangents = _scalar_product(tables.weight, a, b, ta, tb)
-        else:  # a point batch by its own layout: (1, 2^n) against (B, 2^n) is two batches
-            values, tangents = _stacked_product(
-                tables.kernels[kind], a, b, ta, tb, _is_batch(self), _is_batch(other))
-        ndim = max(self._values.ndim, other._values.ndim)
-        if ndim < 3:  # back to the operands' own layout: one value, or a point batch
-            values = values.reshape(values.shape[3 - ndim:])
-            tangents = None if tangents is None else tangents[0]
+        else:
+            terms = _terms(self.metric, kind, _grade_bits(tables, a, ta),
+                           _grade_bits(tables, b, tb))
+            values, tangents = _term_product(terms, a, b, ta, tb)
         return Multivector._raw(self.metric, values, tangents)
 
     def geometric(self, other: "Multivector") -> "Multivector":
@@ -597,64 +585,74 @@ class Multivector:
         return " + ".join(terms) if terms else "0"
 
 
-def _stacked_product(kernel, a, b, ta, tb, batch_a, batch_b) -> tuple:
-    """(values, tangents) of a product of (T, P, 2^n) stacks, with
-    (T, m, 2^n) tangent blocks or None, an operand of one trial meeting
-    every trial of the other.  Each trial's operator is its own, so every
-    trial makes the BLAS call one multivector makes alone.  A point batch
-    meets the other side's operator as a tangent block does, one gemm per
-    trial; two point batches multiply one row pair at a time."""
-    if (batch_a or batch_b) and (ta is not None or tb is not None):
-        raise ValueError(_BATCH_WITH_TANGENTS)
-    if batch_a and batch_b:  # one row pair at a time, each row one gemv per trial
-        a, b = np.broadcast_arrays(a, b)
-        pairs = [_by_chunks(b[:, j, None], kernel.right, a[:, j, None])[0]
-                 for j in range(a.shape[1])]
-        return np.concatenate(pairs, axis=1), None
-    if batch_b:  # b's rows meet a as tangent rows do
-        return _by_chunks(a, kernel.left, b)[0], None
-    values, tangents = _by_chunks(b, kernel.right, a, ta)
+def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
+    """(values, tangents) of a product through its term list, for value
+    arrays whose leading axes broadcast and their tangent blocks or None.
+
+    Output o sums x[..., i] * (s * y[..., j]) over its terms, for x a's
+    value row and tangent rows, and y b and then tb, which meets the value
+    row alone.  einsum (numpy's own loops, no BLAS) adds one row of a
+    group's block at a time from +0.0, over columns of at least two
+    outputs: a sequential sum in increasing i."""
+    ndim = max(a.ndim, b.ndim)
+    a, b = _as_stack(a), _as_stack(b)
+    x = a if ta is None else np.concatenate((a, _as_stack(ta)), axis=1)
+    ys = (b,) if tb is None else (b, _as_stack(tb))
+    last = x.shape[0] == b.shape[0] >= 8  # many trials: einsum's loops run along them
+    if last:
+        x, ys = np.moveaxis(x, 0, -1), [np.moveaxis(y, 0, -1) for y in ys]
+    at, spread = (1, (..., None)) if last else (2, ...)  # the blade axis, s's trailing axes
+    spec = "...kct,...kct->...ct" if last else "...kc,...kc->...c"
+    if terms.signed:  # read y, -y or, for the padding, 0 y
+        ys = [(np.expand_dims(y, at) * _UNIT_SIGNS[spread]).reshape(
+            y.shape[:at] + (-1,) + y.shape[at + 1:]) for y in ys]
+    sums = [[] for _ in ys]
+    for i, j, s in terms.groups:
+        x_i = np.take(x, i, axis=at)
+        for n, y in enumerate(ys):
+            y_j = np.take(y, j, axis=at)
+            if not terms.signed:
+                y_j *= s[spread]
+            value_row = x_i[:1] if last else x_i[:, :1]
+            sums[n].append(np.einsum(spec, value_row if n else x_i, y_j))
+            del y_j  # one gathered block alive at a time
+    outs = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=at) for parts in sums]
+    if terms.gather is not None:
+        outs = [np.take(out, terms.gather, axis=at) for out in outs]
+    if last:
+        outs = [np.ascontiguousarray(np.moveaxis(out, -1, 0)) for out in outs]
+    values, tangents = outs[0], None
+    if ta is not None:  # the value row first, then the tangent rows
+        values, tangents = values[:, :1], values[:, 1:]
     if tb is not None:
-        tangents = _sum_tangents(tangents, _by_chunks(a, kernel.left, tb)[0])
+        tangents = _sum_tangents(tangents, outs[1])
+    if ndim < 3:  # back to the operands' own layout: one value, or a point batch
+        values = values.reshape(values.shape[3 - ndim:])
+        tangents = None if tangents is None else tangents[0]
     return values, tangents
 
 
-def _by_chunks(x, operator, *rows) -> list:
-    """[r @ operator(x) for r in rows], None for a None r: one operator per
-    trial of the (T, 1, 2^n) x, each built once per chunk of trials for all
-    the (T or 1, r, 2^n) rows and freed before the next is built."""
-    if len(x) == 1:  # one operator for every trial
-        op = operator(x[:, 0])
-        return [None if r is None else r @ op for r in rows]
-    parts = []
-    for sl in _chunks(len(x), x.shape[-1]):
-        op = operator(x[sl, 0])  # rows of one trial meet every trial's operator
-        parts.append([None if r is None else (r if len(r) == 1 else r[sl]) @ op for r in rows])
-        del op  # one chunk's operators alive at a time (see the module notes)
-    return [None if r is None else np.concatenate(column) for r, column in zip(rows, zip(*parts))]
+_UNIT_SIGNS = np.array([1.0, -1.0, 0.0])[:, None]
 
 
 def _scalar_product(weight, a, b, ta, tb) -> tuple:
-    """(values, tangents) of <~a b>_0 for (T, P, 2^n) stacks: one weighted
-    dot per row, its tangents one gemv per trial and tangent side."""
+    """(values, tangents) of <~a b>_0: one weighted dot per value row and
+    per tangent row, for any layout whose leading axes broadcast."""
     bw = b * weight
-    dots = np.vecdot(a, bw)
-    values = np.zeros(dots.shape + (len(weight),))
-    values[..., 0] = dots
+    values = _at_scalar(np.vecdot(a, bw), len(weight))
     if ta is None and tb is None:
         return values, None
-    column = None if ta is None else _matvec(ta, bw)
+    column = None if ta is None else np.vecdot(ta, bw)
     if tb is not None:
-        column = _sum_tangents(column, _matvec(tb, a * weight))
-    tangents = np.zeros(column.shape + (len(weight),))
-    tangents[..., 0] = column
-    return values, tangents
+        column = _sum_tangents(column, np.vecdot(tb, a * weight))
+    return values, _at_scalar(column, len(weight))
 
 
-def _matvec(block, v) -> np.ndarray:
-    """block @ v per trial, (T, m) from a (T, m, 2^n) block and a
-    (T, 1, 2^n) vector."""
-    return (block @ v[:, 0, :, None])[..., 0]
+def _at_scalar(column: np.ndarray, size: int) -> np.ndarray:
+    """Rows of 2^n zeros holding `column` at mask 0."""
+    rows = np.zeros(column.shape + (size,))
+    rows[..., 0] = column
+    return rows
 
 
 # slot setters that bypass Multivector.__setattr__, which refuses all writes
@@ -749,9 +747,10 @@ def _sum_rows(metric: Metric, grade: int, kind: str) -> tuple[np.ndarray, np.nda
     """Read-only gather index a * 2^n + (S_a ^ m) and signs R[S_a, m] of
     product_sum, each (C(n, grade), 2^n), over the grade's masks S."""
     tables = _tables(metric)
-    support = tables.blades[grade]
-    index = np.arange(len(support))[:, None] * metric.size + tables.perm[support]
-    signs = tables.right[kind][support]
+    support = tables.blades[grade][:, None]
+    partners = support ^ np.arange(metric.size)
+    index = np.arange(len(support))[:, None] * metric.size + partners
+    signs = _signs(kind, tables, support, partners)
     index.flags.writeable = signs.flags.writeable = False
     return index, signs
 

@@ -25,7 +25,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.algebra import (_compound, _Gather, _Scatter, _signs, _sum_rows, _tables, _uniform,
+from extcalc.algebra import (_compound, _sum_rows, _tables, _terms, _uniform,
                              product_sum)
 from extcalc.calculus import MvFunction, grad_star
 from extcalc.errors import ConfigurationError, DegenerateFrameError
@@ -924,30 +924,84 @@ def test_two_batched_scalar_product_is_one_dot_per_row():
 _TERMS = {"geometric": 4, "wedge": 3, "scalar": 2, "lcontract": 3}  # terms = base^n
 
 
+def _term_columns(terms, size):
+    """Each column of a term list's blocks, side by side as the kernel sums
+    them: its terms (i, j, s) before the padding, j read back from the
+    y, -y, 0 y encoding of signs that are all 1 or -1."""
+    columns = []
+    for block_i, block_j, block_s in terms.groups:
+        block_i = np.broadcast_to(block_i, block_j.shape)
+        for c in range(block_j.shape[1]):
+            real = block_s[:, c] != 0.0
+            k = int(real.sum())
+            assert real[:k].all()  # the padding comes last
+            j = block_j[:k, c]
+            if terms.signed:  # j reads y, -y or, for the padding, 0 y
+                assert np.array_equal(j // size, block_s[:k, c] < 0.0)
+                assert np.all(block_j[k:, c] == 2 * size)
+                j = j % size
+            columns.append(list(zip(block_i[:k, c].tolist(), j.tolist(),
+                                    block_s[:k, c].tolist())))
+    return columns
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_each_kind_touches_only_its_nonzero_terms(n):
-    tables = _tables(Metric(n, _SIGNED_DIAG[:n]))
+    # the term list of every (kind, p, q) holds exactly the table's nonzero
+    # pairs of those grades, signs bit for bit; output o reads the column of
+    # its terms in increasing i, and an output without terms a column of
+    # padding alone; the lists of all (p, q) hold base^n terms
+    diag = _SIGNED_DIAG[:n]
+    metric, size, signs = Metric(n, diag), 1 << n, _loop_signs(diag)
+    masks = [[m for m in range(size) if m.bit_count() == g] for g in range(n + 1)]
     for kind, base in _TERMS.items():
-        assert np.count_nonzero(tables.right[kind]) == base**n, kind
-    assert "scalar" not in tables.kernels  # a weighted dot, no operator at all
-    for kind, kernel in tables.kernels.items():
-        # writing the terms pays once they are at most a quarter of the 4^n
-        assert isinstance(kernel, _Scatter) == (kind != "geometric" and n >= 5), kind
-        if isinstance(kernel, _Scatter):
-            assert len(kernel.signs) == _TERMS[kind] ** n
-            assert np.count_nonzero(kernel.signs) == len(kernel.signs)
+        if kind == "scalar":  # a weighted dot per row, no term list
+            continue
+        total = 0
+        for p, q in np.ndindex(n + 1, n + 1):
+            terms = _terms(metric, kind, 1 << p, 1 << q)
+            columns = _term_columns(terms, size)
+            by_output = [[] for _ in range(size)]
+            for i in masks[p]:  # in increasing i
+                for j in masks[q]:
+                    if signs[kind][i][j]:
+                        by_output[i ^ j].append((i, j, signs[kind][i][j]))
+            gather = range(size) if terms.gather is None else terms.gather
+            assert [columns[c] for c in gather] == by_output, (kind, p, q)
+            total += sum(map(len, by_output))
+        assert total == base**n, kind
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gather_left_signs_are_the_left_tables(n):
-    # L[j, k] = S[j ^ k, j] is the right table R[j ^ k, k] permuted, bit for bit
-    tables = _tables(Metric(n, _SIGNED_DIAG[:n]))
-    masks = np.arange(1 << n)
-    left = _signs(n, tables.weight, tables.reverse_signs, tables.perm, masks[:, None])
-    for kind in PRODUCT_KINDS:
-        got = _Gather(tables.perm, tables.right[kind]).left_signs
-        assert np.array_equal(got.view(np.int64), left[kind].view(np.int64)), kind
-        assert not got.flags.writeable
+    # the factor a term gathers for the left operand's coefficient a_i is
+    # s b_j with s = S[i, j], the left table L[j, i ^ j] of the pair, bit for
+    # bit: multiplied by s, or read from b, -b or 0 b when every sign is 1 or
+    # -1 (the wedge's, and every sign under a metric of +-1s)
+    rng = np.random.default_rng(40 + n)
+    size = 1 << n
+    b = rng.uniform(-1.0, 1.0, size)
+    signed_b = (b[None, :] * np.array([1.0, -1.0, 0.0])[:, None]).ravel()
+    for diag in (_SIGNED_DIAG[:n], tuple(np.sign(_SIGNED_DIAG[:n]))):
+        metric, signs = Metric(n, diag), _loop_signs(diag)
+        left = {kind: np.array([[signs[kind][j ^ k][j] for k in range(size)]
+                                for j in range(size)])
+                for kind in ("geometric", "wedge", "lcontract")}
+        unit = all(abs(g) == 1.0 for g in diag)
+        for kind in left:
+            terms = _terms(metric, kind, (1 << n + 1) - 1, (1 << n + 1) - 1)
+            assert terms.signed == (unit or kind == "wedge"), (kind, diag)
+            for block_i, block_j, block_s in terms.groups:
+                real = block_s != 0.0
+                if terms.signed:  # a zero term's sign of zero is free
+                    j = block_j % size
+                    got = signed_b[block_j]
+                    assert got[real].tobytes() == (b[j] * block_s)[real].tobytes(), kind
+                    assert not got[~real].any(), kind
+                    block_j = j
+                i = np.broadcast_to(block_i, block_j.shape)
+                table = left[kind][block_j[real], (i ^ block_j)[real]]
+                assert table.tobytes() == block_s[real].tobytes(), kind
 
 
 def _route_cases():
@@ -1045,24 +1099,24 @@ def test_every_product_route_matches_loop_reference(n):
                     assert _close(tangents[t, r], expected, mag), (*where, t, r)
 
 
-def test_n8_products_hold_one_operator_at_a_time():
-    # Two (256, 256) operators freed together can leave the allocator a free
-    # top past its trim threshold, so that every later operator faults its
-    # pages in afresh: about 85 minor page faults a product, seen at n = 8.
+def test_n8_products_hold_one_gathered_block_at_a_time():
+    # a dense n = 8 product gathers at most one (4^n) block of the right
+    # side's terms at a time, for its values or for its tangent rows; the
+    # dense operators it replaces took one such block per side and trial
     metric = Metric(8, _SIGNED_DIAG)
     rng = np.random.default_rng(8)
     x, y, dx, dy = (Multivector(metric, rng.uniform(-1.0, 1.0, metric.size)) for _ in range(4))
-    operator_bytes = metric.size * metric.size * 8
+    block_bytes = metric.size * metric.size * 8
     for kind in PRODUCT_KINDS:
         for a, b in ((x, y), (x.with_tangent(dx), y.with_tangent(dy))):
-            product(kind, a, b)  # the tables are built once, outside the peak
+            product(kind, a, b)  # the term list is built once, outside the peak
             tracemalloc.start()
             try:
                 product(kind, a, b)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 1.5 * operator_bytes, (kind, peak / operator_bytes)
+            assert peak < 1.25 * block_bytes, (kind, peak / block_bytes)
 
 
 def test_products_reject_mismatched_tangent_blocks():

@@ -17,7 +17,7 @@ from extcalc.algebra import (
     scalar_value,
     wedge_all,
 )
-from extcalc.algebra import _chunks, _compound, _MMAP_THRESHOLD, _tables
+from extcalc.algebra import _compound, _tables, _terms
 from extcalc.calculus import MvFunction, dir_deriv, grad_star
 from extcalc.catalog import (
     adjoint_image_functional,
@@ -113,52 +113,94 @@ def test_stacked_point_batches_are_each_trials_batch(metric, trials):
                 assert bits(got._values[r]) == bits(expect(r)), (kind, r)
 
 
-def test_operator_stacks_stay_below_the_mmap_threshold():
-    for dim in range(2, 9):
-        size = 1 << dim
-        for count in (1, 3, 64):
-            slices = _chunks(count, size)
-            assert sum(len(range(count)[s]) for s in slices) == count
-            per_slice = max(len(range(count)[s]) for s in slices)
-            assert per_slice == 1 or per_slice * size * size * 8 < _MMAP_THRESHOLD
-    # n = 6: four trials make two stacks of at most three 32 KB operators;
-    # weighing a stack with the signs takes numpy's ufunc buffer besides
+def _on_grades(metric, grades, rng, lead=()):
+    """Values uniform on the masks of `grades` and zero elsewhere, (*lead, 2^n)."""
+    keep = np.isin(_tables(metric).grades, grades)
+    return rng.uniform(-1.0, 1.0, lead + (metric.size,)) * keep
+
+
+@pytest.mark.parametrize("metric", [Metric(3, (2.0, -1.0, 0.5)), SIGNED6, SIGNED8],
+                         ids=["n3", "n6", "n8"])
+def test_mixed_grade_trials_are_each_trials_product_bit_for_bit(metric):
+    # trials of different grade supports in one stack: the stack's term list
+    # covers every trial's grades, so a trial meets terms of value zero that
+    # it does not meet alone, among and after its own, some of them -0.0;
+    # each trial of every layout is still its product alone, byte for byte,
+    # signed zeros included
+    n, rng = metric.dim, np.random.default_rng(60 + metric.dim)
+    lefts = [(1,), (1, 2), (2, 3), (0,), (n - 1,), (), (1, n), (3,)]
+    rights = [(1,), (2,), (1, 3), (2,), (1,), (3,), (0, 2), (3,)]
+    trials = len(lefts)
+
+    def side(grade_sets, rows):
+        values = [_on_grades(metric, g, rng) for g in grade_sets]
+        if not rows:
+            return [Multivector._raw(metric, v) for v in values]
+        return [Multivector._raw(metric, v, _on_grades(metric, g, rng, (rows,)))
+                for v, g in zip(values, grade_sets)]
+
+    def batches(grade_sets):
+        return [Multivector._raw(metric, _on_grades(metric, g, rng, (3,))) for g in grade_sets]
+
+    def stacked(xs):
+        if xs[0]._values.ndim == 2:  # point batches: a stack of batches
+            return Multivector._raw(metric, np.stack([x._values for x in xs]))
+        return Multivector.stack(xs)
+
+    cases = [(side(lefts, ma), side(rights, mb)) for ma, mb in ((0, 0), (2, 0), (0, 2), (2, 2))]
+    cases += [(batches(lefts), side(rights, 0)), (side(lefts, 0), batches(rights)),
+              (batches(lefts), batches(rights))]
+    for kind in PRODUCT_KINDS:
+        for xs, ys in cases:
+            got = product(kind, stacked(xs), stacked(ys))
+            for r in range(trials):
+                alone = product(kind, xs[r], ys[r])
+                assert bits(got._values[r][0] if alone._values.ndim == 1 else got._values[r]) \
+                    == bits(alone._values), (kind, r)
+                if alone._tangents is not None:
+                    assert bits(got._tangents[r]) == bits(alone._tangents), (kind, r)
+            got = product(kind, stacked(xs), ys[1])  # one side of one trial, broadcast
+            for r in range(trials):
+                alone = product(kind, xs[r], ys[1])
+                assert bits(got._values[r][0] if alone._values.ndim == 1 else got._values[r]) \
+                    == bits(alone._values), (kind, r)
+
+
+def test_stacked_products_build_no_operator_per_trial():
+    # n = 6: four trials of vectors meet through their term lists; the peak
+    # stays below one 2^n x 2^n operator, where the kernels this replaced
+    # built one such operator per trial
     xs, ys = draws(SIGNED6, 1, 4, 5), draws(SIGNED6, 1, 4, 6)
     a, b = Multivector.stack(xs), Multivector.stack(ys)
-    a.geometric(b)
-    tracemalloc.start()
-    try:
-        a.geometric(b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < _MMAP_THRESHOLD + 8 * np.getbufsize()
+    for kind in PRODUCT_KINDS:
+        product(kind, a, b)  # the term list is built once, outside the peak
+        tracemalloc.start()
+        try:
+            product(kind, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * SIGNED6.size**2, (kind, peak)
 
 
 @pytest.mark.parametrize("metric", [E3, SIGNED6])
-def test_tangent_products_build_each_operator_once_per_chunk(metric, monkeypatch):
-    # the right operator of b serves a's values and its tangent rows alike; at
-    # n = 6, 7 trials make chunks of 3, 3 and 1 trials
-    kernels = _tables(metric).kernels
-    built = []
-    for kind, kernel in kernels.items():
-        for side in ("right", "left"):
-            def counted(x, build=getattr(kernel, side), key=(kind, side)):
-                built.append((key, len(x)))
-                return build(x)
-
-            monkeypatch.setattr(kernel, side, counted)
-    chunks = [len(range(7)[sl]) for sl in _chunks(7, metric.size)]
-    for kind in kernels:
-        for ma, mb in ((2, 0), (0, 2), (2, 2)):
+def test_term_lists_are_built_once_per_key(metric):
+    # a term list is built on the first product of its (kind, grades) and
+    # serves every later one, in every layout: values, tangent rows on
+    # either side, stacks and unstacked operands; building the tables
+    # builds none
+    _terms.cache_clear()
+    _tables(metric)
+    assert _terms.cache_info().currsize == 0
+    for kind in ("geometric", "wedge", "lcontract"):
+        built = []
+        for ma, mb in ((0, 0), (2, 0), (0, 2), (2, 2)):
             xs, ys = draws(metric, 1, 7, 24, ma), draws(metric, 2, 7, 25, mb)
-            for a, b, sizes in ((Multivector.stack(xs), Multivector.stack(ys), chunks),
-                                (xs[0], ys[0], [1])):  # unstacked: a stack of one
-                built.clear()
+            for a, b in ((Multivector.stack(xs), Multivector.stack(ys)), (xs[0], ys[0])):
+                before = _terms.cache_info().misses
                 product(kind, a, b)
-                expected = [((kind, "right"), k) for k in sizes]
-                expected += [((kind, "left"), k) for k in sizes if mb]
-                assert built == expected, (kind, ma, mb, sizes)
+                built.append(_terms.cache_info().misses - before)
+        assert built == [1] + [0] * (len(built) - 1), (kind, built)
 
 
 def test_trial_stack_coefficients_and_linear_maps():
