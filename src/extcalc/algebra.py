@@ -204,8 +204,8 @@ class _Terms:
     lone output fills two columns: numpy sums a single column pairwise.  A
     block whose columns share their i (the geometric product with a dense
     right side) keeps one, (k, 1).  When every sign is 1 or -1 and the list
-    is longer than 3 2^n, j is `signed`: it reads y, -y, or 0 y for the
-    padding, so the signed terms take one gather.  Index arrays stay
+    is long, j is `signed`: it reads y, -y, or 0 y for the padding, so the
+    signed terms take one gather.  Index arrays stay
     C-contiguous and writeable: np.take copies any other index per call."""
 
     __slots__ = ("groups", "gather", "signed")
@@ -221,7 +221,7 @@ class _Terms:
         columns = [np.repeat(outs, 2) if len(outs) == 1 else outs for outs in groups]
         blocks = [[np.take(x[:max(counts[outs].max(), 1)], outs, axis=1) for x in (i, j, s)]
                   for outs in columns]
-        self.signed = (sum(b.size for _, b, _ in blocks) > 3 * size
+        self.signed = (sum(b.size for _, b, _ in blocks) >= 4096  # then y's copies cost less
                        and bool(np.all(np.abs(s[s != 0.0]) == 1.0)))
         for block in blocks:
             if (block[0] == block[0][:, :1]).all():
@@ -273,9 +273,9 @@ def _grade_bits(tables: _Tables, values: np.ndarray, tangents) -> int:
     if len(tables.blades) <= 5:
         return (1 << len(tables.blades)) - 1
     size = values.shape[-1]
-    nonzero = np.any(values.reshape(-1, size), axis=0)
+    nonzero = np.logical_or.reduce(values.reshape(-1, size))
     if tangents is not None:
-        nonzero |= np.any(tangents.reshape(-1, size), axis=0)
+        nonzero |= np.logical_or.reduce(tangents.reshape(-1, size))
     return int(np.bitwise_or.reduce(tables.grade_bits, where=nonzero, initial=0))
 
 
@@ -600,27 +600,28 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
     ys = (b,) if tb is None else (b, _as_stack(tb))
     last = x.shape[0] == b.shape[0] >= 8  # many trials: einsum's loops run along them
     if last:
-        x, ys = np.moveaxis(x, 0, -1), [np.moveaxis(y, 0, -1) for y in ys]
+        x, ys = x.transpose(1, 2, 0), [y.transpose(1, 2, 0) for y in ys]
     at, spread = (1, (..., None)) if last else (2, ...)  # the blade axis, s's trailing axes
     spec = "...kct,...kct->...ct" if last else "...kc,...kc->...c"
     if terms.signed:  # read y, -y or, for the padding, 0 y
-        ys = [(np.expand_dims(y, at) * _UNIT_SIGNS[spread]).reshape(
+        ys = [(y[(slice(None),) * at + (None,)] * _UNIT_SIGNS[spread]).reshape(
             y.shape[:at] + (-1,) + y.shape[at + 1:]) for y in ys]
     sums = [[] for _ in ys]
     for i, j, s in terms.groups:
-        x_i = np.take(x, i, axis=at)
+        x_i = x.take(i, axis=at)
         for n, y in enumerate(ys):
-            y_j = np.take(y, j, axis=at)
+            y_j = y.take(j, axis=at)
             if not terms.signed:
                 y_j *= s[spread]
-            value_row = x_i[:1] if last else x_i[:, :1]
-            sums[n].append(np.einsum(spec, value_row if n else x_i, y_j))
+            if n:  # tb meets the value row alone
+                x_i = x_i[:1] if last else x_i[:, :1]
+            sums[n].append(np.einsum(spec, x_i, y_j))
             del y_j  # one gathered block alive at a time
     outs = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=at) for parts in sums]
     if terms.gather is not None:
-        outs = [np.take(out, terms.gather, axis=at) for out in outs]
+        outs = [out.take(terms.gather, axis=at) for out in outs]
     if last:
-        outs = [np.ascontiguousarray(np.moveaxis(out, -1, 0)) for out in outs]
+        outs = [np.ascontiguousarray(out.transpose(2, 0, 1)) for out in outs]
     values, tangents = outs[0], None
     if ta is not None:  # the value row first, then the tangent rows
         values, tangents = values[:, :1], values[:, 1:]

@@ -36,7 +36,9 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+# np.linalg.det's own gufunc, without the wrapper's checks (about 3 us of 5 per
+# small float matrix): the same LAPACK LU, so the same bits
+from numpy.linalg._umath_linalg import det as _det
 
 from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _check_grade,
                       _check_metric, _check_operand, _compound, _coordinate_rows, _tables,
@@ -48,9 +50,6 @@ INVERTIBLE_MIN_DET = 0.1  # random_invertible's least |det|
 _SHIFTS = {n: np.eye(n) - 0.5 for n in range(2, MAX_DIM + 1)}  # its I - 1/2, read-only
 for _shift in _SHIFTS.values():
     _shift.setflags(write=False)
-# np.linalg.det's own gufunc, without the wrapper's checks (about 3 us of 5 per
-# n x n float matrix): the same LAPACK LU, so the same bits
-_det = _umath_linalg.det
 
 
 class Extensor:
