@@ -598,7 +598,8 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
     a, b = _as_stack(a), _as_stack(b)
     x = a if ta is None else np.concatenate((a, _as_stack(ta)), axis=1)
     ys = (b,) if tb is None else (b, _as_stack(tb))
-    last = x.shape[0] == b.shape[0] >= 8  # many trials: einsum's loops run along them
+    # trials that outnumber the blades go last, for einsum's loops to run along them
+    last = x.shape[0] == b.shape[0] > b.shape[-1]
     if last:
         x, ys = x.transpose(1, 2, 0), [y.transpose(1, 2, 0) for y in ys]
     at, spread = (1, (..., None)) if last else (2, ...)  # the blade axis, s's trailing axes

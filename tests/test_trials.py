@@ -128,8 +128,9 @@ def test_mixed_grade_trials_are_each_trials_product_bit_for_bit(metric):
     # each trial of every layout is still its product alone, byte for byte,
     # signed zeros included
     n, rng = metric.dim, np.random.default_rng(60 + metric.dim)
-    lefts = [(1,), (1, 2), (2, 3), (0,), (n - 1,), (), (1, n), (3,)]
-    rights = [(1,), (2,), (1, 3), (2,), (1,), (3,), (0, 2), (3,)]
+    # nine trials: at n = 3 they outnumber the blades, the kernel's other layout
+    lefts = [(1,), (1, 2), (2, 3), (0,), (n - 1,), (), (1, n), (3,), (2,)]
+    rights = [(1,), (2,), (1, 3), (2,), (1,), (3,), (0, 2), (3,), (1, 2)]
     trials = len(lefts)
 
     def side(grade_sets, rows):
