@@ -33,12 +33,12 @@ terms
 
 so every product doubles as an exact forward-mode derivative rule.  The
 scalar product is one weighted dot per row, c_0 = a . (b w) for the blade
-weights w.  A single coefficient
-of a multivector with a tangent block is a grade-0 jet: a multivector whose
-slot 0 holds the coefficient and whose tangent column 0 holds that
-coefficient's tangents.  A jet scales a multivector through the geometric
-product, which applies the product rule, so the smooth scalar maps of
-extcalc.dual, lifted to jets, compose with the products.
+weights w.  A single coefficient of a multivector with a tangent block is a
+grade-0 jet: a multivector whose slot 0 holds the coefficient and whose
+tangent column 0 holds that coefficient's tangents.  A jet scales a
+multivector through the geometric product, which applies the product rule,
+so the smooth scalar maps of extcalc.dual, lifted to jets, compose with the
+products.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -205,8 +205,8 @@ class _Terms:
     block whose columns share their i (the geometric product with a dense
     right side) keeps one, (k, 1).  When every sign is 1 or -1 and the list
     is long, j is `signed`: it reads y, -y, or 0 y for the padding, so the
-    signed terms take one gather.  Index arrays stay
-    C-contiguous and writeable: np.take copies any other index per call."""
+    signed terms take one gather.  Index arrays stay C-contiguous and
+    writeable: np.take copies any other index per call."""
 
     __slots__ = ("groups", "gather", "signed")
 
@@ -588,18 +588,16 @@ class Multivector:
 def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
     """(values, tangents) of a product through its term list, for value
     arrays whose leading axes broadcast and their tangent blocks or None.
-
-    Output o sums x[..., i] * (s * y[..., j]) over its terms, for x a's
-    value row and tangent rows, and y b and then tb, which meets the value
-    row alone.  einsum (numpy's own loops, no BLAS) adds one row of a
-    group's block at a time from +0.0, over columns of at least two
-    outputs: a sequential sum in increasing i."""
+    Output o sums x[..., i] * (s * y[..., j]) over its terms, for x a's value
+    row and tangent rows, and y b and then tb, which meets the value row
+    alone.  einsum (numpy's own loops, no BLAS) adds one row of a group's
+    block at a time from +0.0, over columns of at least two outputs: a
+    sequential sum in increasing i."""
     ndim = max(a.ndim, b.ndim)
     a, b = _as_stack(a), _as_stack(b)
     x = a if ta is None else np.concatenate((a, _as_stack(ta)), axis=1)
     ys = (b,) if tb is None else (b, _as_stack(tb))
-    # trials that outnumber the blades go last, for einsum's loops to run along them
-    last = x.shape[0] == b.shape[0] > b.shape[-1]
+    last = x.shape[0] == b.shape[0] > b.shape[-1]  # trials outnumber blades: einsum runs along them
     if last:
         x, ys = x.transpose(1, 2, 0), [y.transpose(1, 2, 0) for y in ys]
     at, spread = (1, (..., None)) if last else (2, ...)  # the blade axis, s's trailing axes

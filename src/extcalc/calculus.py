@@ -19,9 +19,7 @@ differences, an independent reference that never seeds a tangent: per band,
 it stacks all 2m perturbed points X + step*w*d_r and X - step*w*d_r of each
 variable the band moves into one batched argument (a point batch of 2m
 rows, see extcalc.algebra) and evaluates the function once.  So the default
-bands evaluate it once per variable: one batch over all of them would make
-every product of two variables a product of two batches, one gemv per row
-pair instead of one gemm for all rows.
+bands evaluate it once per variable.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum

@@ -1102,8 +1102,7 @@ def test_every_product_route_matches_loop_reference(n):
 
 def test_n8_products_hold_one_gathered_block_at_a_time():
     # a dense n = 8 product gathers at most one (4^n) block of the right
-    # side's terms at a time, for its values or for its tangent rows; the
-    # dense operators it replaces took one such block per side and trial
+    # side's terms at a time, for its values or for its tangent rows
     metric = Metric(8, _SIGNED_DIAG)
     rng = np.random.default_rng(8)
     x, y, dx, dy = (Multivector(metric, rng.uniform(-1.0, 1.0, metric.size)) for _ in range(4))

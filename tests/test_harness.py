@@ -584,8 +584,8 @@ def test_failing_witness_is_the_worst_trials_inputs(monkeypatch):
     results = run_suite(HarnessConfig(trials=3, seed=5, tol_exact=1e-30, tol_fd=1e-30))
     failed = [r for r in results if not r.passed]
     # at this seed seven identities come out exact on every trial (max_dev
-    # 0.0), adjoint-image-directional among them since products became
-    # sequential sums in blade order; every other identity fails
+    # 0.0), adjoint-image-directional among them: its two sides round alike
+    # there; every other identity fails
     assert [r.identity for r in failed] == [r.identity for r in results if r.max_deviation > 0.0]
     assert len(failed) >= 29
     for r in failed:

@@ -169,8 +169,7 @@ def test_mixed_grade_trials_are_each_trials_product_bit_for_bit(metric):
 
 def test_stacked_products_build_no_operator_per_trial():
     # n = 6: four trials of vectors meet through their term lists; the peak
-    # stays below one 2^n x 2^n operator, where the kernels this replaced
-    # built one such operator per trial
+    # stays below one dense 2^n x 2^n operator
     xs, ys = draws(SIGNED6, 1, 4, 5), draws(SIGNED6, 1, 4, 6)
     a, b = Multivector.stack(xs), Multivector.stack(ys)
     for kind in PRODUCT_KINDS:
