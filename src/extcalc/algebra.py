@@ -24,21 +24,26 @@ Fontijne & Mann, Geometric Algebra for Computer Science, 2007, ch. 22).
 With e_i * e_j = S[i, j] e_(i^j) for a product's sign-and-weight table S,
 the term list of a kind and two grade supports holds every structurally
 nonzero pair (i, j, s = S[i, j]) of those grades: a grade-k wedge with a
-vector has C(n, k) (n - k).  A product reads its operands' grades (every
-grade at n <= 4), builds the list on first use and sums over each output o's
-terms
+vector has C(n, k) (n - k).  The grades are known before the data is seen:
+a multivector the library builds carries the grades its rows may be
+nonzero on, NaN included (_grade_bits) -- a product those its term list
+reaches, a map's image the target grade, a sum the union -- and one from
+the public constructor is scanned once, when first asked.  A product reads
+its operands' grades (every grade at n <= 4), builds the list on first use
+and sums over each output o's terms
 
     value    c[o]  = sum a_i (s b_j)
     tangent  tc[o] = sum ta_i (s b_j) + sum a_i (s tb_j)
 
-so every product doubles as an exact forward-mode derivative rule.  The
-scalar product is one weighted dot per row, c_0 = a . (b w) for the blade
-weights w.  A single coefficient of a multivector with a tangent block is a
-grade-0 jet: a multivector whose slot 0 holds the coefficient and whose
-tangent column 0 holds that coefficient's tangents.  A jet scales a
-multivector through the geometric product, which applies the product rule,
-so the smooth scalar maps of extcalc.dual, lifted to jets, compose with the
-products.
+so every product doubles as an exact forward-mode derivative rule.  An
+output without terms is zero, beside NaN or inf too, so the grades a
+product carries hold.  The scalar product is one weighted dot per row,
+c_0 = a . (b w) for the blade weights w.  A single coefficient of a
+multivector with a tangent block is a grade-0 jet: a multivector whose slot
+0 holds the coefficient and whose tangent column 0 holds that coefficient's
+tangents.  A jet scales a multivector through the geometric product, which
+applies the product rule, so the smooth scalar maps of extcalc.dual, lifted
+to jets, compose with the products.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -78,7 +83,8 @@ All values are immutable after construction and every operation is pure.
 Every layer checks its inputs with the same two rules: _check_metric (one
 metric for all operands, maps and frames) and _check_operand (a fixed operand
 is one unbatched homogeneous multivector without a tangent block, or a trial
-stack of them).
+stack of them); is_homogeneous answers from the carried grades when they
+settle it.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, isfinite
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -200,20 +207,25 @@ class _Terms:
     as many terms, column c the terms of one output in increasing i, padded
     at its end to k with terms of sign 0.  The groups' column sums, side by
     side, hold every output at `gather` (None when they are all outputs in
-    mask order), an output without terms at a column of padding alone.  A
+    mask order), an output without terms at column `padding` (None when
+    every output has terms), a column of padding alone, which the kernel
+    sets to zero: a padding term is a zero only beside finite operands.  A
     lone output fills two columns: numpy sums a single column pairwise.  A
     block whose columns share their i (the geometric product with a dense
     right side) keeps one, (k, 1).  When every sign is 1 or -1 and the list
     is long, j is `signed`: it reads y, -y, or 0 y for the padding, so the
     signed terms take one gather.  Index arrays stay C-contiguous and
-    writeable: np.take copies any other index per call."""
+    writeable: np.take copies any other index per call.  `bits` sets the
+    grades of the outputs with terms: the grades a product can reach."""
 
-    __slots__ = ("groups", "gather", "signed")
+    __slots__ = ("groups", "gather", "padding", "signed", "bits")
 
-    def __init__(self, i, j, s):
+    def __init__(self, i, j, s, grade_bits):
         """From (rows, 2^n) blocks whose column o holds output o's nonzero
-        terms first, in increasing i, and terms of sign 0 below them."""
+        terms first, in increasing i, and terms of sign 0 below them, and
+        the grade bit of each output."""
         counts = np.count_nonzero(s, axis=0)
+        self.bits = int(np.bitwise_or.reduce(grade_bits, where=counts > 0, initial=0))
         size, groups = len(counts), _padded_groups(counts)
         absent = np.flatnonzero(counts == 0)
         if len(absent):  # one column of padding for every output without terms
@@ -230,6 +242,7 @@ class _Terms:
                 block[1] = np.where(block[2] == 0.0, 2 * size, block[1] + size * (block[2] < 0.0))
         self.groups = [tuple(block) for block in blocks]
         where = np.concatenate(columns)  # the output of each column
+        self.padding = int(np.flatnonzero(where == absent[0])[0]) if len(absent) else None
         self.gather = None
         if len(where) != size or np.any(where != np.arange(size)):
             self.gather = np.empty(size, dtype=np.intp)
@@ -264,19 +277,29 @@ def _terms(metric: Metric, kind: str, grades_a: int, grades_b: int) -> _Terms:
     s[tables.grade_bits[j] & grades_b == 0] = 0.0
     order = np.argsort(s == 0.0, axis=0, kind="stable")  # each output's terms first
     j, s = np.take_along_axis(j, order, 0), np.take_along_axis(s, order, 0)
-    return _Terms(i[order, 0], j, s)
+    return _Terms(i[order, 0], j, s, tables.grade_bits)
 
 
-def _grade_bits(tables: _Tables, values: np.ndarray, tangents) -> int:
-    """Bit g set when a value, batch, trial or tangent row is nonzero (NaN
-    included) on a grade-g mask; every grade up to n = 4, where that is cheaper."""
-    if len(tables.blades) <= 5:
-        return (1 << len(tables.blades)) - 1
-    size = values.shape[-1]
-    nonzero = np.logical_or.reduce(values.reshape(-1, size))
-    if tangents is not None:
-        nonzero |= np.logical_or.reduce(tangents.reshape(-1, size))
-    return int(np.bitwise_or.reduce(tables.grade_bits, where=nonzero, initial=0))
+def _grade_bits(x: "Multivector") -> int:
+    """Bit g set when a value, batch, trial or tangent row of x may be
+    nonzero (NaN included) on a grade-g mask: the grades x carries, which
+    the operation that made it knew, or else one scan of its rows, which x
+    keeps (it is immutable)."""
+    bits = x._bits
+    if bits is None:
+        size = x.metric.size
+        nonzero = np.logical_or.reduce(x._values.reshape(-1, size))
+        if x._tangents is not None:
+            nonzero |= np.logical_or.reduce(x._tangents.reshape(-1, size))
+        bits = int(np.bitwise_or.reduce(_tables(x.metric).grade_bits, where=nonzero, initial=0))
+        _set_bits(x, bits)
+    return bits
+
+
+def _union(*xs: "Multivector"):
+    """The grades carried by any of the multivectors; None when one carries none."""
+    bits = [x._bits for x in xs]
+    return None if None in bits else reduce(or_, bits)
 
 
 _BATCH_WITH_TANGENTS = "a batched multivector cannot carry or meet a tangent block"
@@ -305,9 +328,11 @@ class Multivector:
     """Immutable element of the full algebra: a value array with one
     coefficient per basis blade, plus an optional (m, 2^n) tangent block;
     or a batch of B elements, a (B, 2^n) value array without tangents; or a
-    trial stack of T of either, (T, P, 2^n) values (see the module notes)."""
+    trial stack of T of either, (T, P, 2^n) values (see the module notes).
+    `_bits` holds the grades its rows may be nonzero on (_grade_bits), or
+    None while they are unknown."""
 
-    __slots__ = ("metric", "_values", "_tangents")
+    __slots__ = ("metric", "_values", "_tangents", "_bits")
     __array_ufunc__ = None  # ndarray * Multivector defers to __rmul__
 
     def __init__(self, metric: Metric, coeffs: Iterable[float]):
@@ -320,12 +345,15 @@ class Multivector:
         _set_metric(self, metric)
         _set_values(self, values)
         _set_tangents(self, None)
+        _set_bits(self, None)
 
     @classmethod
-    def _raw(cls, metric: Metric, values: np.ndarray, tangents=None) -> "Multivector":
+    def _raw(cls, metric: Metric, values: np.ndarray, tangents=None, bits=None) -> "Multivector":
         """Internal constructor for arrays this module owns and never mutates;
         the one place that keeps a batch and a tangent block apart.  A
-        (T, 1, 2^n) trial stack takes a (T, m, 2^n) block."""
+        (T, 1, 2^n) trial stack takes a (T, m, 2^n) block.  `bits`, when
+        the caller knows them, must set every grade on which any row may be
+        nonzero or NaN: a missing grade drops a product's terms."""
         if tangents is not None and not (
             (values.ndim == 1 and tangents.ndim == 2)
             or (values.ndim == tangents.ndim == 3 and values.shape[1] == 1
@@ -336,6 +364,7 @@ class Multivector:
         _set_metric(out, metric)
         _set_values(out, values)
         _set_tangents(out, tangents)
+        _set_bits(out, bits)
         return out
 
     def __setattr__(self, name, value):
@@ -345,7 +374,7 @@ class Multivector:
 
     @classmethod
     def zero(cls, metric: Metric) -> "Multivector":
-        return cls._raw(metric, np.zeros(metric.size))
+        return cls._raw(metric, np.zeros(metric.size), bits=0)
 
     @classmethod
     def from_scalar(cls, metric: Metric, s) -> "Multivector":
@@ -377,10 +406,10 @@ class Multivector:
         values = np.stack([x._values for x in rows])[:, None, :]
         blocks = [x._tangents for x in rows]
         if all(t is None for t in blocks):
-            return cls._raw(metric, values)
+            return cls._raw(metric, values, bits=_union(*rows))
         if any(t is None or t.shape != blocks[0].shape for t in blocks):
             raise ValueError("stacked rows must all carry tangent blocks of one shape, or none")
-        return cls._raw(metric, values, np.stack(blocks))
+        return cls._raw(metric, values, np.stack(blocks), _union(*rows))
 
     # -- structure ---------------------------------------------------------
 
@@ -435,7 +464,7 @@ class Multivector:
         for d in directions:
             _check_metric(self.metric, d.metric)
         block = np.stack([d._values for d in directions])
-        return Multivector._raw(self.metric, self._values, block)
+        return Multivector._raw(self.metric, self._values, block, _union(self, *directions))
 
     def _support(self) -> np.ndarray:
         """Masks nonzero anywhere: in the value, a tangent row, a batch row or
@@ -458,8 +487,13 @@ class Multivector:
     def is_homogeneous(self, grade: int) -> bool:
         """True when supported on grade `grade` only (the zero element counts):
         no value, batch row or tangent row is nonzero (NaN included) on a mask
-        of another grade.  A grade out of range leaves every mask off-grade."""
-        off = _tables(self.metric).off_grade.get(grade, slice(None))
+        of another grade.  A grade out of range leaves every mask off-grade.
+        Carried grades within {grade} answer without a scan."""
+        off = _tables(self.metric).off_grade.get(grade)
+        if off is None:
+            off = slice(None)
+        elif self._bits is not None and not self._bits & ~(1 << int(grade)):
+            return True
         if np.count_nonzero(self._values[..., off]):
             return False
         return self._tangents is None or not np.count_nonzero(self._tangents[..., off])
@@ -479,6 +513,7 @@ class Multivector:
             self.metric,
             self._values + other._values,
             _sum_tangents(self._tangents, other._tangents),
+            _union(self, other),
         )
 
     __radd__ = __add__
@@ -493,19 +528,22 @@ class Multivector:
             return NotImplemented
         return -self + other
 
-    def _map_rows(self, f) -> "Multivector":
+    def _map_rows(self, f, bits) -> "Multivector":
         """f applied alike to the value rows and to the tangent rows: a map
-        of (..., 2^n) arrays that acts on each row on its own."""
+        of (..., 2^n) arrays that acts on each row on its own; the result
+        carries `bits` (Multivector._raw)."""
         t = self._tangents
-        return Multivector._raw(self.metric, f(self._values), None if t is None else f(t))
+        return Multivector._raw(self.metric, f(self._values), None if t is None else f(t), bits)
 
     def __neg__(self):
-        return self._map_rows(np.negative)
+        return self._map_rows(np.negative, self._bits)
 
     def _scaled(self, factor):
         # an array holds one factor per batch row, (B,), or per trial, (T, P)
         factor = factor[..., None] if isinstance(factor, np.ndarray) else float(factor)
-        return self._map_rows(lambda rows: factor * rows)
+        # inf or NaN times a zero coefficient is NaN: the grades are no longer known
+        finite = np.isfinite(factor).all() if isinstance(factor, np.ndarray) else isfinite(factor)
+        return self._map_rows(lambda rows: factor * rows, self._bits if finite else None)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -533,11 +571,12 @@ class Multivector:
     def grade_project(self, grade: int) -> "Multivector":
         _check_grade(self.metric.dim, grade)
         keep = _tables(self.metric).grades == grade
-        return self._map_rows(lambda rows: np.where(keep, rows, 0.0))
+        bits = None if self._bits is None else self._bits & 1 << int(grade)
+        return self._map_rows(lambda rows: np.where(keep, rows, 0.0), bits)
 
     def reverse(self) -> "Multivector":
         signs = _tables(self.metric).reverse_signs
-        return self._map_rows(lambda rows: signs * rows)
+        return self._map_rows(lambda rows: signs * rows, self._bits)
 
     # -- products ----------------------------------------------------------
 
@@ -551,11 +590,14 @@ class Multivector:
             raise ValueError(_BATCH_WITH_TANGENTS)
         if kind == "scalar":
             values, tangents = _scalar_product(tables.weight, a, b, ta, tb)
+            return Multivector._raw(self.metric, values, tangents, 1)
+        if len(tables.blades) <= 5:  # every grade up to n = 4: the whole table costs less there
+            grades_a = grades_b = (1 << len(tables.blades)) - 1
         else:
-            terms = _terms(self.metric, kind, _grade_bits(tables, a, ta),
-                           _grade_bits(tables, b, tb))
-            values, tangents = _term_product(terms, a, b, ta, tb)
-        return Multivector._raw(self.metric, values, tangents)
+            grades_a, grades_b = _grade_bits(self), _grade_bits(other)
+        terms = _terms(self.metric, kind, grades_a, grades_b)
+        values, tangents = _term_product(terms, a, b, ta, tb)
+        return Multivector._raw(self.metric, values, tangents, terms.bits)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         return self._product("geometric", other)
@@ -617,6 +659,9 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
             sums[n].append(np.einsum(spec, x_i, y_j))
             del y_j  # one gathered block alive at a time
     outs = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=at) for parts in sums]
+    if terms.padding is not None:  # zero beside NaN or inf too, as the grades carried say
+        for out in outs:
+            out[(slice(None),) * at + (terms.padding,)] = 0.0
     if terms.gather is not None:
         outs = [out.take(terms.gather, axis=at) for out in outs]
     if last:
@@ -659,6 +704,7 @@ def _at_scalar(column: np.ndarray, size: int) -> np.ndarray:
 _set_metric = Multivector.metric.__set__
 _set_values = Multivector._values.__set__
 _set_tangents = Multivector._tangents.__set__
+_set_bits = Multivector._bits.__set__
 
 
 def _check_metric(metric: Metric, other: Metric):
@@ -691,9 +737,10 @@ def _rows(x: Multivector) -> np.ndarray:
     return values[:, 0] if values.ndim == 3 else values
 
 
-def _trial_rows(metric: Metric, rows: np.ndarray) -> Multivector:
-    """The multivector of one (2^n,) value, or the trial stack of (T, 2^n) values."""
-    return Multivector._raw(metric, rows[:, None] if rows.ndim == 2 else rows)
+def _trial_rows(metric: Metric, rows: np.ndarray, bits=None) -> Multivector:
+    """The multivector of one (2^n,) value, or the trial stack of (T, 2^n)
+    values, carrying `bits` (Multivector._raw)."""
+    return Multivector._raw(metric, rows[:, None] if rows.ndim == 2 else rows, bits=bits)
 
 
 def _check_mask(metric: Metric, mask: int):
@@ -721,7 +768,7 @@ def _blade(metric: Metric, mask: int, coeff, column=None) -> Multivector:
     if column is not None:
         tangents = np.zeros(column.shape + (metric.size,))
         tangents[..., mask] = column
-    return Multivector._raw(metric, values, tangents)
+    return Multivector._raw(metric, values, tangents, 1 << int(mask).bit_count())
 
 
 def _jet_parts(jet: Multivector) -> tuple:
@@ -845,7 +892,7 @@ def _laplace_index(dim: int, grade: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return entries, minors, signs
 
 
-def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
+def _compound(matrix: np.ndarray, grade: int, cascade: list | None = None) -> np.ndarray:
     """The grade-th compound of an n x n matrix, or of each matrix of a
     (T, n, n) trial stack: entry (I, J) is its minor on the generator sets
     of the I-th and J-th grade-`grade` blades.  The k-th compound comes from
@@ -853,21 +900,30 @@ def _compound(matrix: np.ndarray, grade: int) -> np.ndarray:
     gather, a multiply by the cofactor signs and a sum over the k rows, with
     no pivoting and no division; on a diagonal minor that is the diagonal's
     product in order, the wedge loop's bits.  Grade 0 is [[1.0]] and grade 1
-    a copy of the matrix."""
+    a copy of the matrix.  `cascade`, a list of the matrix's compounds of
+    grades 1, 2, ... built so far (grade 1 the matrix), is extended in place
+    up to `grade`: each compound of a matrix is built once."""
     n = matrix.shape[-1]
     _check_grade(n, grade)
     lead = matrix.shape[:-2]  # a trial stack's compounds, one per trial
     if grade == 0:
         return np.ones(lead + (1, 1))
-    compound = np.array(matrix, dtype=float)
-    flat = matrix.reshape(lead + (-1,))
-    for k in range(2, grade + 1):
-        entries, minors, signs = _laplace_index(n, k)
-        terms = np.take(flat, entries, axis=-1)
-        terms *= np.take(compound.reshape(lead + (-1,)), minors, axis=-1)
-        terms *= signs
-        compound = terms.sum(axis=-2)
-    return compound
+    if cascade is None:
+        cascade = [np.array(matrix, dtype=float)]
+    for k in range(len(cascade) + 1, grade + 1):
+        cascade.append(_laplace_step(matrix, cascade[-1], k))
+    return cascade[grade - 1]
+
+
+def _laplace_step(matrix: np.ndarray, smaller: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound of the matrix (of each matrix of a stack) from its
+    (k-1)-th, `smaller`."""
+    lead = matrix.shape[:-2]
+    entries, minors, signs = _laplace_index(matrix.shape[-1], k)
+    terms = np.take(matrix.reshape(lead + (-1,)), entries, axis=-1)
+    terms *= np.take(smaller.reshape(lead + (-1,)), minors, axis=-1)
+    terms *= signs
+    return terms.sum(axis=-2)
 
 
 def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
@@ -885,17 +941,42 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
         _check_metric(metric, v.metric)
         if _is_batch(v) or not v.is_homogeneous(1):
             raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
+    coords = _coordinate_rows(vectors, _tables(metric).blades[1])
+    recip = _vector_rows(metric, _reciprocal_coordinates(metric, coords))
+    return [_trial_rows(metric, recip[..., k, :], 2) for k in range(n)]
+
+
+def _reciprocal_coordinates(metric: Metric, coords: np.ndarray) -> np.ndarray:
+    """Grade-1 coordinates of the reciprocal frame, row k of f^k, of the
+    frame whose row k holds f_k's: the inverse Gram matrix times coords,
+    (n, n), or (T, n, n) for a trial stack of frames; DegenerateFrameError
+    when the frame is (numerically) dependent."""
     tables = _tables(metric)
-    grade1 = tables.blades[1]
-    coords = _coordinate_rows(vectors, grade1)
-    gram = (coords * tables.weight[grade1]) @ np.swapaxes(coords, -1, -2)
+    gram = (coords * tables.weight[tables.blades[1]]) @ np.swapaxes(coords, -1, -2)
     # conditioning, not det size, so that a frame and its scaled copies agree
     sv = np.linalg.svd(gram, compute_uv=False)
     if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
         raise DegenerateFrameError("frame vectors are (numerically) dependent")
-    recip = np.zeros(coords.shape[:-1] + (metric.size,))
-    recip[..., grade1] = np.linalg.inv(gram) @ coords
-    return [_trial_rows(metric, recip[..., k, :]) for k in range(n)]
+    return np.linalg.inv(gram) @ coords
+
+
+def _frame_rows(metric: Metric, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, reciprocal vectors), (n, 2^n) value rows each, of the frame
+    of the images h(e_k) of the coordinate basis under the (1,1) map of an
+    n x n matrix; (T, n, 2^n) each for a (T, n, n) stack of matrices.
+    h(e_k) is column k of the matrix, exactly, so the rows are bit for bit
+    those of Frame.from_vectors of the images."""
+    coords = np.ascontiguousarray(np.swapaxes(matrix, -1, -2))  # the rows from_vectors stacks
+    recip = _reciprocal_coordinates(metric, coords)
+    return _vector_rows(metric, coords), _vector_rows(metric, recip)
+
+
+def _vector_rows(metric: Metric, coords: np.ndarray) -> np.ndarray:
+    """(..., n, 2^n) value rows of the vectors whose grade-1 coordinates are
+    the rows of the (..., n, n) coords."""
+    rows = np.zeros(coords.shape[:-1] + (metric.size,))
+    rows[..., _tables(metric).blades[1]] = coords
+    return rows
 
 
 def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
@@ -917,10 +998,19 @@ class Frame:
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cascades", ([], []))  # compounds, primal and reciprocal
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Multivector]) -> "Frame":
         return cls(tuple(vectors), tuple(reciprocal_frame(vectors)))
+
+    @classmethod
+    def _of_rows(cls, metric: Metric, primal: np.ndarray, recip: np.ndarray) -> "Frame":
+        """The frame whose vector (reciprocal vector) k has values primal[...,
+        k, :] (recip[..., k, :]), of shape (n, 2^n), or (T, n, 2^n) for a
+        trial stack of frames."""
+        return cls(*(tuple(_trial_rows(metric, rows[..., k, :], 2) for k in range(metric.dim))
+                     for rows in (primal, recip)))
 
     @classmethod
     def orthonormal(cls, metric: Metric) -> "Frame":
@@ -939,17 +1029,21 @@ class Frame:
         vectors has the k x k minors of their coordinates as its
         coefficients, so each array is a compound of a coordinate matrix."""
         if grade not in self._cache:
-            masks = _tables(self.metric).blades
-            pair = []
-            for vectors in (self.vectors, self.reciprocal):
-                # _compound rejects a grade out of range before masks[grade] is read
-                minors = _compound(_coordinate_rows(vectors, masks[1]), grade)
-                blades = np.zeros(minors.shape[:-1] + (self.metric.size,))
-                blades[..., masks[grade]] = minors
-                blades.flags.writeable = False
-                pair.append(blades)
-            self._cache[grade] = tuple(pair)
+            self._cache[grade] = (self._blades(0, grade), self._blades(1, grade))
         return self._cache[grade]
+
+    def _blades(self, side: int, grade: int) -> np.ndarray:
+        """blades(grade)[side], the primal (0) or reciprocal (1) ones, from
+        the side's compounds, each grade built once from the one below."""
+        masks, cascade = _tables(self.metric).blades, self._cascades[side]
+        if not cascade:  # the coordinate matrix, the compound of grade 1
+            cascade.append(_coordinate_rows((self.vectors, self.reciprocal)[side], masks[1]))
+        # _compound rejects a grade out of range before masks[grade] is read
+        minors = _compound(cascade[0], grade, cascade)
+        blades = np.zeros(minors.shape[:-1] + (self.metric.size,))
+        blades[..., masks[grade]] = minors
+        blades.flags.writeable = False
+        return blades
 
 
 @lru_cache(maxsize=None)
@@ -977,4 +1071,4 @@ def random_multivector(metric: Metric, grade: int, rng) -> Multivector:
     values = np.zeros(metric.size)
     masks = _tables(metric).blades[grade]
     values[masks] = _uniform(_as_rng(rng).random(len(masks)))
-    return Multivector._raw(metric, values)
+    return Multivector._raw(metric, values, bits=1 << grade)

@@ -57,8 +57,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (Frame, Multivector, _as_stack, _check_metric, _check_operand, _rows,
-                      _trial_rows, product_sum)
+from .algebra import (Frame, Multivector, _as_stack, _check_metric, _check_operand,
+                      _grade_bits, _rows, _trial_rows, _union, product_sum)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -113,7 +113,7 @@ def _select(x, rows):
     if x is None or x._values.ndim != 3:
         return x
     t = x._tangents
-    return Multivector._raw(x.metric, x._values[rows], None if t is None else t[rows])
+    return Multivector._raw(x.metric, x._values[rows], None if t is None else t[rows], x._bits)
 
 
 def _merged(parts: list):
@@ -134,7 +134,8 @@ def _merged(parts: list):
     values = scatter([(rows, _as_stack(part._values)) for rows, part in parts])
     blocks = [(rows, _as_stack(part._tangents)) for rows, part in parts
               if part._tangents is not None]
-    return Multivector._raw(first.metric, values, scatter(blocks, np.zeros) if blocks else None)
+    return Multivector._raw(first.metric, values, scatter(blocks, np.zeros) if blocks else None,
+                            _union(*(part for _, part in parts)))
 
 
 def _per_trial(names, table: dict) -> Callable:
@@ -167,15 +168,17 @@ def _derivative_rows(
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """(b, m, 2^n) derivatives of func along the m rows of the (m, 2^n)
-    `directions` value array, one band per row of the (b, k) `weights`: band
-    c moves every variable slots[j] by weights[c, j] times the direction.
-    The default identity weights give one band per slot, the derivative in
-    that variable alone.  Exactly, it is one forward pass, slot slots[j]
-    seeded with weights[c, j] * directions in tangent rows c*m .. (c+1)*m of
-    b*m; by central differences, one batch of the 2m points x + step*w*d and
-    x + -(step*w*d) per band, in the slots its weights move.  With trial
-    stacks (arguments, (T, b, k) weights or (T, m, 2^n) directions) the
-    rows are (T, b, m, 2^n); an unstacked call runs as a stack of one."""
+    `directions` value array, each of grade func.input_grade (the seeded
+    and moved slots carry that grade and their argument's), one band per
+    row of the (b, k) `weights`: band c moves every variable slots[j] by
+    weights[c, j] times the direction.  The default identity weights give
+    one band per slot, the derivative in that variable alone.  Exactly, it
+    is one forward pass, slot slots[j] seeded with weights[c, j] *
+    directions in tangent rows c*m .. (c+1)*m of b*m; by central
+    differences, one batch of the 2m points x + step*w*d and x +
+    -(step*w*d) per band, in the slots its weights move.  With trial stacks
+    (arguments, (T, b, k) weights or (T, m, 2^n) directions) the rows are
+    (T, b, m, 2^n); an unstacked call runs as a stack of one."""
     metric = args[slots[0]].metric
     m, size = directions.shape[-2], metric.size
     if weights is None:
@@ -184,14 +187,18 @@ def _derivative_rows(
     stacks += [len(x) for x in (weights, directions) if x.ndim == 3]
     trials = max(stacks, default=1)  # an unstacked call is a trial stack of one
     bands = weights.shape[-2]
+    # the moved slots carry their argument's grades and the directions' one,
+    # or every grade where a weight of inf or NaN makes NaN of the zeros
+    grade = 1 << func.input_grade if np.isfinite(weights).all() else (2 << metric.dim) - 1
     if step is None:
         seeded = list(args)
         for j, i in enumerate(slots):
             block = weights[..., j, None, None] * directions[..., None, :, :]
-            block = np.broadcast_to(block, (trials,) + block.shape[-3:])
+            block = _broadcast(block, (trials,) + block.shape[-3:])
             values = _as_stack(args[i]._values)  # a point batch fails in _raw
-            values = np.broadcast_to(values, (trials,) + values.shape[1:])
-            seeded[i] = Multivector._raw(metric, values, block.reshape(trials, -1, size))
+            values = _broadcast(values, (trials,) + values.shape[1:])
+            block = block.reshape(trials, -1, size)
+            seeded[i] = Multivector._raw(metric, values, block, _grade_bits(args[i]) | grade)
         block = func(*seeded)._tangents
         if block is None:  # func ignores every seeded slot
             block = np.zeros((trials, bands * m, size))
@@ -208,12 +215,19 @@ def _derivative_rows(
                 if w.any():
                     x, moves = _as_stack(args[i]._values), w[..., None, None] * steps
                     batched[i] = Multivector._raw(
-                        metric, np.concatenate([x + moves, x + -moves], axis=-2))
+                        metric, np.concatenate([x + moves, x + -moves], axis=-2),
+                        bits=_grade_bits(args[i]) | grade)
             # an evaluator that ignores the moved slots returns one unbatched value
-            out = np.broadcast_to(func(*batched)._values, (trials, 2 * m, size))
+            out = _broadcast(func(*batched)._values, (trials, 2 * m, size))
             bands_rows.append((out[..., :m, :] - out[..., m:, :]) * (0.5 / step))
         rows = np.stack(bands_rows, axis=-3)
     return rows if stacks else rows[0]
+
+
+def _broadcast(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """np.broadcast_to(x, shape), which costs microseconds even when x has
+    that shape already, and then is x itself."""
+    return x if x.shape == shape else np.broadcast_to(x, shape)
 
 
 def dir_deriv(

@@ -112,7 +112,7 @@ def pseudoscalar_image_functional(
     if frame is None:
         frame = Frame.orthonormal(metric)
     _check_metric(metric, frame.metric)
-    top = frame.blades(metric.dim)[0][..., 0, :]  # f_1 ^ ... ^ f_n, per trial
+    top = frame._blades(0, metric.dim)[..., 0, :]  # f_1 ^ ... ^ f_n, per trial
     scale = scalar_value(pss, _trial_rows(metric, top))
     return blade_image_functional(frame.reciprocal).scaled(scale)
 

@@ -278,7 +278,7 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
     caller has checked x against: one formula for the value, each batch row
     and each tangent row, each a trial stack (of one, unstacked); a
     (T, C(n,q), C(n,p)) matrix or a trial stack x gives the trial stack of
-    images."""
+    images, which carry grade q."""
     tables = _tables(metric)
     src, dst = tables.blades[p], tables.blades[q]
 
@@ -292,7 +292,7 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
         # one map keeps the rows' own layout; a stack of maps makes a stack
         return out if matrix.ndim == 3 else out.reshape(rows.shape)
 
-    return x._map_rows(image)
+    return x._map_rows(image, 1 << q)
 
 
 def _coords(vectors) -> np.ndarray:
@@ -309,15 +309,18 @@ class Outermorphism:
     vectors goes to the wedge of their images; a trial stack of base maps
     extends trial by trial.  On grade k that is the k-th
     compound matrix: entry (I, J) is the minor of the base matrix on rows I
-    and columns J, for I, J the generator sets of two grade-k blades.
+    and columns J, for I, J the generator sets of two grade-k blades.  It
+    keeps the compounds it has built, so grade k after grade j < k costs
+    k - j Laplace steps.
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_cascade")
 
     def __init__(self, base: Extensor):
         if base.p != 1 or base.q != 1:
             raise ValueError("outermorphism extends (1,1) maps only")
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_cascade", [np.array(base.matrix, dtype=float)])
 
     def __setattr__(self, name, value):
         raise AttributeError("Outermorphism is immutable")
@@ -329,6 +332,6 @@ class Outermorphism:
         if len(grades) > 1:
             raise ValueError("argument must be homogeneous")
         k = min(grades, default=0)  # the zero element maps through any grade
-        return _apply_matrix(metric, _compound(self.base.matrix, k), k, k, x)
+        return _apply_matrix(metric, _compound(self.base.matrix, k, self._cascade), k, k, x)
 
     __call__ = apply

@@ -38,7 +38,12 @@ the gradients or, in derivative_via_frame, of the reciprocal frame blades
 with the blade derivatives (blade . anchor weights times the gradients).
 derivative_table and derivative_via_frame both take a sequence of kinds and
 return a {kind: Multivector} dict from one gradient pass; a frame must live
-over the functional's metric, since the blade weights are taken in it.
+over the functional's metric, since the blade weights are taken in it.  A
+functional keeps what it computed at the last map it met, found again by
+identity (a map is immutable): the anchor images t(A^i), and the slot
+gradients of each step, so the exact and finite-difference routes at one
+map map the anchors once, and its star tables over any frames share one
+gradient pass.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -95,6 +100,7 @@ class InducedFunctional:
         if len({r.shape for r in rows}) > 1:  # unstacked anchors join the trial stack
             rows = np.broadcast_arrays(*rows)
         object.__setattr__(self, "_anchor_values", np.stack(rows, axis=-2))
+        object.__setattr__(self, "_last", (None, (), {}))  # see _mapped
 
     @property
     def arity(self) -> int:
@@ -111,8 +117,27 @@ class InducedFunctional:
     def arguments(self, t: Extensor) -> tuple[Multivector, ...]:
         """(t(A^1), ..., t(A^k)), each what t.apply gives; the anchors' grade
         and metric were checked once, in __post_init__ and _check_map."""
-        self._check_map(t)
-        return tuple(_apply_matrix(self.metric, t.matrix, t.p, t.q, a) for a in self.anchors)
+        return self._mapped(t)[0]
+
+    def _mapped(self, t: Extensor) -> tuple:
+        """(arguments, {step: star gradients}) of the last map this
+        functional met, found again by identity: a map is immutable, so the
+        same object has the same images, and one map's star tables, exact or
+        by one step, share one gradient pass (_star_gradients)."""
+        if self._last[0] is not t:
+            self._check_map(t)
+            images = tuple(_apply_matrix(self.metric, t.matrix, t.p, t.q, a) for a in self.anchors)
+            object.__setattr__(self, "_last", (t, images, {}))
+        return self._last[1:]
+
+    def _star_gradients(self, t: Extensor, step: float | None) -> np.ndarray:
+        """The (k, 2^n) slot gradients dF/dX^i at t's images, read-only."""
+        images, known = self._mapped(t)
+        if step not in known:
+            grads = _slot_gradients(self.func, images, range(self.arity), step=step)
+            grads.flags.writeable = False
+            known[step] = grads
+        return known[step]
 
     def evaluate(self, t: Extensor) -> Multivector:
         return self.func(*self.arguments(t))
@@ -168,7 +193,7 @@ class InducedFunctional:
     ) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
         _check_kinds(kinds)
-        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
+        grads = self._star_gradients(t, step)
         sums = product_sum(self.metric, kinds, self.source_grade, self._anchor_values, grads)
         return {kind: _trial_rows(self.metric, s) for kind, s in zip(kinds, sums)}
 
@@ -187,7 +212,7 @@ class InducedFunctional:
         _check_kinds(kinds)
         _check_metric(self.metric, frame.metric)
         primal, recip = frame.blades(self.source_grade)
-        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity))
+        grads = self._star_gradients(t, None)
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J
         sums = product_sum(self.metric, kinds, self.source_grade, recip, rows)
         return {kind: _trial_rows(self.metric, s) for kind, s in zip(kinds, sums)}

@@ -55,6 +55,7 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
+    _frame_rows,
     _tables,
     _uniform,
     blade_name,
@@ -307,14 +308,16 @@ def _check(identity, suite, draw, build, sides, relative=False, tol_key="exact",
 class _DrawnFrame:
     """A drawn frame before it is built: the images of the orthonormal basis
     under a random invertible carrier map, or, with no carrier, the
-    orthonormal frame."""
+    orthonormal frame.  The image h(e_k) is column k of the carrier's
+    matrix, exactly, so the frame is built from the matrix, bit for bit
+    Frame.from_vectors of the images."""
 
     carrier: Extensor | None
 
     def frame(self, ctx: _Context) -> Frame:
         if self.carrier is None:
             return ctx.ortho
-        return Frame.from_vectors([self.carrier(e) for e in ctx.ortho.vectors])
+        return Frame._of_rows(ctx.metric, *_frame_rows(ctx.metric, self.carrier.matrix))
 
 
 class _DrawnMultivector(NamedTuple):
@@ -334,7 +337,8 @@ def _made(ctx: _Context, column, stack: bool):
         u = np.array([d.u for d in column])[:, None] if stack else first.u
         values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
         values[..., first.masks] = _uniform(u)  # one structure: every trial's masks
-        return Multivector._raw(ctx.metric, values)
+        bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[first.masks])
+        return Multivector._raw(ctx.metric, values, bits=int(bits))
     if isinstance(first, _DrawnFrame):
         return _frames(ctx, [f.carrier for f in column]) if stack else first.frame(ctx)
     if isinstance(first, dict):
@@ -355,7 +359,8 @@ def _made(ctx: _Context, column, stack: bool):
 def _frames(ctx: _Context, carriers) -> Frame:
     """The trial stack of drawn frames: the orthonormal frame in the trials
     without a carrier, and in the others the images of the orthonormal basis
-    under the stacked carriers and their reciprocal frames, one call each."""
+    under the stacked carriers, the columns of their matrices, and their
+    reciprocal frames, in one call."""
     metric, ortho = ctx.metric, ctx.ortho
     pair = [
         np.repeat(np.stack([v._values for v in vectors])[None], len(carriers), axis=0)
@@ -363,14 +368,10 @@ def _frames(ctx: _Context, carriers) -> Frame:
     ]
     drawn = [r for r, c in enumerate(carriers) if c is not None]
     if drawn:
-        carrier = Extensor.stack([carriers[r] for r in drawn])
-        frame = Frame.from_vectors([carrier(e) for e in ortho.vectors])
-        for values, vectors in zip(pair, (frame.vectors, frame.reciprocal)):
-            values[drawn] = np.concatenate([v._values for v in vectors], axis=1)
-    return Frame(*(
-        tuple(Multivector._raw(metric, values[:, k, None]) for k in range(metric.dim))
-        for values in pair
-    ))
+        rows = _frame_rows(metric, np.array([carriers[r].matrix for r in drawn]))
+        for values, drawn_rows in zip(pair, rows):
+            values[drawn] = drawn_rows
+    return Frame._of_rows(metric, *pair)
 
 
 # -- random input helpers -------------------------------------------------------

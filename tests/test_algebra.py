@@ -25,6 +25,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
+from extcalc import algebra
 from extcalc.algebra import (_compound, _sum_rows, _tables, _terms, _uniform,
                              product_sum)
 from extcalc.calculus import MvFunction, grad_star
@@ -490,6 +491,52 @@ def test_compound_is_multiplicative(n):
         right = _compound(a, grade) @ _compound(b, grade)
         scale = (np.abs(_compound(a, grade)) @ np.abs(_compound(b, grade))).max()
         assert np.abs(left - right).max() <= 1e-13 * scale, grade
+
+
+def _counting_laplace_steps(monkeypatch) -> list:
+    """The grade of every Laplace step taken from now on, in order."""
+    steps, step = [], algebra._laplace_step
+    monkeypatch.setattr(algebra, "_laplace_step",
+                        lambda matrix, smaller, k: steps.append(k) or step(matrix, smaller, k))
+    return steps
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_compound_after_a_lower_one_takes_only_the_missing_steps(monkeypatch, n):
+    # a cascade keeps the compounds it has built: grade n after grade k is
+    # n - k more Laplace steps, each compound bit for bit _compound's own
+    rng = np.random.default_rng(70 + n)
+    for matrix in (rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (3, n, n))):
+        fresh = [_compound(matrix, grade) for grade in range(n + 1)]
+        steps = _counting_laplace_steps(monkeypatch)
+        for k in range(1, n + 1):
+            cascade = [np.array(matrix)]
+            _compound(matrix, k, cascade)
+            steps.clear()
+            got = _compound(matrix, n, cascade)
+            assert steps == list(range(k + 1, n + 1)), k
+            assert got.tobytes() == fresh[n].tobytes()
+            for grade, compound in enumerate(cascade, 1):
+                assert compound.tobytes() == fresh[grade].tobytes(), (k, grade)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_frame_blades_build_each_grade_from_the_one_below(monkeypatch, n):
+    # after grade k, grade n takes n - k steps on each side, primal and
+    # reciprocal, and gives what a frame asked for grade n first gives
+    metric = Metric(n, _SIGNED_DIAG[:n])
+    carrier = Extensor.random_invertible(metric, np.random.default_rng(60 + n))
+    vectors = [carrier(e) for e in basis_vectors(metric)]
+    for k in range(1, n + 1):
+        want = Frame.from_vectors(vectors).blades(n)
+        frame = Frame.from_vectors(vectors)
+        frame.blades(k)
+        steps = _counting_laplace_steps(monkeypatch)
+        got = frame.blades(n)
+        monkeypatch.undo()
+        assert steps == 2 * list(range(k + 1, n + 1)), k
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -15,6 +15,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
+from extcalc import algebra
 from extcalc.algebra import _as_stack, _compound
 from extcalc.errors import ConfigurationError, SingularExtensorError
 from extcalc.extensor import _SHIFTS, INVERTIBLE_MIN_DET, Extensor, Outermorphism, _det
@@ -353,6 +354,25 @@ def test_outermorphism_applies_the_compound_directly(n):
     zero = Multivector.zero(metric)
     image, ref = om(zero), Extensor(metric, _compound(h.matrix, 0), 0, 0)(zero)
     assert np.array_equal(image.values(), ref.values()) and image.norm_inf() == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_outermorphism_builds_each_compound_once(monkeypatch, n):
+    # the blade images of grades 1..n of one map: n - 1 Laplace steps in all
+    # (the cascade's), not one cascade from grade 2 per image
+    metric = signed_metric(n)
+    rng = np.random.default_rng(110 + n)
+    h = Extensor.random(metric, rng)
+    om = Outermorphism(h)
+    xs = [random_multivector(metric, k, rng) for k in range(n + 1)]
+    references = [Extensor(metric, _compound(h.matrix, k), k, k)(x) for k, x in enumerate(xs)]
+    steps, step = [], algebra._laplace_step
+    monkeypatch.setattr(algebra, "_laplace_step",
+                        lambda matrix, smaller, k: steps.append(k) or step(matrix, smaller, k))
+    for k, (x, reference) in enumerate(zip(xs, references)):
+        assert om(x)._values.tobytes() == reference._values.tobytes(), k
+        assert om(x)._values.tobytes() == reference._values.tobytes(), k
+    assert steps == list(range(2, n + 1))
 
 
 def test_outermorphism_requires_homogeneous_input():

@@ -521,10 +521,10 @@ def test_fd_routes_never_seed_tangents(monkeypatch):
 
     raw = Multivector._raw
 
-    def without_tangents(metric, values, tangents=None):
+    def without_tangents(metric, values, tangents=None, bits=None):
         if tangents is not None:
             raise AssertionError("a tangent block was made")
-        return raw(metric, values)
+        return raw(metric, values, bits=bits)
 
     # every multivector with a tangent block, seeded or derived, is made by _raw
     monkeypatch.setattr(Multivector, "_raw", staticmethod(without_tangents))
