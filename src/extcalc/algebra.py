@@ -464,7 +464,7 @@ class Multivector:
         for d in directions:
             _check_metric(self.metric, d.metric)
         block = np.stack([d._values for d in directions])
-        return Multivector._raw(self.metric, self._values, block, _union(self, *directions))
+        return Multivector._raw(self.metric, self._values, block)
 
     def _support(self) -> np.ndarray:
         """Masks nonzero anywhere: in the value, a tangent row, a batch row or

@@ -149,6 +149,7 @@ def test_a_merged_stack_of_mixed_grades_carries_the_union():
     assert one._bits == 0b1010 and scanned(one) == 0b1000  # a superset covers
     lifted = Multivector.stack(
         [random_multivector(M5, 3, rng).with_tangents([random_multivector(M5, 2, rng)])])
+    assert lifted._bits is None and _grade_bits(lifted) == 0b1100  # scanned once, kept
     mixed = _merged([(np.array([0, 2]), vectors), (np.array([1]), lifted)])
     assert mixed._bits == scanned(mixed) == 0b1110
 
@@ -157,7 +158,7 @@ def test_jets_carry_grade_zero():
     rng = np.random.default_rng(4)
     x = random_multivector(M5, 2, rng).with_tangents(
         [random_multivector(M5, 2, rng), random_multivector(M5, 1, rng)])
-    assert x._bits == scanned(x) == 0b110
+    assert _grade_bits(x) == scanned(x) == 0b110
     for mask in (0b11, 0b1):  # a grade-2 value, and a zero value with tangents
         jet = x.coeff(mask)
         assert jet._bits == scanned(jet) == 1 and _jet_parts(jet)[1] is not None
