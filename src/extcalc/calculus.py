@@ -138,13 +138,11 @@ def _merged(parts: list):
                             _union(*(part for _, part in parts)))
 
 
-def _per_trial(names, table: dict) -> Callable:
-    """table[names] for one trial's name.  For a trial stack's per-trial
-    names, the map that sends each trial's rows of its arguments (trial
-    stacks of multivectors or (T, ...) arrays) through that trial's own
-    entry only, and puts the rows of the results back together."""
-    if isinstance(names, str):
-        return table[names]
+def _per_trial(names: tuple, table: dict) -> Callable:
+    """For a trial stack's per-trial names, the map that sends each trial's
+    rows of its arguments (trial stacks of multivectors or (T, ...) arrays)
+    through that trial's own entry only, and puts the rows of the results
+    back together."""
     rows = _option_rows(names)
     if len(rows) == 1:
         return table[names[0]]

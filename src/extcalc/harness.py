@@ -5,32 +5,32 @@ derivation rules behind it) is an IdentityCheck whose trial(ctx, rng) runs
 all config.trials trials and returns their deviations and witness_of(r),
 the witness builder of trial r.  A check has one shape:
 
-  draw(ctx, rng)               one trial's (structure, values), in the
+  draw(ctx, rng) -> fields     one trial's {name: drawn value}, in the
                                identity's RNG order; every trial is drawn,
                                in order, before any side is evaluated;
-  build(ctx, *structure,       the Inputs of one trial's values or of a
-        *values)               trial stack of them;
-  sides(inputs) -> pairs       the (lhs, rhs) sides of the identity;
+  make(x) -> fields            what the optional make derives from a
+                               group's made fields: the functional phi, ...;
+  sides(x) -> pairs            the (lhs, rhs) sides of the identity;
   _deviation(pairs)            the largest absolute difference over the
                                pairs, each over max(1, |rhs|) where the
                                identity is relative; the first NaN is the
                                result.
 
-The structure holds only what shapes the arrays: a rule's grades and arity
-(p, q, k), () for a closed-form or bridge check.  The values are the rest:
-maps, vectors, the functions' constants, scalars, drawn frames, and the
-drawn names (the function options, the smooth map, the bridge functional),
-which stack to per-trial tuples; each name's option runs on its own trials'
-rows only.  A drawn multivector keeps only its masks and raw uniforms u
-(coefficients 2u - 1), made once per group (_made).  _Trials groups the
-trials by structure and evaluates each group of several once, on its trial
-stack (extcalc.algebra; vector forward mode over a batch, Griewank &
-Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3), and a group of one
-unstacked: trial r's deviation is bit for bit what trial r gives alone.
-run_suite keeps each identity's worst trial against a tolerance and, on
-failure, reports witness_of(r) of that trial, its Inputs.witness built from
-its own, unstacked draw.  Checks with an -fd suffix share their exact
-twin's draw and compare the exact tangent-propagation route against the
+A draw's int fields, a rule's grades and arity (p, q, k), are its structure:
+only they shape the arrays.  The other fields are maps, vectors, the
+functions' constants, floats, drawn frames and the drawn names (the function
+options, the smooth map, the bridge functional); a drawn multivector keeps
+only its masks and raw uniforms u (coefficients 2u - 1).  _Trials groups the
+trials by structure and makes every group, one trial or several, a trial
+stack (_made): names stack to per-trial tuples, each option run on its own
+trials' rows only, and the sides, which read the fields by name, are
+evaluated once per group (extcalc.algebra; vector forward mode over a batch,
+Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3).  Trial r's
+deviation is bit for bit what trial r gives alone.  run_suite keeps each
+identity's worst trial against a tolerance and, on failure, reports
+witness_of(r) of that trial, its draw made alone as a stack of one
+(Inputs.witness).  Checks with an -fd suffix share their exact twin's draw
+and compare the exact tangent-propagation route against the
 central-finite-difference oracle; the bridge suite ties the derivative
 operators to ordinary partial derivatives in the matrix components of the
 map.
@@ -45,7 +45,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,11 +125,15 @@ class HarnessConfig:
     suite: str = "all"
 
     def __post_init__(self):
-        for name in ("dim", "trials", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass: True would run one trial
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        # each field's accepted types, by its annotation
+        kinds = {"int": (int, "an integer"), "float": ((int, float), "a real number"),
+                 "str": (str, "a string")}
+        for field in fields(self):
+            value, (kind, what) = getattr(self, field.name), kinds[field.type]
+            # bool is an int subclass: True would run one trial, or check
+            # against a tolerance of 1.0
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigurationError(f"{field.name} must be {what}, got {value!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:  # 64-bit seeds, each its own stream
@@ -187,37 +192,19 @@ def multivector_from_map(metric: Metric, mapping: dict) -> Multivector:
     return out
 
 
-# the Inputs fields a witness writes after the map's own record
+# the fields a witness writes after the map's own record, by name
 WITNESS_FIELDS = (
     "anchors", "direction", "alpha", "beta", "scale", "constant", "smooth", "functional"
 )
 
 
-@dataclass(frozen=True)
-class Inputs:
-    """One trial's drawn values, or a trial stack of the values of a group
-    of trials of one structure: the map h, the functional phi, the
-    direction, the frame and the drawn choices; in a stack, the scalars
-    alpha, beta and scale are (T, 1) arrays and the names smooth and
-    functional per-trial tuples.  The anchors default to phi's."""
+class Inputs(SimpleNamespace):
+    """The trial stack of a group of trials of one structure: ctx, the made
+    fields of their draws by name (the map h, the direction, ...; floats as
+    (T, 1) arrays, names as per-trial tuples, ints the group's own) and what
+    the check's make derives from them, the functional phi first."""
 
-    ctx: _Context
-    h: Extensor
-    phi: InducedFunctional | None = None
-    aux: tuple = ()  # read by the sides, not written: drawn vectors or functionals
-    direction: Multivector | None = None
-    frame: Frame | None = None
-    anchors: tuple | None = None
-    alpha: float | np.ndarray | None = None
-    beta: float | np.ndarray | None = None
-    scale: float | np.ndarray | None = None
-    constant: Multivector | None = None
-    smooth: str | tuple | None = None  # the chain rule's scalar map
-    functional: str | tuple | None = None  # the bridge functional's name
-
-    def __post_init__(self):
-        if self.anchors is None and self.phi is not None:
-            object.__setattr__(self, "anchors", self.phi.anchors)
+    phi = None  # a check without a functional
 
     def derivative(self, phi=None, step=None) -> Multivector:
         """phi's (default: the drawn functional's) derivative along the
@@ -226,31 +213,40 @@ class Inputs:
         return phi.directional_derivative(self.h, self.direction, step=step)
 
     def witness(self) -> dict:
-        """The map's record plus every set WITNESS_FIELDS entry, multivectors
-        as blade maps.  run_suite calls it only for the trial it reports."""
-        w = self.h.to_dict()
+        """Trial 0's record: the map's, then each field named in WITNESS_FIELDS,
+        the anchors defaulting to phi's.  run_suite calls it only for the
+        trial it reports, made alone as a stack of one."""
+        h = self.h
+        w = Extensor._raw(h.metric, h.matrix[0], h.p, h.q).to_dict()
+        named = vars(self) if self.phi is None else {"anchors": self.phi.anchors, **vars(self)}
         for key in WITNESS_FIELDS:
-            value = getattr(self, key)
-            if isinstance(value, Multivector):
-                value = multivector_to_map(value)
-            elif isinstance(value, tuple):
-                value = [multivector_to_map(v) for v in value]
-            if value is not None:
-                w[key] = value
+            if key in named:
+                w[key] = _first_trial(named[key])
         return w
 
 
-def _trial_max(a: np.ndarray):
-    """The largest entry of a trial stack's (T, P, 2^n) values or (T, n, n)
-    partials per trial, (T,); of any other array, all of it."""
-    return a.reshape(len(a), -1).max(axis=1) if a.ndim == 3 else a.max()
+def _first_trial(value):
+    """Trial 0 of a made field as a witness writes it: a multivector as its
+    blade map, a float, a name, or a tuple of multivectors as a list."""
+    if isinstance(value, Multivector):
+        return multivector_to_map(Multivector._raw(value.metric, value._values[0, 0]))
+    if isinstance(value, np.ndarray):
+        return float(value[0, 0])
+    if isinstance(value[0], str):
+        return value[0]
+    return [_first_trial(v) for v in value]
+
+
+def _trial_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry per trial of a trial stack's (T, P, 2^n) values or
+    (T, n, n) partials, (T,)."""
+    return a.reshape(len(a), -1).max(axis=1)
 
 
 def _deviation(pairs, relative: bool = False) -> np.ndarray:
-    """Largest absolute difference over the (lhs, rhs) pairs, each divided by
-    max(1, |rhs|) when relative: one per trial, (T,), when a side is a trial
-    stack, else a 0-d value.  The first NaN is the result, so no product
-    kind or grade can hide one."""
+    """Largest absolute difference over the (lhs, rhs) pairs of a trial
+    stack, each divided by max(1, |rhs|) when relative: one per trial, (T,).
+    The first NaN is the result, so no product kind or grade can hide one."""
     dev = np.zeros(())
     for lhs, rhs in pairs:
         if isinstance(lhs, Multivector):
@@ -266,24 +262,22 @@ def _deviation(pairs, relative: bool = False) -> np.ndarray:
 class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
     ctx.config.trials trials, witness_of).  Every trial is drawn first, in
-    order: draw(ctx, rng) gives its (structure, values), the structure a
-    hashable tuple of what shapes the arrays (grades and arity) and the
-    values the rest, drawn names included, which stack to per-trial tuples.
-    The trials are grouped by structure; build(ctx, *structure, *values)
-    makes a group's Inputs, one trial's own, unstacked, or the trial stack
-    of several, whose sides are evaluated once, and each deviation goes
-    back to its trial.
-    witness_of(r) builds trial r's own Inputs from its draw."""
+    order: draw(ctx, rng) gives its {name: drawn value}, its int fields its
+    structure.  Each group of trials of one structure, one trial or several,
+    is made one trial stack (inputs), its sides evaluated once, and each
+    deviation goes back to its trial.  witness_of(r) makes trial r alone, as
+    a stack of one, and writes it."""
 
     draw: Callable
-    build: Callable
     sides: Callable
+    make: Callable | None = None
     relative: bool = False
 
     def __call__(self, ctx, rng):
         drawn = [self.draw(ctx, rng) for _ in range(ctx.config.trials)]
         groups: dict = {}
-        for r, (structure, _) in enumerate(drawn):
+        for r, trial in enumerate(drawn):
+            structure = tuple([v for v in trial.values() if type(v) is int])
             groups.setdefault(structure, []).append(r)
         devs = np.empty(len(drawn))
         for trials in groups.values():
@@ -291,33 +285,26 @@ class _Trials:
             devs[trials] = _deviation(self.sides(x), self.relative)
         return devs.tolist(), lambda r: self.inputs(ctx, [drawn[r]]).witness()
 
-    def inputs(self, ctx, group: list) -> "Inputs":
-        """The Inputs of a group of draws of one structure: a single trial's
-        own, unstacked, or the trial stack of several."""
-        return self.build(ctx, *group[0][0], *_made(ctx, [v for _, v in group], len(group) > 1))
+    def inputs(self, ctx, group: list) -> Inputs:
+        """The Inputs of the trial stack of a group of draws of one
+        structure: the made fields, then what make derives from them."""
+        x = Inputs(ctx=ctx, **_made(ctx, group))
+        if self.make is not None:
+            vars(x).update(self.make(x))
+        return x
 
 
-def _check(identity, suite, draw, build, sides, relative=False, tol_key="exact", tol_factor=1.0):
-    """The check whose trials are drawn with draw(ctx, rng), made Inputs by
-    build and reduced to deviations by sides(inputs) (_Trials)."""
-    return IdentityCheck(identity, suite, _Trials(draw, build, sides, relative), tol_key,
-                         tol_factor)
+def _check(identity, suite, draw, sides, make=None, relative=False, **tolerance):
+    """The check whose trials are drawn with draw(ctx, rng), made Inputs with
+    make and reduced to deviations by sides(inputs) (_Trials)."""
+    return IdentityCheck(identity, suite, _Trials(draw, sides, make, relative), **tolerance)
 
 
-@dataclass(frozen=True)
-class _DrawnFrame:
+class _DrawnFrame(NamedTuple):
     """A drawn frame before it is built: the images of the orthonormal basis
     under a random invertible carrier map, or, with no carrier, the
-    orthonormal frame.  The image h(e_k) is column k of the carrier's
-    matrix, exactly, so the frame is built from the matrix, bit for bit
-    Frame.from_vectors of the images."""
-
+    orthonormal frame.  _frames builds a column of them."""
     carrier: Extensor | None
-
-    def frame(self, ctx: _Context) -> Frame:
-        if self.carrier is None:
-            return ctx.ortho
-        return Frame._of_rows(ctx.metric, *_frame_rows(ctx.metric, self.carrier.matrix))
 
 
 class _DrawnMultivector(NamedTuple):
@@ -326,41 +313,41 @@ class _DrawnMultivector(NamedTuple):
     u: np.ndarray
 
 
-def _made(ctx: _Context, column, stack: bool):
-    """What Inputs takes of a column of drawn values: a lone trial's own, or
-    the trial stack of all.  Multivectors are made (a stack in one scatter)
-    and frames built (a stack in one call, _frames); tuples and dicts go entry
-    by entry.  Stacked, maps stack, names are per-trial tuples, floats a
-    (T, 1) array as a stack's scalars are; any other value raises TypeError."""
+def _made(ctx: _Context, column):
+    """The trial stack of a column of drawn values, one per trial of a group.
+    Multivectors are made in one scatter and frames built in one call
+    (_frames); dicts and tuples go entry by entry, maps stack, names are
+    per-trial tuples and floats a (T, 1) array.  An int is the group's own
+    structure and passes through; any other value raises TypeError."""
     first = column[0]
     if isinstance(first, _DrawnMultivector):  # np.array: np.stack checks each row
-        u = np.array([d.u for d in column])[:, None] if stack else first.u
+        u = np.array([d.u for d in column])[:, None]
         values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
         values[..., first.masks] = _uniform(u)  # one structure: every trial's masks
         bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[first.masks])
         return Multivector._raw(ctx.metric, values, bits=int(bits))
     if isinstance(first, _DrawnFrame):
-        return _frames(ctx, [f.carrier for f in column]) if stack else first.frame(ctx)
+        return _frames(ctx, [f.carrier for f in column])
     if isinstance(first, dict):
-        return {key: _made(ctx, [d[key] for d in column], stack) for key in first}
+        return {key: _made(ctx, [d[key] for d in column]) for key in first}
     if isinstance(first, tuple):
-        return tuple(_made(ctx, c, stack) for c in zip(*column))
-    if not stack:
-        return first
+        return tuple(_made(ctx, c) for c in zip(*column))
     if isinstance(first, Extensor):
         return Extensor.stack(column)
     if isinstance(first, str):
         return tuple(column)
     if isinstance(first, float):
         return np.array(column)[:, None]
+    if type(first) is int:
+        return first
     raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
 
 
 def _frames(ctx: _Context, carriers) -> Frame:
     """The trial stack of drawn frames: the orthonormal frame in the trials
     without a carrier, and in the others the images of the orthonormal basis
-    under the stacked carriers, the columns of their matrices, and their
-    reciprocal frames, in one call."""
+    under the stacked carriers, the columns of their matrices, exactly, and
+    their reciprocal frames, in one call."""
     metric, ortho = ctx.metric, ctx.ortho
     pair = [
         np.repeat(np.stack([v._values for v in vectors])[None], len(carriers), axis=0)
@@ -416,13 +403,12 @@ def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
 
 
 def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> MvFunction:
-    """The random function of grade-q variables over its drawn constants c
-    and d (_draw_scalar_func, _draw_value_func): one trial's option `names`,
-    or, over trial stacks of constants, each trial's own option of the
-    per-trial `names`, evaluated on that option's rows of the arguments and
-    constants only (_per_trial).  Its output grade is the options' common
-    one, else None."""
-    rows = {names: slice(None)} if isinstance(names, str) else _option_rows(names)
+    """The random function of grade-q variables over trial stacks of its
+    drawn constants c and d (_draw_scalar_func, _draw_value_func): each
+    trial's own option of the per-trial `names`, evaluated on that option's
+    rows of the arguments and constants only (_per_trial).  Its output grade
+    is the options' common one, else None."""
+    rows = _option_rows(names)
     options = {name: _option(name, q, _select(c, r), _select(d, r)) for name, r in rows.items()}
     (arity, _, _), grades = next(iter(options.values())), {g for _, g, _ in options.values()}
     evaluator = _per_trial(names, {name: f for name, (_, _, f) in options.items()})
@@ -448,74 +434,75 @@ def _draw_value_func(metric: Metric, rng, k: int, q: int) -> tuple:
     return names[rng.integers(len(names))], (c, d)
 
 
-def _random_setup(ctx: _Context, rng, scalar_valued=False) -> tuple:
-    """Random anchors, a matching map and a function: (structure, values),
-    the structure (p, q, k) and the values (the function's name, anchors,
-    map, the function's constants).  _setup builds them."""
+def _random_setup(ctx: _Context, rng, scalar_valued=False) -> dict:
+    """Random grades p and q and arity k (the structure), k grade-p anchors,
+    a matching map h and a function: its option's name and its constants.
+    _setup makes the functional."""
     metric = ctx.metric
     top = min(2, metric.dim)
     p = int(rng.integers(1, top + 1))
     q = int(rng.integers(1, top + 1))
     k = int(rng.integers(1, 3))
     anchors = tuple(_random_multivector(metric, p, rng) for _ in range(k))
-    t = Extensor.random(metric, rng, p, q)
+    h = Extensor.random(metric, rng, p, q)
     draw_func = _draw_scalar_func if scalar_valued else _draw_value_func
-    name, consts = draw_func(metric, rng, k, q)
-    return (p, q, k), (name, anchors, t, consts)
+    option, consts = draw_func(metric, rng, k, q)
+    return dict(p=p, q=q, k=k, anchors=anchors, h=h, option=option, consts=consts)
 
 
-def _setup(structure: tuple, values: tuple) -> tuple[Extensor, InducedFunctional]:
-    """The map and the functional of a _random_setup draw, or of a trial
-    stack of draws of one structure."""
-    (p, q, _), (name, anchors, t, consts) = structure, values
-    return t, InducedFunctional(_function(name, q, *consts), anchors, p)
+def _setup(x) -> dict:
+    """The functional phi of a _random_setup draw."""
+    return {"phi": InducedFunctional(_function(x.option, x.q, *x.consts), x.anchors, x.p)}
 
 
 # -- worked-example checks -------------------------------------------------------
 
 
-def _draw_two_vectors(ctx, rng):
-    return _random_multivector(ctx.metric, 1, rng), _random_multivector(ctx.metric, 1, rng)
+def _draw_b(ctx, rng):
+    return {"b": _random_multivector(ctx.metric, 1, rng)}
 
 
 def _pair(kind):
-    """Draw and make of the pair-product functional of two drawn vectors."""
-    return _draw_two_vectors, lambda m, b, c: (pair_product_functional(kind, b, c), (b, c))
+    """Draw and make of the pair-product functional of drawn vectors b and c."""
+    return (lambda ctx, rng: dict(_draw_b(ctx, rng), c=_random_multivector(ctx.metric, 1, rng)),
+            lambda x: {"phi": pair_product_functional(kind, x.b, x.c)})
 
 
-def _draw_vector(ctx, rng):
-    return (_random_multivector(ctx.metric, 1, rng),)
-
-
-def _draw_adjoint_image(ctx, rng):
-    return _random_multivector(ctx.metric, 1, rng), _maybe_random_frame(ctx, rng)
+def _draw_frame(ctx, rng):
+    return {"frame": _maybe_random_frame(ctx, rng)}
 
 
 def _over_frame(make):
     """Draw and make of make(metric, frame), the frame random or orthonormal."""
-    return (lambda ctx, rng: (_maybe_random_frame(ctx, rng),),
-            lambda m, frame: (make(m, frame), ()))
+    return _draw_frame, lambda x: {"phi": make(x.ctx.metric, x.frame)}
 
 
 def _draw_pseudoscalar(ctx, rng):
+    """The pseudoscalar's signed weight, not a witnessed scale, and a frame."""
     sign = 1.0 if rng.integers(2) else -1.0
-    return sign * float(rng.uniform(0.5, 2.0)), _maybe_random_frame(ctx, rng)
+    return dict(weight=sign * float(rng.uniform(0.5, 2.0)), frame=_maybe_random_frame(ctx, rng))
+
+
+def _pseudoscalar_image(x):
+    pss = x.weight * unit_pseudoscalar(x.ctx.metric)
+    return {"phi": pseudoscalar_image_functional(pss, x.frame), "pss": pss}
 
 
 def _scalar_star(value):
     """Star table with no curl and value(n) for both divergences and the gradient."""
 
-    def star(m, h):
+    def star(x):
+        m = x.ctx.metric
         s = Multivector.from_scalar(m, value(m.dim))
         return {"wedge": Multivector.zero(m), "scalar": s, "lcontract": s, "geometric": s}
 
     return star
 
 
-def _det_star(m, h):
-    d = h.det()
-    hinv = h.inverse()
-    trace_term = Multivector.from_scalar(m, d * hinv.trace())
+def _det_star(x):
+    d = x.h.det()
+    hinv = x.h.inverse()
+    trace_term = Multivector.from_scalar(x.ctx.metric, d * hinv.trace())
     biv_term = d * hinv.bivector()
     return {
         "wedge": biv_term,
@@ -525,51 +512,41 @@ def _det_star(m, h):
     }
 
 
+def _after_map(draw):
+    """draw's fields, drawn after a random invertible map h."""
+    return lambda ctx, rng: dict(h=Extensor.random_invertible(ctx.metric, rng), **draw(ctx, rng))
+
+
 def _fd_pair(x: Inputs, phi) -> tuple:
     """phi's exact derivative against its finite-difference route."""
     return x.derivative(phi), x.derivative(phi, x.ctx.config.fd_step)
 
 
 def _example(name, functional, directional, star=None, relative=False) -> list[IdentityCheck]:
-    """The closed-form checks of one worked functional, each of one
-    structure, ().  functional is a pair: draw(ctx, rng) -> its drawn
-    values, drawn after a random invertible map and, for the directional
-    checks, a vector a; and make(metric, *values) -> (phi, aux).
-    directional(metric, h, a, *aux) is the closed-form a-derivative and
-    star(metric, h, *aux) the {kind: closed form} table.  The -fd twin shares the draw and compares with the
-    finite-difference route, always absolutely."""
+    """The closed-form checks of one worked functional.  functional is a
+    pair: draw(ctx, rng), the fields drawn after a random invertible map h
+    and, for the directional checks, a vector `direction`; and make(x), phi
+    and what else the closed forms read.  directional(x) is the closed-form
+    derivative along x.direction and star(x) the {kind: closed form} table.
+    The -fd twin shares the draw and compares with the finite-difference
+    route, always absolutely."""
     draw, make = functional
-
-    def draw_directional(ctx, rng):
-        h = Extensor.random_invertible(ctx.metric, rng)
-        a = _random_multivector(ctx.metric, 1, rng)
-        return (), (h, a, *draw(ctx, rng))
-
-    def build_directional(ctx, h, a, *values):
-        return Inputs(ctx, h, *make(ctx.metric, *values), direction=a)
-
-    def exact_sides(x):
-        return [(x.derivative(), directional(x.ctx.metric, x.h, x.direction, *x.aux))]
-
-    def draw_star(ctx, rng):
-        return (), (Extensor.random_invertible(ctx.metric, rng), *draw(ctx, rng))
-
-    def build_star(ctx, h, *values):
-        return Inputs(ctx, h, *make(ctx.metric, *values))
+    draw_directional = _after_map(
+        lambda ctx, rng: dict(direction=_random_multivector(ctx.metric, 1, rng), **draw(ctx, rng)))
 
     def star_sides(x):
-        expected = star(x.ctx.metric, x.h, *x.aux)
+        expected = star(x)
         table = x.phi.derivative_table(x.h, tuple(expected))
         return [(table[kind], rhs) for kind, rhs in expected.items()]
 
     checks = [
-        _check(f"{name}-directional", "closed-form", draw_directional, build_directional,
-               exact_sides, relative),
-        _check(f"{name}-directional-fd", "closed-form", draw_directional, build_directional,
-               lambda x: [_fd_pair(x, x.phi)], tol_key="fd"),
+        _check(f"{name}-directional", "closed-form", draw_directional,
+               lambda x: [(x.derivative(), directional(x))], make, relative),
+        _check(f"{name}-directional-fd", "closed-form", draw_directional,
+               lambda x: [_fd_pair(x, x.phi)], make, tol_key="fd"),
     ]
     if star is not None:
-        checks.append(_check(f"{name}-star", "closed-form", draw_star, build_star, star_sides,
+        checks.append(_check(f"{name}-star", "closed-form", _after_map(draw), star_sides, make,
                              relative))
     return checks
 
@@ -577,33 +554,29 @@ def _example(name, functional, directional, star=None, relative=False) -> list[I
 def _draw_blade_images(ctx, rng):
     """A map, a direction and the vectors of the blade-image functionals of
     every grade k = 1..n, drawn in that order."""
-    h = Extensor.random_invertible(ctx.metric, rng)
-    a = _random_multivector(ctx.metric, 1, rng)
-    vectors = tuple(
-        tuple(_random_multivector(ctx.metric, 1, rng) for _ in range(k))
-        for k in range(1, ctx.metric.dim + 1)
+    m = ctx.metric
+    return dict(
+        h=Extensor.random_invertible(m, rng),
+        direction=_random_multivector(m, 1, rng),
+        vectors=tuple(tuple(_random_multivector(m, 1, rng) for _ in range(k))
+                      for k in range(1, m.dim + 1)),
     )
-    return (), (h, a, vectors)
 
 
-def _build_blade_images(ctx, h, a, vectors):
+def _blade_images(x):
     """The blade-image functionals, their anchors witnessed grade by grade."""
-    phis = tuple(map(blade_image_functional, vectors))
-    return Inputs(ctx, h, aux=phis, direction=a, anchors=sum((p.anchors for p in phis), ()))
+    phis = tuple(map(blade_image_functional, x.vectors))
+    return {"phis": phis, "anchors": sum((p.anchors for p in phis), ())}
 
 
 def _blade_image_sides(x):
     """Each grade-k blade image against (n-k+1) h(a _| B), B its blade."""
     m, outer = x.ctx.metric, Outermorphism(x.h)
-    blades = [wedge_all(m, phi.anchors) for phi in x.aux]
+    blades = [wedge_all(m, phi.anchors) for phi in x.phis]
     return [
         (x.derivative(phi), (m.dim - k + 1) * outer(x.direction.lcontract(blade)))
-        for k, (phi, blade) in enumerate(zip(x.aux, blades), 1)
+        for k, (phi, blade) in enumerate(zip(x.phis, blades), 1)
     ]
-
-
-def _draw_map_and_frame(ctx, rng):
-    return (), (Extensor.random_invertible(ctx.metric, rng), _maybe_random_frame(ctx, rng))
 
 
 def _inverse_bivector_sides(x):
@@ -616,22 +589,18 @@ def _inverse_bivector_sides(x):
     return [(total, -1.0 * x.h.inverse().bivector())]
 
 
-def _draw_named(ctx, rng):
-    return (), (Extensor.random_invertible(ctx.metric, rng),
-                _random_multivector(ctx.metric, 1, rng))
-
-
-def _build_named(ctx, h, b):
-    m = ctx.metric
-    named = (apply_functional(b), adjoint_image_functional(b), trace_functional(m),
-             bivector_functional(m), det_functional(m))
-    return Inputs(ctx, h, aux=named, anchors=(b,))
+def _named(x):
+    """The named functionals, b witnessed as their anchor."""
+    m = x.ctx.metric
+    phis = (apply_functional(x.b), adjoint_image_functional(x.b), trace_functional(m),
+            bivector_functional(m), det_functional(m))
+    return {"phis": phis, "anchors": (x.b,)}
 
 
 def _coherence_sides(x):
     """Every star operator of every named functional against its FD route."""
     pairs = []
-    for phi in x.aux:
+    for phi in x.phis:
         exact = phi.derivative_table(x.h, PRODUCT_KINDS)
         fd = phi.derivative_table(x.h, PRODUCT_KINDS, x.ctx.config.fd_step)
         pairs += [(exact[kind], fd[kind]) for kind in PRODUCT_KINDS]
@@ -641,86 +610,59 @@ def _coherence_sides(x):
 # -- derivation-rule checks -------------------------------------------------------
 
 
-def _draw_rule(fields):
-    """Draw of a rule over a random setup of a value functional:
-    fields(ctx, rng, p) draws the rule's Inputs fields after it, a dict."""
+def _rule(identity, draw_fields, sides, make=_setup, scalar_valued=False, **options):
+    """The properties check of a rule over a random setup: draw_fields(ctx,
+    rng, setup) draws the rule's own fields after it."""
 
     def draw(ctx, rng):
-        setup, values = _random_setup(ctx, rng)
-        return (setup,), (values, fields(ctx, rng, setup[0]))
+        setup = _random_setup(ctx, rng, scalar_valued)
+        return dict(setup, **draw_fields(ctx, rng, setup))
 
-    return draw
-
-
-def _build_rule(ctx, setup, values, fields):
-    return Inputs(ctx, *_setup(setup, values), **fields)
+    return _check(identity, "properties", draw, sides, make, **options)
 
 
-def _linearity_fields(ctx, rng, p):
-    a = _random_multivector(ctx.metric, p, rng)
-    b = _random_multivector(ctx.metric, p, rng)
-    return dict(aux=(b,), direction=a, alpha=float(rng.uniform(-2.0, 2.0)),
-                beta=float(rng.uniform(-2.0, 2.0)))
+def _direction(ctx, rng, setup):
+    return {"direction": _random_multivector(ctx.metric, setup["p"], rng)}
 
 
-def _scaling_fields(ctx, rng, p):
-    return dict(direction=_random_multivector(ctx.metric, p, rng),
-                scale=float(rng.uniform(-2.0, 2.0)))
-
-
-def _right_constant_fields(ctx, rng, p):
-    return dict(direction=_random_multivector(ctx.metric, p, rng),
-                constant=_random_mixed(ctx.metric, rng))
+def _linearity_fields(ctx, rng, setup):
+    return dict(_direction(ctx, rng, setup), b=_random_multivector(ctx.metric, setup["p"], rng),
+                alpha=float(rng.uniform(-2.0, 2.0)), beta=float(rng.uniform(-2.0, 2.0)))
 
 
 def _linearity_sides(x):
-    (b,) = x.aux
-    lhs = x.phi.directional_derivative(x.h, x.alpha * x.direction + x.beta * b)
-    rhs = x.alpha * x.derivative() + x.beta * x.phi.directional_derivative(x.h, b)
+    lhs = x.phi.directional_derivative(x.h, x.alpha * x.direction + x.beta * x.b)
+    rhs = x.alpha * x.derivative() + x.beta * x.phi.directional_derivative(x.h, x.b)
     return [(lhs, rhs)]
 
 
-def _draw_two_functionals(scalar_valued):
-    """Draw of a random functional, then a value functional over its anchors."""
-
-    def draw(ctx, rng):
-        setup, values = _random_setup(ctx, rng, scalar_valued)
-        p, q, k = setup
-        name, consts = _draw_value_func(ctx.metric, rng, k, q)
-        return (setup,), (name, values, consts, _random_multivector(ctx.metric, p, rng))
-
-    return draw
+def _other_fields(ctx, rng, setup):
+    """A second value function over the setup's grades, then a direction."""
+    other, other_consts = _draw_value_func(ctx.metric, rng, setup["k"], setup["q"])
+    return dict(other=other, other_consts=other_consts, **_direction(ctx, rng, setup))
 
 
-def _build_two_functionals(ctx, setup, name, values, consts, a):
-    t, phi = _setup(setup, values)
-    other = InducedFunctional(_function(name, phi.func.input_grade, *consts), phi.anchors,
-                              phi.source_grade)
-    return Inputs(ctx, t, phi, (other,), direction=a)
+def _two_functionals(x):
+    """phi and the value functional g of the second function over its anchors."""
+    g = InducedFunctional(_function(x.other, x.q, *x.other_consts), x.anchors, x.p)
+    return dict(_setup(x), g=g)
 
 
 def _leibniz_sides(x):
-    (g,) = x.aux
     phi_val = value_of(x.phi.evaluate(x.h).scalar_part())
-    rhs = x.derivative().geometric(g.evaluate(x.h)) + phi_val * x.derivative(g)
-    return [(x.derivative(x.phi.times_functional(g)), rhs)]
+    rhs = x.derivative().geometric(x.g.evaluate(x.h)) + phi_val * x.derivative(x.g)
+    return [(x.derivative(x.phi.times_functional(x.g)), rhs)]
 
 
-# the chain rule's smooth maps, of a float, a (T, P) array or a grade-0 jet,
-# their derivatives, of a float or a (T, 1) array, and the bridge's maps
+# the chain rule's smooth maps, of a (T, P) array or a grade-0 jet, their
+# derivatives, of a (T, 1) array, and the bridge's maps
 _SMOOTH_MAPS = {"square": lambda s: s * s, "exp": _exp, "sin": _sin}
 _SMOOTH_DERIVATIVES = {"square": lambda v: 2.0 * v, "exp": np.exp, "sin": np.cos}
 _BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": _exp}
 
 
-def _draw_chain(ctx, rng):
-    setup, values = _random_setup(ctx, rng, scalar_valued=True)
-    name = ("square", "exp", "sin")[rng.integers(3)]
-    return (setup,), (name, values, _random_multivector(ctx.metric, setup[0], rng))
-
-
-def _build_chain(ctx, setup, name, values, a):
-    return Inputs(ctx, *_setup(setup, values), direction=a, smooth=name)
+def _chain_fields(ctx, rng, setup):
+    return dict(smooth=("square", "exp", "sin")[rng.integers(3)], **_direction(ctx, rng, setup))
 
 
 def _chain_sides(x):
@@ -729,7 +671,8 @@ def _chain_sides(x):
     return [(x.derivative(x.phi.map_scalar(_per_trial(x.smooth, _SMOOTH_MAPS))), rhs)]
 
 
-_draw_frame = _draw_rule(lambda ctx, rng, p: {"frame": _random_frame(ctx, rng)})
+def _frame_fields(ctx, rng, setup):
+    return {"frame": _random_frame(ctx, rng)}
 
 
 def _via_frames(x):
@@ -751,25 +694,22 @@ def _intrinsic_sides(x):
 
 
 def _draw_bridge(ctx, rng):
-    """The name of a smooth map, an anchor, the constant c of phi = (. c)
-    composed with the map, a map and a frame: structure ()."""
-    anchor = _random_multivector(ctx.metric, 1, rng)
-    c = _random_multivector(ctx.metric, 1, rng)
-    name = ("linear", "square", "exp")[rng.integers(3)]
-    t = Extensor.random_invertible(ctx.metric, rng)
-    return (), (name, anchor, c, t, _maybe_random_frame(ctx, rng))
+    """An anchor, the constant c of phi = (. c) composed with the smooth map
+    named functional, a map h and a frame."""
+    return dict(anchor=_random_multivector(ctx.metric, 1, rng),
+                c=_random_multivector(ctx.metric, 1, rng),
+                functional=("linear", "square", "exp")[rng.integers(3)],
+                h=Extensor.random_invertible(ctx.metric, rng), frame=_maybe_random_frame(ctx, rng))
 
 
 def _draw_bridge_directional(ctx, rng):
-    structure, values = _draw_bridge(ctx, rng)
-    return structure, (*values, _random_multivector(ctx.metric, 1, rng))
+    return dict(_draw_bridge(ctx, rng), direction=_random_multivector(ctx.metric, 1, rng))
 
 
-def _build_bridge(ctx, name, anchor, c, t, frame, direction=None):
-    phi = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(c)), (anchor,), 1)
-    if name != "linear":  # one trial's name, or a trial stack's per-trial names
-        phi = phi.map_scalar(_per_trial(name, _BRIDGE_MAPS))
-    return Inputs(ctx, t, phi, direction=direction, frame=frame, functional=name)
+def _bridge(x):
+    """phi, each trial's (. c) composed with its own smooth map (_per_trial)."""
+    phi = InducedFunctional(MvFunction(1, 1, 0, lambda y: y.scalar_product(x.c)), (x.anchor,), 1)
+    return {"phi": phi.map_scalar(_per_trial(x.functional, _BRIDGE_MAPS))}
 
 
 def _partials(x, step=None):
@@ -788,92 +728,95 @@ CATALOG: tuple[IdentityCheck, ...] = (
     *_example(
         "dot-pair",
         _pair("scalar"),
-        lambda m, h, a, b, c: h(scalar_value(a, b) * c + scalar_value(a, c) * b),
+        lambda x: x.h(scalar_value(x.direction, x.b) * x.c + scalar_value(x.direction, x.c) * x.b),
     ),
     *_example(
         "wedge-pair",
         _pair("wedge"),
-        lambda m, h, a, b, c: (m.dim - 1) * Outermorphism(h)(a.lcontract(b.wedge(c))),
+        lambda x: (x.ctx.metric.dim - 1) * Outermorphism(x.h)(x.direction.lcontract(
+            x.b.wedge(x.c))),
     ),
     *_example(
         "vector-image",
-        (_draw_vector, lambda m, b: (apply_functional(b), (b,))),
-        lambda m, h, a, b: Multivector.from_scalar(m, m.dim * scalar_value(a, b)),
-        lambda m, h, b: {
-            "wedge": m.dim * b,
-            "geometric": m.dim * b,
-            "scalar": Multivector.zero(m),
-            "lcontract": Multivector.zero(m),
+        (_draw_b, lambda x: {"phi": apply_functional(x.b)}),
+        lambda x: Multivector.from_scalar(x.ctx.metric,
+                                          x.ctx.metric.dim * scalar_value(x.direction, x.b)),
+        lambda x: {
+            "wedge": x.ctx.metric.dim * x.b,
+            "geometric": x.ctx.metric.dim * x.b,
+            "scalar": Multivector.zero(x.ctx.metric),
+            "lcontract": Multivector.zero(x.ctx.metric),
         },
     ),
     *_example(
         "adjoint-image",
-        (_draw_adjoint_image, lambda m, b, frame: (adjoint_image_functional(b, frame), (b,))),
-        lambda m, h, a, b: b.geometric(a),
-        lambda m, h, b: {
-            "wedge": b,
-            "scalar": Multivector.zero(m),
-            "lcontract": (1 - m.dim) * b,
-            "geometric": (2 - m.dim) * b,
+        (lambda ctx, rng: dict(_draw_b(ctx, rng), **_draw_frame(ctx, rng)),
+         lambda x: {"phi": adjoint_image_functional(x.b, x.frame)}),
+        lambda x: x.b.geometric(x.direction),
+        lambda x: {
+            "wedge": x.b,
+            "scalar": Multivector.zero(x.ctx.metric),
+            "lcontract": (1 - x.ctx.metric.dim) * x.b,
+            "geometric": (2 - x.ctx.metric.dim) * x.b,
         },
     ),
     *_example(
         "trace",
         _over_frame(trace_functional),
-        lambda m, h, a: a,
+        lambda x: x.direction,
         _scalar_star(lambda n: n),
     ),
     *_example(
         "bivector",
         _over_frame(bivector_functional),
-        lambda m, h, a: (m.dim - 1) * a,
+        lambda x: (x.ctx.metric.dim - 1) * x.direction,
         _scalar_star(lambda n: (n - 1) * n),
     ),
     *_example(
         "pseudoscalar-image",
-        (_draw_pseudoscalar, lambda m, scale, frame: (pseudoscalar_image_functional(
-            pss := scale * unit_pseudoscalar(m), frame), (pss,))),
-        lambda m, h, a, pss: Outermorphism(h)(a.lcontract(pss)),
+        (_draw_pseudoscalar, _pseudoscalar_image),
+        lambda x: Outermorphism(x.h)(x.direction.lcontract(x.pss)),
     ),
     *_example(
         "det",
         _over_frame(det_functional),
-        lambda m, h, a: h.det() * h.adjoint().inverse()(a),
+        lambda x: x.h.det() * x.h.adjoint().inverse()(x.direction),
         _det_star,
         relative=True,
     ),
-    _check("blade-image-directional", "closed-form", _draw_blade_images, _build_blade_images,
-           _blade_image_sides),
-    _check("blade-image-directional-fd", "closed-form", _draw_blade_images, _build_blade_images,
-           lambda x: [_fd_pair(x, phi) for phi in x.aux], tol_key="fd"),
-    _check("inverse-bivector-frame-sum", "closed-form", _draw_map_and_frame,
-           lambda ctx, h, frame: Inputs(ctx, h, frame=frame), _inverse_bivector_sides,
-           relative=True),
-    _check("star-fd-coherence", "closed-form", _draw_named, _build_named, _coherence_sides,
+    _check("blade-image-directional", "closed-form", _draw_blade_images, _blade_image_sides,
+           _blade_images),
+    _check("blade-image-directional-fd", "closed-form", _draw_blade_images,
+           lambda x: [_fd_pair(x, phi) for phi in x.phis], _blade_images, tol_key="fd"),
+    _check("inverse-bivector-frame-sum", "closed-form", _after_map(_draw_frame),
+           _inverse_bivector_sides, relative=True),
+    _check("star-fd-coherence", "closed-form", _after_map(_draw_b), _coherence_sides, _named,
            tol_key="fd"),
-    _check("direction-linearity", "properties", _draw_rule(_linearity_fields), _build_rule,
-           _linearity_sides),
-    _check("scaling-rule", "properties", _draw_rule(_scaling_fields), _build_rule,
-           lambda x: [(x.derivative(x.phi.scaled(x.scale)), x.scale * x.derivative())]),
-    _check("right-constant-rule", "properties", _draw_rule(_right_constant_fields), _build_rule,
-           lambda x: [(x.derivative(x.phi.times_constant(x.constant)),
-                       x.derivative().geometric(x.constant))]),
-    _check("additivity-rule", "properties", _draw_two_functionals(False), _build_two_functionals,
-           lambda x: [(x.derivative(x.phi + x.aux[0]), x.derivative() + x.derivative(x.aux[0]))]),
-    _check("leibniz-rule", "properties", _draw_two_functionals(True), _build_two_functionals,
-           _leibniz_sides),
+    _rule("direction-linearity", _linearity_fields, _linearity_sides),
+    _rule("scaling-rule",
+          lambda ctx, rng, s: dict(_direction(ctx, rng, s), scale=float(rng.uniform(-2.0, 2.0))),
+          lambda x: [(x.derivative(x.phi.scaled(x.scale)), x.scale * x.derivative())]),
+    _rule("right-constant-rule",
+          lambda ctx, rng, s: dict(_direction(ctx, rng, s),
+                                   constant=_random_mixed(ctx.metric, rng)),
+          lambda x: [(x.derivative(x.phi.times_constant(x.constant)),
+                      x.derivative().geometric(x.constant))]),
+    _rule("additivity-rule", _other_fields,
+          lambda x: [(x.derivative(x.phi + x.g), x.derivative() + x.derivative(x.g))],
+          _two_functionals),
+    _rule("leibniz-rule", _other_fields, _leibniz_sides, _two_functionals, scalar_valued=True),
     # relative: exp of a large functional value makes both sides large
-    _check("chain-rule", "properties", _draw_chain, _build_chain, _chain_sides, relative=True,
-           tol_factor=10.0),
-    _check("frame-independence", "properties", _draw_frame, _build_rule,
-           _frame_independence_sides, tol_factor=10.0),
-    _check("intrinsic-equivalence", "properties", _draw_frame, _build_rule, _intrinsic_sides),
-    _check("component-partials-fd", "bridge", _draw_bridge, _build_bridge,
-           lambda x: [(_partials(x), _partials(x, x.ctx.config.fd_step))], tol_key="fd"),
-    _check("component-bridge-directional", "bridge", _draw_bridge_directional, _build_bridge,
+    _rule("chain-rule", _chain_fields, _chain_sides, scalar_valued=True, relative=True,
+          tol_factor=10.0),
+    _rule("frame-independence", _frame_fields, _frame_independence_sides, tol_factor=10.0),
+    _rule("intrinsic-equivalence", _frame_fields, _intrinsic_sides),
+    _check("component-partials-fd", "bridge", _draw_bridge,
+           lambda x: [(_partials(x), _partials(x, x.ctx.config.fd_step))], _bridge,
+           tol_key="fd"),
+    _check("component-bridge-directional", "bridge", _draw_bridge_directional,
            lambda x: [(directional_from_partials(_partials(x), x.direction, x.frame),
-                       x.derivative())], tol_factor=10.0),
-    _check("component-bridge-star", "bridge", _draw_bridge, _build_bridge, _bridge_star_sides,
+                       x.derivative())], _bridge, tol_factor=10.0),
+    _check("component-bridge-star", "bridge", _draw_bridge, _bridge_star_sides, _bridge,
            tol_factor=10.0),
 )
 

@@ -223,14 +223,18 @@ def test_a_frame_from_its_carrier_matrix_is_from_vectors_bit_for_bit(n):
 
 
 def test_a_stack_of_drawn_frames_is_each_trials_frame_bit_for_bit():
+    # trial r of a stack of drawn frames is, bit for bit, the orthonormal
+    # frame or Frame.from_vectors of the images of the orthonormal basis
+    # under trial r's carrier
     ortho = Frame.orthonormal(M5)
     ctx = _Context(ortho.metric, HarnessConfig(dim=5), ortho)
     rng = np.random.default_rng(7)
     column = [_DrawnFrame(None), _DrawnFrame(Extensor.random_invertible(M5, rng)),
               _DrawnFrame(None), _DrawnFrame(Extensor.random_invertible(M5, rng))]
-    stacked = _made(ctx, column, True)
-    for r, drawn in enumerate(column):
-        alone = _made(ctx, [drawn], False)
+    stacked = _made(ctx, column)
+    for r, (carrier,) in enumerate(column):
+        images = None if carrier is None else [carrier(v) for v in ortho.vectors]
+        alone = ortho if images is None else Frame.from_vectors(images)
         for s, a in zip(stacked.vectors + stacked.reciprocal, alone.vectors + alone.reciprocal):
             assert same_bits(s._values[r, 0], a._values)
     assert all(v._bits == 1 << 1 for v in stacked.vectors + stacked.reciprocal)

@@ -86,6 +86,27 @@ def test_config_rejects_non_integer_counts(name, value):
         HarnessConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value, what", [
+    ("tol_exact", True, "a real number"), ("tol_fd", False, "a real number"),
+    ("fd_step", True, "a real number"), ("tol_exact", "1e-9", "a real number"),
+    ("tol_fd", "1e-5", "a real number"), ("fd_step", None, "a real number"),
+    ("tol_fd", 1e-5j, "a real number"), ("metric", 3, "a string"),
+    ("metric", b"euclidean", "a string"), ("suite", None, "a string"),
+    ("suite", ("closed-form",), "a string"),
+])
+def test_config_rejects_non_real_tolerances_and_non_string_names(name, value, what):
+    # tol_exact=True ran with tolerance 1.0 and wrote "tol_exact": true, a
+    # silently loosened verdict; metric=3 raised AttributeError and
+    # tol_fd="1e-5" TypeError
+    with pytest.raises(ConfigurationError, match=f"{name} must be {what}"):
+        HarnessConfig(**{name: value})
+
+
+def test_config_takes_int_and_float_tolerances():
+    config = HarnessConfig(tol_exact=1, tol_fd=np.float64(1e-4), fd_step=2e-5)
+    assert (config.tol_exact, config.tol_fd, config.fd_step) == (1, 1e-4, 2e-5)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, -(2**64)])
 def test_config_rejects_seeds_outside_64_bits(seed):
     # such a seed was masked to 64 bits: 2**64 gave seed 0's results under
@@ -202,17 +223,18 @@ def _scripted_check(devs):
 
 
 def _trial_side(side, i):
-    """Trial i's row of a side of a group's Inputs: a multivector's value
-    (an unstacked side is every trial's) or a component array."""
+    """Trial i's row of a side of a trial stack: a multivector's value (a
+    constant side, unstacked, is every trial's) or a component array."""
     if isinstance(side, Multivector):
         assert side._tangents is None
         return side._values[i, 0] if side._values.ndim == 3 else side._values
-    return side[i] if side.ndim == 3 else side
+    return side[i]
 
 
 def _assert_group_is_each_trials_own(check, ctx, group) -> list:
-    """The stacked sides of a group of draws give, row by row, each draw's
-    own unstacked sides bit for bit; returns each draw's own deviation."""
+    """The sides of a group of draws' trial stack give, row by row, each
+    draw's own sides, those of its stack of one, bit for bit; returns each
+    draw's own deviation."""
     t = check.trial
     stacked = t.sides(t.inputs(ctx, group))
     devs = []
@@ -223,26 +245,36 @@ def _assert_group_is_each_trials_own(check, ctx, group) -> list:
             for side, one in zip(stacked_pair, pair):
                 row = _trial_side(side, i)
                 assert row.tobytes() == _trial_side(one, 0).tobytes(), (check.id, i)
-        devs.append(float(harness._deviation(single, t.relative)))
+        (dev,) = harness._deviation(single, t.relative)
+        devs.append(float(dev))
     return devs
 
 
+def _structure(draw: dict) -> tuple:
+    """A draw's structure: its int fields, a rule's grades and arity."""
+    return tuple(v for v in draw.values() if type(v) is int)
+
+
 def _names(value, path=()):
-    """The (path, name) of every drawn name in one trial's values."""
+    """The (path, name) of every drawn name in one trial's fields, the path
+    a field's name and the indices into it."""
     if isinstance(value, str):
         return [(path, value)]
     if isinstance(value, dict):
-        value = tuple(value.values())
-    if isinstance(value, tuple):
-        return [n for i, v in enumerate(value) for n in _names(v, path + (i,))]
-    return []
+        items = value.items()
+    elif isinstance(value, tuple):
+        items = enumerate(value)
+    else:
+        return []
+    return [n for key, v in items for n in _names(v, path + (key,))]
 
 
 def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> tuple[int, set]:
     """Every check's groups of trials of one structure, stacked, give each
-    trial's own unstacked sides and deviation bit for bit; returns how many
-    trials sat in groups of more than one and the (check id, path) of every
-    drawn name that differs between the trials of some tested group."""
+    trial's own sides and deviation, those of its stack of one, bit for bit;
+    returns how many trials sat in groups of more than one and the (check
+    id, path) of every drawn name that differs between the trials of some
+    tested group."""
     config = HarnessConfig(dim=dim, metric=metric, trials=trials, seed=0)
     ortho = Frame.orthonormal(parse_metric(dim, metric))
     ctx = harness._Context(ortho.metric, config, ortho)
@@ -253,15 +285,15 @@ def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> tuple[int
         drawn = [t.draw(ctx, rng) for _ in range(trials)]
         devs, _ = t(ctx, harness._derive_rng(config.seed, check.id))
         groups = {}
-        for r, (structure, _) in enumerate(drawn):
-            groups.setdefault(structure, []).append(r)
+        for r, draw in enumerate(drawn):
+            groups.setdefault(_structure(draw), []).append(r)
         for rows in groups.values():
             own = _assert_group_is_each_trials_own(check, ctx, [drawn[r] for r in rows])
             grouped += len(rows) if len(rows) > 1 else 0
             assert [devs[r] for r in rows] == own, check.id
             names = collections.defaultdict(set)
             for r in rows:
-                for path, name in _names(drawn[r][1]):
+                for path, name in _names(drawn[r]):
                     names[path].add(name)
             mixed |= {(check.id, path) for path, seen in names.items() if len(seen) > 1}
     return grouped, mixed
@@ -277,23 +309,22 @@ def _assert_groups_are_each_trials_own(dim, metric, trials, checks) -> tuple[int
 def test_closed_form_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
     # a closed-form check is one group, structure (): all its trials are
     # stacked and its sides evaluated once; row r of each side is, bit for
-    # bit, the side that trial r's own unstacked Inputs give, and so is
-    # trial r's deviation
+    # bit, the side that trial r's own stack of one gives, and so is trial
+    # r's deviation
     checks = catalog("closed-form")
     assert len(checks) == 25
     assert _assert_groups_are_each_trials_own(dim, metric, trials, checks)[0] == 25 * trials
 
 
-# the drawn names of the properties and bridge checks, by their path in a
-# trial's values: the function option, the second function's option, the
-# smooth map and the bridge functional's name
-_OPTION = (0, 0)  # _random_setup's name, first in the rule's setup values
+# the drawn names of the properties and bridge checks, by their field: the
+# function option, the second function's option, the smooth map and the
+# bridge functional's name
 _NAME_PATHS = {
-    **{c.id: {_OPTION} for c in catalog("properties")},
-    "additivity-rule": {(0,), (1, 0)},
-    "leibniz-rule": {(0,), (1, 0)},
-    "chain-rule": {(0,), (1, 0)},
-    **{c.id: {(0,)} for c in catalog("bridge")},
+    **{c.id: {("option",)} for c in catalog("properties")},
+    "additivity-rule": {("option",), ("other",)},
+    "leibniz-rule": {("option",), ("other",)},
+    "chain-rule": {("option",), ("smooth",)},
+    **{c.id: {("functional",)} for c in catalog("bridge")},
 }
 
 
@@ -305,9 +336,9 @@ _NAME_PATHS = {
 ])
 def test_grouped_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
     # the properties and bridge checks (the closed-form ones are above) group
-    # their trials by grades and arity and stack each group of several; each
-    # trial's grouped sides and deviation are, bit for bit, its own
-    # unstacked ones, and some groups hold several trials in both suites
+    # their trials by grades and arity and stack each group; each trial's
+    # grouped sides and deviation are, bit for bit, those of its own stack
+    # of one, and some groups hold several trials in both suites
     mixed = set()
     for suite in ("properties", "bridge"):
         grouped, names = _assert_groups_are_each_trials_own(dim, metric, trials, catalog(suite))
@@ -318,37 +349,41 @@ def test_grouped_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
     # names, so the rows that each option selects are checked too: the one
     # bridge group always, and at dim 3 every drawn name of every check
     everywhere = {(i, path) for i, paths in _NAME_PATHS.items() for path in paths}
-    assert {(c.id, (0,)) for c in catalog("bridge")} <= mixed <= everywhere
+    assert {(c.id, ("functional",)) for c in catalog("bridge")} <= mixed <= everywhere
     assert mixed == everywhere or dim != 3
 
 
 def test_each_check_has_one_route():
-    # every check draws all its trials, groups them by drawn structure and
-    # evaluates its sides once per group: stacked for a group of several,
-    # unstacked for one; a closed-form check is one group
+    # every check draws all its trials, groups them by their drawn int
+    # fields (a rule's grades and arity) and evaluates its sides once per
+    # group, on the group's trial stack, a group of one included; a
+    # closed-form check is one group
     config = HarnessConfig(trials=16, seed=0)
     ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
     ctx = harness._Context(ortho.metric, config, ortho)
+    alone = 0
     for check in CATALOG:
         assert type(check.trial) is harness._Trials, check.id
-        structures, stacked = [], []
+        structures, stacks = [], []
 
         def draw(ctx, rng, draw=check.trial.draw):
-            structure, values = draw(ctx, rng)
-            structures.append(structure)
-            return structure, values
+            fields = draw(ctx, rng)
+            structures.append(_structure(fields))
+            return fields
 
         def sides(x, sides=check.trial.sides):
-            stacked.append(x.h.matrix.ndim == 3)
+            stacks.append(len(x.h.matrix) if x.h.matrix.ndim == 3 else None)
             return sides(x)
 
         trial = dataclasses.replace(check.trial, draw=draw, sides=sides)
         devs, _ = trial(ctx, harness._derive_rng(config.seed, check.id))
         assert len(devs) == config.trials
         sizes = list(collections.Counter(structures).values())  # in first-drawn order
-        assert stacked == [size > 1 for size in sizes], check.id
+        assert stacks == sizes, check.id
+        alone += sizes.count(1)
         if check.suite == "closed-form":
             assert sizes == [config.trials], check.id
+    assert alone > 0  # groups of one trial are drawn here, and stacked too
 
 
 def test_derivation_rules_group_by_grades_and_arity_alone():
@@ -380,13 +415,19 @@ def test_stacked_names_are_per_trial_values():
     ctx = harness._Context(ortho.metric, HarnessConfig(), ortho)
     # a column of names is the tuple of per-trial names (a one-letter string
     # iterates to itself, so it must not be taken for a tuple)
-    assert harness._made(ctx, [("exp",), ("sin",)], True) == (("exp", "sin"),)
-    assert harness._made(ctx, [("x", 1.0), ("x^c", 2.0)], True)[0] == ("x", "x^c")
-    # any other leaf names its type; a made multivector is no drawn value
-    for leaf, name in ((1, "int"), (None, "NoneType"), (b"x", "bytes"),
-                       (Multivector.zero(ctx.metric), "Multivector")):
+    assert harness._made(ctx, [("exp",), ("sin",)]) == (("exp", "sin"),)
+    assert harness._made(ctx, [("x", 1.0), ("x^c", 2.0)])[0] == ("x", "x^c")
+    # fields go by name; an int is the group's own structure and passes
+    # through
+    column = [{"p": 2, "smooth": "exp"}, {"p": 2, "smooth": "sin"}]
+    assert harness._made(ctx, column) == {"p": 2, "smooth": ("exp", "sin")}
+    assert harness._made(ctx, [(1,), (1,)]) == (1,)
+    # any other leaf names its type, a bool or a numpy int included; a made
+    # multivector is no drawn value
+    for leaf, name in ((None, "NoneType"), (b"x", "bytes"), (True, "bool"),
+                       (np.int64(1), "int64"), (Multivector.zero(ctx.metric), "Multivector")):
         with pytest.raises(TypeError, match=name):
-            harness._made(ctx, [(leaf,), (leaf,)], True)
+            harness._made(ctx, [(leaf,), (leaf,)])
 
 
 def _mixed(metric, rng):
@@ -401,9 +442,10 @@ def _mixed(metric, rng):
 @pytest.mark.parametrize("metric", [Metric.euclidean(2), Metric(5, (2.0, -1.0, 0.5, -3.0, 1.0)),
                                     Metric.euclidean(8)])
 def test_stacked_leaves_are_the_public_draws(metric):
-    # a drawn multivector keeps its uniforms; made alone or as a column of a
-    # group, it is bit for bit the public draw at the same generator state,
-    # and it leaves the generator where the public draw does
+    # a drawn multivector keeps its uniforms; made alone, as a stack of one,
+    # or as a column of a group, it is bit for bit the public draw at the
+    # same generator state, and it leaves the generator where the public
+    # draw does
     ortho = Frame.orthonormal(metric)
     ctx = harness._Context(ortho.metric, HarnessConfig(dim=metric.dim), ortho)
     draws = [(lambda m, r, g=g: harness._random_multivector(m, g, r),
@@ -413,10 +455,12 @@ def test_stacked_leaves_are_the_public_draws(metric):
         leaves = [draw(ctx.metric, rng) for _ in range(5)]
         made = [public(ctx.metric, reference) for _ in range(5)]
         assert rng.bit_generator.state == reference.bit_generator.state
-        stacked = harness._made(ctx, leaves, True)
+        stacked = harness._made(ctx, leaves)
         assert stacked._values.tobytes() == Multivector.stack(made)._values.tobytes()
         for leaf, one in zip(leaves, made):
-            assert harness._made(ctx, [leaf], False)._values.tobytes() == one._values.tobytes()
+            alone = harness._made(ctx, [leaf])._values
+            assert alone.shape == (1, 1, metric.size)
+            assert alone[0, 0].tobytes() == one._values.tobytes()
 
 
 # 64-bit words each check draws, and the last buffered 32-bit half-word
@@ -515,11 +559,14 @@ def _huge_value_group(check, ctx, names):
     for i, name in enumerate(names):
         c = _drawn((0.5 if name == "exp" else 1000.0) * e1)
         if check.suite == "bridge":
-            values = (name, _drawn(e1), c, h, harness._DrawnFrame(Extensor.random_invertible(
-                m, np.random.default_rng(i))))
-            group.append(((), values + (_drawn(e2),) if "directional" in check.id else values))
+            frame = harness._DrawnFrame(Extensor.random_invertible(m, np.random.default_rng(i)))
+            draw = dict(anchor=_drawn(e1), c=c, functional=name, h=h, frame=frame)
+            if "directional" in check.id:
+                draw["direction"] = _drawn(e2)
         else:  # the chain rule over x.c of one grade-1 anchor
-            group.append((((1, 1, 1),), (name, ("x.c", (_drawn(e1),), h, (c,)), _drawn(e1 + e2))))
+            draw = dict(p=1, q=1, k=1, anchors=(_drawn(e1),), h=h, option="x.c", consts=(c,),
+                        smooth=name, direction=_drawn(e1 + e2))
+        group.append(draw)
     return group
 
 
@@ -543,9 +590,10 @@ def test_no_option_sees_another_options_rows(identity, names):
         devs = _assert_group_is_each_trials_own(check, ctx, group)
         assert all(np.isfinite(devs)), devs
         # what exp would meet on another option's row
-        structure, values = next(d for d in group if d[1][0] != "exp")
+        key = "functional" if check.suite == "bridge" else "smooth"
+        draw = next(d for d in group if d[key] != "exp")
         with pytest.raises((OverflowError, RuntimeWarning)):
-            check.trial.sides(check.trial.inputs(ctx, [(structure, ("exp",) + values[1:])]))
+            check.trial.sides(check.trial.inputs(ctx, [dict(draw, **{key: "exp"})]))
 
 
 def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
@@ -621,16 +669,81 @@ def test_non_finite_deviation_fails_with_first_witness(monkeypatch, devs, bad_tr
     assert parsed["summary"] == {"passed": 0, "failed": 1}
 
 
+# the keys every trial's witness writes after the map's own record, by
+# identity: a witness writes a field if and only if its name is in
+# WITNESS_FIELDS, so a renamed field changes this table
+_DIRECTIONAL = {"anchors", "direction"}
+_WITNESS_KEYS = {
+    "dot-pair-directional": _DIRECTIONAL,
+    "dot-pair-directional-fd": _DIRECTIONAL,
+    "wedge-pair-directional": _DIRECTIONAL,
+    "wedge-pair-directional-fd": _DIRECTIONAL,
+    "vector-image-directional": _DIRECTIONAL,
+    "vector-image-directional-fd": _DIRECTIONAL,
+    "vector-image-star": {"anchors"},
+    "adjoint-image-directional": _DIRECTIONAL,
+    "adjoint-image-directional-fd": _DIRECTIONAL,
+    "adjoint-image-star": {"anchors"},
+    "trace-directional": _DIRECTIONAL,
+    "trace-directional-fd": _DIRECTIONAL,
+    "trace-star": {"anchors"},
+    "bivector-directional": _DIRECTIONAL,
+    "bivector-directional-fd": _DIRECTIONAL,
+    "bivector-star": {"anchors"},
+    "pseudoscalar-image-directional": _DIRECTIONAL,
+    "pseudoscalar-image-directional-fd": _DIRECTIONAL,
+    "det-directional": _DIRECTIONAL,
+    "det-directional-fd": _DIRECTIONAL,
+    "det-star": {"anchors"},
+    "blade-image-directional": _DIRECTIONAL,
+    "blade-image-directional-fd": _DIRECTIONAL,
+    "inverse-bivector-frame-sum": set(),
+    "star-fd-coherence": {"anchors"},
+    "direction-linearity": {"anchors", "direction", "alpha", "beta"},
+    "scaling-rule": {"anchors", "direction", "scale"},
+    "right-constant-rule": {"anchors", "direction", "constant"},
+    "additivity-rule": _DIRECTIONAL,
+    "leibniz-rule": _DIRECTIONAL,
+    "chain-rule": {"anchors", "direction", "smooth"},
+    "frame-independence": {"anchors"},
+    "intrinsic-equivalence": {"anchors"},
+    "component-partials-fd": {"anchors", "functional"},
+    "component-bridge-directional": {"anchors", "direction", "functional"},
+    "component-bridge-star": {"anchors", "functional"},
+}
+
+
+@pytest.mark.parametrize("dim, metric", [(3, "euclidean"), (5, "diag:+,-,+,-,+")])
+def test_every_trial_witnesses_its_fields_by_name(dim, metric):
+    config = HarnessConfig(dim=dim, metric=metric, trials=4, seed=0)
+    ortho = Frame.orthonormal(parse_metric(dim, metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    map_keys = set(Extensor.identity(ortho.metric).to_dict())
+    assert set(_WITNESS_KEYS) == {c.id for c in CATALOG}
+    for check in CATALOG:
+        _, witness_of = check.trial(ctx, harness._derive_rng(config.seed, check.id))
+        for r in range(config.trials):
+            assert set(witness_of(r)) == map_keys | _WITNESS_KEYS[check.id], (check.id, r)
+
+
 def test_deviation_keeps_the_first_nan():
     m = Metric.euclidean(3)
-    one, two = Multivector.from_scalar(m, 1.0), Multivector.from_scalar(m, 2.0)
-    nan, big = Multivector.from_scalar(m, float("nan")), Multivector.from_scalar(m, 10.0)
-    assert harness._deviation([(one, two), (one, big)]) == 9.0
-    assert harness._deviation([(one, two), (one, big)], relative=True) == 0.9  # 9 / 10 > 1 / 2
-    for pairs in ([(one, nan), (one, big)], [(one, big), (nan, one)], [(one, big), (nan, nan)]):
-        assert np.isnan(harness._deviation(pairs))
-        assert np.isnan(harness._deviation(pairs, relative=True))
-    assert np.isnan(harness._deviation([(np.zeros(2), np.array([0.0, np.nan]))]))
+    nan = float("nan")
+
+    def stack(*values):  # a trial stack of scalars, one per trial
+        return Multivector.stack([Multivector.from_scalar(m, v) for v in values])
+
+    # trial 0: 1 then 9, over 2 then 10 relatively (9 / 10 > 1 / 2); trials
+    # 1-3 a NaN in the first pair's rhs, the second pair's lhs, both sides
+    first = (stack(1.0, 1.0, 1.0, 1.0), stack(2.0, nan, 10.0, 10.0))
+    second = (stack(1.0, 1.0, nan, nan), stack(10.0, 10.0, 1.0, nan))
+    for relative, worst in ((False, 9.0), (True, 0.9)):
+        dev = harness._deviation([first, second], relative)
+        assert dev[0] == worst and np.isnan(dev[1:]).all()
+    # each trial of the bridge's component arrays is reduced alone
+    partials = np.zeros((2, 2, 2)), np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, nan], [0.0, 0.0]]])
+    dev = harness._deviation([partials])
+    assert dev[0] == 1.0 and np.isnan(dev[1])
 
 
 def _nan_like(mv):
