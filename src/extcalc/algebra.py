@@ -43,7 +43,13 @@ multivector with a tangent block is a grade-0 jet: a multivector whose slot
 0 holds the coefficient and whose tangent column 0 holds that coefficient's
 tangents.  A jet scales a multivector through the geometric product, which
 applies the product rule, so the smooth scalar maps of extcalc.dual, lifted
-to jets, compose with the products.
+to jets, compose with the products.  A geometric product with an operand
+that carries grade 0 alone (a jet, a scalar product, from_scalar) is a
+scaling: it sums no term list but computes each output's one term directly,
+bit for bit the same, and carries the other operand's grades (_scaling).  A
+scalar whose value or tangent is NaN or inf fails that route's finiteness
+check and takes the term route, where it stays off the grades no term
+reaches.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -591,6 +597,10 @@ class Multivector:
         if kind == "scalar":
             values, tangents = _scalar_product(tables.weight, a, b, ta, tb)
             return Multivector._raw(self.metric, values, tangents, 1)
+        if kind == "geometric" and 1 in (self._bits, other._bits):
+            scaled = _scaling(self, other) if self._bits == 1 else _scaling(other, self)
+            if scaled is not None:
+                return scaled
         if len(tables.blades) <= 5:  # every grade up to n = 4: the whole table costs less there
             grades_a = grades_b = (1 << len(tables.blades)) - 1
         else:
@@ -678,6 +688,32 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
 
 
 _UNIT_SIGNS = np.array([1.0, -1.0, 0.0])[:, None]
+
+
+def _scaling(x: Multivector, y: Multivector):
+    """The geometric product of x, which carries grade 0 alone, and y, on
+    either side, carrying y's grades; None when a value or tangent of x is
+    not finite.  Each output o of y's grades has one term, x_0 (1 y_o), so
+    the term list's sum from +0.0 is 0.0 + s y for s = x_0, and its tangents
+    are (0.0 + ts y) + (0.0 + s ty), which is (ts y + s ty) + 0.0 to the
+    bit; beside a finite s, an output off y's grades is that sum's +0.0 too.
+    A NaN or inf s would put NaN on every grade, so it takes the term route.
+    It warns where the term route does: in the sum of the tangents, not in
+    a product."""
+    s, ts = x._values, x._tangents
+    # off slot 0, x holds zeros, and a sum of squares is finite only when
+    # every entry is (one that overflows takes the term route too)
+    if not isfinite(np.vdot(s, s) + (0.0 if ts is None else np.vdot(ts, ts))):
+        return None
+    s, ty = s[..., :1], y._tangents
+    with np.errstate(over="ignore", invalid="ignore"):  # as einsum, which never warns
+        values = s * y._values
+        parts = (None if ts is None else ts[..., :1] * y._values, None if ty is None else s * ty)
+    tangents = _sum_tangents(*parts)
+    for out in (values, tangents):
+        if out is not None:
+            out += 0.0  # -0.0 becomes +0.0, as in a sum from +0.0
+    return Multivector._raw(y.metric, values, tangents, y._bits)
 
 
 def _scalar_product(weight, a, b, ta, tb) -> tuple:

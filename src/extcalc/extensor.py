@@ -19,16 +19,17 @@ through the product kernel under test.  The paper's pseudoscalar identity
 
 is checked by the tests, not used to compute.
 
-A trial stack of T maps (Extensor.stack) holds a (T, C(n,q), C(n,p))
-matrix; it applies to a trial stack trial by trial, or to one multivector
-in every trial, and its adjoint, compounds, trace, bivector, determinant and
-inverse are taken trial by trial, each with the BLAS or LAPACK call one map
-makes.  Its scalars, det and trace, are (T, 1) arrays, as a trial stack's
-coefficients are.  Application has one route, as the products do (see
-extcalc.algebra): every operand row enters it as a trial stack, and one map
-gives back the operand's own layout.  The random maps are 2u - 1 and
-u + (I - 1/2) of u = rng.random(shape), bit for bit the rng.uniform(-1, 1)
-formulas, and they and stacks are taken as made (Extensor._raw).
+A trial stack of T maps holds a (T, C(n,q), C(n,p)) matrix; it applies to
+a trial stack trial by trial, or to one multivector in every trial, and its
+adjoint, compounds, trace, bivector, determinant and inverse are taken trial
+by trial, each with the BLAS or LAPACK call one map makes.  Its scalars, det
+and trace, are (T, 1) arrays, as a trial stack's coefficients are.
+Application has one route, as the products do (see extcalc.algebra): every
+operand row enters it as a trial stack, and one map gives back the operand's
+own layout.  The random maps are 2u - 1 and u + (I - 1/2) of
+u = rng.random(shape), bit for bit the rng.uniform(-1, 1) formulas, and are
+taken as made (Extensor._raw); the harness keeps its drawn maps as those
+arrays and makes a column of them into one trial stack.
 """
 
 from __future__ import annotations
@@ -94,20 +95,6 @@ class Extensor:
         return cls(metric, np.diag(np.array(factors, dtype=float)))
 
     @classmethod
-    def stack(cls, maps) -> "Extensor":
-        """The trial stack of unstacked maps of one metric and grade pair."""
-        maps = list(maps)
-        if not maps:
-            raise ValueError("need at least one map to stack")
-        metric, p, q = maps[0].metric, maps[0].p, maps[0].q
-        for t in maps:  # little work per map: a verdict stacks thousands
-            if t.metric is not metric:
-                _check_metric(metric, t.metric)
-            if t.p != p or t.q != q or t.matrix.ndim != 2:
-                raise ValueError("only unstacked maps of one grade pair stack")
-        return cls._raw(metric, np.array([t.matrix for t in maps]), p, q)
-
-    @classmethod
     def from_vector_images(cls, metric: Metric, images) -> "Extensor":
         """(1,1) map defined by the images of the generators, one image per
         generator (trial stacks of images give a trial stack of maps)."""
@@ -126,14 +113,9 @@ class Extensor:
 
     @classmethod
     def random_invertible(cls, metric: Metric, rng) -> "Extensor":
-        """I + uniform(-1, 1) / 2, redrawn while |det| < INVERTIBLE_MIN_DET, as
-        u + (I - 1/2) for u = rng.random: u - 1/2 is exact (algebra._uniform)."""
-        rng = _as_rng(rng)
-        shift = _SHIFTS[metric.dim]
-        while True:
-            matrix = rng.random(shift.shape) + shift
-            if abs(_det(matrix)) >= INVERTIBLE_MIN_DET:
-                return cls._raw(metric, matrix)
+        """I + uniform(-1, 1) / 2, redrawn while |det| < INVERTIBLE_MIN_DET
+        (_invertible_matrix)."""
+        return cls._raw(metric, _invertible_matrix(metric.dim, _as_rng(rng)))
 
     # -- application and composition ----------------------------------------
 
@@ -262,6 +244,17 @@ class Extensor:
 # slot setters that bypass Extensor.__setattr__, which refuses all writes
 _set_metric, _set_p, _set_q, _set_matrix = (getattr(Extensor, name).__set__
                                             for name in Extensor.__slots__)
+
+
+def _invertible_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """random_invertible's n x n matrix: u + (I - 1/2) for u = rng.random,
+    redrawn while |det| < INVERTIBLE_MIN_DET; u - 1/2 is exact
+    (algebra._uniform)."""
+    shift = _SHIFTS[n]
+    while True:
+        matrix = rng.random(shift.shape) + shift
+        if abs(_det(matrix)) >= INVERTIBLE_MIN_DET:
+            return matrix
 
 
 def _fill(t: Extensor, metric: Metric, matrix: np.ndarray, p: int, q: int) -> Extensor:

@@ -20,7 +20,8 @@ A draw's int fields, a rule's grades and arity (p, q, k), are its structure:
 only they shape the arrays.  The other fields are maps, vectors, the
 functions' constants, floats, drawn frames and the drawn names (the function
 options, the smooth map, the bridge functional); a drawn multivector keeps
-only its masks and raw uniforms u (coefficients 2u - 1).  _Trials groups the
+only its masks and raw uniforms u (coefficients 2u - 1), and a drawn map its
+matrix, or its uniforms u (matrix 2u - 1) and p, q.  _Trials groups the
 trials by structure and makes every group, one trial or several, a trial
 stack (_made): names stack to per-trial tuples, each option run on its own
 trials' rows only, and the sides, which read the fields by name, are
@@ -79,7 +80,7 @@ from .dual import exp as _exp
 from .dual import sin as _sin
 from .dual import value_of
 from .errors import ConfigurationError
-from .extensor import Extensor, Outermorphism
+from .extensor import Extensor, Outermorphism, _invertible_matrix
 from .functional import (
     InducedFunctional,
     component_partials,
@@ -300,11 +301,20 @@ def _check(identity, suite, draw, sides, make=None, relative=False, **tolerance)
     return IdentityCheck(identity, suite, _Trials(draw, sides, make, relative), **tolerance)
 
 
+class _DrawnMap(NamedTuple):
+    """A drawn map before it is made: a random invertible map's matrix, or,
+    with no matrix, a random (p, q) map's uniforms u, its matrix 2u - 1."""
+    matrix: np.ndarray | None
+    u: np.ndarray | None = None
+    p: int = 1
+    q: int = 1
+
+
 class _DrawnFrame(NamedTuple):
     """A drawn frame before it is built: the images of the orthonormal basis
     under a random invertible carrier map, or, with no carrier, the
     orthonormal frame.  _frames builds a column of them."""
-    carrier: Extensor | None
+    carrier: _DrawnMap | None
 
 
 class _DrawnMultivector(NamedTuple):
@@ -315,8 +325,8 @@ class _DrawnMultivector(NamedTuple):
 
 def _made(ctx: _Context, column):
     """The trial stack of a column of drawn values, one per trial of a group.
-    Multivectors are made in one scatter and frames built in one call
-    (_frames); dicts and tuples go entry by entry, maps stack, names are
+    Multivectors are made in one scatter, maps as one array and frames built
+    in one call (_frames); dicts and tuples go entry by entry, names are
     per-trial tuples and floats a (T, 1) array.  An int is the group's own
     structure and passes through; any other value raises TypeError."""
     first = column[0]
@@ -326,14 +336,17 @@ def _made(ctx: _Context, column):
         values[..., first.masks] = _uniform(u)  # one structure: every trial's masks
         bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[first.masks])
         return Multivector._raw(ctx.metric, values, bits=int(bits))
+    if isinstance(first, _DrawnMap):  # one structure: every trial's p and q
+        if first.matrix is not None:
+            return Extensor._raw(ctx.metric, np.array([d.matrix for d in column]))
+        u = np.array([d.u for d in column])
+        return Extensor._raw(ctx.metric, _uniform(u), first.p, first.q)
     if isinstance(first, _DrawnFrame):
         return _frames(ctx, [f.carrier for f in column])
     if isinstance(first, dict):
         return {key: _made(ctx, [d[key] for d in column]) for key in first}
     if isinstance(first, tuple):
         return tuple(_made(ctx, c) for c in zip(*column))
-    if isinstance(first, Extensor):
-        return Extensor.stack(column)
     if isinstance(first, str):
         return tuple(column)
     if isinstance(first, float):
@@ -364,8 +377,19 @@ def _frames(ctx: _Context, carriers) -> Frame:
 # -- random input helpers -------------------------------------------------------
 
 
+def _random_invertible(metric: Metric, rng) -> _DrawnMap:
+    """Extensor.random_invertible's draw, kept as its matrix."""
+    return _DrawnMap(_invertible_matrix(metric.dim, rng))
+
+
+def _random_map(metric: Metric, rng, p: int, q: int) -> _DrawnMap:
+    """Extensor.random's draw, kept as its uniforms."""
+    n = metric.dim
+    return _DrawnMap(None, rng.random((math.comb(n, q), math.comb(n, p))), p, q)
+
+
 def _random_frame(ctx: _Context, rng) -> _DrawnFrame:
-    return _DrawnFrame(Extensor.random_invertible(ctx.metric, rng))
+    return _DrawnFrame(_random_invertible(ctx.metric, rng))
 
 
 def _maybe_random_frame(ctx: _Context, rng) -> _DrawnFrame:
@@ -444,7 +468,7 @@ def _random_setup(ctx: _Context, rng, scalar_valued=False) -> dict:
     q = int(rng.integers(1, top + 1))
     k = int(rng.integers(1, 3))
     anchors = tuple(_random_multivector(metric, p, rng) for _ in range(k))
-    h = Extensor.random(metric, rng, p, q)
+    h = _random_map(metric, rng, p, q)
     draw_func = _draw_scalar_func if scalar_valued else _draw_value_func
     option, consts = draw_func(metric, rng, k, q)
     return dict(p=p, q=q, k=k, anchors=anchors, h=h, option=option, consts=consts)
@@ -514,7 +538,7 @@ def _det_star(x):
 
 def _after_map(draw):
     """draw's fields, drawn after a random invertible map h."""
-    return lambda ctx, rng: dict(h=Extensor.random_invertible(ctx.metric, rng), **draw(ctx, rng))
+    return lambda ctx, rng: dict(h=_random_invertible(ctx.metric, rng), **draw(ctx, rng))
 
 
 def _fd_pair(x: Inputs, phi) -> tuple:
@@ -556,7 +580,7 @@ def _draw_blade_images(ctx, rng):
     every grade k = 1..n, drawn in that order."""
     m = ctx.metric
     return dict(
-        h=Extensor.random_invertible(m, rng),
+        h=_random_invertible(m, rng),
         direction=_random_multivector(m, 1, rng),
         vectors=tuple(tuple(_random_multivector(m, 1, rng) for _ in range(k))
                       for k in range(1, m.dim + 1)),
@@ -699,7 +723,7 @@ def _draw_bridge(ctx, rng):
     return dict(anchor=_random_multivector(ctx.metric, 1, rng),
                 c=_random_multivector(ctx.metric, 1, rng),
                 functional=("linear", "square", "exp")[rng.integers(3)],
-                h=Extensor.random_invertible(ctx.metric, rng), frame=_maybe_random_frame(ctx, rng))
+                h=_random_invertible(ctx.metric, rng), frame=_maybe_random_frame(ctx, rng))
 
 
 def _draw_bridge_directional(ctx, rng):

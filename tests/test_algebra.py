@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from functools import lru_cache
@@ -1174,6 +1175,99 @@ def test_products_reject_mismatched_tangent_blocks():
         for x, y in ((one, two), (two, one)):
             with pytest.raises(ValueError):
                 product(kind, x, y)
+
+
+# -- a grade-0 operand scales ---------------------------------------------------------
+
+# (values, tangents) leading shapes of a side: unstacked, with and without a
+# 2-row tangent block; a point batch of 4; trial stacks of 6 (more trials
+# than blades at n = 2), with and without 2-row blocks; 6 batches of 4
+_SCALING_LAYOUTS = [((), None), ((), (2,)), ((4,), None), ((6, 1), None), ((6, 1), (6, 2)),
+                    ((6, 4), None)]
+
+
+def _scaling_pairs():
+    """(scalar layout, other layout) pairs that combine: a tangent block
+    meets no point batch."""
+    for s, y in itertools.product(_SCALING_LAYOUTS, repeat=2):
+        batched = any(len(lead) == 1 or lead[1:] == (4,) for lead, _ in (s, y))
+        if not (batched and (s[1] or y[1])):
+            yield s, y
+
+
+def _scaling_sides(metric, rng, bits, s_layout, y_layout, special=False):
+    """A grade-0 multivector carrying bits 1 and one carrying `bits`, in the
+    layouts given, with signed zeros among their entries; `special` puts an
+    inf and a NaN among the other one's."""
+    size, grades = metric.size, _tables(metric).grade_bits
+
+    def rows(lead, on):
+        values = rng.uniform(-2.0, 2.0, lead + (size,)) * on
+        values[rng.random(values.shape) < 0.2] = -0.0
+        return np.where(on, values, rng.choice([0.0, -0.0], values.shape))
+    (sv, st), (yv, yt) = s_layout, y_layout
+    scalar, other = grades == 1, (grades & bits) != 0
+    y_values = rows(yv, other)
+    if special:
+        y_values.reshape(-1, size)[0, np.flatnonzero(other)[[0, -1]]] = (np.inf, np.nan)
+    s = Multivector._raw(metric, rows(sv, scalar), None if st is None else rows(st, scalar), 1)
+    y = Multivector._raw(metric, y_values, None if yt is None else rows(yt, other), bits)
+    return s, y
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_grade0_operand_scales_as_its_term_list_bit_for_bit(n, monkeypatch):
+    # a geometric product with an operand carrying grade 0 alone, on either
+    # side, in every layout, tangents on either side or both: its values and
+    # tangents are _term_product's over the grade-0 term list, bit for bit,
+    # signed zeros, inf and NaN included, with no term list summed, and it
+    # carries exactly the other operand's grades
+    metric = Metric(n, _SIGNED_DIAG[:n])
+    rng = np.random.default_rng(700 + n)
+    reference = algebra._term_product
+    monkeypatch.setattr(algebra, "_term_product", None)  # the scaling sums no term list
+    for case, (s_layout, y_layout) in enumerate(_scaling_pairs()):
+        bits = int(rng.integers(2, 1 << (n + 1)))  # some grade besides 0
+        s, y = _scaling_sides(metric, rng, bits, s_layout, y_layout, special=case % 3 == 0)
+        for left in (True, False):
+            x, z = (s, y) if left else (y, s)
+            got = product("geometric", x, z)
+            terms = _terms(metric, "geometric", *((1, bits) if left else (bits, 1)))
+            want = reference(terms, x._values, z._values, x._tangents, z._tangents)
+            where = (n, s_layout, y_layout, left)
+            assert got._bits == bits, where
+            for g, w in zip((got._values, got._tangents), want):
+                assert (g is None) == (w is None), where
+                if w is not None:
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), where
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("part", ["value", "tangent"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_scalar_takes_the_term_route(n, part, bad):
+    # a NaN or inf scalar value or tangent would be NaN on every grade as a
+    # scaling (inf 0); the term route keeps it off the grades no term
+    # reaches: at n >= 5 every output off the other operand's grades is 0
+    metric = Metric(n, _SIGNED_DIAG[:n])
+    rng = np.random.default_rng(800 + n)
+    bits = 1 << 1 | 1 << n
+    s, y = _scaling_sides(metric, rng, bits, ((6, 1), (6, 2)), ((6, 1), (6, 2)))
+    block = s._values if part == "value" else s._tangents
+    block[3, -1, 0] = bad
+    read = (1, bits) if n >= 5 else ((1 << n + 1) - 1,) * 2  # the grades a product reads
+    off = (_tables(metric).grade_bits & bits) == 0
+    for left in (True, False):
+        x, z = (s, y) if left else (y, s)
+        terms = _terms(metric, "geometric", *(read if left else read[::-1]))
+        want = algebra._term_product(terms, x._values, z._values, x._tangents, z._tangents)
+        got = product("geometric", x, z)
+        assert got._bits == terms.bits
+        assert got._values.tobytes() == want[0].tobytes()
+        assert got._tangents.tobytes() == want[1].tobytes()
+        assert not np.isfinite(got._tangents[3]).all()
+        if n >= 5:
+            assert not np.any(got._values[..., off]) and not np.any(got._tangents[..., off])
 
 
 # -- the blade frame sum as one contraction ------------------------------------------

@@ -166,7 +166,7 @@ def test_map_grades_are_checked_before_any_draw(p, q, named):
 def test_library_made_matrices_are_read_only():
     rng = np.random.default_rng(10)
     made = [Extensor.random(E3, rng, 1, 2), Extensor.random_invertible(E3, rng)]
-    made.append(Extensor.stack([made[1], Extensor.random_invertible(E3, rng)]))
+    made.append(Extensor(E3, [made[1].matrix, Extensor.random_invertible(E3, rng).matrix]))
     for t in made:
         with pytest.raises(ValueError, match="read-only"):
             t.matrix[0, 0] = 1.0
@@ -256,7 +256,8 @@ def _assert_rows_in_layout(apply, singles, stacked, metric, grade, rng, atol):
 def test_apply_maps_a_batch_row_by_row(p, q):
     rng = np.random.default_rng(30 + p + q)
     maps = [Extensor.random(E3, rng, p, q) for _ in range(3)]
-    _assert_rows_in_layout(Extensor.apply, maps, Extensor.stack(maps), E3, p, rng, 1e-15)
+    stacked = Extensor(E3, [t.matrix for t in maps], p, q)
+    _assert_rows_in_layout(Extensor.apply, maps, stacked, E3, p, rng, 1e-15)
 
 
 def test_outermorphism_maps_a_batch_row_by_row():
@@ -264,7 +265,7 @@ def test_outermorphism_maps_a_batch_row_by_row():
     metric = Metric(4, (2.0, 1.0, -1.0, 1.0))
     bases = [Extensor.random(metric, rng) for _ in range(3)]
     oms = [Outermorphism(h) for h in bases]
-    stacked = Outermorphism(Extensor.stack(bases))
+    stacked = Outermorphism(Extensor(metric, [h.matrix for h in bases]))
     _assert_rows_in_layout(Outermorphism.apply, oms, stacked, metric, 2, rng, 1e-14)
 
 

@@ -209,7 +209,7 @@ def test_a_frame_from_its_carrier_matrix_is_from_vectors_bit_for_bit(n):
     metric = Metric(n, tuple((2.0, -1.0, 0.5, -3.0)[k % 4] for k in range(n)))
     rng = np.random.default_rng(40 + n)
     carriers = [Extensor.random_invertible(metric, rng) for _ in range(3)]
-    for carrier in (*carriers, Extensor.stack(carriers)):
+    for carrier in (*carriers, Extensor(metric, [c.matrix for c in carriers])):
         want = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
         got = Frame._of_rows(metric, *_frame_rows(metric, carrier.matrix))
         for g, w in zip(got.vectors + got.reciprocal, want.vectors + want.reciprocal):

@@ -463,6 +463,42 @@ def test_stacked_leaves_are_the_public_draws(metric):
             assert alone[0, 0].tobytes() == one._values.tobytes()
 
 
+# a seed per dim whose first random_invertible candidate has |det| < 0.1
+_REDRAWN_FIRST = {2: 3439, 3: 562, 4: 70, 5: 4, 6: 15, 7: 8, 8: 12}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_drawn_maps_are_the_public_draws(n):
+    # a drawn map keeps its matrix, or its uniforms and p, q; made alone, as
+    # a stack of one, or as a column of a group, it is bit for bit the
+    # public draw at the same generator state, read-only, and it leaves the
+    # generator where the public draw does
+    metric = Metric(n, tuple((2.0, -1.0, 0.5, -3.0)[k % 4] for k in range(n)))
+    ortho = Frame.orthonormal(metric)
+    ctx = harness._Context(ortho.metric, HarnessConfig(dim=n), ortho)
+    seed = _REDRAWN_FIRST[n]
+    first = np.random.default_rng(seed).random((n, n)) + np.eye(n) - 0.5
+    assert abs(np.linalg.det(first)) < 0.1  # the seed's first candidate is redrawn
+    pairs = [(lambda r: harness._random_invertible(metric, r),
+              lambda r: Extensor.random_invertible(metric, r))]
+    pairs += [(lambda r, p=p, q=q: harness._random_map(metric, r, p, q),
+               lambda r, p=p, q=q: Extensor.random(metric, r, p, q))
+              for p, q in ((1, 1), (1, 2), (2, 1), (0, n), (n - 1, 2))]
+    for draw, public in pairs:
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        leaves = [draw(rng) for _ in range(4)]
+        made = [public(reference) for _ in range(4)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        stacked = harness._made(ctx, leaves)
+        assert (stacked.p, stacked.q) == (made[0].p, made[0].q)
+        assert stacked.matrix.tobytes() == np.array([t.matrix for t in made]).tobytes()
+        assert not stacked.matrix.flags.writeable
+        for leaf, one in zip(leaves, made):
+            alone = harness._made(ctx, [leaf]).matrix
+            assert alone.shape == (1,) + one.matrix.shape
+            assert alone[0].tobytes() == one.matrix.tobytes()
+
+
 # 64-bit words each check draws, and the last buffered 32-bit half-word
 # (stale: no draw ends half-way through a word), at dim 3, 8 trials and dim
 # 6, diag:+,+,+,-,-,+, 2 trials, seed 0; PCG64's state is integer
@@ -554,12 +590,12 @@ def _huge_value_group(check, ctx, names):
     which math.exp cannot take."""
     m = ctx.metric
     e1, e2 = Multivector.from_blade(m, 1), Multivector.from_blade(m, 2)
-    h = Extensor.identity(m)
+    h = harness._DrawnMap(np.eye(m.dim))
     group = []
     for i, name in enumerate(names):
         c = _drawn((0.5 if name == "exp" else 1000.0) * e1)
         if check.suite == "bridge":
-            frame = harness._DrawnFrame(Extensor.random_invertible(m, np.random.default_rng(i)))
+            frame = harness._DrawnFrame(harness._random_invertible(m, np.random.default_rng(i)))
             draw = dict(anchor=_drawn(e1), c=c, functional=name, h=h, frame=frame)
             if "directional" in check.id:
                 draw["direction"] = _drawn(e2)
