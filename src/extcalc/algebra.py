@@ -85,6 +85,12 @@ increasing i, and such a sum does not change when terms of value zero join
 it anywhere, signed zeros included.  Extensor application (extcalc.extensor)
 likewise takes one route for every layout.
 
+A Frame is its two coordinate matrices, (n, n) or (T, n, n) for a trial
+stack: row k of coords holds f_k's grade-1 coordinates, row k of recip those
+of the reciprocal vector f^k, the inverse Gram matrix times coords (Hestenes
+& Sobczyk, Clifford Algebra to Geometric Calculus, 1984, ch. 1).  Its vectors
+and its blades, compounds of the two matrices, are built from them.
+
 All values are immutable after construction and every operation is pure.
 Every layer checks its inputs with the same two rules: _check_metric (one
 metric for all operands, maps and frames) and _check_operand (a fixed operand
@@ -96,7 +102,7 @@ settle it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, isfinite
 from operator import or_
 from typing import Iterable, Sequence
@@ -966,53 +972,7 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
     """Vectors f^i with f^i . f_j = delta_ij under the ambient metric: the
     inverse Gram matrix applied to the frame's values (tangents are dropped).
     Trial stacks of vectors give the trial stack of reciprocal frames."""
-    vectors = list(vectors)
-    if not vectors:
-        raise DegenerateFrameError("empty frame")
-    metric = vectors[0].metric
-    n = metric.dim
-    if len(vectors) != n:
-        raise DegenerateFrameError(f"need {n} vectors, got {len(vectors)}")
-    for v in vectors:
-        _check_metric(metric, v.metric)
-        if _is_batch(v) or not v.is_homogeneous(1):
-            raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
-    coords = _coordinate_rows(vectors, _tables(metric).blades[1])
-    recip = _vector_rows(metric, _reciprocal_coordinates(metric, coords))
-    return [_trial_rows(metric, recip[..., k, :], 2) for k in range(n)]
-
-
-def _reciprocal_coordinates(metric: Metric, coords: np.ndarray) -> np.ndarray:
-    """Grade-1 coordinates of the reciprocal frame, row k of f^k, of the
-    frame whose row k holds f_k's: the inverse Gram matrix times coords,
-    (n, n), or (T, n, n) for a trial stack of frames; DegenerateFrameError
-    when the frame is (numerically) dependent."""
-    tables = _tables(metric)
-    gram = (coords * tables.weight[tables.blades[1]]) @ np.swapaxes(coords, -1, -2)
-    # conditioning, not det size, so that a frame and its scaled copies agree
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
-        raise DegenerateFrameError("frame vectors are (numerically) dependent")
-    return np.linalg.inv(gram) @ coords
-
-
-def _frame_rows(metric: Metric, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, reciprocal vectors), (n, 2^n) value rows each, of the frame
-    of the images h(e_k) of the coordinate basis under the (1,1) map of an
-    n x n matrix; (T, n, 2^n) each for a (T, n, n) stack of matrices.
-    h(e_k) is column k of the matrix, exactly, so the rows are bit for bit
-    those of Frame.from_vectors of the images."""
-    coords = np.ascontiguousarray(np.swapaxes(matrix, -1, -2))  # the rows from_vectors stacks
-    recip = _reciprocal_coordinates(metric, coords)
-    return _vector_rows(metric, coords), _vector_rows(metric, recip)
-
-
-def _vector_rows(metric: Metric, coords: np.ndarray) -> np.ndarray:
-    """(..., n, 2^n) value rows of the vectors whose grade-1 coordinates are
-    the rows of the (..., n, n) coords."""
-    rows = np.zeros(coords.shape[:-1] + (metric.size,))
-    rows[..., _tables(metric).blades[1]] = coords
-    return rows
+    return list(Frame.from_vectors(vectors).reciprocal)
 
 
 def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
@@ -1024,38 +984,74 @@ def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
     return np.stack(rows, axis=-2)[..., masks]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """A basis of grade-1 vectors together with its reciprocal basis; or a
-    trial stack of frames, each vector a trial stack."""
+    """A basis of grade-1 vectors together with its reciprocal basis, as
+    their coordinate matrices: row k of `coords` (`recip`) holds the grade-1
+    coordinates of f_k (f^k), shape (n, n), or (T, n, n) for a trial stack
+    of frames; both read-only.  Frame(metric, coords, recip) takes them as
+    given; from_vectors and orthonormal build the reciprocal coordinates."""
 
-    vectors: tuple[Multivector, ...]
-    reciprocal: tuple[Multivector, ...]
+    metric: Metric
+    coords: np.ndarray
+    recip: np.ndarray
 
     def __post_init__(self):
+        for name in ("coords", "recip"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_cascades", ([], []))  # compounds, primal and reciprocal
+        object.__setattr__(self, "_cascades", ([self.coords], [self.recip]))  # _compound's
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Multivector]) -> "Frame":
-        return cls(tuple(vectors), tuple(reciprocal_frame(vectors)))
+        """The frame of n unbatched grade-1 vectors, or trial stacks of them,
+        over one metric; their values only (tangents are dropped)."""
+        vectors = list(vectors)
+        if not vectors:
+            raise DegenerateFrameError("empty frame")
+        metric = vectors[0].metric
+        if len(vectors) != metric.dim:
+            raise DegenerateFrameError(f"need {metric.dim} vectors, got {len(vectors)}")
+        for v in vectors:
+            _check_metric(metric, v.metric)
+            if _is_batch(v) or not v.is_homogeneous(1):
+                raise DegenerateFrameError("frame vectors must be unbatched and grade 1")
+        return cls._of_coords(metric, _coordinate_rows(vectors, _tables(metric).blades[1]))
 
     @classmethod
-    def _of_rows(cls, metric: Metric, primal: np.ndarray, recip: np.ndarray) -> "Frame":
-        """The frame whose vector (reciprocal vector) k has values primal[...,
-        k, :] (recip[..., k, :]), of shape (n, 2^n), or (T, n, 2^n) for a
-        trial stack of frames."""
-        return cls(*(tuple(_trial_rows(metric, rows[..., k, :], 2) for k in range(metric.dim))
-                     for rows in (primal, recip)))
+    def _of_coords(cls, metric: Metric, coords: np.ndarray) -> "Frame":
+        """The frame whose vectors have the rows of `coords`, (n, n) or
+        (T, n, n), as coordinates, its reciprocal the inverse Gram matrix
+        times coords; DegenerateFrameError when the frame is (numerically)
+        dependent."""
+        tables = _tables(metric)
+        gram = (coords * tables.weight[tables.blades[1]]) @ np.swapaxes(coords, -1, -2)
+        # conditioning, not det size, so that a frame and its scaled copies agree
+        sv = np.linalg.svd(gram, compute_uv=False)
+        if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
+            raise DegenerateFrameError("frame vectors are (numerically) dependent")
+        return cls(metric, coords, np.linalg.inv(gram) @ coords)
 
     @classmethod
     def orthonormal(cls, metric: Metric) -> "Frame":
         """The coordinate frame; reciprocals are e_k / g_kk."""
         return _orthonormal_frame(metric)
 
-    @property
-    def metric(self) -> Metric:
-        return self.vectors[0].metric
+    @cached_property
+    def vectors(self) -> tuple[Multivector, ...]:
+        return self._vectors(self.coords)
+
+    @cached_property
+    def reciprocal(self) -> tuple[Multivector, ...]:
+        return self._vectors(self.recip)
+
+    def _vectors(self, coords: np.ndarray) -> tuple[Multivector, ...]:
+        """The grade-1 vectors, or trial stacks, whose coordinates are the rows."""
+        rows = np.zeros(coords.shape[:-1] + (self.metric.size,))
+        rows[..., _tables(self.metric).blades[1]] = coords
+        return tuple(_trial_rows(self.metric, rows[..., k, :], 2) for k in range(self.metric.dim))
 
     def blades(self, grade: int) -> tuple[np.ndarray, np.ndarray]:
         """(primal, reciprocal) blades of a grade: read-only (C(n, grade), 2^n)
@@ -1063,7 +1059,7 @@ class Frame:
         wedge f_J (f^J) of the vectors (reciprocal vectors) that mask J picks;
         (T, C(n, grade), 2^n) for a trial stack of frames.  A wedge of k
         vectors has the k x k minors of their coordinates as its
-        coefficients, so each array is a compound of a coordinate matrix."""
+        coefficients, so each array is a compound of coords (recip)."""
         if grade not in self._cache:
             self._cache[grade] = (self._blades(0, grade), self._blades(1, grade))
         return self._cache[grade]
@@ -1071,22 +1067,18 @@ class Frame:
     def _blades(self, side: int, grade: int) -> np.ndarray:
         """blades(grade)[side], the primal (0) or reciprocal (1) ones, from
         the side's compounds, each grade built once from the one below."""
-        masks, cascade = _tables(self.metric).blades, self._cascades[side]
-        if not cascade:  # the coordinate matrix, the compound of grade 1
-            cascade.append(_coordinate_rows((self.vectors, self.reciprocal)[side], masks[1]))
+        cascade = self._cascades[side]
         # _compound rejects a grade out of range before masks[grade] is read
         minors = _compound(cascade[0], grade, cascade)
         blades = np.zeros(minors.shape[:-1] + (self.metric.size,))
-        blades[..., masks[grade]] = minors
+        blades[..., _tables(self.metric).blades[grade]] = minors
         blades.flags.writeable = False
         return blades
 
 
 @lru_cache(maxsize=None)
 def _orthonormal_frame(metric: Metric) -> Frame:
-    basis = basis_vectors(metric)
-    recip = [(1.0 / metric.diag[k]) * basis[k] for k in range(metric.dim)]
-    return Frame(tuple(basis), tuple(recip))
+    return Frame(metric, np.eye(metric.dim), np.diag(1.0 / np.array(metric.diag)))
 
 
 def _as_rng(rng) -> np.random.Generator:

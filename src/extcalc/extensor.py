@@ -103,7 +103,7 @@ class Extensor:
             raise ValueError(f"expected {metric.dim} images, one per generator, got {len(images)}")
         for v in images:
             _check_operand(v, metric, 1, "image")
-        return cls(metric, _coords(images))
+        return cls(metric, np.swapaxes(_coordinate_rows(images, _tables(metric).blades[1]), -1, -2))
 
     @classmethod
     def random(cls, metric: Metric, rng, p: int = 1, q: int = 1) -> "Extensor":
@@ -202,7 +202,7 @@ class Extensor:
         self._require_vector_map("to_components")
         _check_metric(self.metric, frame.metric)
         tables = _tables(self.metric)
-        primal = _coords(frame.vectors)
+        primal = np.swapaxes(frame.coords, -1, -2)
         image = np.swapaxes(self.matrix @ primal, -1, -2)
         return image @ (primal * tables.weight[tables.blades[1]][:, None])
 
@@ -215,7 +215,8 @@ class Extensor:
         components = np.array(components, dtype=float)
         if components.shape != (n, n):
             raise ValueError(f"expected shape {(n, n)}, got {components.shape}")
-        matrix = _coords(frame.reciprocal) @ components.T @ np.linalg.inv(_coords(frame.vectors))
+        recip, primal = (np.swapaxes(rows, -1, -2) for rows in (frame.recip, frame.coords))
+        matrix = recip @ components.T @ np.linalg.inv(primal)
         return cls(metric, matrix)
 
     # -- serialization ---------------------------------------------------------
@@ -286,13 +287,6 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
         return out if matrix.ndim == 3 else out.reshape(rows.shape)
 
     return x._map_rows(image, 1 << q)
-
-
-def _coords(vectors) -> np.ndarray:
-    """Grade-1 coordinates of the vectors' values, one column per vector
-    (per trial, for trial stacks)."""
-    rows = _coordinate_rows(vectors, _tables(vectors[0].metric).blades[1])
-    return np.swapaxes(rows, -1, -2)
 
 
 class Outermorphism:

@@ -148,9 +148,10 @@ class InducedFunctional:
         """Standard derivative of F in each slot, at (t(A^1), ..., t(A^k)).
 
         `step` selects the oracle as in grad_star; exactly, every slot comes
-        from one forward pass of F.
+        from one forward pass of F, the one derivative_table at t and step
+        reads (_star_gradients).
         """
-        grads = _slot_gradients(self.func, self.arguments(t), range(self.arity), step=step)
+        grads = self._star_gradients(t, step)
         return [_trial_rows(self.metric, grads[..., i, :]) for i in range(self.arity)]
 
     def _anchor_weights(self, directions: np.ndarray) -> np.ndarray:

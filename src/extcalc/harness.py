@@ -20,8 +20,9 @@ A draw's int fields, a rule's grades and arity (p, q, k), are its structure:
 only they shape the arrays.  The other fields are maps, vectors, the
 functions' constants, floats, drawn frames and the drawn names (the function
 options, the smooth map, the bridge functional); a drawn multivector keeps
-only its masks and raw uniforms u (coefficients 2u - 1), and a drawn map its
-matrix, or its uniforms u (matrix 2u - 1) and p, q.  _Trials groups the
+only its masks and raw uniforms u (coefficients 2u - 1), a drawn map its
+matrix, or its uniforms u (matrix 2u - 1) and p, q, and a drawn frame its
+carrier map, the identity for the orthonormal frame.  _Trials groups the
 trials by structure and makes every group, one trial or several, a trial
 stack (_made): names stack to per-trial tuples, each option run on its own
 trials' rows only, and the sides, which read the fields by name, are
@@ -57,7 +58,6 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
-    _frame_rows,
     _tables,
     _uniform,
     blade_name,
@@ -311,10 +311,10 @@ class _DrawnMap(NamedTuple):
 
 
 class _DrawnFrame(NamedTuple):
-    """A drawn frame before it is built: the images of the orthonormal basis
-    under a random invertible carrier map, or, with no carrier, the
-    orthonormal frame.  _frames builds a column of them."""
-    carrier: _DrawnMap | None
+    """A drawn frame before it is made: the images of the orthonormal basis
+    under its carrier map, the identity for the orthonormal frame, so the
+    rows of the frame's coordinates are the columns of the carrier's matrix."""
+    carrier: _DrawnMap
 
 
 class _DrawnMultivector(NamedTuple):
@@ -325,10 +325,11 @@ class _DrawnMultivector(NamedTuple):
 
 def _made(ctx: _Context, column):
     """The trial stack of a column of drawn values, one per trial of a group.
-    Multivectors are made in one scatter, maps as one array and frames built
-    in one call (_frames); dicts and tuples go entry by entry, names are
-    per-trial tuples and floats a (T, 1) array.  An int is the group's own
-    structure and passes through; any other value raises TypeError."""
+    Multivectors are made in one scatter, maps as one array and frames in
+    one Frame._of_coords of their carriers' transposed matrices; dicts and
+    tuples go entry by entry, names are per-trial tuples and floats a (T, 1)
+    array.  An int is the group's own structure and passes through; any
+    other value raises TypeError."""
     first = column[0]
     if isinstance(first, _DrawnMultivector):  # np.array: np.stack checks each row
         u = np.array([d.u for d in column])[:, None]
@@ -341,8 +342,8 @@ def _made(ctx: _Context, column):
             return Extensor._raw(ctx.metric, np.array([d.matrix for d in column]))
         u = np.array([d.u for d in column])
         return Extensor._raw(ctx.metric, _uniform(u), first.p, first.q)
-    if isinstance(first, _DrawnFrame):
-        return _frames(ctx, [f.carrier for f in column])
+    if isinstance(first, _DrawnFrame):  # one array of coordinates, row k of f_k's
+        return Frame._of_coords(ctx.metric, np.array([f.carrier.matrix.T for f in column]))
     if isinstance(first, dict):
         return {key: _made(ctx, [d[key] for d in column]) for key in first}
     if isinstance(first, tuple):
@@ -354,24 +355,6 @@ def _made(ctx: _Context, column):
     if type(first) is int:
         return first
     raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
-
-
-def _frames(ctx: _Context, carriers) -> Frame:
-    """The trial stack of drawn frames: the orthonormal frame in the trials
-    without a carrier, and in the others the images of the orthonormal basis
-    under the stacked carriers, the columns of their matrices, exactly, and
-    their reciprocal frames, in one call."""
-    metric, ortho = ctx.metric, ctx.ortho
-    pair = [
-        np.repeat(np.stack([v._values for v in vectors])[None], len(carriers), axis=0)
-        for vectors in (ortho.vectors, ortho.reciprocal)
-    ]
-    drawn = [r for r, c in enumerate(carriers) if c is not None]
-    if drawn:
-        rows = _frame_rows(metric, np.array([carriers[r].matrix for r in drawn]))
-        for values, drawn_rows in zip(pair, rows):
-            values[drawn] = drawn_rows
-    return Frame._of_rows(metric, *pair)
 
 
 # -- random input helpers -------------------------------------------------------
@@ -393,7 +376,9 @@ def _random_frame(ctx: _Context, rng) -> _DrawnFrame:
 
 
 def _maybe_random_frame(ctx: _Context, rng) -> _DrawnFrame:
-    return _random_frame(ctx, rng) if rng.integers(2) else _DrawnFrame(None)
+    if rng.integers(2):
+        return _random_frame(ctx, rng)
+    return _DrawnFrame(_DrawnMap(np.eye(ctx.metric.dim)))
 
 
 def _random_multivector(metric: Metric, grade: int, rng) -> _DrawnMultivector:

@@ -320,6 +320,32 @@ def test_reciprocal_frame_of_values_at_every_dim():
             assert s.tangent_part().norm_inf() == 0.0
 
 
+def test_a_frame_is_its_read_only_coordinate_matrices():
+    # from_vectors keeps the vectors' grade-1 coordinates only: its vectors,
+    # like its reciprocals, are value-only and carry grade 1, and the
+    # coordinate matrices it stores are read-only copies
+    metric = Metric(4, _SIGNED_DIAG[:4])
+    rng = np.random.default_rng(62)
+    vectors = [random_multivector(metric, 1, rng) for _ in range(4)]
+    frame = Frame.from_vectors([v.with_tangent(vectors[0]) for v in vectors])
+    for got, v in zip(frame.vectors, vectors):
+        assert np.array_equal(got.values(), v.values())
+    assert all(v._tangents is None and v._bits == 1 << 1
+               for v in frame.vectors + frame.reciprocal)
+    masks = [1 << k for k in range(4)]
+    assert np.array_equal(frame.coords, np.stack([v.values()[masks] for v in vectors]))
+    assert np.array_equal(frame.recip, np.stack([r.values()[masks] for r in frame.reciprocal]))
+    for rows in (frame.coords, frame.recip):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        frame.coords = np.eye(4)
+    given = np.eye(4)
+    made = Frame(metric, given, given)
+    given[0, 0] = 2.0
+    assert made.coords[0, 0] == made.recip[0, 0] == 1.0
+
+
 def test_reciprocal_frame_rejects_batches_and_mixed_metrics():
     e1, e2, e3 = vecs(E3)
     batch = Multivector(E3, np.stack([e1.values(), 2.0 * e1.values()]))

@@ -513,6 +513,30 @@ def test_fd_partial_gradients_evaluate_the_function_once_per_slot():
     assert calls == [(batch, point, point), (point, batch, point), (point, point, batch)]
 
 
+def test_partial_gradients_and_the_star_table_share_one_gradient_pass():
+    # at one map and step the pair evaluates F as often as one of them alone:
+    # once exactly, once per slot by finite differences, in either order
+    metric = Metric(4, (1.0, -1.0, 2.0, 1.0))
+    rng = np.random.default_rng(46)
+    calls = []
+    func = _recording(_slot_cases(metric, 1, rng)[4][1], calls)
+    anchors = tuple(random_multivector(metric, 1, rng) for _ in range(3))
+    t = Extensor.random_invertible(metric, rng)
+    for step, passes in ((None, 1), (DEFAULT_FD_STEP, 3)):
+        args = InducedFunctional(func, anchors, 1).arguments(t)
+        want = _slot_gradients(func, args, range(3), step=step)
+        for first in ("partials", "table"):
+            phi = InducedFunctional(func, anchors, 1)
+            calls.clear()
+            if first == "table":
+                phi.derivative_table(t, PRODUCT_KINDS, step)
+            grads = phi.partial_gradients(t, step)
+            phi.derivative_table(t, PRODUCT_KINDS, step)
+            assert len(calls) == passes, (step, first)
+            for i, grad in enumerate(grads):
+                assert np.array_equal(grad.values(), want[i])
+
+
 def test_slot_the_function_ignores_gets_an_exact_zero():
     metric = Metric(3, (1.0, -1.0, 2.0))
     rng = np.random.default_rng(45)

@@ -14,7 +14,6 @@ from extcalc.algebra import (
     Frame,
     Metric,
     Multivector,
-    _frame_rows,
     _grade_bits,
     _jet_parts,
     basis_vectors,
@@ -26,7 +25,7 @@ from extcalc.dual import exp
 from extcalc.errors import DegenerateFrameError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
-from extcalc.harness import HarnessConfig, _Context, _DrawnFrame, _made
+from extcalc.harness import HarnessConfig, _Context, _DrawnFrame, _DrawnMap, _made
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
@@ -211,7 +210,7 @@ def test_a_frame_from_its_carrier_matrix_is_from_vectors_bit_for_bit(n):
     carriers = [Extensor.random_invertible(metric, rng) for _ in range(3)]
     for carrier in (*carriers, Extensor(metric, [c.matrix for c in carriers])):
         want = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
-        got = Frame._of_rows(metric, *_frame_rows(metric, carrier.matrix))
+        got = Frame._of_coords(metric, np.ascontiguousarray(np.swapaxes(carrier.matrix, -1, -2)))
         for g, w in zip(got.vectors + got.reciprocal, want.vectors + want.reciprocal):
             assert same_bits(g._values, w._values)
             assert g._bits == scanned(g) == 1 << 1
@@ -219,7 +218,7 @@ def test_a_frame_from_its_carrier_matrix_is_from_vectors_bit_for_bit(n):
             for g, w in zip(got.blades(grade), want.blades(grade)):
                 assert same_bits(g, w), grade
     with pytest.raises(DegenerateFrameError):
-        _frame_rows(metric, np.ones((n, n)))
+        Frame._of_coords(metric, np.ones((n, n)))
 
 
 def test_a_stack_of_drawn_frames_is_each_trials_frame_bit_for_bit():
@@ -229,12 +228,44 @@ def test_a_stack_of_drawn_frames_is_each_trials_frame_bit_for_bit():
     ortho = Frame.orthonormal(M5)
     ctx = _Context(ortho.metric, HarnessConfig(dim=5), ortho)
     rng = np.random.default_rng(7)
-    column = [_DrawnFrame(None), _DrawnFrame(Extensor.random_invertible(M5, rng)),
-              _DrawnFrame(None), _DrawnFrame(Extensor.random_invertible(M5, rng))]
+    identity = _DrawnMap(np.eye(5))
+    column = [_DrawnFrame(identity), _DrawnFrame(Extensor.random_invertible(M5, rng)),
+              _DrawnFrame(identity), _DrawnFrame(Extensor.random_invertible(M5, rng))]
     stacked = _made(ctx, column)
     for r, (carrier,) in enumerate(column):
-        images = None if carrier is None else [carrier(v) for v in ortho.vectors]
+        images = None if carrier is identity else [carrier(v) for v in ortho.vectors]
         alone = ortho if images is None else Frame.from_vectors(images)
         for s, a in zip(stacked.vectors + stacked.reciprocal, alone.vectors + alone.reciprocal):
             assert same_bits(s._values[r, 0], a._values)
     assert all(v._bits == 1 << 1 for v in stacked.vectors + stacked.reciprocal)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["euclidean", "alternating", "signed"])
+def test_an_identity_carrier_makes_the_orthonormal_frame_bit_for_bit(n, kind):
+    # an orthonormal draw is the frame of the identity carrier: its
+    # reciprocal comes from the inverse Gram matrix, which must give exactly
+    # e_k / g_k, signed zeros included, in a column mixed with random carriers
+    diag = {"euclidean": (1.0,) * n,
+            "alternating": tuple((1.0, -1.0)[k % 2] for k in range(n)),
+            "signed": tuple((2.0, -1.0, 0.5, -3.0)[k % 4] for k in range(n))}[kind]
+    metric = Metric(n, diag)
+    ortho = Frame.orthonormal(metric)
+    for k, r in enumerate(ortho.reciprocal):
+        want = np.zeros(metric.size)
+        want[1 << k] = 1.0 / diag[k]
+        assert same_bits(r._values, want)
+    ctx = _Context(metric, HarnessConfig(dim=n), ortho)
+    rng = np.random.default_rng(60 + n)
+    identity = _DrawnFrame(_DrawnMap(np.eye(n)))
+    column = [_DrawnFrame(Extensor.random_invertible(metric, rng)), identity,
+              _DrawnFrame(Extensor.random_invertible(metric, rng)), identity]
+    stacked = _made(ctx, column)
+    for r in (1, 3):
+        assert same_bits(stacked.coords[r], ortho.coords)
+        assert same_bits(stacked.recip[r], ortho.recip)
+        for s, o in zip(stacked.vectors + stacked.reciprocal, ortho.vectors + ortho.reciprocal):
+            assert same_bits(s._values[r, 0], o._values)
+        for grade in range(n + 1):
+            for s, o in zip(stacked.blades(grade), ortho.blades(grade)):
+                assert same_bits(s[r], o), grade

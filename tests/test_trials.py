@@ -57,9 +57,9 @@ def trial(stacked, r):
 
 
 def stack_frames(frames):
-    """The trial stack of frames: each vector and reciprocal vector stacked."""
-    return Frame(*(tuple(Multivector.stack(vs) for vs in zip(*(getattr(f, side) for f in frames)))
-                   for side in ("vectors", "reciprocal")))
+    """The trial stack of frames: their coordinate matrices stacked."""
+    return Frame(frames[0].metric, *(np.stack([getattr(f, side) for f in frames])
+                                     for side in ("coords", "recip")))
 
 
 def stack_maps(maps):
