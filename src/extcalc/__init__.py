@@ -39,7 +39,7 @@ from .catalog import (
     trace_functional,
 )
 from .dual import value_of
-from .errors import ConfigurationError, DegenerateFrameError, SingularExtensorError
+from .errors import ConfigurationError, DegenerateFrameError, SingularExtensorError, TrialError
 from .extensor import Extensor, Outermorphism
 from .functional import (
     InducedFunctional,
@@ -77,6 +77,7 @@ __all__ = [
     "Outermorphism",
     "PRODUCT_KINDS",
     "SingularExtensorError",
+    "TrialError",
     "adjoint_image_functional",
     "apply_functional",
     "basis_vectors",

@@ -1,7 +1,7 @@
 """Command-line entry point for the identity harness.
 
 Exit codes: 0 when every identity passes, 1 when any fails, 2 for
-configuration or I/O problems.
+configuration or I/O problems, 3 when an identity's trials raise.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrialError
 from .harness import SUITES, HarnessConfig, emit_report, run_suite
 
 # one flag per HarnessConfig field, in field order: its help text
@@ -49,7 +49,12 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = run_suite(config)
+    try:
+        results = run_suite(config)
+    except TrialError as exc:
+        cause = exc.__cause__
+        print(f"error: {exc} raised {type(cause).__name__}: {cause}", file=sys.stderr)
+        return 3
     try:
         emit_report(config, results, fmt=args.format, out=args.out)
     except OSError as exc:

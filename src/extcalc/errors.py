@@ -11,3 +11,8 @@ class DegenerateFrameError(ValueError):
 
 class SingularExtensorError(ValueError):
     """Inversion of a map whose determinant is numerically zero."""
+
+
+class TrialError(RuntimeError):
+    """The trials of the identity named by the message raised; the exception
+    raised is the cause."""

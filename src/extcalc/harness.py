@@ -5,9 +5,9 @@ derivation rules behind it) is an IdentityCheck whose trial(ctx, rng) runs
 all config.trials trials and returns their deviations and witness_of(r),
 the witness builder of trial r.  A check has one shape:
 
-  draw(ctx, rng) -> fields     one trial's {name: drawn value}, in the
-                               identity's RNG order; every trial is drawn,
-                               in order, before any side is evaluated;
+  fields                       ((name, kind), ...) in the identity's RNG
+                               order; every trial is drawn, in order,
+                               before any side is evaluated;
   make(x) -> fields            what the optional make derives from a
                                group's made fields: the functional phi, ...;
   sides(x) -> pairs            the (lhs, rhs) sides of the identity;
@@ -16,17 +16,16 @@ the witness builder of trial r.  A check has one shape:
                                identity is relative; the first NaN is the
                                result.
 
-A draw's int fields, a rule's grades and arity (p, q, k), are its structure:
-only they shape the arrays.  The other fields are maps, vectors, the
-functions' constants, floats, drawn frames and the drawn names (the function
-options, the smooth map, the bridge functional); a drawn multivector keeps
-only its masks and raw uniforms u (coefficients 2u - 1), a drawn map its
-matrix, or its uniforms u (matrix 2u - 1) and p, q, and a drawn frame its
-carrier map, the identity for the orthonormal frame.  _Trials groups the
-trials by structure and makes every group, one trial or several, a trial
-stack (_made): names stack to per-trial tuples, each option run on its own
-trials' rows only, and the sides, which read the fields by name, are
-evaluated once per group (extcalc.algebra; vector forward mode over a batch,
+A kind (_Kind) draws one trial's raw value, reading the fields drawn before
+it, and makes a group's column of them one trial stack: _int, a structure
+field (a rule's grades and arity p, q, k: only they shape the arrays); _mv,
+a multivector kept as its uniforms u (coefficients 2u - 1); _INVERTIBLE and
+_MAP, maps kept as a matrix or as uniforms; _frame, a frame kept as its
+carrier's matrix; _float; _name, a drawn choice, made the per-trial tuple
+that runs each option on its own trials' rows only; _each and _repeat,
+tuples.  _Trials groups the trials by structure and makes every group, one
+trial or several, a trial stack whose sides, which read the fields by name,
+are evaluated once (extcalc.algebra; vector forward mode over a batch,
 Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3).  Trial r's
 deviation is bit for bit what trial r gives alone.  run_suite keeps each
 identity's worst trial against a tolerance and, on failure, reports
@@ -79,7 +78,7 @@ from .catalog import (
 from .dual import exp as _exp
 from .dual import sin as _sin
 from .dual import value_of
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrialError
 from .extensor import Extensor, Outermorphism, _invertible_matrix
 from .functional import (
     InducedFunctional,
@@ -263,13 +262,12 @@ def _deviation(pairs, relative: bool = False) -> np.ndarray:
 class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
     ctx.config.trials trials, witness_of).  Every trial is drawn first, in
-    order: draw(ctx, rng) gives its {name: drawn value}, its int fields its
-    structure.  Each group of trials of one structure, one trial or several,
-    is made one trial stack (inputs), its sides evaluated once, and each
-    deviation goes back to its trial.  witness_of(r) makes trial r alone, as
-    a stack of one, and writes it."""
+    order, by the (name, kind) table fields.  Each group of one structure,
+    the int fields, is made one trial stack by kind, its sides evaluated once
+    and each deviation put back.  witness_of(r) makes trial r alone, as a
+    stack of one, and writes it."""
 
-    draw: Callable
+    fields: tuple
     sides: Callable
     make: Callable | None = None
     relative: bool = False
@@ -286,110 +284,132 @@ class _Trials:
             devs[trials] = _deviation(self.sides(x), self.relative)
         return devs.tolist(), lambda r: self.inputs(ctx, [drawn[r]]).witness()
 
+    def draw(self, ctx, rng) -> dict:
+        """One trial's {name: raw value}, each field drawn by its kind, in
+        table order; a kind reads the fields drawn before it."""
+        drawn: dict = {}
+        for name, kind in self.fields:
+            drawn[name] = kind.draw(ctx, rng, drawn)
+        return drawn
+
     def inputs(self, ctx, group: list) -> Inputs:
         """The Inputs of the trial stack of a group of draws of one
-        structure: the made fields, then what make derives from them."""
-        x = Inputs(ctx=ctx, **_made(ctx, group))
+        structure: each field made by its kind, then what make derives."""
+        first = group[0]
+        x = Inputs(ctx=ctx, **{name: kind.make(ctx, [d[name] for d in group], first)
+                               for name, kind in self.fields})
         if self.make is not None:
             vars(x).update(self.make(x))
         return x
 
 
-def _check(identity, suite, draw, sides, make=None, relative=False, **tolerance):
-    """The check whose trials are drawn with draw(ctx, rng), made Inputs with
-    make and reduced to deviations by sides(inputs) (_Trials)."""
-    return IdentityCheck(identity, suite, _Trials(draw, sides, make, relative), **tolerance)
+def _check(identity, suite, fields, sides, make=None, relative=False, **tolerance):
+    """The check whose trials draw the (name, kind) table fields, are made
+    Inputs with make and reduced to deviations by sides(inputs) (_Trials)."""
+    return IdentityCheck(identity, suite, _Trials(fields, sides, make, relative), **tolerance)
 
 
-class _DrawnMap(NamedTuple):
-    """A drawn map before it is made: a random invertible map's matrix, or,
-    with no matrix, a random (p, q) map's uniforms u, its matrix 2u - 1."""
-    matrix: np.ndarray | None
-    u: np.ndarray | None = None
-    p: int = 1
-    q: int = 1
+# -- field kinds ------------------------------------------------------------------
 
 
-class _DrawnFrame(NamedTuple):
-    """A drawn frame before it is made: the images of the orthonormal basis
-    under its carrier map, the identity for the orthonormal frame, so the
-    rows of the frame's coordinates are the columns of the carrier's matrix."""
-    carrier: _DrawnMap
+class _Kind(NamedTuple):
+    """How a field is drawn and made.  draw(ctx, rng, drawn) returns one
+    trial's raw value, drawn the trial's fields so far; make(ctx, column,
+    first) makes a group's column of raw values, first the group's first
+    draw, into one trial stack."""
+    draw: Callable
+    make: Callable
 
 
-class _DrawnMultivector(NamedTuple):
-    """A drawn multivector: its blades' masks and the uniforms u of their 2u - 1."""
-    masks: np.ndarray
-    u: np.ndarray
+def _int(low: int, high: Callable) -> _Kind:
+    """A structure field: an int in [low, high(dim)], a group's own value."""
+    return _Kind(lambda ctx, rng, drawn: int(rng.integers(low, high(ctx.metric.dim) + 1)),
+                 lambda ctx, column, first: column[0])
 
 
-def _made(ctx: _Context, column):
-    """The trial stack of a column of drawn values, one per trial of a group.
-    Multivectors are made in one scatter, maps as one array and frames in
-    one Frame._of_coords of their carriers' transposed matrices; dicts and
-    tuples go entry by entry, names are per-trial tuples and floats a (T, 1)
-    array.  An int is the group's own structure and passes through; any
-    other value raises TypeError."""
-    first = column[0]
-    if isinstance(first, _DrawnMultivector):  # np.array: np.stack checks each row
-        u = np.array([d.u for d in column])[:, None]
+def _mv(grade) -> _Kind:
+    """random_multivector's draw of grade `grade` (an int, an int field's
+    name, or None: every grade in one draw), kept as the uniforms u of its
+    coefficients 2u - 1.  A group's are made in one scatter."""
+
+    def masks(ctx, drawn):
+        blades = _tables(ctx.metric).blades
+        if grade is None:
+            return np.concatenate(blades)
+        return blades[drawn[grade] if isinstance(grade, str) else grade]
+
+    def make(ctx, column, first):
+        m = masks(ctx, first)  # one structure: every trial's masks
+        u = np.array(column)[:, None]  # np.array: np.stack checks each row
         values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
-        values[..., first.masks] = _uniform(u)  # one structure: every trial's masks
-        bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[first.masks])
+        values[..., m] = _uniform(u)
+        bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[m])
         return Multivector._raw(ctx.metric, values, bits=int(bits))
-    if isinstance(first, _DrawnMap):  # one structure: every trial's p and q
-        if first.matrix is not None:
-            return Extensor._raw(ctx.metric, np.array([d.matrix for d in column]))
-        u = np.array([d.u for d in column])
-        return Extensor._raw(ctx.metric, _uniform(u), first.p, first.q)
-    if isinstance(first, _DrawnFrame):  # one array of coordinates, row k of f_k's
-        return Frame._of_coords(ctx.metric, np.array([f.carrier.matrix.T for f in column]))
-    if isinstance(first, dict):
-        return {key: _made(ctx, [d[key] for d in column]) for key in first}
-    if isinstance(first, tuple):
-        return tuple(_made(ctx, c) for c in zip(*column))
-    if isinstance(first, str):
-        return tuple(column)
-    if isinstance(first, float):
-        return np.array(column)[:, None]
-    if type(first) is int:
-        return first
-    raise TypeError(f"cannot stack drawn values of type {type(first).__name__}")
+
+    return _Kind(lambda ctx, rng, drawn: rng.random(len(masks(ctx, drawn))), make)
 
 
-# -- random input helpers -------------------------------------------------------
+def _each(*kinds) -> _Kind:
+    """A tuple of one value of each kind, drawn in order."""
+    return _Kind(lambda ctx, rng, drawn: tuple(k.draw(ctx, rng, drawn) for k in kinds),
+                 lambda ctx, column, first: tuple(
+                     k.make(ctx, c, first) for k, c in zip(kinds, zip(*column))))
 
 
-def _random_invertible(metric: Metric, rng) -> _DrawnMap:
-    """Extensor.random_invertible's draw, kept as its matrix."""
-    return _DrawnMap(_invertible_matrix(metric.dim, rng))
+def _repeat(kind: _Kind, count) -> _Kind:
+    """A tuple of count values of one kind: count an int field's name or a
+    function of the dim."""
+
+    def draw(ctx, rng, drawn):
+        n = drawn[count] if isinstance(count, str) else count(ctx.metric.dim)
+        return tuple(kind.draw(ctx, rng, drawn) for _ in range(n))
+
+    return _Kind(draw, lambda ctx, column, first: tuple(
+        kind.make(ctx, c, first) for c in zip(*column)))
 
 
-def _random_map(metric: Metric, rng, p: int, q: int) -> _DrawnMap:
-    """Extensor.random's draw, kept as its uniforms."""
-    n = metric.dim
-    return _DrawnMap(None, rng.random((math.comb(n, q), math.comb(n, p))), p, q)
+def _float(lo: float, hi: float) -> _Kind:
+    """A float uniform in [lo, hi); a group's are one (T, 1) array."""
+    return _Kind(lambda ctx, rng, drawn: float(rng.uniform(lo, hi)),
+                 lambda ctx, column, first: np.array(column)[:, None])
 
 
-def _random_frame(ctx: _Context, rng) -> _DrawnFrame:
-    return _DrawnFrame(_random_invertible(ctx.metric, rng))
+def _name(names) -> _Kind:
+    """One of names, or of names(ctx, drawn), picked by one rng.integers; a
+    group's are the tuple of per-trial names."""
+
+    def draw(ctx, rng, drawn):
+        options = names(ctx, drawn) if callable(names) else names
+        return options[rng.integers(len(options))]
+
+    return _Kind(draw, lambda ctx, column, first: tuple(column))
 
 
-def _maybe_random_frame(ctx: _Context, rng) -> _DrawnFrame:
-    if rng.integers(2):
-        return _random_frame(ctx, rng)
-    return _DrawnFrame(_DrawnMap(np.eye(ctx.metric.dim)))
+# Extensor.random_invertible's draw, kept as its matrix
+_INVERTIBLE = _Kind(lambda ctx, rng, drawn: _invertible_matrix(ctx.metric.dim, rng),
+                    lambda ctx, column, first: Extensor._raw(ctx.metric, np.array(column)))
+
+# Extensor.random's draw of a (p, q) map, p and q the drawn fields, kept as
+# its uniforms u, its matrix 2u - 1
+_MAP = _Kind(
+    lambda ctx, rng, drawn: rng.random(
+        (math.comb(ctx.metric.dim, drawn["q"]), math.comb(ctx.metric.dim, drawn["p"]))),
+    lambda ctx, column, first: Extensor._raw(
+        ctx.metric, _uniform(np.array(column)), first["p"], first["q"]))
 
 
-def _random_multivector(metric: Metric, grade: int, rng) -> _DrawnMultivector:
-    """random_multivector's draw, kept as its uniforms."""
-    masks = _tables(metric).blades[grade]
-    return _DrawnMultivector(masks, rng.random(len(masks)))
+def _frame(maybe: bool) -> _Kind:
+    """A frame kept as its carrier's matrix: a random invertible map's or,
+    where maybe and a coin picks the orthonormal frame, the identity.  A
+    group's are made in one call: the carrier's columns are the frame's."""
 
+    def draw(ctx, rng, drawn):
+        if maybe and not rng.integers(2):
+            return np.eye(ctx.metric.dim)
+        return _invertible_matrix(ctx.metric.dim, rng)
 
-def _random_mixed(metric: Metric, rng) -> _DrawnMultivector:
-    """A multivector of every grade: each grade's doubles, in one draw."""
-    return _DrawnMultivector(np.concatenate(_tables(metric).blades), rng.random(metric.size))
+    return _Kind(draw, lambda ctx, column, first: Frame._of_coords(
+        ctx.metric, np.array([c.T for c in column])))
 
 
 def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
@@ -413,7 +433,7 @@ def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
 
 def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> MvFunction:
     """The random function of grade-q variables over trial stacks of its
-    drawn constants c and d (_draw_scalar_func, _draw_value_func): each
+    drawn constants c and d (_function_fields): each
     trial's own option of the per-trial `names`, evaluated on that option's
     rows of the arguments and constants only (_per_trial).  Its output grade
     is the options' common one, else None."""
@@ -424,76 +444,48 @@ def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> Mv
     return MvFunction(arity, q, grades.pop() if len(grades) == 1 else None, evaluator)
 
 
-def _draw_scalar_func(metric: Metric, rng, k: int, q: int) -> tuple:
-    """A random scalar function of k grade-q variables: (name, (c,))."""
-    c = _random_multivector(metric, q, rng)
-    names = ("x.x", "x.c") if k == 1 else ("(x.c)(y.y)", "x.y")
-    return names[rng.integers(2)], (c,)
+def _function_fields(consts: str, option: str, scalar_valued: bool) -> tuple:
+    """The fields of a random function of k grade-q variables (_option): its
+    constants, then its option's name, a wedge option only where its grade
+    exists."""
 
+    def names(ctx, drawn):
+        k, q = drawn["k"], drawn["q"]
+        if scalar_valued:
+            return ("x.x", "x.c") if k == 1 else ("(x.c)(y.y)", "x.y")
+        names = ("x", "x^c", "c(x.d)") if k == 1 else ("c(x.y)", "x^y", "x(y.d)")
+        return names if (q + 1 if k == 1 else 2 * q) <= ctx.metric.dim else names[::2]
 
-def _draw_value_func(metric: Metric, rng, k: int, q: int) -> tuple:
-    """A random function of k grade-q variables: (name, (c, d)); the wedge
-    options only where the grade exists."""
-    c = _random_multivector(metric, 1, rng)
-    d = _random_multivector(metric, q, rng)
-    if k == 1:
-        names = ("x", "x^c", "c(x.d)") if q + 1 <= metric.dim else ("x", "c(x.d)")
-    else:
-        names = ("c(x.y)", "x^y", "x(y.d)") if 2 * q <= metric.dim else ("c(x.y)", "x(y.d)")
-    return names[rng.integers(len(names))], (c, d)
-
-
-def _random_setup(ctx: _Context, rng, scalar_valued=False) -> dict:
-    """Random grades p and q and arity k (the structure), k grade-p anchors,
-    a matching map h and a function: its option's name and its constants.
-    _setup makes the functional."""
-    metric = ctx.metric
-    top = min(2, metric.dim)
-    p = int(rng.integers(1, top + 1))
-    q = int(rng.integers(1, top + 1))
-    k = int(rng.integers(1, 3))
-    anchors = tuple(_random_multivector(metric, p, rng) for _ in range(k))
-    h = _random_map(metric, rng, p, q)
-    draw_func = _draw_scalar_func if scalar_valued else _draw_value_func
-    option, consts = draw_func(metric, rng, k, q)
-    return dict(p=p, q=q, k=k, anchors=anchors, h=h, option=option, consts=consts)
+    constants = _each(_mv("q")) if scalar_valued else _each(_mv(1), _mv("q"))
+    return (consts, constants), (option, _name(names))
 
 
 def _setup(x) -> dict:
-    """The functional phi of a _random_setup draw."""
+    """The functional phi of a rule's setup (_rule)."""
     return {"phi": InducedFunctional(_function(x.option, x.q, *x.consts), x.anchors, x.p)}
 
 
 # -- worked-example checks -------------------------------------------------------
 
 
-def _draw_b(ctx, rng):
-    return {"b": _random_multivector(ctx.metric, 1, rng)}
-
-
 def _pair(kind):
-    """Draw and make of the pair-product functional of drawn vectors b and c."""
-    return (lambda ctx, rng: dict(_draw_b(ctx, rng), c=_random_multivector(ctx.metric, 1, rng)),
+    """Fields and make of the pair-product functional of drawn vectors b and c."""
+    return ((("b", _mv(1)), ("c", _mv(1))),
             lambda x: {"phi": pair_product_functional(kind, x.b, x.c)})
 
 
-def _draw_frame(ctx, rng):
-    return {"frame": _maybe_random_frame(ctx, rng)}
-
-
 def _over_frame(make):
-    """Draw and make of make(metric, frame), the frame random or orthonormal."""
-    return _draw_frame, lambda x: {"phi": make(x.ctx.metric, x.frame)}
+    """Fields and make of make(metric, frame), the frame random or orthonormal."""
+    return (("frame", _frame(True)),), lambda x: {"phi": make(x.ctx.metric, x.frame)}
 
 
-def _draw_pseudoscalar(ctx, rng):
-    """The pseudoscalar's signed weight, not a witnessed scale, and a frame."""
-    sign = 1.0 if rng.integers(2) else -1.0
-    return dict(weight=sign * float(rng.uniform(0.5, 2.0)), frame=_maybe_random_frame(ctx, rng))
+# the pseudoscalar's sign and weight, not a witnessed scale, and a frame
+_PSEUDOSCALAR = (("sign", _name((-1.0, 1.0))), ("weight", _float(0.5, 2.0)),
+                 ("frame", _frame(True)))
 
 
 def _pseudoscalar_image(x):
-    pss = x.weight * unit_pseudoscalar(x.ctx.metric)
+    pss = (np.array(x.sign)[:, None] * x.weight) * unit_pseudoscalar(x.ctx.metric)
     return {"phi": pseudoscalar_image_functional(pss, x.frame), "pss": pss}
 
 
@@ -521,11 +513,6 @@ def _det_star(x):
     }
 
 
-def _after_map(draw):
-    """draw's fields, drawn after a random invertible map h."""
-    return lambda ctx, rng: dict(h=_random_invertible(ctx.metric, rng), **draw(ctx, rng))
-
-
 def _fd_pair(x: Inputs, phi) -> tuple:
     """phi's exact derivative against its finite-difference route."""
     return x.derivative(phi), x.derivative(phi, x.ctx.config.fd_step)
@@ -533,15 +520,14 @@ def _fd_pair(x: Inputs, phi) -> tuple:
 
 def _example(name, functional, directional, star=None, relative=False) -> list[IdentityCheck]:
     """The closed-form checks of one worked functional.  functional is a
-    pair: draw(ctx, rng), the fields drawn after a random invertible map h
-    and, for the directional checks, a vector `direction`; and make(x), phi
-    and what else the closed forms read.  directional(x) is the closed-form
-    derivative along x.direction and star(x) the {kind: closed form} table.
-    The -fd twin shares the draw and compares with the finite-difference
-    route, always absolutely."""
-    draw, make = functional
-    draw_directional = _after_map(
-        lambda ctx, rng: dict(direction=_random_multivector(ctx.metric, 1, rng), **draw(ctx, rng)))
+    pair: its fields, drawn after a random invertible map h and, for the
+    directional checks, a vector `direction`; and make(x), phi and what else
+    the closed forms read.  directional(x) is the closed-form derivative
+    along x.direction and star(x) the {kind: closed form} table.  The -fd
+    twin shares the fields and compares with the finite-difference route,
+    always absolutely."""
+    fields, make = functional
+    directional_fields = (("h", _INVERTIBLE), ("direction", _mv(1)), *fields)
 
     def star_sides(x):
         expected = star(x)
@@ -549,33 +535,29 @@ def _example(name, functional, directional, star=None, relative=False) -> list[I
         return [(table[kind], rhs) for kind, rhs in expected.items()]
 
     checks = [
-        _check(f"{name}-directional", "closed-form", draw_directional,
+        _check(f"{name}-directional", "closed-form", directional_fields,
                lambda x: [(x.derivative(), directional(x))], make, relative),
-        _check(f"{name}-directional-fd", "closed-form", draw_directional,
+        _check(f"{name}-directional-fd", "closed-form", directional_fields,
                lambda x: [_fd_pair(x, x.phi)], make, tol_key="fd"),
     ]
     if star is not None:
-        checks.append(_check(f"{name}-star", "closed-form", _after_map(draw), star_sides, make,
-                             relative))
+        checks.append(_check(f"{name}-star", "closed-form", (("h", _INVERTIBLE), *fields),
+                             star_sides, make, relative))
     return checks
 
 
-def _draw_blade_images(ctx, rng):
-    """A map, a direction and the vectors of the blade-image functionals of
-    every grade k = 1..n, drawn in that order."""
-    m = ctx.metric
-    return dict(
-        h=_random_invertible(m, rng),
-        direction=_random_multivector(m, 1, rng),
-        vectors=tuple(tuple(_random_multivector(m, 1, rng) for _ in range(k))
-                      for k in range(1, m.dim + 1)),
-    )
+# a map, a direction and the vectors of the blade-image functionals of every
+# grade k = 1..n, grade k's k vectors after those of grades 1..k-1
+_BLADE_IMAGES = (("h", _INVERTIBLE), ("direction", _mv(1)),
+                 ("vectors", _repeat(_mv(1), lambda n: n * (n + 1) // 2)))
 
 
 def _blade_images(x):
     """The blade-image functionals, their anchors witnessed grade by grade."""
-    phis = tuple(map(blade_image_functional, x.vectors))
-    return {"phis": phis, "anchors": sum((p.anchors for p in phis), ())}
+    n = x.ctx.metric.dim
+    phis = tuple(blade_image_functional(x.vectors[k * (k - 1) // 2:k * (k + 1) // 2])
+                 for k in range(1, n + 1))
+    return {"phis": phis, "anchors": x.vectors}
 
 
 def _blade_image_sides(x):
@@ -619,24 +601,18 @@ def _coherence_sides(x):
 # -- derivation-rule checks -------------------------------------------------------
 
 
-def _rule(identity, draw_fields, sides, make=_setup, scalar_valued=False, **options):
-    """The properties check of a rule over a random setup: draw_fields(ctx,
-    rng, setup) draws the rule's own fields after it."""
-
-    def draw(ctx, rng):
-        setup = _random_setup(ctx, rng, scalar_valued)
-        return dict(setup, **draw_fields(ctx, rng, setup))
-
-    return _check(identity, "properties", draw, sides, make, **options)
-
-
-def _direction(ctx, rng, setup):
-    return {"direction": _random_multivector(ctx.metric, setup["p"], rng)}
+def _rule(identity, fields, sides, make=_setup, scalar_valued=False, **options):
+    """The properties check of a rule over a random setup: grades p and q
+    and arity k (the structure), k grade-p anchors, a matching map h and a
+    random function (_setup makes phi), then the rule's own fields."""
+    grade = _int(1, lambda n: min(2, n))
+    setup = (("p", grade), ("q", grade), ("k", _int(1, lambda n: 2)),
+             ("anchors", _repeat(_mv("p"), "k")), ("h", _MAP),
+             *_function_fields("consts", "option", scalar_valued))
+    return _check(identity, "properties", setup + fields, sides, make, **options)
 
 
-def _linearity_fields(ctx, rng, setup):
-    return dict(_direction(ctx, rng, setup), b=_random_multivector(ctx.metric, setup["p"], rng),
-                alpha=float(rng.uniform(-2.0, 2.0)), beta=float(rng.uniform(-2.0, 2.0)))
+_DIRECTION = ("direction", _mv("p"))
 
 
 def _linearity_sides(x):
@@ -645,10 +621,8 @@ def _linearity_sides(x):
     return [(lhs, rhs)]
 
 
-def _other_fields(ctx, rng, setup):
-    """A second value function over the setup's grades, then a direction."""
-    other, other_consts = _draw_value_func(ctx.metric, rng, setup["k"], setup["q"])
-    return dict(other=other, other_consts=other_consts, **_direction(ctx, rng, setup))
+# a second value function over the setup's grades, then a direction
+_OTHER = (*_function_fields("other_consts", "other", False), _DIRECTION)
 
 
 def _two_functionals(x):
@@ -670,18 +644,10 @@ _SMOOTH_DERIVATIVES = {"square": lambda v: 2.0 * v, "exp": np.exp, "sin": np.cos
 _BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": _exp}
 
 
-def _chain_fields(ctx, rng, setup):
-    return dict(smooth=("square", "exp", "sin")[rng.integers(3)], **_direction(ctx, rng, setup))
-
-
 def _chain_sides(x):
     dfn = _per_trial(x.smooth, _SMOOTH_DERIVATIVES)
     rhs = dfn(value_of(x.phi.evaluate(x.h).scalar_part())) * x.derivative()
     return [(x.derivative(x.phi.map_scalar(_per_trial(x.smooth, _SMOOTH_MAPS))), rhs)]
-
-
-def _frame_fields(ctx, rng, setup):
-    return {"frame": _random_frame(ctx, rng)}
 
 
 def _via_frames(x):
@@ -702,17 +668,10 @@ def _intrinsic_sides(x):
 # -- bridge checks ------------------------------------------------------------------
 
 
-def _draw_bridge(ctx, rng):
-    """An anchor, the constant c of phi = (. c) composed with the smooth map
-    named functional, a map h and a frame."""
-    return dict(anchor=_random_multivector(ctx.metric, 1, rng),
-                c=_random_multivector(ctx.metric, 1, rng),
-                functional=("linear", "square", "exp")[rng.integers(3)],
-                h=_random_invertible(ctx.metric, rng), frame=_maybe_random_frame(ctx, rng))
-
-
-def _draw_bridge_directional(ctx, rng):
-    return dict(_draw_bridge(ctx, rng), direction=_random_multivector(ctx.metric, 1, rng))
+# an anchor, the constant c of phi = (. c) composed with the smooth map named
+# functional, a map h and a frame
+_BRIDGE = (("anchor", _mv(1)), ("c", _mv(1)), ("functional", _name(("linear", "square", "exp"))),
+           ("h", _INVERTIBLE), ("frame", _frame(True)))
 
 
 def _bridge(x):
@@ -747,7 +706,7 @@ CATALOG: tuple[IdentityCheck, ...] = (
     ),
     *_example(
         "vector-image",
-        (_draw_b, lambda x: {"phi": apply_functional(x.b)}),
+        ((("b", _mv(1)),), lambda x: {"phi": apply_functional(x.b)}),
         lambda x: Multivector.from_scalar(x.ctx.metric,
                                           x.ctx.metric.dim * scalar_value(x.direction, x.b)),
         lambda x: {
@@ -759,7 +718,7 @@ CATALOG: tuple[IdentityCheck, ...] = (
     ),
     *_example(
         "adjoint-image",
-        (lambda ctx, rng: dict(_draw_b(ctx, rng), **_draw_frame(ctx, rng)),
+        ((("b", _mv(1)), ("frame", _frame(True))),
          lambda x: {"phi": adjoint_image_functional(x.b, x.frame)}),
         lambda x: x.b.geometric(x.direction),
         lambda x: {
@@ -783,7 +742,7 @@ CATALOG: tuple[IdentityCheck, ...] = (
     ),
     *_example(
         "pseudoscalar-image",
-        (_draw_pseudoscalar, _pseudoscalar_image),
+        (_PSEUDOSCALAR, _pseudoscalar_image),
         lambda x: Outermorphism(x.h)(x.direction.lcontract(x.pss)),
     ),
     *_example(
@@ -793,39 +752,39 @@ CATALOG: tuple[IdentityCheck, ...] = (
         _det_star,
         relative=True,
     ),
-    _check("blade-image-directional", "closed-form", _draw_blade_images, _blade_image_sides,
+    _check("blade-image-directional", "closed-form", _BLADE_IMAGES, _blade_image_sides,
            _blade_images),
-    _check("blade-image-directional-fd", "closed-form", _draw_blade_images,
+    _check("blade-image-directional-fd", "closed-form", _BLADE_IMAGES,
            lambda x: [_fd_pair(x, phi) for phi in x.phis], _blade_images, tol_key="fd"),
-    _check("inverse-bivector-frame-sum", "closed-form", _after_map(_draw_frame),
-           _inverse_bivector_sides, relative=True),
-    _check("star-fd-coherence", "closed-form", _after_map(_draw_b), _coherence_sides, _named,
-           tol_key="fd"),
-    _rule("direction-linearity", _linearity_fields, _linearity_sides),
-    _rule("scaling-rule",
-          lambda ctx, rng, s: dict(_direction(ctx, rng, s), scale=float(rng.uniform(-2.0, 2.0))),
+    _check("inverse-bivector-frame-sum", "closed-form",
+           (("h", _INVERTIBLE), ("frame", _frame(True))), _inverse_bivector_sides, relative=True),
+    _check("star-fd-coherence", "closed-form", (("h", _INVERTIBLE), ("b", _mv(1))),
+           _coherence_sides, _named, tol_key="fd"),
+    _rule("direction-linearity",
+          (_DIRECTION, ("b", _mv("p")), ("alpha", _float(-2.0, 2.0)), ("beta", _float(-2.0, 2.0))),
+          _linearity_sides),
+    _rule("scaling-rule", (_DIRECTION, ("scale", _float(-2.0, 2.0))),
           lambda x: [(x.derivative(x.phi.scaled(x.scale)), x.scale * x.derivative())]),
-    _rule("right-constant-rule",
-          lambda ctx, rng, s: dict(_direction(ctx, rng, s),
-                                   constant=_random_mixed(ctx.metric, rng)),
+    _rule("right-constant-rule", (_DIRECTION, ("constant", _mv(None))),
           lambda x: [(x.derivative(x.phi.times_constant(x.constant)),
                       x.derivative().geometric(x.constant))]),
-    _rule("additivity-rule", _other_fields,
+    _rule("additivity-rule", _OTHER,
           lambda x: [(x.derivative(x.phi + x.g), x.derivative() + x.derivative(x.g))],
           _two_functionals),
-    _rule("leibniz-rule", _other_fields, _leibniz_sides, _two_functionals, scalar_valued=True),
+    _rule("leibniz-rule", _OTHER, _leibniz_sides, _two_functionals, scalar_valued=True),
     # relative: exp of a large functional value makes both sides large
-    _rule("chain-rule", _chain_fields, _chain_sides, scalar_valued=True, relative=True,
+    _rule("chain-rule", (("smooth", _name(("square", "exp", "sin"))), _DIRECTION), _chain_sides,
+          scalar_valued=True, relative=True, tol_factor=10.0),
+    _rule("frame-independence", (("frame", _frame(False)),), _frame_independence_sides,
           tol_factor=10.0),
-    _rule("frame-independence", _frame_fields, _frame_independence_sides, tol_factor=10.0),
-    _rule("intrinsic-equivalence", _frame_fields, _intrinsic_sides),
-    _check("component-partials-fd", "bridge", _draw_bridge,
+    _rule("intrinsic-equivalence", (("frame", _frame(False)),), _intrinsic_sides),
+    _check("component-partials-fd", "bridge", _BRIDGE,
            lambda x: [(_partials(x), _partials(x, x.ctx.config.fd_step))], _bridge,
            tol_key="fd"),
-    _check("component-bridge-directional", "bridge", _draw_bridge_directional,
+    _check("component-bridge-directional", "bridge", (*_BRIDGE, ("direction", _mv(1))),
            lambda x: [(directional_from_partials(_partials(x), x.direction, x.frame),
                        x.derivative())], _bridge, tol_factor=10.0),
-    _check("component-bridge-star", "bridge", _draw_bridge, _bridge_star_sides, _bridge,
+    _check("component-bridge-star", "bridge", _BRIDGE, _bridge_star_sides, _bridge,
            tol_factor=10.0),
 )
 
@@ -846,7 +805,9 @@ def _derive_rng(seed: int, identity_id: str) -> np.random.Generator:
 
 
 def run_suite(config: HarnessConfig) -> list[IdentityResult]:
-    """Run every identity in the selected suite; deterministic given the seed."""
+    """Run every identity in the selected suite; deterministic given the seed.
+    An exception inside a check's trials is raised as a TrialError naming
+    the identity, the exception its cause."""
     ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
     # the cached frame keeps the first equal Metric a process made; sharing
     # that object lets every metric check take its identity fast path
@@ -855,7 +816,10 @@ def run_suite(config: HarnessConfig) -> list[IdentityResult]:
     for check in catalog(config.suite):
         rng = _derive_rng(config.seed, check.id)
         tol = (config.tol_exact if check.tol_key == "exact" else config.tol_fd) * check.tol_factor
-        devs, witness_of = check.trial(ctx, rng)
+        try:
+            devs, witness_of = check.trial(ctx, rng)
+        except Exception as exc:
+            raise TrialError(check.id) from exc
         max_dev = 0.0
         worst: int | None = None  # the reported trial
         for r, dev in enumerate(devs):

@@ -25,7 +25,7 @@ from extcalc.dual import exp
 from extcalc.errors import DegenerateFrameError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
-from extcalc.harness import HarnessConfig, _Context, _DrawnFrame, _DrawnMap, _made
+from extcalc.harness import HarnessConfig, _Context, _frame
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
@@ -227,12 +227,16 @@ def test_a_stack_of_drawn_frames_is_each_trials_frame_bit_for_bit():
     # under trial r's carrier
     ortho = Frame.orthonormal(M5)
     ctx = _Context(ortho.metric, HarnessConfig(dim=5), ortho)
-    rng = np.random.default_rng(7)
-    identity = _DrawnMap(np.eye(5))
-    column = [_DrawnFrame(identity), _DrawnFrame(Extensor.random_invertible(M5, rng)),
-              _DrawnFrame(identity), _DrawnFrame(Extensor.random_invertible(M5, rng))]
-    stacked = _made(ctx, column)
-    for r, (carrier,) in enumerate(column):
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    identity = np.eye(5)
+    carriers = [identity, Extensor.random_invertible(M5, reference),
+                identity, Extensor.random_invertible(M5, reference)]
+    random = _frame(False)
+    column = [identity, random.draw(ctx, rng, {}), identity, random.draw(ctx, rng, {})]
+    assert rng.bit_generator.state == reference.bit_generator.state
+    stacked = _frame(True).make(ctx, column, {})
+    for r, carrier in enumerate(carriers):
+        assert same_bits(column[r], identity if carrier is identity else carrier.matrix)
         images = None if carrier is identity else [carrier(v) for v in ortho.vectors]
         alone = ortho if images is None else Frame.from_vectors(images)
         for s, a in zip(stacked.vectors + stacked.reciprocal, alone.vectors + alone.reciprocal):
@@ -257,10 +261,10 @@ def test_an_identity_carrier_makes_the_orthonormal_frame_bit_for_bit(n, kind):
         assert same_bits(r._values, want)
     ctx = _Context(metric, HarnessConfig(dim=n), ortho)
     rng = np.random.default_rng(60 + n)
-    identity = _DrawnFrame(_DrawnMap(np.eye(n)))
-    column = [_DrawnFrame(Extensor.random_invertible(metric, rng)), identity,
-              _DrawnFrame(Extensor.random_invertible(metric, rng)), identity]
-    stacked = _made(ctx, column)
+    identity = np.eye(n)
+    column = [Extensor.random_invertible(metric, rng).matrix, identity,
+              Extensor.random_invertible(metric, rng).matrix, identity]
+    stacked = _frame(True).make(ctx, column, {})
     for r in (1, 3):
         assert same_bits(stacked.coords[r], ortho.coords)
         assert same_bits(stacked.recip[r], ortho.recip)

@@ -11,7 +11,7 @@ import pytest
 
 from extcalc import cli, harness
 from extcalc.algebra import Frame, Metric, Multivector, max_abs_diff, random_multivector
-from extcalc.errors import ConfigurationError
+from extcalc.errors import ConfigurationError, DegenerateFrameError, TrialError
 from extcalc.extensor import Extensor, Outermorphism
 from extcalc.functional import InducedFunctional
 from extcalc.harness import (
@@ -353,7 +353,7 @@ def test_grouped_trial_stacks_are_each_trials_own_sides(dim, metric, trials):
     assert mixed == everywhere or dim != 3
 
 
-def test_each_check_has_one_route():
+def test_each_check_has_one_route(monkeypatch):
     # every check draws all its trials, groups them by their drawn int
     # fields (a rule's grades and arity) and evaluates its sides once per
     # group, on the group's trial stack, a group of one included; a
@@ -361,21 +361,25 @@ def test_each_check_has_one_route():
     config = HarnessConfig(trials=16, seed=0)
     ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
     ctx = harness._Context(ortho.metric, config, ortho)
+    structures = []
+
+    def draw(self, ctx, rng, draw=harness._Trials.draw):
+        fields = draw(self, ctx, rng)
+        structures.append(_structure(fields))
+        return fields
+
+    monkeypatch.setattr(harness._Trials, "draw", draw)
     alone = 0
     for check in CATALOG:
         assert type(check.trial) is harness._Trials, check.id
-        structures, stacks = [], []
-
-        def draw(ctx, rng, draw=check.trial.draw):
-            fields = draw(ctx, rng)
-            structures.append(_structure(fields))
-            return fields
+        structures.clear()
+        stacks = []
 
         def sides(x, sides=check.trial.sides):
             stacks.append(len(x.h.matrix) if x.h.matrix.ndim == 3 else None)
             return sides(x)
 
-        trial = dataclasses.replace(check.trial, draw=draw, sides=sides)
+        trial = dataclasses.replace(check.trial, sides=sides)
         devs, _ = trial(ctx, harness._derive_rng(config.seed, check.id))
         assert len(devs) == config.trials
         sizes = list(collections.Counter(structures).values())  # in first-drawn order
@@ -415,19 +419,16 @@ def test_stacked_names_are_per_trial_values():
     ctx = harness._Context(ortho.metric, HarnessConfig(), ortho)
     # a column of names is the tuple of per-trial names (a one-letter string
     # iterates to itself, so it must not be taken for a tuple)
-    assert harness._made(ctx, [("exp",), ("sin",)]) == (("exp", "sin"),)
-    assert harness._made(ctx, [("x", 1.0), ("x^c", 2.0)])[0] == ("x", "x^c")
+    smooth, structure = harness._name(("square", "exp", "sin")), harness._int(1, lambda n: 2)
+    assert harness._each(smooth).make(ctx, [("exp",), ("sin",)], {}) == (("exp", "sin"),)
+    option = harness._each(harness._name(("x", "x^c")), harness._float(-2.0, 2.0))
+    assert option.make(ctx, [("x", 1.0), ("x^c", 2.0)], {})[0] == ("x", "x^c")
     # fields go by name; an int is the group's own structure and passes
     # through
     column = [{"p": 2, "smooth": "exp"}, {"p": 2, "smooth": "sin"}]
-    assert harness._made(ctx, column) == {"p": 2, "smooth": ("exp", "sin")}
-    assert harness._made(ctx, [(1,), (1,)]) == (1,)
-    # any other leaf names its type, a bool or a numpy int included; a made
-    # multivector is no drawn value
-    for leaf, name in ((None, "NoneType"), (b"x", "bytes"), (True, "bool"),
-                       (np.int64(1), "int64"), (Multivector.zero(ctx.metric), "Multivector")):
-        with pytest.raises(TypeError, match=name):
-            harness._made(ctx, [(leaf,), (leaf,)])
+    x = harness._Trials((("p", structure), ("smooth", smooth)), None).inputs(ctx, column)
+    assert {k: v for k, v in vars(x).items() if k != "ctx"} == {"p": 2, "smooth": ("exp", "sin")}
+    assert harness._each(structure).make(ctx, [(1,), (1,)], {}) == (1,)
 
 
 def _mixed(metric, rng):
@@ -448,17 +449,19 @@ def test_stacked_leaves_are_the_public_draws(metric):
     # draw does
     ortho = Frame.orthonormal(metric)
     ctx = harness._Context(ortho.metric, HarnessConfig(dim=metric.dim), ortho)
-    draws = [(lambda m, r, g=g: harness._random_multivector(m, g, r),
-              lambda m, r, g=g: random_multivector(m, g, r)) for g in range(metric.dim + 1)]
-    for seed, (draw, public) in enumerate(draws + [(harness._random_mixed, _mixed)]):
+    # each grade as an int and as an int field's name, then every grade
+    draws = [(kind, drawn, lambda m, r, g=g: random_multivector(m, g, r))
+             for g in range(metric.dim + 1)
+             for kind, drawn in ((harness._mv(g), {}), (harness._mv("p"), {"p": g}))]
+    for seed, (kind, drawn, public) in enumerate(draws + [(harness._mv(None), {}, _mixed)]):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        leaves = [draw(ctx.metric, rng) for _ in range(5)]
+        leaves = [kind.draw(ctx, rng, drawn) for _ in range(5)]
         made = [public(ctx.metric, reference) for _ in range(5)]
         assert rng.bit_generator.state == reference.bit_generator.state
-        stacked = harness._made(ctx, leaves)
+        stacked = kind.make(ctx, leaves, drawn)
         assert stacked._values.tobytes() == Multivector.stack(made)._values.tobytes()
         for leaf, one in zip(leaves, made):
-            alone = harness._made(ctx, [leaf])._values
+            alone = kind.make(ctx, [leaf], drawn)._values
             assert alone.shape == (1, 1, metric.size)
             assert alone[0, 0].tobytes() == one._values.tobytes()
 
@@ -479,22 +482,21 @@ def test_drawn_maps_are_the_public_draws(n):
     seed = _REDRAWN_FIRST[n]
     first = np.random.default_rng(seed).random((n, n)) + np.eye(n) - 0.5
     assert abs(np.linalg.det(first)) < 0.1  # the seed's first candidate is redrawn
-    pairs = [(lambda r: harness._random_invertible(metric, r),
-              lambda r: Extensor.random_invertible(metric, r))]
-    pairs += [(lambda r, p=p, q=q: harness._random_map(metric, r, p, q),
+    pairs = [(harness._INVERTIBLE, {}, lambda r: Extensor.random_invertible(metric, r))]
+    pairs += [(harness._MAP, {"p": p, "q": q},
                lambda r, p=p, q=q: Extensor.random(metric, r, p, q))
               for p, q in ((1, 1), (1, 2), (2, 1), (0, n), (n - 1, 2))]
-    for draw, public in pairs:
+    for kind, drawn, public in pairs:
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        leaves = [draw(rng) for _ in range(4)]
+        leaves = [kind.draw(ctx, rng, drawn) for _ in range(4)]
         made = [public(reference) for _ in range(4)]
         assert rng.bit_generator.state == reference.bit_generator.state
-        stacked = harness._made(ctx, leaves)
+        stacked = kind.make(ctx, leaves, drawn)
         assert (stacked.p, stacked.q) == (made[0].p, made[0].q)
         assert stacked.matrix.tobytes() == np.array([t.matrix for t in made]).tobytes()
         assert not stacked.matrix.flags.writeable
         for leaf, one in zip(leaves, made):
-            alone = harness._made(ctx, [leaf]).matrix
+            alone = kind.make(ctx, [leaf], drawn).matrix
             assert alone.shape == (1,) + one.matrix.shape
             assert alone[0].tobytes() == one.matrix.tobytes()
 
@@ -576,11 +578,32 @@ def test_every_check_draws_the_same_words(config):
         assert (state["has_uint32"], state["uinteger"]) == (0, half_word), check.id
 
 
-def _drawn(x: Multivector) -> "harness._DrawnMultivector":
-    """x as a drawn multivector: every coefficient v kept as the uniform
-    (v + 1) / 2 it is made from, which gives v back exactly here."""
-    leaf = harness._DrawnMultivector(np.arange(x.metric.size), (x._values + 1.0) / 2.0)
-    assert (2.0 * leaf.u - 1.0).tobytes() == x._values.tobytes()
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_each_trial_draws_its_table_and_its_ints_are_its_structure(dim):
+    # a check's field names are unique, a drawn trial has exactly those keys
+    # in table order, and its int values are exactly its _int fields: a
+    # kind that returned a numpy int would drop out of the grouping key
+    config = HarnessConfig(dim=dim)
+    ortho = Frame.orthonormal(parse_metric(dim, config.metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    for check in CATALOG:
+        names = [name for name, _ in check.trial.fields]
+        assert len(set(names)) == len(names), check.id
+        structure = [name for name, kind in check.trial.fields
+                     if kind.draw.__qualname__.startswith("_int.")]
+        assert structure == (["p", "q", "k"] if check.suite == "properties" else []), check.id
+        rng = harness._derive_rng(config.seed, check.id)
+        for _ in range(4):
+            drawn = check.trial.draw(ctx, rng)
+            assert list(drawn) == names, check.id
+            assert [name for name, v in drawn.items() if type(v) is int] == structure, check.id
+
+
+def _drawn(ctx, x: Multivector) -> np.ndarray:
+    """The vector x as a drawn grade-1 field: every coefficient v kept as
+    the uniform (v + 1) / 2 it is made from, which gives v back exactly here."""
+    leaf = (x._values[harness._tables(ctx.metric).blades[1]] + 1.0) / 2.0
+    assert harness._mv(1).make(ctx, [leaf], {})._values[0, 0].tobytes() == x._values.tobytes()
     return leaf
 
 
@@ -590,18 +613,19 @@ def _huge_value_group(check, ctx, names):
     which math.exp cannot take."""
     m = ctx.metric
     e1, e2 = Multivector.from_blade(m, 1), Multivector.from_blade(m, 2)
-    h = harness._DrawnMap(np.eye(m.dim))
     group = []
     for i, name in enumerate(names):
-        c = _drawn((0.5 if name == "exp" else 1000.0) * e1)
+        c = _drawn(ctx, (0.5 if name == "exp" else 1000.0) * e1)
         if check.suite == "bridge":
-            frame = harness._DrawnFrame(harness._random_invertible(m, np.random.default_rng(i)))
-            draw = dict(anchor=_drawn(e1), c=c, functional=name, h=h, frame=frame)
+            h = np.eye(m.dim)  # an invertible map's matrix
+            frame = harness._frame(False).draw(ctx, np.random.default_rng(i), {})
+            draw = dict(anchor=_drawn(ctx, e1), c=c, functional=name, h=h, frame=frame)
             if "directional" in check.id:
-                draw["direction"] = _drawn(e2)
+                draw["direction"] = _drawn(ctx, e2)
         else:  # the chain rule over x.c of one grade-1 anchor
-            draw = dict(p=1, q=1, k=1, anchors=(_drawn(e1),), h=h, option="x.c", consts=(c,),
-                        smooth=name, direction=_drawn(e1 + e2))
+            h = (np.eye(m.dim) + 1.0) / 2.0  # a (1, 1) map's uniforms, matrix 2u - 1
+            draw = dict(p=1, q=1, k=1, anchors=(_drawn(ctx, e1),), h=h, option="x.c",
+                        consts=(c,), smooth=name, direction=_drawn(ctx, e1 + e2))
         group.append(draw)
     return group
 
@@ -994,6 +1018,22 @@ def test_cli_bad_metric_exits_nonzero_before_running():
     proc = run_cli("--metric", "diag:+,+")
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+    assert proc.stdout == ""
+
+
+def test_a_raising_trial_is_a_trial_error_not_a_failure():
+    # metric entries 1e13 apart make a drawn frame degenerate: run_suite
+    # raises a TrialError naming the identity, its cause the exception, and
+    # the CLI prints one error line and exits 3, not a failure's 1
+    config = HarnessConfig(dim=3, metric="diag:1e-13,1,1", trials=2)
+    with pytest.raises(TrialError) as raised:
+        run_suite(config)
+    assert raised.value.args == ("adjoint-image-directional",)
+    assert isinstance(raised.value.__cause__, DegenerateFrameError)
+    proc = run_cli("--dim", "3", "--metric", "diag:1e-13,1,1", "--trials", "2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("error: adjoint-image-directional raised DegenerateFrameError: "
+                           "frame vectors are (numerically) dependent\n")
     assert proc.stdout == ""
 
 
