@@ -29,8 +29,8 @@ a multivector the library builds carries the grades its rows may be
 nonzero on, NaN included (_grade_bits) -- a product those its term list
 reaches, a map's image the target grade, a sum the union -- and one from
 the public constructor is scanned once, when first asked.  A product reads
-its operands' grades (every grade at n <= 4), builds the list on first use
-and sums over each output o's terms
+its operands' grades, builds the list on first use and sums over each
+output o's terms
 
     value    c[o]  = sum a_i (s b_j)
     tangent  tc[o] = sum ta_i (s b_j) + sum a_i (s tb_j)
@@ -596,22 +596,17 @@ class Multivector:
         if not isinstance(other, Multivector):
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
         _check_metric(self.metric, other.metric)
-        tables = _tables(self.metric)
         a, b, ta, tb = self._values, other._values, self._tangents, other._tangents
         if (ta is not None or tb is not None) and (_is_batch(self) or _is_batch(other)):
             raise ValueError(_BATCH_WITH_TANGENTS)
         if kind == "scalar":
-            values, tangents = _scalar_product(tables.weight, a, b, ta, tb)
+            values, tangents = _scalar_product(_tables(self.metric).weight, a, b, ta, tb)
             return Multivector._raw(self.metric, values, tangents, 1)
         if kind == "geometric" and 1 in (self._bits, other._bits):
             scaled = _scaling(self, other) if self._bits == 1 else _scaling(other, self)
             if scaled is not None:
                 return scaled
-        if len(tables.blades) <= 5:  # every grade up to n = 4: the whole table costs less there
-            grades_a = grades_b = (1 << len(tables.blades)) - 1
-        else:
-            grades_a, grades_b = _grade_bits(self), _grade_bits(other)
-        terms = _terms(self.metric, kind, grades_a, grades_b)
+        terms = _terms(self.metric, kind, _grade_bits(self), _grade_bits(other))
         values, tangents = _term_product(terms, a, b, ta, tb)
         return Multivector._raw(self.metric, values, tangents, terms.bits)
 
@@ -655,33 +650,25 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
     a, b = _as_stack(a), _as_stack(b)
     x = a if ta is None else np.concatenate((a, _as_stack(ta)), axis=1)
     ys = (b,) if tb is None else (b, _as_stack(tb))
-    last = x.shape[0] == b.shape[0] > b.shape[-1]  # trials outnumber blades: einsum runs along them
-    if last:
-        x, ys = x.transpose(1, 2, 0), [y.transpose(1, 2, 0) for y in ys]
-    at, spread = (1, (..., None)) if last else (2, ...)  # the blade axis, s's trailing axes
-    spec = "...kct,...kct->...ct" if last else "...kc,...kc->...c"
     if terms.signed:  # read y, -y or, for the padding, 0 y
-        ys = [(y[(slice(None),) * at + (None,)] * _UNIT_SIGNS[spread]).reshape(
-            y.shape[:at] + (-1,) + y.shape[at + 1:]) for y in ys]
+        ys = [(y[:, :, None] * _UNIT_SIGNS).reshape(y.shape[:2] + (-1,)) for y in ys]
     sums = [[] for _ in ys]
     for i, j, s in terms.groups:
-        x_i = x.take(i, axis=at)
+        x_i = x.take(i, axis=2)
         for n, y in enumerate(ys):
-            y_j = y.take(j, axis=at)
+            y_j = y.take(j, axis=2)
             if not terms.signed:
-                y_j *= s[spread]
+                y_j *= s
             if n:  # tb meets the value row alone
-                x_i = x_i[:1] if last else x_i[:, :1]
-            sums[n].append(np.einsum(spec, x_i, y_j))
+                x_i = x_i[:, :1]
+            sums[n].append(np.einsum("...kc,...kc->...c", x_i, y_j))
             del y_j  # one gathered block alive at a time
-    outs = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=at) for parts in sums]
+    outs = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2) for parts in sums]
     if terms.padding is not None:  # zero beside NaN or inf too, as the grades carried say
         for out in outs:
-            out[(slice(None),) * at + (terms.padding,)] = 0.0
+            out[..., terms.padding] = 0.0
     if terms.gather is not None:
-        outs = [out.take(terms.gather, axis=at) for out in outs]
-    if last:
-        outs = [np.ascontiguousarray(out.transpose(2, 0, 1)) for out in outs]
+        outs = [out.take(terms.gather, axis=2) for out in outs]
     values, tangents = outs[0], None
     if ta is not None:  # the value row first, then the tangent rows
         values, tangents = values[:, :1], values[:, 1:]
@@ -844,7 +831,7 @@ def _sum_rows(metric: Metric, grade: int, kind: str) -> tuple[np.ndarray, np.nda
     return index, signs
 
 
-def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
+def product_sum(metric: Metric, kinds: Sequence[str], grade: int, lefts, rights) -> tuple:
     """sum_i  lefts[i] * rights[..., i, :]  under each product of `kinds`.
 
     lefts is a (..., k, 2^n) array of grade-`grade` values (other
@@ -856,12 +843,10 @@ def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
     (a, S_a ^ m) weighted by R[S_a, m].  The index and sign rows are cached
     per (metric, grade, kind): O(C(n, grade) * 2^n) each, never a dense
     (C(n, grade) * 2^n, 2^n) operator.  The index does not depend on the
-    kind, so a sequence of kinds shares one matmul and one gather and gives
-    a tuple of results, each bit for bit its kind's own; one kind (a
-    string) gives one result.
+    kind, so the kinds share one matmul and one gather and give a tuple of
+    results, each bit for bit its kind's own.
     """
-    single = isinstance(kinds, str)
-    kinds = (kinds,) if single else tuple(kinds)
+    kinds = tuple(kinds)
     if not kinds:
         return ()
     for kind in kinds:
@@ -872,8 +857,7 @@ def product_sum(metric: Metric, kinds, grade: int, lefts, rights):
     support = lefts[..., _tables(metric).blades[grade]]
     cross = np.ascontiguousarray(np.swapaxes(support, -1, -2)) @ rights
     gathered = cross.reshape(cross.shape[:-2] + (-1,))[..., rows[0][0]]
-    sums = tuple((gathered * signs).sum(axis=-2) for _, signs in rows)
-    return sums[0] if single else sums
+    return tuple((gathered * signs).sum(axis=-2) for _, signs in rows)
 
 
 def grade_masks(dim: int, grade: int) -> list[int]:

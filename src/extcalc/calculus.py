@@ -269,7 +269,7 @@ def _slot_gradients(
     q = func.input_grade
     primal, recip = frame.blades(q)
     rows = _derivative_rows(func, args, slots, primal, step, weights)
-    return product_sum(metric, kind, q, recip[..., None, :, :], rows)
+    return product_sum(metric, (kind,), q, recip[..., None, :, :], rows)[0]
 
 
 def grad_star(

@@ -358,4 +358,4 @@ def star_from_partials(partials: np.ndarray, kind: str, frame: Frame) -> Multive
     partials = _check_partials(partials, frame)
     vectors = frame.blades(1)[0]
     rows = partials @ vectors  # row p is sum_q partials[p,q] f_q
-    return _trial_rows(frame.metric, product_sum(frame.metric, kind, 1, vectors, rows))
+    return _trial_rows(frame.metric, product_sum(frame.metric, (kind,), 1, vectors, rows)[0])

@@ -623,7 +623,7 @@ def test_grades_are_integers_and_a_rejected_draw_draws_nothing(grade):
         random_multivector(E3, grade, rng)
     assert rng.bit_generator.state == before
     for reject in (lambda: Multivector.from_scalar(E3, 1.0).grade_project(grade),
-                   lambda: product_sum(E3, "wedge", grade, np.zeros((3, 8)), np.zeros((3, 8))),
+                   lambda: product_sum(E3, ("wedge",), grade, np.zeros((3, 8)), np.zeros((3, 8))),
                    lambda: _compound(np.eye(3), grade)):
         with pytest.raises(ValueError, match="grade must be an integer"):
             reject()
@@ -1088,6 +1088,7 @@ def _route_cases():
     same r of the other block."""
     a, b, ta, tb = np.array(0), np.array(1), np.arange(2, 14), np.arange(14, 26)
     three_a, three_b = np.zeros((3, 1), dtype=int), np.ones((3, 1), dtype=int)
+    nine_a, nine_b = np.zeros((9, 1), dtype=int), np.ones((9, 1), dtype=int)
     cases = [((a, None), (b, None))]
     for m in (1, 12):  # unstacked tangent blocks on the left, the right or both sides
         cases += [((a, ta[:m]), (b, None)), ((a, None), (b, tb[:m])),
@@ -1108,6 +1109,11 @@ def _route_cases():
         ((a, None), (tb[:3, None], tb[3:9].reshape(3, 2))),
         ((three_a, ta[:6].reshape(3, 2)), (three_b, tb[:6].reshape(3, 2))),
         ((three_a, ta[:6].reshape(3, 2)), (b, tb[:2])),
+        # trial stacks of 9, more trials than the 2^2 and 2^3 blades, against
+        # an unstacked side or each other, with one-row tangent blocks
+        ((ta[:9, None], ta[3:, None]), (b, None)), ((a, None), (tb[:9, None], tb[3:, None])),
+        ((ta[:9, None], None), (tb[:9, None], None)),
+        ((nine_a, ta[:9, None]), (nine_b, tb[:9, None])),
         # trial stacks of 3 batches of 4
         ((ta.reshape(3, 4), None), (b, None)), ((ta.reshape(3, 4), None), (three_b, None)),
         ((a, None), (tb.reshape(3, 4), None)), ((ta.reshape(3, 4), None), (tb.reshape(3, 4), None)),
@@ -1274,26 +1280,24 @@ def test_a_grade0_operand_scales_as_its_term_list_bit_for_bit(n, monkeypatch):
 def test_a_non_finite_scalar_takes_the_term_route(n, part, bad):
     # a NaN or inf scalar value or tangent would be NaN on every grade as a
     # scaling (inf 0); the term route keeps it off the grades no term
-    # reaches: at n >= 5 every output off the other operand's grades is 0
+    # reaches: every output off the other operand's grades is 0
     metric = Metric(n, _SIGNED_DIAG[:n])
     rng = np.random.default_rng(800 + n)
     bits = 1 << 1 | 1 << n
     s, y = _scaling_sides(metric, rng, bits, ((6, 1), (6, 2)), ((6, 1), (6, 2)))
     block = s._values if part == "value" else s._tangents
     block[3, -1, 0] = bad
-    read = (1, bits) if n >= 5 else ((1 << n + 1) - 1,) * 2  # the grades a product reads
     off = (_tables(metric).grade_bits & bits) == 0
     for left in (True, False):
         x, z = (s, y) if left else (y, s)
-        terms = _terms(metric, "geometric", *(read if left else read[::-1]))
+        terms = _terms(metric, "geometric", *((1, bits) if left else (bits, 1)))
         want = algebra._term_product(terms, x._values, z._values, x._tangents, z._tangents)
         got = product("geometric", x, z)
         assert got._bits == terms.bits
         assert got._values.tobytes() == want[0].tobytes()
         assert got._tangents.tobytes() == want[1].tobytes()
         assert not np.isfinite(got._tangents[3]).all()
-        if n >= 5:
-            assert not np.any(got._values[..., off]) and not np.any(got._tangents[..., off])
+        assert not np.any(got._values[..., off]) and not np.any(got._tangents[..., off])
 
 
 # -- the blade frame sum as one contraction ------------------------------------------
@@ -1329,7 +1333,7 @@ def test_blade_sum_matches_product_loop(n, grade):
             rows = draw.uniform(-1.0, 1.0, (2, len(left), metric.size))
             weights = _tables(metric).weight
             for kind in PRODUCT_KINDS:
-                got = product_sum(metric, kind, grade, left, rows)
+                (got,) = product_sum(metric, (kind,), grade, left, rows)
                 assert got.shape == (2, metric.size)
                 for b in range(2):
                     expected = _product_loop(metric, kind, left, rows[b])
@@ -1341,7 +1345,7 @@ def test_blade_sum_matches_product_loop(n, grade):
                         # one nonzero reciprocal coefficient per blade: same terms,
                         # same order, so the same bits as the loop
                         assert np.array_equal(got[b], expected), kind
-                assert np.array_equal(product_sum(metric, kind, grade, left, rows[0]), got[0])
+                assert np.array_equal(product_sum(metric, (kind,), grade, left, rows[0])[0], got[0])
 
 
 @pytest.mark.parametrize("metric", [E3, Metric(4, (2.0, -1.0, 0.5, -3.0))])
@@ -1353,10 +1357,11 @@ def test_product_sum_over_kinds_is_bit_equal_to_one_kind_calls(metric):
         sums = product_sum(metric, PRODUCT_KINDS, grade, lefts, rights)
         assert isinstance(sums, tuple) and len(sums) == len(PRODUCT_KINDS)
         for kind, got in zip(PRODUCT_KINDS, sums):
-            assert np.array_equal(got, product_sum(metric, kind, grade, lefts, rights)), kind
+            (alone,) = product_sum(metric, (kind,), grade, lefts, rights)
+            assert np.array_equal(got, alone), kind
         pair = product_sum(metric, ("lcontract", "wedge"), grade, lefts, rights[0])
-        assert np.array_equal(pair[0], product_sum(metric, "lcontract", grade, lefts, rights[0]))
-        assert np.array_equal(pair[1], product_sum(metric, "wedge", grade, lefts, rights[0]))
+        for kind, got in zip(("lcontract", "wedge"), pair):
+            assert np.array_equal(got, product_sum(metric, (kind,), grade, lefts, rights[0])[0])
     assert product_sum(metric, (), 1, lefts, rights) == ()
     with pytest.raises(ValueError):
         product_sum(metric, ("wedge", "cross"), 1, lefts, rights)
@@ -1364,10 +1369,10 @@ def test_product_sum_over_kinds_is_bit_equal_to_one_kind_calls(metric):
 
 def test_blade_sum_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        product_sum(E3, "cross", 1, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
+        product_sum(E3, ("cross",), 1, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
     for grade in (-1, 4):  # a negative grade would wrap around the blade tables
         with pytest.raises(ValueError):
-            product_sum(E3, "wedge", grade, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
+            product_sum(E3, ("wedge",), grade, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
 
 
 def test_frames_over_one_metric_share_the_sum_rows():
@@ -1376,9 +1381,9 @@ def test_frames_over_one_metric_share_the_sum_rows():
     rng = np.random.default_rng(5)
     one, two = (_frames(metric, rng)["random"] for _ in range(2))
     rows = rng.uniform(-1.0, 1.0, (6, metric.size))
-    product_sum(metric, "lcontract", 2, one.blades(2)[1], rows)
+    product_sum(metric, ("lcontract",), 2, one.blades(2)[1], rows)
     before = _sum_rows.cache_info()
-    product_sum(metric, "lcontract", 2, two.blades(2)[1], rows)
+    product_sum(metric, ("lcontract",), 2, two.blades(2)[1], rows)
     after = _sum_rows.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert _sum_rows(metric, 2, "lcontract") is _sum_rows(Metric(4, metric.diag), 2, "lcontract")
