@@ -295,15 +295,11 @@ def _terms(metric: Metric, kind: str, grades_a: int, grades_b: int) -> _Terms:
 def _grade_bits(x: "Multivector") -> int:
     """Bit g set when a value, batch, trial or tangent row of x may be
     nonzero (NaN included) on a grade-g mask: the grades x carries, which
-    the operation that made it knew, or else one scan of its rows, which x
-    keeps (it is immutable)."""
+    the operation that made it knew, or else the grades of its support
+    (Multivector._support), which x keeps (it is immutable)."""
     bits = x._bits
     if bits is None:
-        size = x.metric.size
-        nonzero = np.logical_or.reduce(x._values.reshape(-1, size))
-        if x._tangents is not None:
-            nonzero |= np.logical_or.reduce(x._tangents.reshape(-1, size))
-        bits = int(np.bitwise_or.reduce(_tables(x.metric).grade_bits, where=nonzero, initial=0))
+        bits = int(np.bitwise_or.reduce(_tables(x.metric).grade_bits[x._support()]))
         _set_bits(x, bits)
     return bits
 
@@ -500,15 +496,13 @@ class Multivector:
         """True when supported on grade `grade` only (the zero element counts):
         no value, batch row or tangent row is nonzero (NaN included) on a mask
         of another grade.  A grade out of range leaves every mask off-grade.
-        Carried grades within {grade} answer without a scan."""
+        Carried grades within {grade} answer without a scan (_support)."""
         off = _tables(self.metric).off_grade.get(grade)
         if off is None:
             off = slice(None)
         elif self._bits is not None and not self._bits & ~(1 << int(grade)):
             return True
-        if np.count_nonzero(self._values[..., off]):
-            return False
-        return self._tangents is None or not np.count_nonzero(self._tangents[..., off])
+        return not self._support()[off].any()
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self._values)))
@@ -846,6 +840,8 @@ def product_sum(metric: Metric, kinds: Sequence[str], grade: int, lefts, rights)
     kind, so the kinds share one matmul and one gather and give a tuple of
     results, each bit for bit its kind's own.
     """
+    if isinstance(kinds, str):  # a bare string is a sequence of one-letter "kinds"
+        raise ValueError(f"kinds must be a sequence of product kinds, such as ({kinds!r},)")
     kinds = tuple(kinds)
     if not kinds:
         return ()
@@ -960,8 +956,8 @@ def reciprocal_frame(vectors: Sequence[Multivector]) -> list[Multivector]:
 
 
 def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
-    """(n, len(masks)) coefficients of the vectors on `masks`, row k from
-    vectors[k]; (T, n, len(masks)) when any of them is a trial stack."""
+    """(k, len(masks)) coefficients of k unbatched multivectors on `masks`, row
+    i from vectors[i]; (T, k, len(masks)) when any of them is a trial stack."""
     rows = [_rows(v) for v in vectors]
     if len({r.shape for r in rows}) > 1:
         rows = np.broadcast_arrays(*rows)
@@ -1025,16 +1021,15 @@ class Frame:
 
     @cached_property
     def vectors(self) -> tuple[Multivector, ...]:
-        return self._vectors(self.coords)
+        return self._vectors(0)
 
     @cached_property
     def reciprocal(self) -> tuple[Multivector, ...]:
-        return self._vectors(self.recip)
+        return self._vectors(1)
 
-    def _vectors(self, coords: np.ndarray) -> tuple[Multivector, ...]:
-        """The grade-1 vectors, or trial stacks, whose coordinates are the rows."""
-        rows = np.zeros(coords.shape[:-1] + (self.metric.size,))
-        rows[..., _tables(self.metric).blades[1]] = coords
+    def _vectors(self, side: int) -> tuple[Multivector, ...]:
+        """The grade-1 vectors, or trial stacks, of the rows of blades(1)[side]."""
+        rows = self.blades(1)[side]
         return tuple(_trial_rows(self.metric, rows[..., k, :], 2) for k in range(self.metric.dim))
 
     def blades(self, grade: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1063,6 +1058,14 @@ class Frame:
 @lru_cache(maxsize=None)
 def _orthonormal_frame(metric: Metric) -> Frame:
     return Frame(metric, np.eye(metric.dim), np.diag(1.0 / np.array(metric.diag)))
+
+
+def _frame_over(metric: Metric, frame: Frame | None) -> Frame:
+    """`frame`, checked to live over `metric`, or the orthonormal frame when None."""
+    if frame is None:
+        return Frame.orthonormal(metric)
+    _check_metric(metric, frame.metric)
+    return frame
 
 
 def _as_rng(rng) -> np.random.Generator:

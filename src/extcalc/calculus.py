@@ -14,24 +14,25 @@ seeds every requested variable with its weighted copy of the m directions in
 each band of one shared tangent block and reads the tangent block of the
 result, so all bands cost one forward pass of the function, exact for
 anything built from the algebra products, Extensor application and the
-lifted smooth scalar maps.  A positive step takes central finite
-differences, an independent reference that never seeds a tangent: per band,
-it stacks all 2m perturbed points X + step*w*d_r and X - step*w*d_r of each
-variable the band moves into one batched argument (a point batch of 2m
-rows, see extcalc.algebra) and evaluates the function once.  So the default
-bands evaluate it once per variable.
+lifted smooth scalar maps.  A positive finite step (_check_step) takes
+central finite differences, an independent reference that never seeds a
+tangent: per band, it stacks all 2m perturbed points X + step*w*d_r and
+X - step*w*d_r of each variable the band moves into one batched argument
+(a point batch of 2m rows, see extcalc.algebra) and evaluates the function
+once.  So the default bands evaluate it once per variable.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum
 
     sum_J  f^J * (directional derivative along f_J)
 
-over the increasing-mask grade-q blades of a frame (Frame.blades); with the
-geometric product this is the standard derivative with respect to that
-variable.  _slot_gradients runs the kernel along the C(n, q) blades f_J in
-every requested variable, or in the weighted bands, and contracts the rows
-with algebra.product_sum, one array contraction for every band together,
-into a (bands, 2^n) array; grad_star is its one-slot case.
+over the increasing-mask grade-q blades of a frame (Frame.blades), the
+orthonormal one by default (algebra._frame_over); with the geometric
+product this is the standard derivative with respect to that variable.
+_slot_gradients runs the kernel along the C(n, q) blades f_J in every
+requested variable, or in the weighted bands, and contracts the rows with
+algebra.product_sum, one array contraction for every band together, into a
+(bands, 2^n) array; grad_star is its one-slot case.
 
 Every array above may lead with a trial axis: arguments that are trial
 stacks, (T, b, k) weights or (T, m, 2^n) directions give (T, bands, m, 2^n)
@@ -57,8 +58,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (Frame, Multivector, _as_stack, _check_metric, _check_operand,
-                      _grade_bits, _rows, _trial_rows, _union, product_sum)
+from .algebra import (Frame, Multivector, _as_stack, _check_operand, _frame_over, _grade_bits,
+                      _rows, _trial_rows, _union, product_sum)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -157,6 +158,12 @@ def _check_slot(func: MvFunction, args: Sequence[Multivector], var_index: int):
         raise ValueError(f"variable index {var_index} out of range")
 
 
+def _check_step(step: float | None):
+    """A finite-difference step is positive and finite; None is exact."""
+    if step is not None and not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+
+
 def _derivative_rows(
     func: MvFunction,
     args: Sequence[Multivector],
@@ -177,6 +184,7 @@ def _derivative_rows(
     -(step*w*d) per band, in the slots its weights move.  With trial stacks
     (arguments, (T, b, k) weights or (T, m, 2^n) directions) the rows are
     (T, b, m, 2^n); an unstacked call runs as a stack of one."""
+    _check_step(step)
     metric = args[slots[0]].metric
     m, size = directions.shape[-2], metric.size
     if weights is None:
@@ -202,8 +210,6 @@ def _derivative_rows(
             block = np.zeros((trials, bands * m, size))
         rows = block.reshape(trials, bands, m, size)
     else:
-        if not step > 0:
-            raise ValueError("step must be positive")
         steps = step * directions
         bands_rows = []
         for c in range(bands):
@@ -262,12 +268,8 @@ def _slot_gradients(
     weighted sums sum_j weights[c, j] * grad_star in slots[j], (b, 2^n),
     each from one band of that call.  The caller has checked the slots."""
     metric = args[slots[0]].metric
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    else:
-        _check_metric(metric, frame.metric)
     q = func.input_grade
-    primal, recip = frame.blades(q)
+    primal, recip = _frame_over(metric, frame).blades(q)
     rows = _derivative_rows(func, args, slots, primal, step, weights)
     return product_sum(metric, (kind,), q, recip[..., None, :, :], rows)[0]
 

@@ -28,8 +28,8 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
-    _check_metric,
     _check_operand,
+    _frame_over,
     _trial_rows,
     scalar_value,
     unit_pseudoscalar,
@@ -67,9 +67,7 @@ def blade_image_functional(vectors) -> InducedFunctional:
 def _frame_sum(metric: Metric, frame: Frame | None, output_grade: int, term) -> InducedFunctional:
     """t -> sum_j term(t(f^j), f_j) over a frame (default orthonormal), the
     reciprocal vectors f^j its n anchors."""
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    _check_metric(metric, frame.metric)
+    frame = _frame_over(metric, frame)
     vectors = frame.vectors
 
     def evaluator(*xs):
@@ -109,9 +107,7 @@ def pseudoscalar_image_functional(
     """
     metric = pss.metric
     _check_operand(pss, metric, metric.dim, "pss")
-    if frame is None:
-        frame = Frame.orthonormal(metric)
-    _check_metric(metric, frame.metric)
+    frame = _frame_over(metric, frame)
     top = frame._blades(0, metric.dim)[..., 0, :]  # f_1 ^ ... ^ f_n, per trial
     scale = scalar_value(pss, _trial_rows(metric, top))
     return blade_image_functional(frame.reciprocal).scaled(scale)

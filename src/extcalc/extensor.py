@@ -235,6 +235,10 @@ class Extensor:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Extensor":
+        """The map of a to_dict record; ValueError names a missing key."""
+        missing = [key for key in ("n", "p", "q", "metric", "matrix") if key not in payload]
+        if missing:
+            raise ValueError(f"map record lacks {', '.join(missing)}")
         metric = Metric(int(payload["n"]), tuple(payload["metric"]))
         p, q = int(payload["p"]), int(payload["q"])
         shape = (comb(metric.dim, q), comb(metric.dim, p))

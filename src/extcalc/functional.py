@@ -25,7 +25,8 @@ metric (unbatched, without tangents; algebra._check_operand); its value on a
     test target, as is independence from the choice of frame.
 
 Each derivative method takes `step`: None differentiates F exactly, a positive
-step by central differences (the oracle choice of calculus.grad_star).  The
+finite step by central differences (the oracle choice of calculus.grad_star,
+any other step a ValueError before F is evaluated).  The
 directional derivative is linear in the weights w_i = A . A^i, so it is one
 weighted pass of the calculus kernel: along each grade-q frame blade f_J,
 slot i moves by w_i f_J, with C(n, q) tangent rows in all, or one batch of
@@ -69,9 +70,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (Frame, Multivector, _check_metric, _check_operand, _rows, _tables,
-                      _trial_rows, product_sum)
-from .calculus import MvFunction, _derivative_rows, _slot_gradients
+from .algebra import (Frame, Multivector, _check_metric, _check_operand, _coordinate_rows, _rows,
+                      _tables, _trial_rows, product_sum)
+from .calculus import MvFunction, _check_step, _derivative_rows, _slot_gradients
 from .dual import value_of
 from .extensor import Extensor, _apply_matrix
 
@@ -96,10 +97,7 @@ class InducedFunctional:
         for a in self.anchors:
             _check_operand(a, metric, self.source_grade, "anchor")
         object.__setattr__(self, "metric", metric)  # an attribute: every map check reads it
-        rows = [_rows(a) for a in self.anchors]
-        if len({r.shape for r in rows}) > 1:  # unstacked anchors join the trial stack
-            rows = np.broadcast_arrays(*rows)
-        object.__setattr__(self, "_anchor_values", np.stack(rows, axis=-2))
+        object.__setattr__(self, "_anchor_values", _coordinate_rows(self.anchors, slice(None)))
         object.__setattr__(self, "_last", (None, (), {}))  # see _mapped
 
     @property
@@ -174,6 +172,7 @@ class InducedFunctional:
         self, t: Extensor, direction: Multivector, step: float | None = None
     ) -> Multivector:
         """Derivative along a grade-p direction; linear in the direction."""
+        _check_step(step)
         self._check_map(t)
         _check_operand(direction, self.metric, self.source_grade, "direction")
         weights = self._anchor_weights(_rows(direction)[..., None, :])
@@ -193,7 +192,6 @@ class InducedFunctional:
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
     ) -> dict:
         """Star derivatives for several product kinds, sharing one gradient pass."""
-        _check_kinds(kinds)
         grads = self._star_gradients(t, step)
         sums = product_sum(self.metric, kinds, self.source_grade, self._anchor_values, grads)
         return {kind: _trial_rows(self.metric, s) for kind, s in zip(kinds, sums)}
@@ -210,7 +208,6 @@ class InducedFunctional:
         frame sum over `frame`, which must live over the functional's metric;
         frame-independent.  One gradient pass serves every kind, and each
         kind's entry is bit for bit the one a call for that kind alone gives."""
-        _check_kinds(kinds)
         _check_metric(self.metric, frame.metric)
         primal, recip = frame.blades(self.source_grade)
         grads = self._star_gradients(t, None)
@@ -276,12 +273,6 @@ class InducedFunctional:
         )
 
 
-def _check_kinds(kinds):
-    # a bare string is a sequence of one-letter "kinds"
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a sequence of product kinds, such as ({kinds!r},)")
-
-
 # -- bridge to classical matrix calculus ---------------------------------------
 
 
@@ -307,6 +298,7 @@ def component_partials(
     the frame gives (T, n, n) partials, trial r bit for bit trial r's own.
     """
     _check_bridge_shape(phi)
+    _check_step(step)
     phi._check_map(t)
     _check_metric(phi.metric, frame.metric)
     n = phi.metric.dim
@@ -315,8 +307,6 @@ def component_partials(
     if step is None:
         along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)[..., 0, :, 0]
         return a[..., :, None] * along[..., None, :]  # np.outer, trial by trial
-    if not step > 0:
-        raise ValueError("step must be positive")
     bumps = step * np.eye(n * n).reshape(n * n, n, n)
     comps = t.to_components(frame)[..., None, :, :]
     mats = np.concatenate([comps + bumps, comps - bumps], axis=-3)

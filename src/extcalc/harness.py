@@ -22,19 +22,19 @@ field (a rule's grades and arity p, q, k: only they shape the arrays); _mv,
 a multivector kept as its uniforms u (coefficients 2u - 1); _INVERTIBLE and
 _MAP, maps kept as a matrix or as uniforms; _frame, a frame kept as its
 carrier's matrix; _float; _name, a drawn choice, made the per-trial tuple
-that runs each option on its own trials' rows only; _each and _repeat,
-tuples.  _Trials groups the trials by structure and makes every group, one
-trial or several, a trial stack whose sides, which read the fields by name,
-are evaluated once (extcalc.algebra; vector forward mode over a batch,
-Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3).  Trial r's
-deviation is bit for bit what trial r gives alone.  run_suite keeps each
-identity's worst trial against a tolerance and, on failure, reports
-witness_of(r) of that trial, its draw made alone as a stack of one
-(Inputs.witness).  Checks with an -fd suffix share their exact twin's draw
-and compare the exact tangent-propagation route against the
-central-finite-difference oracle; the bridge suite ties the derivative
-operators to ordinary partial derivatives in the matrix components of the
-map.
+that runs each option on its own trials' rows only; _repeat, a tuple.
+_Trials groups the trials by structure and makes every group, one trial or
+several, a trial stack whose sides, which read the fields by name, are
+evaluated once (extcalc.algebra; vector forward mode over a batch, Griewank
+& Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3).  Trial r's
+deviation is bit for bit what trial r gives alone.  run_suite checks each
+identity's worst trial, the first non-finite deviation, else the first
+largest, against a tolerance and, on failure, reports witness_of(r) of that
+trial, its draw made alone as a stack of one (Inputs.witness).  Checks with
+an -fd suffix share their exact twin's draw and compare the exact
+tangent-propagation route against the central-finite-difference oracle; the
+bridge suite ties the derivative operators to ordinary partial derivatives
+in the matrix components of the map.
 
 Per-check RNG streams are derived from (seed, identity id), so results do not
 depend on execution order and identical configs give identical reports.
@@ -205,6 +205,7 @@ class Inputs(SimpleNamespace):
     the check's make derives from them, the functional phi first."""
 
     phi = None  # a check without a functional
+    d = None  # a scalar-valued random function draws no d (_function_fields)
 
     def derivative(self, phi=None, step=None) -> Multivector:
         """phi's (default: the drawn functional's) derivative along the
@@ -282,7 +283,7 @@ class _Trials:
         for trials in groups.values():
             x = self.inputs(ctx, [drawn[r] for r in trials])
             devs[trials] = _deviation(self.sides(x), self.relative)
-        return devs.tolist(), lambda r: self.inputs(ctx, [drawn[r]]).witness()
+        return devs, lambda r: self.inputs(ctx, [drawn[r]]).witness()
 
     def draw(self, ctx, rng) -> dict:
         """One trial's {name: raw value}, each field drawn by its kind, in
@@ -347,13 +348,6 @@ def _mv(grade) -> _Kind:
         return Multivector._raw(ctx.metric, values, bits=int(bits))
 
     return _Kind(lambda ctx, rng, drawn: rng.random(len(masks(ctx, drawn))), make)
-
-
-def _each(*kinds) -> _Kind:
-    """A tuple of one value of each kind, drawn in order."""
-    return _Kind(lambda ctx, rng, drawn: tuple(k.draw(ctx, rng, drawn) for k in kinds),
-                 lambda ctx, column, first: tuple(
-                     k.make(ctx, c, first) for k, c in zip(kinds, zip(*column))))
 
 
 def _repeat(kind: _Kind, count) -> _Kind:
@@ -431,12 +425,12 @@ def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
     }[name]
 
 
-def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> MvFunction:
+def _function(names, q: int, c: Multivector, d: Multivector | None) -> MvFunction:
     """The random function of grade-q variables over trial stacks of its
-    drawn constants c and d (_function_fields): each
-    trial's own option of the per-trial `names`, evaluated on that option's
-    rows of the arguments and constants only (_per_trial).  Its output grade
-    is the options' common one, else None."""
+    drawn constants c and d (_function_fields): each trial's own option of
+    the per-trial `names`, evaluated on that option's rows of the arguments
+    and constants only (_per_trial).  Its output grade is the options'
+    common one, else None."""
     rows = _option_rows(names)
     options = {name: _option(name, q, _select(c, r), _select(d, r)) for name, r in rows.items()}
     (arity, _, _), grades = next(iter(options.values())), {g for _, g, _ in options.values()}
@@ -444,10 +438,11 @@ def _function(names, q: int, c: Multivector, d: Multivector | None = None) -> Mv
     return MvFunction(arity, q, grades.pop() if len(grades) == 1 else None, evaluator)
 
 
-def _function_fields(consts: str, option: str, scalar_valued: bool) -> tuple:
+def _function_fields(prefix: str, option: str, scalar_valued: bool) -> tuple:
     """The fields of a random function of k grade-q variables (_option): its
-    constants, then its option's name, a wedge option only where its grade
-    exists."""
+    constants, prefix + c (of grade q if scalar_valued, else a vector, then
+    prefix + d of grade q), then its option's name, a wedge option only where
+    its grade exists."""
 
     def names(ctx, drawn):
         k, q = drawn["k"], drawn["q"]
@@ -456,13 +451,13 @@ def _function_fields(consts: str, option: str, scalar_valued: bool) -> tuple:
         names = ("x", "x^c", "c(x.d)") if k == 1 else ("c(x.y)", "x^y", "x(y.d)")
         return names if (q + 1 if k == 1 else 2 * q) <= ctx.metric.dim else names[::2]
 
-    constants = _each(_mv("q")) if scalar_valued else _each(_mv(1), _mv("q"))
-    return (consts, constants), (option, _name(names))
+    constants = (_mv("q"),) if scalar_valued else (_mv(1), _mv("q"))
+    return (*zip((prefix + "c", prefix + "d"), constants), (option, _name(names)))
 
 
 def _setup(x) -> dict:
     """The functional phi of a rule's setup (_rule)."""
-    return {"phi": InducedFunctional(_function(x.option, x.q, *x.consts), x.anchors, x.p)}
+    return {"phi": InducedFunctional(_function(x.option, x.q, x.c, x.d), x.anchors, x.p)}
 
 
 # -- worked-example checks -------------------------------------------------------
@@ -608,7 +603,7 @@ def _rule(identity, fields, sides, make=_setup, scalar_valued=False, **options):
     grade = _int(1, lambda n: min(2, n))
     setup = (("p", grade), ("q", grade), ("k", _int(1, lambda n: 2)),
              ("anchors", _repeat(_mv("p"), "k")), ("h", _MAP),
-             *_function_fields("consts", "option", scalar_valued))
+             *_function_fields("", "option", scalar_valued))
     return _check(identity, "properties", setup + fields, sides, make, **options)
 
 
@@ -622,12 +617,12 @@ def _linearity_sides(x):
 
 
 # a second value function over the setup's grades, then a direction
-_OTHER = (*_function_fields("other_consts", "other", False), _DIRECTION)
+_OTHER = (*_function_fields("other_", "other", False), _DIRECTION)
 
 
 def _two_functionals(x):
     """phi and the value functional g of the second function over its anchors."""
-    g = InducedFunctional(_function(x.other, x.q, *x.other_consts), x.anchors, x.p)
+    g = InducedFunctional(_function(x.other, x.q, x.other_c, x.other_d), x.anchors, x.p)
     return dict(_setup(x), g=g)
 
 
@@ -820,14 +815,10 @@ def run_suite(config: HarnessConfig) -> list[IdentityResult]:
             devs, witness_of = check.trial(ctx, rng)
         except Exception as exc:
             raise TrialError(check.id) from exc
-        max_dev = 0.0
-        worst: int | None = None  # the reported trial
-        for r, dev in enumerate(devs):
-            # a non-finite deviation is the worst one; the first of them stays
-            if worst is None or (
-                math.isfinite(max_dev) and (dev > max_dev or not math.isfinite(dev))
-            ):
-                max_dev, worst = dev, r
+        # the reported trial: the first non-finite deviation, else the first largest
+        devs = np.asarray(devs, dtype=float)
+        worst = int(np.argmax(np.where(np.isfinite(devs), devs, np.inf)))
+        max_dev = float(devs[worst])
         passed = math.isfinite(max_dev) and max_dev <= tol
         results.append(
             IdentityResult(

@@ -1375,6 +1375,13 @@ def test_blade_sum_rejects_unknown_kind():
             product_sum(E3, ("wedge",), grade, np.zeros((3, E3.size)), np.zeros((3, E3.size)))
 
 
+def test_blade_sum_rejects_a_bare_string_of_kinds():
+    # a string is a sequence of one-letter "kinds"; every caller meets this rule
+    vectors = Frame.orthonormal(E3).blades(1)[0]
+    with pytest.raises(ValueError, match=r"sequence of product kinds, such as \('scalar',\)"):
+        product_sum(E3, "scalar", 1, vectors, vectors)
+
+
 def test_frames_over_one_metric_share_the_sum_rows():
     # the gather index and sign rows belong to (metric, grade, kind), not to a frame
     metric = Metric(4, (2.0, -1.0, 0.5, -3.0))

@@ -645,6 +645,16 @@ def test_dict_round_trip():
     assert np.allclose(back.matrix, t.matrix)
 
 
+@pytest.mark.parametrize("key", ["n", "p", "q", "metric", "matrix"])
+def test_a_record_without_a_key_names_it(key):
+    # a witness reloads through from_dict; a record that lost a key is a
+    # ValueError naming it, not a bare KeyError
+    payload = Extensor.identity(E3).to_dict()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"map record lacks {key}$"):
+        Extensor.from_dict(payload)
+
+
 def test_matrices_are_read_only():
     t = Extensor.identity(E3)
     with pytest.raises(ValueError):

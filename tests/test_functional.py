@@ -14,7 +14,7 @@ from extcalc.algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, grad_star
+from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, dir_deriv, grad_star
 from extcalc.catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -393,6 +393,27 @@ def test_kinds_must_be_a_sequence_not_a_string():
         phi.derivative_via_frame(h, "scalar", Frame.orthonormal(E3))
     listed = phi.derivative_table(h, ["scalar"])["scalar"]
     assert max_abs_diff(listed, Multivector.from_scalar(E3, 3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("step", [float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
+def test_every_derivative_rejects_a_step_that_is_not_positive_and_finite(step):
+    # an infinite step made NaN coefficients, and a direction whose weights
+    # are all zero returned 0 before the step was read
+    e1, e2, _ = basis_vectors(E3)
+    h = Extensor.random_invertible(E3, np.random.default_rng(3))
+    det, moved, unmoved = det_functional(E3), apply_functional(e1), apply_functional(e2)
+    calls = [
+        lambda: dir_deriv(moved.func, (h(e1),), 0, e2, step),
+        lambda: grad_star(moved.func, (h(e1),), 0, step=step),
+        lambda: det.directional_derivative(h, e1, step),
+        lambda: unmoved.directional_derivative(h, e1, step),
+        lambda: det.derivative_table(h, PRODUCT_KINDS, step),
+        lambda: det.partial_gradients(h, step),
+        lambda: component_partials(dot_functional(e1, e2), h, Frame.orthonormal(E3), step),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            call()
 
 
 def test_functional_realizations_are_frame_independent():

@@ -420,15 +420,14 @@ def test_stacked_names_are_per_trial_values():
     # a column of names is the tuple of per-trial names (a one-letter string
     # iterates to itself, so it must not be taken for a tuple)
     smooth, structure = harness._name(("square", "exp", "sin")), harness._int(1, lambda n: 2)
-    assert harness._each(smooth).make(ctx, [("exp",), ("sin",)], {}) == (("exp", "sin"),)
-    option = harness._each(harness._name(("x", "x^c")), harness._float(-2.0, 2.0))
-    assert option.make(ctx, [("x", 1.0), ("x^c", 2.0)], {})[0] == ("x", "x^c")
+    assert smooth.make(ctx, ["exp", "sin"], {}) == ("exp", "sin")
+    assert harness._name(("x", "x^c")).make(ctx, ["x", "x^c"], {}) == ("x", "x^c")
     # fields go by name; an int is the group's own structure and passes
     # through
     column = [{"p": 2, "smooth": "exp"}, {"p": 2, "smooth": "sin"}]
     x = harness._Trials((("p", structure), ("smooth", smooth)), None).inputs(ctx, column)
     assert {k: v for k, v in vars(x).items() if k != "ctx"} == {"p": 2, "smooth": ("exp", "sin")}
-    assert harness._each(structure).make(ctx, [(1,), (1,)], {}) == (1,)
+    assert structure.make(ctx, [1, 1], {}) == 1
 
 
 def _mixed(metric, rng):
@@ -625,7 +624,7 @@ def _huge_value_group(check, ctx, names):
         else:  # the chain rule over x.c of one grade-1 anchor
             h = (np.eye(m.dim) + 1.0) / 2.0  # a (1, 1) map's uniforms, matrix 2u - 1
             draw = dict(p=1, q=1, k=1, anchors=(_drawn(ctx, e1),), h=h, option="x.c",
-                        consts=(c,), smooth=name, direction=_drawn(ctx, e1 + e2))
+                        c=c, smooth=name, direction=_drawn(ctx, e1 + e2))
         group.append(draw)
     return group
 
