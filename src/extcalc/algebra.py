@@ -882,8 +882,8 @@ def wedge_all(metric: Metric, factors: Sequence[Multivector]) -> Multivector:
     return reduce(lambda a, b: a.wedge(b), factors)
 
 
-def scalar_value(a: Multivector, b: Multivector) -> float:
-    """Value part of the scalar product, as a plain float."""
+def scalar_value(a: Multivector, b: Multivector) -> float | np.ndarray:
+    """Value part of the scalar product: a float, a batch's (B,) or a stack's (T, P) array."""
     return a.scalar_product(b).value_part().scalar_part()
 
 

@@ -46,9 +46,11 @@ def apply_functional(b: Multivector) -> InducedFunctional:
 
 def pair_product_functional(kind: str, b: Multivector, c: Multivector) -> InducedFunctional:
     """h -> h(b) * h(c) under the given product kind."""
-    out_grade = {"scalar": 0, "wedge": 2, "lcontract": 0, "geometric": None}[kind]
+    grades = {"scalar": 0, "wedge": 2, "lcontract": 0, "geometric": None}
+    if kind not in grades:
+        raise ValueError(f"unknown product kind {kind!r}")
     return InducedFunctional(
-        MvFunction(2, 1, out_grade, lambda x, y: x._product(kind, y)), (b, c), 1
+        MvFunction(2, 1, grades[kind], lambda x, y: x._product(kind, y)), (b, c), 1
     )
 
 
@@ -117,12 +119,5 @@ def det_functional(metric: Metric, frame: Frame | None = None) -> InducedFunctio
     """h -> det of h, as the top-blade coefficient of the image of the unit
     pseudoscalar."""
     shape = pseudoscalar_image_functional(unit_pseudoscalar(metric), frame)
-    f = shape.func
-    top = metric.size - 1
-
-    def evaluator(*xs):
-        return Multivector.from_scalar(metric, f(*xs).coeff(top))
-
-    return InducedFunctional(
-        MvFunction(f.arity, 1, 0, evaluator), shape.anchors, 1
-    )
+    f, top = shape.func, metric.size - 1
+    return shape._derived(0, lambda *xs: Multivector.from_scalar(metric, f(*xs).coeff(top)))

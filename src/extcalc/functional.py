@@ -44,7 +44,9 @@ functional keeps what it computed at the last map it met, found again by
 identity (a map is immutable): the anchor images t(A^i), and the slot
 gradients of each step, so the exact and finite-difference routes at one
 map map the anchors once, and its star tables over any frames share one
-gradient pass.
+gradient pass.  A derived functional (scaled, times_constant, +,
+times_functional, map_scalar) keeps its parent's anchors and variables, and
+two functionals combine only when they share both.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -160,14 +162,6 @@ class InducedFunctional:
         weighted = self._anchor_values * _tables(self.metric).weight
         return np.vecdot(directions[..., :, None, :], weighted[..., None, :, :])
 
-    def _same_anchors(self, other: "InducedFunctional") -> bool:
-        """Equal anchor values (not the same objects) over one metric and grade."""
-        return (
-            self.metric == other.metric
-            and self.source_grade == other.source_grade
-            and np.array_equal(self._anchor_values, other._anchor_values)
-        )
-
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
     ) -> Multivector:
@@ -217,45 +211,39 @@ class InducedFunctional:
 
     # -- combinators -----------------------------------------------------------
 
-    def _with_func(self, func: MvFunction) -> "InducedFunctional":
-        return InducedFunctional(func, self.anchors, self.source_grade)
+    def _derived(self, output_grade: int | None, value: Callable,
+                 other: "InducedFunctional | None" = None) -> "InducedFunctional":
+        """This functional's anchors and variables with F = value; `other`, if given,
+        must share both (equal anchor values over one metric and grade, same variables)."""
+        f = self.func
+        if other is not None:
+            if not (self.metric == other.metric and self.source_grade == other.source_grade
+                    and np.array_equal(self._anchor_values, other._anchor_values)):
+                raise ValueError("functionals must share their anchor tuple")
+            if (f.arity, f.input_grade) != (other.arity, other.func.input_grade):
+                raise ValueError("functions take different variables")
+        return InducedFunctional(MvFunction(f.arity, f.input_grade, output_grade, value),
+                                 self.anchors, self.source_grade)
 
     def scaled(self, factor: float) -> "InducedFunctional":
         f = self.func
-        return self._with_func(
-            MvFunction(f.arity, f.input_grade, f.output_grade,
-                       lambda *xs: factor * f(*xs))
-        )
+        return self._derived(f.output_grade, lambda *xs: factor * f(*xs))
 
     def times_constant(self, m: Multivector) -> "InducedFunctional":
         """Right geometric multiplication of the value by a fixed multivector."""
         f = self.func
-        return self._with_func(
-            MvFunction(f.arity, f.input_grade, None, lambda *xs: f(*xs).geometric(m))
-        )
+        return self._derived(None, lambda *xs: f(*xs).geometric(m))
 
     def __add__(self, other: "InducedFunctional") -> "InducedFunctional":
-        if not self._same_anchors(other):
-            raise ValueError("functionals must share their anchor tuple")
         f, g = self.func, other.func
-        if (f.arity, f.input_grade) != (g.arity, g.input_grade):
-            raise ValueError("functions take different variables")
-        return self._with_func(
-            MvFunction(f.arity, f.input_grade, f.output_grade,
-                       lambda *xs: f(*xs) + g(*xs))
-        )
+        return self._derived(f.output_grade, lambda *xs: f(*xs) + g(*xs), other)
 
     def times_functional(self, other: "InducedFunctional") -> "InducedFunctional":
         """Scalar functional times functional, over a shared anchor tuple."""
         if self.func.output_grade != 0:
             raise ValueError("left factor must be scalar-valued")
-        if not self._same_anchors(other):
-            raise ValueError("functionals must share their anchor tuple")
         f, g = self.func, other.func
-        return self._with_func(
-            MvFunction(f.arity, f.input_grade, g.output_grade,
-                       lambda *xs: g(*xs) * f(*xs).scalar_part())
-        )
+        return self._derived(g.output_grade, lambda *xs: g(*xs) * f(*xs).scalar_part(), other)
 
     def map_scalar(self, fn: Callable) -> "InducedFunctional":
         """Compose a scalar functional with a smooth map: one of extcalc.dual,
@@ -263,14 +251,9 @@ class InducedFunctional:
         or (B,) array, and floats."""
         if self.func.output_grade != 0:
             raise ValueError("only scalar functionals compose with scalar maps")
-        f = self.func
-        metric = self.metric
-        return self._with_func(
-            MvFunction(
-                f.arity, f.input_grade, 0,
-                lambda *xs: Multivector.from_scalar(metric, fn(f(*xs).scalar_part())),
-            )
-        )
+        f, metric = self.func, self.metric
+        return self._derived(
+            0, lambda *xs: Multivector.from_scalar(metric, fn(f(*xs).scalar_part())))
 
 
 # -- bridge to classical matrix calculus ---------------------------------------

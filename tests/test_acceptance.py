@@ -8,6 +8,7 @@ at each of n = 2, 3, 4.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -413,3 +414,14 @@ def test_criterion_13_determinism_and_exit_codes(tmp_path):
     assert identical
     assert ok.returncode == 0
     assert forced.returncode == 1
+
+
+def test_readme_library_example_runs_without_warnings():
+    # the python block under "## Library example", run as a script under -W error
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "det_functional" in code
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

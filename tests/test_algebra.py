@@ -132,6 +132,34 @@ def test_product_kind_dispatch_and_validation():
         product("cross", e1, e2)
 
 
+def test_or_is_the_scalar_product_and_coeffs_are_floats():
+    e1, e2, _ = vecs(E3)
+    x, y = 2.0 * e1 + e2, e1 - 3.0 * e2
+    assert max_abs_diff(x | y, x.scalar_product(y)) == 0.0
+    assert scalar_value(x, y) == -1.0
+    assert x.coeffs == (0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert all(type(c) is float for c in x.coeffs)
+
+
+def test_repr_of_values_batches_stacks_and_maps():
+    e1, e2, e3 = vecs(E3)
+    assert repr(Multivector.from_scalar(E3, 1.5) + 2.0 * e1 - 0.25 * (e1 ^ e2)) == (
+        "1.5 + 2*e1 + -0.25*e12")
+    assert repr(Multivector.zero(E3)) == "0"
+    assert repr(Multivector(E3, 0.5 * np.eye(8)[[1, 2]])) == "[0.5*e1, 0.5*e2]"
+    assert repr(Multivector.stack([e1, 3.0 * e2])) == "{1*e1; 3*e2}"
+    batches = Multivector._raw(E3, np.stack([np.eye(8)[[1, 2]], np.eye(8)[[2, 4]]]))
+    assert repr(batches) == "{[1*e1, 1*e2]; [1*e2, 1*e3]}"
+    assert repr(Extensor.identity(E3, 2)) == "Extensor(p=2, q=2, dim=3)"
+
+
+def test_empty_frames_and_stacks_are_rejected():
+    with pytest.raises(DegenerateFrameError, match="empty frame"):
+        Frame.from_vectors([])
+    with pytest.raises(ValueError, match="need at least one multivector to stack"):
+        Multivector.stack([])
+
+
 # -- grade projection and reversion ----------------------------------------
 
 

@@ -468,6 +468,34 @@ def test_plus_requires_shared_anchors():
         dot_functional(a1, c) + dot_functional(a2, c)
 
 
+def test_two_functionals_combine_only_over_the_same_variables():
+    # times_functional took a factor over grade-2 variables, fed it the grade-1
+    # images and returned a vector where g declares grade 2
+    a = basis_vectors(E3)[0]
+    f = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(x)), (a,), 1)
+    g = InducedFunctional(MvFunction(1, 2, 2, lambda x: x), (a,), 1)
+    with pytest.raises(ValueError, match="^functions take different variables$"):
+        f + g
+    with pytest.raises(ValueError, match="^functions take different variables$"):
+        f.times_functional(g)
+
+
+def test_scalar_combinators_reject_a_functional_of_other_values():
+    e1 = basis_vectors(E3)[0]
+    vector, scalar = apply_functional(e1), dot_functional(e1, e1)
+    with pytest.raises(ValueError, match="left factor must be scalar-valued"):
+        vector.times_functional(scalar)
+    with pytest.raises(ValueError, match="only scalar functionals compose with scalar maps"):
+        vector.map_scalar(exp)
+
+
+def test_pair_product_rejects_an_unknown_kind():
+    # the output-grade table raised KeyError: 'bogus'
+    e1, e2, _ = basis_vectors(E3)
+    with pytest.raises(ValueError, match="unknown product kind 'bogus'"):
+        pair_product_functional("bogus", e1, e2)
+
+
 def test_leibniz_through_times_functional():
     rng = np.random.default_rng(17)
     anchor = random_multivector(E3, 1, rng)
@@ -627,7 +655,7 @@ def test_weighted_pass_evaluates_the_function_once(metric):
                               for x in xs))
             return func(*xs)
 
-        counted = phi._with_func(MvFunction(k, 1, None, evaluator))
+        counted = phi._derived(None, evaluator)
         counted.directional_derivative(t, direction)
         assert seen == [((1, n, metric.size),) * k]
         seen.clear()

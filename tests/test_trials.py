@@ -273,6 +273,36 @@ def test_stacked_frames_are_each_trials_frame(metric, trials):
     assert all(bits(a) == bits(b) for a, b in zip(recip, stacked.reciprocal))
 
 
+@pytest.mark.parametrize("metric, trials", [(E3, 4), (SIGNED6, 2)])
+def test_stacked_and_unstacked_vectors_mix(metric, trials):
+    # one stacked vector beside unstacked ones: the unstacked rows broadcast
+    # over the trial axis, in a frame and in a functional's anchors
+    rng = np.random.default_rng(24)
+    basis = Frame.orthonormal(metric).vectors
+    firsts = [Extensor.random_invertible(metric, rng)(basis[0]) for _ in range(trials)]
+    stacked = Frame.from_vectors([Multivector.stack(firsts), *basis[1:]])
+    bs, c = draws(metric, 1, trials, 25), random_multivector(metric, 1, rng)
+    phi = pair_product_functional("geometric", Multivector.stack(bs), c)
+    h, a = Extensor.random_invertible(metric, rng), random_multivector(metric, 1, rng)
+    value = phi.evaluate(h)
+    derivatives = {step: (phi.directional_derivative(h, a, step),
+                          phi.derivative_table(h, PRODUCT_KINDS, step)) for step in (None, 1e-5)}
+    for r in range(trials):
+        frame = Frame.from_vectors([firsts[r], *basis[1:]])
+        assert bits(stacked.coords[r]) == bits(frame.coords)
+        assert bits(stacked.recip[r]) == bits(frame.recip)
+        for grade in range(metric.dim + 1):
+            for got, expect in zip(stacked.blades(grade), frame.blades(grade)):
+                assert bits(got[r]) == bits(expect), (r, grade)
+        one = pair_product_functional("geometric", bs[r], c)
+        assert bits(trial(value, r)) == bits(one.evaluate(h))
+        for step, (directional, table) in derivatives.items():
+            assert bits(trial(directional, r)) == bits(one.directional_derivative(h, a, step))
+            expect = one.derivative_table(h, PRODUCT_KINDS, step)
+            for kind in PRODUCT_KINDS:
+                assert bits(trial(table[kind], r)) == bits(expect[kind]), (r, step, kind)
+
+
 # -- extensor ------------------------------------------------------------------------
 
 
@@ -359,7 +389,7 @@ def test_zero_stacked_direction_keeps_the_trial_axis():
     h, zero = stack_maps(maps), Multivector.zero(E3)
     calls = []
     base = apply_functional(Multivector.stack(bs))
-    phi = base._with_func(MvFunction(1, 1, 1, lambda x: calls.append(1) or base.func(x)))
+    phi = base._derived(1, lambda x: calls.append(1) or base.func(x))
     one_moved = Multivector.stack([zero, dirs[1], zero])
     for step in (None, 1e-5):
         shape = phi.directional_derivative(h, one_moved, step)._values.shape
