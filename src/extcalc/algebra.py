@@ -71,7 +71,8 @@ a stack with P = 1 is accepted wherever one unbatched operand is.  A stack's
 coefficient is a (T, P) array, or a stacked grade-0 jet when it carries
 tangents, and a (T, P) array scales and builds stacks row by row; the
 scalars of a stack of maps (Extensor.det, Extensor.trace) are (T, 1) arrays
-too.
+too.  _select and _merged, the trial-row select and scatter, take a stack's
+trials apart and put them back; Multivector.stack merges one row per trial.
 
 Each product has one route, whatever the layout of its operands: their
 leading axes broadcast, so a value row, a tangent block, a point batch, a
@@ -332,6 +333,37 @@ def _as_stack(values: np.ndarray) -> np.ndarray:
     return values.reshape((1,) * (3 - values.ndim) + values.shape)
 
 
+def _select(x, rows):
+    """Trials `rows` of a trial stack, its values and tangent block, or of a
+    (T, ...) array; None or an unstacked multivector is every trial's."""
+    if isinstance(x, np.ndarray):
+        return x[rows]
+    if x is None or x._values.ndim != 3:
+        return x
+    t = x._tangents
+    return Multivector._raw(x.metric, x._values[rows], None if t is None else t[rows], x._bits)
+
+
+def _merged(parts: list):
+    """The stack of arrays or multivectors whose trials `rows` are `part`'s,
+    for each (rows, part) of a partition; a part without tangents has zeros."""
+    trials = sum(len(rows) for rows, _ in parts)
+
+    def scatter(arrays, fill=np.empty):
+        out = fill((trials,) + max(a.shape[1:] for _, a in arrays))  # P = 1 broadcasts
+        for rows, a in arrays:
+            out[rows] = a
+        return out
+
+    first = parts[0][1]
+    if not isinstance(first, Multivector):
+        return scatter(parts)
+    values = scatter([(r, _as_stack(x._values)) for r, x in parts])
+    blocks = [(r, _as_stack(x._tangents)) for r, x in parts if x._tangents is not None]
+    return Multivector._raw(first.metric, values, scatter(blocks, np.zeros) if blocks else None,
+                            _union(*(x for _, x in parts)))
+
+
 class Multivector:
     """Immutable element of the full algebra: a value array with one
     coefficient per basis blade, plus an optional (m, 2^n) tangent block;
@@ -411,13 +443,9 @@ class Multivector:
             _check_metric(metric, x.metric)
             if x._values.ndim != 1:
                 raise ValueError("only unbatched multivectors stack")
-        values = np.stack([x._values for x in rows])[:, None, :]
-        blocks = [x._tangents for x in rows]
-        if all(t is None for t in blocks):
-            return cls._raw(metric, values, bits=_union(*rows))
-        if any(t is None or t.shape != blocks[0].shape for t in blocks):
+        if len({None if x._tangents is None else x._tangents.shape for x in rows}) > 1:
             raise ValueError("stacked rows must all carry tangent blocks of one shape, or none")
-        return cls._raw(metric, values, np.stack(blocks), _union(*rows))
+        return _merged([(np.array([r]), x) for r, x in enumerate(rows)])
 
     # -- structure ---------------------------------------------------------
 

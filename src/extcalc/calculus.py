@@ -43,12 +43,6 @@ whose weight there is zero takes the unmoved point.  An unstacked call is a
 trial stack of one: the function sees each seeded slot as a (1, 1, 2^n)
 value with a (1, b*m, 2^n) tangent block, or each moved slot as a
 (1, 2m, 2^n) stack of points, and the rows drop the trial axis again.
-
-A function of a trial stack may also choose per trial what it computes:
-_per_trial(names, table) runs each trial's entry table[names[r]] once on
-the rows of the trials that name it, and on no other row (so exp never
-meets another entry's large value), and puts the rows back together, trial
-r bit for bit what its entry gives on trial r alone.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (Frame, Multivector, _as_stack, _check_operand, _frame_over, _grade_bits,
-                      _rows, _trial_rows, _union, product_sum)
+                      _rows, _trial_rows, product_sum)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -95,60 +89,6 @@ class MvFunction:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         return self.evaluator(*args)
-
-
-def _option_rows(names: tuple) -> dict:
-    """{name: the indices of the trials that name it} of per-trial names."""
-    rows: dict = {}
-    for r, name in enumerate(names):
-        rows.setdefault(name, []).append(r)
-    return {name: np.array(r) for name, r in rows.items()}
-
-
-def _select(x, rows):
-    """Trials `rows` of a trial stack: a multivector's values and tangent
-    block, or a (T, ...) array; None or an unstacked multivector is every
-    trial's."""
-    if isinstance(x, np.ndarray):
-        return x[rows]
-    if x is None or x._values.ndim != 3:
-        return x
-    t = x._tangents
-    return Multivector._raw(x.metric, x._values[rows], None if t is None else t[rows], x._bits)
-
-
-def _merged(parts: list):
-    """The trial stack whose trials `rows` are `part`'s, for each (rows,
-    part) of a partition of its trials: arrays, or multivectors, where a
-    part without a tangent block has zero tangents."""
-    trials = sum(len(rows) for rows, _ in parts)
-
-    def scatter(arrays, fill=np.empty):
-        out = fill((trials,) + max(a.shape[1:] for _, a in arrays))  # P = 1 broadcasts
-        for rows, a in arrays:
-            out[rows] = a
-        return out
-
-    first = parts[0][1]
-    if not isinstance(first, Multivector):
-        return scatter(parts)
-    values = scatter([(rows, _as_stack(part._values)) for rows, part in parts])
-    blocks = [(rows, _as_stack(part._tangents)) for rows, part in parts
-              if part._tangents is not None]
-    return Multivector._raw(first.metric, values, scatter(blocks, np.zeros) if blocks else None,
-                            _union(*(part for _, part in parts)))
-
-
-def _per_trial(names: tuple, table: dict) -> Callable:
-    """For a trial stack's per-trial names, the map that sends each trial's
-    rows of its arguments (trial stacks of multivectors or (T, ...) arrays)
-    through that trial's own entry only, and puts the rows of the results
-    back together."""
-    rows = _option_rows(names)
-    if len(rows) == 1:
-        return table[names[0]]
-    return lambda *xs: _merged(
-        [(r, table[name](*(_select(x, r) for x in xs))) for name, r in rows.items()])
 
 
 def _check_slot(func: MvFunction, args: Sequence[Multivector], var_index: int):

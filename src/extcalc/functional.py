@@ -140,7 +140,11 @@ class InducedFunctional:
         return known[step]
 
     def evaluate(self, t: Extensor) -> Multivector:
-        return self.func(*self.arguments(t))
+        """F at t's anchor images; a ValueError off F's declared output grade."""
+        value, grade = self.func(*self.arguments(t)), self.func.output_grade
+        if grade is not None and not value.is_homogeneous(grade):
+            raise ValueError(f"value is not of the declared output grade {grade}")
+        return value
 
     # -- derivatives ---------------------------------------------------------
 
@@ -236,7 +240,8 @@ class InducedFunctional:
 
     def __add__(self, other: "InducedFunctional") -> "InducedFunctional":
         f, g = self.func, other.func
-        return self._derived(f.output_grade, lambda *xs: f(*xs) + g(*xs), other)
+        grade = f.output_grade if f.output_grade == g.output_grade else None
+        return self._derived(grade, lambda *xs: f(*xs) + g(*xs), other)
 
     def times_functional(self, other: "InducedFunctional") -> "InducedFunctional":
         """Scalar functional times functional, over a shared anchor tuple."""

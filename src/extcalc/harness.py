@@ -21,13 +21,15 @@ it, and makes a group's column of them one trial stack: _int, a structure
 field (a rule's grades and arity p, q, k: only they shape the arrays); _mv,
 a multivector kept as its uniforms u (coefficients 2u - 1); _INVERTIBLE and
 _MAP, maps kept as a matrix or as uniforms; _frame, a frame kept as its
-carrier's matrix; _float; _name, a drawn choice, made the per-trial tuple
-that runs each option on its own trials' rows only; _repeat, a tuple.
-_Trials groups the trials by structure and makes every group, one trial or
-several, a trial stack whose sides, which read the fields by name, are
-evaluated once (extcalc.algebra; vector forward mode over a batch, Griewank
-& Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 3).  Trial r's
-deviation is bit for bit what trial r gives alone.  run_suite checks each
+carrier's matrix; _float; _name, a drawn choice, made the per-trial tuple;
+_repeat, a tuple.  _Trials groups the trials by structure and makes every
+group, one trial or several, a trial stack whose sides, which read the
+fields by name, are evaluated once (extcalc.algebra; vector forward mode
+over a batch, Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
+ch. 3).  Trial r's deviation is bit for bit what trial r gives alone.  The
+structure groups and the per-trial names, each option run on its own
+trials' rows only, share one partition of the trials by key (_rows_by) and
+one scatter back by row (algebra._merged).  run_suite checks each
 identity's worst trial, the first non-finite deviation, else the first
 largest, against a tolerance and, on failure, reports witness_of(r) of that
 trial, its draw made alone as a stack of one (Inputs.witness).  Checks with
@@ -57,6 +59,8 @@ from .algebra import (
     Frame,
     Metric,
     Multivector,
+    _merged,
+    _select,
     _tables,
     _uniform,
     blade_name,
@@ -64,7 +68,7 @@ from .algebra import (
     unit_pseudoscalar,
     wedge_all,
 )
-from .calculus import DEFAULT_FD_STEP, MvFunction, _option_rows, _per_trial, _select
+from .calculus import DEFAULT_FD_STEP, MvFunction
 from .catalog import (
     adjoint_image_functional,
     apply_functional,
@@ -259,6 +263,25 @@ def _deviation(pairs, relative: bool = False) -> np.ndarray:
     return dev
 
 
+def _rows_by(keys) -> dict:
+    """{key: the indices of the trials with that key}, in order of first
+    appearance: a check's structure groups, or each drawn option's trials."""
+    rows: dict = {}
+    for r, key in enumerate(keys):
+        rows.setdefault(key, []).append(r)
+    return {key: np.array(r) for key, r in rows.items()}
+
+
+def _per_trial(rows: dict, table: dict) -> Callable:
+    """The map that runs each table[name] once, on the `rows` (_rows_by) of its
+    trials only, so exp never meets another entry's large value, and merges
+    the results: trial r bit for bit what its entry gives on trial r alone."""
+    if len(rows) == 1:
+        return table[next(iter(rows))]
+    return lambda *xs: _merged(
+        [(r, table[name](*(_select(x, r) for x in xs))) for name, r in rows.items()])
+
+
 @dataclass(frozen=True)
 class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
@@ -275,14 +298,9 @@ class _Trials:
 
     def __call__(self, ctx, rng):
         drawn = [self.draw(ctx, rng) for _ in range(ctx.config.trials)]
-        groups: dict = {}
-        for r, trial in enumerate(drawn):
-            structure = tuple([v for v in trial.values() if type(v) is int])
-            groups.setdefault(structure, []).append(r)
-        devs = np.empty(len(drawn))
-        for trials in groups.values():
-            x = self.inputs(ctx, [drawn[r] for r in trials])
-            devs[trials] = _deviation(self.sides(x), self.relative)
+        groups = _rows_by([tuple([v for v in trial.values() if type(v) is int]) for trial in drawn])
+        devs = _merged([(rows, _deviation(self.sides(self.inputs(ctx, [drawn[r] for r in rows])),
+                                          self.relative)) for rows in groups.values()])
         return devs, lambda r: self.inputs(ctx, [drawn[r]]).witness()
 
     def draw(self, ctx, rng) -> dict:
@@ -431,10 +449,10 @@ def _function(names, q: int, c: Multivector, d: Multivector | None) -> MvFunctio
     the per-trial `names`, evaluated on that option's rows of the arguments
     and constants only (_per_trial).  Its output grade is the options'
     common one, else None."""
-    rows = _option_rows(names)
+    rows = _rows_by(names)
     options = {name: _option(name, q, _select(c, r), _select(d, r)) for name, r in rows.items()}
     (arity, _, _), grades = next(iter(options.values())), {g for _, g, _ in options.values()}
-    evaluator = _per_trial(names, {name: f for name, (_, _, f) in options.items()})
+    evaluator = _per_trial(rows, {name: f for name, (_, _, f) in options.items()})
     return MvFunction(arity, q, grades.pop() if len(grades) == 1 else None, evaluator)
 
 
@@ -640,9 +658,10 @@ _BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": 
 
 
 def _chain_sides(x):
-    dfn = _per_trial(x.smooth, _SMOOTH_DERIVATIVES)
+    rows = _rows_by(x.smooth)
+    dfn = _per_trial(rows, _SMOOTH_DERIVATIVES)
     rhs = dfn(value_of(x.phi.evaluate(x.h).scalar_part())) * x.derivative()
-    return [(x.derivative(x.phi.map_scalar(_per_trial(x.smooth, _SMOOTH_MAPS))), rhs)]
+    return [(x.derivative(x.phi.map_scalar(_per_trial(rows, _SMOOTH_MAPS))), rhs)]
 
 
 def _via_frames(x):
@@ -672,7 +691,7 @@ _BRIDGE = (("anchor", _mv(1)), ("c", _mv(1)), ("functional", _name(("linear", "s
 def _bridge(x):
     """phi, each trial's (. c) composed with its own smooth map (_per_trial)."""
     phi = InducedFunctional(MvFunction(1, 1, 0, lambda y: y.scalar_product(x.c)), (x.anchor,), 1)
-    return {"phi": phi.map_scalar(_per_trial(x.functional, _BRIDGE_MAPS))}
+    return {"phi": phi.map_scalar(_per_trial(_rows_by(x.functional), _BRIDGE_MAPS))}
 
 
 def _partials(x, step=None):

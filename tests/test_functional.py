@@ -489,6 +489,29 @@ def test_scalar_combinators_reject_a_functional_of_other_values():
         vector.map_scalar(exp)
 
 
+def test_a_sum_keeps_a_grade_only_when_both_terms_have_it():
+    # x.x + x declared the left term's grade 0, so map_scalar took exp of the
+    # scalar part alone and dropped the vector
+    e1 = basis_vectors(E3)[0]
+    f = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(x)), (e1,), 1)
+    g = InducedFunctional(MvFunction(1, 1, 1, lambda x: x), (e1,), 1)
+    assert (f + g).func.output_grade is None
+    with pytest.raises(ValueError, match="only scalar functionals compose with scalar maps"):
+        (f + g).map_scalar(exp)
+    with pytest.raises(ValueError, match="left factor must be scalar-valued"):
+        (f + g).times_functional(g)
+    assert (f + f).func.output_grade == 0
+
+
+def test_a_value_off_its_declared_output_grade_is_an_error():
+    e1 = basis_vectors(E3)[0]
+    h = Extensor.random_invertible(E3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not of the declared output grade 2"):
+        InducedFunctional(MvFunction(1, 1, 2, lambda x: x), (e1,), 1).evaluate(h)
+    for grade in (1, None):  # the grade that holds, and mixed grades
+        InducedFunctional(MvFunction(1, 1, grade, lambda x: x), (e1,), 1).evaluate(h)
+
+
 def test_pair_product_rejects_an_unknown_kind():
     # the output-grade table raised KeyError: 'bogus'
     e1, e2, _ = basis_vectors(E3)

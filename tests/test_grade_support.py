@@ -16,11 +16,13 @@ from extcalc.algebra import (
     Multivector,
     _grade_bits,
     _jet_parts,
+    _merged,
+    _select,
     basis_vectors,
     product,
     random_multivector,
 )
-from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, _merged, _select, dir_deriv
+from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, dir_deriv
 from extcalc.dual import exp
 from extcalc.errors import DegenerateFrameError
 from extcalc.extensor import Extensor, Outermorphism

@@ -231,7 +231,7 @@ def test_trial_stack_coefficients_and_linear_maps():
 
 
 def test_trial_stack_is_no_point_batch():
-    e1, e2, _ = (Multivector.from_blade(E3, 1 << k) for k in range(3))
+    e1, e2, e3 = (Multivector.from_blade(E3, 1 << k) for k in range(3))
     stacked = Multivector.stack([e1, e2])
     assert stacked._values.shape == (2, 1, 8)
     # a stack takes a block per trial; a stack of point batches takes none
@@ -248,6 +248,8 @@ def test_trial_stack_is_no_point_batch():
         Multivector.stack([Multivector(E3, np.eye(8)[[1, 2]])])
     with pytest.raises(ValueError, match="tangent blocks of one shape"):
         Multivector.stack([e1, e2.with_tangent(e1)])
+    with pytest.raises(ValueError, match="tangent blocks of one shape"):
+        Multivector.stack([e1.with_tangent(e2), e2.with_tangents([e1, e3])])
     # a trial stack is a fixed operand; a stack of point batches is not
     apply_functional(stacked)
     with pytest.raises(ValueError, match="unbatched"):
