@@ -71,8 +71,10 @@ a stack with P = 1 is accepted wherever one unbatched operand is.  A stack's
 coefficient is a (T, P) array, or a stacked grade-0 jet when it carries
 tangents, and a (T, P) array scales and builds stacks row by row; the
 scalars of a stack of maps (Extensor.det, Extensor.trace) are (T, 1) arrays
-too.  _select and _merged, the trial-row select and scatter, take a stack's
-trials apart and put them back; Multivector.stack merges one row per trial.
+too.  A blade is read as values[..., mask] in every layout, a float from
+one unstacked value (_read).  _select and _merged, the trial-row select and
+scatter, take a stack's trials apart and put them back; Multivector.stack
+merges one row per trial.
 
 Each product has one route, whatever the layout of its operands: their
 leading axes broadcast, so a value row, a tangent block, a point batch, a
@@ -452,10 +454,6 @@ class Multivector:
     @property
     def coeffs(self) -> tuple:
         """One coefficient per mask, as coeff returns it."""
-        if self._values.ndim == 2:
-            return tuple(self._values.T.copy())
-        if self._tangents is None and self._values.ndim == 1:
-            return tuple(self._values.tolist())
         return tuple(map(self.coeff, range(self.metric.size)))
 
     def coeff(self, mask: int):
@@ -463,15 +461,8 @@ class Multivector:
         block is present, its tangent column the coefficient's tangents; a
         (B,) array for a batch; a (T, P) array for a trial stack."""
         _check_mask(self.metric, mask)
-        values, t = self._values, self._tangents
-        if values.ndim == 1:
-            value = float(values[mask])
-            if t is None:
-                return value
-            return _blade(self.metric, 0, value, t[:, mask])
-        if t is None:
-            return values[..., mask].copy()
-        return _blade(self.metric, 0, values[..., mask], t[..., mask])
+        value, t = _read(self._values, mask), self._tangents
+        return value if t is None else _blade(self.metric, 0, value, t[..., mask])
 
     def scalar_part(self):
         """Grade-0 coefficient (as coeff(0))."""
@@ -487,9 +478,7 @@ class Multivector:
         """Row `row` of the tangent block; zero when there is no block."""
         if self._tangents is None:
             return Multivector.zero(self.metric)
-        if self._tangents.ndim == 3:
-            return Multivector._raw(self.metric, self._tangents[:, row, None])
-        return Multivector._raw(self.metric, self._tangents[row])
+        return _trial_rows(self.metric, self._tangents[..., row, :])
 
     def with_tangent(self, direction: "Multivector") -> "Multivector":
         """Lift to a one-row tangent block seeded from `direction`."""
@@ -794,6 +783,12 @@ def _trial_rows(metric: Metric, rows: np.ndarray, bits=None) -> Multivector:
     return Multivector._raw(metric, rows[:, None] if rows.ndim == 2 else rows, bits=bits)
 
 
+def _read(values: np.ndarray, mask: int):
+    """values[..., mask]: a float from one unstacked value, else a (B,) or (T, P) copy."""
+    read = values[..., mask]
+    return float(read) if read.ndim == 0 else read.copy()
+
+
 def _check_mask(metric: Metric, mask: int):
     if not 0 <= mask < metric.size:
         raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
@@ -827,10 +822,7 @@ def _jet_parts(jet: Multivector) -> tuple:
     a float and an (m,) column, or, for a trial stack, (T, 1) and (T, m)."""
     if _is_batch(jet) or not jet.is_homogeneous(0):
         raise ValueError("expected an unbatched grade-0 multivector as a scalar")
-    t = jet._tangents
-    if jet._values.ndim == 3:
-        return jet._values[..., 0], None if t is None else t[..., 0]
-    return float(jet._values[0]), None if t is None else t[:, 0]
+    return _read(jet._values, 0), None if jet._tangents is None else jet._tangents[..., 0]
 
 
 def product(kind: str, a: Multivector, b: Multivector) -> Multivector:
@@ -997,8 +989,8 @@ class Frame:
     """A basis of grade-1 vectors together with its reciprocal basis, as
     their coordinate matrices: row k of `coords` (`recip`) holds the grade-1
     coordinates of f_k (f^k), shape (n, n), or (T, n, n) for a trial stack
-    of frames; both read-only.  Frame(metric, coords, recip) takes them as
-    given; from_vectors and orthonormal build the reciprocal coordinates."""
+    of frames, of one shape; both read-only.  Frame(metric, coords, recip)
+    takes them as given; from_vectors and orthonormal build the reciprocals."""
 
     metric: Metric
     coords: np.ndarray
@@ -1009,6 +1001,9 @@ class Frame:
             rows = np.array(getattr(self, name), dtype=float)
             rows.flags.writeable = False
             object.__setattr__(self, name, rows)
+        shape, n = self.coords.shape, self.metric.dim
+        if shape != self.recip.shape or shape[-2:] != (n, n) or len(shape) > 3:
+            raise DegenerateFrameError(f"coords, recip need one ({n}, {n}) or (T, {n}, {n}) shape")
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_cascades", ([self.coords], [self.recip]))  # _compound's
 
@@ -1032,8 +1027,10 @@ class Frame:
     def _of_coords(cls, metric: Metric, coords: np.ndarray) -> "Frame":
         """The frame whose vectors have the rows of `coords`, (n, n) or
         (T, n, n), as coordinates, its reciprocal the inverse Gram matrix
-        times coords; DegenerateFrameError when the frame is (numerically)
-        dependent."""
+        times coords; DegenerateFrameError when a coordinate is not finite
+        or the frame is (numerically) dependent."""
+        if not np.isfinite(coords).all():
+            raise DegenerateFrameError("frame vectors must be finite")
         tables = _tables(metric)
         gram = (coords * tables.weight[tables.blades[1]]) @ np.swapaxes(coords, -1, -2)
         # conditioning, not det size, so that a frame and its scaled copies agree
@@ -1043,9 +1040,10 @@ class Frame:
         return cls(metric, coords, np.linalg.inv(gram) @ coords)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def orthonormal(cls, metric: Metric) -> "Frame":
         """The coordinate frame; reciprocals are e_k / g_kk."""
-        return _orthonormal_frame(metric)
+        return cls(metric, np.eye(metric.dim), np.diag(1.0 / np.array(metric.diag)))
 
     @cached_property
     def vectors(self) -> tuple[Multivector, ...]:
@@ -1081,11 +1079,6 @@ class Frame:
         blades[..., _tables(self.metric).blades[grade]] = minors
         blades.flags.writeable = False
         return blades
-
-
-@lru_cache(maxsize=None)
-def _orthonormal_frame(metric: Metric) -> Frame:
-    return Frame(metric, np.eye(metric.dim), np.diag(1.0 / np.array(metric.diag)))
 
 
 def _frame_over(metric: Metric, frame: Frame | None) -> Frame:

@@ -43,7 +43,7 @@ from numpy.linalg._umath_linalg import det as _det
 
 from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _check_grade,
                       _check_metric, _check_operand, _compound, _coordinate_rows, _tables,
-                      _uniform)
+                      _trial_rows, _uniform)
 from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
@@ -159,33 +159,28 @@ class Extensor:
     def trace(self):
         """Sum of self(f^j) . f_j over any frame: the matrix trace."""
         self._require_vector_map("trace")
-        if self.matrix.ndim == 3:
-            return np.trace(self.matrix, axis1=1, axis2=2)[:, None]
-        return float(np.trace(self.matrix))
+        return _map_scalar(np.trace(self.matrix, axis1=-2, axis2=-1))
 
     def bivector(self) -> Multivector:
         """Sum of self(f^j) ^ f_j over any frame; on the coordinate frame,
         f^j = e_j / g_j, that is sum_{a<b} (M_ab / g_b - M_ba / g_a) e_a ^ e_b."""
         self._require_vector_map("bivector")
-        n = self.metric.dim
         scaled = self.matrix / np.array(self.metric.diag)  # M_ab / g_b
-        a, b = np.triu_indices(n, 1)
-        lead = (len(scaled), 1) if scaled.ndim == 3 else ()  # a trial stack's
-        values = np.zeros(lead + (self.metric.size,))
-        values[..., (1 << a) | (1 << b)] = (scaled[..., a, b] - scaled[..., b, a]).reshape(
-            lead + (-1,))
-        return Multivector._raw(self.metric, values)
+        a, b = np.triu_indices(self.metric.dim, 1)
+        values = np.zeros(scaled.shape[:-2] + (self.metric.size,))
+        values[..., (1 << a) | (1 << b)] = scaled[..., a, b] - scaled[..., b, a]
+        return _trial_rows(self.metric, values)
 
     def det(self):
         """Scale factor of the extension on the pseudoscalar: the matrix determinant."""
         self._require_vector_map("det")
-        if self.matrix.ndim == 3:
-            return np.linalg.det(self.matrix)[:, None]
-        return float(np.linalg.det(self.matrix))
+        return _map_scalar(np.linalg.det(self.matrix))
 
     def inverse(self) -> "Extensor":
         """Matrix inverse (LU with partial pivoting) of a well-conditioned map."""
         self._require_vector_map("inverse")
+        if not np.isfinite(self.matrix).all():
+            raise SingularExtensorError("a map with a NaN or inf entry has no inverse")
         # conditioning, not det size: a scaled copy of an invertible map inverts too
         sv = np.linalg.svd(self.matrix, compute_uv=False).reshape(-1, self.metric.dim)
         singular = ~(sv[:, -1] > SINGULARITY_SCALE * sv[:, 0])
@@ -241,6 +236,7 @@ class Extensor:
             raise ValueError(f"map record lacks {', '.join(missing)}")
         metric = Metric(int(payload["n"]), tuple(payload["metric"]))
         p, q = int(payload["p"]), int(payload["q"])
+        _check_grade(metric.dim, p, q)  # before the shape is read
         shape = (comb(metric.dim, q), comb(metric.dim, p))
         matrix = np.array(payload["matrix"], dtype=float).reshape(shape)
         return cls(metric, matrix, p, q)
@@ -249,6 +245,11 @@ class Extensor:
 # slot setters that bypass Extensor.__setattr__, which refuses all writes
 _set_metric, _set_p, _set_q, _set_matrix = (getattr(Extensor, name).__set__
                                             for name in Extensor.__slots__)
+
+
+def _map_scalar(s):
+    """A map's scalar: a float, or a trial stack's (T,) as (T, 1), as its coefficients are."""
+    return float(s) if s.ndim == 0 else s[:, None]
 
 
 def _invertible_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

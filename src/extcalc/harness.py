@@ -351,21 +351,22 @@ def _mv(grade) -> _Kind:
     name, or None: every grade in one draw), kept as the uniforms u of its
     coefficients 2u - 1.  A group's are made in one scatter."""
 
-    def masks(ctx, drawn):
-        blades = _tables(ctx.metric).blades
-        if grade is None:
-            return np.concatenate(blades)
-        return blades[drawn[grade] if isinstance(grade, str) else grade]
+    def chosen(drawn):
+        return drawn[grade] if isinstance(grade, str) else grade
+
+    def draw(ctx, rng, drawn):
+        g = chosen(drawn)
+        return rng.random(ctx.metric.size if g is None else math.comb(ctx.metric.dim, g))
 
     def make(ctx, column, first):
-        m = masks(ctx, first)  # one structure: every trial's masks
+        g, blades = chosen(first), _tables(ctx.metric).blades  # one structure: one grade
         u = np.array(column)[:, None]  # np.array: np.stack checks each row
         values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
-        values[..., m] = _uniform(u)
-        bits = np.bitwise_or.reduce(_tables(ctx.metric).grade_bits[m])
-        return Multivector._raw(ctx.metric, values, bits=int(bits))
+        values[..., np.concatenate(blades) if g is None else blades[g]] = _uniform(u)
+        bits = (2 << ctx.metric.dim) - 1 if g is None else 1 << g
+        return Multivector._raw(ctx.metric, values, bits=bits)
 
-    return _Kind(lambda ctx, rng, drawn: rng.random(len(masks(ctx, drawn))), make)
+    return _Kind(draw, make)
 
 
 def _repeat(kind: _Kind, count) -> _Kind:

@@ -330,6 +330,26 @@ def test_degenerate_frame_raises():
         reciprocal_frame([e1, e2, e1 ^ e2])  # wrong grade
 
 
+def test_a_non_finite_frame_is_degenerate():
+    # a NaN or inf coordinate reached the SVD, which raised LinAlgError, not a ValueError
+    e1, e2, e3 = vecs(E3)
+    for bad in (np.nan, np.inf):
+        v = Multivector.from_blade(E3, 0b001, bad)
+        for vectors in ([v, e2, e3], [Multivector.stack([e1, v]), e2, e3]):
+            with pytest.raises(DegenerateFrameError, match="must be finite"):
+                Frame.from_vectors(vectors)
+
+
+def test_frame_coordinates_are_two_n_by_n_matrices_of_one_shape():
+    # Frame(E3, eye(2), eye(2)) was built, and its vectors failed inside numpy
+    for coords, recip in ((np.eye(2), np.eye(2)), (np.eye(3), np.ones((2, 3, 3))),
+                          (np.ones(3), np.ones(3)), (np.ones((1, 2, 3, 3)),) * 2):
+        with pytest.raises(DegenerateFrameError, match=re.escape("(3, 3) or (T, 3, 3)")):
+            Frame(E3, coords, recip)
+    stacked = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    assert Frame(E3, stacked, stacked).vectors[0].coeff(0b001).tolist() == [[1.0], [2.0]]
+
+
 def test_reciprocal_frame_of_values_at_every_dim():
     # the Gram system under a signed non-unit metric, n = 2..8
     rng = np.random.default_rng(61)
@@ -875,6 +895,8 @@ def test_floats_add_to_the_scalar_part():
             x + bad
         with pytest.raises(TypeError):
             bad - x
+    with pytest.raises(TypeError, match="expected a Multivector, got float"):
+        e1.geometric(2.0)
 
 
 def test_array_factor_scales_rows_from_either_side():

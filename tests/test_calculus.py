@@ -89,6 +89,8 @@ def test_dir_deriv_validates_slot_and_grade():
         dir_deriv(dot_with(e1), (e2,), 0, e1 ^ e2)
     with pytest.raises(ValueError):
         dir_deriv(dot_with(e1), (e2, e2), 0, e1)
+    with pytest.raises(ValueError, match="expected 1 arguments, got 2"):
+        dot_with(e1)(e2, e2)
     batch = Multivector(E3, np.stack([e1.values(), e2.values()]))
     other = basis_vectors(Metric(3, (1.0, 1.0, -1.0)))[0]
     for step in (None, DEFAULT_FD_STEP):

@@ -388,6 +388,13 @@ def test_outermorphism_requires_homogeneous_input():
 # -- trace and bivector ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("what", ["trace", "det", "bivector", "inverse", "to_components"])
+def test_vector_map_operations_reject_other_grades(what):
+    args = (Frame.orthonormal(E3),) if what == "to_components" else ()
+    with pytest.raises(ValueError, match=re.escape(f"{what} is defined for (1,1) maps only")):
+        getattr(Extensor.random(E3, 7, 1, 2), what)(*args)
+
+
 def test_trace_examples():
     assert Extensor.identity(E3).trace() == pytest.approx(3.0)
     assert Extensor.scaling(E2, [2.0, 3.0]).trace() == pytest.approx(5.0)
@@ -531,6 +538,16 @@ def test_singular_map_raises():
         Extensor.zero(E3).inverse()
 
 
+def test_a_non_finite_map_is_singular():
+    # a NaN or inf entry reached the SVD, which raised LinAlgError, not a ValueError
+    for bad in (np.nan, np.inf):
+        matrix = np.eye(3)
+        matrix[0, 1] = bad
+        for h in (Extensor(E3, matrix), Extensor(E3, [np.eye(3), matrix])):
+            with pytest.raises(SingularExtensorError, match="NaN or inf"):
+                h.inverse()
+
+
 def test_ill_conditioned_map_inverts():
     # condition number 1e6 at n = 5 puts |det| near 1e-15, which a guard on
     # the size of the determinant took for singularity
@@ -582,6 +599,14 @@ def test_compose_rejects_grade_mismatch():
 
 
 # -- components over a frame --------------------------------------------------------------
+
+
+def test_matrix_shapes_are_checked():
+    for matrix in (np.zeros((3, 2)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ValueError, match=re.escape("expected matrix shape (3, 3)")):
+            Extensor(E3, matrix)
+    with pytest.raises(ValueError, match=re.escape("expected shape (3, 3), got (2, 2)")):
+        Extensor.from_components(E3, np.eye(2), Frame.orthonormal(E3))
 
 
 def test_components_examples():
@@ -655,10 +680,22 @@ def test_a_record_without_a_key_names_it(key):
         Extensor.from_dict(payload)
 
 
+@pytest.mark.parametrize("p, q", [(5, 1), (1, 4)])
+def test_a_record_with_a_grade_out_of_range_names_it(p, q):
+    # grade 5 at n = 3 failed in numpy: "cannot reshape array of size 2 into shape (3,0)"
+    payload = {"n": 3, "p": p, "q": q, "metric": [1, 1, 1], "matrix": [1, 2]}
+    with pytest.raises(ValueError, match=f"grade {max(p, q)} out of range for dim 3"):
+        Extensor.from_dict(payload)
+
+
 def test_matrices_are_read_only():
     t = Extensor.identity(E3)
     with pytest.raises(ValueError):
         t.matrix[0, 0] = 5.0
+    for value, name in ((t, "matrix"), (Outermorphism(t), "base"),
+                        (basis_vectors(E3)[0], "metric")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
 
 
 def test_from_vector_images_needs_one_image_per_generator():

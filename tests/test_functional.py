@@ -95,6 +95,8 @@ def test_anchor_validation():
         InducedFunctional(MvFunction(1, 1, 0, lambda x: x), (e1 ^ e2,), 1)
     with pytest.raises(ValueError):
         InducedFunctional(MvFunction(2, 1, 0, lambda x, y: x), (e1,), 1)
+    with pytest.raises(ValueError, match="need at least one anchor"):
+        InducedFunctional(MvFunction(0, 1, 0, lambda: e1), (), 1)
     # a tangent-carrying anchor was accepted; its fd star derivative then
     # failed inside a product of a batch with a tangent block
     dot = MvFunction(2, 1, 0, lambda x, y: x.scalar_product(y))
@@ -360,6 +362,8 @@ def test_catalog_factories_reject_batched_and_tangent_operands():
     for pss in (unit_pseudoscalar(E3).with_tangent(e1), e1 ^ e2):
         with pytest.raises(ValueError):
             pseudoscalar_image_functional(pss)
+    with pytest.raises(ValueError, match="need at least one vector"):
+        blade_image_functional([])
 
 
 def test_functionals_over_equal_anchors_built_apart_combine():

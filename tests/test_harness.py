@@ -984,6 +984,12 @@ def test_emit_report_rejects_empty_results():
         emit_report(HarnessConfig(**FAST), [], fmt="text")
 
 
+def test_emit_report_rejects_an_unknown_format():
+    config = HarnessConfig(**FAST)
+    with pytest.raises(ConfigurationError, match="unknown report format 'xml'"):
+        emit_report(config, run_suite(config), fmt="xml")
+
+
 def test_emit_report_unwritable_path_raises_oserror(tmp_path):
     config = HarnessConfig(**FAST)
     results = run_suite(config)
