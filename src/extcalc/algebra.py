@@ -43,13 +43,10 @@ multivector with a tangent block is a grade-0 jet: a multivector whose slot
 0 holds the coefficient and whose tangent column 0 holds that coefficient's
 tangents.  A jet scales a multivector through the geometric product, which
 applies the product rule, so the smooth scalar maps of extcalc.dual, lifted
-to jets, compose with the products.  A geometric product with an operand
-that carries grade 0 alone (a jet, a scalar product, from_scalar) is a
-scaling: it sums no term list but computes each output's one term directly,
-bit for bit the same, and carries the other operand's grades (_scaling).  A
-scalar whose value or tangent is NaN or inf fails that route's finiteness
-check and takes the term route, where it stays off the grades no term
-reaches.
+to jets, compose with the products.  Every geometric, wedge and
+left-contraction product sums its term list, one with a grade-0 operand
+too: that list has one term per output, and a NaN or inf scalar stays off
+the grades no term reaches.
 
 Instead of a tangent block, the value array may carry a leading batch axis,
 shape (B, 2^n): B multivectors evaluated side by side, as the finite-difference
@@ -131,7 +128,12 @@ class Metric:
         diag = self.diag
         if diag is None:
             diag = (1.0,) * self.dim
-        diag = tuple(float(g) for g in diag)
+        try:
+            diag = tuple(float(g) for g in diag)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"metric entries for dim {self.dim} must be real numbers, got {self.diag!r}"
+            ) from None
         if len(diag) != self.dim:
             raise ConfigurationError(f"metric has {len(diag)} entries for dim {self.dim}")
         if not all(isfinite(g) and g != 0.0 for g in diag):
@@ -485,10 +487,15 @@ class Multivector:
         return self.with_tangents((direction,))
 
     def with_tangents(self, directions: Sequence["Multivector"]) -> "Multivector":
-        """Lift to a tangent block whose row r is the value of directions[r]."""
+        """Lift to a tangent block whose row r is the value of directions[r];
+        a trial stack takes unstacked directions as every trial's."""
         for d in directions:
             _check_metric(self.metric, d.metric)
-        block = np.stack([d._values for d in directions])
+            if _is_batch(d):
+                raise ValueError(_BATCH_WITH_TANGENTS)
+        block = _coordinate_rows(directions, slice(None))
+        if self._values.ndim == 3 and block.ndim == 2:
+            block = np.broadcast_to(block, self._values.shape[:1] + block.shape)
         return Multivector._raw(self.metric, self._values, block)
 
     def _support(self) -> np.ndarray:
@@ -613,10 +620,6 @@ class Multivector:
         if kind == "scalar":
             values, tangents = _scalar_product(_tables(self.metric).weight, a, b, ta, tb)
             return Multivector._raw(self.metric, values, tangents, 1)
-        if kind == "geometric" and 1 in (self._bits, other._bits):
-            scaled = _scaling(self, other) if self._bits == 1 else _scaling(other, self)
-            if scaled is not None:
-                return scaled
         terms = _terms(self.metric, kind, _grade_bits(self), _grade_bits(other))
         values, tangents = _term_product(terms, a, b, ta, tb)
         return Multivector._raw(self.metric, values, tangents, terms.bits)
@@ -692,32 +695,6 @@ def _term_product(terms: _Terms, a, b, ta, tb) -> tuple:
 
 
 _UNIT_SIGNS = np.array([1.0, -1.0, 0.0])[:, None]
-
-
-def _scaling(x: Multivector, y: Multivector):
-    """The geometric product of x, which carries grade 0 alone, and y, on
-    either side, carrying y's grades; None when a value or tangent of x is
-    not finite.  Each output o of y's grades has one term, x_0 (1 y_o), so
-    the term list's sum from +0.0 is 0.0 + s y for s = x_0, and its tangents
-    are (0.0 + ts y) + (0.0 + s ty), which is (ts y + s ty) + 0.0 to the
-    bit; beside a finite s, an output off y's grades is that sum's +0.0 too.
-    A NaN or inf s would put NaN on every grade, so it takes the term route.
-    It warns where the term route does: in the sum of the tangents, not in
-    a product."""
-    s, ts = x._values, x._tangents
-    # off slot 0, x holds zeros, and a sum of squares is finite only when
-    # every entry is (one that overflows takes the term route too)
-    if not isfinite(np.vdot(s, s) + (0.0 if ts is None else np.vdot(ts, ts))):
-        return None
-    s, ty = s[..., :1], y._tangents
-    with np.errstate(over="ignore", invalid="ignore"):  # as einsum, which never warns
-        values = s * y._values
-        parts = (None if ts is None else ts[..., :1] * y._values, None if ty is None else s * ty)
-    tangents = _sum_tangents(*parts)
-    for out in (values, tangents):
-        if out is not None:
-            out += 0.0  # -0.0 becomes +0.0, as in a sum from +0.0
-    return Multivector._raw(y.metric, values, tangents, y._bits)
 
 
 def _scalar_product(weight, a, b, ta, tb) -> tuple:
@@ -1027,17 +1004,26 @@ class Frame:
     def _of_coords(cls, metric: Metric, coords: np.ndarray) -> "Frame":
         """The frame whose vectors have the rows of `coords`, (n, n) or
         (T, n, n), as coordinates, its reciprocal the inverse Gram matrix
-        times coords; DegenerateFrameError when a coordinate is not finite
-        or the frame is (numerically) dependent."""
+        times coords; DegenerateFrameError when a coordinate is not finite,
+        the frame is (numerically) dependent or its reciprocals overflow."""
         if not np.isfinite(coords).all():
             raise DegenerateFrameError("frame vectors must be finite")
         tables = _tables(metric)
-        gram = (coords * tables.weight[tables.blades[1]]) @ np.swapaxes(coords, -1, -2)
+        # an exact power of two per trial brings the largest coordinate into
+        # [0.5, 1), so a finite frame's Gram matrix neither overflows nor
+        # underflows at any uniform scale; the reciprocals take it back
+        shift = np.frexp(np.abs(coords).max(axis=(-2, -1), keepdims=True))[1]
+        unit = np.ldexp(coords, -shift)
+        gram = (unit * tables.weight[tables.blades[1]]) @ np.swapaxes(unit, -1, -2)
         # conditioning, not det size, so that a frame and its scaled copies agree
         sv = np.linalg.svd(gram, compute_uv=False)
         if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
             raise DegenerateFrameError("frame vectors are (numerically) dependent")
-        return cls(metric, coords, np.linalg.inv(gram) @ coords)
+        with np.errstate(over="ignore"):
+            recip = np.ldexp(np.linalg.inv(gram) @ unit, -shift)
+        if not np.isfinite(recip).all():
+            raise DegenerateFrameError("the reciprocal frame overflows")
+        return cls(metric, coords, recip)
 
     @classmethod
     @lru_cache(maxsize=None)

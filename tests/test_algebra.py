@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 from functools import lru_cache
 from math import comb
 
@@ -79,6 +80,15 @@ def test_equal_metrics_hash_equal_and_share_one_table_entry():
 def test_metric_rejects_non_finite_entries(entry):
     with pytest.raises(ConfigurationError):
         Metric(3, (entry, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("diag", [("a", 1, 1), (None, 1, 1), ([1.0], 1, 1), 5],
+                         ids=["string", "none", "list", "not-iterable"])
+def test_metric_entries_that_are_no_numbers_name_the_metric(diag):
+    # float("a") raised its bare "could not convert string to float" here
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"metric entries for dim 3 must be real numbers, got {diag!r}")):
+        Metric(3, diag)
 
 
 def test_metric_mismatch_is_configuration_error():
@@ -410,6 +420,31 @@ def test_small_scale_frame_is_accepted():
     rec = reciprocal_frame([1e-3 * e for e in basis])
     for r, e in zip(rec, basis):
         assert max_abs_diff(r, 1e3 * e) < 1e-9
+
+
+def test_a_frame_is_accepted_at_any_uniform_scale():
+    # the Gram matrix of 1e200 e_k overflowed in matmul, an error under
+    # -W error, and that of 1e-200 e_k underflowed to a "dependent" frame;
+    # a power-of-two scale now scales the reciprocals back bit for bit
+    metric = Metric(3, _SIGNED_DIAG[:3])
+    rng = np.random.default_rng(63)
+    vectors = [random_multivector(metric, 1, rng) for _ in range(3)]
+    base = Frame.from_vectors(vectors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (665, -665):  # 2^665 is about 1.1e200
+            frame = Frame.from_vectors([np.ldexp(1.0, k) * v for v in vectors])
+            assert frame.recip.tobytes() == np.ldexp(base.recip, -k).tobytes()
+        for scale in (1e200, 1e-200):
+            frame = Frame.from_vectors([scale * e for e in vecs(E3)])
+            assert np.allclose(scale * frame.recip, np.eye(3), rtol=1e-15, atol=0.0)
+        # one vector 1e200 times the others is dependent to working precision
+        e1, e2, e3 = vecs(E3)
+        with pytest.raises(DegenerateFrameError, match="dependent"):
+            Frame.from_vectors([1e200 * e1, e2, e3])
+        # a subnormal frame's reciprocals are past the largest float
+        with pytest.raises(DegenerateFrameError, match="overflows"):
+            Frame.from_vectors([1e-310 * e for e in (e1, e2, e3)])
 
 
 @st.composite
@@ -1298,16 +1333,15 @@ def _scaling_sides(metric, rng, bits, s_layout, y_layout, special=False):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_a_grade0_operand_scales_as_its_term_list_bit_for_bit(n, monkeypatch):
+def test_a_grade0_operand_scales_as_its_term_list_bit_for_bit(n):
     # a geometric product with an operand carrying grade 0 alone, on either
     # side, in every layout, tangents on either side or both: its values and
     # tangents are _term_product's over the grade-0 term list, bit for bit,
-    # signed zeros, inf and NaN included, with no term list summed, and it
-    # carries exactly the other operand's grades
+    # signed zeros, inf and NaN included, and it carries exactly the other
+    # operand's grades
     metric = Metric(n, _SIGNED_DIAG[:n])
     rng = np.random.default_rng(700 + n)
     reference = algebra._term_product
-    monkeypatch.setattr(algebra, "_term_product", None)  # the scaling sums no term list
     for case, (s_layout, y_layout) in enumerate(_scaling_pairs()):
         bits = int(rng.integers(2, 1 << (n + 1)))  # some grade besides 0
         s, y = _scaling_sides(metric, rng, bits, s_layout, y_layout, special=case % 3 == 0)

@@ -688,6 +688,15 @@ def test_a_record_with_a_grade_out_of_range_names_it(p, q):
         Extensor.from_dict(payload)
 
 
+@pytest.mark.parametrize("entry", ["a", None, [1.0]], ids=["string", "none", "list"])
+def test_a_record_with_a_bad_metric_entry_is_a_configuration_error(entry):
+    # Metric's bare float(entry) raised a TypeError or ValueError naming no metric
+    payload = Extensor.identity(E3).to_dict()
+    payload["metric"] = [1.0, entry, 1.0]
+    with pytest.raises(ConfigurationError, match="metric entries for dim 3 must be real numbers"):
+        Extensor.from_dict(payload)
+
+
 def test_matrices_are_read_only():
     t = Extensor.identity(E3)
     with pytest.raises(ValueError):

@@ -258,6 +258,32 @@ def test_trial_stack_is_no_point_batch():
         apply_functional(Multivector.stack([e1.with_tangent(e2), e2.with_tangent(e1)]))
 
 
+@pytest.mark.parametrize("metric, trials", [(E3, 4), (SIGNED6, 3)])
+def test_a_lifted_trial_stack_is_each_trials_lift(metric, trials):
+    # with_tangents stacked its directions' values as one (m, 2^n) block, so
+    # a trial stack could not be lifted; an unstacked direction now seeds
+    # every trial, and a stacked one each trial its own row
+    e1, e2, e3 = Frame.orthonormal(metric).vectors[:3]
+    got = Multivector.stack([e1, e2]).with_tangent(e3)
+    for kind in PRODUCT_KINDS:
+        for r, x in enumerate((e1, e2)):
+            assert bits(trial(product(kind, got, got), r)) == \
+                bits(product(kind, x.with_tangent(e3), x.with_tangent(e3))), (kind, r)
+    xs, ys, ds = (draws(metric, g, trials, seed) for g, seed in ((1, 30), (2, 31), (1, 32)))
+    d = random_multivector(metric, 2, np.random.default_rng(33))
+    lifted = Multivector.stack(xs).with_tangents([d, Multivector.stack(ds)])
+    assert lifted._tangents.shape == (trials, 2, metric.size)
+    for kind in PRODUCT_KINDS:
+        stacked = product(kind, lifted, Multivector.stack(ys))
+        for r in range(trials):
+            want = product(kind, xs[r].with_tangents([d, ds[r]]), ys[r])
+            assert bits(trial(stacked, r)) == bits(want), (kind, r)
+    # a point batch is still no direction, even one as long as the stack
+    batch = Multivector(metric, np.stack([e1.values(), e2.values()]))
+    with pytest.raises(ValueError, match="cannot carry or meet a tangent block"):
+        Multivector.stack([e1, e2]).with_tangent(batch)
+
+
 @pytest.mark.parametrize("metric, trials", [(E3, 6), (SIGNED8, 2)])
 def test_stacked_frames_are_each_trials_frame(metric, trials):
     rng = np.random.default_rng(8)
