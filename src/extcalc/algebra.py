@@ -129,6 +129,8 @@ class Metric:
         if diag is None:
             diag = (1.0,) * self.dim
         try:
+            if isinstance(diag, (str, bytes)):  # it would iterate to its characters
+                raise TypeError(diag)
             diag = tuple(float(g) for g in diag)
         except (TypeError, ValueError):
             raise ConfigurationError(
@@ -494,7 +496,11 @@ class Multivector:
             if _is_batch(d):
                 raise ValueError(_BATCH_WITH_TANGENTS)
         block = _coordinate_rows(directions, slice(None))
-        if self._values.ndim == 3 and block.ndim == 2:
+        trials = len(self._values) if self._values.ndim == 3 else None
+        if block.ndim == 3 and trials != len(block) and not _is_batch(self):
+            held = "an unstacked multivector" if trials is None else f"a stack of {trials} trials"
+            raise ValueError(f"directions of {len(block)} trials cannot lift {held}")
+        if trials is not None and block.ndim == 2:
             block = np.broadcast_to(block, self._values.shape[:1] + block.shape)
         return Multivector._raw(self.metric, self._values, block)
 

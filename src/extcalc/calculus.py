@@ -163,7 +163,7 @@ def _derivative_rows(
                         bits=_grade_bits(args[i]) | grade)
             # an evaluator that ignores the moved slots returns one unbatched value
             out = _broadcast(func(*batched)._values, (trials, 2 * m, size))
-            bands_rows.append((out[..., :m, :] - out[..., m:, :]) * (0.5 / step))
+            bands_rows.append((out[..., :m, :] - out[..., m:, :]) / (2.0 * step))
         rows = np.stack(bands_rows, axis=-3)
     return rows if stacks else rows[0]
 

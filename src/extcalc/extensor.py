@@ -28,8 +28,10 @@ Application has one route, as the products do (see extcalc.algebra): every
 operand row enters it as a trial stack, and one map gives back the operand's
 own layout.  The random maps are 2u - 1 and u + (I - 1/2) of
 u = rng.random(shape), bit for bit the rng.uniform(-1, 1) formulas, and are
-taken as made (Extensor._raw); the harness keeps its drawn maps as those
-arrays and makes a column of them into one trial stack.
+taken as made (Extensor._raw).  _invertible_matrices draws any number of
+invertible matrices at once, redrawing only the rows below the determinant
+bound; random_invertible is its draw of one, and the harness draws all its
+trials' maps in one call and makes a group's rows one trial stack.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class Extensor:
     @classmethod
     def random_invertible(cls, metric: Metric, rng) -> "Extensor":
         """I + uniform(-1, 1) / 2, redrawn while |det| < INVERTIBLE_MIN_DET
-        (_invertible_matrix)."""
-        return cls._raw(metric, _invertible_matrix(metric.dim, _as_rng(rng)))
+        (_invertible_matrices of one map)."""
+        return cls._raw(metric, _invertible_matrices(metric.dim, _as_rng(rng), 1)[0])
 
     # -- application and composition ----------------------------------------
 
@@ -234,7 +236,7 @@ class Extensor:
         missing = [key for key in ("n", "p", "q", "metric", "matrix") if key not in payload]
         if missing:
             raise ValueError(f"map record lacks {', '.join(missing)}")
-        metric = Metric(int(payload["n"]), tuple(payload["metric"]))
+        metric = Metric(int(payload["n"]), payload["metric"])  # Metric checks the entries
         p, q = int(payload["p"]), int(payload["q"])
         _check_grade(metric.dim, p, q)  # before the shape is read
         shape = (comb(metric.dim, q), comb(metric.dim, p))
@@ -252,15 +254,18 @@ def _map_scalar(s):
     return float(s) if s.ndim == 0 else s[:, None]
 
 
-def _invertible_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """random_invertible's n x n matrix: u + (I - 1/2) for u = rng.random,
-    redrawn while |det| < INVERTIBLE_MIN_DET; u - 1/2 is exact
-    (algebra._uniform)."""
+def _invertible_matrices(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count of random_invertible's n x n matrices, (count, n, n): u + (I - 1/2)
+    for u = rng.random, drawn in one call; the rows whose |det| <
+    INVERTIBLE_MIN_DET are redrawn together, in one call per round, until
+    none is left.  u - 1/2 is exact (algebra._uniform)."""
     shift = _SHIFTS[n]
-    while True:
-        matrix = rng.random(shift.shape) + shift
-        if abs(_det(matrix)) >= INVERTIBLE_MIN_DET:
-            return matrix
+    matrices = rng.random((count, n, n)) + shift
+    redrawn = np.flatnonzero(np.abs(_det(matrices)) < INVERTIBLE_MIN_DET)
+    while redrawn.size:
+        matrices[redrawn] = rng.random((redrawn.size, n, n)) + shift
+        redrawn = redrawn[np.abs(_det(matrices[redrawn])) < INVERTIBLE_MIN_DET]
+    return matrices
 
 
 def _fill(t: Extensor, metric: Metric, matrix: np.ndarray, p: int, q: int) -> Extensor:

@@ -3,40 +3,34 @@
 Every closed-form identity of the functional calculus (and the generic
 derivation rules behind it) is an IdentityCheck whose trial(ctx, rng) runs
 all config.trials trials and returns their deviations and witness_of(r),
-the witness builder of trial r.  A check has one shape:
+the witness builder of trial r.  A check has one shape: its fields, a
+((name, kind), ...) table in RNG order, each drawn for all trials before
+any side is evaluated; make(x), what it derives from a group's made fields
+(the functional phi, ...); sides(x), the identity's (lhs, rhs) pairs; and
+_deviation(pairs), the largest absolute difference over the pairs, each
+over max(1, |rhs|) where the identity is relative, the first NaN the result.
 
-  fields                       ((name, kind), ...) in the identity's RNG
-                               order; every trial is drawn, in order,
-                               before any side is evaluated;
-  make(x) -> fields            what the optional make derives from a
-                               group's made fields: the functional phi, ...;
-  sides(x) -> pairs            the (lhs, rhs) sides of the identity;
-  _deviation(pairs)            the largest absolute difference over the
-                               pairs, each over max(1, |rhs|) where the
-                               identity is relative; the first NaN is the
-                               result.
-
-A kind (_Kind) draws one trial's raw value, reading the fields drawn before
-it, and makes a group's column of them one trial stack: _int, a structure
-field (a rule's grades and arity p, q, k: only they shape the arrays); _mv,
-a multivector kept as its uniforms u (coefficients 2u - 1); _INVERTIBLE and
-_MAP, maps kept as a matrix or as uniforms; _frame, a frame kept as its
-carrier's matrix; _float; _name, a drawn choice, made the per-trial tuple;
-_repeat, a tuple.  _Trials groups the trials by structure and makes every
-group, one trial or several, a trial stack whose sides, which read the
-fields by name, are evaluated once (extcalc.algebra; vector forward mode
-over a batch, Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008,
-ch. 3).  Trial r's deviation is bit for bit what trial r gives alone.  The
-structure groups and the per-trial names, each option run on its own
-trials' rows only, share one partition of the trials by key (_rows_by) and
-one scatter back by row (algebra._merged).  run_suite checks each
-identity's worst trial, the first non-finite deviation, else the first
-largest, against a tolerance and, on failure, reports witness_of(r) of that
-trial, its draw made alone as a stack of one (Inputs.witness).  Checks with
-an -fd suffix share their exact twin's draw and compare the exact
-tangent-propagation route against the central-finite-difference oracle; the
-bridge suite ties the derivative operators to ordinary partial derivatives
-in the matrix components of the map.
+A rule's trials are stratified over the cells of its structure, its grades
+and arity p, q, k (only they shape the arrays): trial r takes cell (offset +
+r) mod C, the offset drawn once, so T >= C trials check every cell (Neyman,
+J. R. Stat. Soc. 97, 1934).  A kind (_Kind) draws a field for all trials in
+one RNG call, at its largest size over the cells, and cuts a group's rows
+to their cell as it makes them one trial stack: _mv, a multivector kept as
+its uniforms u (coefficients 2u - 1); _INVERTIBLE and _MAP, maps kept as a
+matrix or as uniforms; _frame, a frame kept as its carrier's matrix;
+_float; _name, a drawn choice, made the per-trial tuple; _repeat, a tuple.
+_Trials makes every cell's group, one trial or several, a trial stack whose
+sides, which read the fields by name, are evaluated once (extcalc.algebra;
+vector forward mode over a batch, Griewank & Walther, Evaluating
+Derivatives, 2nd ed., 2008, ch. 3).  Trial r's deviation is bit for bit
+what trial r gives alone.  run_suite checks each identity's worst trial,
+the first non-finite deviation, else the first largest, against a
+tolerance and, on failure, reports witness_of(r) of that trial, its row
+made alone as a stack of one (Inputs.witness).  Checks with an -fd suffix
+share their exact twin's draw and compare the exact tangent-propagation
+route against the central-finite-difference oracle; the bridge suite ties
+the derivative operators to ordinary partial derivatives in the matrix
+components of the map.
 
 Per-check RNG streams are derived from (seed, identity id), so results do not
 depend on execution order and identical configs give identical reports.
@@ -83,7 +77,7 @@ from .dual import exp as _exp
 from .dual import sin as _sin
 from .dual import value_of
 from .errors import ConfigurationError, TrialError
-from .extensor import Extensor, Outermorphism, _invertible_matrix
+from .extensor import Extensor, Outermorphism, _invertible_matrices
 from .functional import (
     InducedFunctional,
     component_partials,
@@ -203,9 +197,9 @@ WITNESS_FIELDS = (
 
 
 class Inputs(SimpleNamespace):
-    """The trial stack of a group of trials of one structure: ctx, the made
+    """The trial stack of a group of trials of one cell: ctx, the made
     fields of their draws by name (the map h, the direction, ...; floats as
-    (T, 1) arrays, names as per-trial tuples, ints the group's own) and what
+    (T, 1) arrays, names as per-trial tuples, the cell's ints) and what
     the check's make derives from them, the functional phi first."""
 
     phi = None  # a check without a functional
@@ -265,7 +259,7 @@ def _deviation(pairs, relative: bool = False) -> np.ndarray:
 
 def _rows_by(keys) -> dict:
     """{key: the indices of the trials with that key}, in order of first
-    appearance: a check's structure groups, or each drawn option's trials."""
+    appearance: a check's cell groups, or each drawn option's trials."""
     rows: dict = {}
     for r, key in enumerate(keys):
         rows.setdefault(key, []).append(r)
@@ -282,147 +276,145 @@ def _per_trial(rows: dict, table: dict) -> Callable:
         [(r, table[name](*(_select(x, r) for x in xs))) for name, r in rows.items()])
 
 
+# a rule's cells in their fixed order: grades p, q and arity k (every dim is >= 2)
+_RULE_CELLS = tuple({"p": p, "q": q, "k": k} for p in (1, 2) for q in (1, 2) for k in (1, 2))
+
+
 @dataclass(frozen=True)
 class _Trials:
     """A check's trial callable: (ctx, rng) -> (the deviations of all
-    ctx.config.trials trials, witness_of).  Every trial is drawn first, in
-    order, by the (name, kind) table fields.  Each group of one structure,
-    the int fields, is made one trial stack by kind, its sides evaluated once
-    and each deviation put back.  witness_of(r) makes trial r alone, as a
-    stack of one, and writes it."""
+    ctx.config.trials trials, witness_of).  All trials are drawn first
+    (draw); each cell's trials are made one trial stack, its sides evaluated
+    once and each deviation put back.  witness_of(r) makes trial r alone."""
 
     fields: tuple
     sides: Callable
     make: Callable | None = None
     relative: bool = False
+    cells: tuple = ({},)  # the check's cells of the structure; one, the empty one, by default
 
     def __call__(self, ctx, rng):
-        drawn = [self.draw(ctx, rng) for _ in range(ctx.config.trials)]
-        groups = _rows_by([tuple([v for v in trial.values() if type(v) is int]) for trial in drawn])
-        devs = _merged([(rows, _deviation(self.sides(self.inputs(ctx, [drawn[r] for r in rows])),
+        drawn = self.draw(ctx, rng)
+        groups = _rows_by(drawn["cell"].tolist())
+        devs = _merged([(rows, _deviation(self.sides(self.inputs(ctx, drawn, rows)),
                                           self.relative)) for rows in groups.values()])
-        return devs, lambda r: self.inputs(ctx, [drawn[r]]).witness()
+        return devs, lambda r: self.inputs(ctx, drawn, np.array([r])).witness()
 
     def draw(self, ctx, rng) -> dict:
-        """One trial's {name: raw value}, each field drawn by its kind, in
-        table order; a kind reads the fields drawn before it."""
-        drawn: dict = {}
-        for name, kind in self.fields:
-            drawn[name] = kind.draw(ctx, rng, drawn)
-        return drawn
+        """All trials' {name: raw column}: "cell", trial r's cell (offset + r)
+        mod C, the offset drawn once; then each field by its kind, in table
+        order, in one RNG call (a frame's coin and a redraw aside)."""
+        cells, trials = self.cells, ctx.config.trials
+        return {"cell": (rng.integers(len(cells)) + np.arange(trials)) % len(cells),
+                **{name: kind.draw(ctx, rng, (trials,), cells) for name, kind in self.fields}}
 
-    def inputs(self, ctx, group: list) -> Inputs:
-        """The Inputs of the trial stack of a group of draws of one
-        structure: each field made by its kind, then what make derives."""
-        first = group[0]
-        x = Inputs(ctx=ctx, **{name: kind.make(ctx, [d[name] for d in group], first)
-                               for name, kind in self.fields})
+    def inputs(self, ctx, drawn: dict, rows: np.ndarray) -> Inputs:
+        """The Inputs of the trial stack of trials `rows`, all of one cell: its
+        ints, each field's rows made by its kind, then what make derives."""
+        cell = self.cells[drawn["cell"][rows[0]]]
+        x = Inputs(ctx=ctx, **cell, **{name: kind.make(ctx, drawn[name][rows], cell)
+                                       for name, kind in self.fields})
         if self.make is not None:
             vars(x).update(self.make(x))
         return x
 
 
-def _check(identity, suite, fields, sides, make=None, relative=False, **tolerance):
+def _check(identity, suite, fields, sides, make=None, relative=False, cells=({},), **tolerance):
     """The check whose trials draw the (name, kind) table fields, are made
     Inputs with make and reduced to deviations by sides(inputs) (_Trials)."""
-    return IdentityCheck(identity, suite, _Trials(fields, sides, make, relative), **tolerance)
+    return IdentityCheck(identity, suite, _Trials(fields, sides, make, relative, cells),
+                         **tolerance)
 
 
 # -- field kinds ------------------------------------------------------------------
 
 
 class _Kind(NamedTuple):
-    """How a field is drawn and made.  draw(ctx, rng, drawn) returns one
-    trial's raw value, drawn the trial's fields so far; make(ctx, column,
-    first) makes a group's column of raw values, first the group's first
-    draw, into one trial stack."""
+    """How a field is drawn and made.  draw(ctx, rng, shape, cells) draws all
+    trials' raw values, shape (T,) or a _repeat's (T, count), at the largest
+    size over the cells; make(ctx, rows, cell) makes a group's rows one stack."""
     draw: Callable
     make: Callable
 
 
-def _int(low: int, high: Callable) -> _Kind:
-    """A structure field: an int in [low, high(dim)], a group's own value."""
-    return _Kind(lambda ctx, rng, drawn: int(rng.integers(low, high(ctx.metric.dim) + 1)),
-                 lambda ctx, column, first: column[0])
-
-
 def _mv(grade) -> _Kind:
-    """random_multivector's draw of grade `grade` (an int, an int field's
-    name, or None: every grade in one draw), kept as the uniforms u of its
-    coefficients 2u - 1.  A group's are made in one scatter."""
+    """random_multivector's C(n, g) coefficients of grade `grade` (an int, a
+    cell's "p" or "q"), or None: all 2^n in mask order, kept as their
+    uniforms u (coefficients 2u - 1)."""
 
-    def chosen(drawn):
-        return drawn[grade] if isinstance(grade, str) else grade
+    def width(ctx, cell):
+        g = cell.get(grade, grade)
+        return ctx.metric.size if g is None else math.comb(ctx.metric.dim, g)
 
-    def draw(ctx, rng, drawn):
-        g = chosen(drawn)
-        return rng.random(ctx.metric.size if g is None else math.comb(ctx.metric.dim, g))
+    def make(ctx, u, cell):
+        g = cell.get(grade, grade)
+        if g is None:
+            return Multivector._raw(ctx.metric, _uniform(u[:, None]), bits=2 * ctx.metric.size - 1)
+        values = np.zeros((len(u), 1, ctx.metric.size))
+        values[:, 0, _tables(ctx.metric).blades[g]] = _uniform(u[:, :width(ctx, cell)])
+        return Multivector._raw(ctx.metric, values, bits=1 << g)
 
-    def make(ctx, column, first):
-        g, blades = chosen(first), _tables(ctx.metric).blades  # one structure: one grade
-        u = np.array(column)[:, None]  # np.array: np.stack checks each row
-        values = np.zeros(u.shape[:-1] + (ctx.metric.size,))
-        values[..., np.concatenate(blades) if g is None else blades[g]] = _uniform(u)
-        bits = (2 << ctx.metric.dim) - 1 if g is None else 1 << g
-        return Multivector._raw(ctx.metric, values, bits=bits)
-
-    return _Kind(draw, make)
+    return _Kind(lambda ctx, rng, shape, cells: rng.random(
+        shape + (max(width(ctx, cell) for cell in cells),)), make)
 
 
-def _repeat(kind: _Kind, count) -> _Kind:
-    """A tuple of count values of one kind: count an int field's name or a
-    function of the dim."""
-
-    def draw(ctx, rng, drawn):
-        n = drawn[count] if isinstance(count, str) else count(ctx.metric.dim)
-        return tuple(kind.draw(ctx, rng, drawn) for _ in range(n))
-
-    return _Kind(draw, lambda ctx, column, first: tuple(
-        kind.make(ctx, c, first) for c in zip(*column)))
+def _repeat(kind: _Kind, count: Callable) -> _Kind:
+    """A tuple of count(n, cell) values of one kind, drawn in one call."""
+    return _Kind(lambda ctx, rng, shape, cells: kind.draw(
+        ctx, rng, shape + (max(count(ctx.metric.dim, cell) for cell in cells),), cells),
+        lambda ctx, rows, cell: tuple(kind.make(ctx, rows[:, i], cell)
+                                      for i in range(count(ctx.metric.dim, cell))))
 
 
 def _float(lo: float, hi: float) -> _Kind:
     """A float uniform in [lo, hi); a group's are one (T, 1) array."""
-    return _Kind(lambda ctx, rng, drawn: float(rng.uniform(lo, hi)),
-                 lambda ctx, column, first: np.array(column)[:, None])
+    return _Kind(lambda ctx, rng, shape, cells: rng.uniform(lo, hi, shape),
+                 lambda ctx, rows, cell: rows[:, None])
 
 
 def _name(names) -> _Kind:
-    """One of names, or of names(ctx, drawn), picked by one rng.integers; a
-    group's are the tuple of per-trial names."""
+    """One of names, or of names(ctx, cell): an index drawn below the least
+    common multiple of the cells' name counts, taken modulo the cell's, so
+    uniform in every cell; a group's are the tuple of per-trial names."""
 
-    def draw(ctx, rng, drawn):
-        options = names(ctx, drawn) if callable(names) else names
-        return options[rng.integers(len(options))]
+    options = names if callable(names) else lambda ctx, cell: names
 
-    return _Kind(draw, lambda ctx, column, first: tuple(column))
+    def make(ctx, rows, cell):
+        chosen = options(ctx, cell)
+        return tuple(chosen[i % len(chosen)] for i in rows.tolist())
+
+    return _Kind(lambda ctx, rng, shape, cells: rng.integers(
+        math.lcm(*(len(options(ctx, cell)) for cell in cells)), size=shape), make)
 
 
 # Extensor.random_invertible's draw, kept as its matrix
-_INVERTIBLE = _Kind(lambda ctx, rng, drawn: _invertible_matrix(ctx.metric.dim, rng),
-                    lambda ctx, column, first: Extensor._raw(ctx.metric, np.array(column)))
+_INVERTIBLE = _Kind(
+    lambda ctx, rng, shape, cells: _invertible_matrices(ctx.metric.dim, rng, *shape),
+    lambda ctx, rows, cell: Extensor._raw(ctx.metric, rows))
 
-# Extensor.random's draw of a (p, q) map, p and q the drawn fields, kept as
-# its uniforms u, its matrix 2u - 1
-_MAP = _Kind(
-    lambda ctx, rng, drawn: rng.random(
-        (math.comb(ctx.metric.dim, drawn["q"]), math.comb(ctx.metric.dim, drawn["p"]))),
-    lambda ctx, column, first: Extensor._raw(
-        ctx.metric, _uniform(np.array(column)), first["p"], first["q"]))
+
+# Extensor.random's draw of a cell's (p, q) map, kept as its uniforms u (matrix 2u - 1)
+_MAP = _Kind(lambda ctx, rng, shape, cells: rng.random(shape + tuple(
+    max(math.comb(ctx.metric.dim, cell[g]) for cell in cells) for g in "qp")),
+    lambda ctx, rows, cell: Extensor._raw(ctx.metric, _uniform(rows[:, :math.comb(
+        ctx.metric.dim, cell["q"]), :math.comb(ctx.metric.dim, cell["p"])]), cell["p"], cell["q"]))
 
 
 def _frame(maybe: bool) -> _Kind:
     """A frame kept as its carrier's matrix: a random invertible map's or,
-    where maybe and a coin picks the orthonormal frame, the identity.  A
-    group's are made in one call: the carrier's columns are the frame's."""
+    where maybe and a coin, drawn after the maps, picks the orthonormal
+    frame, the identity.  A group's are made in one call: the carrier's
+    columns are the frame's."""
 
-    def draw(ctx, rng, drawn):
-        if maybe and not rng.integers(2):
-            return np.eye(ctx.metric.dim)
-        return _invertible_matrix(ctx.metric.dim, rng)
+    def draw(ctx, rng, shape, cells):
+        carriers = _invertible_matrices(ctx.metric.dim, rng, *shape)
+        if maybe:
+            carriers[rng.integers(2, size=shape) == 0] = np.eye(ctx.metric.dim)
+        return carriers
 
-    return _Kind(draw, lambda ctx, column, first: Frame._of_coords(
-        ctx.metric, np.array([c.T for c in column])))
+    # contiguous coordinates: a frame keeps its rows' memory layout
+    return _Kind(draw, lambda ctx, rows, cell: Frame._of_coords(
+        ctx.metric, np.ascontiguousarray(np.swapaxes(rows, -1, -2))))
 
 
 def _option(name: str, q: int, c: Multivector, d: Multivector | None) -> tuple:
@@ -463,8 +455,8 @@ def _function_fields(prefix: str, option: str, scalar_valued: bool) -> tuple:
     prefix + d of grade q), then its option's name, a wedge option only where
     its grade exists."""
 
-    def names(ctx, drawn):
-        k, q = drawn["k"], drawn["q"]
+    def names(ctx, cell):
+        k, q = cell["k"], cell["q"]
         if scalar_valued:
             return ("x.x", "x.c") if k == 1 else ("(x.c)(y.y)", "x.y")
         names = ("x", "x^c", "c(x.d)") if k == 1 else ("c(x.y)", "x^y", "x(y.d)")
@@ -563,7 +555,7 @@ def _example(name, functional, directional, star=None, relative=False) -> list[I
 # a map, a direction and the vectors of the blade-image functionals of every
 # grade k = 1..n, grade k's k vectors after those of grades 1..k-1
 _BLADE_IMAGES = (("h", _INVERTIBLE), ("direction", _mv(1)),
-                 ("vectors", _repeat(_mv(1), lambda n: n * (n + 1) // 2)))
+                 ("vectors", _repeat(_mv(1), lambda n, cell: n * (n + 1) // 2)))
 
 
 def _blade_images(x):
@@ -616,14 +608,14 @@ def _coherence_sides(x):
 
 
 def _rule(identity, fields, sides, make=_setup, scalar_valued=False, **options):
-    """The properties check of a rule over a random setup: grades p and q
-    and arity k (the structure), k grade-p anchors, a matching map h and a
-    random function (_setup makes phi), then the rule's own fields."""
-    grade = _int(1, lambda n: min(2, n))
-    setup = (("p", grade), ("q", grade), ("k", _int(1, lambda n: 2)),
-             ("anchors", _repeat(_mv("p"), "k")), ("h", _MAP),
+    """The properties check of a rule over a random setup: a cell of the
+    structure, grades p and q and arity k (_RULE_CELLS), k grade-p anchors,
+    a matching map h and a random function (_setup makes phi), then the
+    rule's own fields."""
+    setup = (("anchors", _repeat(_mv("p"), lambda n, cell: cell["k"])), ("h", _MAP),
              *_function_fields("", "option", scalar_valued))
-    return _check(identity, "properties", setup + fields, sides, make, **options)
+    return _check(identity, "properties", setup + fields, sides, make, cells=_RULE_CELLS,
+                  **options)
 
 
 _DIRECTION = ("direction", _mv("p"))

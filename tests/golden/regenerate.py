@@ -24,7 +24,8 @@ WORKFLOW = GOLDEN.parent.parent / ".github" / "workflows" / "tier1.yml"
 
 def verdict_argvs() -> list[list[str]]:
     """The arguments of every `python -m extcalc` step of the workflow, in
-    order, without its --format and --out."""
+    order, without its --format and --out; a step that loops over a shell
+    variable ($seed) has no fixed verdict and no golden report."""
     argvs = []
     for line in WORKFLOW.read_text().splitlines():
         found = re.search(r"-m extcalc (.*)$", line)
@@ -33,7 +34,8 @@ def verdict_argvs() -> list[list[str]]:
             for stop in ("--format", "||"):
                 if stop in words:
                     words = words[:words.index(stop)]
-            argvs.append(words)
+            if not any("$" in word for word in words):
+                argvs.append(words)
     return argvs
 
 

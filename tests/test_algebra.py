@@ -82,10 +82,11 @@ def test_metric_rejects_non_finite_entries(entry):
         Metric(3, (entry, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("diag", [("a", 1, 1), (None, 1, 1), ([1.0], 1, 1), 5],
-                         ids=["string", "none", "list", "not-iterable"])
+@pytest.mark.parametrize("diag", [("a", 1, 1), (None, 1, 1), ([1.0], 1, 1), 5, "121", b"121"],
+                         ids=["string", "none", "list", "not-iterable", "digits", "bytes"])
 def test_metric_entries_that_are_no_numbers_name_the_metric(diag):
-    # float("a") raised its bare "could not convert string to float" here
+    # float("a") raised its bare "could not convert string to float" here,
+    # and the string "121" was taken as the metric (1, 2, 1)
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"metric entries for dim 3 must be real numbers, got {diag!r}")):
         Metric(3, diag)

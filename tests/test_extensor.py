@@ -697,6 +697,14 @@ def test_a_record_with_a_bad_metric_entry_is_a_configuration_error(entry):
         Extensor.from_dict(payload)
 
 
+@pytest.mark.parametrize("metric", [5, "111"], ids=["not-iterable", "string"])
+def test_a_record_whose_metric_is_no_list_is_a_configuration_error(metric):
+    # tuple(5) raised a bare "'int' object is not iterable" here
+    payload = dict(Extensor.identity(E3).to_dict(), metric=metric)
+    with pytest.raises(ConfigurationError, match="metric entries for dim 3 must be real numbers"):
+        Extensor.from_dict(payload)
+
+
 def test_matrices_are_read_only():
     t = Extensor.identity(E3)
     with pytest.raises(ValueError):

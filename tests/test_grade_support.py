@@ -25,7 +25,7 @@ from extcalc.algebra import (
 from extcalc.calculus import DEFAULT_FD_STEP, MvFunction, dir_deriv
 from extcalc.dual import exp
 from extcalc.errors import DegenerateFrameError
-from extcalc.extensor import Extensor, Outermorphism
+from extcalc.extensor import Extensor, Outermorphism, _invertible_matrices
 from extcalc.functional import InducedFunctional
 from extcalc.harness import HarnessConfig, _Context, _frame
 
@@ -225,22 +225,23 @@ def test_a_frame_from_its_carrier_matrix_is_from_vectors_bit_for_bit(n):
 
 def test_a_stack_of_drawn_frames_is_each_trials_frame_bit_for_bit():
     # trial r of a stack of drawn frames is, bit for bit, the orthonormal
-    # frame or Frame.from_vectors of the images of the orthonormal basis
-    # under trial r's carrier
+    # frame where its coin is 0, else Frame.from_vectors of the images of
+    # the orthonormal basis under its carrier; the carriers are one batch of
+    # random invertible maps and the coins one draw after them
     ortho = Frame.orthonormal(M5)
     ctx = _Context(ortho.metric, HarnessConfig(dim=5), ortho)
-    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
-    identity = np.eye(5)
-    carriers = [identity, Extensor.random_invertible(M5, reference),
-                identity, Extensor.random_invertible(M5, reference)]
-    random = _frame(False)
-    column = [identity, random.draw(ctx, rng, {}), identity, random.draw(ctx, rng, {})]
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    column = _frame(True).draw(ctx, rng, (6,), ({},))
+    carriers = _invertible_matrices(5, reference, 6)
+    coins = reference.integers(2, size=6)
     assert rng.bit_generator.state == reference.bit_generator.state
+    assert 0 < coins.sum() < 6
     stacked = _frame(True).make(ctx, column, {})
-    for r, carrier in enumerate(carriers):
-        assert same_bits(column[r], identity if carrier is identity else carrier.matrix)
-        images = None if carrier is identity else [carrier(v) for v in ortho.vectors]
-        alone = ortho if images is None else Frame.from_vectors(images)
+    for r, coin in enumerate(coins):
+        carrier = Extensor(M5, carriers[r]) if coin else None
+        assert same_bits(column[r], np.eye(5) if carrier is None else carrier.matrix)
+        alone = ortho if carrier is None else Frame.from_vectors(
+            [carrier(v) for v in ortho.vectors])
         for s, a in zip(stacked.vectors + stacked.reciprocal, alone.vectors + alone.reciprocal):
             assert same_bits(s._values[r, 0], a._values)
     assert all(v._bits == 1 << 1 for v in stacked.vectors + stacked.reciprocal)
@@ -264,8 +265,8 @@ def test_an_identity_carrier_makes_the_orthonormal_frame_bit_for_bit(n, kind):
     ctx = _Context(metric, HarnessConfig(dim=n), ortho)
     rng = np.random.default_rng(60 + n)
     identity = np.eye(n)
-    column = [Extensor.random_invertible(metric, rng).matrix, identity,
-              Extensor.random_invertible(metric, rng).matrix, identity]
+    column = np.array([Extensor.random_invertible(metric, rng).matrix, identity,
+                       Extensor.random_invertible(metric, rng).matrix, identity])
     stacked = _frame(True).make(ctx, column, {})
     for r in (1, 3):
         assert same_bits(stacked.coords[r], ortho.coords)

@@ -284,6 +284,18 @@ def test_a_lifted_trial_stack_is_each_trials_lift(metric, trials):
         Multivector.stack([e1, e2]).with_tangent(batch)
 
 
+def test_a_stacked_direction_names_the_trial_counts_it_cannot_lift():
+    # a stacked direction on an unstacked value, or on a stack of another
+    # trial count, was refused as "a batched multivector", though neither
+    # side is a batch
+    e1, e2, e3 = Frame.orthonormal(E3).vectors
+    with pytest.raises(ValueError, match="directions of 2 trials cannot lift an unstacked "
+                                         "multivector"):
+        e1.with_tangent(Multivector.stack([e2, e3]))
+    with pytest.raises(ValueError, match="directions of 2 trials cannot lift a stack of 3 trials"):
+        Multivector.stack([e1, e2, e3]).with_tangents([e1, Multivector.stack([e2, e3])])
+
+
 @pytest.mark.parametrize("metric, trials", [(E3, 6), (SIGNED8, 2)])
 def test_stacked_frames_are_each_trials_frame(metric, trials):
     rng = np.random.default_rng(8)
