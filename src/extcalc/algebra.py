@@ -333,6 +333,19 @@ def _sum_tangents(ta, tb):
     return ta + tb
 
 
+def _trial_count(*arrays: np.ndarray) -> int | None:
+    """The trial count T of the arrays among `arrays` that lead with a trial
+    axis, the 3-d ones (a trial stack's values, a stack of maps' matrices or
+    of frames' coordinates, stacked weights or directions), or None when
+    none does.  A stack of one broadcasts, as an unstacked operand does; two
+    other counts that differ are a ValueError naming both."""
+    counts = {len(a) for a in arrays if a.ndim == 3}
+    if len(counts) > 1 and len(counts - {1}) > 1:
+        many = sorted(counts - {1})
+        raise ValueError(f"trial stacks of {many[0]} and {many[1]} trials do not combine")
+    return max(counts, default=None)
+
+
 def _as_stack(values: np.ndarray) -> np.ndarray:
     """Values as (T, P, 2^n), or a tangent block as (T, m, 2^n): an unstacked
     value, point batch or block is a stack of one."""
@@ -545,9 +558,12 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         _check_metric(self.metric, other.metric)
+        a, b = self._values, other._values
+        if a.ndim == b.ndim == 3 and len(a) != len(b):
+            _trial_count(a, b)  # fails unless one is a stack of one
         return Multivector._raw(
             self.metric,
-            self._values + other._values,
+            a + b,
             _sum_tangents(self._tangents, other._tangents),
             _union(self, other),
         )
@@ -621,6 +637,8 @@ class Multivector:
             raise TypeError(f"expected a Multivector, got {type(other).__name__}")
         _check_metric(self.metric, other.metric)
         a, b, ta, tb = self._values, other._values, self._tangents, other._tangents
+        if a.ndim == b.ndim == 3 and len(a) != len(b):
+            _trial_count(a, b)  # fails unless one is a stack of one
         if (ta is not None or tb is not None) and (_is_batch(self) or _is_batch(other)):
             raise ValueError(_BATCH_WITH_TANGENTS)
         if kind == "scalar":
@@ -963,6 +981,7 @@ def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
     i from vectors[i]; (T, k, len(masks)) when any of them is a trial stack."""
     rows = [_rows(v) for v in vectors]
     if len({r.shape for r in rows}) > 1:
+        _trial_count(*(v._values for v in vectors))
         rows = np.broadcast_arrays(*rows)
     return np.stack(rows, axis=-2)[..., masks]
 

@@ -45,7 +45,7 @@ from numpy.linalg._umath_linalg import det as _det
 
 from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _check_grade,
                       _check_metric, _check_operand, _compound, _coordinate_rows, _tables,
-                      _trial_rows, _uniform)
+                      _trial_count, _trial_rows, _uniform)
 from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
@@ -283,6 +283,8 @@ def _apply_matrix(metric: Metric, matrix: np.ndarray, p: int, q: int, x: Multive
     and each tangent row, each a trial stack (of one, unstacked); a
     (T, C(n,q), C(n,p)) matrix or a trial stack x gives the trial stack of
     images, which carry grade q."""
+    if matrix.ndim == x._values.ndim == 3 and len(matrix) != len(x._values):
+        _trial_count(matrix, x._values)  # fails unless one is a stack of one
     tables = _tables(metric)
     src, dst = tables.blades[p], tables.blades[q]
 

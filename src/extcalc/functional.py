@@ -39,14 +39,22 @@ the gradients or, in derivative_via_frame, of the reciprocal frame blades
 with the blade derivatives (blade . anchor weights times the gradients).
 derivative_table and derivative_via_frame both take a sequence of kinds and
 return a {kind: Multivector} dict from one gradient pass; a frame must live
-over the functional's metric, since the blade weights are taken in it.  A
-functional keeps what it computed at the last map it met, found again by
-identity (a map is immutable): the anchor images t(A^i), and the slot
-gradients of each step, so the exact and finite-difference routes at one
-map map the anchors once, and its star tables over any frames share one
-gradient pass.  A derived functional (scaled, times_constant, +,
-times_functional, map_scalar) keeps its parent's anchors and variables, and
-two functionals combine only when they share both.
+over the functional's metric, since the blade weights are taken in it.
+
+What is computed at a map is found again by identity (a map, like a
+multivector, is immutable), one last entry per reuse point.  The anchor
+images t(A^i) are mapped once per anchor objects and map object
+(_anchor_images), and every functional over those anchor objects reads
+them: a derived one, or one built separately over the same anchors.  So
+the functionals of one derivation rule, differentiated at one map along one
+direction, hand F the same seeded arguments, and F returns its last value
+to them (calculus: _seeded and MvFunction.__call__).  A functional also
+keeps the slot gradients of each step at the last map it met, so the exact
+and finite-difference routes at one map map the anchors once, and its star
+tables over any frames share one gradient pass.  A derived functional
+(scaled, times_constant, +, times_functional, map_scalar) keeps its
+parent's anchors and variables, and two functionals combine only when they
+share both.
 
 The module also carries the bridge to classical matrix calculus: the partial
 derivatives of the lifted real function of the n x n frame components of t,
@@ -73,10 +81,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (Frame, Multivector, _check_metric, _check_operand, _coordinate_rows, _rows,
-                      _tables, _trial_rows, product_sum)
-from .calculus import MvFunction, _check_step, _derivative_rows, _slot_gradients
+                      _tables, _trial_count, _trial_rows, product_sum)
+from .calculus import MvFunction, _check_step, _derivative_rows, _same_objects, _slot_gradients
 from .dual import value_of
 from .extensor import Extensor, _apply_matrix
+
+
+# the anchors, map and anchor images of the last _anchor_images call
+_last_images = None
+
+
+def _anchor_images(anchors: tuple, t: Extensor) -> tuple:
+    """(t(A^1), ..., t(A^k)), each what t.apply gives, for anchors and a map
+    already checked against each other; the last call's images again when
+    the anchors and the map are its objects, so every functional over one
+    anchor tuple hands its function the same arguments at one map."""
+    global _last_images
+    last = _last_images
+    if last is None or last[1] is not t or not _same_objects(last[0], anchors):
+        images = tuple(_apply_matrix(t.metric, t.matrix, t.p, t.q, a) for a in anchors)
+        last = _last_images = (anchors, t, images)
+    return last[2]
 
 
 @dataclass(frozen=True)
@@ -124,11 +149,12 @@ class InducedFunctional:
         functional met, found again by identity: a map is immutable, so the
         same object has the same images, and one map's star tables, exact or
         by one step, share one gradient pass (_star_gradients)."""
-        if self._last[0] is not t:
+        last = self._last
+        if last[0] is not t:
             self._check_map(t)
-            images = tuple(_apply_matrix(self.metric, t.matrix, t.p, t.q, a) for a in self.anchors)
-            object.__setattr__(self, "_last", (t, images, {}))
-        return self._last[1:]
+            last = (t, _anchor_images(self.anchors, t), {})
+            object.__setattr__(self, "_last", last)
+        return last[1:]
 
     def _star_gradients(self, t: Extensor, step: float | None) -> np.ndarray:
         """The (k, 2^n) slot gradients dF/dX^i at t's images, read-only."""
@@ -173,11 +199,12 @@ class InducedFunctional:
         _check_step(step)
         self._check_map(t)
         _check_operand(direction, self.metric, self.source_grade, "direction")
+        trials = _trial_count(self._anchor_values, t.matrix, direction._values)
         weights = self._anchor_weights(_rows(direction)[..., None, :])
         moved = weights.any(axis=-1)  # (1,), or (T, 1) for a trial stack
         if not moved.any():  # zero by linearity, F unevaluated; a stack stays one
-            trials = [len(x) for x in (weights, t.matrix) if x.ndim == 3]
-            return _trial_rows(self.metric, np.zeros((*trials[:1], self.metric.size)))
+            shape = (self.metric.size,) if trials is None else (trials, self.metric.size)
+            return _trial_rows(self.metric, np.zeros(shape))
         # one band: slot i moves by (direction . A^i) times each frame blade
         args = self.arguments(t)
         grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights)
@@ -207,6 +234,7 @@ class InducedFunctional:
         frame-independent.  One gradient pass serves every kind, and each
         kind's entry is bit for bit the one a call for that kind alone gives."""
         _check_metric(self.metric, frame.metric)
+        _trial_count(self._anchor_values, t.matrix, frame.coords)
         primal, recip = frame.blades(self.source_grade)
         grads = self._star_gradients(t, None)
         rows = self._anchor_weights(primal) @ grads  # row J: the derivative along f_J

@@ -517,18 +517,21 @@ def test_fd_partial_gradients_evaluate_the_function_once_per_slot():
 
 def test_partial_gradients_and_the_star_table_share_one_gradient_pass():
     # at one map and step the pair evaluates F as often as one of them alone:
-    # once exactly, once per slot by finite differences, in either order
+    # once exactly, once per slot by finite differences, in either order.
+    # Each functional records through its own MvFunction object, and `want`
+    # through the unrecorded one: an MvFunction returns its last value to a
+    # repeated call, so a shared recorded object would count no pass at all
     metric = Metric(4, (1.0, -1.0, 2.0, 1.0))
     rng = np.random.default_rng(46)
     calls = []
-    func = _recording(_slot_cases(metric, 1, rng)[4][1], calls)
+    plain = _slot_cases(metric, 1, rng)[4][1]
     anchors = tuple(random_multivector(metric, 1, rng) for _ in range(3))
     t = Extensor.random_invertible(metric, rng)
     for step, passes in ((None, 1), (DEFAULT_FD_STEP, 3)):
-        args = InducedFunctional(func, anchors, 1).arguments(t)
-        want = _slot_gradients(func, args, range(3), step=step)
+        args = InducedFunctional(plain, anchors, 1).arguments(t)
+        want = _slot_gradients(plain, args, range(3), step=step)
         for first in ("partials", "table"):
-            phi = InducedFunctional(func, anchors, 1)
+            phi = InducedFunctional(_recording(plain, calls), anchors, 1)
             calls.clear()
             if first == "table":
                 phi.derivative_table(t, PRODUCT_KINDS, step)

@@ -722,6 +722,110 @@ def test_arguments_are_bit_equal_to_applying_the_map(metric):
             assert np.array_equal(got._values, t.apply(a)._values) and got._tangents is None
 
 
+def _rule_functions(metric, rng):
+    """A scalar-valued F and a mixed-grade G of two vector variables."""
+    c, d = (random_multivector(metric, 1, rng) for _ in range(2))
+    f = MvFunction(2, 1, 0, lambda x, y: x.scalar_product(y) + x.scalar_product(c))
+    g = MvFunction(2, 1, None, lambda x, y: x.geometric(y).geometric(d) + y.wedge(c))
+    return f, g
+
+
+def _logged(func, log, name):
+    """func as a new MvFunction object that logs (name, seeded) per evaluation."""
+
+    def evaluator(*xs):
+        log.append((name, xs[0]._tangents is not None))
+        return func.evaluator(*xs)
+
+    return MvFunction(func.arity, func.input_grade, func.output_grade, evaluator)
+
+
+def _copied(x: Multivector) -> Multivector:
+    return Multivector._raw(x.metric, x._values.copy())
+
+
+@pytest.mark.parametrize("trials", [None, 3])
+def test_rule_groups_evaluate_each_function_once_per_seeded_pass(trials):
+    # the functionals over one anchor tuple share its images at one map, one
+    # seeded pass along one direction, and each function's value there, as
+    # the harness's additivity and Leibniz groups meet them: each function
+    # is evaluated once per seeded pass (and once at the images), bit for
+    # bit what fresh objects give
+    metric = NON_UNIT4
+    rng = np.random.default_rng(60)
+    f, g = _rule_functions(metric, rng)
+    if trials is None:
+        anchors = tuple(random_multivector(metric, 1, rng) for _ in range(2))
+        t = Extensor.random_invertible(metric, rng)
+    else:
+        anchors = tuple(Multivector.stack([random_multivector(metric, 1, rng)
+                                           for _ in range(trials)]) for _ in range(2))
+        t = Extensor(metric, [Extensor.random_invertible(metric, rng).matrix
+                              for _ in range(trials)])
+    direction = random_multivector(metric, 1, rng)
+    log = []
+
+    def group():
+        return tuple(InducedFunctional(_logged(fn, log, name), anchors, 1)
+                     for fn, name in ((f, "F"), (g, "G")))
+
+    phi, gam = group()
+    got = {"sum": (phi + gam).directional_derivative(t, direction),
+           "phi": phi.directional_derivative(t, direction),
+           "g": gam.directional_derivative(t, direction)}
+    assert log == [("F", True), ("G", True)]
+    log.clear()
+    phi, gam = group()
+    got["phi value"] = phi.evaluate(t)
+    got["phi again"] = phi.directional_derivative(t, direction)
+    got["g value"] = gam.evaluate(t)
+    got["g again"] = gam.directional_derivative(t, direction)
+    got["product"] = phi.times_functional(gam).directional_derivative(t, direction)
+    assert log == [("F", False), ("F", True), ("G", False), ("G", True)]
+
+    def fresh(fn):
+        """fn's functional where nothing can be reused: a new function object
+        over copied anchors."""
+        func = MvFunction(fn.arity, fn.input_grade, fn.output_grade, fn.evaluator)
+        return InducedFunctional(func, tuple(map(_copied, anchors)), 1)
+
+    def derivative(phi):
+        return phi.directional_derivative(Extensor(metric, t.matrix), _copied(direction))
+
+    want = {"sum": derivative(fresh(f) + fresh(g)), "phi": derivative(fresh(f)),
+            "g": derivative(fresh(g)), "phi value": fresh(f).evaluate(Extensor(metric, t.matrix)),
+            "g value": fresh(g).evaluate(Extensor(metric, t.matrix)),
+            "product": derivative(fresh(f).times_functional(fresh(g)))}
+    want["phi again"], want["g again"] = want["phi"], want["g"]
+    for key, value in got.items():
+        assert value._values.tobytes() == want[key]._values.tobytes(), key
+    # the same map and direction evaluate nothing more; another direction at
+    # the same map, or a new map of an equal matrix, evaluates F again
+    phi.directional_derivative(t, direction)
+    log.clear()
+    assert phi.directional_derivative(t, direction)._values.tobytes() == (
+        got["phi"]._values.tobytes())
+    assert log == []
+    other = phi.directional_derivative(t, random_multivector(metric, 1, rng))
+    assert log == [("F", True)]
+    same_matrix = phi.directional_derivative(Extensor(metric, t.matrix), direction)
+    assert log == [("F", True), ("F", True)]
+    assert same_matrix._values.tobytes() == got["phi"]._values.tobytes()
+    assert other._values.tobytes() != got["phi"]._values.tobytes()
+
+
+def test_a_function_returns_its_last_value_to_the_same_arguments_only():
+    rng = np.random.default_rng(61)
+    x, y = (random_multivector(E3, 1, rng) for _ in range(2))
+    log = []
+    func = _logged(MvFunction(1, 1, 2, lambda v: v.wedge(y)), log, "F")
+    first = func(x)
+    assert func(x) is first
+    assert func(_copied(x)) is not first  # an equal copy is another argument
+    assert func(x) is not first  # one entry: the copy took its place
+    assert len(log) == 3
+
+
 # -- bridge to matrix components ----------------------------------------------------------------
 
 

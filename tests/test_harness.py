@@ -1132,3 +1132,30 @@ def test_cli_json_to_stdout_parses():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["summary"]["failed"] == 0
+
+
+# the harness-d3 and harness-d6 bench workloads, as CLI flags
+_BENCH_VERDICTS = {
+    "harness-d3": ("--dim", "3", "--trials", "64", "--seed", "0"),
+    "harness-d6": ("--dim", "6", "--metric", "diag:+,+,+,-,-,+", "--suite", "closed-form",
+                   "--trials", "4", "--seed", "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_VERDICTS))
+def test_a_verdict_repeats_in_one_process_and_in_a_fresh_one(name):
+    # the reuse points outlive a run_suite call, each holding its last entry:
+    # a second verdict in the same interpreter must still give the bytes of
+    # the first and of a fresh process
+    argv = _BENCH_VERDICTS[name]
+    config = cli.build_parser().parse_args(argv)
+    config = HarnessConfig(**{f.name: getattr(config, f.name)
+                              for f in dataclasses.fields(HarnessConfig)})
+    reports = []
+    for _ in range(2):
+        out = io.StringIO()
+        emit_report(config, run_suite(config), fmt="json", out=out)
+        reports.append(out.getvalue())
+    fresh = run_cli(*argv, "--format", "json")
+    assert fresh.returncode == 0, fresh.stderr
+    assert reports[0] == reports[1] == fresh.stdout

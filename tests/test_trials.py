@@ -296,6 +296,95 @@ def test_a_stacked_direction_names_the_trial_counts_it_cannot_lift():
         Multivector.stack([e1, e2, e3]).with_tangents([e1, Multivector.stack([e2, e3])])
 
 
+# what every entry point raises where stacks of 2 and of 3 trials meet
+_MISMATCH = "trial stacks of 2 and 3 trials do not combine"
+
+
+def _mismatched_case():
+    """A dot functional over 2 stacked anchors, and 3-trial stacks of maps,
+    vectors and frames to meet it."""
+    rng = np.random.default_rng(70)
+    c = random_multivector(E3, 1, rng)
+    phi = InducedFunctional(MvFunction(1, 1, 0, lambda x: x.scalar_product(c)),
+                            (Multivector.stack(draws(E3, 1, 2, 71)),), 1)
+    maps = stack_maps([Extensor.random_invertible(E3, rng) for _ in range(3)])
+    return phi, maps, Multivector.stack(draws(E3, 1, 3, 72)), stack_frames(
+        random_frames(E3, rng, 3))
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_products_of_two_trial_counts_name_both(kind):
+    two, three = (Multivector.stack(draws(E3, 1, count, count)) for count in (2, 3))
+    with pytest.raises(ValueError, match=_MISMATCH):
+        product(kind, two, three)
+    with pytest.raises(ValueError, match=_MISMATCH):
+        product(kind, three.with_tangent(three), two)
+
+
+def test_sums_of_two_trial_counts_name_both():
+    two, three = (Multivector.stack(draws(E3, 1, count, count)) for count in (2, 3))
+    for lhs, rhs in ((two, three), (three, two), (two.with_tangent(two), three)):
+        with pytest.raises(ValueError, match=_MISMATCH):
+            lhs + rhs
+    with pytest.raises(ValueError, match=_MISMATCH):
+        three - two
+
+
+def test_scalar_products_of_two_trial_counts_name_both():
+    two, three = (Multivector.stack(draws(E3, 1, count, count)) for count in (2, 3))
+    with pytest.raises(ValueError, match=_MISMATCH):
+        two.scalar_product(three)
+    with pytest.raises(ValueError, match=_MISMATCH):
+        scalar_value(three, two)
+
+
+def test_a_stack_of_maps_applied_to_another_count_names_both():
+    _, maps, vectors, _ = _mismatched_case()
+    two = Multivector.stack(draws(E3, 1, 2, 73))
+    with pytest.raises(ValueError, match=_MISMATCH):
+        maps(two)
+    with pytest.raises(ValueError, match=_MISMATCH):
+        maps(two.with_tangent(two))
+    assert maps(vectors)._values.shape[0] == 3  # one count combines
+
+
+def test_directional_derivative_of_two_trial_counts_names_both():
+    phi, maps, vectors, _ = _mismatched_case()
+    e1 = Frame.orthonormal(E3).vectors[0]
+    one = Extensor.random_invertible(E3, np.random.default_rng(74))
+    unstacked = InducedFunctional(phi.func, (e1,), 1)
+    two = Multivector.stack(draws(E3, 1, 2, 76))
+    for step in (None, 1e-5):
+        with pytest.raises(ValueError, match=_MISMATCH):  # anchors and map
+            phi.directional_derivative(maps, e1, step)
+        with pytest.raises(ValueError, match=_MISMATCH):  # anchors and direction
+            phi.directional_derivative(one, vectors, step)
+        with pytest.raises(ValueError, match=_MISMATCH):  # map and direction
+            unstacked.directional_derivative(maps, two, step)
+
+
+def test_derivative_table_of_two_trial_counts_names_both():
+    phi, maps, _, _ = _mismatched_case()
+    for step in (None, 1e-5):
+        with pytest.raises(ValueError, match=_MISMATCH):
+            phi.derivative_table(maps, PRODUCT_KINDS, step)
+
+
+def test_evaluate_of_two_trial_counts_names_both():
+    phi, maps, _, _ = _mismatched_case()
+    with pytest.raises(ValueError, match=_MISMATCH):
+        phi.evaluate(maps)
+
+
+def test_derivative_via_frame_of_two_trial_counts_names_both():
+    phi, maps, _, frames = _mismatched_case()
+    one = Extensor.random_invertible(E3, np.random.default_rng(75))
+    with pytest.raises(ValueError, match=_MISMATCH):  # anchors and frame
+        phi.derivative_via_frame(one, PRODUCT_KINDS, frames)
+    with pytest.raises(ValueError, match=_MISMATCH):  # anchors and map
+        phi.derivative_via_frame(maps, PRODUCT_KINDS, Frame.orthonormal(E3))
+
+
 @pytest.mark.parametrize("metric, trials", [(E3, 6), (SIGNED8, 2)])
 def test_stacked_frames_are_each_trials_frame(metric, trials):
     rng = np.random.default_rng(8)
