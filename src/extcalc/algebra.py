@@ -163,6 +163,9 @@ class BasisBlade:
 
     mask: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "mask", _blade_mask(self.mask))
+
     @property
     def grade(self) -> int:
         return self.mask.bit_count()
@@ -172,7 +175,15 @@ class BasisBlade:
         return blade_name(self.mask)
 
 
+def _blade_mask(mask) -> int:
+    """A blade mask is a non-negative integer; a bool (True is 1) is none."""
+    if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)) or mask < 0:
+        raise ValueError(f"a blade mask must be a non-negative integer, got {mask!r}")
+    return int(mask)
+
+
 def blade_name(mask: int) -> str:
+    mask = _blade_mask(mask)
     if mask == 0:
         return "1"
     return "e" + "".join(str(k + 1) for k in range(mask.bit_length()) if mask >> k & 1)
@@ -791,7 +802,7 @@ def _read(values: np.ndarray, mask: int):
 
 
 def _check_mask(metric: Metric, mask: int):
-    if not 0 <= mask < metric.size:
+    if _blade_mask(mask) >= metric.size:
         raise ValueError(f"blade mask {mask} out of range for dim {metric.dim}")
 
 

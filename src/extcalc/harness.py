@@ -186,7 +186,15 @@ def multivector_from_map(metric: Metric, mapping: dict) -> Multivector:
     for name, coeff in mapping.items():
         if name not in names:
             raise ValueError(f"unknown blade {name!r} for dim {metric.dim}")
-        out = out + Multivector.from_blade(metric, names[name], float(coeff))
+        try:
+            if isinstance(coeff, (str, bytes)):  # float() would parse "1.5"
+                raise TypeError(coeff)
+            value = float(coeff)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"coefficient of blade {name!r} must be a real number, got {coeff!r}"
+            ) from None
+        out = out + Multivector.from_blade(metric, names[name], value)
     return out
 
 

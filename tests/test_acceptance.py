@@ -5,13 +5,16 @@ to see them) and asserts on the worst deviation observed over 64 random trials
 at each of n = 2, 3, 4.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import extcalc
 from extcalc.algebra import (
     PRODUCT_KINDS,
     Frame,
@@ -43,7 +46,7 @@ from extcalc.functional import (
     directional_from_partials,
     star_from_partials,
 )
-from extcalc.harness import HarnessConfig, report_dict, run_suite
+from extcalc.harness import CATALOG, HarnessConfig, report_dict, run_suite
 
 DIMS = (2, 3, 4)
 TRIALS = 64
@@ -425,3 +428,94 @@ def test_readme_library_example_runs_without_warnings():
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the package namespace and its layers ------------------------------------------
+
+# the 47 public names of `extcalc`, by the module that defines each
+PUBLIC = {
+    "errors": ["ConfigurationError", "DegenerateFrameError", "SingularExtensorError",
+               "TrialError"],
+    "algebra": ["PRODUCT_KINDS", "BasisBlade", "Frame", "Metric", "Multivector",
+                "basis_vectors", "blade_basis", "blade_name", "grade_masks", "max_abs_diff",
+                "product", "random_multivector", "reciprocal_frame", "scalar_value",
+                "unit_pseudoscalar", "wedge_all"],
+    "extensor": ["Extensor", "Outermorphism"],
+    "calculus": ["MvFunction", "dir_deriv", "grad_star"],
+    "dual": ["value_of"],
+    "functional": ["InducedFunctional", "component_partials", "directional_from_partials",
+                   "star_from_partials"],
+    "catalog": ["adjoint_image_functional", "apply_functional", "bivector_functional",
+                "blade_image_functional", "det_functional", "pair_product_functional",
+                "pseudoscalar_image_functional", "trace_functional"],
+    "harness": ["CATALOG", "HarnessConfig", "IdentityResult", "emit_report",
+                "multivector_from_map", "multivector_to_map", "parse_metric", "report_dict",
+                "run_suite"],
+}
+
+
+def _fresh(code: str) -> str:
+    """Standard output of `code` run by a fresh interpreter under -W error."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_package_exports_its_public_names_by_defining_module():
+    names = [name for names in PUBLIC.values() for name in names]
+    assert len(extcalc.__all__) == len(names) == 47
+    assert sorted(extcalc.__all__) == sorted(names)
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"extcalc.{module}")
+        for name in names:
+            value = getattr(extcalc, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+            assert vars(extcalc)[name] is value  # bound: a later read is a plain lookup
+    star = {}
+    exec("from extcalc import *", star)
+    assert all(star[name] is getattr(extcalc, name) for name in extcalc.__all__)
+    assert set(extcalc.__all__) <= set(dir(extcalc))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        extcalc.nope
+    assert not hasattr(extcalc, "nope")
+
+
+def test_a_bare_import_reaches_every_layer_when_a_name_is_read():
+    out = _fresh(
+        "import sys\n"
+        "import extcalc\n"
+        "print(sorted(k for k in sys.modules if k.startswith('extcalc')))\n"
+        "results = extcalc.harness.run_suite(extcalc.HarnessConfig(dim=2, trials=1))\n"
+        "print(len(results), all(r.passed for r in results))\n"
+    )
+    loaded, verdict = out.splitlines()
+    assert loaded == "['extcalc']"
+    assert verdict == f"{len(CATALOG)} True"
+
+
+# each entry module loads exactly these extcalc modules in a fresh interpreter:
+# a module imports only `errors` and the layers below it
+CORE = {"extcalc", "extcalc.errors", "extcalc.algebra"}
+FUNCTIONAL = CORE | {"extcalc.calculus", "extcalc.dual", "extcalc.extensor",
+                     "extcalc.functional"}
+LAYERS = {
+    "extcalc": {"extcalc"},
+    "extcalc.errors": {"extcalc", "extcalc.errors"},
+    "extcalc.algebra": CORE,
+    "extcalc.extensor": CORE | {"extcalc.extensor"},
+    "extcalc.calculus": CORE | {"extcalc.calculus"},
+    "extcalc.dual": CORE | {"extcalc.dual"},
+    "extcalc.functional": FUNCTIONAL,
+    "extcalc.catalog": FUNCTIONAL | {"extcalc.catalog"},
+    "extcalc.harness": FUNCTIONAL | {"extcalc.catalog", "extcalc.harness"},
+    "extcalc.cli": FUNCTIONAL | {"extcalc.catalog", "extcalc.harness", "extcalc.cli"},
+}
+
+
+@pytest.mark.parametrize("entry", LAYERS)
+def test_a_module_loads_only_the_layers_below_it(entry):
+    out = _fresh(f"import sys\nimport {entry}\n"
+                 "print(*sorted(k for k in sys.modules if k.startswith('extcalc')))\n")
+    assert set(out.split()) == LAYERS[entry]

@@ -550,6 +550,22 @@ def test_blade_grade_and_name():
     assert blade.grade == 2
     assert blade.name == "e13"
     assert blade_name(0) == "1"
+    assert blade_name(np.int64(6)) == "e23"
+    assert BasisBlade(np.int64(6)) == BasisBlade(6)
+
+
+@pytest.mark.parametrize("mask", [-1, -6, True, False, 1.0, "1", None])
+def test_a_blade_mask_is_a_non_negative_integer(mask):
+    # -1 read as e1 and True as e1 before; 1.0 raised a bare AttributeError
+    with pytest.raises(ValueError, match="non-negative integer"):
+        blade_name(mask)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        BasisBlade(mask)
+    # True indexed every coefficient: a dense multivector carrying grade 1
+    with pytest.raises(ValueError, match="non-negative integer"):
+        Multivector.from_blade(E3, mask)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        random_multivector(E3, 1, 0).coeff(mask)
 
 
 # -- random generation -----------------------------------------------------------

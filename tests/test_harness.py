@@ -991,6 +991,13 @@ def test_multivector_map_round_trip():
         multivector_from_map(metric, {"e9": 1.0})
 
 
+@pytest.mark.parametrize("coeff", ["x", "1.5", None, [1.0], 1j])
+def test_a_map_coefficient_that_is_not_a_real_number_names_its_blade(coeff):
+    with pytest.raises(ValueError, match=r"coefficient of blade 'e13' must be a real number, got ") as err:
+        multivector_from_map(Metric.euclidean(3), {"e1": 1.0, "e13": coeff})
+    assert repr(coeff) in str(err.value)
+
+
 # -- reports -------------------------------------------------------------------------
 
 
