@@ -33,7 +33,7 @@ _EXPORTS = {
     "calculus": ("MvFunction", "dir_deriv", "grad_star"),
     "dual": ("value_of",),
     "functional": ("InducedFunctional", "component_partials", "directional_from_partials",
-                   "star_from_partials"),
+                   "star_from_partials", "values_and_derivatives"),
     "catalog": ("adjoint_image_functional", "apply_functional", "bivector_functional",
                 "blade_image_functional", "det_functional", "pair_product_functional",
                 "pseudoscalar_image_functional", "trace_functional"),

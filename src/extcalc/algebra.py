@@ -112,6 +112,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateFrameError
 
 MAX_DIM = 8
+FRAME_CONDITION_SCALE = 1e-12  # a Gram matrix with sigma_min <= this * sigma_max is dependent
 PRODUCT_KINDS = ("geometric", "wedge", "scalar", "lcontract")
 
 
@@ -994,7 +995,8 @@ def _coordinate_rows(vectors: Sequence[Multivector], masks) -> np.ndarray:
     if len({r.shape for r in rows}) > 1:
         _trial_count(*(v._values for v in vectors))
         rows = np.broadcast_arrays(*rows)
-    return np.stack(rows, axis=-2)[..., masks]
+    # np.stack(rows, axis=-2) without its Python wrapper
+    return np.concatenate([r[..., None, :] for r in rows], axis=-2)[..., masks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1052,11 +1054,14 @@ class Frame:
         unit = np.ldexp(coords, -shift)
         gram = (unit * tables.weight[tables.blades[1]]) @ np.swapaxes(unit, -1, -2)
         # conditioning, not det size, so that a frame and its scaled copies agree
-        sv = np.linalg.svd(gram, compute_uv=False)
-        if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
-            raise DegenerateFrameError("frame vectors are (numerically) dependent")
+        inverse = _certified_inverse(gram, FRAME_CONDITION_SCALE)
+        if inverse is None:
+            sv = np.linalg.svd(gram, compute_uv=False)
+            if not np.all(sv[..., -1] > FRAME_CONDITION_SCALE * sv[..., 0]):
+                raise DegenerateFrameError("frame vectors are (numerically) dependent")
+            inverse = np.linalg.inv(gram)
         with np.errstate(over="ignore"):
-            recip = np.ldexp(np.linalg.inv(gram) @ unit, -shift)
+            recip = np.ldexp(inverse @ unit, -shift)
         if not np.isfinite(recip).all():
             raise DegenerateFrameError("the reciprocal frame overflows")
         return cls(metric, coords, recip)
@@ -1101,6 +1106,23 @@ class Frame:
         blades[..., _tables(self.metric).blades[grade]] = minors
         blades.flags.writeable = False
         return blades
+
+
+def _certified_inverse(matrices: np.ndarray, scale: float) -> np.ndarray | None:
+    """np.linalg.inv(matrices), (n, n) or (T, n, n), when every matrix G
+    has ||G||_F ||G^-1||_F <= 1 / (10 scale); else None, also for a singular
+    one (LinAlgError).  The product bounds the condition number
+    sigma_max / sigma_min from above, so a certified matrix passes the
+    singular-value test sigma_min > scale * sigma_max with a margin of 10
+    for the rounding in the computed inverse; a None sends the caller to
+    that test, one SVD per matrix."""
+    try:
+        inverse = np.linalg.inv(matrices)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(matrices, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+    return inverse if np.all(bound <= 0.1 / scale) else None
 
 
 def _frame_over(metric: Metric, frame: Frame | None) -> Frame:

@@ -1,25 +1,29 @@
 """Derivatives of multivector functions of multivector variables.
 
-A function of k grade-q variables is differentiated along grade-q directions
-by one private kernel, _derivative_rows, which returns the derivatives along
-m directions as one (bands, m, 2^n) array.  A band is one move of the
-arguments: the (bands, k) `weights` move variable j by weights[c, j] times
-the direction in band c.  The default identity weights give one band per
+Functions of k grade-q variables are differentiated along grade-q
+directions by one private kernel, _derivative_rows, which returns the
+derivatives of r functions of the same variables along m directions as one
+(r, bands, m, 2^n) array.  A band is one move of the arguments: the
+(bands, k) `weights` move variable j by weights[c, j] times the direction
+in band c.  The default identity weights give one band per
 variable, the derivative in that variable alone; one row of weights w gives
 the derivative along the combined move (w_1 d, ..., w_k d), which is
 sum_j w_j times the derivative in variable j (vector forward mode seeds any
 linear combination; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
 2008, ch. 3).  Its `step` argument picks the oracle.  step=None is exact: it
 seeds every requested variable with its weighted copy of the m directions in
-each band of one shared tangent block and reads the tangent block of the
-result, so all bands cost one forward pass of the function, exact for
-anything built from the algebra products, Extensor application and the
-lifted smooth scalar maps.  A positive finite step (_check_step) takes
+each band of one shared tangent block, evaluates each function once on those
+seeded arguments and reads the tangent block of each result, so all bands
+cost one forward pass of each function, exact for anything built from the
+algebra products, Extensor application and the lifted smooth scalar maps;
+the results' value rows are the functions' values, which
+extcalc.functional.values_and_derivatives hands back beside the
+derivatives.  A positive finite step (_check_step) takes
 central finite differences, an independent reference that never seeds a
 tangent: per band, it stacks all 2m perturbed points X + step*w*d_r and
 X - step*w*d_r of each variable the band moves into one batched argument
-(a point batch of 2m rows, see extcalc.algebra) and evaluates the function
-once.  So the default bands evaluate it once per variable.
+(a point batch of 2m rows, see extcalc.algebra) and evaluates each
+function once.  So the default bands evaluate it once per variable.
 
 dir_deriv is the kernel's case of one variable and one direction.  The
 gradient-style operators assemble the blade frame sum
@@ -31,30 +35,34 @@ orthonormal one by default (algebra._frame_over); with the geometric
 product this is the standard derivative with respect to that variable.
 _slot_gradients runs the kernel along the C(n, q) blades f_J in every
 requested variable, or in the weighted bands, and contracts the rows with
-algebra.product_sum, one array contraction for every band together, into a
-(bands, 2^n) array; grad_star is its one-slot case.
+algebra.product_sum, one array contraction for every function and band
+together, into an (r, bands, 2^n) array; grad_star is its case of one
+function and one slot.
 
 Every array above may lead with a trial axis: arguments that are trial
-stacks, (T, b, k) weights or (T, m, 2^n) directions give (T, bands, m, 2^n)
-rows, the trials of the harness evaluated in one pass.  The finite-difference
-points follow the trial axis, (T, 2m, 2^n), so that each trial's batch is
+stacks, (T, b, k) weights or (T, m, 2^n) directions give (T, r, bands, m,
+2^n) rows, the trials of the harness evaluated in one pass.  The
+finite-difference points follow the trial axis, (T, 2m, 2^n), so that each trial's batch is
 one gemm.  A slot that any trial moves is moved in every trial; a trial
 whose weight there is zero takes the unmoved point.  An unstacked call is a
 trial stack of one: the function sees each seeded slot as a (1, 1, 2^n)
 value with a (1, b*m, 2^n) tangent block, or each moved slot as a
 (1, 2m, 2^n) stack of points, and the rows drop the trial axis again.
 
-Two reuse points make one seeded pass serve every function that meets the
-same inputs, each holding its last entry only and comparing its inputs by
-identity (a Multivector is immutable).  The exact branch builds the seeded
-slots once per argument objects, slots, direction-rows object, weights
-bytes and grade (_seeded), and an MvFunction called again with the same
-argument objects returns its last value (MvFunction.__call__).  So the
-functionals of one derivation rule over one anchor tuple (phi + g, phi and
-g; extcalc.functional shares their anchor images), differentiated at one
-map along one direction, evaluate each function once.  This relies on the
-evaluator being a pure function of its arguments.  The finite-difference
-branch builds new points per call, so it reuses nothing.
+An MvFunction called again with the argument objects of its last call
+returns its last value (MvFunction.__call__), so a derived function that
+calls its parents on the seeded arguments, phi + g beside phi and g,
+evaluates each of them once in a pass over all three.  This relies on the
+evaluator being a pure function of its arguments.  One more reuse point
+serves separate passes: the exact branch builds the seeded slots once per
+argument objects, slots, direction-rows object, weights bytes and grade
+(_seeded), holding its last entry only and comparing its inputs by
+identity (a Multivector is immutable).  Its callers are the separate exact
+passes of functionals over one anchor tuple at one map (extcalc.functional
+shares their anchor images): in a harness verdict, the star tables of
+star-fd-coherence's named functionals; every derivation rule makes one
+pass per group.  The finite-difference branch builds new points per call,
+so it reuses nothing.
 """
 
 from __future__ import annotations
@@ -134,25 +142,28 @@ def _check_step(step: float | None):
 
 
 def _derivative_rows(
-    func: MvFunction,
+    funcs: Sequence[MvFunction],
     args: Sequence[Multivector],
     slots: Sequence[int],
     directions: np.ndarray,
     step: float | None = None,
     weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """(b, m, 2^n) derivatives of func along the m rows of the (m, 2^n)
-    `directions` value array, each of grade func.input_grade (the seeded
-    and moved slots carry that grade and their argument's), one band per
-    row of the (b, k) `weights`: band c moves every variable slots[j] by
-    weights[c, j] times the direction.  The default identity weights give
-    one band per slot, the derivative in that variable alone.  Exactly, it
-    is one forward pass, slot slots[j] seeded with weights[c, j] *
-    directions in tangent rows c*m .. (c+1)*m of b*m; by central
-    differences, one batch of the 2m points x + step*w*d and x +
-    -(step*w*d) per band, in the slots its weights move.  With trial stacks
-    (arguments, (T, b, k) weights or (T, m, 2^n) directions) the rows are
-    (T, b, m, 2^n); an unstacked call runs as a stack of one."""
+) -> tuple:
+    """(outs, rows): the (r, b, m, 2^n) derivatives of the r functions
+    `funcs` of one set of variables along the m rows of the (m, 2^n)
+    `directions` value array, each of grade input_grade (the seeded and
+    moved slots carry that grade and their argument's), one band per row of
+    the (b, k) `weights`: band c moves every variable slots[j] by weights[c,
+    j] times the direction.  The default identity weights give one band per
+    slot, the derivative in that variable alone.  Exactly, it is one forward
+    pass of each function, slot slots[j] seeded with weights[c, j] *
+    directions in tangent rows c*m .. (c+1)*m of b*m, and `outs` holds
+    each function's result there, its value rows the function's value at
+    the arguments; by central differences, one batch of the 2m points x +
+    step*w*d and x + -(step*w*d) per band, in the slots its weights move,
+    and `outs` is None.  With trial stacks (arguments, (T, b, k) weights or
+    (T, m, 2^n) directions) the rows are (T, r, b, m, 2^n); an unstacked
+    call runs as a stack of one."""
     _check_step(step)
     metric = args[slots[0]].metric
     m, size = directions.shape[-2], metric.size
@@ -163,15 +174,18 @@ def _derivative_rows(
     bands = weights.shape[-2]
     # the moved slots carry their argument's grades and the directions' one,
     # or every grade where a weight of inf or NaN makes NaN of the zeros
-    grade = 1 << func.input_grade if np.isfinite(weights).all() else (2 << metric.dim) - 1
+    grade = 1 << funcs[0].input_grade if np.isfinite(weights).all() else (2 << metric.dim) - 1
     if step is None:
-        block = func(*_seeded(args, tuple(slots), directions, weights, grade, trials))._tangents
-        if block is None:  # func ignores every seeded slot
-            block = np.zeros((trials, bands * m, size))
-        rows = block.reshape(trials, bands, m, size)
+        seeded = _seeded(args, tuple(slots), directions, weights, grade, trials)
+        outs = [func(*seeded) for func in funcs]
+        # a function that ignores every seeded slot has no tangent block
+        blocks = [np.zeros((trials, bands * m, size)) if out._tangents is None
+                  else out._tangents for out in outs]
+        rows = blocks[0][:, None] if len(blocks) == 1 else np.stack(blocks, axis=1)
+        rows = rows.reshape(trials, len(funcs), bands, m, size)
     else:
-        steps = step * directions
-        bands_rows = []
+        outs, steps = None, step * directions
+        rows = np.empty((trials, len(funcs), bands, m, size))
         for c in range(bands):
             batched = list(args)
             for j, i in enumerate(slots):
@@ -181,11 +195,11 @@ def _derivative_rows(
                     batched[i] = Multivector._raw(
                         metric, np.concatenate([x + moves, x + -moves], axis=-2),
                         bits=_grade_bits(args[i]) | grade)
-            # an evaluator that ignores the moved slots returns one unbatched value
-            out = _broadcast(func(*batched)._values, (trials, 2 * m, size))
-            bands_rows.append((out[..., :m, :] - out[..., m:, :]) / (2.0 * step))
-        rows = np.stack(bands_rows, axis=-3)
-    return rows if stacked is not None else rows[0]
+            for r, func in enumerate(funcs):
+                # an evaluator that ignores the moved slots returns one unbatched value
+                out = _broadcast(func(*batched)._values, (trials, 2 * m, size))
+                rows[:, r, c] = (out[..., :m, :] - out[..., m:, :]) / (2.0 * step)
+    return outs, (rows if stacked is not None else rows[0])
 
 
 # the last exact pass's seeded arguments and what they were built from, see _seeded
@@ -242,29 +256,32 @@ def dir_deriv(
     """
     _check_slot(func, args, var_index)
     _check_operand(direction, args[var_index].metric, func.input_grade, "direction")
-    rows = _derivative_rows(func, args, (var_index,), _rows(direction)[..., None, :], step)
-    return _trial_rows(direction.metric, rows[..., 0, 0, :])
+    rows = _derivative_rows((func,), args, (var_index,), _rows(direction)[..., None, :], step)[1]
+    return _trial_rows(direction.metric, rows[..., 0, 0, 0, :])
 
 
 def _slot_gradients(
-    func: MvFunction,
+    funcs: Sequence[MvFunction],
     args: Sequence[Multivector],
     slots: Sequence[int],
     kind: str = "geometric",
     frame: Frame | None = None,
     step: float | None = None,
     weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """(k, 2^n) array of grad_star in each of the k `slots`: the frame sum,
-    one product_sum, of the derivatives along the C(n, q) frame blades, which
-    come from one _derivative_rows call.  With (b, k) `weights`, the b
-    weighted sums sum_j weights[c, j] * grad_star in slots[j], (b, 2^n),
-    each from one band of that call.  The caller has checked the slots."""
+) -> tuple:
+    """(outs, gradients): the (r, k, 2^n) array of grad_star of each of
+    the r functions `funcs` in each of the k `slots`, the frame sums, one
+    product_sum for all of them, of the derivatives along the C(n, q) frame
+    blades, which come from one _derivative_rows call, and that call's
+    function results (None by central differences).  With (b, k)
+    `weights`, the b weighted sums sum_j weights[c, j] * grad_star in
+    slots[j], (r, b, 2^n), each from one band of that call.  The caller has
+    checked the slots."""
     metric = args[slots[0]].metric
-    q = func.input_grade
+    q = funcs[0].input_grade
     primal, recip = _frame_over(metric, frame).blades(q)
-    rows = _derivative_rows(func, args, slots, primal, step, weights)
-    return product_sum(metric, (kind,), q, recip[..., None, :, :], rows)[0]
+    outs, rows = _derivative_rows(funcs, args, slots, primal, step, weights)
+    return outs, product_sum(metric, (kind,), q, recip[..., None, None, :, :], rows)[0]
 
 
 def grad_star(
@@ -283,5 +300,5 @@ def grad_star(
     This is the one-slot case of _slot_gradients.
     """
     _check_slot(func, args, var_index)
-    grad = _slot_gradients(func, args, (var_index,), kind, frame, step)[..., 0, :]
+    grad = _slot_gradients((func,), args, (var_index,), kind, frame, step)[1][..., 0, 0, :]
     return _trial_rows(args[var_index].metric, grad)

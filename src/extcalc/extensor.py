@@ -43,9 +43,9 @@ import numpy as np
 # small float matrix): the same LAPACK LU, so the same bits
 from numpy.linalg._umath_linalg import det as _det
 
-from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _check_grade,
-                      _check_metric, _check_operand, _compound, _coordinate_rows, _tables,
-                      _trial_count, _trial_rows, _uniform)
+from .algebra import (MAX_DIM, Frame, Metric, Multivector, _as_rng, _as_stack, _certified_inverse,
+                      _check_grade, _check_metric, _check_operand, _compound, _coordinate_rows,
+                      _tables, _trial_count, _trial_rows, _uniform)
 from .errors import SingularExtensorError
 
 SINGULARITY_SCALE = 1e-9  # sigma_min <= SINGULARITY_SCALE * sigma_max means singular
@@ -184,12 +184,15 @@ class Extensor:
         if not np.isfinite(self.matrix).all():
             raise SingularExtensorError("a map with a NaN or inf entry has no inverse")
         # conditioning, not det size: a scaled copy of an invertible map inverts too
-        sv = np.linalg.svd(self.matrix, compute_uv=False).reshape(-1, self.metric.dim)
-        singular = ~(sv[:, -1] > SINGULARITY_SCALE * sv[:, 0])
-        if singular.any():  # the first singular trial of a stack
-            low, high = sv[np.argmax(singular)][[-1, 0]]
-            raise SingularExtensorError(f"singular values {low:g} .. {high:g}: singular")
-        return Extensor(self.metric, np.linalg.inv(self.matrix))
+        inverse = _certified_inverse(self.matrix, SINGULARITY_SCALE)
+        if inverse is None:
+            sv = np.linalg.svd(self.matrix, compute_uv=False).reshape(-1, self.metric.dim)
+            singular = ~(sv[:, -1] > SINGULARITY_SCALE * sv[:, 0])
+            if singular.any():  # the first singular trial of a stack
+                low, high = sv[np.argmax(singular)][[-1, 0]]
+                raise SingularExtensorError(f"singular values {low:g} .. {high:g}: singular")
+            inverse = np.linalg.inv(self.matrix)
+        return Extensor(self.metric, inverse)
 
     # -- matrix components over a frame ---------------------------------------
 

@@ -31,9 +31,15 @@ directional derivative is linear in the weights w_i = A . A^i, so it is one
 weighted pass of the calculus kernel: along each grade-q frame blade f_J,
 slot i moves by w_i f_J, with C(n, q) tangent rows in all, or one batch of
 2 C(n, q) points per slot and one evaluation of F; one geometric
-product_sum against the reciprocal blades finishes it.  The star operators
-get the slot gradients dF/dX^i as one (k, 2^n) array: exactly from one
-forward pass of F, or by one batched finite difference per slot.  Each star
+product_sum against the reciprocal blades finishes it.
+values_and_derivatives takes r functionals that share their anchors and
+variables, the functionals of a derivation rule, and D directions: one band
+per direction, one pass of each function and one product_sum give every
+derivative, and the exact pass's value rows give the values at the map;
+directional_derivative is its case of one functional and one direction.
+The star operators get the slot gradients dF/dX^i as one (k, 2^n) array:
+exactly from one forward pass of F, or by one batched finite difference per
+slot.  Each star
 form is one algebra.product_sum over the product kinds, of the anchors with
 the gradients or, in derivative_via_frame, of the reciprocal frame blades
 with the blade derivatives (blade . anchor weights times the gradients).
@@ -46,9 +52,11 @@ multivector, is immutable), one last entry per reuse point.  The anchor
 images t(A^i) are mapped once per anchor objects and map object
 (_anchor_images), and every functional over those anchor objects reads
 them: a derived one, or one built separately over the same anchors.  So
-the functionals of one derivation rule, differentiated at one map along one
-direction, hand F the same seeded arguments, and F returns its last value
-to them (calculus: _seeded and MvFunction.__call__).  A functional also
+separate calls of functionals over one anchor tuple at one map hand F the
+same seeded arguments, and F returns its last value to them (calculus:
+_seeded and MvFunction.__call__); in a harness verdict these are the star
+tables of star-fd-coherence's named functionals, while every derivation
+rule makes one values_and_derivatives call per group.  A functional also
 keeps the slot gradients of each step at the last map it met, so the exact
 and finite-difference routes at one map map the anchors once, and its star
 tables over any frames share one gradient pass.  A derived functional
@@ -160,14 +168,19 @@ class InducedFunctional:
         """The (k, 2^n) slot gradients dF/dX^i at t's images, read-only."""
         images, known = self._mapped(t)
         if step not in known:
-            grads = _slot_gradients(self.func, images, range(self.arity), step=step)
+            grads = _slot_gradients((self.func,), images, range(self.arity), step=step)[1]
+            grads = grads[..., 0, :, :]
             grads.flags.writeable = False
             known[step] = grads
         return known[step]
 
     def evaluate(self, t: Extensor) -> Multivector:
         """F at t's anchor images; a ValueError off F's declared output grade."""
-        value, grade = self.func(*self.arguments(t)), self.func.output_grade
+        return self._checked(self.func(*self.arguments(t)))
+
+    def _checked(self, value: Multivector) -> Multivector:
+        """value, a ValueError when it is off F's declared output grade."""
+        grade = self.func.output_grade
         if grade is not None and not value.is_homogeneous(grade):
             raise ValueError(f"value is not of the declared output grade {grade}")
         return value
@@ -195,23 +208,9 @@ class InducedFunctional:
     def directional_derivative(
         self, t: Extensor, direction: Multivector, step: float | None = None
     ) -> Multivector:
-        """Derivative along a grade-p direction; linear in the direction."""
-        _check_step(step)
-        self._check_map(t)
-        _check_operand(direction, self.metric, self.source_grade, "direction")
-        trials = _trial_count(self._anchor_values, t.matrix, direction._values)
-        weights = self._anchor_weights(_rows(direction)[..., None, :])
-        moved = weights.any(axis=-1)  # (1,), or (T, 1) for a trial stack
-        if not moved.any():  # zero by linearity, F unevaluated; a stack stays one
-            shape = (self.metric.size,) if trials is None else (trials, self.metric.size)
-            return _trial_rows(self.metric, np.zeros(shape))
-        # one band: slot i moves by (direction . A^i) times each frame blade
-        args = self.arguments(t)
-        grad = _slot_gradients(self.func, args, range(self.arity), step=step, weights=weights)
-        grad = grad[..., 0, :]
-        if not moved.all():  # a trial with zero weights has zero derivative
-            grad = np.where(moved, grad, 0.0)
-        return _trial_rows(self.metric, grad)
+        """Derivative along a grade-p direction; linear in the direction.
+        The one-functional, one-direction case of values_and_derivatives."""
+        return _trial_rows(self.metric, _along((self,), t, (direction,), step)[1][..., 0, 0, :])
 
     def derivative_table(
         self, t: Extensor, kinds: Sequence[str], step: float | None = None
@@ -243,17 +242,22 @@ class InducedFunctional:
 
     # -- combinators -----------------------------------------------------------
 
+    def _check_shared(self, other: "InducedFunctional"):
+        """A ValueError unless `other` shares this functional's anchor tuple
+        (equal anchor values over one metric and grade) and variables."""
+        if not (self.metric == other.metric and self.source_grade == other.source_grade
+                and np.array_equal(self._anchor_values, other._anchor_values)):
+            raise ValueError("functionals must share their anchor tuple")
+        if (self.arity, self.func.input_grade) != (other.arity, other.func.input_grade):
+            raise ValueError("functions take different variables")
+
     def _derived(self, output_grade: int | None, value: Callable,
                  other: "InducedFunctional | None" = None) -> "InducedFunctional":
         """This functional's anchors and variables with F = value; `other`, if given,
         must share both (equal anchor values over one metric and grade, same variables)."""
         f = self.func
         if other is not None:
-            if not (self.metric == other.metric and self.source_grade == other.source_grade
-                    and np.array_equal(self._anchor_values, other._anchor_values)):
-                raise ValueError("functionals must share their anchor tuple")
-            if (f.arity, f.input_grade) != (other.arity, other.func.input_grade):
-                raise ValueError("functions take different variables")
+            self._check_shared(other)
         return InducedFunctional(MvFunction(f.arity, f.input_grade, output_grade, value),
                                  self.anchors, self.source_grade)
 
@@ -289,6 +293,72 @@ class InducedFunctional:
             0, lambda *xs: Multivector.from_scalar(metric, fn(f(*xs).scalar_part())))
 
 
+def values_and_derivatives(
+    functionals: Sequence[InducedFunctional],
+    t: Extensor,
+    directions: Sequence[Multivector],
+    step: float | None = None,
+) -> tuple:
+    """(values, derivatives) of r functionals that share their anchor tuple
+    and variables (as the functionals of one derivation rule do): values[i]
+    is functionals[i]'s value at t and derivatives[i][j] its
+    directional_derivative along directions[j], bit for bit what that call
+    gives alone.  Exactly, all of them come from one forward pass of each
+    function, seeded along the frame blades in one band per direction, and
+    one product_sum.  The values are that pass's value rows, checked
+    against the declared output grade as evaluate checks: evaluate(t) bit
+    for bit for a function built from the products, sums, maps and lifted
+    maps of its arguments.  A coefficient the function reads (scalar_part)
+    is a grade-0 jet in the pass, so scaling by it goes through the
+    geometric product, where a zero may take the other sign, and a lifted
+    map of it is math's on each trial where a plain trial stack's is
+    numpy's.  By central differences, or when no direction moves any slot,
+    the values are evaluate's."""
+    outs, grads = _along(functionals, t, directions, step)
+    derivatives = [[_trial_rows(t.metric, grads[..., i, j, :]) for j in range(len(directions))]
+                   for i in range(len(functionals))]
+    if outs is None:
+        return [phi.evaluate(t) for phi in functionals], derivatives
+    # the arguments' layout: an unstacked functional at an unstacked map
+    # gives one value, though a stacked direction makes a stacked pass
+    one = _trial_count(functionals[0]._anchor_values, t.matrix) is None
+    # grades unknown: a value row may be zero where the tangent rows are not
+    values = [Multivector._raw(t.metric, out._values[0, 0] if one and out._values.ndim == 3
+                               else out._values) for out in outs]
+    return [phi._checked(v) for phi, v in zip(functionals, values)], derivatives
+
+
+def _along(functionals, t: Extensor, directions, step: float | None) -> tuple:
+    """(outs, derivatives) of values_and_derivatives: outs, the function
+    results of the exact pass, or None when there is none (a step, or no
+    direction moving a slot in any trial: then F is unevaluated); the
+    derivatives as one (r, D, 2^n) array, (T, r, D, 2^n) for a trial stack.
+    Direction j's weights w_i = directions[j] . A^i make band j of the pass:
+    slot i moves by w_i times each frame blade."""
+    _check_step(step)
+    if not functionals or not directions:
+        raise ValueError("need at least one functional and one direction")
+    first = functionals[0]
+    first._check_map(t)
+    for phi in functionals[1:]:
+        first._check_shared(phi)
+    for d in directions:
+        _check_operand(d, first.metric, first.source_grade, "direction")
+    trials = _trial_count(first._anchor_values, t.matrix, *(d._values for d in directions))
+    weights = first._anchor_weights(_coordinate_rows(directions, slice(None)))
+    moved = weights.any(axis=-1)  # (D,), or (T, D) for a trial stack
+    outs = None
+    if not moved.any():  # zero by linearity, F unevaluated; a stack stays one
+        lead = () if trials is None else (trials,)
+        grads = np.zeros(lead + (len(functionals), len(directions), first.metric.size))
+    else:
+        outs, grads = _slot_gradients([phi.func for phi in functionals], first.arguments(t),
+                                      range(first.arity), step=step, weights=weights)
+        if not moved.all():  # a trial with zero weights has zero derivative
+            grads = np.where(moved[..., None, :, None], grads, 0.0)
+    return outs, grads
+
+
 # -- bridge to classical matrix calculus ---------------------------------------
 
 
@@ -321,7 +391,7 @@ def component_partials(
     recip = frame.blades(1)[1]
     a = phi._anchor_weights(recip)[..., 0]  # anchor . f^p, (n,) or (T, n)
     if step is None:
-        along = _derivative_rows(phi.func, phi.arguments(t), (0,), recip)[..., 0, :, 0]
+        along = _derivative_rows((phi.func,), phi.arguments(t), (0,), recip)[1][..., 0, 0, :, 0]
         return a[..., :, None] * along[..., None, :]  # np.outer, trial by trial
     bumps = step * np.eye(n * n).reshape(n * n, n, n)
     comps = t.to_components(frame)[..., None, :, :]

@@ -22,8 +22,11 @@ _float; _name, a drawn choice, made the per-trial tuple; _repeat, a tuple.
 _Trials makes every cell's group, one trial or several, a trial stack whose
 sides, which read the fields by name, are evaluated once (extcalc.algebra;
 vector forward mode over a batch, Griewank & Walther, Evaluating
-Derivatives, 2nd ed., 2008, ch. 3).  Trial r's deviation is bit for bit
-what trial r gives alone.  run_suite checks each identity's worst trial,
+Derivatives, 2nd ed., 2008, ch. 3); a directional derivation rule's sides
+come from one values_and_derivatives call per group, the values at h and
+the derivatives of its functionals along its directions from one seeded
+pass (Inputs.along).  Trial r's deviation is bit for bit what trial r
+gives alone.  run_suite checks each identity's worst trial,
 the first non-finite deviation, else the first largest, against a
 tolerance and, on failure, reports witness_of(r) of that trial, its row
 made alone as a stack of one (Inputs.witness).  Checks with an -fd suffix
@@ -83,6 +86,7 @@ from .functional import (
     component_partials,
     directional_from_partials,
     star_from_partials,
+    values_and_derivatives,
 )
 
 SUITES = ("closed-form", "properties", "bridge")
@@ -218,6 +222,13 @@ class Inputs(SimpleNamespace):
         direction at h, exact or with a finite-difference step."""
         phi = self.phi if phi is None else phi
         return phi.directional_derivative(self.h, self.direction, step=step)
+
+    def along(self, phis, directions=None) -> tuple:
+        """(values, derivatives) of the functionals phis, which share phi's
+        anchors, at h, each along each of `directions` (default: the drawn
+        direction alone): one seeded pass (values_and_derivatives)."""
+        directions = (self.direction,) if directions is None else directions
+        return values_and_derivatives(phis, self.h, directions)
 
     def witness(self) -> dict:
         """Trial 0's record: the map's, then each field named in WITNESS_FIELDS,
@@ -630,9 +641,19 @@ _DIRECTION = ("direction", _mv("p"))
 
 
 def _linearity_sides(x):
-    lhs = x.phi.directional_derivative(x.h, x.alpha * x.direction + x.beta * x.b)
-    rhs = x.alpha * x.derivative() + x.beta * x.phi.directional_derivative(x.h, x.b)
-    return [(lhs, rhs)]
+    _, ((lhs, along_direction, along_b),) = x.along(
+        (x.phi,), (x.alpha * x.direction + x.beta * x.b, x.direction, x.b))
+    return [(lhs, x.alpha * along_direction + x.beta * along_b)]
+
+
+def _scaling_sides(x):
+    _, ((lhs,), (rhs,)) = x.along((x.phi.scaled(x.scale), x.phi))
+    return [(lhs, x.scale * rhs)]
+
+
+def _right_constant_sides(x):
+    _, ((lhs,), (rhs,)) = x.along((x.phi.times_constant(x.constant), x.phi))
+    return [(lhs, rhs.geometric(x.constant))]
 
 
 # a second value function over the setup's grades, then a direction
@@ -645,10 +666,15 @@ def _two_functionals(x):
     return dict(_setup(x), g=g)
 
 
+def _additivity_sides(x):
+    _, ((lhs,), (along_phi,), (along_g,)) = x.along((x.phi + x.g, x.phi, x.g))
+    return [(lhs, along_phi + along_g)]
+
+
 def _leibniz_sides(x):
-    phi_val = value_of(x.phi.evaluate(x.h).scalar_part())
-    rhs = x.derivative().geometric(x.g.evaluate(x.h)) + phi_val * x.derivative(x.g)
-    return [(x.derivative(x.phi.times_functional(x.g)), rhs)]
+    (_, phi_t, g_t), ((lhs,), (along_phi,), (along_g,)) = x.along(
+        (x.phi.times_functional(x.g), x.phi, x.g))
+    return [(lhs, along_phi.geometric(g_t) + value_of(phi_t.scalar_part()) * along_g)]
 
 
 # the chain rule's smooth maps, of a (T, P) array or a grade-0 jet, their
@@ -660,9 +686,10 @@ _BRIDGE_MAPS = {"linear": lambda s: s, "square": _SMOOTH_MAPS["square"], "exp": 
 
 def _chain_sides(x):
     rows = _rows_by(x.smooth)
+    (_, phi_t), ((lhs,), (along_phi,)) = x.along(
+        (x.phi.map_scalar(_per_trial(rows, _SMOOTH_MAPS)), x.phi))
     dfn = _per_trial(rows, _SMOOTH_DERIVATIVES)
-    rhs = dfn(value_of(x.phi.evaluate(x.h).scalar_part())) * x.derivative()
-    return [(x.derivative(x.phi.map_scalar(_per_trial(rows, _SMOOTH_MAPS))), rhs)]
+    return [(lhs, dfn(value_of(phi_t.scalar_part())) * along_phi)]
 
 
 def _via_frames(x):
@@ -778,14 +805,9 @@ CATALOG: tuple[IdentityCheck, ...] = (
     _rule("direction-linearity",
           (_DIRECTION, ("b", _mv("p")), ("alpha", _float(-2.0, 2.0)), ("beta", _float(-2.0, 2.0))),
           _linearity_sides),
-    _rule("scaling-rule", (_DIRECTION, ("scale", _float(-2.0, 2.0))),
-          lambda x: [(x.derivative(x.phi.scaled(x.scale)), x.scale * x.derivative())]),
-    _rule("right-constant-rule", (_DIRECTION, ("constant", _mv(None))),
-          lambda x: [(x.derivative(x.phi.times_constant(x.constant)),
-                      x.derivative().geometric(x.constant))]),
-    _rule("additivity-rule", _OTHER,
-          lambda x: [(x.derivative(x.phi + x.g), x.derivative() + x.derivative(x.g))],
-          _two_functionals),
+    _rule("scaling-rule", (_DIRECTION, ("scale", _float(-2.0, 2.0))), _scaling_sides),
+    _rule("right-constant-rule", (_DIRECTION, ("constant", _mv(None))), _right_constant_sides),
+    _rule("additivity-rule", _OTHER, _additivity_sides, _two_functionals),
     _rule("leibniz-rule", _OTHER, _leibniz_sides, _two_functionals, scalar_valued=True),
     # relative: exp of a large functional value makes both sides large
     _rule("chain-rule", (("smooth", _name(("square", "exp", "sin"))), _DIRECTION), _chain_sides,

@@ -432,7 +432,7 @@ def test_readme_library_example_runs_without_warnings():
 
 # -- the package namespace and its layers ------------------------------------------
 
-# the 47 public names of `extcalc`, by the module that defines each
+# the 48 public names of `extcalc`, by the module that defines each
 PUBLIC = {
     "errors": ["ConfigurationError", "DegenerateFrameError", "SingularExtensorError",
                "TrialError"],
@@ -444,7 +444,7 @@ PUBLIC = {
     "calculus": ["MvFunction", "dir_deriv", "grad_star"],
     "dual": ["value_of"],
     "functional": ["InducedFunctional", "component_partials", "directional_from_partials",
-                   "star_from_partials"],
+                   "star_from_partials", "values_and_derivatives"],
     "catalog": ["adjoint_image_functional", "apply_functional", "bivector_functional",
                 "blade_image_functional", "det_functional", "pair_product_functional",
                 "pseudoscalar_image_functional", "trace_functional"],
@@ -464,7 +464,7 @@ def _fresh(code: str) -> str:
 
 def test_the_package_exports_its_public_names_by_defining_module():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(extcalc.__all__) == len(names) == 47
+    assert len(extcalc.__all__) == len(names) == 48
     assert sorted(extcalc.__all__) == sorted(names)
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"extcalc.{module}")

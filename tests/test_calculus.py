@@ -448,7 +448,7 @@ def test_slot_gradients_match_per_slot_grad_star(case):
     if random_frame:
         carrier = Extensor.random_invertible(metric, rng)
         frame = Frame.from_vectors([carrier(e) for e in basis_vectors(metric)])
-    got = _slot_gradients(func, args, slots, kind, frame, step)
+    got = _slot_gradients((func,), args, slots, kind, frame, step)[1][0]
     assert got.shape == (len(slots), metric.size)
     recip = max(r.norm_inf() for _, r in blade_pairs(frame, q))
     for slot, grad in zip(slots, got):
@@ -493,7 +493,7 @@ def test_exact_partial_gradients_evaluate_the_function_once():
     for i, grad in enumerate(grads):
         assert max_abs_diff(grad, grad_star(func, phi.arguments(t), i)) < 1e-13
     calls.clear()
-    grads = _slot_gradients(func, phi.arguments(t), (0, 2))
+    grads = _slot_gradients((func,), phi.arguments(t), (0, 2))[1][0]
     assert calls == [(((1, 1, 16), 8), ((16,), None), ((1, 1, 16), 8))]
     assert grads.shape == (2, metric.size)
 
@@ -506,7 +506,7 @@ def test_fd_partial_gradients_evaluate_the_function_once_per_slot():
     anchors = tuple(random_multivector(metric, 1, rng) for _ in range(3))
     phi = InducedFunctional(func, anchors, 1)
     t = Extensor.random_invertible(metric, rng)
-    _slot_gradients(func, phi.arguments(t), (0, 2), step=DEFAULT_FD_STEP)
+    _slot_gradients((func,), phi.arguments(t), (0, 2), step=DEFAULT_FD_STEP)
     # 2 * C(4, 1) points per slot, the moved slot a trial stack of one batch
     point, batch = ((16,), None), ((1, 8, 16), None)
     assert calls == [(batch, point, point), (point, point, batch)]
@@ -529,7 +529,7 @@ def test_partial_gradients_and_the_star_table_share_one_gradient_pass():
     t = Extensor.random_invertible(metric, rng)
     for step, passes in ((None, 1), (DEFAULT_FD_STEP, 3)):
         args = InducedFunctional(plain, anchors, 1).arguments(t)
-        want = _slot_gradients(plain, args, range(3), step=step)
+        want = _slot_gradients((plain,), args, range(3), step=step)[1][0]
         for first in ("partials", "table"):
             phi = InducedFunctional(_recording(plain, calls), anchors, 1)
             calls.clear()
@@ -554,11 +554,11 @@ def test_slot_the_function_ignores_gets_an_exact_zero():
     for func in funcs:
         for step in (None, DEFAULT_FD_STEP):
             for kind in PRODUCT_KINDS:
-                grads = _slot_gradients(func, args, (2, 1, 0), kind, step=step)
+                grads = _slot_gradients((func,), args, (2, 1, 0), kind, step=step)[1][0]
                 assert grads.shape == (3, metric.size)
                 assert not grads[1].any()
     for kind in PRODUCT_KINDS:
-        assert not _slot_gradients(funcs[1], args, (0, 1, 2), kind).any()
+        assert not _slot_gradients(funcs[1:], args, (0, 1, 2), kind)[1].any()
 
 
 # -- product rule sanity ------------------------------------------------------------

@@ -17,7 +17,7 @@ from extcalc.algebra import (
 )
 from extcalc import algebra
 from extcalc.algebra import _as_stack, _compound
-from extcalc.errors import ConfigurationError, SingularExtensorError
+from extcalc.errors import ConfigurationError, DegenerateFrameError, SingularExtensorError
 from extcalc.extensor import _SHIFTS, INVERTIBLE_MIN_DET, Extensor, Outermorphism, _det
 
 E2 = Metric.euclidean(2)
@@ -569,6 +569,91 @@ def test_ill_conditioned_map_inverts():
         rotated = u @ np.diag(np.logspace(0, -np.log10(cond), n)) @ v.T
         h = Extensor(signed_metric(n), rotated)
         assert np.linalg.norm((h.inverse() @ h).matrix - np.eye(n), 2) <= 1e-6
+
+
+# -- the conditioning guard: a Frobenius-norm certificate before any SVD ---------------
+
+
+def _counting_svd(monkeypatch) -> list:
+    """Record the shape of every np.linalg.svd argument."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _svd_frame_recip(metric, coords):
+    """The reciprocals of the frame of `coords` by the SVD test alone, as
+    Frame._of_coords made them before the certificate, or None when that
+    test finds the frame dependent."""
+    tables = algebra._tables(metric)
+    shift = np.frexp(np.abs(coords).max(axis=(-2, -1), keepdims=True))[1]
+    unit = np.ldexp(coords, -shift)
+    gram = (unit * tables.weight[tables.blades[1]]) @ np.swapaxes(unit, -1, -2)
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if not np.all(sv[..., -1] > 1e-12 * sv[..., 0]):
+        return None
+    return np.ldexp(np.linalg.inv(gram) @ unit, -shift)
+
+
+def test_well_conditioned_frame_and_map_stacks_take_no_svd(monkeypatch):
+    metric = signed_metric(3)
+    rng = np.random.default_rng(80)
+    matrices = np.stack([Extensor.random_invertible(metric, rng).matrix for _ in range(64)])
+    want_recip = _svd_frame_recip(metric, matrices)
+    calls = _counting_svd(monkeypatch)
+    frame = Frame._of_coords(metric, matrices)
+    inverse = Extensor(metric, matrices).inverse()
+    assert calls == []
+    assert frame.recip.tobytes() == want_recip.tobytes()
+    assert inverse.matrix.tobytes() == np.linalg.inv(matrices).tobytes()
+
+
+def test_a_frame_or_map_near_the_threshold_takes_the_svd_and_keeps_its_result(monkeypatch):
+    # condition numbers between the certificate's bound and the threshold:
+    # the Frobenius product is past 1 / (10 * threshold), the singular values
+    # pass, and the reciprocals and inverse are those of the SVD route
+    metric = Metric.euclidean(3)
+    rng = np.random.default_rng(81)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    coords = u @ np.diag([1.0, 0.5, 1.5e-6]) @ v.T  # Gram condition near 4.4e11
+    matrix = u @ np.diag([1.0, 0.5, 4e-9]) @ v.T  # condition 2.5e8
+    want_recip = _svd_frame_recip(metric, coords)
+    assert want_recip is not None
+    calls = _counting_svd(monkeypatch)
+    frame = Frame._of_coords(metric, coords)
+    assert calls == [(3, 3)]
+    assert frame.recip.tobytes() == want_recip.tobytes()
+    stack = np.stack([np.eye(3), matrix])
+    assert Extensor(metric, stack).inverse().matrix.tobytes() == np.linalg.inv(stack).tobytes()
+    assert calls == [(3, 3), (2, 3, 3)]
+
+
+def test_dependent_frames_and_singular_maps_keep_their_errors(monkeypatch):
+    e1, e2, _ = basis_vectors(E3)
+    calls = _counting_svd(monkeypatch)
+    near = np.diag([1.0, 1.0, 1e-7])  # Gram condition 1e14, past the threshold
+    for coords in (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), near,
+                   np.stack([np.eye(3), near])):
+        with pytest.raises(DegenerateFrameError,
+                           match=re.escape("frame vectors are (numerically) dependent")):
+            Frame._of_coords(E3, coords)
+    with pytest.raises(DegenerateFrameError, match="dependent"):
+        Frame.from_vectors([e1, e2, e1 + e2])
+    assert len(calls) == 4
+    singular = Extensor.from_vector_images(E3, [e1, e2, e1 + e2]).matrix
+    for matrix in (singular, np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-10]),
+                   np.stack([np.eye(3), np.diag([2.0, 1.0, 1e-10]), singular])):
+        sv = np.linalg.svd(matrix, compute_uv=False).reshape(-1, 3)
+        low, high = sv[np.flatnonzero(~(sv[:, -1] > 1e-9 * sv[:, 0]))[0]][[-1, 0]]
+        with pytest.raises(SingularExtensorError,
+                           match=re.escape(f"singular values {low:g} .. {high:g}: singular")):
+            Extensor(E3, matrix).inverse()
 
 
 # -- composition -----------------------------------------------------------------------

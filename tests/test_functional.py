@@ -33,6 +33,7 @@ from extcalc.functional import (
     component_partials,
     directional_from_partials,
     star_from_partials,
+    values_and_derivatives,
 )
 
 E2 = Metric.euclidean(2)
@@ -824,6 +825,92 @@ def test_a_function_returns_its_last_value_to_the_same_arguments_only():
     assert func(_copied(x)) is not first  # an equal copy is another argument
     assert func(x) is not first  # one entry: the copy took its place
     assert len(log) == 3
+
+
+def _group_functions(metric, k, rng):
+    """A scalar-valued F and a multivector-valued G of k vector variables."""
+    if k == 2:
+        return _rule_functions(metric, rng)
+    c, d = (random_multivector(metric, 1, rng) for _ in range(2))
+    f = MvFunction(1, 1, 0, lambda x: x.scalar_product(x) + x.scalar_product(c))
+    g = MvFunction(1, 1, None, lambda x: x.geometric(d) + x.wedge(c))
+    return f, g
+
+
+@pytest.mark.parametrize("step", [None, DEFAULT_FD_STEP])
+@pytest.mark.parametrize("trials", [None, 3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("metric", [E3, NON_UNIT4], ids=["E3", "diag:2,-1,0.5,-3"])
+def test_values_and_derivatives_equal_separate_calls(metric, k, trials, step):
+    # the values and every derivative of a rule group, from one call, are bit
+    # for bit what evaluate and directional_derivative give on fresh objects;
+    # one direction moves no slot in some trials (all, when unstacked).  A
+    # value whose F scales by a coefficient it reads (times_functional) or
+    # lifts one (map_scalar) is a jet's there: equal, but a zero may take
+    # the other sign, and math's exp may differ from numpy's in the last bit
+    rng = np.random.default_rng(70 + k)
+    f, g = _group_functions(metric, k, rng)
+    zero = Multivector.zero(metric)
+    if trials is None:
+        anchors = tuple(random_multivector(metric, 1, rng) for _ in range(k))
+        t = Extensor.random_invertible(metric, rng)
+        directions = (random_multivector(metric, 1, rng), zero, random_multivector(metric, 1, rng))
+    else:
+        anchors = tuple(Multivector.stack([random_multivector(metric, 1, rng)
+                                           for _ in range(trials)]) for _ in range(k))
+        t = Extensor(metric, [Extensor.random_invertible(metric, rng).matrix
+                              for _ in range(trials)])
+        directions = (Multivector.stack([random_multivector(metric, 1, rng)
+                                         for _ in range(trials)]),
+                      Multivector.stack([zero, random_multivector(metric, 1, rng), zero]),
+                      random_multivector(metric, 1, rng))
+    log = []
+
+    def group(f, g, anchors):
+        phi, gam = (InducedFunctional(fn, anchors, 1) for fn in (f, g))
+        return (phi + gam, phi, gam, phi.times_functional(gam), phi.map_scalar(exp))
+
+    values, derivatives = values_and_derivatives(
+        group(_logged(f, log, "F"), _logged(g, log, "G"), anchors), t, directions, step)
+    if step is None:  # one seeded pass of each function, and no plain evaluation
+        assert sorted(log) == [("F", True), ("G", True)]
+
+    def fresh(fn):
+        return MvFunction(fn.arity, fn.input_grade, fn.output_grade, fn.evaluator)
+
+    def fresh_group():
+        return group(fresh(f), fresh(g), tuple(map(_copied, anchors)))
+
+    assert len(values) == len(derivatives) == 5
+    for i, (value, row) in enumerate(zip(values, derivatives)):
+        want = fresh_group()[i].evaluate(Extensor(metric, t.matrix))
+        assert value._values.shape == want._values.shape, i
+        if i < 3 or step is not None:
+            assert value._values.tobytes() == want._values.tobytes(), i
+        else:
+            assert np.allclose(value._values, want._values, rtol=1e-15, atol=0.0), i
+        assert len(row) == len(directions)
+        for j, (got, direction) in enumerate(zip(row, directions)):
+            want = fresh_group()[i].directional_derivative(
+                Extensor(metric, t.matrix), _copied(direction), step)
+            assert got._values.shape == want._values.shape, (i, j)
+            assert got._values.tobytes() == want._values.tobytes(), (i, j)
+
+
+def test_values_and_derivatives_check_their_inputs():
+    rng = np.random.default_rng(75)
+    f, g = _rule_functions(E3, rng)
+    anchors = tuple(random_multivector(E3, 1, rng) for _ in range(2))
+    t, direction = Extensor.random_invertible(E3, rng), random_multivector(E3, 1, rng)
+    phi = InducedFunctional(f, anchors, 1)
+    other = InducedFunctional(g, anchors[::-1], 1)
+    with pytest.raises(ValueError, match="share their anchor tuple"):
+        values_and_derivatives((phi, other), t, (direction,))
+    with pytest.raises(ValueError, match="direction"):
+        values_and_derivatives((phi,), t, (direction, direction ^ anchors[0]))
+    for functionals, directions in (((), (direction,)), ((phi,), ())):
+        with pytest.raises(ValueError, match="at least one functional and one direction"):
+            values_and_derivatives(functionals, t, directions)
 
 
 # -- bridge to matrix components ----------------------------------------------------------------

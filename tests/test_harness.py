@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -699,6 +700,52 @@ def test_no_option_sees_another_options_rows(identity, names):
         columns[key][r] = _NAMES[key].index("exp")
         with pytest.raises((OverflowError, RuntimeWarning)):
             check.trial.sides(check.trial.inputs(ctx, columns, np.array([r])))
+
+
+# the directional rules: each group's sides come from one values_and_derivatives call
+_DIRECTIONAL_RULES = {"direction-linearity": 3, "scaling-rule": 1, "right-constant-rule": 1,
+                      "additivity-rule": 1, "leibniz-rule": 1, "chain-rule": 1}
+
+
+@pytest.mark.parametrize("identity", sorted(_DIRECTIONAL_RULES))
+def test_each_directional_rule_group_makes_one_seeded_pass(identity):
+    # every cell group evaluates F (and G) once, seeded with one band of
+    # C(n, q) tangent rows per direction, and never plainly: the Leibniz and
+    # chain rules read phi(t) and g(t) from that pass.  Its deviations are
+    # bit for bit those of the unlogged functions
+    (check,) = [c for c in CATALOG if c.id == identity]
+    config = HarnessConfig(dim=4, metric="diag:2,-1,0.5,-3", trials=16)
+    ortho = Frame.orthonormal(parse_metric(config.dim, config.metric))
+    ctx = harness._Context(ortho.metric, config, ortho)
+    drawn = check.trial.draw(ctx, harness._derive_rng(config.seed, identity))
+    groups = harness._rows_by(drawn["cell"].tolist()).values()
+    assert len(groups) == len(harness._RULE_CELLS)
+    for rows in groups:
+        x = check.trial.inputs(ctx, drawn, rows)
+        want = harness._deviation(check.trial.sides(check.trial.inputs(ctx, drawn, rows)),
+                                  check.trial.relative)
+        log = []
+
+        def logged(phi, name):
+            func = phi.func
+
+            def evaluator(*xs):
+                block = xs[0]._tangents
+                log.append((name, None if block is None else block.shape[-2]))
+                return func.evaluator(*xs)
+
+            return InducedFunctional(dataclasses.replace(func, evaluator=evaluator),
+                                     phi.anchors, phi.source_grade)
+
+        x.phi = logged(x.phi, "F")
+        names = ["F"]
+        if getattr(x, "g", None) is not None:
+            x.g = logged(x.g, "G")
+            names.append("G")
+        got = harness._deviation(check.trial.sides(x), check.trial.relative)
+        tangent_rows = _DIRECTIONAL_RULES[identity] * math.comb(ctx.metric.dim, x.q)
+        assert sorted(log) == [(name, tangent_rows) for name in names], (identity, x.q)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_passing_verdict_builds_no_witness(monkeypatch, tmp_path):
